@@ -11,10 +11,12 @@
 //! The table is append-only and process-global: a `Symbol` never moves and
 //! is valid for the life of the process, which is what lets
 //! `CounterHandle`s in `efind-mapreduce` be `Copy` and lets hot paths hold
-//! them across task boundaries. [`table_len`] exposes the table size so
-//! tests can prove a hot path performs *zero* interner growth (and hence
-//! no name allocation) at steady state.
+//! them across task boundaries. [`interned_by_thread`] counts the names the
+//! calling thread added, so a test can prove a hot path performs *zero*
+//! interner growth (and hence no name allocation) at steady state while
+//! sibling tests intern their own names in parallel.
 
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::FxHashMap;
@@ -58,6 +60,7 @@ pub fn intern(name: &str) -> Symbol {
     let arc: Arc<str> = Arc::from(name);
     w.by_id.push(arc.clone());
     w.by_name.insert(arc, id);
+    ADDED_BY_THREAD.with(|n| n.set(n.get() + 1));
     Symbol(id)
 }
 
@@ -66,10 +69,15 @@ pub fn resolve(sym: Symbol) -> Arc<str> {
     table().read().expect("intern table poisoned").by_id[sym.0 as usize].clone()
 }
 
-/// Number of distinct strings interned so far. A hot path that is
-/// allocation-free on names leaves this unchanged.
-pub fn table_len() -> usize {
-    table().read().expect("intern table poisoned").by_id.len()
+thread_local! {
+    static ADDED_BY_THREAD: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Number of distinct strings the calling thread has added to the table.
+/// A hot path that is allocation-free on names leaves this unchanged —
+/// whatever other threads intern meanwhile.
+pub fn interned_by_thread() -> usize {
+    ADDED_BY_THREAD.with(Cell::get)
 }
 
 /// The registry of counter-name shapes — the symbol table `efind-lint`
@@ -292,11 +300,13 @@ mod tests {
     #[test]
     fn reinterning_does_not_grow_table() {
         intern("intern.test.stable");
-        let before = table_len();
+        let before = interned_by_thread();
         for _ in 0..1_000 {
             intern("intern.test.stable");
         }
-        assert_eq!(table_len(), before);
+        assert_eq!(interned_by_thread(), before);
+        intern("intern.test.fresh");
+        assert_eq!(interned_by_thread(), before + 1);
     }
 
     #[test]

@@ -729,13 +729,13 @@ mod tests {
         let mut ctx = TaskCtx::new(0);
         cl.lookup(&Datum::Int(1), LookupMode::Remote, &mut ctx);
         cl.note_key(&Datum::Int(1), &mut ctx);
-        let before = efind_common::intern::table_len();
+        let before = efind_common::intern::interned_by_thread();
         for i in 0..10_000i64 {
             let key = Datum::Int(i % 7);
             cl.note_key(&key, &mut ctx);
             cl.lookup(&key, LookupMode::Remote, &mut ctx);
         }
-        assert_eq!(efind_common::intern::table_len(), before);
+        assert_eq!(efind_common::intern::interned_by_thread(), before);
         assert_eq!(ctx.counters.get("efind.op.0.lookups"), 10_001);
         assert_eq!(ctx.counters.get("efind.op.0.nik"), 10_001);
     }

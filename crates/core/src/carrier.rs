@@ -179,11 +179,6 @@ impl Carrier {
         }
     }
 
-    /// True once every index slot has results.
-    pub fn complete(&self) -> bool {
-        self.values.iter().all(Option::is_some)
-    }
-
     /// Converts the filled carrier into `(record, IndexOutput)` for
     /// `post_process`.
     ///
@@ -225,40 +220,6 @@ mod tests {
         );
         c.values[0] = Some(vec![vec![Datum::Int(100), Datum::Int(200)].into()]);
         c
-    }
-
-    #[test]
-    fn roundtrip_through_record() {
-        let c = sample();
-        let rec = c.clone().into_record(Datum::Int(10));
-        assert_eq!(rec.key, Datum::Int(10));
-        let back = Carrier::from_record(rec).unwrap();
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn unfilled_slots_survive_roundtrip() {
-        let c = sample();
-        let back = Carrier::from_record(c.clone().into_record(Datum::Null)).unwrap();
-        assert_eq!(back.values[0], c.values[0]);
-        assert_eq!(back.values[1], None);
-        assert!(!back.complete());
-    }
-
-    #[test]
-    fn record_size_matches_built_record() {
-        let mut c = sample();
-        for routing in [Datum::Int(10), Datum::Text("route".into()), Datum::Null] {
-            assert_eq!(
-                c.record_size_bytes(&routing),
-                c.clone().into_record(routing.clone()).size_bytes(),
-            );
-        }
-        c.values[1] = Some(vec![Vec::new().into(), vec![Datum::Int(1)].into()]);
-        assert_eq!(
-            c.record_size_bytes(&Datum::Int(3)),
-            c.clone().into_record(Datum::Int(3)).size_bytes(),
-        );
     }
 
     #[test]

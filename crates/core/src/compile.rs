@@ -16,6 +16,13 @@
 //! each job boundary stores the *latest* (usually smallest) intermediate —
 //! the job-boundary placement freedom of Fig. 7 that the cost model's
 //! `S_min` term reasons about.
+//!
+//! Job structure is decided stage by stage; execution is not. Once the
+//! stage list is cut into chains, each run of one operator's carrier steps
+//! inside one chain becomes a single *segment* — one [`Mapper`], or one
+//! [`Reducer`] when the run starts with the group lookup — that keeps the
+//! [`Carrier`] in memory and serializes it only where a record really
+//! crosses a shuffle or a job-boundary file.
 
 use std::sync::Arc;
 
@@ -155,53 +162,6 @@ impl RuntimeEnv {
     }
 }
 
-/// A logical stage of the compiled data flow.
-enum Stage {
-    /// A record-wise chained function. `heavy` marks stages that perform
-    /// index lookups: after a shuffle boundary these are *not* folded into
-    /// the (less parallel) reduce — they start the next job's map phase,
-    /// where every map slot works on them.
-    Mapwise { factory: MapperFactory, heavy: bool },
-    /// A shuffle boundary with its group-processing function.
-    Shuffle(ShuffleSpec),
-    /// A whole operator whose indices all use non-shuffle strategies,
-    /// compiled twice: `fused` runs pre → lookups → post on one in-memory
-    /// carrier (no intermediate record serialization); `staged` is the
-    /// equivalent chain of individual stages. Assembly picks `fused` only
-    /// in a plain map context — behind an open shuffle the staged split
-    /// (pre into the reduce, lookups into the next job's map) is part of
-    /// the job structure and must be preserved.
-    Fusable {
-        fused: MapperFactory,
-        staged: Vec<Stage>,
-    },
-}
-
-fn light(factory: MapperFactory) -> Stage {
-    Stage::Mapwise {
-        factory,
-        heavy: false,
-    }
-}
-
-fn heavy(factory: MapperFactory) -> Stage {
-    Stage::Mapwise {
-        factory,
-        heavy: true,
-    }
-}
-
-struct ShuffleSpec {
-    partitioner: Arc<dyn Partitioner>,
-    num_reducers: usize,
-    /// `None` = identity group-by.
-    reducer: Option<ReducerFactory>,
-    /// True for shuffles inserted by a shuffle *strategy* (whose reduce
-    /// parallelism is limited); false for the job's own Reduce, where the
-    /// paper's Fig. 6 places chained tail functions.
-    from_strategy: bool,
-}
-
 /// A compiled pipeline: one or more plain MapReduce jobs to run in order.
 pub struct CompiledPipeline {
     /// Jobs in execution order; each consumes the previous one's output.
@@ -214,13 +174,23 @@ pub struct CompiledPipeline {
 }
 
 // ---------------------------------------------------------------------
-// Stage implementations
+// Carrier steps
 // ---------------------------------------------------------------------
+//
+// Every operator compiles to the same list of steps — pre, then per index
+// (in plan order) either a direct lookup or rekey + shuffle + group lookup,
+// then post — and every step works on the in-memory [`Carrier`]. A carrier
+// becomes a record only where it leaves a task: behind a rekey (into the
+// shuffle) or at the end of a chain that closes a job (into a DFS file).
 
-/// Pre-resolved counter names for one [`PreMapper`] — interned once per
-/// operator at compile time so the per-record path never formats a name.
-#[derive(Clone)]
-struct PreHandles {
+/// `preProcess` + statistics: opens a carrier from a plain record.
+struct PreStep {
+    op: Arc<dyn IndexOperator>,
+    charged: Vec<Arc<ChargedLookup>>,
+    /// The shadow cache mirrors the real lookup cache's capacity —
+    /// including a tenant's reserved share — or the miss ratio R it
+    /// reports misleads the planner.
+    shadow_capacity: usize,
     n1: CounterHandle,
     s1_bytes: CounterHandle,
     spre_bytes: CounterHandle,
@@ -229,71 +199,76 @@ struct PreHandles {
     shadow_hits: Vec<CounterHandle>,
 }
 
-impl PreHandles {
-    fn new(opname: &str, num_indices: usize) -> Self {
-        PreHandles {
-            n1: CounterHandle::new(&names::op(opname, "n1")),
-            s1_bytes: CounterHandle::new(&names::op(opname, "s1.bytes")),
-            spre_bytes: CounterHandle::new(&names::op(opname, "spre.bytes")),
-            irregular: (0..num_indices)
-                .map(|j| CounterHandle::new(&names::idx(opname, j, "nik.irregular")))
-                .collect(),
-            shadow_probes: (0..num_indices)
-                .map(|j| CounterHandle::new(&names::idx(opname, j, "shadow.probes")))
-                .collect(),
-            shadow_hits: (0..num_indices)
-                .map(|j| CounterHandle::new(&names::idx(opname, j, "shadow.hits")))
-                .collect(),
+impl PreStep {
+    fn new(
+        op: Arc<dyn IndexOperator>,
+        charged: Vec<Arc<ChargedLookup>>,
+        shadow_capacity: usize,
+    ) -> Self {
+        let name = op.name().to_owned();
+        let per_index = |stat: &str| -> Vec<CounterHandle> {
+            (0..charged.len())
+                .map(|j| CounterHandle::new(&names::idx(&name, j, stat)))
+                .collect()
+        };
+        PreStep {
+            n1: CounterHandle::new(&names::op(&name, "n1")),
+            s1_bytes: CounterHandle::new(&names::op(&name, "s1.bytes")),
+            spre_bytes: CounterHandle::new(&names::op(&name, "spre.bytes")),
+            irregular: per_index("nik.irregular"),
+            shadow_probes: per_index("shadow.probes"),
+            shadow_hits: per_index("shadow.hits"),
+            op,
+            charged,
+            shadow_capacity,
         }
     }
-}
 
-/// `preProcess` + statistics: emits carrier records.
-struct PreMapper {
-    op: Arc<dyn IndexOperator>,
-    charged: Arc<Vec<Arc<ChargedLookup>>>,
-    shadows: Vec<ShadowCache>,
-    h: PreHandles,
-}
+    fn shadows(&self) -> Vec<ShadowCache> {
+        (0..self.charged.len())
+            .map(|_| ShadowCache::new(self.shadow_capacity))
+            .collect()
+    }
 
-impl Mapper for PreMapper {
-    fn map(&mut self, mut rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        ctx.counters.bump(self.h.n1, 1);
-        ctx.counters.bump(self.h.s1_bytes, rec.size_bytes() as i64);
+    fn open(&self, shadows: &mut [ShadowCache], mut rec: Record, ctx: &mut TaskCtx) -> Carrier {
+        ctx.counters.bump(self.n1, 1);
+        ctx.counters.bump(self.s1_bytes, rec.size_bytes() as i64);
         let mut keys = IndexInput::new(self.charged.len());
         self.op.pre_process(&mut rec, &mut keys);
         let key_lists = keys.into_keys();
         for (j, list) in key_lists.iter().enumerate() {
             for key in list {
                 self.charged[j].note_key(key, ctx);
-                self.shadows[j].observe(key);
+                shadows[j].observe(key);
             }
             if list.len() != 1 {
-                ctx.counters.bump(self.h.irregular[j], 1);
+                ctx.counters.bump(self.irregular[j], 1);
             }
         }
-        let routing = rec.key.clone();
-        let crec = Carrier::new(rec.key, rec.value, key_lists).into_record(routing);
-        ctx.counters
-            .bump(self.h.spre_bytes, crec.size_bytes() as i64);
-        out.collect(crec);
+        let carrier = Carrier::new(rec.key, rec.value, key_lists);
+        // `Spre` is the size of the carrier record routed by the original
+        // key — whether or not this segment ever builds that record.
+        let spre = carrier.record_size_bytes(&carrier.k1);
+        ctx.counters.bump(self.spre_bytes, spre as i64);
+        carrier
     }
 
-    fn flush(&mut self, _out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        for (j, shadow) in self.shadows.iter().enumerate() {
+    fn flush(&self, shadows: &[ShadowCache], ctx: &mut TaskCtx) {
+        for (j, shadow) in shadows.iter().enumerate() {
             ctx.counters
-                .bump(self.h.shadow_probes[j], shadow.probes() as i64);
-            ctx.counters
-                .bump(self.h.shadow_hits[j], shadow.hits() as i64);
+                .bump(self.shadow_probes[j], shadow.probes() as i64);
+            ctx.counters.bump(self.shadow_hits[j], shadow.hits() as i64);
         }
     }
 }
 
 /// Record-wise lookup for one index: baseline, or cache-fronted.
-struct DirectLookupMapper {
+struct DirectStep {
     charged: Arc<ChargedLookup>,
     slot: usize,
-    cache: Option<LookupCache>,
+    /// Capacity and poisoning plan of the per-task lookup cache; `None`
+    /// for the baseline strategy.
+    cache: Option<(usize, CorruptionPlan)>,
     t_cache: SimDuration,
     c_cache_probes: CounterHandle,
     c_cache_hits: CounterHandle,
@@ -301,113 +276,80 @@ struct DirectLookupMapper {
     /// Per-tenant eviction accounting (present only when the tenancy
     /// layer is armed for a named tenant).
     c_cache_evict: Option<CounterHandle>,
-    /// Per-task circuit breaker (present only when faults are configured).
-    breaker: Option<Breaker>,
 }
 
-impl Mapper for DirectLookupMapper {
-    fn map(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        let routing = rec.key;
-        let mut carrier = match Carrier::from_value(rec.value) {
-            Ok(c) => c,
-            Err(e) => return ctx.fail(format!("lookup stage: {e}")),
-        };
+impl DirectStep {
+    fn new_cache(&self) -> Option<LookupCache> {
+        self.cache.as_ref().map(|(capacity, corruption)| {
+            LookupCache::new(*capacity).with_corruption(corruption, self.charged.prefix())
+        })
+    }
+
+    fn fill(
+        &self,
+        mut cache: Option<&mut LookupCache>,
+        mut breaker: Option<&mut Breaker>,
+        carrier: &mut Carrier,
+        ctx: &mut TaskCtx,
+    ) {
         let keys = std::mem::take(&mut carrier.keys[self.slot]);
         let mut results = Vec::with_capacity(keys.len());
         for key in &keys {
+            let mut fetch = || {
+                self.charged
+                    .lookup_guarded(key, LookupMode::Remote, ctx, breaker.as_deref_mut())
+            };
             // Hits and fresh-insert clones are Arc refcount bumps; the
             // cached value list itself is never deep-copied here.
-            let values = match self.cache.as_mut() {
-                Some(cache) => match cache.probe(key) {
-                    Some(hit) => hit,
-                    None => {
-                        let fresh = self.charged.lookup_guarded(
-                            key,
-                            LookupMode::Remote,
-                            ctx,
-                            self.breaker.as_mut(),
-                        );
-                        cache.insert(key.clone(), fresh.clone());
-                        fresh
-                    }
-                },
-                None => {
-                    self.charged
-                        .lookup_guarded(key, LookupMode::Remote, ctx, self.breaker.as_mut())
-                }
-            };
-            results.push(values);
+            results.push(match cache.as_deref_mut() {
+                Some(cache) => cache.probe(key).unwrap_or_else(|| {
+                    let fresh = fetch();
+                    cache.insert(key.clone(), fresh.clone());
+                    fresh
+                }),
+                None => fetch(),
+            });
         }
         carrier.keys[self.slot] = keys;
         carrier.values[self.slot] = Some(results);
-        out.collect(carrier.into_record(routing));
     }
 
-    fn flush(&mut self, _out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        if let Some(cache) = &self.cache {
-            // Probe time is charged in bulk: probes × T_cache (Eq. 2).
-            ctx.charge(self.t_cache * cache.probes());
+    fn flush(&self, cache: &LookupCache, ctx: &mut TaskCtx) {
+        // Probe time is charged in bulk: probes × T_cache (Eq. 2).
+        ctx.charge(self.t_cache * cache.probes());
+        ctx.counters
+            .bump(self.c_cache_probes, cache.probes() as i64);
+        ctx.counters.bump(self.c_cache_hits, cache.hits() as i64);
+        // Guarded so corruption-free runs never materialize the counter
+        // (a zero entry would perturb golden counter fingerprints).
+        if cache.invalidations() > 0 {
             ctx.counters
-                .bump(self.c_cache_probes, cache.probes() as i64);
-            ctx.counters.bump(self.c_cache_hits, cache.hits() as i64);
-            // Guarded so corruption-free runs never materialize the counter
-            // (a zero entry would perturb golden counter fingerprints).
-            if cache.invalidations() > 0 {
-                ctx.counters
-                    .bump(self.c_cache_invalid, cache.invalidations() as i64);
-            }
-            if let Some(h) = self.c_cache_evict {
-                if cache.evictions() > 0 {
-                    ctx.counters.bump(h, cache.evictions() as i64);
-                }
-            }
+                .bump(self.c_cache_invalid, cache.invalidations() as i64);
+        }
+        if let Some(h) = self.c_cache_evict.filter(|_| cache.evictions() > 0) {
+            ctx.counters.bump(h, cache.evictions() as i64);
         }
     }
 }
 
-/// Re-keys carrier records by the lookup key of index `slot`, preparing
-/// the shuffle that groups duplicate keys together.
-struct RekeyMapper {
-    slot: usize,
-}
-
-impl Mapper for RekeyMapper {
-    fn map(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        let carrier = match Carrier::from_value(rec.value) {
-            Ok(c) => c,
-            Err(e) => return ctx.fail(format!("rekey stage: {e}")),
-        };
-        match carrier.single_key(self.slot) {
-            Ok(k) => {
-                let k = k.clone();
-                out.collect(carrier.into_record(k));
-            }
-            Err(e) => ctx.fail(e.to_string()),
-        }
-    }
-}
-
-/// The shuffling job's reduce: one lookup per distinct key, fanned back
-/// out to every carrier in the group.
-struct LookupGroupReducer {
+/// The shuffling job's reduce: one lookup per distinct key, whose result
+/// fans back out to every carrier of the group.
+struct GroupStep {
     charged: Arc<ChargedLookup>,
     slot: usize,
     locality: Option<Arc<dyn PartitionScheme>>,
     hard_colocation: bool,
-    /// Per-task circuit breaker (present only when faults are configured).
-    breaker: Option<Breaker>,
 }
 
-impl Reducer for LookupGroupReducer {
-    fn reduce(
-        &mut self,
-        key: Datum,
-        values: Vec<Datum>,
-        out: &mut dyn Collector,
+impl GroupStep {
+    fn lookup(
+        &self,
+        key: &Datum,
+        breaker: Option<&mut Breaker>,
         ctx: &mut TaskCtx,
-    ) {
+    ) -> Arc<[Datum]> {
         let mode = if let Some(scheme) = &self.locality {
-            let p = scheme.partition_of(&key);
+            let p = scheme.partition_of(key);
             ctx.add_affinity(&scheme.hosts(p));
             if self.hard_colocation {
                 ctx.require_affinity();
@@ -416,182 +358,182 @@ impl Reducer for LookupGroupReducer {
         } else {
             LookupMode::Remote
         };
-        let result = self
-            .charged
-            .lookup_guarded(&key, mode, ctx, self.breaker.as_mut());
+        self.charged.lookup_guarded(key, mode, ctx, breaker)
+    }
+}
+
+/// `postProcess` + statistics: closes a filled carrier into plain records.
+struct PostStep {
+    op: Arc<dyn IndexOperator>,
+    c_sidx_bytes: CounterHandle,
+    c_spost_bytes: CounterHandle,
+    c_post_out: CounterHandle,
+}
+
+impl PostStep {
+    fn close(&self, carrier: Carrier, out: &mut dyn Collector, ctx: &mut TaskCtx) {
+        // `Sidx`: the carrier record a lookup stage hands on is routed by
+        // the original key again.
+        let sidx = carrier.record_size_bytes(&carrier.k1);
+        ctx.counters.bump(self.c_sidx_bytes, sidx as i64);
+        let (prec, iout) = match carrier.into_post_input() {
+            Ok(v) => v,
+            Err(e) => return ctx.fail(format!("post stage: {e}")),
+        };
+        let mut buf: Vec<Record> = Vec::new();
+        self.op.post_process(prec, &iout, &mut buf);
+        let bytes: u64 = buf.iter().map(Record::size_bytes).sum();
+        ctx.counters.bump(self.c_spost_bytes, bytes as i64);
+        ctx.counters.bump(self.c_post_out, buf.len() as i64);
+        for r in buf {
+            out.collect(r);
+        }
+    }
+}
+
+/// A step applied to a carrier that is already open.
+enum Step {
+    Direct(Arc<DirectStep>),
+    /// Routes the carrier by its lookup key for index `slot`, into the
+    /// shuffle that groups duplicate keys together.
+    Rekey(usize),
+    Post(Arc<PostStep>),
+}
+
+/// What the steps of one operator that share a chain come to: direct
+/// lookups, then whatever takes the carrier out of the task.
+#[derive(Clone, Default)]
+struct Run {
+    lookups: Vec<Arc<DirectStep>>,
+    end: End,
+}
+
+#[derive(Clone, Default)]
+enum End {
+    /// The chain closes a job with lookups still to come: the carrier is
+    /// stored as a record, routed by the original key.
+    #[default]
+    Boundary,
+    Rekey(usize),
+    Post(Arc<PostStep>),
+}
+
+impl Run {
+    fn push(&mut self, step: Step) {
+        match step {
+            Step::Direct(d) => self.lookups.push(d),
+            Step::Rekey(slot) => self.end = End::Rekey(slot),
+            Step::Post(p) => self.end = End::Post(p),
+        }
+    }
+}
+
+/// A [`Run`] inside one task: every direct lookup owns a lookup cache
+/// (when its strategy caches) and a circuit breaker (when faults are
+/// configured).
+struct Running {
+    lookups: Vec<(Arc<DirectStep>, Option<LookupCache>, Option<Breaker>)>,
+    end: End,
+}
+
+impl Running {
+    fn start(run: &Run) -> Self {
+        Running {
+            lookups: run
+                .lookups
+                .iter()
+                .map(|d| (d.clone(), d.new_cache(), d.charged.new_breaker()))
+                .collect(),
+            end: run.end.clone(),
+        }
+    }
+
+    /// Takes an open carrier through the run. It is serialized only if it
+    /// leaves the task still open.
+    fn advance(&mut self, mut carrier: Carrier, out: &mut dyn Collector, ctx: &mut TaskCtx) {
+        for (d, cache, breaker) in &mut self.lookups {
+            d.fill(cache.as_mut(), breaker.as_mut(), &mut carrier, ctx);
+        }
+        let routing = match &self.end {
+            End::Post(p) => return p.close(carrier, out, ctx),
+            End::Rekey(slot) => match carrier.single_key(*slot) {
+                Ok(key) => key.clone(),
+                Err(e) => return ctx.fail(format!("rekey stage: {e}")),
+            },
+            End::Boundary => carrier.k1.clone(),
+        };
+        out.collect(carrier.into_record(routing));
+    }
+
+    fn flush(&self, ctx: &mut TaskCtx) {
+        for (d, cache, _) in &self.lookups {
+            if let Some(cache) = cache {
+                d.flush(cache, ctx);
+            }
+        }
+    }
+}
+
+/// A maximal run of one operator's carrier steps inside one map (or
+/// `reduce_post`) chain, executed on one in-memory carrier per record. The
+/// carrier is parsed only when the run continues one that an earlier task
+/// serialized (`pre` is `None`).
+struct SegmentMapper {
+    pre: Option<(Arc<PreStep>, Vec<ShadowCache>)>,
+    run: Running,
+}
+
+impl Mapper for SegmentMapper {
+    fn map(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
+        let carrier = match &mut self.pre {
+            Some((pre, shadows)) => pre.open(shadows, rec, ctx),
+            None => match Carrier::from_value(rec.value) {
+                Ok(c) => c,
+                // Only a direct lookup opens a chain on a stored carrier.
+                Err(e) => return ctx.fail(format!("lookup stage: {e}")),
+            },
+        };
+        self.run.advance(carrier, out, ctx);
+    }
+
+    fn flush(&mut self, _out: &mut dyn Collector, ctx: &mut TaskCtx) {
+        if let Some((pre, shadows)) = &self.pre {
+            pre.flush(shadows, ctx);
+        }
+        self.run.flush(ctx);
+    }
+}
+
+/// A run that starts with the group lookup: the shuffling job's reduce,
+/// with the steps chained behind it applied before anything is emitted.
+struct SegmentReducer {
+    group: Arc<GroupStep>,
+    /// Per-task circuit breaker (present only when faults are configured).
+    breaker: Option<Breaker>,
+    run: Running,
+}
+
+impl Reducer for SegmentReducer {
+    fn reduce(
+        &mut self,
+        key: Datum,
+        values: Vec<Datum>,
+        out: &mut dyn Collector,
+        ctx: &mut TaskCtx,
+    ) {
+        let result = self.group.lookup(&key, self.breaker.as_mut(), ctx);
         for payload in values {
             let mut carrier = match Carrier::from_value(payload) {
                 Ok(c) => c,
                 Err(e) => return ctx.fail(format!("group lookup stage: {e}")),
             };
-            carrier.values[self.slot] = Some(vec![result.clone()]);
-            let routing = carrier.k1.clone();
-            out.collect(carrier.into_record(routing));
-        }
-    }
-}
-
-/// `postProcess` + statistics: consumes filled carriers.
-struct PostMapper {
-    op: Arc<dyn IndexOperator>,
-    c_sidx_bytes: CounterHandle,
-    c_spost_bytes: CounterHandle,
-    c_post_out: CounterHandle,
-}
-
-impl Mapper for PostMapper {
-    fn map(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        ctx.counters
-            .bump(self.c_sidx_bytes, rec.size_bytes() as i64);
-        let carrier = match Carrier::from_value(rec.value) {
-            Ok(c) => c,
-            Err(e) => return ctx.fail(format!("post stage: {e}")),
-        };
-        let (prec, iout) = match carrier.into_post_input() {
-            Ok(v) => v,
-            Err(e) => return ctx.fail(e.to_string()),
-        };
-        let mut buf: Vec<Record> = Vec::new();
-        self.op.post_process(prec, &iout, &mut buf);
-        let bytes: u64 = buf.iter().map(Record::size_bytes).sum();
-        ctx.counters.bump(self.c_spost_bytes, bytes as i64);
-        ctx.counters.bump(self.c_post_out, buf.len() as i64);
-        for r in buf {
-            out.collect(r);
-        }
-    }
-}
-
-/// One direct-lookup slot of a [`FusedLookupMapper`], in plan order.
-struct FusedSlot {
-    charged: Arc<ChargedLookup>,
-    slot: usize,
-    cache: Option<LookupCache>,
-    t_cache: SimDuration,
-    c_cache_probes: CounterHandle,
-    c_cache_hits: CounterHandle,
-    c_cache_invalid: CounterHandle,
-    /// Per-tenant eviction accounting (present only when the tenancy
-    /// layer is armed for a named tenant).
-    c_cache_evict: Option<CounterHandle>,
-    /// Per-task circuit breaker (present only when faults are configured).
-    breaker: Option<Breaker>,
-}
-
-/// A whole operator fused into one record-wise function: `pre_process`,
-/// direct lookups for every index, and `post_process` run on a single
-/// in-memory [`Carrier`] — no intermediate record serialization between
-/// stages. Counter values (including the `spre`/`sidx` byte statistics,
-/// computed via [`Carrier::record_size_bytes`]) and per-slot cache/shadow
-/// key sequences are identical to the staged pipeline's.
-struct FusedLookupMapper {
-    op: Arc<dyn IndexOperator>,
-    charged: Arc<Vec<Arc<ChargedLookup>>>,
-    shadows: Vec<ShadowCache>,
-    h: PreHandles,
-    lookups: Vec<FusedSlot>,
-    c_sidx_bytes: CounterHandle,
-    c_spost_bytes: CounterHandle,
-    c_post_out: CounterHandle,
-}
-
-impl Mapper for FusedLookupMapper {
-    fn map(&mut self, mut rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        // preProcess + statistics (mirrors PreMapper).
-        ctx.counters.bump(self.h.n1, 1);
-        ctx.counters.bump(self.h.s1_bytes, rec.size_bytes() as i64);
-        let mut keys = IndexInput::new(self.charged.len());
-        self.op.pre_process(&mut rec, &mut keys);
-        let key_lists = keys.into_keys();
-        for (j, list) in key_lists.iter().enumerate() {
-            for key in list {
-                self.charged[j].note_key(key, ctx);
-                self.shadows[j].observe(key);
-            }
-            if list.len() != 1 {
-                ctx.counters.bump(self.h.irregular[j], 1);
-            }
-        }
-        let mut carrier = Carrier::new(rec.key, rec.value, key_lists);
-        // The staged PreMapper routes by the original key (= k1 here).
-        ctx.counters.bump(
-            self.h.spre_bytes,
-            carrier.record_size_bytes(&carrier.k1) as i64,
-        );
-
-        // Direct lookups per slot (mirrors DirectLookupMapper).
-        for fs in &mut self.lookups {
-            let keys = std::mem::take(&mut carrier.keys[fs.slot]);
-            let mut results = Vec::with_capacity(keys.len());
-            for key in &keys {
-                let values = match fs.cache.as_mut() {
-                    Some(cache) => match cache.probe(key) {
-                        Some(hit) => hit,
-                        None => {
-                            let fresh = fs.charged.lookup_guarded(
-                                key,
-                                LookupMode::Remote,
-                                ctx,
-                                fs.breaker.as_mut(),
-                            );
-                            cache.insert(key.clone(), fresh.clone());
-                            fresh
-                        }
-                    },
-                    None => {
-                        fs.charged
-                            .lookup_guarded(key, LookupMode::Remote, ctx, fs.breaker.as_mut())
-                    }
-                };
-                results.push(values);
-            }
-            carrier.keys[fs.slot] = keys;
-            carrier.values[fs.slot] = Some(results);
-        }
-        ctx.counters.bump(
-            self.c_sidx_bytes,
-            carrier.record_size_bytes(&carrier.k1) as i64,
-        );
-
-        // postProcess + statistics (mirrors PostMapper).
-        let (prec, iout) = match carrier.into_post_input() {
-            Ok(v) => v,
-            Err(e) => return ctx.fail(e.to_string()),
-        };
-        let mut buf: Vec<Record> = Vec::new();
-        self.op.post_process(prec, &iout, &mut buf);
-        let bytes: u64 = buf.iter().map(Record::size_bytes).sum();
-        ctx.counters.bump(self.c_spost_bytes, bytes as i64);
-        ctx.counters.bump(self.c_post_out, buf.len() as i64);
-        for r in buf {
-            out.collect(r);
+            carrier.values[self.group.slot] = Some(vec![result.clone()]);
+            self.run.advance(carrier, out, ctx);
         }
     }
 
     fn flush(&mut self, _out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        for (j, shadow) in self.shadows.iter().enumerate() {
-            ctx.counters
-                .bump(self.h.shadow_probes[j], shadow.probes() as i64);
-            ctx.counters
-                .bump(self.h.shadow_hits[j], shadow.hits() as i64);
-        }
-        for fs in &self.lookups {
-            if let Some(cache) = &fs.cache {
-                ctx.charge(fs.t_cache * cache.probes());
-                ctx.counters.bump(fs.c_cache_probes, cache.probes() as i64);
-                ctx.counters.bump(fs.c_cache_hits, cache.hits() as i64);
-                // Guarded: see DirectLookupMapper::flush.
-                if cache.invalidations() > 0 {
-                    ctx.counters
-                        .bump(fs.c_cache_invalid, cache.invalidations() as i64);
-                }
-                if let Some(h) = fs.c_cache_evict {
-                    if cache.evictions() > 0 {
-                        ctx.counters.bump(h, cache.evictions() as i64);
-                    }
-                }
-            }
-        }
+        self.run.flush(ctx);
     }
 }
 
@@ -622,6 +564,125 @@ impl Mapper for MapOutCounter {
 // Compilation
 // ---------------------------------------------------------------------
 
+/// A logical stage of the compiled data flow.
+enum Stage {
+    /// A plain record-wise chained function (the user's Map, the `Smap`
+    /// counter).
+    Mapwise(MapperFactory),
+    /// `preProcess`: opens an operator's carrier.
+    Pre(Arc<PreStep>),
+    /// A step on the open carrier.
+    Step(Step),
+    /// A shuffle boundary with its group-processing function.
+    Shuffle(ShuffleSpec),
+}
+
+struct ShuffleSpec {
+    partitioner: Arc<dyn Partitioner>,
+    num_reducers: usize,
+    reduce: Reduce,
+}
+
+enum Reduce {
+    /// The job's own Reduce (`None` = identity group-by), where the
+    /// paper's Fig. 6 places chained tail functions.
+    Job(Option<ReducerFactory>),
+    /// The group lookup of a shuffle *strategy*, whose reduce parallelism
+    /// is limited.
+    Lookup(Arc<GroupStep>),
+}
+
+/// One element of a map or `reduce_post` chain under assembly.
+enum Link {
+    Plain(MapperFactory),
+    /// A run of carrier steps: `Some(pre)` opens the carrier here, `None`
+    /// continues one opened before the last shuffle or job boundary.
+    Segment(Option<Arc<PreStep>>, Run),
+}
+
+impl Link {
+    fn into_factory(self) -> MapperFactory {
+        match self {
+            Link::Plain(factory) => factory,
+            Link::Segment(pre, run) => Arc::new(move || {
+                Box::new(SegmentMapper {
+                    pre: pre.as_ref().map(|p| (p.clone(), p.shadows())),
+                    run: Running::start(&run),
+                })
+            }),
+        }
+    }
+}
+
+/// One plain MapReduce job under assembly.
+#[derive(Default)]
+struct JobBuild {
+    map: Vec<Link>,
+    shuffle: Option<ShuffleSpec>,
+    post: Vec<Link>,
+}
+
+/// Cuts the stage list into jobs at shuffle boundaries: record-wise stages
+/// after a shuffle fold into that job's reduce.
+#[derive(Default)]
+struct Assembly {
+    done: Vec<JobBuild>,
+    open: JobBuild,
+}
+
+impl Assembly {
+    fn next_job(&mut self) {
+        self.done.push(std::mem::take(&mut self.open));
+    }
+
+    /// The chain the next record-wise stage lands in. `heavy` marks
+    /// stages that perform index lookups: after a *strategy* shuffle these
+    /// start a new job so they run map-side (full slot parallelism)
+    /// instead of inside the shuffle job's narrow reduce. After the job's
+    /// own Reduce they stay chained, as in Fig. 6(c).
+    fn chain(&mut self, heavy: bool) -> &mut Vec<Link> {
+        let after_strategy_shuffle =
+            matches!(&self.open.shuffle, Some(s) if matches!(s.reduce, Reduce::Lookup(_)));
+        if heavy && after_strategy_shuffle {
+            self.next_job();
+        }
+        if self.open.shuffle.is_none() {
+            &mut self.open.map
+        } else {
+            &mut self.open.post
+        }
+    }
+
+    fn push(&mut self, stage: Stage) {
+        match stage {
+            Stage::Mapwise(factory) => self.chain(false).push(Link::Plain(factory)),
+            Stage::Pre(pre) => self
+                .chain(false)
+                .push(Link::Segment(Some(pre), Run::default())),
+            Stage::Step(step) => {
+                let chain = self.chain(matches!(step, Step::Direct(_)));
+                // A step extends the segment its operator already has in
+                // this chain; at the head of a chain it continues a
+                // carrier that crossed the boundary as a record.
+                match chain.last_mut() {
+                    Some(Link::Segment(_, run)) => run.push(step),
+                    _ => {
+                        let mut run = Run::default();
+                        run.push(step);
+                        chain.push(Link::Segment(None, run));
+                    }
+                }
+            }
+            Stage::Shuffle(spec) => {
+                if self.open.shuffle.is_some() {
+                    self.next_job();
+                }
+                self.open.shuffle = Some(spec);
+            }
+        }
+    }
+}
+
 fn compile_operator(
     bound: &BoundOperator,
     plan: &OperatorPlan,
@@ -629,21 +690,19 @@ fn compile_operator(
     stages: &mut Vec<Stage>,
 ) -> Result<()> {
     let opname = bound.op.name().to_owned();
-    let charged: Arc<Vec<Arc<ChargedLookup>>> = Arc::new(
-        bound
-            .indices
-            .iter()
-            .enumerate()
-            .map(|(j, acc)| {
-                Arc::new(
-                    ChargedLookup::new(acc.clone(), env.network, names::idx_prefix(&opname, j))
-                        .with_faults(&env.faults)
-                        .with_corruption(&env.corruption)
-                        .with_hedging(&env.hedge),
-                )
-            })
-            .collect(),
-    );
+    let charged: Vec<Arc<ChargedLookup>> = bound
+        .indices
+        .iter()
+        .enumerate()
+        .map(|(j, acc)| {
+            Arc::new(
+                ChargedLookup::new(acc.clone(), env.network, names::idx_prefix(&opname, j))
+                    .with_faults(&env.faults)
+                    .with_corruption(&env.corruption)
+                    .with_hedging(&env.hedge),
+            )
+        })
+        .collect();
     if plan.choices.len() != bound.indices.len() {
         return Err(Error::Internal(format!(
             "plan for operator {opname} covers {} of {} indices",
@@ -652,84 +711,33 @@ fn compile_operator(
         )));
     }
 
-    let mut op_stages: Vec<Stage> = Vec::new();
-    let pre_handles = PreHandles::new(&opname, charged.len());
-    // The shadow cache must mirror the real lookup cache's capacity —
-    // including a tenant's reserved share — or the miss ratio R it
-    // reports misleads the planner.
-    let shadow_capacity = env.effective_cache_capacity();
-    let c_cache_evict = env.tenant_eviction_handle();
+    stages.push(Stage::Pre(Arc::new(PreStep::new(
+        bound.op.clone(),
+        charged.clone(),
+        env.effective_cache_capacity(),
+    ))));
 
-    // preProcess stage.
-    {
-        let op = bound.op.clone();
-        let charged = charged.clone();
-        let h = pre_handles.clone();
-        op_stages.push(light(Arc::new(move || {
-            Box::new(PreMapper {
-                op: op.clone(),
-                charged: charged.clone(),
-                shadows: (0..charged.len())
-                    .map(|_| ShadowCache::new(shadow_capacity))
-                    .collect(),
-                h: h.clone(),
-            })
-        })));
-    }
-
-    // Lookup stages, in plan order. Direct (non-shuffle) choices are also
-    // collected for the fused single-pass form of the operator.
-    let all_direct = plan
-        .choices
-        .iter()
-        .all(|c| matches!(c.strategy, Strategy::Baseline | Strategy::Cache));
-    struct DirectConfig {
-        charged: Arc<ChargedLookup>,
-        slot: usize,
-        with_cache: bool,
-        c_cache_probes: CounterHandle,
-        c_cache_hits: CounterHandle,
-        c_cache_invalid: CounterHandle,
-    }
-    let mut direct_configs: Vec<DirectConfig> = Vec::new();
+    // Lookup steps, in plan order.
     for choice in &plan.choices {
         let slot = choice.index;
         let cl = charged[slot].clone();
         match choice.strategy {
             Strategy::Baseline | Strategy::Cache => {
-                let with_cache = choice.strategy == Strategy::Cache;
-                let t_cache = env.t_cache;
-                let capacity = env.effective_cache_capacity();
-                let c_cache_probes = CounterHandle::new(&format!("{}cache.probes", cl.prefix()));
-                let c_cache_hits = CounterHandle::new(&format!("{}cache.hits", cl.prefix()));
-                let c_cache_invalid =
-                    CounterHandle::new(&format!("{}integrity.cache.invalid", cl.prefix()));
-                if all_direct {
-                    direct_configs.push(DirectConfig {
-                        charged: cl.clone(),
-                        slot,
-                        with_cache,
-                        c_cache_probes,
-                        c_cache_hits,
-                        c_cache_invalid,
-                    });
-                }
-                let corruption = env.corruption.clone();
-                op_stages.push(heavy(Arc::new(move || {
-                    Box::new(DirectLookupMapper {
-                        charged: cl.clone(),
-                        slot,
-                        cache: with_cache.then(|| {
-                            LookupCache::new(capacity).with_corruption(&corruption, cl.prefix())
-                        }),
-                        t_cache,
-                        c_cache_probes,
-                        c_cache_hits,
-                        c_cache_invalid,
-                        c_cache_evict,
-                        breaker: cl.new_breaker(),
-                    })
-                })));
+                let cache = (choice.strategy == Strategy::Cache)
+                    .then(|| (env.effective_cache_capacity(), env.corruption.clone()));
+                stages.push(Stage::Step(Step::Direct(Arc::new(DirectStep {
+                    slot,
+                    cache,
+                    t_cache: env.t_cache,
+                    c_cache_probes: CounterHandle::new(&format!("{}cache.probes", cl.prefix())),
+                    c_cache_hits: CounterHandle::new(&format!("{}cache.hits", cl.prefix())),
+                    c_cache_invalid: CounterHandle::new(&format!(
+                        "{}integrity.cache.invalid",
+                        cl.prefix()
+                    )),
+                    c_cache_evict: env.tenant_eviction_handle(),
+                    charged: cl,
+                }))));
             }
             Strategy::Repartition | Strategy::IndexLocality => {
                 let locality = if choice.strategy == Strategy::IndexLocality {
@@ -743,7 +751,7 @@ fn compile_operator(
                 } else {
                     None
                 };
-                op_stages.push(light(Arc::new(move || Box::new(RekeyMapper { slot }))));
+                stages.push(Stage::Step(Step::Rekey(slot)));
                 let (partitioner, num_reducers): (Arc<dyn Partitioner>, usize) = match &locality {
                     Some(scheme) => {
                         let s = scheme.clone();
@@ -754,91 +762,26 @@ fn compile_operator(
                     }
                     None => (Arc::new(HashPartitioner), env.shuffle_reducers),
                 };
-                let cl2 = cl.clone();
-                let hard_colocation = env.hard_colocation;
-                let reducer: ReducerFactory = Arc::new(move || {
-                    Box::new(LookupGroupReducer {
-                        charged: cl2.clone(),
-                        slot,
-                        locality: locality.clone(),
-                        hard_colocation,
-                        breaker: cl2.new_breaker(),
-                    })
-                });
-                op_stages.push(Stage::Shuffle(ShuffleSpec {
+                stages.push(Stage::Shuffle(ShuffleSpec {
                     partitioner,
                     num_reducers,
-                    reducer: Some(reducer),
-                    from_strategy: true,
+                    reduce: Reduce::Lookup(Arc::new(GroupStep {
+                        charged: cl,
+                        slot,
+                        locality,
+                        hard_colocation: env.hard_colocation,
+                    })),
                 }));
             }
         }
     }
 
-    // postProcess stage.
-    let c_sidx_bytes = CounterHandle::new(&names::op(&opname, "sidx.bytes"));
-    let c_spost_bytes = CounterHandle::new(&names::op(&opname, "spost.bytes"));
-    let c_post_out = CounterHandle::new(&names::op(&opname, "post.out"));
-    {
-        let op = bound.op.clone();
-        op_stages.push(light(Arc::new(move || {
-            Box::new(PostMapper {
-                op: op.clone(),
-                c_sidx_bytes,
-                c_spost_bytes,
-                c_post_out,
-            })
-        })));
-    }
-
-    if all_direct {
-        // Every index is looked up record-wise, so the whole operator also
-        // compiles to one fused stage. Assembly picks it when the operator
-        // lands in a plain map context.
-        let op = bound.op.clone();
-        let charged = charged.clone();
-        let h = pre_handles;
-        let t_cache = env.t_cache;
-        let capacity = env.effective_cache_capacity();
-        let configs = Arc::new(direct_configs);
-        let corruption = env.corruption.clone();
-        let fused: MapperFactory = Arc::new(move || {
-            Box::new(FusedLookupMapper {
-                op: op.clone(),
-                charged: charged.clone(),
-                shadows: (0..charged.len())
-                    .map(|_| ShadowCache::new(shadow_capacity))
-                    .collect(),
-                h: h.clone(),
-                lookups: configs
-                    .iter()
-                    .map(|c| FusedSlot {
-                        charged: c.charged.clone(),
-                        slot: c.slot,
-                        cache: c.with_cache.then(|| {
-                            LookupCache::new(capacity)
-                                .with_corruption(&corruption, c.charged.prefix())
-                        }),
-                        t_cache,
-                        c_cache_probes: c.c_cache_probes,
-                        c_cache_hits: c.c_cache_hits,
-                        c_cache_invalid: c.c_cache_invalid,
-                        c_cache_evict,
-                        breaker: c.charged.new_breaker(),
-                    })
-                    .collect(),
-                c_sidx_bytes,
-                c_spost_bytes,
-                c_post_out,
-            })
-        });
-        stages.push(Stage::Fusable {
-            fused,
-            staged: op_stages,
-        });
-    } else {
-        stages.extend(op_stages);
-    }
+    stages.push(Stage::Step(Step::Post(Arc::new(PostStep {
+        op: bound.op.clone(),
+        c_sidx_bytes: CounterHandle::new(&names::op(&opname, "sidx.bytes")),
+        c_spost_bytes: CounterHandle::new(&names::op(&opname, "spost.bytes")),
+        c_post_out: CounterHandle::new(&names::op(&opname, "post.out")),
+    }))));
     Ok(())
 }
 
@@ -873,9 +816,9 @@ pub fn compile_pipeline(
         compile_operator(bound, plan_of(bound)?, env, &mut stages)?;
     }
     for user_map in &ijob.map {
-        stages.push(light(user_map.clone()));
+        stages.push(Stage::Mapwise(user_map.clone()));
     }
-    stages.push(light(Arc::new(|| Box::new(MapOutCounter::new()))));
+    stages.push(Stage::Mapwise(Arc::new(|| Box::new(MapOutCounter::new()))));
     for bound in &ijob.body {
         compile_operator(bound, plan_of(bound)?, env, &mut stages)?;
     }
@@ -883,89 +826,19 @@ pub fn compile_pipeline(
         stages.push(Stage::Shuffle(ShuffleSpec {
             partitioner: ijob.partitioner.clone(),
             num_reducers: ijob.num_reducers,
-            reducer: ijob.reducer.clone(),
-            from_strategy: false,
+            reduce: Reduce::Job(ijob.reducer.clone()),
         }));
     }
     for bound in &ijob.tail {
         compile_operator(bound, plan_of(bound)?, env, &mut stages)?;
     }
 
-    // Split the stage list into jobs at shuffle boundaries: record-wise
-    // stages after a shuffle fold into that job's reduce.
-    #[derive(Default)]
-    struct JobBuild {
-        map: Vec<MapperFactory>,
-        shuffle: Option<ShuffleSpec>,
-        post: Vec<MapperFactory>,
-    }
-    impl JobBuild {
-        fn strategy_shuffle(&self) -> bool {
-            self.shuffle.as_ref().is_some_and(|s| s.from_strategy)
-        }
-    }
-    fn push_mapwise(builds: &mut Vec<JobBuild>, factory: MapperFactory, heavy: bool) {
-        let open = builds.last_mut().expect("at least one build");
-        if open.shuffle.is_none() {
-            open.map.push(factory);
-        } else if heavy && open.strategy_shuffle() {
-            // Lookup stages after a *strategy* shuffle start a new
-            // job so they run map-side (full slot parallelism)
-            // instead of inside the shuffle job's narrow reduce.
-            // After the job's own Reduce they stay chained, as in
-            // Fig. 6(c).
-            builds.push(JobBuild {
-                map: vec![factory],
-                shuffle: None,
-                post: Vec::new(),
-            });
-        } else {
-            open.post.push(factory);
-        }
-    }
-    fn push_shuffle(builds: &mut Vec<JobBuild>, spec: ShuffleSpec) {
-        let open = builds.last_mut().expect("at least one build");
-        if open.shuffle.is_none() {
-            open.shuffle = Some(spec);
-        } else {
-            builds.push(JobBuild {
-                map: Vec::new(),
-                shuffle: Some(spec),
-                post: Vec::new(),
-            });
-        }
-    }
-    let mut builds: Vec<JobBuild> = vec![JobBuild::default()];
+    let mut assembly = Assembly::default();
     for stage in stages {
-        match stage {
-            Stage::Mapwise { factory, heavy } => push_mapwise(&mut builds, factory, heavy),
-            Stage::Shuffle(spec) => push_shuffle(&mut builds, spec),
-            Stage::Fusable { fused, staged } => {
-                let open = builds.last_mut().expect("at least one build");
-                if open.shuffle.is_none() {
-                    // Plain map context: the fused form is observationally
-                    // identical to the staged chain and skips the carrier
-                    // serialize/parse between stages.
-                    open.map.push(fused);
-                } else {
-                    // Behind an open shuffle the staged split (light pre
-                    // into the reduce, heavy lookups starting a new job)
-                    // is part of the job structure — keep it.
-                    for s in staged {
-                        match s {
-                            Stage::Mapwise { factory, heavy } => {
-                                push_mapwise(&mut builds, factory, heavy);
-                            }
-                            Stage::Shuffle(spec) => push_shuffle(&mut builds, spec),
-                            Stage::Fusable { .. } => {
-                                unreachable!("fusable stages do not nest")
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        assembly.push(stage);
     }
+    assembly.next_job();
+    let builds = assembly.done;
 
     let total = builds.len();
     let mut jobs = Vec::with_capacity(total);
@@ -989,15 +862,31 @@ pub fn compile_pipeline(
         if !is_last {
             conf.output_chunks = Some(env.intermediate_chunks.max(1));
         }
-        conf.map_chain = build.map;
+        conf.map_chain = build.map.into_iter().map(Link::into_factory).collect();
+        let mut post = build.post.into_iter().peekable();
         if let Some(spec) = build.shuffle {
             conf.num_reducers = spec.num_reducers.max(1);
             conf.partitioner = spec.partitioner;
-            conf.reducer = spec.reducer;
-            conf.reduce_post = build.post;
-        } else {
-            debug_assert!(build.post.is_empty());
+            conf.reducer = match spec.reduce {
+                Reduce::Job(reducer) => reducer,
+                Reduce::Lookup(group) => {
+                    // The steps chained straight behind the group lookup
+                    // run inside the same reduce call, on the same carrier.
+                    let run = match post.next_if(|l| matches!(l, Link::Segment(None, _))) {
+                        Some(Link::Segment(_, run)) => run,
+                        _ => Run::default(),
+                    };
+                    Some(Arc::new(move || {
+                        Box::new(SegmentReducer {
+                            group: group.clone(),
+                            breaker: group.charged.new_breaker(),
+                            run: Running::start(&run),
+                        })
+                    }))
+                }
+            };
         }
+        conf.reduce_post = post.map(Link::into_factory).collect();
         jobs.push(conf);
     }
     Ok(CompiledPipeline {
@@ -1079,7 +968,9 @@ mod tests {
         (ijob, plans)
     }
 
-    fn run_pipeline(strategy: Strategy) -> (Vec<Record>, usize) {
+    /// Runs a compiled pipeline over records 0..100 on a small cluster and
+    /// returns the sorted output.
+    fn run_compiled(compiled: &CompiledPipeline) -> Vec<Record> {
         let cluster = Cluster::builder()
             .nodes(3)
             .map_slots(2)
@@ -1093,11 +984,7 @@ mod tests {
                 seed: 3,
             },
         );
-        let records: Vec<Record> = (0..100i64).map(|i| Record::new(i, "x")).collect();
-        dfs.write_file("in", records);
-        let (ijob, plans) = sample_ijob(strategy);
-        let compiled = compile_pipeline(&ijob, &plans, &env()).unwrap();
-        let n_jobs = compiled.jobs.len();
+        dfs.write_file("in", (0..100i64).map(|i| Record::new(i, "x")).collect());
         let mut t = SimTime::ZERO;
         for job in &compiled.jobs {
             let res = Runner::new(&cluster, &mut dfs).run(job, t).unwrap();
@@ -1105,7 +992,13 @@ mod tests {
         }
         let mut out = dfs.read_file("out").unwrap();
         out.sort();
-        (out, n_jobs)
+        out
+    }
+
+    fn run_pipeline(strategy: Strategy) -> (Vec<Record>, usize) {
+        let (ijob, plans) = sample_ijob(strategy);
+        let compiled = compile_pipeline(&ijob, &plans, &env()).unwrap();
+        (run_compiled(&compiled), compiled.jobs.len())
     }
 
     #[test]
@@ -1227,6 +1120,226 @@ mod tests {
         assert!(noisy.integrity.cache_invalidations > 0);
         assert!(noisy.finished > clean.finished);
         assert!(clean.integrity.is_empty());
+    }
+
+    /// Three fixed partitions over integer keys, hosted on nodes 0..3.
+    struct Mod3;
+    impl PartitionScheme for Mod3 {
+        fn num_partitions(&self) -> usize {
+            3
+        }
+        fn partition_of(&self, key: &Datum) -> usize {
+            key.as_int().unwrap_or(0).rem_euclid(3) as usize
+        }
+        fn hosts(&self, partition: usize) -> Vec<efind_cluster::NodeId> {
+            vec![efind_cluster::NodeId(partition as u16)]
+        }
+    }
+
+    /// Index `a` (slot 0, partitioned three ways) is looked up by
+    /// `key % 10`, index `b` (slot 1) by `key % 7`; post appends both
+    /// results to the value.
+    fn two_index_op() -> BoundOperator {
+        let pairs = |tag: &str| -> Vec<(Datum, Vec<Datum>)> {
+            (0..10i64)
+                .map(|i| (Datum::Int(i), vec![Datum::Text(format!("{tag}{i}"))]))
+                .collect()
+        };
+        let mut a = MemIndex::new("a", pairs("a"));
+        a.scheme = Some(Arc::new(Mod3));
+        let op = operator_fn(
+            "pair",
+            2,
+            |rec: &mut Record, keys: &mut IndexInput| {
+                let k = rec.key.as_int().unwrap_or(0);
+                keys.put(0, k % 10);
+                keys.put(1, k % 7);
+            },
+            |rec: Record, v: &crate::operator::IndexOutput, out: &mut dyn Collector| {
+                let a = v.first(0).first().cloned().unwrap_or(Datum::Null);
+                let b = v.first(1).first().cloned().unwrap_or(Datum::Null);
+                out.collect(Record::new(rec.key, Datum::List(vec![rec.value, a, b])));
+            },
+        );
+        BoundOperator::new(op)
+            .add_index(Arc::new(a))
+            .add_index(Arc::new(MemIndex::new("b", pairs("b"))))
+    }
+
+    /// A map + 2-reducer job with [`two_index_op`] in `placement`, compiled
+    /// with strategy `mix[slot]` on each index.
+    fn compile_two_index(placement: &str, mix: [Strategy; 2]) -> CompiledPipeline {
+        let base = IndexJobConf::new("j", "in", "out")
+            .set_mapper(mapper_fn(|rec, out, _| out.collect(rec)))
+            .set_reducer(
+                reducer_fn(|k, values, out, _| {
+                    for v in values {
+                        out.collect(Record::new(k.clone(), v));
+                    }
+                }),
+                2,
+            );
+        let ijob = match placement {
+            "head" => base.add_head_index_operator(two_index_op()),
+            "body" => base.add_body_index_operator(two_index_op()),
+            _ => base.add_tail_index_operator(two_index_op()),
+        };
+        let mut plan = forced_plan(&two_index_op().caps(), Strategy::Cache);
+        plan.choices[0].strategy = mix[0];
+        plan.choices[1].strategy = mix[1];
+        // Property 4 (EF004): shuffle strategies come first in plan order.
+        plan.choices.sort_by_key(|c| !c.strategy.is_shuffle());
+        let mut plans = FxHashMap::default();
+        plans.insert("pair".to_owned(), plan);
+        compile_pipeline(&ijob, &plans, &env()).unwrap()
+    }
+
+    const PLACEMENTS: [&str; 3] = ["head", "body", "tail"];
+    const MIXES: [[Strategy; 2]; 4] = [
+        [Strategy::Cache, Strategy::Repartition],
+        [Strategy::Repartition, Strategy::Cache],
+        [Strategy::Repartition, Strategy::Repartition],
+        [Strategy::IndexLocality, Strategy::Cache],
+    ];
+
+    /// Job boundaries are part of the virtual cost model: for a two-index
+    /// operator in every placement and every mix of a shuffle strategy
+    /// with another choice, the number of jobs and where each one reads,
+    /// shuffles and writes are pinned at the values the staged compiler
+    /// produced. Chain lengths are deliberately not pinned — fusing steps
+    /// into a segment shortens chains without moving a boundary.
+    #[test]
+    fn job_boundaries_of_mixed_plans_are_pinned() {
+        // `input>output reducers|- output_chunks|-` per job. One strategy
+        // shuffle ahead of the job's own Reduce: the cached index opens
+        // the second job's map (head and body compile alike). Behind the
+        // job's own Reduce every strategy shuffle is a new job, and a
+        // cached index after it a map-only third.
+        let expected = |placement: &str, mix: [Strategy; 2]| -> Vec<String> {
+            let r = if mix[0] == Strategy::IndexLocality {
+                3
+            } else {
+                4
+            };
+            let both = mix[0].is_shuffle() && mix[1].is_shuffle();
+            let shape: &[&str] = match (placement, both) {
+                ("tail", false) => &["in>j.tmp0 2 8", "j.tmp0>j.tmp1 R 8", "j.tmp1>out - -"],
+                ("tail", true) => &["in>j.tmp0 2 8", "j.tmp0>j.tmp1 R 8", "j.tmp1>out R -"],
+                (_, false) => &["in>j.tmp0 R 8", "j.tmp0>out 2 -"],
+                (_, true) => &["in>j.tmp0 R 8", "j.tmp0>j.tmp1 R 8", "j.tmp1>out 2 -"],
+            };
+            shape
+                .iter()
+                .map(|j| j.replace('R', &r.to_string()))
+                .collect()
+        };
+        let or_dash = |n: Option<usize>| n.map_or("-".to_owned(), |n| n.to_string());
+        for placement in PLACEMENTS {
+            for mix in MIXES {
+                let shape: Vec<String> = compile_two_index(placement, mix)
+                    .jobs
+                    .iter()
+                    .map(|j| {
+                        let reducers = j.has_reduce().then_some(j.num_reducers);
+                        assert_eq!(reducers.is_none(), j.num_reducers == 0);
+                        format!(
+                            "{}>{} {} {}",
+                            j.input,
+                            j.output,
+                            or_dash(reducers),
+                            or_dash(j.output_chunks)
+                        )
+                    })
+                    .collect();
+                assert_eq!(shape, expected(placement, mix), "{placement} {mix:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_plans_compute_what_the_direct_plan_computes() {
+        for placement in PLACEMENTS {
+            let direct = compile_two_index(placement, [Strategy::Baseline, Strategy::Cache]);
+            assert_eq!(direct.jobs.len(), 1);
+            let reference = run_compiled(&direct);
+            assert_eq!(reference.len(), 100);
+            for mix in MIXES {
+                let out = run_compiled(&compile_two_index(placement, mix));
+                assert_eq!(out, reference, "{placement} {mix:?}");
+            }
+        }
+    }
+
+    /// A carrier record that does not parse, or lacks a result the run
+    /// should have found filled, fails the task — naming the stage that
+    /// would have met it in a staged chain.
+    #[test]
+    fn malformed_carriers_fail_the_task_with_the_stage_named() {
+        use Strategy::{Cache, Repartition};
+        let failure_of = |chain: &[MapperFactory], value: Datum| -> String {
+            let mut ctx = TaskCtx::new(0);
+            efind_mapreduce::api::run_chain(&chain[..1], vec![Record::new(1i64, value)], &mut ctx);
+            ctx.error().expect("the task must fail").to_owned()
+        };
+        // Job 2 of repart+cache opens with lookup(b) → post on a carrier
+        // that crossed the job boundary as a record.
+        let compiled = compile_two_index("head", [Repartition, Cache]);
+        let garbage = failure_of(&compiled.jobs[1].map_chain, Datum::Int(3));
+        assert!(garbage.starts_with("lookup stage: "), "{garbage}");
+        let unfilled = Carrier::new(
+            Datum::Int(1),
+            Datum::Null,
+            vec![vec![Datum::Int(1)], vec![Datum::Int(1)]],
+        );
+        let unfilled = failure_of(
+            &compiled.jobs[1].map_chain,
+            unfilled.into_record(Datum::Int(1)).value,
+        );
+        assert!(
+            unfilled.starts_with("post stage: ") && unfilled.contains("index 0 not looked up"),
+            "{unfilled}"
+        );
+        // The group lookup parses every payload of its group.
+        let mut reducer = (compiled.jobs[0].reducer.as_ref().unwrap())();
+        let mut ctx = TaskCtx::new(0);
+        reducer.reduce(
+            Datum::Int(1),
+            vec![Datum::Int(3)],
+            &mut Vec::new(),
+            &mut ctx,
+        );
+        let garbage = ctx.error().expect("the task must fail");
+        assert!(garbage.starts_with("group lookup stage: "), "{garbage}");
+    }
+
+    /// Shuffle strategies group records *by* the lookup key, so a record
+    /// with two keys for a re-partitioned index fails the job at the rekey.
+    #[test]
+    fn multiple_keys_under_a_shuffle_strategy_fail_at_the_rekey() {
+        let (mut ijob, plans) = sample_ijob(Strategy::Repartition);
+        ijob.head[0].op = operator_fn(
+            "enrich",
+            1,
+            |rec: &mut Record, keys: &mut IndexInput| {
+                keys.put(0, rec.key.as_int().unwrap() % 10);
+                keys.put(0, 0i64);
+            },
+            |rec: Record, _: &crate::operator::IndexOutput, out: &mut dyn Collector| {
+                out.collect(rec);
+            },
+        );
+        let compiled = compile_pipeline(&ijob, &plans, &env()).unwrap();
+        let cluster = Cluster::builder().nodes(2).build();
+        let mut dfs = Dfs::new(cluster.clone(), DfsConfig::default());
+        dfs.write_file("in", vec![Record::new(1i64, "x")]);
+        let err = Runner::new(&cluster, &mut dfs)
+            .run(&compiled.jobs[0], SimTime::ZERO)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("rekey stage: ") && err.contains("exactly one key"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -198,6 +198,68 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Carrier records: the in-memory carrier and the record it serializes to
+// are two views of one tuple, and a segment that never builds the record
+// must still charge its exact size.
+
+mod carrier {
+    use super::*;
+    use efind::carrier::Carrier;
+    use proptest::collection::vec;
+    use proptest::option;
+
+    /// Every `Datum` kind, lists included (composite keys).
+    fn arb_datum() -> impl Strategy<Value = Datum> {
+        let leaf = prop_oneof![
+            Just(Datum::Null),
+            any::<bool>().prop_map(Datum::Bool),
+            any::<i64>().prop_map(Datum::Int),
+            any::<f64>().prop_map(Datum::Float),
+            "[a-z ]{0,12}".prop_map(Datum::Text),
+            vec(any::<u8>(), 0..16).prop_map(Datum::Bytes),
+        ];
+        leaf.prop_recursive(2, 16, 4, |inner| vec(inner, 0..4).prop_map(Datum::List))
+    }
+
+    /// 0–3 index slots of 0–3 keys each; a slot is unfilled, or filled
+    /// with one (possibly empty) result list per key.
+    fn arb_carrier() -> impl Strategy<Value = Carrier> {
+        let slot = (
+            vec(arb_datum(), 0..=3),
+            option::of(vec(vec(arb_datum(), 0..=3), 3..=3)),
+        );
+        (arb_datum(), arb_datum(), vec(slot, 0..=3)).prop_map(|(k1, v1, slots)| {
+            let mut c = Carrier::new(k1, v1, slots.iter().map(|(k, _)| k.clone()).collect());
+            for (j, (keys, results)) in slots.into_iter().enumerate() {
+                c.values[j] = results
+                    .map(|lists| lists.into_iter().take(keys.len()).map(Into::into).collect());
+            }
+            c
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn carrier_survives_the_record_roundtrip(c in arb_carrier(), routing in arb_datum()) {
+            let rec = c.clone().into_record(routing.clone());
+            prop_assert_eq!(&rec.key, &routing);
+            prop_assert_eq!(Carrier::from_record(rec).unwrap(), c);
+        }
+
+        #[test]
+        fn record_size_is_computed_without_building_the_record(
+            c in arb_carrier(),
+            routing in arb_datum(),
+        ) {
+            prop_assert_eq!(
+                c.record_size_bytes(&routing),
+                c.clone().into_record(routing).size_bytes()
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Analyzer soundness end-to-end: any plan the planner produces for a random
 // job must be analyzer-clean, and the job must compile and run without
 // panicking. Fewer cases — each spins up a simulated cluster.

@@ -198,11 +198,11 @@ mod tests {
         let mut c = Counters::new();
         let h = CounterHandle::new("handle.test.hot");
         c.bump(h, 1);
-        let before = efind_common::intern::table_len();
+        let before = efind_common::intern::interned_by_thread();
         for _ in 0..10_000 {
             c.bump(h, 1);
         }
-        assert_eq!(efind_common::intern::table_len(), before);
+        assert_eq!(efind_common::intern::interned_by_thread(), before);
         assert_eq!(c.get_handle(h), 10_001);
     }
 

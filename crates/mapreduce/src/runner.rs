@@ -426,10 +426,20 @@ impl<'a> Runner<'a> {
         conf: &JobConf,
         sources: Vec<Vec<Record>>,
     ) -> (Vec<Vec<Record>>, u64) {
+        let (partitions, bytes) = self.partition_sized(conf, sources);
+        (partitions, bytes.iter().sum())
+    }
+
+    /// [`Runner::partition_for_reduce`] keeping each bucket's byte volume
+    /// apart, so the reduce task that takes a bucket need not size its
+    /// records a second time.
+    fn partition_sized(
+        &self,
+        conf: &JobConf,
+        sources: Vec<Vec<Record>>,
+    ) -> (Vec<Vec<Record>>, Vec<u64>) {
         let num_r = conf.num_reducers.max(1);
         let n = sources.len();
-        // One source's per-reducer buckets plus its shuffled byte volume.
-        type Partitioned = (Vec<Vec<Record>>, u64);
         let per_source: Vec<Partitioned> = if n > 1 {
             let inputs: Vec<Mutex<Option<Vec<Record>>>> =
                 sources.into_iter().map(|s| Mutex::new(Some(s))).collect();
@@ -470,14 +480,14 @@ impl<'a> Runner<'a> {
         let mut partitions: Vec<Vec<Record>> = (0..num_r)
             .map(|p| Vec::with_capacity(per_source.iter().map(|(ps, _)| ps[p].len()).sum()))
             .collect();
-        let mut shuffle_bytes = 0u64;
+        let mut bucket_bytes = vec![0u64; num_r];
         for (ps, bytes) in per_source {
-            shuffle_bytes += bytes;
-            for (p, recs) in ps.into_iter().enumerate() {
+            for (p, (recs, b)) in ps.into_iter().zip(bytes).enumerate() {
                 partitions[p].extend(recs);
+                bucket_bytes[p] += b;
             }
         }
-        (partitions, shuffle_bytes)
+        (partitions, bucket_bytes)
     }
 
     /// Executes (real computation, no scheduling) the reduce tasks for the
@@ -505,12 +515,27 @@ impl<'a> Runner<'a> {
         conf: &JobConf,
         partitions: Vec<(usize, Vec<Record>)>,
     ) -> Result<Vec<ReduceTaskExec>> {
+        let partitions = partitions
+            .into_iter()
+            .map(|(id, input)| (id, input, None))
+            .collect();
+        self.execute_reduce_sized(conf, partitions)
+    }
+
+    /// [`Runner::execute_reduce_partitions_owned`] over `(task_id, input,
+    /// input bytes)`; a partition whose byte volume the shuffle already
+    /// summed (`Some`) is not sized again.
+    fn execute_reduce_sized(
+        &self,
+        conf: &JobConf,
+        partitions: Vec<(usize, Vec<Record>, Option<u64>)>,
+    ) -> Result<Vec<ReduceTaskExec>> {
         let n = partitions.len();
         if n == 0 {
             return Ok(Vec::new());
         }
         type ReduceExec = Result<(TaskStats, TaskSpec, Vec<Record>)>;
-        type OwnedPartition = (usize, Vec<Record>);
+        type OwnedPartition = (usize, Vec<Record>, Option<u64>);
         let inputs: Vec<Mutex<Option<OwnedPartition>>> = partitions
             .into_iter()
             .map(|p| Mutex::new(Some(p)))
@@ -528,10 +553,10 @@ impl<'a> Runner<'a> {
                     if i >= n {
                         break;
                     }
-                    let Some((task_id, input)) = inputs[i].lock().take() else {
+                    let Some((task_id, input, bytes)) = inputs[i].lock().take() else {
                         break;
                     };
-                    let out = self.execute_one_reduce(conf, task_id, input);
+                    let out = self.execute_one_reduce(conf, task_id, input, bytes);
                     results.lock()[i] = Some(out);
                 });
             }
@@ -577,9 +602,15 @@ impl<'a> Runner<'a> {
         // and is refetched from the in-memory source output.
         let (extra_fetch, shuffle_refetches, shuffle_refetch_time) =
             self.verify_shuffle_payloads(conf, &sources);
-        let (partitions, shuffle_bytes) = self.partition_for_reduce(conf, sources);
-        let mut execs = self
-            .execute_reduce_partitions_owned(conf, partitions.into_iter().enumerate().collect())?;
+        let (partitions, bucket_bytes) = self.partition_sized(conf, sources);
+        let shuffle_bytes = bucket_bytes.iter().sum();
+        let sized = partitions
+            .into_iter()
+            .zip(bucket_bytes)
+            .enumerate()
+            .map(|(id, (input, bytes))| (id, input, Some(bytes)))
+            .collect();
+        let mut execs = self.execute_reduce_sized(conf, sized)?;
         for e in &mut execs {
             if let Some(extra) = extra_fetch.get(e.task_id).filter(|d| !d.is_zero()) {
                 e.spec.base += *extra;
@@ -669,9 +700,10 @@ impl<'a> Runner<'a> {
         conf: &JobConf,
         task_id: usize,
         input: Vec<Record>,
+        input_bytes: Option<u64>,
     ) -> Result<(TaskStats, TaskSpec, Vec<Record>)> {
         let input_records = input.len() as u64;
-        let input_bytes: u64 = input.iter().map(Record::size_bytes).sum();
+        let input_bytes = input_bytes.unwrap_or_else(|| input.iter().map(Record::size_bytes).sum());
         let mut sorted = input;
         // Stable sort: equal-key order is observable (it sets group value
         // order and pass-through output order, and record sizes differ, so
@@ -1326,14 +1358,16 @@ fn fold_partition_replay(gray: &mut PartitionLog, replay: &PartitionReplay) {
     gray.orphan_results += replay.orphan_results;
 }
 
-/// Partitions one map task's output into `num_r` reduce buckets, returning
-/// the buckets and the source's shuffled bytes.
-fn partition_one(conf: &JobConf, num_r: usize, source: Vec<Record>) -> (Vec<Vec<Record>>, u64) {
+/// One source's per-reducer buckets and the bytes shuffled into each.
+type Partitioned = (Vec<Vec<Record>>, Vec<u64>);
+
+/// Partitions one map task's output into `num_r` reduce buckets.
+fn partition_one(conf: &JobConf, num_r: usize, source: Vec<Record>) -> Partitioned {
     let mut partitions: Vec<Vec<Record>> = (0..num_r).map(|_| Vec::new()).collect();
-    let mut bytes = 0u64;
+    let mut bytes = vec![0u64; num_r];
     for rec in source {
-        bytes += rec.size_bytes();
         let p = conf.partitioner.partition(&rec.key, num_r);
+        bytes[p] += rec.size_bytes();
         partitions[p].push(rec);
     }
     (partitions, bytes)

@@ -6,17 +6,18 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== efind-lint (JSON, machine-readable gate) =="
-# The determinism lint runs twice in CI on purpose: once here in JSON
-# mode (the machine-readable artifact; nonzero exit on any un-waived
-# L001..L007 finding) and once inside lint.sh in human mode ahead of
-# clippy.
-cargo run -q -p efind-lint --bin efind-lint -- --json
-
-scripts/lint.sh
+# The determinism lint runs once, in JSON mode (the machine-readable
+# artifact; nonzero exit on any un-waived L001..L007 finding).
+scripts/lint.sh --json
 
 echo "== cargo test =="
 cargo test -q --workspace
+
+echo "== efbench (the benchmark of record builds and passes its own tests) =="
+# efbench is a package of its own that mirrors public signatures and
+# RuntimeEnv fields of the crates it measures; building and testing it
+# here breaks CI, not the benchmark pipeline, when one of them changes.
+cargo build --release --manifest-path efbench/Cargo.toml && cargo test -q --manifest-path efbench/Cargo.toml
 
 echo "== fault injection (pinned seed matrix) =="
 # Deterministic chaos sweep: per (seed, rate, strategy) cell two runs

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Workspace lint gate: determinism lint (efind-lint), formatting, and
 # clippy with warnings denied. Run from anywhere; operates on the
-# repository root.
+# repository root. Arguments go to efind-lint (`--json` in CI).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -12,7 +12,7 @@ echo "== efind-lint (determinism & virtual-time rules L001..L006) =="
 # draws outside efind-common::det, unregistered counter names, panics in
 # runner/ql error paths, float accumulation over unordered collections.
 # Exits nonzero on any un-waived finding.
-cargo run -q -p efind-lint --bin efind-lint
+cargo run -q -p efind-lint --bin efind-lint -- "$@"
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check

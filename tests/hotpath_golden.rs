@@ -321,3 +321,107 @@ fn multi_index_virtual_results_match_seed() {
         assert_eq!(captured, expected, "strategy {strategy:?}");
     }
 }
+
+/// Every virtual observable of a finished EFind run: job count, then per
+/// constituent job its makespan, shuffle bytes, and full counter map, then
+/// the output file.
+fn pipeline_goldens(res: &efind::EFindJobResult, dfs: &Dfs, output: &str) -> Goldens {
+    let mut captured = vec![
+        golden("total.nanos", res.total_time.as_nanos()),
+        golden("jobs", res.jobs.len() as u64),
+    ];
+    for (i, job) in res.jobs.iter().enumerate() {
+        captured.push(golden(
+            &format!("job{i}.makespan.nanos"),
+            job.makespan().as_nanos(),
+        ));
+        captured.push(golden(&format!("job{i}.shuffle.bytes"), job.shuffle_bytes));
+        captured.push(golden(
+            &format!("job{i}.counters.fingerprint"),
+            counter_fingerprint(job),
+        ));
+    }
+    captured.push(golden("output.records", res.output.total_records() as u64));
+    captured.push(golden("output.fingerprint", file_fingerprint(dfs, output)));
+    captured
+}
+
+/// The single-index shuffle operator (pre and rekey in the map, group
+/// lookup and post in the reduce) under both shuffle strategies. Captured
+/// on the commit before carrier steps were fused into segments.
+#[test]
+fn synthetic_shuffle_strategies_match_pre_fusion_goldens() {
+    use efind_workloads::synthetic::{self, SyntheticConfig};
+
+    let expected_by_mode: [(Strategy, Goldens); 2] = [
+        (
+            Strategy::Repartition,
+            vec![
+                golden("total.nanos", 11_346_156),
+                golden("jobs", 1),
+                golden("job0.makespan.nanos", 11_346_156),
+                golden("job0.shuffle.bytes", 342_000),
+                golden("job0.counters.fingerprint", 10_416_361_766_625_681_195),
+                golden("output.records", 6_000),
+                golden("output.fingerprint", 17_291_732_468_960_446_239),
+            ],
+        ),
+        (
+            Strategy::IndexLocality,
+            vec![
+                golden("total.nanos", 11_002_892),
+                golden("jobs", 1),
+                golden("job0.makespan.nanos", 11_002_892),
+                golden("job0.shuffle.bytes", 342_000),
+                golden("job0.counters.fingerprint", 10_416_361_766_625_681_195),
+                golden("output.records", 6_000),
+                golden("output.fingerprint", 17_845_844_088_557_605_302),
+            ],
+        ),
+    ];
+    for (strategy, expected) in expected_by_mode {
+        let mut s = synthetic::scenario(&SyntheticConfig {
+            num_records: 6_000,
+            key_space: 700,
+            record_pad: 48,
+            index_value_size: 96,
+            chunks: 24,
+            ..SyntheticConfig::default()
+        });
+        let mut rt = EFindRuntime::with_config(&s.cluster, &mut s.dfs, s.efind_config.clone());
+        let res = rt.run(&s.ijob, Mode::Uniform(strategy)).unwrap();
+        let captured = pipeline_goldens(&res, &s.dfs, "syn.joined");
+        assert_eq!(captured, expected, "strategy {strategy:?}");
+    }
+}
+
+/// TPC-H Q9 (five indices, head/body/tail placements, mixed plans chosen
+/// by the optimizer from a baseline run's statistics). Captured on the
+/// commit before carrier steps were fused into segments.
+#[test]
+fn q9_optimized_matches_pre_fusion_goldens() {
+    let mut s = tpch::q9_scenario(&TpchConfig {
+        scale: 0.002,
+        chunks: 30,
+        seed: 3,
+        ..TpchConfig::default()
+    });
+    let output = s.ijob.output.clone();
+    let mut rt = EFindRuntime::with_config(&s.cluster, &mut s.dfs, s.efind_config.clone());
+    rt.run(&s.ijob, Mode::Uniform(Strategy::Baseline)).unwrap();
+    let res = rt.run(&s.ijob, Mode::Optimized).unwrap();
+    let captured = pipeline_goldens(&res, &s.dfs, &output);
+    let expected: Goldens = vec![
+        golden("total.nanos", 162_818_340),
+        golden("jobs", 2),
+        golden("job0.makespan.nanos", 55_127_851),
+        golden("job0.shuffle.bytes", 1_378_196),
+        golden("job0.counters.fingerprint", 4_866_184_493_601_449_483),
+        golden("job1.makespan.nanos", 107_690_489),
+        golden("job1.shuffle.bytes", 42_192),
+        golden("job1.counters.fingerprint", 8_643_627_041_836_133_243),
+        golden("output.records", 174),
+        golden("output.fingerprint", 1_127_085_123_377_833_606),
+    ];
+    assert_eq!(captured, expected);
+}
