@@ -32,7 +32,8 @@ pub enum Datum {
     Text(String),
     /// Raw bytes.
     Bytes(Vec<u8>),
-    /// A heterogeneous list, used for composite keys and carrier records.
+    /// A heterogeneous list, used for composite keys and multi-field
+    /// values.
     List(Vec<Datum>),
 }
 
@@ -83,26 +84,32 @@ impl KeyKind {
     }
 }
 
+/// Encoding tags of the two kinds other wire formats build on.
+const NULL_TAG: u8 = 0;
+const LIST_TAG: u8 = 6;
+
 impl Datum {
     /// Returns a stable discriminant used for cross-variant ordering and the
     /// binary encoding tag.
     fn tag(&self) -> u8 {
         match self {
-            Datum::Null => 0,
+            Datum::Null => NULL_TAG,
             Datum::Bool(_) => 1,
             Datum::Int(_) => 2,
             Datum::Float(_) => 3,
             Datum::Text(_) => 4,
             Datum::Bytes(_) => 5,
-            Datum::List(_) => 6,
+            Datum::List(_) => LIST_TAG,
         }
     }
 
-    /// Approximate serialized size in bytes.
+    /// Serialized size in bytes: exactly the length of [`Datum::encode`]'s
+    /// output (one tag byte, plus a fixed-width payload or a 4-byte length
+    /// and the contents).
     ///
     /// This is the measure behind every size statistic in the paper's cost
-    /// model (Table 1). It matches the length of [`Datum::encode`] output to
-    /// within the varint headers.
+    /// model (Table 1). Code that sizes a buffer before encoding into it
+    /// (the flat carrier payload) relies on the equality.
     pub fn size_bytes(&self) -> u64 {
         match self {
             Datum::Null => 1,
@@ -199,6 +206,15 @@ impl Datum {
         }
     }
 
+    /// Appends the header of a list of `len` elements. Followed by the
+    /// encodings of the elements, it is byte for byte what
+    /// [`Datum::encode_into`] writes for the `List` holding them — for
+    /// callers that encode a list they do not hold as a `Datum`.
+    pub fn encode_list_header(len: usize, out: &mut Vec<u8>) {
+        out.push(LIST_TAG);
+        out.extend_from_slice(&(len as u32).to_le_bytes());
+    }
+
     /// Returns the binary encoding of `self`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.size_bytes() as usize);
@@ -212,7 +228,7 @@ impl Datum {
             .split_first()
             .ok_or_else(|| Error::Decode("empty buffer".into()))?;
         match tag {
-            0 => Ok((Datum::Null, rest)),
+            NULL_TAG => Ok((Datum::Null, rest)),
             1 => {
                 let (&b, rest) = rest
                     .split_first()
@@ -241,19 +257,31 @@ impl Datum {
                 let (payload, rest) = split_len_prefixed(rest, "bytes")?;
                 Ok((Datum::Bytes(payload.to_vec()), rest))
             }
-            6 => {
-                let (head, mut rest) = split_n(rest, 4, "list len")?;
-                let n = u32::from_le_bytes(head.try_into().unwrap()) as usize;
-                let mut items = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    let (item, r) = Datum::decode_from(rest)?;
-                    items.push(item);
-                    rest = r;
-                }
+            LIST_TAG => {
+                let (items, rest) = decode_items(rest, Datum::decode_from)?;
                 Ok((Datum::List(items), rest))
             }
             other => Err(Error::Decode(format!("unknown datum tag {other}"))),
         }
+    }
+
+    /// Decodes an encoded list from the front of `buf`, reading each
+    /// element with `item` rather than as a `Datum` (the inverse of
+    /// [`Datum::encode_list_header`] plus the caller's elements).
+    pub fn decode_list_with<'a, T>(
+        buf: &'a [u8],
+        item: impl FnMut(&'a [u8]) -> Result<(T, &'a [u8])>,
+    ) -> Result<(Vec<T>, &'a [u8])> {
+        match buf.split_first() {
+            Some((&LIST_TAG, rest)) => decode_items(rest, item),
+            Some((&tag, _)) => Err(Error::Decode(format!("expected a list, found tag {tag}"))),
+            None => Err(Error::Decode("empty buffer".into())),
+        }
+    }
+
+    /// The rest of `buf` when the datum at its front is `Null`.
+    pub fn strip_null(buf: &[u8]) -> Option<&[u8]> {
+        buf.strip_prefix(&[NULL_TAG])
     }
 
     /// Decodes a datum that must consume the whole buffer.
@@ -265,6 +293,25 @@ impl Datum {
             Err(Error::Decode(format!("{} trailing bytes", rest.len())))
         }
     }
+}
+
+/// Reads a list's element count and then its elements with `item`.
+///
+/// The count comes from the input, so it bounds the reservation only as
+/// far as the input can back it: every element takes at least one byte.
+fn decode_items<'a, T>(
+    buf: &'a [u8],
+    mut item: impl FnMut(&'a [u8]) -> Result<(T, &'a [u8])>,
+) -> Result<(Vec<T>, &'a [u8])> {
+    let (head, mut rest) = split_n(buf, 4, "list len")?;
+    let n = u32::from_le_bytes(head.try_into().unwrap()) as usize;
+    let mut items = Vec::with_capacity(n.min(rest.len()));
+    for _ in 0..n {
+        let (it, r) = item(rest)?;
+        items.push(it);
+        rest = r;
+    }
+    Ok((items, rest))
 }
 
 fn split_n<'a>(buf: &'a [u8], n: usize, what: &str) -> Result<(&'a [u8], &'a [u8])> {
@@ -519,22 +566,43 @@ mod tests {
     }
 
     #[test]
-    fn size_bytes_tracks_encoding_length() {
+    fn size_bytes_is_the_encoding_length() {
         let values = vec![
             Datum::Null,
+            Datum::Bool(true),
             Datum::Int(9),
+            Datum::Float(0.5),
             Datum::Text("abcdef".into()),
             Datum::Bytes(vec![1; 100]),
             Datum::List(vec![Datum::Int(1); 10]),
+            Datum::List(vec![]),
         ];
         for v in values {
-            let enc_len = v.encode().len() as u64;
-            let sz = v.size_bytes();
-            assert!(
-                sz >= enc_len && sz <= enc_len + 8,
-                "size {sz} vs encoding {enc_len} for {v:?}"
-            );
+            assert_eq!(v.size_bytes(), v.encode().len() as u64, "{v:?}");
         }
+    }
+
+    #[test]
+    fn list_helpers_match_the_list_encoding() {
+        let items = vec![Datum::Int(1), Datum::Null, Datum::Text("x".into())];
+        let mut buf = Vec::new();
+        Datum::encode_list_header(items.len(), &mut buf);
+        for item in &items {
+            item.encode_into(&mut buf);
+        }
+        buf.push(0xAB);
+        assert_eq!(
+            buf[..buf.len() - 1],
+            Datum::List(items.clone()).encode()[..]
+        );
+        let (decoded, rest) = Datum::decode_list_with(&buf, Datum::decode_from).unwrap();
+        assert_eq!((decoded, rest), (items, &[0xAB][..]));
+
+        assert!(Datum::decode_list_with(&[], Datum::decode_from).is_err());
+        assert!(Datum::decode_list_with(&Datum::Int(1).encode(), Datum::decode_from).is_err());
+        assert_eq!(Datum::strip_null(&[0, 7]), Some(&[7u8][..]));
+        assert_eq!(Datum::strip_null(&buf), None);
+        assert_eq!(Datum::strip_null(&[]), None);
     }
 
     #[test]

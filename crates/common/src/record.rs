@@ -20,8 +20,8 @@ impl Record {
         }
     }
 
-    /// Total approximate serialized size, the unit of every `S*` statistic
-    /// in the paper's Table 1.
+    /// Total serialized size — the length of [`Record::encode`]'s output —
+    /// and the unit of every `S*` statistic in the paper's Table 1.
     pub fn size_bytes(&self) -> u64 {
         self.key.size_bytes() + self.value.size_bytes()
     }

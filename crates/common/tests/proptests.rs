@@ -23,8 +23,15 @@ proptest! {
         let enc = d.encode();
         let dec = Datum::decode(&enc).unwrap();
         prop_assert_eq!(&dec, &d);
-        // Size estimate stays close to the actual encoding.
-        prop_assert!(d.size_bytes() >= enc.len() as u64);
+    }
+
+    // Not an estimate: buffers are sized with `size_bytes` and then filled
+    // by `encode_into`, and every byte statistic is a sum of `size_bytes`.
+    #[test]
+    fn size_bytes_is_the_encoded_length(k in arb_datum(), v in arb_datum()) {
+        prop_assert_eq!(k.encode().len() as u64, k.size_bytes());
+        let rec = Record { key: k, value: v };
+        prop_assert_eq!(rec.encode().len() as u64, rec.size_bytes());
     }
 
     #[test]

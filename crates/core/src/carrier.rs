@@ -7,6 +7,20 @@
 //! as a plain record whose key is the current *routing key* (`k1`
 //! normally, the lookup key `ik_j` while shuffling for index `j`), so the
 //! unmodified MapReduce shuffle machinery moves it.
+//!
+//! # Wire format
+//!
+//! The record's value is one [`Datum::Bytes`] buffer holding, in order and
+//! each in its [`Datum::encode`] form: `k1`; `v1`; the list of the
+//! per-index key lists; the list of the per-index value slots, a slot being
+//! `Null` while unfilled and otherwise the list of its per-key result
+//! lists. That is the encoding of the list `[k1, v1, keys, values]` without
+//! the list's own 5-byte header, and the `Bytes` header is 5 bytes too, so
+//! the record is sized as if the value were that nested list. One buffer
+//! is one heap block: the task that builds a carrier record frees
+//! everything else the carrier held, and the task that parses it owns
+//! everything it builds — no block is allocated by one worker for another
+//! to free, except the buffer itself.
 
 use std::sync::Arc;
 
@@ -14,18 +28,37 @@ use efind_common::{Datum, Error, Record, Result};
 
 use crate::operator::IndexOutput;
 
-/// Moves a shared result list into an owned `Vec`. When the handle is the
-/// last reference (the common baseline/fresh-lookup case) the elements are
-/// moved out; only a list still shared with a cache entry is deep-cloned —
-/// exactly where the seed implementation cloned too.
-fn unshare_list(mut list: Arc<[Datum]>) -> Vec<Datum> {
-    match Arc::get_mut(&mut list) {
-        Some(slice) => slice
-            .iter_mut()
-            .map(|d| std::mem::replace(d, Datum::Null))
-            .collect(),
-        None => list.to_vec(),
+/// Bytes of a `Datum::List` header (tag + count) — and of the
+/// `Datum::Bytes` header (tag + length) that stands in for the payload
+/// list's. See [`Datum::size_bytes`].
+const HEADER: u64 = 5;
+
+fn list_bytes(items: &[Datum]) -> u64 {
+    HEADER + items.iter().map(Datum::size_bytes).sum::<u64>()
+}
+
+fn encode_list(items: &[Datum], out: &mut Vec<u8>) {
+    Datum::encode_list_header(items.len(), out);
+    for item in items {
+        item.encode_into(out);
     }
+}
+
+fn decode_list(buf: &[u8]) -> Result<(Vec<Datum>, &[u8])> {
+    Datum::decode_list_with(buf, Datum::decode_from)
+}
+
+/// One value slot: unfilled, or one result list per key.
+type Slot = Option<Vec<Arc<[Datum]>>>;
+
+fn decode_slot(buf: &[u8]) -> Result<(Slot, &[u8])> {
+    if let Some(rest) = Datum::strip_null(buf) {
+        return Ok((None, rest));
+    }
+    let (per_key, rest) = Datum::decode_list_with(buf, |b| {
+        decode_list(b).map(|(list, rest)| (Arc::from(list), rest))
+    })?;
+    Ok((Some(per_key), rest))
 }
 
 /// The in-flight state of one record inside an index operator.
@@ -55,26 +88,39 @@ impl Carrier {
         }
     }
 
-    /// Serializes into a record routed by `routing_key`.
+    /// Serializes into a record routed by `routing_key`: the payload is
+    /// written once, into a buffer of exactly its size. Result lists are
+    /// read through their handles, so one a cache entry still shares is
+    /// neither cloned nor disturbed.
     pub fn into_record(self, routing_key: Datum) -> Record {
-        let keys = Datum::List(self.keys.into_iter().map(Datum::List).collect());
-        let values = Datum::List(
-            self.values
-                .into_iter()
-                .map(|v| match v {
-                    None => Datum::Null,
-                    Some(per_key) => Datum::List(
-                        per_key
-                            .into_iter()
-                            .map(|list| Datum::List(unshare_list(list)))
-                            .collect(),
-                    ),
-                })
-                .collect(),
+        let len = self.payload_bytes() as usize;
+        let mut buf = Vec::with_capacity(len);
+        self.k1.encode_into(&mut buf);
+        self.v1.encode_into(&mut buf);
+        Datum::encode_list_header(self.keys.len(), &mut buf);
+        for list in &self.keys {
+            encode_list(list, &mut buf);
+        }
+        Datum::encode_list_header(self.values.len(), &mut buf);
+        for slot in &self.values {
+            match slot {
+                None => Datum::Null.encode_into(&mut buf),
+                Some(per_key) => {
+                    Datum::encode_list_header(per_key.len(), &mut buf);
+                    for list in per_key {
+                        encode_list(list, &mut buf);
+                    }
+                }
+            }
+        }
+        debug_assert_eq!(
+            buf.len(),
+            len,
+            "the payload outgrew or underfilled its one reservation"
         );
         Record {
             key: routing_key,
-            value: Datum::List(vec![self.k1, self.v1, keys, values]),
+            value: Datum::Bytes(buf),
         }
     }
 
@@ -85,47 +131,19 @@ impl Carrier {
 
     /// Deserializes a carrier from just the payload value.
     pub fn from_value(value: Datum) -> Result<Carrier> {
-        let mut parts = value
-            .into_list()
-            .ok_or_else(|| Error::Decode("carrier payload is not a list".into()))?;
-        if parts.len() != 4 {
+        let Datum::Bytes(buf) = value else {
+            return Err(Error::Decode("carrier payload is not a byte buffer".into()));
+        };
+        let (k1, rest) = Datum::decode_from(&buf)?;
+        let (v1, rest) = Datum::decode_from(rest)?;
+        let (keys, rest) = Datum::decode_list_with(rest, decode_list)?;
+        let (values, rest) = Datum::decode_list_with(rest, decode_slot)?;
+        if !rest.is_empty() {
             return Err(Error::Decode(format!(
-                "carrier payload has {} parts, expected 4",
-                parts.len()
+                "{} trailing bytes in carrier payload",
+                rest.len()
             )));
         }
-        let values_raw = parts.pop().unwrap();
-        let keys_raw = parts.pop().unwrap();
-        let v1 = parts.pop().unwrap();
-        let k1 = parts.pop().unwrap();
-
-        let keys = keys_raw
-            .into_list()
-            .ok_or_else(|| Error::Decode("carrier keys are not a list".into()))?
-            .into_iter()
-            .map(|k| {
-                k.into_list()
-                    .ok_or_else(|| Error::Decode("carrier key list malformed".into()))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let values = values_raw
-            .into_list()
-            .ok_or_else(|| Error::Decode("carrier values are not a list".into()))?
-            .into_iter()
-            .map(|v| match v {
-                Datum::Null => Ok(None),
-                Datum::List(per_key) => per_key
-                    .into_iter()
-                    .map(|pk| {
-                        pk.into_list()
-                            .map(Arc::from)
-                            .ok_or_else(|| Error::Decode("carrier value list malformed".into()))
-                    })
-                    .collect::<Result<Vec<_>>>()
-                    .map(Some),
-                _ => Err(Error::Decode("carrier value slot malformed".into())),
-            })
-            .collect::<Result<Vec<_>>>()?;
         if keys.len() != values.len() {
             return Err(Error::Decode("carrier key/value arity mismatch".into()));
         }
@@ -137,34 +155,29 @@ impl Carrier {
         })
     }
 
+    /// Length of the payload buffer [`Carrier::into_record`] writes.
+    fn payload_bytes(&self) -> u64 {
+        let keys: u64 = HEADER + self.keys.iter().map(|list| list_bytes(list)).sum::<u64>();
+        let values: u64 = HEADER
+            + self
+                .values
+                .iter()
+                .map(|slot| match slot {
+                    None => Datum::Null.size_bytes(),
+                    Some(per_key) => {
+                        HEADER + per_key.iter().map(|list| list_bytes(list)).sum::<u64>()
+                    }
+                })
+                .sum::<u64>();
+        self.k1.size_bytes() + self.v1.size_bytes() + keys + values
+    }
+
     /// Serialized size of the record [`Carrier::into_record`] would build
     /// with `routing`, computed without building it. Fused (in-memory)
     /// stages use this to bump the same byte counters the staged pipeline
     /// derives from real intermediate records.
     pub fn record_size_bytes(&self, routing: &Datum) -> u64 {
-        const LIST: u64 = 5; // Datum::List header (see Datum::size_bytes)
-        let keys: u64 = LIST
-            + self
-                .keys
-                .iter()
-                .map(|list| LIST + list.iter().map(Datum::size_bytes).sum::<u64>())
-                .sum::<u64>();
-        let values: u64 = LIST
-            + self
-                .values
-                .iter()
-                .map(|v| match v {
-                    None => Datum::Null.size_bytes(),
-                    Some(per_key) => {
-                        LIST + per_key
-                            .iter()
-                            .map(|list| LIST + list.iter().map(Datum::size_bytes).sum::<u64>())
-                            .sum::<u64>()
-                    }
-                })
-                .sum::<u64>();
-        let payload = LIST + self.k1.size_bytes() + self.v1.size_bytes() + keys + values;
-        routing.size_bytes() + payload
+        routing.size_bytes() + HEADER + self.payload_bytes()
     }
 
     /// The single lookup key for index `j`, required by shuffle strategies
@@ -241,14 +254,67 @@ mod tests {
 
     #[test]
     fn malformed_payload_rejected() {
-        assert!(Carrier::from_value(Datum::Int(3)).is_err());
-        assert!(Carrier::from_value(Datum::List(vec![Datum::Null])).is_err());
-        assert!(Carrier::from_value(Datum::List(vec![
+        let decode_err = |value: Datum| match Carrier::from_value(value) {
+            Err(Error::Decode(msg)) => msg,
+            other => panic!("expected a decode error, got {other:?}"),
+        };
+        let payload = |parts: &[Datum]| {
+            let mut buf = Vec::new();
+            for part in parts {
+                part.encode_into(&mut buf);
+            }
+            Datum::Bytes(buf)
+        };
+        let lists = |n: usize| Datum::List(vec![Datum::List(vec![]); n]);
+
+        // Not a buffer at all — the nested list of the old encoding included.
+        decode_err(Datum::Int(3));
+        decode_err(Datum::List(vec![
             Datum::Null,
             Datum::Null,
-            Datum::List(vec![]),
-            Datum::Int(1), // not a list
-        ]))
-        .is_err());
+            lists(0),
+            lists(0),
+        ]));
+        // Wrong tags: keys that are not lists, a slot that is neither
+        // `Null` nor a list, a result list that is not one.
+        decode_err(payload(&[
+            Datum::Null,
+            Datum::Null,
+            Datum::Int(1),
+            lists(0),
+        ]));
+        decode_err(payload(&[
+            Datum::Null,
+            Datum::Null,
+            Datum::List(vec![Datum::Int(1)]),
+            lists(1),
+        ]));
+        let bad_slot = Datum::List(vec![Datum::Int(1)]);
+        decode_err(payload(&[Datum::Null, Datum::Null, lists(1), bad_slot]));
+        let bad_result = Datum::List(vec![Datum::List(vec![Datum::Int(1)])]);
+        decode_err(payload(&[Datum::Null, Datum::Null, lists(1), bad_result]));
+        // Missing parts, an extra one, and differing arities.
+        decode_err(payload(&[Datum::Null, Datum::Null, lists(0)]));
+        let trailing = decode_err(payload(&[
+            Datum::Null,
+            Datum::Null,
+            lists(0),
+            lists(0),
+            Datum::Null,
+        ]));
+        assert!(trailing.contains("trailing"), "{trailing}");
+        let arity = decode_err(payload(&[Datum::Null, Datum::Null, lists(2), lists(1)]));
+        assert!(arity.contains("arity"), "{arity}");
+    }
+
+    #[test]
+    fn a_shared_result_list_is_read_not_taken() {
+        // The cache-entry case: a second handle outlives the serialization.
+        let cached: Arc<[Datum]> = vec![Datum::Int(100), Datum::Text("r".into())].into();
+        let mut c = sample();
+        c.values[0] = Some(vec![cached.clone()]);
+        let rec = c.clone().into_record(Datum::Int(10));
+        assert_eq!(cached[..], [Datum::Int(100), Datum::Text("r".into())]);
+        assert_eq!(Carrier::from_record(rec).unwrap(), c);
     }
 }

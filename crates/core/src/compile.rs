@@ -1299,17 +1299,39 @@ mod tests {
             unfilled.starts_with("post stage: ") && unfilled.contains("index 0 not looked up"),
             "{unfilled}"
         );
+        // A payload cut short in the file is caught by the parse.
+        let cut = failure_of(&compiled.jobs[1].map_chain, truncated(stored_pair(1)));
+        assert!(cut.starts_with("lookup stage: decode error"), "{cut}");
         // The group lookup parses every payload of its group.
-        let mut reducer = (compiled.jobs[0].reducer.as_ref().unwrap())();
-        let mut ctx = TaskCtx::new(0);
-        reducer.reduce(
-            Datum::Int(1),
-            vec![Datum::Int(3)],
-            &mut Vec::new(),
-            &mut ctx,
-        );
-        let garbage = ctx.error().expect("the task must fail");
-        assert!(garbage.starts_with("group lookup stage: "), "{garbage}");
+        for value in [Datum::Int(3), truncated(stored_pair(1))] {
+            let mut reducer = (compiled.jobs[0].reducer.as_ref().unwrap())();
+            let mut ctx = TaskCtx::new(0);
+            reducer.reduce(Datum::Int(1), vec![value], &mut Vec::new(), &mut ctx);
+            let garbage = ctx.error().expect("the task must fail");
+            assert!(
+                garbage.starts_with("group lookup stage: decode error"),
+                "{garbage}"
+            );
+        }
+    }
+
+    /// The payload of a stored, unfilled [`two_index_op`] carrier with
+    /// `slot1_keys` lookup keys for index `b`.
+    fn stored_pair(slot1_keys: usize) -> Datum {
+        let keys = vec![vec![Datum::Int(1)], vec![Datum::Int(1); slot1_keys]];
+        Carrier::new(Datum::Int(1), Datum::Null, keys)
+            .into_record(Datum::Int(1))
+            .value
+    }
+
+    /// `payload` as a shuffle or a file would hand it on had it lost its
+    /// last byte.
+    fn truncated(payload: Datum) -> Datum {
+        let Datum::Bytes(mut buf) = payload else {
+            panic!("a carrier payload is a byte buffer");
+        };
+        buf.pop();
+        Datum::Bytes(buf)
     }
 
     /// Shuffle strategies group records *by* the lookup key, so a record
@@ -1340,6 +1362,25 @@ mod tests {
             err.contains("rekey stage: ") && err.contains("exactly one key"),
             "{err}"
         );
+
+        // The same check meets carriers that crossed a shuffle: under
+        // repart + repart, job 0's reduce fills index `a` and re-keys for
+        // `b`. Two keys for `b` fail there, at the rekey; with the payload
+        // cut short the parse fails first and the rekey is never reached.
+        let compiled = compile_two_index("head", [Strategy::Repartition; 2]);
+        let failure_of = |payload: Datum| -> String {
+            let mut reducer = (compiled.jobs[0].reducer.as_ref().unwrap())();
+            let mut ctx = TaskCtx::new(0);
+            reducer.reduce(Datum::Int(1), vec![payload], &mut Vec::new(), &mut ctx);
+            ctx.error().expect("the task must fail").to_owned()
+        };
+        let two_keys = failure_of(stored_pair(2));
+        assert!(
+            two_keys.starts_with("rekey stage: ") && two_keys.contains("exactly one key"),
+            "{two_keys}"
+        );
+        let cut = failure_of(truncated(stored_pair(2)));
+        assert!(cut.starts_with("group lookup stage: decode error"), "{cut}");
     }
 
     #[test]

@@ -205,6 +205,7 @@ proptest! {
 mod carrier {
     use super::*;
     use efind::carrier::Carrier;
+    use efind_common::Error;
     use proptest::collection::vec;
     use proptest::option;
 
@@ -238,7 +239,72 @@ mod carrier {
         })
     }
 
+    /// The wire-format oracle: the payload as the nested `Datum::List` the
+    /// carrier was serialized to before it became one flat buffer.
+    fn nested_payload(c: &Carrier) -> Datum {
+        let keys = c.keys.iter().cloned().map(Datum::List).collect();
+        let values = c
+            .values
+            .iter()
+            .map(|slot| match slot {
+                None => Datum::Null,
+                Some(per_key) => {
+                    Datum::List(per_key.iter().map(|l| Datum::List(l.to_vec())).collect())
+                }
+            })
+            .collect();
+        Datum::List(vec![
+            c.k1.clone(),
+            c.v1.clone(),
+            Datum::List(keys),
+            Datum::List(values),
+        ])
+    }
+
+    fn payload_of(c: &Carrier) -> Vec<u8> {
+        match c.clone().into_record(Datum::Null).value {
+            Datum::Bytes(buf) => buf,
+            other => panic!("carrier payload is {other:?}, not a byte buffer"),
+        }
+    }
+
+    /// Parsing bytes that are not a carrier's is a decode error or — when
+    /// they happen to spell one — a carrier, and nothing else.
+    fn parse(bytes: Vec<u8>) -> Option<Carrier> {
+        match Carrier::from_value(Datum::Bytes(bytes)) {
+            Ok(c) => Some(c),
+            Err(Error::Decode(_)) => None,
+            Err(other) => panic!("not a decode error: {other:?}"),
+        }
+    }
+
     proptest! {
+        #[test]
+        fn payload_is_the_nested_list_encoding_without_its_header(c in arb_carrier()) {
+            let oracle = nested_payload(&c).encode();
+            prop_assert_eq!(&payload_of(&c)[..], &oracle[5..]);
+        }
+
+        #[test]
+        fn damaged_payloads_are_decode_errors_never_panics(c in arb_carrier()) {
+            let payload = payload_of(&c);
+            // A strict prefix always lacks at least the end of the values
+            // list; anything appended is trailing.
+            for cut in 0..payload.len() {
+                prop_assert_eq!(parse(payload[..cut].to_vec()), None, "cut at {}", cut);
+            }
+            let mut longer = payload.clone();
+            longer.push(0);
+            prop_assert_eq!(parse(longer), None);
+            for at in 0..payload.len() {
+                for mask in [0x01, 0x06, 0x80, 0xFF] {
+                    let mut flipped = payload.clone();
+                    flipped[at] ^= mask;
+                    let _ = parse(flipped);
+                }
+            }
+        }
+
         #[test]
         fn carrier_survives_the_record_roundtrip(c in arb_carrier(), routing in arb_datum()) {
             let rec = c.clone().into_record(routing.clone());

@@ -13,6 +13,16 @@ scripts/lint.sh --json
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== hotpath goldens under one worker =="
+# The runner fans out to available_parallelism() workers; virtual
+# observables must not depend on how many there are. `cargo test` above
+# ran the goldens under every CPU, this runs them pinned to one.
+if command -v taskset >/dev/null; then
+    taskset -c 0 cargo test -q --release --test hotpath_golden
+else
+    echo "taskset not found: skipping the one-worker golden run"
+fi
+
 echo "== efbench (the benchmark of record builds and passes its own tests) =="
 # efbench is a package of its own that mirrors public signatures and
 # RuntimeEnv fields of the crates it measures; building and testing it

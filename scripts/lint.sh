@@ -6,11 +6,12 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== efind-lint (determinism & virtual-time rules L001..L006) =="
+echo "== efind-lint (determinism & virtual-time rules L001..L007) =="
 # Project-specific source lint: wall-clock reads outside the bench
 # crate, unordered iteration in observable-output crates, raw seed/hash
 # draws outside efind-common::det, unregistered counter names, panics in
-# runner/ql error paths, float accumulation over unordered collections.
+# runner/ql error paths, float accumulation over unordered collections,
+# injection-plan draws inside hot loops without a Quiet/Armed guard.
 # Exits nonzero on any un-waived finding.
 cargo run -q -p efind-lint --bin efind-lint -- "$@"
 

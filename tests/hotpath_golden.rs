@@ -425,3 +425,92 @@ fn q9_optimized_matches_pre_fusion_goldens() {
     ];
     assert_eq!(captured, expected);
 }
+
+/// A two-index head operator planned repart + repart: job 0's reduce fills
+/// slot 0 and re-keys for slot 1, so the *filled* carrier is stored in the
+/// job-boundary file `pair.tmp0` and parsed back by job 1's group lookup.
+/// Pins every job's virtual observables and the temp file's chunking, which
+/// is cut on the stored carrier records' sizes (the file's bytes are not
+/// pinned: the payload's header changed kind, not length). Captured on the
+/// commit before the carrier payload became one flat buffer.
+#[test]
+fn repart_repart_carrier_file_matches_pre_flat_goldens() {
+    use efind::{operator_fn, BoundOperator, EFindConfig, IndexJobConf};
+    use efind_mapreduce::Collector;
+
+    let config = MultiConfig {
+        num_events: 3_000,
+        num_users: 200,
+        num_ads: 500,
+        num_sites: 100,
+        site_value_bytes: 200,
+        chunks: 30,
+        ..MultiConfig::default()
+    };
+    let cluster = Cluster::edbt_testbed();
+    let mut dfs = Dfs::new(cluster.clone(), DfsConfig::default());
+    dfs.write_file_with_chunks("ads.events", multi::generate(&config), config.chunks);
+    let (users, _ads, sites) = multi::build_indices(&config, &cluster);
+    let pair = operator_fn(
+        "pair",
+        2,
+        |rec: &mut Record, keys: &mut efind::IndexInput| {
+            if let Some(f) = rec.value.as_list() {
+                keys.put(0, f[0].clone());
+                keys.put(1, f[2].clone());
+            }
+        },
+        |rec: Record, values: &efind::IndexOutput, out: &mut dyn Collector| {
+            let segment = values.first(0).first().cloned().unwrap_or(Datum::Null);
+            let reputation = values.first(1).first().map_or(0, Datum::size_bytes);
+            out.collect(Record::new(
+                segment,
+                Datum::List(vec![rec.key, Datum::Int(reputation as i64)]),
+            ));
+        },
+    );
+    let ijob = IndexJobConf::new("pair", "ads.events", "pair.out")
+        .add_head_index_operator(BoundOperator::new(pair).add_index(users).add_index(sites))
+        .set_mapper(mapper_fn(|rec, out, _| out.collect(rec)))
+        .set_reducer(
+            reducer_fn(|key, values, out, _| {
+                out.collect(Record::new(key, values.len() as i64));
+            }),
+            24,
+        );
+    let efind_config = EFindConfig {
+        keep_intermediates: true,
+        ..EFindConfig::default()
+    };
+    let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, efind_config);
+    let res = rt.run(&ijob, Mode::Uniform(Strategy::Repartition)).unwrap();
+
+    let mut captured = pipeline_goldens(&res, &dfs, "pair.out");
+    let tmp = dfs.stat("pair.tmp0").unwrap();
+    captured.push(golden("tmp0.chunks", tmp.chunks.len() as u64));
+    captured.push(golden("tmp0.bytes", tmp.total_bytes()));
+    let per_chunk: Vec<String> = tmp.chunks.iter().map(|c| c.bytes.to_string()).collect();
+    captured.push(golden(
+        "tmp0.chunk_bytes.fingerprint",
+        fx_hash_bytes(per_chunk.join(",").as_bytes()),
+    ));
+    let expected: Goldens = vec![
+        golden("total.nanos", 12_604_807),
+        golden("jobs", 3),
+        golden("job0.makespan.nanos", 7_381_276),
+        golden("job0.shuffle.bytes", 285_000),
+        golden("job0.counters.fingerprint", 4_394_460_984_117_328_309),
+        golden("job1.makespan.nanos", 4_174_236),
+        golden("job1.shuffle.bytes", 352_080),
+        golden("job1.counters.fingerprint", 4_722_328_376_407_806_545),
+        golden("job2.makespan.nanos", 1_049_295),
+        golden("job2.shuffle.bytes", 109_080),
+        golden("job2.counters.fingerprint", 2_067_570_947_657_507_227),
+        golden("output.records", 16),
+        golden("output.fingerprint", 16_955_538_386_857_333_311),
+        golden("tmp0.chunks", 200),
+        golden("tmp0.bytes", 352_080),
+        golden("tmp0.chunk_bytes.fingerprint", 1_279_660_794_181_110_078),
+    ];
+    assert_eq!(captured, expected);
+}
