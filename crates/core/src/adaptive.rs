@@ -18,97 +18,171 @@
 //! final job's reduce consumes both the new plan's map outputs and the
 //! wave-1 outputs — exactly the merge of Fig. 10(a). The plan changes at
 //! most once per job.
+//!
+//! Every planning pass — map-side after the first map wave, tail-side
+//! after the first reduce wave, and the warm start from the cross-job
+//! store — is the same per-operator step over the [`Evidence`] at hand
+//! ([`replan`]). Every job the runtime stitches together by hand ends in
+//! the runner's own tail ([`Runner::seal`](efind_mapreduce::Runner::seal)).
 
-use efind_cluster::{SimDuration, SimTime};
-use efind_common::{Error, FxHashMap, Result};
+use efind_cluster::{sched::Schedule, SimDuration, SimTime};
+use efind_common::{Error, FxHashMap, Record, Result};
 use efind_mapreduce::{
-    Counters, JobStats, PartitionLog, PhaseStats, RecoveryLog, Runner, Sketches, TaskStats,
+    Counters, JobConf, JobParts, JobStats, MapPhaseExec, PhaseStats, RecoveryLog, ReduceTaskExec,
+    Sketches, TaskStats,
 };
 
 use crate::compile::compile_pipeline;
-use crate::cost::cost_baseline;
-use crate::jobconf::IndexJobConf;
+use crate::cost::{cost_baseline, Placement};
+use crate::jobconf::{BoundOperator, IndexJobConf};
 use crate::plan::{forced_plan, optimize_operator, OperatorPlan, Strategy};
 use crate::runtime::{EFindJobResult, EFindRuntime};
+use crate::statstore::MeasuredOp;
 use crate::statsx::{extract_operator_stats, variance_ok};
 
-/// A runner carrying the runtime's node-crash and corruption plans, so
-/// every adaptive sub-step (wave execution, scheduling, re-planned
-/// sub-jobs) sees the same planned crashes and byte flips as a plain
-/// `run_with_plans` execution.
-fn runner<'r>(rt: &'r mut EFindRuntime<'_>) -> Runner<'r> {
-    Runner::with_chaos(rt.cluster, rt.dfs, rt.config.chaos.clone())
-        .with_corruption(rt.config.corruption.clone())
+/// Per-operator plans, by operator name.
+type Plans = FxHashMap<String, OperatorPlan>;
+
+/// What a completed first wave (of map or of reduce tasks) observed.
+struct Wave<'a> {
+    tasks: Vec<&'a TaskStats>,
+    counters: Counters,
+    sketches: Sketches,
 }
 
-/// Applies every planned crash at or before `upto` to the DFS and records
-/// it in `log`. `Dfs::crash_node` is idempotent, so crashes a sub-job's
-/// runner already applied are no-ops here (and re-replication of an
-/// already-healed chunk moves zero bytes).
-fn apply_chaos_to_dfs(rt: &mut EFindRuntime<'_>, upto: SimTime, log: &mut RecoveryLog) {
-    if rt.config.chaos.is_quiet() {
-        return;
-    }
-    for e in rt.config.chaos.events().to_vec() {
-        if e.at <= upto && !rt.dfs.is_dead(e.node) {
-            log.crashes.push(e);
-            rt.dfs.crash_node(e.node);
-            let rep = rt.dfs.re_replicate();
-            log.rereplicated_chunks += rep.chunks;
-            log.rereplicated_bytes += rep.bytes;
-            log.rereplication_time += rep.duration;
+impl<'a> Wave<'a> {
+    fn of(tasks: impl Iterator<Item = &'a TaskStats>) -> Self {
+        let tasks: Vec<&TaskStats> = tasks.collect();
+        let mut counters = Counters::new();
+        let mut sketches = Sketches::new();
+        for t in &tasks {
+            counters.merge(&t.counters);
+            sketches.merge(&t.sketches);
+        }
+        Wave {
+            tasks,
+            counters,
+            sketches,
         }
     }
+
+    /// Input records the wave consumed.
+    fn input_records(&self) -> u64 {
+        self.tasks.iter().map(|t| t.input_records).sum()
+    }
+
+    /// The wave as planning evidence for the `remaining` input records
+    /// still to come; `None` when the wave saw no input or nothing remains.
+    fn scaled_to(&self, remaining: u64) -> Option<Evidence<'_>> {
+        let seen = self.input_records();
+        (seen > 0 && remaining > 0).then(|| Evidence::Wave(self, remaining as f64 / seen as f64))
+    }
 }
 
-/// Computes warm-start plans from the attached store's measured history.
+/// The statistics a planning pass works from.
+enum Evidence<'a> {
+    /// A first wave of this very job; volumes scale by the factor
+    /// (remaining input over the wave's input), averages and ratios carry
+    /// over unchanged.
+    Wave(&'a Wave<'a>, f64),
+    /// What earlier runs measured for the same operator shapes, from the
+    /// attached cross-job store.
+    History,
+}
+
+/// How a planning pass fills its plan map — the two real differences
+/// between the passes, as data.
+#[derive(Clone, Copy, PartialEq)]
+enum Fill {
+    /// The map already holds the baseline plan of every operator (the
+    /// map-side pass): only operators that get cheaper are overwritten.
+    Improvements,
+    /// The map starts empty and the pipeline compiled from it needs an
+    /// entry for every operator (the tail pass, the warm start): a gated
+    /// operator gets the forced baseline plan, a planned one the
+    /// optimizer's plan even when that is not cheaper.
+    Everything,
+}
+
+/// Plans each of `ops` from `evidence` into `plans`. Returns the predicted
+/// saving over the baseline plans (cost-model seconds, summed over the
+/// operators that got cheaper) and a probe for every operator planned from
+/// measured history — or `None` when the history lacks an indexed,
+/// non-volatile operator (a wave that saw nothing of an operator merely
+/// gates it).
 ///
-/// Returns `None` — meaning "run the full adaptive protocol" — when no
-/// store is attached, the store is empty, or any indexed, non-volatile
-/// operator lacks a matching fingerprint. Volatile and index-less
-/// operators take the baseline plan (as every mode forces), and an
-/// operator whose history shows a failing index is pinned to baseline by
-/// the same degradation gate the mid-job pass applies.
-fn warm_start_plans(
+/// An operator is *gated*, i.e. stays on the baseline plan, when it is
+/// volatile (§3.2: non-idempotent lookups) or has no index, when its
+/// statistics vary too much across the wave's tasks (Algorithm 1 lines
+/// 1–3) or are absent, or when they show an index failing or timing out
+/// beyond the configured threshold — committing a shuffle job (or cached
+/// reuse) to an index that may be black-holed compounds the damage, and
+/// baseline keeps the retry/breaker machinery on the simplest path.
+fn replan<'o>(
     rt: &EFindRuntime<'_>,
-    ijob: &IndexJobConf,
-) -> Option<(
-    FxHashMap<String, OperatorPlan>,
-    Vec<crate::statstore::MeasuredOp>,
-)> {
-    let store = rt.store.as_ref()?;
-    if store.is_empty() {
-        return None;
-    }
+    ops: impl Iterator<Item = (&'o BoundOperator, Placement)>,
+    evidence: &Evidence<'_>,
+    fill: Fill,
+    plans: &mut Plans,
+) -> Option<(f64, Vec<MeasuredOp>)> {
     let env = rt.cost_env();
     let degrade = rt.config.faults.degrade_threshold();
-    let mut plans = FxHashMap::default();
+    let mut gain = 0.0f64;
     let mut measured = Vec::new();
-    for (bound, placement) in ijob.operators() {
-        let name = bound.op.name().to_owned();
-        if bound.volatile || bound.indices.is_empty() {
-            plans.insert(name, forced_plan(&bound.caps(), Strategy::Baseline));
-            continue;
-        }
-        let (shape, mut stats) = rt.measured_for(bound, placement)?;
-        // Partition-scheme availability is structural — refresh it from
-        // the bound accessors, as every planning path does.
-        for (j, (_, scheme)) in bound.caps().iter().enumerate() {
-            if let Some(idx) = stats.indices.get_mut(j) {
-                idx.has_partition_scheme = *scheme;
+    for (bound, placement) in ops {
+        let name = bound.op.name();
+        let gathered = if bound.volatile || bound.indices.is_empty() {
+            None
+        } else {
+            match evidence {
+                Evidence::Wave(wave, scale) => {
+                    let desc = bound.descriptor();
+                    variance_ok(&wave.tasks, &desc, rt.config.variance_threshold)
+                        .then(|| extract_operator_stats(&wave.counters, &wave.sketches, &desc))
+                        .flatten()
+                        .map(|mut stats| {
+                            stats.n1 *= scale;
+                            (stats, None)
+                        })
+                }
+                Evidence::History => {
+                    let (shape, stats) = rt.measured_for(bound, placement)?;
+                    Some((stats, Some(shape)))
+                }
             }
-        }
-        if stats.indices.iter().any(|i| i.failure_rate > degrade) {
-            plans.insert(name, forced_plan(&bound.caps(), Strategy::Baseline));
+        };
+        let healthy =
+            gathered.filter(|(stats, _)| !stats.indices.iter().any(|i| i.failure_rate > degrade));
+        let Some((mut stats, shape)) = healthy else {
+            if fill == Fill::Everything {
+                plans.insert(
+                    name.to_owned(),
+                    forced_plan(&bound.caps(), Strategy::Baseline),
+                );
+            }
             continue;
+        };
+        // Partition-scheme availability is structural, not statistical —
+        // refresh it from the bound accessors.
+        for (idx, (_, scheme)) in stats.indices.iter_mut().zip(bound.caps()) {
+            idx.has_partition_scheme = scheme;
         }
+        let current: f64 = (0..stats.indices.len())
+            .map(|j| cost_baseline(&env, &stats, j))
+            .sum();
         let plan = optimize_operator(&stats, &env, placement, rt.config.enumeration);
-        measured.push(crate::statstore::MeasuredOp::probe(
-            &name, shape, &stats, &env, placement,
-        ));
-        plans.insert(name, plan);
+        if let Some(shape) = shape {
+            measured.push(MeasuredOp::probe(name, shape, &stats, &env, placement));
+        }
+        let cheaper = plan.est_cost_secs < current;
+        if cheaper {
+            gain += current - plan.est_cost_secs;
+        }
+        if cheaper || fill == Fill::Everything {
+            plans.insert(name.to_owned(), plan);
+        }
     }
-    Some((plans, measured))
+    Some((gain, measured))
 }
 
 /// Runs an enhanced job in dynamic (adaptive) mode.
@@ -116,7 +190,7 @@ pub(crate) fn run_dynamic(
     rt: &mut EFindRuntime<'_>,
     ijob: &IndexJobConf,
 ) -> Result<EFindJobResult> {
-    let baseline_plans: FxHashMap<String, OperatorPlan> = ijob
+    let baseline_plans: Plans = ijob
         .operators()
         .map(|(b, _)| {
             (
@@ -130,16 +204,13 @@ pub(crate) fn run_dynamic(
     // baseline plan statically (statistics still collected). Jobs with
     // only tail operators still flow through the main path so the
     // reduce-phase branch of Algorithm 1 gets its chance.
-    if ijob.head.is_empty() && ijob.body.is_empty() && ijob.tail.is_empty() {
-        return rt.run_with_plans(ijob, baseline_plans, false);
-    }
-
+    //
     // A mid-job plan change reuses the completed wave's outputs, which is
     // only sound when every lookup is a pure function of its key (§3.2).
     // A non-deterministic accessor (EF012, warned at compile time) thus
     // statically disables adaptive re-optimization: the job runs its
     // baseline plan end to end.
-    if crate::analysis::has_nondeterministic_accessor(ijob) {
+    if ijob.operators().next().is_none() || crate::analysis::has_nondeterministic_accessor(ijob) {
         return rt.run_with_plans(ijob, baseline_plans, false);
     }
 
@@ -149,8 +220,18 @@ pub(crate) fn run_dynamic(
     // no statistics wave, no mid-job replan. Any missing fingerprint
     // falls through to the full adaptive run below (a partial warm start
     // would skip the statistics wave the cold operators still need).
-    if let Some((plans, measured)) = warm_start_plans(rt, ijob) {
-        return rt.run_with_plans_measured(ijob, plans, false, measured);
+    if rt.store.as_ref().is_some_and(|store| !store.is_empty()) {
+        let mut plans = Plans::default();
+        let history = replan(
+            rt,
+            ijob.operators(),
+            &Evidence::History,
+            Fill::Everything,
+            &mut plans,
+        );
+        if let Some((_, measured)) = history {
+            return rt.run_with_plans_measured(ijob, plans, false, measured);
+        }
     }
 
     let compiled = compile_pipeline(ijob, &baseline_plans, &rt.runtime_env())?;
@@ -165,90 +246,47 @@ pub(crate) fn run_dynamic(
         .next()
         .ok_or_else(|| Error::Internal("empty compiled pipeline".into()))?;
 
-    let chunks = runner(rt).chunks(&conf)?;
+    let chunks = rt.runner().chunks(&conf)?;
     // When the whole map phase fits one wave there is no map-side
-    // remainder to re-plan (remaining_in = 0 disables that branch), but
-    // the reduce-phase branch below still applies.
-    let wave_n = runner(rt).first_wave_count(chunks.len()).min(chunks.len());
+    // remainder to re-plan (nothing remains, so the wave is no evidence),
+    // but the reduce-phase branch below still applies.
+    let wave_n = rt.runner().first_wave_count(chunks.len()).min(chunks.len());
 
     // ---- Wave 1 under the baseline plan (real execution). ----
-    let mut exec1 = runner(rt).execute_maps(&conf, &chunks[..wave_n], 0)?;
-    let mut wave_counters = Counters::new();
-    let mut wave_sketches = Sketches::new();
-    for t in &exec1.tasks {
-        wave_counters.merge(&t.stats.counters);
-        wave_sketches.merge(&t.stats.sketches);
-    }
-    let task_refs: Vec<&TaskStats> = exec1.tasks.iter().map(|t| &t.stats).collect();
+    let mut exec1 = rt.runner().execute_maps(&conf, &chunks[..wave_n], 0)?;
 
     // ---- Algorithm 1: re-optimize map-side operators. ----
-    let env = rt.cost_env();
-    let wave_in: u64 = exec1.tasks.iter().map(|t| t.stats.input_records).sum();
+    let wave = Wave::of(exec1.tasks.iter().map(|t| &t.stats));
     let total_in: u64 = chunks.iter().map(|c| c.records as u64).sum();
-    let remaining_in = total_in.saturating_sub(wave_in);
-
     let mut new_plans = baseline_plans.clone();
-    let mut predicted_gain = 0.0f64;
-    if wave_in > 0 && remaining_in > 0 {
-        for (bound, placement) in ijob
-            .head
-            .iter()
-            .map(|b| (b, crate::cost::Placement::Head))
-            .chain(ijob.body.iter().map(|b| (b, crate::cost::Placement::Body)))
-        {
-            if bound.volatile {
-                continue; // §3.2: non-idempotent lookups stay baseline
-            }
-            let desc = bound.descriptor();
-            if !variance_ok(&task_refs, &desc, rt.config.variance_threshold) {
-                continue;
-            }
-            let Some(mut stats) = extract_operator_stats(&wave_counters, &wave_sketches, &desc)
-            else {
-                continue;
-            };
-            // Graceful degradation: when wave-1 counters show an index
-            // failing or timing out beyond the configured threshold, the
-            // operator stays on the baseline plan — committing a shuffle
-            // job (or cached reuse) to an index that may be black-holed
-            // compounds the damage, and baseline keeps the retry/breaker
-            // machinery on the simplest path.
-            let degrade = rt.config.faults.degrade_threshold();
-            if stats.indices.iter().any(|i| i.failure_rate > degrade) {
-                continue;
-            }
-            // Scale the volume statistic to the remaining input; averages
-            // and ratios carry over unchanged.
-            stats.n1 *= remaining_in as f64 / wave_in as f64;
-            let current: f64 = (0..stats.indices.len())
-                .map(|j| cost_baseline(&env, &stats, j))
-                .sum();
-            let plan = optimize_operator(&stats, &env, placement, rt.config.enumeration);
-            if plan.est_cost_secs < current {
-                predicted_gain += current - plan.est_cost_secs;
-                new_plans.insert(bound.op.name().to_owned(), plan);
-            }
-        }
-    }
-    let replan = env.wall_secs(predicted_gain) > rt.config.plan_change_cost_secs;
+    let map_side = ijob.operators().filter(|(_, p)| *p != Placement::Tail);
+    let predicted_gain = wave
+        .scaled_to(total_in.saturating_sub(wave.input_records()))
+        .and_then(|evidence| replan(rt, map_side, &evidence, Fill::Improvements, &mut new_plans))
+        .map_or(0.0, |(gain, _)| gain);
+    let Wave {
+        counters: wave_counters,
+        sketches: wave_sketches,
+        ..
+    } = wave;
 
+    let replan = rt.cost_env().wall_secs(predicted_gain) > rt.config.plan_change_cost_secs;
     if !replan {
         // Continue with the baseline plan map-side: execute the remaining
         // splits. Algorithm 1's else-branch still applies — once the job
         // reaches its reduce phase, the tail operators (whose statistics
         // only exist now) get their own re-optimization chance.
-        let exec2 = runner(rt).execute_maps(&conf, &chunks[wave_n..], wave_n)?;
+        let exec2 = rt.runner().execute_maps(&conf, &chunks[wave_n..], wave_n)?;
         exec1.tasks.extend(exec2.tasks);
         if let Some(result) = try_reduce_phase_replan(rt, ijob, &conf, &mut exec1, &baseline_plans)?
         {
             return Ok(result);
         }
-        let res = runner(rt).finish(&conf, &mut exec1, SimTime::ZERO)?;
-        let total_time = res.stats.makespan();
+        let res = rt.runner().finish(&conf, &mut exec1, SimTime::ZERO)?;
         rt.absorb_stats(ijob, std::slice::from_ref(&res.stats), &baseline_plans);
         return Ok(EFindJobResult {
             output: res.output,
-            total_time,
+            total_time: res.stats.makespan(),
             jobs: vec![res.stats],
             // efind-lint: allow(unordered-iter, map-to-map collect; the destination is keyed and no order survives)
             plans: baseline_plans.into_iter().collect(),
@@ -259,28 +297,36 @@ pub(crate) fn run_dynamic(
     // ---- Plan change (Fig. 10(a)). ----
     // Wave-1 tasks have already run; their elapsed time and outputs are
     // kept. The plan-change overhead models job resubmission.
-    let wave_sched = runner(rt).schedule_maps(&exec1, SimTime::ZERO);
+    let wave_sched = rt.runner().schedule_maps(&exec1, SimTime::ZERO);
     let mut t = wave_sched.makespan + SimDuration::from_secs_f64(rt.config.plan_change_cost_secs);
 
     // Crash-surviving re-plan: a wave-1 result on a node with a planned
-    // death cannot be served to the re-planned job's (much later) reduce —
-    // the node-local spill dies with the node. Those tasks are *lost*: the
-    // re-plan reuses exactly the surviving results and sends the lost
-    // tasks' input splits back through the new plan. The ledger records
-    // both sets, so reports (and tests) can check the reuse is exact.
+    // death — or behind a partition that never heals — cannot be served to
+    // the re-planned job's (much later) reduce: the node-local spill dies
+    // with the node, or stays out of reach for good. Those tasks are
+    // *lost*: the re-plan reuses exactly the surviving results and sends
+    // the lost tasks' input splits back through the new plan. The ledger
+    // records both sets, so reports (and tests) can check the reuse is
+    // exact. A partition that heals changes nothing: the results are
+    // there again when the reduce asks for them.
     let mut recovery = RecoveryLog {
         crashed_attempts: wave_sched.crashed_attempts,
         ..RecoveryLog::default()
     };
-    let mut lost: Vec<usize> = Vec::new();
-    if !rt.config.chaos.is_quiet() {
-        for a in &wave_sched.assignments {
-            if rt.config.chaos.crash_time(a.node).is_some() {
-                lost.push(a.task_id);
-            }
-        }
-        lost.sort_unstable();
-        apply_chaos_to_dfs(rt, SimTime::from_nanos(u64::MAX), &mut recovery);
+    let gone = |node| {
+        rt.config.chaos.crash_time(node).is_some()
+            || rt.config.netsplit.isolated_forever_from(node).is_some()
+    };
+    let mut lost: Vec<usize> = wave_sched
+        .assignments
+        .iter()
+        .filter(|a| gone(a.node))
+        .map(|a| a.task_id)
+        .collect();
+    lost.sort_unstable();
+    if !rt.config.chaos.is_quiet() || !lost.is_empty() {
+        rt.runner()
+            .apply_crashes(SimTime::from_nanos(u64::MAX), &mut recovery);
         recovery.lost_tasks = lost.clone();
         recovery.surviving_tasks = wave_sched
             .assignments
@@ -299,11 +345,12 @@ pub(crate) fn run_dynamic(
     // with a diagnosable `DataLoss` instead of silently dropping input.
     let remaining_name = format!("{}.remaining", ijob.name);
     let mut remaining_records = Vec::new();
-    for id in &lost {
-        remaining_records.extend_from_slice(rt.dfs.read_chunk(&conf.input, *id)?);
-    }
-    for chunk in &chunks[wave_n..] {
-        remaining_records.extend_from_slice(rt.dfs.read_chunk(&conf.input, chunk.index)?);
+    for id in lost
+        .iter()
+        .copied()
+        .chain(chunks[wave_n..].iter().map(|c| c.index))
+    {
+        remaining_records.extend_from_slice(rt.dfs.read_chunk(&conf.input, id)?);
     }
     rt.dfs.write_file_with_chunks(
         &remaining_name,
@@ -323,65 +370,32 @@ pub(crate) fn run_dynamic(
     let mut job_stats: Vec<JobStats> = Vec::new();
     let n_jobs = compiled2.jobs.len();
     for conf2 in &compiled2.jobs[..n_jobs - 1] {
-        let res = runner(rt).run(conf2, t)?;
+        let res = rt.runner().run(conf2, t)?;
         t = res.stats.finished;
         job_stats.push(res.stats);
     }
 
     let last = &compiled2.jobs[n_jobs - 1];
-    let (output, total_end) = if last.has_reduce() {
-        let lchunks = runner(rt).chunks(last)?;
-        let mut lexec = runner(rt).execute_maps(last, &lchunks, 0)?;
-        let lsched = runner(rt).schedule_maps(&lexec, t);
+    let output = if conf.has_reduce() {
+        let lchunks = rt.runner().chunks(last)?;
+        let mut lexec = rt.runner().execute_maps(last, &lchunks, 0)?;
+        let lsched = rt.runner().schedule_maps(&lexec, t);
         let map_end = lsched.makespan;
         // Merge: new-plan map outputs plus the reused wave-1 outputs.
         let mut sources = lexec.take_outputs();
         sources.extend(exec1.take_outputs());
-        let outcome = runner(rt).run_reduce_from(last, sources, map_end)?;
-        let end = outcome.phase.schedule.makespan.max(map_end);
-
-        let mut counters = Counters::new();
-        let mut sketches = Sketches::new();
-        for ts in lexec
-            .tasks
-            .iter()
-            .map(|x| &x.stats)
-            .chain(outcome.phase.tasks.iter())
-        {
-            counters.merge(&ts.counters);
-            sketches.merge(&ts.sketches);
-        }
-        recovery.crashed_attempts +=
-            lsched.crashed_attempts + outcome.phase.schedule.crashed_attempts;
-        let mut integrity = runner(rt).integrity_sweep(last);
-        integrity.shuffle_refetches = outcome.shuffle_refetches;
-        integrity.shuffle_refetch_time = outcome.shuffle_refetch_time;
-        integrity.collect_lookup_counters(&counters);
-        recovery.add_counters(&mut counters);
-        integrity.add_counters(&mut counters);
-        let output_bytes = outcome.output.total_bytes();
-        job_stats.push(JobStats {
-            name: last.name.clone(),
-            started: t,
-            finished: end,
-            map: PhaseStats {
-                tasks: lexec.tasks.iter().map(|x| x.stats.clone()).collect(),
-                schedule: lsched,
-            },
-            reduce: Some(outcome.phase),
-            counters,
-            sketches,
-            shuffle_bytes: outcome.shuffle_bytes,
-            output_bytes,
-            recovery: std::mem::take(&mut recovery),
-            integrity,
-            partition: PartitionLog::default(),
-        });
-        (outcome.output, end)
+        let outcome = rt.runner().run_reduce_from(last, sources, map_end)?;
+        let (output, mut parts) =
+            JobParts::after_reduce(t, lexec.phase_stats(lsched), map_end, outcome);
+        parts.recovery = recovery;
+        job_stats.push(rt.runner().seal(last, parts));
+        output
     } else {
-        // Map-only enhanced job: append the reused wave-1 outputs to the
-        // new plan's output.
-        let mut res = runner(rt).run(last, t)?;
+        // Map-only enhanced job: the wave-1 outputs are final records, so
+        // they are appended to the new plan's output — also when the new
+        // plan's last job reduces (a shuffle strategy's lookup job), whose
+        // reducer takes carriers, not finished records.
+        let mut res = rt.runner().run(last, t)?;
         // The sub-job carries its own window's ledger; graft the re-plan's
         // reuse decision onto it so `result.jobs` tells the whole story.
         if !recovery.surviving_tasks.is_empty() {
@@ -390,15 +404,14 @@ pub(crate) fn run_dynamic(
                 recovery.surviving_tasks.len() as i64,
             );
         }
-        res.stats.recovery.surviving_tasks = std::mem::take(&mut recovery.surviving_tasks);
-        res.stats.recovery.lost_tasks = std::mem::take(&mut recovery.lost_tasks);
-        let end = res.stats.finished;
+        res.stats.recovery.surviving_tasks = recovery.surviving_tasks;
+        res.stats.recovery.lost_tasks = recovery.lost_tasks;
         job_stats.push(res.stats);
         let mut all: Vec<_> = exec1.take_outputs().into_iter().flatten().collect();
         all.extend(rt.dfs.read_file(&ijob.output)?);
-        let output = rt.dfs.write_file(&ijob.output, all);
-        (output, end)
+        rt.dfs.write_file(&ijob.output, all)
     };
+    let total_end = job_stats.last().map_or(t, |j| j.finished);
 
     if !rt.config.keep_intermediates {
         for tmp in &compiled2.temp_files {
@@ -409,12 +422,9 @@ pub(crate) fn run_dynamic(
 
     // Catalog and store: wave-1 statistics plus everything the new plan
     // collected, recorded under the plans that actually executed.
-    let mut counters = wave_counters;
-    let mut sketches = wave_sketches;
-    for j in &job_stats {
-        counters.merge(&j.counters);
-        sketches.merge(&j.sketches);
-    }
+    let (mut counters, mut sketches) = JobStats::merged(&job_stats);
+    counters.merge(&wave_counters);
+    sketches.merge(&wave_sketches);
     rt.record_observations(ijob, &counters, &sketches, &new_plans);
 
     Ok(EFindJobResult {
@@ -426,19 +436,36 @@ pub(crate) fn run_dynamic(
     })
 }
 
+/// The statistics of executed reduce tasks under `schedule`.
+fn reduce_phase(tasks: &[ReduceTaskExec], schedule: Schedule) -> PhaseStats {
+    PhaseStats {
+        tasks: tasks.iter().map(|t| t.stats.clone()).collect(),
+        schedule,
+    }
+}
+
+/// Moves the output records of executed reduce tasks out, in task order.
+fn take_outputs(tasks: &mut [ReduceTaskExec]) -> Vec<Record> {
+    tasks
+        .iter_mut()
+        .flat_map(|t| std::mem::take(&mut t.output))
+        .collect()
+}
+
 /// Fig. 10(b) / Algorithm 1's reduce-phase branch: when the final job's
 /// reduce runs in multiple waves and the tail operators (running baseline
 /// inside `reduce_post`) turn out to be worth a shuffle strategy, the
 /// completed wave's outputs move to the job output, the remaining reduce
 /// tasks run *without* the tail chains, and a re-planned tail pipeline
 /// processes their outputs. Returns `None` when the preconditions do not
-/// hold or the gain does not cover the plan-change cost.
+/// hold; once the first reduce wave ran the job is completed here either
+/// way, because the map outputs are consumed by then.
 fn try_reduce_phase_replan(
     rt: &mut EFindRuntime<'_>,
     ijob: &IndexJobConf,
-    conf: &efind_mapreduce::JobConf,
-    exec: &mut efind_mapreduce::MapPhaseExec,
-    baseline_plans: &FxHashMap<String, OperatorPlan>,
+    conf: &JobConf,
+    exec: &mut MapPhaseExec,
+    baseline_plans: &Plans,
 ) -> Result<Option<EFindJobResult>> {
     let reduce_slots = rt.cluster.total_reduce_slots();
     if ijob.tail.is_empty() || !conf.has_reduce() || conf.num_reducers <= reduce_slots {
@@ -447,165 +474,59 @@ fn try_reduce_phase_replan(
     }
 
     // Map phase timeline and shuffle partitioning.
-    let map_schedule = runner(rt).schedule_maps(exec, SimTime::ZERO);
+    let map_schedule = rt.runner().schedule_maps(exec, SimTime::ZERO);
     let map_end = map_schedule.makespan;
-    let sources = exec.take_outputs();
-    let (partitions, shuffle_bytes) = runner(rt).partition_for_reduce(conf, sources);
+    let map = exec.phase_stats(map_schedule);
+    let (partitions, shuffle_bytes) = rt.runner().partition_for_reduce(conf, exec.take_outputs());
+    let mut partitions: Vec<(usize, Vec<Record>)> = partitions.into_iter().enumerate().collect();
+    let rest_input = partitions.split_off(reduce_slots);
+    let remaining_in: u64 = rest_input.iter().map(|(_, p)| p.len() as u64).sum();
 
     // ---- Reduce wave 1 under the current (tail-baseline) plan. ----
-    let wave_refs: Vec<(usize, &[efind_common::Record])> = partitions[..reduce_slots]
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (i, p.as_slice()))
-        .collect();
-    let wave1 = runner(rt).execute_reduce_partitions(conf, &wave_refs)?;
-    let wave_specs: Vec<_> = wave1.iter().map(|t| t.spec.clone()).collect();
-    let wave_schedule = efind_cluster::sched::schedule_phase_chaos(
-        rt.cluster,
-        &wave_specs,
-        map_end,
-        &rt.config.chaos,
-    );
-    let wave_end = wave_schedule.makespan;
+    let mut wave1 = rt
+        .runner()
+        .execute_reduce_partitions_owned(conf, partitions)?;
+    let wave_schedule = rt.runner().schedule_reduces(&wave1, map_end);
 
     // ---- Re-optimize the tail operators from wave-1 statistics. ----
-    let mut wave_counters = Counters::new();
-    let mut wave_sketches = Sketches::new();
-    for t in &wave1 {
-        wave_counters.merge(&t.stats.counters);
-        wave_sketches.merge(&t.stats.sketches);
-    }
-    let task_stats: Vec<&TaskStats> = wave1.iter().map(|t| &t.stats).collect();
-    let wave_in: u64 = wave1.iter().map(|t| t.stats.input_records).sum();
-    let remaining_in: u64 = partitions[reduce_slots..]
-        .iter()
-        .map(|p| p.len() as u64)
-        .sum();
-
-    let mut change = false;
-    let mut tail_plans: FxHashMap<String, OperatorPlan> = FxHashMap::default();
-    if wave_in > 0 && remaining_in > 0 {
-        let env = rt.cost_env();
-        let mut predicted_gain = 0.0f64;
-        for bound in &ijob.tail {
-            // Operators skipped by a gate stay on the baseline plan — but
-            // the compiled tail pipeline still needs a plan entry for them.
-            let fallback = || forced_plan(&bound.caps(), Strategy::Baseline);
-            if bound.volatile {
-                // §3.2: non-idempotent lookups stay baseline
-                tail_plans.insert(bound.op.name().to_owned(), fallback());
-                continue;
-            }
-            let desc = bound.descriptor();
-            if !variance_ok(&task_stats, &desc, rt.config.variance_threshold) {
-                tail_plans.insert(bound.op.name().to_owned(), fallback());
-                continue;
-            }
-            let Some(mut stats) = extract_operator_stats(&wave_counters, &wave_sketches, &desc)
-            else {
-                tail_plans.insert(bound.op.name().to_owned(), fallback());
-                continue;
-            };
-            // Same degradation rule as the map-side pass: a failing index
-            // keeps its operator on the baseline plan.
-            let degrade = rt.config.faults.degrade_threshold();
-            if stats.indices.iter().any(|i| i.failure_rate > degrade) {
-                tail_plans.insert(bound.op.name().to_owned(), fallback());
-                continue;
-            }
-            stats.n1 *= remaining_in as f64 / wave_in as f64;
-            let current: f64 = (0..stats.indices.len())
-                .map(|j| cost_baseline(&env, &stats, j))
-                .sum();
-            let plan = optimize_operator(
-                &stats,
-                &env,
-                crate::cost::Placement::Tail,
-                rt.config.enumeration,
-            );
-            if plan.est_cost_secs < current {
-                predicted_gain += current - plan.est_cost_secs;
-            }
-            tail_plans.insert(bound.op.name().to_owned(), plan);
-        }
-        // Any beneficial plan (cache or a shuffle strategy) justifies the
-        // change: the re-planned tail pipeline runs map-side either way.
-        let improved = tail_plans
-            .values()
-            .any(|p| p.choices.iter().any(|c| c.strategy != Strategy::Baseline));
-        change = env.wall_secs(predicted_gain) > rt.config.plan_change_cost_secs && improved;
-    }
+    let wave = Wave::of(wave1.iter().map(|t| &t.stats));
+    let mut tail_plans = Plans::default();
+    let tail = ijob.operators().filter(|(_, p)| *p == Placement::Tail);
+    let predicted_gain = wave
+        .scaled_to(remaining_in)
+        .and_then(|evidence| replan(rt, tail, &evidence, Fill::Everything, &mut tail_plans))
+        .map_or(0.0, |(gain, _)| gain);
+    // Any beneficial plan (cache or a shuffle strategy) justifies the
+    // change: the re-planned tail pipeline runs map-side either way.
+    let improved = tail_plans
+        .values()
+        .any(|p| p.choices.iter().any(|c| c.strategy != Strategy::Baseline));
+    let change =
+        improved && rt.cost_env().wall_secs(predicted_gain) > rt.config.plan_change_cost_secs;
 
     if !change {
-        // No plan change: the map outputs were already consumed above, so
-        // complete the job here — execute the remaining reduce waves under
-        // the current plan and assemble an uninterrupted-equivalent run.
-        let rest_refs: Vec<(usize, &[efind_common::Record])> = partitions[reduce_slots..]
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (reduce_slots + i, p.as_slice()))
-            .collect();
-        let rest = runner(rt).execute_reduce_partitions(conf, &rest_refs)?;
-        let mut specs: Vec<_> = wave1.iter().map(|t| t.spec.clone()).collect();
-        specs.extend(rest.iter().map(|t| t.spec.clone()));
-        let reduce_schedule = efind_cluster::sched::schedule_phase_chaos(
-            rt.cluster,
-            &specs,
-            map_end,
-            &rt.config.chaos,
+        // No plan change: execute the remaining reduce waves under the
+        // current plan and assemble an uninterrupted-equivalent run.
+        wave1.extend(
+            rt.runner()
+                .execute_reduce_partitions_owned(conf, rest_input)?,
         );
+        let reduce_schedule = rt.runner().schedule_reduces(&wave1, map_end);
         let finished = reduce_schedule.makespan;
-        let all_output: Vec<efind_common::Record> = wave1
-            .iter()
-            .chain(rest.iter())
-            .flat_map(|x| x.output.iter().cloned())
-            .collect();
-        let output = rt.dfs.write_file(&ijob.output, all_output);
-
-        let mut counters = wave_counters;
-        let mut sketches = wave_sketches;
-        for x in exec
-            .tasks
-            .iter()
-            .map(|x| &x.stats)
-            .chain(rest.iter().map(|x| &x.stats))
-        {
-            counters.merge(&x.counters);
-            sketches.merge(&x.sketches);
-        }
-        rt.record_observations(ijob, &counters, &sketches, baseline_plans);
-        let mut recovery = RecoveryLog {
-            crashed_attempts: map_schedule.crashed_attempts + reduce_schedule.crashed_attempts,
-            ..RecoveryLog::default()
-        };
-        apply_chaos_to_dfs(rt, finished, &mut recovery);
-        let mut integrity = runner(rt).integrity_sweep(conf);
-        integrity.collect_lookup_counters(&counters);
-        recovery.add_counters(&mut counters);
-        integrity.add_counters(&mut counters);
-        let mut reduce_tasks: Vec<TaskStats> = wave1.iter().map(|x| x.stats.clone()).collect();
-        reduce_tasks.extend(rest.iter().map(|x| x.stats.clone()));
-        let output_bytes = output.total_bytes();
-        let stats = JobStats {
-            name: conf.name.clone(),
-            started: SimTime::ZERO,
-            finished,
-            map: PhaseStats {
-                tasks: exec.tasks.iter().map(|x| x.stats.clone()).collect(),
-                schedule: map_schedule,
+        let output = rt.dfs.write_file(&ijob.output, take_outputs(&mut wave1));
+        let stats = rt.runner().seal(
+            conf,
+            JobParts {
+                started: SimTime::ZERO,
+                finished,
+                map,
+                reduce: Some(reduce_phase(&wave1, reduce_schedule)),
+                shuffle_bytes,
+                output_bytes: output.total_bytes(),
+                ..JobParts::default()
             },
-            reduce: Some(PhaseStats {
-                tasks: reduce_tasks,
-                schedule: reduce_schedule,
-            }),
-            counters,
-            sketches,
-            shuffle_bytes,
-            output_bytes,
-            recovery,
-            integrity,
-            partition: PartitionLog::default(),
-        };
+        );
+        rt.absorb_stats(ijob, std::slice::from_ref(&stats), baseline_plans);
         return Ok(Some(EFindJobResult {
             output,
             total_time: finished.since(SimTime::ZERO),
@@ -620,28 +541,21 @@ fn try_reduce_phase_replan(
     // remaining reduce tasks run without the tail chains.
     let mut stripped = conf.clone();
     stripped.reduce_post = Vec::new();
-    let rest_refs: Vec<(usize, &[efind_common::Record])> = partitions[reduce_slots..]
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (reduce_slots + i, p.as_slice()))
-        .collect();
-    let rest = runner(rt).execute_reduce_partitions(&stripped, &rest_refs)?;
-    let rest_specs: Vec<_> = rest.iter().map(|t| t.spec.clone()).collect();
-    let rest_start = wave_end + SimDuration::from_secs_f64(rt.config.plan_change_cost_secs);
-    let rest_schedule = efind_cluster::sched::schedule_phase_chaos(
-        rt.cluster,
-        &rest_specs,
-        rest_start,
-        &rt.config.chaos,
-    );
+    let mut rest = rt
+        .runner()
+        .execute_reduce_partitions_owned(&stripped, rest_input)?;
+    let rest_start =
+        wave_schedule.makespan + SimDuration::from_secs_f64(rt.config.plan_change_cost_secs);
+    let rest_schedule = rt.runner().schedule_reduces(&rest, rest_start);
     let mut t = rest_schedule.makespan;
 
     // The re-planned tail pipeline consumes the stripped outputs.
-    let rest_records: Vec<efind_common::Record> =
-        rest.iter().flat_map(|x| x.output.iter().cloned()).collect();
     let tmp_in = format!("{}.tail-replan.in", ijob.name);
-    rt.dfs
-        .write_file_with_chunks(&tmp_in, rest_records, rt.cluster.total_map_slots());
+    rt.dfs.write_file_with_chunks(
+        &tmp_in,
+        take_outputs(&mut rest),
+        rt.cluster.total_map_slots(),
+    );
     let tmp_out = format!("{}.tail-replan.out", ijob.name);
     let mut tail_ijob = IndexJobConf::new(format!("{}-tailreplan", ijob.name), &tmp_in, &tmp_out);
     tail_ijob.head = ijob.tail.clone();
@@ -651,18 +565,15 @@ fn try_reduce_phase_replan(
         "adaptive reduce-phase replan produced an analyzer-rejected plan"
     );
     let compiled = compile_pipeline(&tail_ijob, &tail_plans, &rt.runtime_env())?;
-    let mut job_stats: Vec<JobStats> = Vec::new();
+    let mut tail_jobs: Vec<JobStats> = Vec::new();
     for tconf in &compiled.jobs {
-        let res = runner(rt).run(tconf, t)?;
+        let res = rt.runner().run(tconf, t)?;
         t = res.stats.finished;
-        job_stats.push(res.stats);
+        tail_jobs.push(res.stats);
     }
 
     // Merge: completed wave-1 outputs + the tail pipeline's outputs.
-    let mut final_records: Vec<efind_common::Record> = wave1
-        .iter()
-        .flat_map(|x| x.output.iter().cloned())
-        .collect();
+    let mut final_records = take_outputs(&mut wave1);
     final_records.extend(rt.dfs.read_file(&tmp_out)?);
     let output = rt.dfs.write_file(&ijob.output, final_records);
     if !rt.config.keep_intermediates {
@@ -673,72 +584,35 @@ fn try_reduce_phase_replan(
         }
     }
 
-    // Assemble stats: the split reduce phases plus the tail jobs. The
-    // first JobStats carries only its own tasks' counters — the tail
-    // jobs are appended as separate entries, so merging theirs here
-    // would double-count for anyone summing over `result.jobs`.
-    let mut counters = wave_counters;
-    let mut sketches = wave_sketches;
-    for x in exec
-        .tasks
-        .iter()
-        .map(|x| &x.stats)
-        .chain(rest.iter().map(|x| &x.stats))
-    {
-        counters.merge(&x.counters);
-        sketches.merge(&x.sketches);
-    }
-    let mut absorb_counters = counters.clone();
-    let mut absorb_sketches = sketches.clone();
-    for j in &job_stats {
-        absorb_counters.merge(&j.counters);
-        absorb_sketches.merge(&j.sketches);
-    }
-    // Head/body operators executed under the baseline plans; the tail
-    // operators under their re-planned strategies.
-    let mut final_plans = baseline_plans.clone();
-    // efind-lint: allow(unordered-iter, map-to-map merge; the destination is keyed and no order survives)
-    final_plans.extend(tail_plans.iter().map(|(k, v)| (k.clone(), v.clone())));
-    rt.record_observations(ijob, &absorb_counters, &absorb_sketches, &final_plans);
-
-    let mut reduce_tasks: Vec<TaskStats> = wave1.iter().map(|x| x.stats.clone()).collect();
-    reduce_tasks.extend(rest.iter().map(|x| x.stats.clone()));
+    // The first job is the map phase plus the split reduce phase; the tail
+    // jobs follow as entries of their own, so `result.jobs` sums without
+    // double-counting.
+    wave1.extend(rest);
     let mut reduce_schedule = wave_schedule;
     reduce_schedule
         .assignments
         .extend(rest_schedule.assignments);
     reduce_schedule.makespan = reduce_schedule.makespan.max(rest_schedule.makespan);
-    let mut recovery = RecoveryLog {
-        crashed_attempts: map_schedule.crashed_attempts + reduce_schedule.crashed_attempts,
-        ..RecoveryLog::default()
-    };
-    apply_chaos_to_dfs(rt, reduce_schedule.makespan, &mut recovery);
-    let mut integrity = runner(rt).integrity_sweep(conf);
-    integrity.collect_lookup_counters(&counters);
-    recovery.add_counters(&mut counters);
-    integrity.add_counters(&mut counters);
-    let output_bytes = output.total_bytes();
-    let mut jobs = vec![JobStats {
-        name: conf.name.clone(),
-        started: SimTime::ZERO,
-        finished: reduce_schedule.makespan,
-        map: PhaseStats {
-            tasks: exec.tasks.iter().map(|x| x.stats.clone()).collect(),
-            schedule: map_schedule,
+    let mut jobs = vec![rt.runner().seal(
+        conf,
+        JobParts {
+            started: SimTime::ZERO,
+            finished: reduce_schedule.makespan,
+            map,
+            reduce: Some(reduce_phase(&wave1, reduce_schedule)),
+            shuffle_bytes,
+            output_bytes: output.total_bytes(),
+            ..JobParts::default()
         },
-        reduce: Some(PhaseStats {
-            tasks: reduce_tasks,
-            schedule: reduce_schedule,
-        }),
-        counters,
-        sketches,
-        shuffle_bytes,
-        output_bytes,
-        recovery,
-        integrity,
-        partition: PartitionLog::default(),
-    }];
-    jobs.extend(job_stats);
+    )];
+    jobs.extend(tail_jobs);
+
+    // Head/body operators executed under the baseline plans; the tail
+    // operators under their re-planned strategies.
+    let mut final_plans = baseline_plans.clone();
+    // efind-lint: allow(unordered-iter, map-to-map merge; the destination is keyed and no order survives)
+    final_plans.extend(tail_plans.iter().map(|(k, v)| (k.clone(), v.clone())));
+    rt.absorb_stats(ijob, &jobs, &final_plans);
 
     Ok(Some(EFindJobResult {
         output,
@@ -883,6 +757,74 @@ mod tests {
         let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, cheap_change_config());
         let res = rt.run(&ijob, Mode::Dynamic).unwrap();
         assert!(!res.replanned);
+    }
+
+    #[test]
+    fn map_only_job_replans_to_a_shuffle_strategy() {
+        // Regression: the re-planned pipeline of a map-only job ends in the
+        // shuffle strategy's own lookup job, which has a reduce. The reused
+        // wave-1 outputs are finished records and must be appended to its
+        // output, not pushed through that reduce (which failed to decode
+        // them as carriers).
+        let map_only = |mut ijob: IndexJobConf| {
+            ijob.reducer = None;
+            ijob.num_reducers = 0;
+            ijob
+        };
+        let (cluster, mut dfs, ijob) = setup(2000, 10, 5);
+        let mut rt = EFindRuntime::new(&cluster, &mut dfs);
+        rt.run(&map_only(ijob), Mode::Uniform(Strategy::Baseline))
+            .unwrap();
+        let mut expected = rt.dfs.read_file("out").unwrap();
+        expected.sort();
+
+        let (cluster2, mut dfs2, ijob2) = setup(2000, 10, 5);
+        let mut rt2 = EFindRuntime::with_config(&cluster2, &mut dfs2, cheap_change_config());
+        let res = rt2.run(&map_only(ijob2), Mode::Dynamic).unwrap();
+        assert!(res.replanned);
+        let plan = &res.plans.iter().find(|(n, _)| n == "join").unwrap().1;
+        assert!(plan.has_shuffle(), "expected a shuffle strategy: {plan:?}");
+        let mut got = rt2.dfs.read_file("out").unwrap();
+        got.sort();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn results_behind_a_permanent_partition_are_lost_to_the_replan() {
+        use efind_cluster::{NodeId, PartitionPlan};
+        let (cluster, mut dfs, ijob) = setup(2000, 10, 5);
+        let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, cheap_change_config());
+        let quiet = rt.run(&ijob, Mode::Dynamic).unwrap();
+        assert!(quiet.replanned);
+        assert!(quiet.jobs.iter().all(|j| j.recovery.lost_tasks.is_empty()));
+        let mut expected = rt.dfs.read_file("out").unwrap();
+        expected.sort();
+
+        // Node 1 drops off for good just before the re-planned pipeline
+        // starts, i.e. after the first wave completed on it.
+        let cut = SimTime::from_nanos(quiet.jobs[0].started.as_nanos() - 1_000_000);
+        let (cluster2, mut dfs2, ijob2) = setup(2000, 10, 5);
+        let mut config = cheap_change_config();
+        config.netsplit = PartitionPlan::new(7).split(&[NodeId(1)], cut, None);
+        let mut rt2 = EFindRuntime::with_config(&cluster2, &mut dfs2, config);
+        let res = rt2.run(&ijob2, Mode::Dynamic).unwrap();
+        assert!(res.replanned);
+        let ledger = &res.jobs.last().unwrap().recovery;
+        assert!(
+            !ledger.lost_tasks.is_empty(),
+            "no first-wave task ran on node 1"
+        );
+        let mut all: Vec<usize> = ledger
+            .lost_tasks
+            .iter()
+            .chain(&ledger.surviving_tasks)
+            .copied()
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all, vec![0, 1, 2, 3], "lost + surviving = the first wave");
+        let mut got = rt2.dfs.read_file("out").unwrap();
+        got.sort();
+        assert_eq!(got, expected);
     }
 
     /// A job whose only expensive index is a *tail* operator with heavy

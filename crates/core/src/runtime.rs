@@ -349,6 +349,16 @@ impl<'a> EFindRuntime<'a> {
         }
     }
 
+    /// The runner every constituent job and every adaptive sub-step runs
+    /// on: all of the configuration's node-level injection layers (crashes,
+    /// corruption, partitions and their detector) installed, so a wave, a
+    /// schedule, or a re-planned sub-job sees exactly what a plain run sees.
+    pub(crate) fn runner(&mut self) -> Runner<'_> {
+        Runner::with_chaos(self.cluster, self.dfs, self.config.chaos.clone())
+            .with_corruption(self.config.corruption.clone())
+            .with_netsplit(self.config.netsplit.clone(), self.config.detector)
+    }
+
     /// Computes the per-operator plans for a mode (except `Dynamic`, whose
     /// plans emerge during execution).
     pub fn plans_for(
@@ -529,10 +539,7 @@ impl<'a> EFindRuntime<'a> {
         let mut jobs = Vec::with_capacity(compiled.jobs.len());
         let mut output: Option<DfsFile> = None;
         for conf in &compiled.jobs {
-            let res = Runner::with_chaos(self.cluster, self.dfs, self.config.chaos.clone())
-                .with_corruption(self.config.corruption.clone())
-                .with_netsplit(self.config.netsplit.clone(), self.config.detector)
-                .run(conf, t)?;
+            let res = self.runner().run(conf, t)?;
             t = res.stats.finished;
             jobs.push(res.stats);
             output = Some(res.output);

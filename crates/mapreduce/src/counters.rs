@@ -70,6 +70,17 @@ impl Counters {
         *self.values.entry(handle.0).or_insert(0) += delta;
     }
 
+    /// Adds every nonzero `(name, value)` — how a job ledger mirrors itself
+    /// into counters: a zero field writes nothing, so an idle layer leaves
+    /// the counter set (and its fingerprint) untouched.
+    pub fn add_nonzero(&mut self, fields: &[(&str, i64)]) {
+        for &(name, v) in fields {
+            if v != 0 {
+                self.add(name, v);
+            }
+        }
+    }
+
     /// Increments counter `name` by one.
     pub fn inc(&mut self, name: &str) {
         self.add(name, 1);

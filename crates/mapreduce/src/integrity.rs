@@ -11,11 +11,12 @@
 //! Under the quiet plan the ledger stays [`IntegrityLog::default`] and
 //! contributes nothing — no counters, no report lines — so
 //! corruption-free runs are bit-identical to a build that never heard of
-//! checksums (the hotpath golden fingerprints stay pinned). The runner
-//! classifies the corruption layer once per job (quiet-path
-//! monomorphization) and skips both the counter-map sweep of
-//! [`IntegrityLog::collect_lookup_counters`] and the `add_counters`
-//! mirror when the layer is Quiet — observably identical, since a quiet
+//! checksums (the hotpath golden fingerprints stay pinned). The ledger is
+//! completed and mirrored in exactly one place, the corruption block of
+//! [`Runner::seal`](crate::Runner::seal) — end-of-job sweep, the
+//! counter-map scan of [`IntegrityLog::collect_lookup_counters`], the
+//! mirror. The runner classifies the layer once per job and skips that
+//! whole block when it is Quiet — observably identical, since a quiet
 //! layer's ledger is all zeros and zeros are never written.
 
 use efind_cluster::SimDuration;
@@ -83,46 +84,43 @@ impl IntegrityLog {
     /// values are written, so a corruption-free run's counter set (and
     /// its fingerprint) is untouched.
     pub fn add_counters(&self, counters: &mut Counters) {
-        let mut put = |name: &str, v: i64| {
-            if v != 0 {
-                counters.add(name, v);
-            }
-        };
-        put(
-            "mr.integrity.chunks.corrupt",
-            self.corrupt_chunks.len() as i64,
-        );
-        put(
-            "mr.integrity.replicas.quarantined",
-            self.quarantined_replicas as i64,
-        );
-        put("mr.integrity.chunk.rereads", self.chunk_rereads as i64);
-        put(
-            "mr.integrity.reread.nanos",
-            self.reread_time.as_nanos() as i64,
-        );
-        put(
-            "mr.integrity.shuffle.refetches",
-            self.shuffle_refetches as i64,
-        );
-        put(
-            "mr.integrity.shuffle.refetch.nanos",
-            self.shuffle_refetch_time.as_nanos() as i64,
-        );
-        put(
-            "mr.integrity.cache.invalidations",
-            self.cache_invalidations as i64,
-        );
-        put(
-            "mr.integrity.lookup.refetches",
-            self.lookup_refetches as i64,
-        );
-        put("mr.integrity.repaired.chunks", self.repaired_chunks as i64);
-        put("mr.integrity.repaired.bytes", self.repaired_bytes as i64);
-        put(
-            "mr.integrity.repair.nanos",
-            self.repair_time.as_nanos() as i64,
-        );
+        counters.add_nonzero(&[
+            (
+                "mr.integrity.chunks.corrupt",
+                self.corrupt_chunks.len() as i64,
+            ),
+            (
+                "mr.integrity.replicas.quarantined",
+                self.quarantined_replicas as i64,
+            ),
+            ("mr.integrity.chunk.rereads", self.chunk_rereads as i64),
+            (
+                "mr.integrity.reread.nanos",
+                self.reread_time.as_nanos() as i64,
+            ),
+            (
+                "mr.integrity.shuffle.refetches",
+                self.shuffle_refetches as i64,
+            ),
+            (
+                "mr.integrity.shuffle.refetch.nanos",
+                self.shuffle_refetch_time.as_nanos() as i64,
+            ),
+            (
+                "mr.integrity.cache.invalidations",
+                self.cache_invalidations as i64,
+            ),
+            (
+                "mr.integrity.lookup.refetches",
+                self.lookup_refetches as i64,
+            ),
+            ("mr.integrity.repaired.chunks", self.repaired_chunks as i64),
+            ("mr.integrity.repaired.bytes", self.repaired_bytes as i64),
+            (
+                "mr.integrity.repair.nanos",
+                self.repair_time.as_nanos() as i64,
+            ),
+        ]);
     }
 }
 

@@ -15,9 +15,11 @@
 //! contributes nothing — no counters, no report lines — so partition-free
 //! runs are bit-identical to a build that never heard of partitions. Like
 //! its siblings ([`RecoveryLog`](crate::RecoveryLog),
-//! [`IntegrityLog`](crate::IntegrityLog)) the runner skips even the
-//! `add_counters` call when the layer is Quiet, which is observably
-//! identical because only nonzero fields ever become counters.
+//! [`IntegrityLog`](crate::IntegrityLog)) it is completed and mirrored in
+//! exactly one place, the partition block of
+//! [`Runner::seal`](crate::Runner::seal), which the runner skips as a
+//! whole when the layer is Quiet — observably identical because only
+//! nonzero fields ever become counters.
 
 use efind_cluster::SimDuration;
 
@@ -81,49 +83,46 @@ impl PartitionLog {
     /// values are written, so a quiet run's counter set (and its
     /// fingerprint) is untouched.
     pub fn add_counters(&self, counters: &mut Counters) {
-        let mut put = |name: &str, v: i64| {
-            if v != 0 {
-                counters.add(name, v);
-            }
-        };
-        put("mr.partition.events", self.events as i64);
-        put("mr.partition.slow.links", self.slow_links as i64);
-        put("mr.partition.suspected", self.suspected as i64);
-        put("mr.partition.refuted", self.refuted as i64);
-        put("mr.partition.confirmed", self.confirmed as i64);
-        put("mr.partition.false.positives", self.false_positives as i64);
-        put("mr.partition.replaced.tasks", self.replaced_tasks as i64);
-        put("mr.partition.stalled.tasks", self.stalled_tasks as i64);
-        put("mr.partition.stall.nanos", self.stall.as_nanos() as i64);
-        put("mr.partition.orphan.results", self.orphan_results as i64);
-        put(
-            "mr.partition.failover.fetches",
-            self.failover_fetches as i64,
-        );
-        put(
-            "mr.partition.failover.nanos",
-            self.failover_wait.as_nanos() as i64,
-        );
-        put(
-            "mr.partition.rereplication.pending",
-            self.rereplication_pending as i64,
-        );
-        put(
-            "mr.partition.rereplication.cancelled",
-            self.rereplication_cancelled as i64,
-        );
-        put(
-            "mr.partition.rereplicated.chunks",
-            self.rereplicated_chunks as i64,
-        );
-        put(
-            "mr.partition.rereplicated.bytes",
-            self.rereplicated_bytes as i64,
-        );
-        put(
-            "mr.partition.rereplication.nanos",
-            self.rereplication_time.as_nanos() as i64,
-        );
+        counters.add_nonzero(&[
+            ("mr.partition.events", self.events as i64),
+            ("mr.partition.slow.links", self.slow_links as i64),
+            ("mr.partition.suspected", self.suspected as i64),
+            ("mr.partition.refuted", self.refuted as i64),
+            ("mr.partition.confirmed", self.confirmed as i64),
+            ("mr.partition.false.positives", self.false_positives as i64),
+            ("mr.partition.replaced.tasks", self.replaced_tasks as i64),
+            ("mr.partition.stalled.tasks", self.stalled_tasks as i64),
+            ("mr.partition.stall.nanos", self.stall.as_nanos() as i64),
+            ("mr.partition.orphan.results", self.orphan_results as i64),
+            (
+                "mr.partition.failover.fetches",
+                self.failover_fetches as i64,
+            ),
+            (
+                "mr.partition.failover.nanos",
+                self.failover_wait.as_nanos() as i64,
+            ),
+            (
+                "mr.partition.rereplication.pending",
+                self.rereplication_pending as i64,
+            ),
+            (
+                "mr.partition.rereplication.cancelled",
+                self.rereplication_cancelled as i64,
+            ),
+            (
+                "mr.partition.rereplicated.chunks",
+                self.rereplicated_chunks as i64,
+            ),
+            (
+                "mr.partition.rereplicated.bytes",
+                self.rereplicated_bytes as i64,
+            ),
+            (
+                "mr.partition.rereplication.nanos",
+                self.rereplication_time.as_nanos() as i64,
+            ),
+        ]);
     }
 }
 

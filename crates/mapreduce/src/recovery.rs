@@ -11,11 +11,11 @@
 //!
 //! Under the quiet plan the ledger stays [`RecoveryLog::default`] and
 //! contributes nothing — no counters, no report lines — so crash-free runs
-//! are bit-identical to a build that never heard of crashes. The runner
-//! goes one step further (quiet-path monomorphization): it classifies the
-//! chaos layer once per job and skips even the `add_counters` call when
-//! the layer is Quiet, which is observably identical because only nonzero
-//! fields ever become counters.
+//! are bit-identical to a build that never heard of crashes. The ledger
+//! is completed and mirrored in exactly one place, the chaos block of
+//! [`Runner::seal`](crate::Runner::seal); the runner classifies the layer
+//! once per job and skips that whole block when it is Quiet, which is
+//! observably identical because only nonzero fields ever become counters.
 
 use efind_cluster::{CrashEvent, SimDuration};
 
@@ -67,39 +67,36 @@ impl RecoveryLog {
     /// values are written, so a quiet run's counter set (and its
     /// fingerprint) is untouched.
     pub fn add_counters(&self, counters: &mut Counters) {
-        let mut put = |name: &str, v: i64| {
-            if v != 0 {
-                counters.add(name, v);
-            }
-        };
-        put("mr.recovery.crashes", self.crashes.len() as i64);
-        put("mr.recovery.recompute.waves", self.recompute_waves as i64);
-        put(
-            "mr.recovery.recompute.tasks",
-            self.recomputed_map_tasks.len() as i64,
-        );
-        put("mr.recovery.crashed.attempts", self.crashed_attempts as i64);
-        put("mr.recovery.fetch.retries", self.fetch_retries as i64);
-        put(
-            "mr.recovery.fetch.backoff.nanos",
-            self.fetch_backoff.as_nanos() as i64,
-        );
-        put(
-            "mr.recovery.rereplicated.chunks",
-            self.rereplicated_chunks as i64,
-        );
-        put(
-            "mr.recovery.rereplicated.bytes",
-            self.rereplicated_bytes as i64,
-        );
-        put(
-            "mr.recovery.rereplication.nanos",
-            self.rereplication_time.as_nanos() as i64,
-        );
-        put(
-            "mr.recovery.reused.tasks",
-            self.surviving_tasks.len() as i64,
-        );
+        counters.add_nonzero(&[
+            ("mr.recovery.crashes", self.crashes.len() as i64),
+            ("mr.recovery.recompute.waves", self.recompute_waves as i64),
+            (
+                "mr.recovery.recompute.tasks",
+                self.recomputed_map_tasks.len() as i64,
+            ),
+            ("mr.recovery.crashed.attempts", self.crashed_attempts as i64),
+            ("mr.recovery.fetch.retries", self.fetch_retries as i64),
+            (
+                "mr.recovery.fetch.backoff.nanos",
+                self.fetch_backoff.as_nanos() as i64,
+            ),
+            (
+                "mr.recovery.rereplicated.chunks",
+                self.rereplicated_chunks as i64,
+            ),
+            (
+                "mr.recovery.rereplicated.bytes",
+                self.rereplicated_bytes as i64,
+            ),
+            (
+                "mr.recovery.rereplication.nanos",
+                self.rereplication_time.as_nanos() as i64,
+            ),
+            (
+                "mr.recovery.reused.tasks",
+                self.surviving_tasks.len() as i64,
+            ),
+        ]);
     }
 }
 

@@ -100,6 +100,29 @@ pub fn render_summary(stats: &JobStats) -> String {
             integ.lookup_refetches,
         );
     }
+    if !stats.partition.is_empty() {
+        let gray = &stats.partition;
+        let _ = writeln!(
+            s,
+            "  partition: {} events, {} slow links, {} suspected -> {} refuted / {} confirmed / \
+             {} false positives, {} tasks replaced, {} stalled ({}), {} failover fetches ({} wait), \
+             re-replication {} pending / {} cancelled / {} chunks done",
+            gray.events,
+            gray.slow_links,
+            gray.suspected,
+            gray.refuted,
+            gray.confirmed,
+            gray.false_positives,
+            gray.replaced_tasks,
+            gray.stalled_tasks,
+            gray.stall,
+            gray.failover_fetches,
+            gray.failover_wait,
+            gray.rereplication_pending,
+            gray.rereplication_cancelled,
+            gray.rereplicated_chunks,
+        );
+    }
     if !counters.is_empty() {
         let _ = writeln!(s, "  efind counters:");
         for (k, v) in counters {
@@ -266,6 +289,56 @@ mod tests {
         assert!(s.contains("integrity: 1 corrupt chunks"), "{s}");
         assert!(s.contains("1 replicas quarantined, 1 repaired"), "{s}");
         assert!(s.contains("2 shuffle refetches"), "{s}");
+    }
+
+    #[test]
+    fn summary_omits_partition_line_on_partition_free_runs() {
+        let stats = run();
+        assert!(stats.partition.is_empty());
+        assert!(!render_summary(&stats).contains("partition:"));
+    }
+
+    #[test]
+    fn summary_reports_partitions_when_the_detector_acted() {
+        use efind_cluster::SimDuration;
+        let mut stats = run();
+        stats.partition = crate::PartitionLog {
+            events: 2,
+            slow_links: 1,
+            suspected: 3,
+            refuted: 1,
+            confirmed: 1,
+            false_positives: 1,
+            replaced_tasks: 5,
+            stalled_tasks: 2,
+            stall: SimDuration::from_millis(4),
+            failover_fetches: 6,
+            failover_wait: SimDuration::from_millis(2),
+            rereplication_pending: 3,
+            rereplication_cancelled: 2,
+            rereplicated_chunks: 7,
+            ..crate::PartitionLog::default()
+        };
+        let s = render_summary(&stats);
+        assert!(s.contains("partition: 2 events, 1 slow links"), "{s}");
+        assert!(
+            s.contains("3 suspected -> 1 refuted / 1 confirmed / 1 false positives"),
+            "{s}"
+        );
+        let stall = SimDuration::from_millis(4);
+        assert!(
+            s.contains(&format!("5 tasks replaced, 2 stalled ({stall})")),
+            "{s}"
+        );
+        let wait = SimDuration::from_millis(2);
+        assert!(
+            s.contains(&format!("6 failover fetches ({wait} wait)")),
+            "{s}"
+        );
+        assert!(
+            s.contains("re-replication 3 pending / 2 cancelled / 7 chunks done"),
+            "{s}"
+        );
     }
 
     #[test]

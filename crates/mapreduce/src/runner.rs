@@ -9,18 +9,21 @@
 //! slots and yields the phase makespan.
 //!
 //! The runner's pieces are public individually (`execute_maps`,
-//! `run_reduce_from`, `schedule_maps`) because EFind's adaptive optimizer
-//! (§4.3, Fig. 10) needs to stop a job after its first map wave, re-plan,
-//! and stitch the completed wave's outputs into the new plan's reduce.
+//! `schedule_maps`, `run_reduce_from`, `schedule_reduces`, `seal`) because
+//! EFind's adaptive optimizer (§4.3, Fig. 10) needs to stop a job after its
+//! first map wave, re-plan, and stitch the completed wave's outputs into
+//! the new plan's reduce. Whoever runs the phases, a job ends in
+//! [`Runner::seal`]: the one place its ledgers are completed and mirrored
+//! and its [`JobStats`] is built.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use efind_cluster::{
     sched::{
-        schedule_phase_chaos, schedule_phase_gray, PartitionReplay, Schedule, SlotKind, TaskSpec,
+        schedule_phase_chaos, schedule_phase_gray, Assignment, PartitionReplay, Schedule, SlotKind,
+        TaskSpec,
     },
-    ChaosPlan, Cluster, CorruptionPlan, CrashEvent, DetectorConfig, InjectionProfile,
+    ChaosPlan, Cluster, CorruptionPlan, CrashEvent, DetectorConfig, InjectionProfile, NodeId,
     PartitionPlan, SimDuration, SimTime, Suspicion, Verdict,
 };
 use efind_common::{crc32, Error, Record, Result};
@@ -29,6 +32,7 @@ use parking_lot::Mutex;
 
 use crate::api::{run_chain, run_chain_shared, Collector};
 use crate::context::TaskCtx;
+use crate::counters::{Counters, Sketches};
 use crate::integrity::IntegrityLog;
 use crate::job::JobConf;
 use crate::netsplit_log::PartitionLog;
@@ -42,6 +46,65 @@ const FETCH_BACKOFF_BASE: SimDuration = SimDuration::from_nanos(500_000);
 const FETCH_BACKOFF_MULT: f64 = 2.0;
 /// Upper bound on a single fetch-retry pause.
 const FETCH_BACKOFF_CAP: SimDuration = SimDuration::from_nanos(8_000_000);
+
+/// A reducer that finds its map outputs unavailable at `from` retries on
+/// capped exponential backoff until they exist at `until`: how often it
+/// tried and how long it paused in total.
+fn backoff_until(from: SimTime, until: SimTime) -> (u32, SimDuration) {
+    let (mut tries, mut paused) = (0u32, SimDuration::ZERO);
+    while from + paused < until {
+        paused += SimDuration::exp_backoff(
+            FETCH_BACKOFF_BASE,
+            FETCH_BACKOFF_MULT,
+            tries,
+            FETCH_BACKOFF_CAP,
+        );
+        tries += 1;
+    }
+    (tries, paused)
+}
+
+/// Runs `work` over `items` on scoped worker threads and returns the
+/// results in item order — the one place the host's worker count enters
+/// the runner. Workers pull the next item off one queue, so which thread
+/// runs which item never shows in the result. A single item runs on the
+/// calling thread. The first `Err` in item order becomes the call's
+/// `Err`; a panicking worker is an [`Error::Internal`] naming `what`.
+fn fan_out<I: Send, T: Send>(
+    what: &str,
+    items: Vec<I>,
+    work: impl Fn(I) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let n = items.len();
+    if n <= 1 {
+        return items.into_iter().map(work).collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let results: Mutex<Vec<Option<Result<T>>>> = Mutex::new((0..n).map(|_| None).collect());
+    let workers = thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(4)
+        .min(n);
+    crossbeam::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|_| loop {
+                let Some((i, item)) = queue.lock().next() else {
+                    break;
+                };
+                let out = work(item);
+                results.lock()[i] = Some(out);
+            });
+        }
+    })
+    .map_err(|_| Error::Internal(format!("{what} worker panicked")))?;
+    results
+        .into_inner()
+        .into_iter()
+        .map(|slot| {
+            slot.unwrap_or_else(|| Err(Error::Internal(format!("{what} task produced no result"))))
+        })
+        .collect()
+}
 
 /// Result of a completed job.
 #[derive(Clone, Debug)]
@@ -60,11 +123,11 @@ pub struct MapTaskExec {
     /// Input chunk size in bytes (scheduler charges the read).
     pub input_bytes: u64,
     /// Input replica hosts.
-    pub input_hosts: Vec<efind_cluster::NodeId>,
+    pub input_hosts: Vec<NodeId>,
     /// Placement-independent cost of the task body.
     pub base_cost: SimDuration,
     /// Index-locality affinity declared by user code.
-    pub affinity: Vec<efind_cluster::NodeId>,
+    pub affinity: Vec<NodeId>,
     /// Extra cost when scheduled off the affinity nodes.
     pub affinity_penalty: SimDuration,
     /// Whether the task must run on its affinity nodes.
@@ -75,6 +138,22 @@ pub struct MapTaskExec {
     pub stats: TaskStats,
 }
 
+impl MapTaskExec {
+    /// The schedulable task, reading its input from `input_hosts`.
+    fn spec(&self, input_hosts: Vec<NodeId>) -> TaskSpec {
+        TaskSpec {
+            id: self.task_id,
+            kind: SlotKind::Map,
+            base: self.base_cost,
+            input_bytes: self.input_bytes,
+            input_hosts,
+            affinity: self.affinity.clone(),
+            affinity_penalty: self.affinity_penalty,
+            hard_affinity: self.hard_affinity,
+        }
+    }
+}
+
 /// All executed map tasks of a (partial or full) map phase.
 #[derive(Debug, Default)]
 pub struct MapPhaseExec {
@@ -83,17 +162,20 @@ pub struct MapPhaseExec {
 }
 
 impl MapPhaseExec {
-    /// Total bytes produced by these map tasks.
-    pub fn output_bytes(&self) -> u64 {
-        self.tasks.iter().map(|t| t.stats.output_bytes).sum()
-    }
-
     /// Moves the per-task output record vectors out, in task order.
     pub fn take_outputs(&mut self) -> Vec<Vec<Record>> {
         self.tasks
             .iter_mut()
             .map(|t| std::mem::take(&mut t.output))
             .collect()
+    }
+
+    /// The phase's statistics under `schedule`.
+    pub fn phase_stats(&self, schedule: Schedule) -> PhaseStats {
+        PhaseStats {
+            tasks: self.tasks.iter().map(|t| t.stats.clone()).collect(),
+            schedule,
+        }
     }
 }
 
@@ -126,6 +208,72 @@ pub struct ReduceOutcome {
     pub shuffle_refetch_time: SimDuration,
 }
 
+/// What a job did before its tail: the phases it ran, the volumes it
+/// moved, and what its ledgers hold so far. [`Runner::seal`] turns it into
+/// the job's [`JobStats`].
+#[derive(Debug, Default)]
+pub struct JobParts {
+    /// Virtual start time.
+    pub started: SimTime,
+    /// Virtual completion time.
+    pub finished: SimTime,
+    /// The map phase.
+    pub map: PhaseStats,
+    /// The reduce phase (`None` for map-only jobs).
+    pub reduce: Option<PhaseStats>,
+    /// Bytes moved through the shuffle.
+    pub shuffle_bytes: u64,
+    /// Bytes written to the DFS output file.
+    pub output_bytes: u64,
+    /// Recovery actions so far. [`Runner::seal`] adds the two phases' own
+    /// crashed attempts; the caller does not.
+    pub recovery: RecoveryLog,
+    /// Integrity actions so far (the shuffle refetches of the reduce).
+    pub integrity: IntegrityLog,
+    /// Gray-failure actions so far. [`Runner::seal`] folds in the two
+    /// phases' own partition replays; the caller does not.
+    pub partition: PartitionLog,
+}
+
+impl JobParts {
+    /// The parts of a job started at `started` whose map phase `map` was
+    /// followed by the reduce `outcome`, fetching from `reduce_start`.
+    /// Also hands back the reduce's output file.
+    pub fn after_reduce(
+        started: SimTime,
+        map: PhaseStats,
+        reduce_start: SimTime,
+        outcome: ReduceOutcome,
+    ) -> (DfsFile, JobParts) {
+        let parts = JobParts {
+            started,
+            finished: outcome.phase.schedule.makespan.max(reduce_start),
+            map,
+            reduce: Some(outcome.phase),
+            shuffle_bytes: outcome.shuffle_bytes,
+            output_bytes: outcome.output.total_bytes(),
+            integrity: IntegrityLog {
+                shuffle_refetches: outcome.shuffle_refetches,
+                shuffle_refetch_time: outcome.shuffle_refetch_time,
+                ..IntegrityLog::default()
+            },
+            ..JobParts::default()
+        };
+        (outcome.output, parts)
+    }
+}
+
+/// The map side of a job between its first schedule and its reduce: the
+/// executed tasks, the surviving attempt of each (recompute waves replace
+/// lost ones), when the last of them ends, and what keeping them alive cost.
+struct MapSide<'e> {
+    tasks: &'e [MapTaskExec],
+    attempts: Vec<Assignment>,
+    end: SimTime,
+    recovery: RecoveryLog,
+    partition: PartitionLog,
+}
+
 /// Executes jobs against a cluster and DFS.
 pub struct Runner<'a> {
     /// The simulated cluster.
@@ -135,7 +283,7 @@ pub struct Runner<'a> {
     /// Node-crash plan replayed against every schedule (quiet by default).
     chaos: ChaosPlan,
     /// Data-corruption plan consulted at the shuffle boundary and during
-    /// the integrity sweep in [`Runner::finish`] (quiet by default).
+    /// the integrity sweep in [`Runner::seal`] (quiet by default).
     corruption: CorruptionPlan,
     /// Network-partition / link-slowdown plan replayed against every
     /// schedule (quiet by default). Unlike chaos crashes, partitions cut
@@ -158,21 +306,12 @@ pub struct Runner<'a> {
 impl<'a> Runner<'a> {
     /// Creates a runner with no node crashes.
     pub fn new(cluster: &'a Cluster, dfs: &'a mut Dfs) -> Self {
-        Runner {
-            cluster,
-            dfs,
-            chaos: ChaosPlan::none(),
-            corruption: CorruptionPlan::none(),
-            netsplit: PartitionPlan::none(),
-            detector: DetectorConfig::default(),
-            profile: InjectionProfile::quiet(),
-        }
+        Self::with_chaos(cluster, dfs, ChaosPlan::none())
     }
 
     /// Creates a runner whose jobs suffer the node crashes of `chaos`.
     /// With a quiet plan this is exactly [`Runner::new`].
     pub fn with_chaos(cluster: &'a Cluster, dfs: &'a mut Dfs, chaos: ChaosPlan) -> Self {
-        let profile = InjectionProfile::from_plans(&chaos, &CorruptionPlan::none());
         Runner {
             cluster,
             dfs,
@@ -180,8 +319,9 @@ impl<'a> Runner<'a> {
             corruption: CorruptionPlan::none(),
             netsplit: PartitionPlan::none(),
             detector: DetectorConfig::default(),
-            profile,
+            profile: InjectionProfile::quiet(),
         }
+        .classified()
     }
 
     /// Arms the data-corruption plan: installs it on the DFS (so chunk
@@ -190,9 +330,7 @@ impl<'a> Runner<'a> {
     pub fn with_corruption(mut self, plan: CorruptionPlan) -> Self {
         self.dfs.set_corruption(plan.clone());
         self.corruption = plan;
-        self.profile = InjectionProfile::from_plans(&self.chaos, &self.corruption)
-            .with_partition(&self.netsplit);
-        self
+        self.classified()
     }
 
     /// Arms the network-partition plan and the failure detector that
@@ -209,6 +347,11 @@ impl<'a> Runner<'a> {
     pub fn with_netsplit(mut self, plan: PartitionPlan, detector: DetectorConfig) -> Self {
         self.netsplit = plan;
         self.detector = detector;
+        self.classified()
+    }
+
+    /// Resolves the Quiet/Armed classification of the installed plans.
+    fn classified(mut self) -> Self {
         self.profile = InjectionProfile::from_plans(&self.chaos, &self.corruption)
             .with_partition(&self.netsplit);
         self
@@ -217,33 +360,6 @@ impl<'a> Runner<'a> {
     /// The runner's crash plan.
     pub fn chaos(&self) -> &ChaosPlan {
         &self.chaos
-    }
-
-    /// The runner's corruption plan.
-    pub fn corruption(&self) -> &CorruptionPlan {
-        &self.corruption
-    }
-
-    /// The runner's partition plan.
-    pub fn netsplit(&self) -> &PartitionPlan {
-        &self.netsplit
-    }
-
-    /// The runner's failure-detector configuration.
-    pub fn detector(&self) -> &DetectorConfig {
-        &self.detector
-    }
-
-    /// The once-per-job Quiet/Armed classification of the runner's
-    /// injection layers.
-    pub fn profile(&self) -> &InjectionProfile {
-        &self.profile
-    }
-
-    /// True when shuffle payloads are verified at the reducer: the plan
-    /// can corrupt them and verification is enabled.
-    fn verifies_shuffle(&self) -> bool {
-        self.corruption.verifies_shuffle()
     }
 
     /// The input chunks of a job, in order.
@@ -265,36 +381,10 @@ impl<'a> Runner<'a> {
         chunks: &[ChunkMeta],
         base_task_id: usize,
     ) -> Result<MapPhaseExec> {
-        let n = chunks.len();
-        if n == 0 {
-            return Ok(MapPhaseExec::default());
-        }
-        let results: Mutex<Vec<Option<Result<MapTaskExec>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        let workers = thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(n);
         let dfs = &*self.dfs;
-        crossbeam::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let exec = self.execute_one_map(conf, &chunks[i], base_task_id + i, dfs);
-                    results.lock()[i] = Some(exec);
-                });
-            }
-        })
-        .map_err(|_| Error::Internal("map worker panicked".into()))?;
-        let mut tasks = Vec::with_capacity(n);
-        for slot in results.into_inner() {
-            let exec = slot.ok_or_else(|| Error::Internal("map task produced no result".into()))?;
-            tasks.push(exec?);
-        }
+        let tasks = fan_out("map", chunks.iter().enumerate().collect(), |(i, chunk)| {
+            self.execute_one_map(conf, chunk, base_task_id + i, dfs)
+        })?;
         Ok(MapPhaseExec { tasks })
     }
 
@@ -401,17 +491,15 @@ impl<'a> Runner<'a> {
         let specs: Vec<TaskSpec> = exec
             .tasks
             .iter()
-            .map(|t| TaskSpec {
-                id: t.task_id,
-                kind: SlotKind::Map,
-                base: t.base_cost,
-                input_bytes: t.input_bytes,
-                input_hosts: t.input_hosts.clone(),
-                affinity: t.affinity.clone(),
-                affinity_penalty: t.affinity_penalty,
-                hard_affinity: t.hard_affinity,
-            })
+            .map(|t| t.spec(t.input_hosts.clone()))
             .collect();
+        self.schedule_phase(&specs, start)
+    }
+
+    /// Schedules executed reduce tasks onto the cluster starting at
+    /// `start`, under the same plans as every other phase of the job.
+    pub fn schedule_reduces(&self, tasks: &[ReduceTaskExec], start: SimTime) -> Schedule {
+        let specs: Vec<TaskSpec> = tasks.iter().map(|t| t.spec.clone()).collect();
         self.schedule_phase(&specs, start)
     }
 
@@ -439,43 +527,10 @@ impl<'a> Runner<'a> {
         sources: Vec<Vec<Record>>,
     ) -> (Vec<Vec<Record>>, Vec<u64>) {
         let num_r = conf.num_reducers.max(1);
-        let n = sources.len();
-        let per_source: Vec<Partitioned> = if n > 1 {
-            let inputs: Vec<Mutex<Option<Vec<Record>>>> =
-                sources.into_iter().map(|s| Mutex::new(Some(s))).collect();
-            let outputs: Mutex<Vec<Option<Partitioned>>> =
-                Mutex::new((0..n).map(|_| None).collect());
-            let next = AtomicUsize::new(0);
-            let workers = thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-                .min(n);
-            crossbeam::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|_| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let source = inputs[i].lock().take().unwrap_or_default();
-                        outputs.lock()[i] = Some(partition_one(conf, num_r, source));
-                    });
-                }
-            })
-            // efind-lint: allow(panic, a panicked scoped worker already tore down the run; propagating the panic is the contract)
-            .expect("partition worker panicked");
-            outputs
-                .into_inner()
-                .into_iter()
-                // efind-lint: allow(panic, every slot is filled by construction; an empty one is a runner bug, not a user error)
-                .map(|slot| slot.expect("partition task produced no result"))
-                .collect()
-        } else {
-            sources
-                .into_iter()
-                .map(|s| partition_one(conf, num_r, s))
-                .collect()
-        };
+        let per_source: Vec<Partitioned> =
+            fan_out("partition", sources, |s| Ok(partition_one(conf, num_r, s)))
+                // efind-lint: allow(panic, partitioning cannot fail, so the only Err is a panicked scoped worker that already tore down the run; propagating the panic is the contract)
+                .expect("partition worker panicked");
 
         let mut partitions: Vec<Vec<Record>> = (0..num_r)
             .map(|p| Vec::with_capacity(per_source.iter().map(|(ps, _)| ps[p].len()).sum()))
@@ -491,25 +546,10 @@ impl<'a> Runner<'a> {
     }
 
     /// Executes (real computation, no scheduling) the reduce tasks for the
-    /// given `(task_id, input)` partitions. Used directly by the adaptive
-    /// optimizer to run the reduce phase wave by wave (Fig. 10(b)).
-    pub fn execute_reduce_partitions(
-        &self,
-        conf: &JobConf,
-        partitions: &[(usize, &[Record])],
-    ) -> Result<Vec<ReduceTaskExec>> {
-        self.execute_reduce_partitions_owned(
-            conf,
-            partitions
-                .iter()
-                .map(|&(id, input)| (id, input.to_vec()))
-                .collect(),
-        )
-    }
-
-    /// Owned variant of [`Runner::execute_reduce_partitions`]: each reduce
-    /// task takes its partition by move, so the sort and group machinery
-    /// works on the shuffle buffers directly instead of a private copy.
+    /// given `(task_id, input)` partitions, each taken by move so the sort
+    /// and group machinery works on the shuffle buffers directly. Used by
+    /// the adaptive optimizer to run the reduce phase wave by wave
+    /// (Fig. 10(b)).
     pub fn execute_reduce_partitions_owned(
         &self,
         conf: &JobConf,
@@ -530,50 +570,19 @@ impl<'a> Runner<'a> {
         conf: &JobConf,
         partitions: Vec<(usize, Vec<Record>, Option<u64>)>,
     ) -> Result<Vec<ReduceTaskExec>> {
-        let n = partitions.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        type ReduceExec = Result<(TaskStats, TaskSpec, Vec<Record>)>;
-        type OwnedPartition = (usize, Vec<Record>, Option<u64>);
-        let inputs: Vec<Mutex<Option<OwnedPartition>>> = partitions
-            .into_iter()
-            .map(|p| Mutex::new(Some(p)))
-            .collect();
-        let results: Mutex<Vec<Option<ReduceExec>>> = Mutex::new((0..n).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        let workers = thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(n);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let Some((task_id, input, bytes)) = inputs[i].lock().take() else {
-                        break;
-                    };
-                    let out = self.execute_one_reduce(conf, task_id, input, bytes);
-                    results.lock()[i] = Some(out);
-                });
-            }
+        fan_out("reduce", partitions, |(task_id, input, bytes)| {
+            self.execute_one_reduce(conf, task_id, input, bytes)
         })
-        .map_err(|_| Error::Internal("reduce worker panicked".into()))?;
-        let mut tasks = Vec::with_capacity(n);
-        for slot in results.into_inner() {
-            let (stats, spec, output) =
-                slot.ok_or_else(|| Error::Internal("reduce task produced no result".into()))??;
-            tasks.push(ReduceTaskExec {
-                task_id: spec.id,
-                stats,
-                spec,
-                output,
-            });
+    }
+
+    /// Writes per-task output record vectors, in task order, as the job's
+    /// output file.
+    fn write_output(&mut self, conf: &JobConf, outputs: Vec<Vec<Record>>) -> DfsFile {
+        let all_output: Vec<Record> = outputs.into_iter().flatten().collect();
+        match conf.output_chunks {
+            Some(n) => self.dfs.write_file_with_chunks(&conf.output, all_output, n),
+            None => self.dfs.write_file(&conf.output, all_output),
         }
-        Ok(tasks)
     }
 
     /// Runs the reduce phase over per-source map outputs (in source order),
@@ -627,11 +636,7 @@ impl<'a> Runner<'a> {
             outputs.push(e.output);
         }
         let schedule = self.schedule_phase(&specs, start);
-        let all_output: Vec<Record> = outputs.into_iter().flatten().collect();
-        let output = match conf.output_chunks {
-            Some(n) => self.dfs.write_file_with_chunks(&conf.output, all_output, n),
-            None => self.dfs.write_file(&conf.output, all_output),
-        };
+        let output = self.write_output(conf, outputs);
         Ok(ReduceOutcome {
             phase: PhaseStats { tasks, schedule },
             output,
@@ -652,7 +657,7 @@ impl<'a> Runner<'a> {
         sources: &[Vec<Record>],
     ) -> (Vec<SimDuration>, u64, SimDuration) {
         let num_r = conf.num_reducers.max(1);
-        if !self.verifies_shuffle() {
+        if !self.corruption.verifies_shuffle() {
             return (Vec::new(), 0, SimDuration::ZERO);
         }
         let mut extra = vec![SimDuration::ZERO; num_r];
@@ -701,7 +706,7 @@ impl<'a> Runner<'a> {
         task_id: usize,
         input: Vec<Record>,
         input_bytes: Option<u64>,
-    ) -> Result<(TaskStats, TaskSpec, Vec<Record>)> {
+    ) -> Result<ReduceTaskExec> {
         let input_records = input.len() as u64;
         let input_bytes = input_bytes.unwrap_or_else(|| input.iter().map(Record::size_bytes).sum());
         let mut sorted = input;
@@ -806,7 +811,12 @@ impl<'a> Runner<'a> {
             counters: ctx.counters,
             sketches: ctx.sketches,
         };
-        Ok((stats, spec, output))
+        Ok(ReduceTaskExec {
+            task_id,
+            stats,
+            spec,
+            output,
+        })
     }
 
     /// End-of-job integrity sweep over the job's input chunks. A map task
@@ -816,15 +826,14 @@ impl<'a> Runner<'a> {
     /// verification out of its chunk's host set, and re-replicates the
     /// survivors back up to the replication target through the same
     /// background repair path node crashes use. Quiet plans — and plans
-    /// with verification disabled, which cannot *detect* anything — return
-    /// the empty ledger untouched.
-    pub fn integrity_sweep(&mut self, conf: &JobConf) -> IntegrityLog {
-        let mut log = IntegrityLog::default();
+    /// with verification disabled, which cannot *detect* anything — leave
+    /// the ledger untouched.
+    fn integrity_sweep(&mut self, conf: &JobConf, log: &mut IntegrityLog) {
         if !self.corruption.verifies_chunks() {
-            return log;
+            return;
         }
         let Ok(meta) = self.dfs.stat(&conf.input) else {
-            return log;
+            return;
         };
         let chunk_ids: Vec<usize> = meta.chunks.iter().map(|c| c.index).collect();
         for idx in chunk_ids {
@@ -843,7 +852,26 @@ impl<'a> Runner<'a> {
             log.repaired_bytes += rep.bytes;
             log.repair_time += rep.duration;
         }
-        log
+    }
+
+    /// Node-level detector outcomes of the partition plan, empty when the
+    /// layer is quiet. The phase schedules replay only task-level effects,
+    /// so a suspicion seen by both the map and the reduce schedule is
+    /// never double-counted.
+    fn suspicions(&self) -> Vec<Suspicion> {
+        if !self.profile.partition.is_armed() {
+            return Vec::new();
+        }
+        self.detector
+            .assess_all(&self.netsplit, self.cluster.num_nodes())
+    }
+
+    /// When every one of `hosts` sits behind a partition that never heals:
+    /// the instant the last of them was cut off.
+    fn cut_off_forever(&self, hosts: &[NodeId]) -> Option<SimTime> {
+        hosts.iter().try_fold(SimTime::ZERO, |cut, h| {
+            Some(cut.max(self.netsplit.isolated_forever_from(*h)?))
+        })
     }
 
     /// Records the node-level gray-failure outcomes of one job into its
@@ -852,13 +880,7 @@ impl<'a> Runner<'a> {
     /// *pending* on suspicion, *cancelled* on rejoin, and priced (but
     /// never applied to DFS state: the isolated replicas still exist) for
     /// confirmed-gone nodes, against the job's input chunks they host.
-    fn account_gray_nodes(
-        &self,
-        conf: &JobConf,
-        suspicions: &[Suspicion],
-        finished: SimTime,
-        gray: &mut PartitionLog,
-    ) {
+    fn account_gray_nodes(&self, conf: &JobConf, finished: SimTime, gray: &mut PartitionLog) {
         gray.events = self
             .netsplit
             .events()
@@ -872,7 +894,7 @@ impl<'a> Runner<'a> {
             .filter(|l| l.start < finished)
             .count();
         let meta = self.dfs.stat(&conf.input).ok();
-        for s in suspicions {
+        for s in self.suspicions() {
             if s.suspect_at >= finished {
                 continue;
             }
@@ -914,15 +936,16 @@ impl<'a> Runner<'a> {
     /// writes the output, and assembles the result. Consumes the map
     /// outputs held in `exec`.
     ///
-    /// Under a non-quiet chaos plan this is also where node crashes are
-    /// *applied*: deaths inside the map window strip the dead node's DFS
-    /// replicas, completed map tasks whose node-local outputs died with a
-    /// node are re-scheduled as recompute waves, reducers retry their
-    /// fetches with backoff until the recomputed outputs exist, and the
-    /// DFS re-replicates in the background — all recorded in the job's
-    /// [`RecoveryLog`]. Map task ids are assumed to equal their input
-    /// chunk indices (true for every runner entry point), which lets the
-    /// recompute path find a task's surviving input replicas.
+    /// The phases, in order: schedule the maps; fail fast when a partition
+    /// that never heals hides a needed input chunk; replay the crashes
+    /// that fall inside the map phase (deaths strip the dead node's DFS
+    /// replicas, and completed map tasks whose node-local outputs died
+    /// with a node re-run as recompute waves); re-run map outputs stranded
+    /// behind a confirmed partition; let the reducers back off until every
+    /// map output is fetchable; reduce, or write the map-only output; and
+    /// [`seal`](Runner::seal) the job. Map task ids are assumed to equal
+    /// their input chunk indices (true for every runner entry point),
+    /// which lets a recompute wave find a task's surviving input replicas.
     pub fn finish(
         &mut self,
         conf: &JobConf,
@@ -937,270 +960,289 @@ impl<'a> Runner<'a> {
                 t.stats.compute_cost += extra;
             }
         }
-        let map_schedule = self.schedule_maps(exec, start);
-        let mut map_end = map_schedule.makespan;
-
-        let mut recovery = RecoveryLog {
-            crashed_attempts: map_schedule.crashed_attempts,
-            ..RecoveryLog::default()
-        };
+        let schedule = self.schedule_maps(exec, start);
         // The instant reducers would first fetch map outputs if nothing
         // crashed — the reference point for fetch-retry backoff.
-        let fetch_ready = map_end;
-        // The surviving attempt of every map task, updated as recompute
-        // waves replace lost ones.
-        let mut attempts = map_schedule.assignments.clone();
-        let mut gray = PartitionLog::default();
-        // Node-level detector outcomes, assessed once per job: the phase
-        // schedules replay only task-level effects, so a suspicion seen by
-        // both the map and the reduce schedule is never double-counted.
-        let mut suspicions: Vec<Suspicion> = Vec::new();
-        if self.profile.partition.is_armed() {
-            fold_partition_replay(&mut gray, &map_schedule.partition);
-            suspicions = self
-                .detector
-                .assess_all(&self.netsplit, self.cluster.num_nodes());
-            // Fail fast — never hang — when a partition that never heals
-            // has isolated every replica host of a chunk some attempt
-            // still needs to read. The replicas are intact (partitions
-            // never mutate the DFS), just unreachable forever, which is
-            // why this is `Partitioned` and not `DataLoss`.
-            let meta = self.dfs.stat(&conf.input)?;
-            for a in &attempts {
-                let Some(chunk) = meta.chunks.get(a.task_id) else {
-                    continue;
-                };
-                let mut cut = SimTime::ZERO;
-                let mut all_isolated = !chunk.hosts.is_empty();
-                for h in &chunk.hosts {
-                    match self.netsplit.isolated_forever_from(*h) {
-                        Some(s) => cut = cut.max(s),
-                        None => {
-                            all_isolated = false;
-                            break;
-                        }
-                    }
-                }
-                if all_isolated && a.end > cut {
-                    return Err(Error::Partitioned(format!(
-                        "job {}: map task {} needs chunk {} of {} but a partition \
-                         that never heals has isolated every replica host",
-                        conf.name, a.task_id, a.task_id, conf.input
+        let fetch_ready = schedule.makespan;
+        let mut side = MapSide {
+            tasks: &exec.tasks,
+            attempts: schedule.assignments.clone(),
+            end: fetch_ready,
+            recovery: RecoveryLog::default(),
+            partition: PartitionLog::default(),
+        };
+        self.fail_on_unreachable_input(conf, &side.attempts)?;
+        self.replay_crashes(conf, &mut side)?;
+        let stranded = self.replace_stranded(conf, &mut side)?;
+        let reduce_start = self.fetch_start(conf, fetch_ready, stranded, &mut side)?;
+        let MapSide {
+            end: map_end,
+            recovery,
+            partition,
+            ..
+        } = side;
+
+        let map = exec.phase_stats(schedule);
+        let (output, mut parts) = if conf.has_reduce() {
+            let outcome = self.run_reduce_from(conf, exec.take_outputs(), reduce_start)?;
+            JobParts::after_reduce(start, map, reduce_start, outcome)
+        } else {
+            let output = self.write_output(conf, exec.take_outputs());
+            let parts = JobParts {
+                started: start,
+                finished: map_end,
+                map,
+                output_bytes: output.total_bytes(),
+                ..JobParts::default()
+            };
+            (output, parts)
+        };
+        parts.recovery = recovery;
+        parts.partition = partition;
+        Ok(JobResult {
+            output,
+            stats: self.seal(conf, parts),
+        })
+    }
+
+    /// Fails fast — never hangs — when a partition that never heals has
+    /// isolated every replica host of a chunk some attempt still needs to
+    /// read. The replicas are intact (partitions never mutate the DFS),
+    /// just unreachable forever, which is why this is `Partitioned` and
+    /// not `DataLoss`.
+    fn fail_on_unreachable_input(&self, conf: &JobConf, attempts: &[Assignment]) -> Result<()> {
+        if !self.profile.partition.is_armed() {
+            return Ok(());
+        }
+        let meta = self.dfs.stat(&conf.input)?;
+        for a in attempts {
+            let Some(chunk) = meta.chunks.get(a.task_id) else {
+                continue;
+            };
+            let cut = self.cut_off_forever(&chunk.hosts);
+            if !chunk.hosts.is_empty() && cut.is_some_and(|cut| a.end > cut) {
+                return Err(Error::Partitioned(format!(
+                    "job {}: map task {} needs chunk {} of {} but a partition \
+                     that never heals has isolated every replica host",
+                    conf.name, a.task_id, a.task_id, conf.input
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies one crash to the DFS and the ledger: the node's replicas
+    /// are gone, and every chunk that left under-replicated is copied in
+    /// the background — priced on the network and disk models, not
+    /// serialized into the job's makespan. Returns the chunks that lost
+    /// their last replica.
+    fn apply_crash(&mut self, e: CrashEvent, recovery: &mut RecoveryLog) -> Vec<(String, usize)> {
+        recovery.crashes.push(e);
+        let lost_chunks = self.dfs.crash_node(e.node);
+        let rep = self.dfs.re_replicate();
+        recovery.rereplicated_chunks += rep.chunks;
+        recovery.rereplicated_bytes += rep.bytes;
+        recovery.rereplication_time += rep.duration;
+        lost_chunks
+    }
+
+    /// Applies every planned crash at or before `upto` whose node the DFS
+    /// still believes alive. [`Runner::seal`] calls this with the job's
+    /// end; the adaptive re-plan calls it with the end of time, because a
+    /// first-wave result on a node with *any* planned death cannot be
+    /// trusted to still be there for the re-planned job's reduce.
+    pub fn apply_crashes(&mut self, upto: SimTime, recovery: &mut RecoveryLog) {
+        if !self.profile.chaos.is_armed() {
+            return;
+        }
+        for e in self.chaos.events().to_vec() {
+            if e.at <= upto && !self.dfs.is_dead(e.node) {
+                self.apply_crash(e, recovery);
+            }
+        }
+    }
+
+    /// One recompute wave: the completed map tasks `lost` lost their
+    /// node-local outputs at `at` and run again, each reading its chunk (of
+    /// `chunks`) from `readable(task id, chunk)` — the replicas it can
+    /// still reach, or the named error when there are none. The wave's
+    /// attempts replace the lost ones and the map side ends no earlier
+    /// than the wave does.
+    fn recompute_wave(
+        &self,
+        conf: &JobConf,
+        chunks: &[ChunkMeta],
+        lost: &[usize],
+        at: SimTime,
+        readable: impl Fn(usize, &ChunkMeta) -> Result<Vec<NodeId>>,
+        side: &mut MapSide,
+    ) -> Result<()> {
+        let mut specs = Vec::with_capacity(lost.len());
+        for &id in lost {
+            let task =
+                side.tasks.iter().find(|t| t.task_id == id).ok_or_else(|| {
+                    Error::Internal(format!("recompute of unknown map task {id}"))
+                })?;
+            let chunk = chunks.get(id).ok_or_else(|| {
+                Error::Internal(format!("map task {id} has no chunk {id} in {}", conf.input))
+            })?;
+            specs.push(task.spec(readable(id, chunk)?));
+        }
+        let wave = self.schedule_phase(&specs, at);
+        side.recovery.crashed_attempts += wave.crashed_attempts;
+        fold_partition_replay(&mut side.partition, &wave.partition);
+        for wa in wave.assignments {
+            if let Some(a) = side.attempts.iter_mut().find(|a| a.task_id == wa.task_id) {
+                *a = wa;
+            }
+        }
+        side.end = side.end.max(wave.makespan);
+        Ok(())
+    }
+
+    /// Replays the planned crashes that fall inside the map phase. A crash
+    /// past its (current) end is left to [`Runner::seal`], which applies
+    /// it if it still falls inside the job.
+    fn replay_crashes(&mut self, conf: &JobConf, side: &mut MapSide) -> Result<()> {
+        // One branch on the hoisted classification replaces every
+        // per-event / per-attempt chaos check for quiet runs.
+        if !self.profile.chaos.is_armed() {
+            return Ok(());
+        }
+        for e in self.chaos.events().to_vec() {
+            if e.at >= side.end {
+                continue;
+            }
+            // Lost-output recompute: completed map outputs are node-local
+            // spills and die with the node; the reduce has not fetched
+            // anything yet (fetches start at the end of the map phase), so
+            // every completed task on the dead node must re-run.
+            let lost: Vec<usize> = side
+                .attempts
+                .iter()
+                .filter(|a| conf.has_reduce() && a.node == e.node && a.end <= e.at)
+                .map(|a| a.task_id)
+                .collect();
+            // A recomputed task reads the replicas that outlive this crash,
+            // not the copies the background repair adds after it.
+            let before = if lost.is_empty() {
+                Vec::new()
+            } else {
+                self.dfs.stat(&conf.input)?.chunks
+            };
+            // A surviving attempt that (re)ran past the crash re-reads
+            // its input; losing that input's last replica is fatal.
+            for (name, idx) in self.apply_crash(e, &mut side.recovery) {
+                let rereads = |a: &Assignment| a.task_id == idx && a.end > e.at;
+                if name == conf.input && side.attempts.iter().any(rereads) {
+                    return Err(Error::DataLoss(format!(
+                        "job {}: map task {idx} needs chunk {idx} of {} but its \
+                         last replica died with node {}",
+                        conf.name, conf.input, e.node
                     )));
                 }
             }
-        }
-        let mut deferred: Vec<CrashEvent> = Vec::new();
-        // One branch on the hoisted classification replaces every
-        // per-event / per-attempt chaos check for quiet runs.
-        if self.profile.chaos.is_armed() {
-            for e in self.chaos.events().to_vec() {
-                if e.at >= map_end {
-                    // Falls past the (current) map phase; it can still hit
-                    // the reduce phase, handled after the reduce schedule.
-                    deferred.push(e);
-                    continue;
-                }
-                recovery.crashes.push(e);
-                let lost_chunks = self.dfs.crash_node(e.node);
-                // A surviving attempt that (re)ran past the crash re-reads
-                // its input; losing that input's last replica is fatal.
-                for (name, idx) in &lost_chunks {
-                    if name == &conf.input {
-                        if let Some(a) = attempts.iter().find(|a| a.task_id == *idx) {
-                            if a.end > e.at {
-                                return Err(Error::DataLoss(format!(
-                                    "job {}: map task {} needs chunk {} of {} but its \
-                                     last replica died with node {}",
-                                    conf.name, a.task_id, idx, conf.input, e.node
-                                )));
-                            }
-                        }
-                    }
-                }
-                // Lost-output recompute: completed map outputs are
-                // node-local spills and die with the node; the reduce has
-                // not fetched anything yet (fetches start at the end of
-                // the map phase), so every completed task on the dead node
-                // must re-run.
-                if conf.has_reduce() {
-                    let lost_ids: Vec<usize> = attempts
-                        .iter()
-                        .filter(|a| a.node == e.node && a.end <= e.at)
-                        .map(|a| a.task_id)
-                        .collect();
-                    if !lost_ids.is_empty() {
-                        let meta = self.dfs.stat(&conf.input)?;
-                        let mut specs = Vec::with_capacity(lost_ids.len());
-                        for id in &lost_ids {
-                            let t =
-                                exec.tasks
-                                    .iter()
-                                    .find(|t| t.task_id == *id)
-                                    .ok_or_else(|| {
-                                        Error::Internal(format!(
-                                            "recompute of unknown map task {id}"
-                                        ))
-                                    })?;
-                            let chunk = meta.chunks.get(*id).ok_or_else(|| {
-                                Error::Internal(format!(
-                                    "map task {id} has no chunk {id} in {}",
-                                    conf.input
-                                ))
-                            })?;
-                            if chunk.hosts.is_empty() {
-                                return Err(Error::DataLoss(format!(
-                                    "job {}: recomputing map task {id} needs chunk {id} of {} \
-                                     but its last replica died with node {}",
-                                    conf.name, conf.input, e.node
-                                )));
-                            }
-                            specs.push(TaskSpec {
-                                id: *id,
-                                kind: SlotKind::Map,
-                                base: t.base_cost,
-                                input_bytes: t.input_bytes,
-                                input_hosts: chunk.hosts.clone(),
-                                affinity: t.affinity.clone(),
-                                affinity_penalty: t.affinity_penalty,
-                                hard_affinity: t.hard_affinity,
-                            });
-                        }
-                        let wave = schedule_phase_chaos(self.cluster, &specs, e.at, &self.chaos);
-                        recovery.recompute_waves += 1;
-                        recovery.crashed_attempts += wave.crashed_attempts;
-                        recovery
-                            .recomputed_map_tasks
-                            .extend(lost_ids.iter().copied());
-                        for wa in wave.assignments {
-                            if let Some(a) = attempts.iter_mut().find(|a| a.task_id == wa.task_id) {
-                                *a = wa;
-                            }
-                        }
-                        map_end = map_end.max(wave.makespan);
-                    }
-                }
-                // Background re-replication of under-replicated chunks,
-                // priced on the network/disk models but not serialized
-                // into the job's makespan.
-                let rep = self.dfs.re_replicate();
-                recovery.rereplicated_chunks += rep.chunks;
-                recovery.rereplicated_bytes += rep.bytes;
-                recovery.rereplication_time += rep.duration;
+            if lost.is_empty() {
+                continue;
             }
-            recovery.recomputed_map_tasks.sort_unstable();
-        }
-
-        // Permanent partitions strand completed node-local map outputs:
-        // once the detector confirms a node gone, every map task that
-        // completed on it before the cut re-runs on reachable nodes — the
-        // gray analog of the chaos recompute wave. The stranded outputs
-        // still exist on the isolated node (nothing is lost, so no DFS
-        // mutation and no replica repair); they are simply unreachable
-        // for the rest of the job.
-        let mut gray_recomputed = false;
-        if self.profile.partition.is_armed() && conf.has_reduce() {
-            for s in &suspicions {
-                if !matches!(s.verdict, Verdict::Confirmed) {
-                    continue;
-                }
-                let Some((cut, _)) = self.netsplit.isolation_window(s.node) else {
-                    continue;
-                };
-                let lost_ids: Vec<usize> = attempts
+            let survivors = |id: usize, chunk: &ChunkMeta| {
+                let hosts: Vec<NodeId> = chunk
+                    .hosts
                     .iter()
-                    .filter(|a| a.node == s.node && a.end <= cut)
-                    .map(|a| a.task_id)
+                    .copied()
+                    .filter(|h| *h != e.node)
                     .collect();
-                if lost_ids.is_empty() {
-                    continue;
+                if hosts.is_empty() {
+                    return Err(Error::DataLoss(format!(
+                        "job {}: recomputing map task {id} needs chunk {id} of {} \
+                         but its last replica died with node {}",
+                        conf.name, conf.input, e.node
+                    )));
                 }
-                let meta = self.dfs.stat(&conf.input)?;
-                let mut specs = Vec::with_capacity(lost_ids.len());
-                for id in &lost_ids {
-                    let t = exec
-                        .tasks
-                        .iter()
-                        .find(|t| t.task_id == *id)
-                        .ok_or_else(|| {
-                            Error::Internal(format!("gray recompute of unknown map task {id}"))
-                        })?;
-                    let chunk = meta.chunks.get(*id).ok_or_else(|| {
-                        Error::Internal(format!(
-                            "map task {id} has no chunk {id} in {}",
-                            conf.input
-                        ))
-                    })?;
-                    if chunk
-                        .hosts
-                        .iter()
-                        .all(|h| self.netsplit.isolated_forever_from(*h).is_some())
-                    {
-                        return Err(Error::Partitioned(format!(
-                            "job {}: recomputing map task {id} needs chunk {id} of {} \
-                             but a partition that never heals has isolated every \
-                             replica host",
-                            conf.name, conf.input
-                        )));
-                    }
-                    specs.push(TaskSpec {
-                        id: *id,
-                        kind: SlotKind::Map,
-                        base: t.base_cost,
-                        input_bytes: t.input_bytes,
-                        input_hosts: chunk.hosts.clone(),
-                        affinity: t.affinity.clone(),
-                        affinity_penalty: t.affinity_penalty,
-                        hard_affinity: t.hard_affinity,
-                    });
-                }
-                let wave = self.schedule_phase(&specs, s.suspect_at);
-                fold_partition_replay(&mut gray, &wave.partition);
-                gray.replaced_tasks += lost_ids.len() as u64;
-                for wa in wave.assignments {
-                    if let Some(a) = attempts.iter_mut().find(|a| a.task_id == wa.task_id) {
-                        *a = wa;
-                    }
-                }
-                map_end = map_end.max(wave.makespan);
-                gray_recomputed = true;
-            }
-        }
-
-        // Shuffle-fetch retry: reducers began fetching at the original map
-        // phase end, found dead hosts, and back off exponentially until
-        // the recomputed outputs become available.
-        let mut reduce_start = map_end;
-        if conf.has_reduce() && !recovery.recomputed_map_tasks.is_empty() {
-            let mut t = fetch_ready;
-            let mut tries: u32 = 0;
-            while t < map_end {
-                let pause = SimDuration::exp_backoff(
-                    FETCH_BACKOFF_BASE,
-                    FETCH_BACKOFF_MULT,
-                    tries,
-                    FETCH_BACKOFF_CAP,
-                );
-                recovery.fetch_backoff += pause;
-                t += pause;
-                tries += 1;
-            }
-            recovery.fetch_retries = tries as u64 * conf.num_reducers.max(1) as u64;
-            reduce_start = map_end.max(t);
-        }
-
-        // Partition fetch failover: a reducer whose map outputs sit behind
-        // a transient partition at fetch time backs off until the heal —
-        // the outputs are unreachable, not lost, so no recompute fires.
-        // Recomputed stranded outputs (never-healing partitions) are
-        // waited for the same way.
-        if self.profile.partition.is_armed() && conf.has_reduce() {
-            let mut wait_until = if gray_recomputed {
-                map_end
-            } else {
-                fetch_ready
+                Ok(hosts)
             };
-            for a in &attempts {
+            self.recompute_wave(conf, &before, &lost, e.at, survivors, side)?;
+            side.recovery.recompute_waves += 1;
+            side.recovery.recomputed_map_tasks.extend(&lost);
+        }
+        side.recovery.recomputed_map_tasks.sort_unstable();
+        Ok(())
+    }
+
+    /// Permanent partitions strand completed node-local map outputs: once
+    /// the detector confirms a node gone, every map task that completed on
+    /// it before the cut re-runs on reachable nodes — the gray analog of
+    /// the crash recompute wave. The stranded outputs still exist on the
+    /// isolated node (nothing is lost, so no DFS mutation and no replica
+    /// repair); they are simply unreachable for the rest of the job.
+    /// Returns whether any task re-ran.
+    fn replace_stranded(&self, conf: &JobConf, side: &mut MapSide) -> Result<bool> {
+        let mut stranded = false;
+        if !self.profile.partition.is_armed() || !conf.has_reduce() {
+            return Ok(stranded);
+        }
+        for s in self.suspicions() {
+            if !matches!(s.verdict, Verdict::Confirmed) {
+                continue;
+            }
+            let Some((cut, _)) = self.netsplit.isolation_window(s.node) else {
+                continue;
+            };
+            let lost: Vec<usize> = side
+                .attempts
+                .iter()
+                .filter(|a| a.node == s.node && a.end <= cut)
+                .map(|a| a.task_id)
+                .collect();
+            if lost.is_empty() {
+                continue;
+            }
+            let chunks = self.dfs.stat(&conf.input)?.chunks;
+            let reachable = |id: usize, chunk: &ChunkMeta| {
+                if self.cut_off_forever(&chunk.hosts).is_some() {
+                    return Err(Error::Partitioned(format!(
+                        "job {}: recomputing map task {id} needs chunk {id} of {} \
+                         but a partition that never heals has isolated every \
+                         replica host",
+                        conf.name, conf.input
+                    )));
+                }
+                Ok(chunk.hosts.clone())
+            };
+            self.recompute_wave(conf, &chunks, &lost, s.suspect_at, reachable, side)?;
+            side.partition.replaced_tasks += lost.len() as u64;
+            stranded = true;
+        }
+        Ok(stranded)
+    }
+
+    /// When the reduce (if any) can start. Reducers began fetching at
+    /// `fetch_ready`, the original end of the map phase, and back off until
+    /// every map output is fetchable: until recomputed outputs exist, and
+    /// until the partitions that hide outputs heal (those outputs are
+    /// unreachable, not lost, so no recompute fires; `stranded` ones were
+    /// recomputed and are waited for the same way).
+    fn fetch_start(
+        &self,
+        conf: &JobConf,
+        fetch_ready: SimTime,
+        stranded: bool,
+        side: &mut MapSide,
+    ) -> Result<SimTime> {
+        let reducers = conf.num_reducers.max(1) as u64;
+        let mut reduce_start = side.end;
+        if !conf.has_reduce() {
+            return Ok(reduce_start);
+        }
+        if !side.recovery.recomputed_map_tasks.is_empty() {
+            let (tries, paused) = backoff_until(fetch_ready, side.end);
+            side.recovery.fetch_retries = tries as u64 * reducers;
+            side.recovery.fetch_backoff = paused;
+            reduce_start = reduce_start.max(fetch_ready + paused);
+        }
+        if self.profile.partition.is_armed() {
+            let mut wait_until = if stranded { side.end } else { fetch_ready };
+            for a in &side.attempts {
                 if !self.netsplit.is_isolated_at(a.node, fetch_ready) {
                     continue;
                 }
@@ -1215,141 +1257,79 @@ impl<'a> Runner<'a> {
                     }
                 }
             }
-            if wait_until > fetch_ready {
-                let mut t = fetch_ready;
-                let mut tries: u32 = 0;
-                while t < wait_until {
-                    let pause = SimDuration::exp_backoff(
-                        FETCH_BACKOFF_BASE,
-                        FETCH_BACKOFF_MULT,
-                        tries,
-                        FETCH_BACKOFF_CAP,
-                    );
-                    gray.failover_wait += pause;
-                    t += pause;
-                    tries += 1;
-                }
-                gray.failover_fetches = tries as u64 * conf.num_reducers.max(1) as u64;
-                reduce_start = reduce_start.max(t);
-            }
+            let (tries, paused) = backoff_until(fetch_ready, wait_until);
+            side.partition.failover_fetches = tries as u64 * reducers;
+            side.partition.failover_wait = paused;
+            reduce_start = reduce_start.max(fetch_ready + paused);
         }
+        Ok(reduce_start)
+    }
 
-        let mut counters = crate::counters::Counters::new();
-        let mut sketches = crate::counters::Sketches::new();
-        for t in &exec.tasks {
-            counters.merge(&t.stats.counters);
-            sketches.merge(&t.stats.sketches);
-        }
-
-        let map_stats = PhaseStats {
-            tasks: exec.tasks.iter().map(|t| t.stats.clone()).collect(),
-            schedule: map_schedule,
-        };
-
-        if conf.has_reduce() {
-            let sources = exec.take_outputs();
-            let outcome = self.run_reduce_from(conf, sources, reduce_start)?;
-            for t in &outcome.phase.tasks {
+    /// The tail of every job, and the only place a ledger is completed,
+    /// mirrored into counters, or a [`JobStats`] built. In order: merge the
+    /// task counters and sketches; take the phase schedules' crashed
+    /// attempts and partition replays into the ledgers; apply the planned
+    /// crashes that fall inside the job and have not been applied yet
+    /// (they still take DFS replicas with them); sweep the input for
+    /// corrupt replicas; account the detector's node-level outcomes; and
+    /// mirror each armed layer's ledger. A quiet layer's ledger is all
+    /// zeros and only nonzero fields become counters, so skipping its
+    /// block is observably identical and saves the work on every quiet job.
+    pub fn seal(&mut self, conf: &JobConf, parts: JobParts) -> JobStats {
+        let JobParts {
+            started,
+            finished,
+            map,
+            reduce,
+            shuffle_bytes,
+            output_bytes,
+            mut recovery,
+            mut integrity,
+            mut partition,
+        } = parts;
+        let mut counters = Counters::new();
+        let mut sketches = Sketches::new();
+        for phase in std::iter::once(&map).chain(&reduce) {
+            for t in &phase.tasks {
                 counters.merge(&t.counters);
                 sketches.merge(&t.sketches);
             }
-            recovery.crashed_attempts += outcome.phase.schedule.crashed_attempts;
-            if self.profile.partition.is_armed() {
-                fold_partition_replay(&mut gray, &outcome.phase.schedule.partition);
-            }
-            let finished = outcome.phase.schedule.makespan.max(reduce_start);
-            // Crashes that fell after the map phase but inside the reduce
-            // window still take DFS replicas with them (the reduce schedule
-            // already re-placed its own attempts via the chaos replay).
-            for e in deferred {
-                if e.at <= finished {
-                    recovery.crashes.push(e);
-                    self.dfs.crash_node(e.node);
-                    let rep = self.dfs.re_replicate();
-                    recovery.rereplicated_chunks += rep.chunks;
-                    recovery.rereplicated_bytes += rep.bytes;
-                    recovery.rereplication_time += rep.duration;
-                }
-            }
-            let mut integrity = self.integrity_sweep(conf);
-            integrity.shuffle_refetches = outcome.shuffle_refetches;
-            integrity.shuffle_refetch_time = outcome.shuffle_refetch_time;
-            // Ledger bookkeeping only for armed layers: a quiet layer's
-            // ledger is all zeros and add_counters writes nothing for
-            // zeros, so skipping it is observably identical and saves the
-            // full counter-map scan on every quiet job.
-            if self.profile.corruption.is_armed() {
-                integrity.collect_lookup_counters(&counters);
-                integrity.add_counters(&mut counters);
-            }
-            if self.profile.chaos.is_armed() {
-                recovery.add_counters(&mut counters);
-            }
-            if self.profile.partition.is_armed() {
-                self.account_gray_nodes(conf, &suspicions, finished, &mut gray);
-                gray.add_counters(&mut counters);
-            }
-            let output_bytes = outcome.output.total_bytes();
-            Ok(JobResult {
-                output: outcome.output,
-                stats: JobStats {
-                    name: conf.name.clone(),
-                    started: start,
-                    finished,
-                    map: map_stats,
-                    reduce: Some(outcome.phase),
-                    counters,
-                    sketches,
-                    shuffle_bytes: outcome.shuffle_bytes,
-                    output_bytes,
-                    recovery,
-                    integrity,
-                    partition: gray,
-                },
-            })
-        } else {
-            let all_output: Vec<Record> = exec.take_outputs().into_iter().flatten().collect();
-            let output = match conf.output_chunks {
-                Some(n) => self.dfs.write_file_with_chunks(&conf.output, all_output, n),
-                None => self.dfs.write_file(&conf.output, all_output),
-            };
-            let mut integrity = self.integrity_sweep(conf);
-            if self.profile.corruption.is_armed() {
-                integrity.collect_lookup_counters(&counters);
-                integrity.add_counters(&mut counters);
-            }
-            if self.profile.chaos.is_armed() {
-                recovery.add_counters(&mut counters);
-            }
-            if self.profile.partition.is_armed() {
-                self.account_gray_nodes(conf, &suspicions, map_end, &mut gray);
-                gray.add_counters(&mut counters);
-            }
-            let output_bytes = output.total_bytes();
-            Ok(JobResult {
-                output,
-                stats: JobStats {
-                    name: conf.name.clone(),
-                    started: start,
-                    finished: map_end,
-                    map: map_stats,
-                    reduce: None,
-                    counters,
-                    sketches,
-                    shuffle_bytes: 0,
-                    output_bytes,
-                    recovery,
-                    integrity,
-                    partition: gray,
-                },
-            })
+            recovery.crashed_attempts += phase.schedule.crashed_attempts;
+            fold_partition_replay(&mut partition, &phase.schedule.partition);
+        }
+        if self.profile.chaos.is_armed() {
+            self.apply_crashes(finished, &mut recovery);
+            recovery.add_counters(&mut counters);
+        }
+        if self.profile.corruption.is_armed() {
+            self.integrity_sweep(conf, &mut integrity);
+            integrity.collect_lookup_counters(&counters);
+            integrity.add_counters(&mut counters);
+        }
+        if self.profile.partition.is_armed() {
+            self.account_gray_nodes(conf, finished, &mut partition);
+            partition.add_counters(&mut counters);
+        }
+        JobStats {
+            name: conf.name.clone(),
+            started,
+            finished,
+            map,
+            reduce,
+            counters,
+            sketches,
+            shuffle_bytes,
+            output_bytes,
+            recovery,
+            integrity,
+            partition,
         }
     }
 }
 
 /// Folds one phase schedule's task-level partition effects into the job
 /// ledger. Node-level outcomes (suspicions, re-replication intents) are
-/// intentionally absent from the replay — [`Runner::finish`] derives them
+/// intentionally absent from the replay — [`Runner::seal`] derives them
 /// once per job so two phases never double-count a suspicion.
 fn fold_partition_replay(gray: &mut PartitionLog, replay: &PartitionReplay) {
     gray.replaced_tasks += replay.replaced_tasks;
@@ -1452,6 +1432,60 @@ mod tests {
                 }),
                 3,
             )
+    }
+
+    #[test]
+    fn fan_out_keeps_item_order_for_zero_one_and_many_items() {
+        let square = |item: u64| Ok(item * item);
+        assert_eq!(fan_out("test", Vec::new(), square).unwrap(), vec![]);
+        assert_eq!(fan_out("test", vec![7], square).unwrap(), vec![49]);
+        let many = fan_out("test", (0..257u64).collect(), square).unwrap();
+        let expected: Vec<u64> = (0..257u64).map(|v| v * v).collect();
+        assert_eq!(many, expected);
+    }
+
+    #[test]
+    fn fan_out_turns_a_workers_err_into_the_calls_err() {
+        // Two items fail; the call reports the first in item order, however
+        // the workers interleaved.
+        let res: Result<Vec<u64>> = fan_out("test", (0..64u64).collect(), |item| {
+            if item == 10 || item == 40 {
+                Err(Error::Internal(format!("item {item} failed")))
+            } else {
+                Ok(item)
+            }
+        });
+        match res {
+            Err(Error::Internal(msg)) => assert_eq!(msg, "item 10 failed"),
+            other => panic!("expected the worker's error, got {other:?}"),
+        }
+        let single: Result<Vec<u64>> =
+            fan_out("test", vec![1u64], |_| Err(Error::Internal("lone".into())));
+        assert!(matches!(single, Err(Error::Internal(msg)) if msg == "lone"));
+    }
+
+    #[test]
+    fn backoff_until_counts_tries_and_total_pause() {
+        let from = SimTime::from_nanos(1_000_000);
+        // Nothing to wait for: no try, no pause.
+        assert_eq!(backoff_until(from, from), (0, SimDuration::ZERO));
+        assert_eq!(
+            backoff_until(from, SimTime::from_nanos(999)),
+            (0, SimDuration::ZERO)
+        );
+        // Anything up to the base pause costs exactly one base pause.
+        let base = SimDuration::from_nanos(500_000);
+        assert_eq!(
+            backoff_until(from, from + SimDuration::from_nanos(1)),
+            (1, base)
+        );
+        assert_eq!(backoff_until(from, from + base), (1, base));
+        // 0.5 + 1 + 2 + 4 ms, then the 8 ms cap: 40 ms are reached by the
+        // ninth pause, 47.5 ms after the first fetch.
+        assert_eq!(
+            backoff_until(from, from + SimDuration::from_millis(40)),
+            (9, SimDuration::from_nanos(47_500_000))
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct TaskStats {
 }
 
 /// Statistics and timeline of one phase (map or reduce).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PhaseStats {
     /// Per-task stats in task-id order.
     pub tasks: Vec<TaskStats>,
@@ -90,20 +90,20 @@ pub struct JobStats {
     pub shuffle_bytes: u64,
     /// Bytes written to the DFS output file.
     pub output_bytes: u64,
-    /// Crash-recovery ledger. Stays `RecoveryLog::default()` whenever the
-    /// chaos layer is classified Quiet for the job — including
-    /// configured-but-quiet plans — and then mirrors nothing into the
-    /// counter set.
+    /// Crash-recovery ledger, completed by `Runner::seal`. Stays
+    /// `RecoveryLog::default()` whenever the chaos layer is classified
+    /// Quiet for the job — including configured-but-quiet plans — and
+    /// nothing of it is then in the counter set.
     pub recovery: RecoveryLog,
-    /// Data-integrity ledger. Stays `IntegrityLog::default()` whenever
-    /// the corruption layer is classified Quiet for the job — including
-    /// configured-but-quiet plans — and then mirrors nothing into the
-    /// counter set.
+    /// Data-integrity ledger, completed by `Runner::seal`. Stays
+    /// `IntegrityLog::default()` whenever the corruption layer is
+    /// classified Quiet for the job — including configured-but-quiet
+    /// plans — and nothing of it is then in the counter set.
     pub integrity: IntegrityLog,
-    /// Gray-failure ledger. Stays `PartitionLog::default()` whenever the
-    /// partition layer is classified Quiet for the job — including
-    /// configured-but-quiet plans — and then mirrors nothing into the
-    /// counter set.
+    /// Gray-failure ledger, completed by `Runner::seal`. Stays
+    /// `PartitionLog::default()` whenever the partition layer is
+    /// classified Quiet for the job — including configured-but-quiet
+    /// plans — and nothing of it is then in the counter set.
     pub partition: PartitionLog,
 }
 

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Full CI gate: lint (fmt + clippy -D warnings), the complete test suite,
-# and a one-iteration bench smoke that fails on a >25% wall-clock
-# regression against the committed BENCH_hotpath.json baseline.
+# Full CI gate: lint (efind-lint, fmt, clippy -D warnings), the complete
+# test suite, the goldens again under one worker, a build and test of
+# efbench — the benchmark of record (`BENCHMARK.json`); comparing two
+# commits with it is a manual campaign, see efbench/README.md — the
+# pinned seed matrices, and the older `hotpath` smoke, which checks wall
+# clock against the frozen history in BENCH_hotpath.json.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -13,12 +16,13 @@ scripts/lint.sh --json
 echo "== cargo test =="
 cargo test -q --workspace
 
-echo "== hotpath goldens under one worker =="
-# The runner fans out to available_parallelism() workers; virtual
-# observables must not depend on how many there are. `cargo test` above
-# ran the goldens under every CPU, this runs them pinned to one.
+echo "== goldens under one worker =="
+# The runner's `fan_out` is the one place available_parallelism() enters;
+# virtual observables must not depend on how many workers there are.
+# `cargo test` above ran the goldens under every CPU, this runs them — the
+# hot-path ones and the five exits of a cold Dynamic run — pinned to one.
 if command -v taskset >/dev/null; then
-    taskset -c 0 cargo test -q --release --test hotpath_golden
+    taskset -c 0 cargo test -q --release --test hotpath_golden --test adaptive_golden
 else
     echo "taskset not found: skipping the one-worker golden run"
 fi

@@ -91,10 +91,21 @@ fn small_config() -> MultiConfig {
 /// scenario's [`EFindConfig`], capturing every virtual observable plus
 /// the summed `hedge.fired` and `mr.partition.*`-presence facts.
 fn run_with(strategy: Strategy, mutate: impl FnOnce(&mut EFindConfig)) -> (Observables, u64, bool) {
+    let (captured, hedges_fired, partition_counters, _) =
+        run_mode_with(Mode::Uniform(strategy), mutate);
+    (captured, hedges_fired, partition_counters)
+}
+
+/// [`run_with`] under any mode; the extra fact is whether some job's
+/// `PartitionLog` recorded anything.
+fn run_mode_with(
+    mode: Mode,
+    mutate: impl FnOnce(&mut EFindConfig),
+) -> (Observables, u64, bool, bool) {
     let mut s = multi::scenario(&small_config());
     mutate(&mut s.efind_config);
     let mut rt = EFindRuntime::with_config(&s.cluster, &mut s.dfs, s.efind_config.clone());
-    let res = rt.run(&s.ijob, Mode::Uniform(strategy)).unwrap();
+    let res = rt.run(&s.ijob, mode).unwrap();
     let mut captured: Observables = vec![
         obs("total.nanos", res.total_time.as_nanos()),
         obs("jobs", res.jobs.len() as u64),
@@ -125,7 +136,8 @@ fn run_with(strategy: Strategy, mutate: impl FnOnce(&mut EFindConfig)) -> (Obser
         "output.fingerprint",
         file_fingerprint(&s.dfs, "ads.enriched"),
     ));
-    (captured, hedges_fired, partition_counters)
+    let partition_ledger = res.jobs.iter().any(|j| !j.partition.is_empty());
+    (captured, hedges_fired, partition_counters, partition_ledger)
 }
 
 /// Only the output rows of an observable vector.
@@ -222,6 +234,32 @@ fn partition_healing_mid_job_completes_bit_identically() {
             "seed {seed:#x}: the partition moved the output"
         );
         let (again, _, _) = run_with(Strategy::Cache, split);
+        assert_eq!(cut, again, "seed {seed:#x}: nondeterministic replay");
+    }
+}
+
+/// A cold `Mode::Dynamic` run sees the partition layer exactly as a
+/// `Uniform` run does: every adaptive sub-step runs on the runtime's one
+/// runner, so the cut lands in the ledger and the `mr.partition.*`
+/// counters, the answer equals the unpartitioned `Dynamic` run's, and the
+/// run replays bit-identically.
+#[test]
+fn cold_dynamic_run_records_the_partition_and_keeps_the_answer() {
+    for seed in netsplit_seeds() {
+        let (plain, _, plain_counters, plain_ledger) = run_mode_with(Mode::Dynamic, |_| {});
+        assert!(!plain_counters && !plain_ledger);
+        let split = |cfg: &mut EFindConfig| {
+            cfg.netsplit = transient_split(seed);
+        };
+        let (cut, _, counters, ledger) = run_mode_with(Mode::Dynamic, split);
+        assert!(ledger, "seed {seed:#x}: the cut left an empty PartitionLog");
+        assert!(counters, "seed {seed:#x}: no mr.partition.* counter");
+        assert_eq!(
+            output_of(&cut),
+            output_of(&plain),
+            "seed {seed:#x}: the partition moved the Dynamic output"
+        );
+        let (again, _, _, _) = run_mode_with(Mode::Dynamic, split);
         assert_eq!(cut, again, "seed {seed:#x}: nondeterministic replay");
     }
 }
