@@ -31,13 +31,26 @@ pub trait PartitionScheme: Send + Sync {
 /// an empty result.
 #[derive(Clone, Debug, PartialEq)]
 pub enum LookupResult {
-    /// The service answered; the list may legitimately be empty.
-    Hit(Vec<Datum>),
+    /// The service answered; the list may legitimately be empty. The list
+    /// is the shared block the lookup cache, the carrier slot,
+    /// [`IndexOutput`](crate::IndexOutput) and `post_process` all read: an
+    /// accessor that stores its lists hands out a refcount bump of its own
+    /// block, so nothing downstream of the index copies the values.
+    Hit(Arc<[Datum]>),
     /// The service answered: the key has no entry.
     Miss,
     /// The service failed to answer (connection/service error). Fed into
     /// the retry path and counted separately from misses.
     Failed(String),
+}
+
+impl LookupResult {
+    /// A [`Hit`](Self::Hit) from an owned `Vec<Datum>` (copied once into a
+    /// shared block) or from an `Arc<[Datum]>` the caller already holds
+    /// (a refcount bump).
+    pub fn hit(values: impl Into<Arc<[Datum]>>) -> Self {
+        LookupResult::Hit(values.into())
+    }
 }
 
 /// A selectively accessible side data source (the paper's broad "index").
@@ -47,14 +60,20 @@ pub trait IndexAccessor: Send + Sync {
 
     /// Looks up `key`, returning the (possibly empty) list of values.
     /// Must be idempotent for the duration of a job (§3.2's assumption).
+    /// This is the owned convenience call for tools and tests; the
+    /// framework itself only ever calls [`try_lookup`](Self::try_lookup).
     fn lookup(&self, key: &Datum) -> Vec<Datum>;
 
-    /// Fallible lookup. The default wraps [`lookup`](Self::lookup) in
-    /// [`LookupResult::Hit`] — infallible accessors need no change.
-    /// Accessors that can distinguish absent keys (or fail) override this
-    /// so misses and failures land in separate counters.
+    /// Fallible lookup, and the one call the framework makes. The default
+    /// wraps [`lookup`](Self::lookup) in [`LookupResult::Hit`], copying the
+    /// owned list into a shared block once — accessors that compute their
+    /// results need no change. Store your lists as `Arc<[Datum]>` and
+    /// override this if results are large: the hit is then a refcount bump
+    /// of the stored block. Accessors that can distinguish absent keys (or
+    /// fail) also override it, so misses and failures land in separate
+    /// counters.
     fn try_lookup(&self, key: &Datum) -> LookupResult {
-        LookupResult::Hit(self.lookup(key))
+        LookupResult::hit(self.lookup(key))
     }
 
     /// Modeled index-side service time `T_j` for one lookup, excluding
@@ -161,6 +180,9 @@ pub struct ChargedLookup {
     /// Corruption plan for response verification; a quiet plan keeps the
     /// plain, checksum-free path.
     corruption: CorruptionPlan,
+    /// The empty answer of a miss, a failure or a given-up lookup: one
+    /// block for the wrapper's life, handed out by refcount.
+    empty: Arc<[Datum]>,
     /// Per-index counter names, resolved once at construction so the
     /// per-lookup path never formats or allocates a name.
     c_lookups: CounterHandle,
@@ -239,6 +261,7 @@ impl ChargedLookup {
             c_h_wins: h("hedge.wins"),
             c_h_loser_nanos: h("hedge.loser.nanos"),
             corruption: CorruptionPlan::none(),
+            empty: Arc::new([]),
             prefix,
         }
     }
@@ -464,7 +487,6 @@ impl ChargedLookup {
         let sik = key.size_bytes();
         match self.accessor.try_lookup(key) {
             LookupResult::Hit(values) => {
-                let values: Arc<[Datum]> = values.into();
                 let siv: u64 = values.iter().map(Datum::size_bytes).sum();
                 let serve = self.accessor.serve_time(key, siv);
                 let transfer = self.network.transfer(sik + siv);
@@ -482,7 +504,7 @@ impl ChargedLookup {
                 self.bump_lookup_counters(ctx, sik, 0, serve);
                 ctx.counters.bump(self.c_misses, 1);
                 self.verify_response(key, mode, ctx, serve, transfer);
-                Vec::new().into()
+                self.empty.clone()
             }
             LookupResult::Failed(_) => {
                 // Without a fault layer there is no retry budget: charge
@@ -491,7 +513,7 @@ impl ChargedLookup {
                 let serve = self.accessor.serve_time(key, 0);
                 self.charge_split(mode, ctx, serve, self.network.transfer(sik));
                 ctx.counters.bump(self.c_f_failures, 1);
-                Vec::new().into()
+                self.empty.clone()
             }
         }
     }
@@ -536,7 +558,6 @@ impl ChargedLookup {
                 }
                 FaultKind::Ok | FaultKind::Slow => match self.accessor.try_lookup(key) {
                     LookupResult::Hit(values) => {
-                        let values: Arc<[Datum]> = values.into();
                         let siv: u64 = values.iter().map(Datum::size_bytes).sum();
                         let mut serve = self.accessor.serve_time(key, siv);
                         if kind == FaultKind::Slow {
@@ -575,7 +596,7 @@ impl ChargedLookup {
                         if let Some(b) = breaker.as_deref_mut() {
                             b.record_at(true, ctx.charged());
                         }
-                        return Vec::new().into();
+                        return self.empty.clone();
                     }
                     LookupResult::Failed(_) => {
                         let serve = self.accessor.serve_time(key, 0);
@@ -609,14 +630,14 @@ impl ChargedLookup {
     /// Resolves a given-up lookup through the miss policy.
     fn miss_result(&self, fault: &FaultState, key: &Datum, ctx: &mut TaskCtx) -> Arc<[Datum]> {
         match &fault.miss_policy {
-            MissPolicy::Skip => Vec::new().into(),
-            MissPolicy::Default(datum) => vec![datum.clone()].into(),
+            MissPolicy::Skip => self.empty.clone(),
+            MissPolicy::Default(datum) => Arc::new([datum.clone()]),
             MissPolicy::FailJob => {
                 ctx.fail(format!(
                     "{}lookup for key {key:?} failed after exhausting retries",
                     self.prefix
                 ));
-                Vec::new().into()
+                self.empty.clone()
             }
         }
     }
@@ -921,7 +942,7 @@ mod tests {
             } else if !self.misses {
                 LookupResult::Failed("service unavailable".into())
             } else {
-                LookupResult::Hit(self.lookup(key))
+                LookupResult::hit(self.lookup(key))
             }
         }
         fn serve_time(&self, key: &Datum, result_bytes: u64) -> SimDuration {

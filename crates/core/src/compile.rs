@@ -380,14 +380,30 @@ impl PostStep {
             Ok(v) => v,
             Err(e) => return ctx.fail(format!("post stage: {e}")),
         };
-        let mut buf: Vec<Record> = Vec::new();
-        self.op.post_process(prec, &iout, &mut buf);
-        let bytes: u64 = buf.iter().map(Record::size_bytes).sum();
-        ctx.counters.bump(self.c_spost_bytes, bytes as i64);
-        ctx.counters.bump(self.c_post_out, buf.len() as i64);
-        for r in buf {
-            out.collect(r);
-        }
+        let mut metered = Metered {
+            out,
+            bytes: 0,
+            records: 0,
+        };
+        self.op.post_process(prec, &iout, &mut metered);
+        ctx.counters.bump(self.c_spost_bytes, metered.bytes as i64);
+        ctx.counters.bump(self.c_post_out, metered.records);
+    }
+}
+
+/// Forwards what `postProcess` emits and adds up its size and count on the
+/// way, so the `Spost` statistics need no buffer and no second pass.
+struct Metered<'a> {
+    out: &'a mut dyn Collector,
+    bytes: u64,
+    records: i64,
+}
+
+impl Collector for Metered<'_> {
+    fn collect(&mut self, rec: Record) {
+        self.bytes += rec.size_bytes();
+        self.records += 1;
+        self.out.collect(rec);
     }
 }
 
@@ -900,7 +916,7 @@ pub fn compile_pipeline(
 mod tests {
     use super::*;
     use crate::accessor::testutil::MemIndex;
-    use crate::operator::operator_fn;
+    use crate::operator::{operator_fn, IndexOutput};
     use crate::plan::forced_plan;
     use efind_cluster::Cluster;
     use efind_cluster::SimTime;
@@ -999,6 +1015,92 @@ mod tests {
         let (ijob, plans) = sample_ijob(strategy);
         let compiled = compile_pipeline(&ijob, &plans, &env()).unwrap();
         (run_compiled(&compiled), compiled.jobs.len())
+    }
+
+    /// A post step whose operator emits nothing for `k1 % 3 == 0`, one
+    /// record for `1`, and three records of different sizes for `2`.
+    fn fanout_post() -> PostStep {
+        let op = operator_fn(
+            "fan",
+            1,
+            |_, _| {},
+            |rec: Record, values: &IndexOutput, out: &mut dyn Collector| {
+                let k = rec.key.as_int().expect("int key");
+                let looked = values.first(0).first().cloned().unwrap_or(Datum::Null);
+                match k % 3 {
+                    0 => {}
+                    1 => out.collect(Record::new(k, looked)),
+                    _ => {
+                        out.collect(Record::new(k, Datum::Null));
+                        out.collect(Record::new(k, Datum::List(vec![looked, rec.value])));
+                        out.collect(Record::new(k, "tail"));
+                    }
+                }
+            },
+        );
+        PostStep {
+            op,
+            c_sidx_bytes: CounterHandle::new("efind.fan.sidx.bytes"),
+            c_spost_bytes: CounterHandle::new("efind.fan.spost.bytes"),
+            c_post_out: CounterHandle::new("efind.fan.post.out"),
+        }
+    }
+
+    fn filled_carrier(k: i64) -> Carrier {
+        let mut carrier = Carrier::new(Datum::Int(k), "v1".into(), vec![vec![Datum::Int(k)]]);
+        carrier.values[0] = Some(vec![vec![Datum::Text(format!("looked-{k}"))].into()]);
+        carrier
+    }
+
+    #[test]
+    fn metered_post_output_equals_the_buffered_one() {
+        // Every literal below was captured from the buffering `close`
+        // (a `Vec<Record>` per input record, sized in a second pass).
+        let post = fanout_post();
+        let mut ctx = TaskCtx::new(0);
+        let mut out: Vec<Record> = Vec::new();
+        for k in [2, 0, 1, 5, 3] {
+            post.close(filled_carrier(k), &mut out, &mut ctx);
+        }
+        let text = |s: &str| Datum::Text(s.into());
+        let three = |k: i64| {
+            vec![
+                Record::new(k, Datum::Null),
+                Record::new(
+                    k,
+                    Datum::List(vec![text(&format!("looked-{k}")), text("v1")]),
+                ),
+                Record::new(k, "tail"),
+            ]
+        };
+        let mut expected = three(2);
+        expected.push(Record::new(1i64, "looked-1"));
+        expected.extend(three(5));
+        assert_eq!(out, expected);
+        assert_eq!(ctx.counters.get("efind.fan.post.out"), 7);
+        assert_eq!(ctx.counters.get("efind.fan.spost.bytes"), 146);
+        assert_eq!(ctx.counters.get("efind.fan.sidx.bytes"), 385);
+        assert!(ctx.error().is_none());
+    }
+
+    #[test]
+    fn a_post_process_that_emits_nothing_bumps_both_counters_by_zero() {
+        // The golden fingerprints hash the counter map's key set, and a
+        // zero bump creates its entry: both `Spost` counters must exist,
+        // at zero.
+        let post = fanout_post();
+        let mut ctx = TaskCtx::new(0);
+        let mut out: Vec<Record> = Vec::new();
+        post.close(filled_carrier(3), &mut out, &mut ctx);
+        assert!(out.is_empty());
+        assert_eq!(
+            ctx.counters.iter_sorted(),
+            vec![
+                (Arc::from("efind.fan.post.out"), 0),
+                (Arc::from("efind.fan.sidx.bytes"), 77),
+                (Arc::from("efind.fan.spost.bytes"), 0),
+            ]
+        );
     }
 
     #[test]

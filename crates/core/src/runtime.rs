@@ -188,7 +188,9 @@ pub struct EFindJobResult {
 /// use efind_dfs::{Dfs, DfsConfig};
 /// use efind_mapreduce::{mapper_fn, reducer_fn};
 ///
-/// // A trivial index: id → id * 10.
+/// // A trivial index: id → id * 10. It computes its results, so writing
+/// // `lookup` is enough; an index that stores large lists keeps them as
+/// // `Arc<[Datum]>` and overrides `try_lookup` to hand them out uncopied.
 /// struct TimesTen;
 /// impl IndexAccessor for TimesTen {
 ///     fn name(&self) -> &str { "times-ten" }

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use efind::{IndexAccessor, PartitionScheme};
+use efind::{IndexAccessor, LookupResult, PartitionScheme};
 use efind_cluster::{Cluster, NodeId, SimDuration};
 use efind_common::{fx_hash_bytes, Datum};
 use rand::rngs::SmallRng;
@@ -48,9 +48,15 @@ impl PartitionScheme for RangeScheme {
 }
 
 /// The distributed B-tree.
+///
+/// Each key's value list is stored as one `Arc<[Datum]>`, created in
+/// [`build`](Self::build); [`try_lookup`](IndexAccessor::try_lookup) hands
+/// out a refcount bump of that block, never a copy.
 pub struct DistBTree {
     name: String,
-    partitions: Vec<BTreeMap<Datum, Vec<Datum>>>,
+    partitions: Vec<BTreeMap<Datum, Arc<[Datum]>>>,
+    /// The answer for a key the tree does not hold.
+    empty: Arc<[Datum]>,
     scheme: Arc<RangeScheme>,
     base_serve: SimDuration,
     serve_secs_per_byte: f64,
@@ -58,7 +64,8 @@ pub struct DistBTree {
 
 impl DistBTree {
     /// Builds a tree from `(key, values)` pairs split into `num_partitions`
-    /// contiguous ranges of roughly equal cardinality.
+    /// contiguous ranges of roughly equal cardinality. A key that occurs
+    /// more than once keeps the value list of its *first* pair.
     pub fn build(
         name: impl Into<String>,
         cluster: &Cluster,
@@ -73,14 +80,20 @@ impl DistBTree {
 
         let num_p = num_partitions.max(1).min(sorted.len().max(1));
         let per = sorted.len().div_ceil(num_p).max(1);
-        let mut partitions: Vec<BTreeMap<Datum, Vec<Datum>>> = Vec::with_capacity(num_p);
+        let mut partitions: Vec<BTreeMap<Datum, Arc<[Datum]>>> = Vec::with_capacity(num_p);
         let mut separators = Vec::with_capacity(num_p.saturating_sub(1));
-        let mut chunks = sorted.chunks(per).peekable();
-        while let Some(chunk) = chunks.next() {
-            if chunks.peek().is_some() {
-                separators.push(chunk.last().expect("non-empty chunk").0.clone());
+        let mut rest = sorted.into_iter().peekable();
+        while rest.peek().is_some() {
+            let part: BTreeMap<Datum, Arc<[Datum]>> = rest
+                .by_ref()
+                .take(per)
+                .map(|(k, v)| (k, v.into()))
+                .collect();
+            if rest.peek().is_some() {
+                let (last, _) = part.last_key_value().expect("non-empty chunk");
+                separators.push(last.clone());
             }
-            partitions.push(chunk.iter().cloned().collect());
+            partitions.push(part);
         }
         while partitions.len() < num_p {
             partitions.push(BTreeMap::new());
@@ -105,6 +118,7 @@ impl DistBTree {
         DistBTree {
             name,
             partitions,
+            empty: Arc::new([]),
             scheme: Arc::new(RangeScheme { separators, hosts }),
             base_serve: SimDuration::from_micros(120),
             serve_secs_per_byte: 5.0e-9,
@@ -133,7 +147,7 @@ impl DistBTree {
             for (k, v) in
                 self.partitions[p].range((Bound::Included(lo.clone()), Bound::Included(hi.clone())))
             {
-                out.push((k.clone(), v.clone()));
+                out.push((k.clone(), v.to_vec()));
             }
         }
         out
@@ -143,6 +157,11 @@ impl DistBTree {
     pub fn scheme(&self) -> Arc<RangeScheme> {
         self.scheme.clone()
     }
+
+    fn stored(&self, key: &Datum) -> Option<&Arc<[Datum]>> {
+        let p = self.scheme.route(key).min(self.partitions.len() - 1);
+        self.partitions[p].get(key)
+    }
 }
 
 impl IndexAccessor for DistBTree {
@@ -151,8 +170,13 @@ impl IndexAccessor for DistBTree {
     }
 
     fn lookup(&self, key: &Datum) -> Vec<Datum> {
-        let p = self.scheme.route(key).min(self.partitions.len() - 1);
-        self.partitions[p].get(key).cloned().unwrap_or_default()
+        self.stored(key).map_or_else(Vec::new, |v| v.to_vec())
+    }
+
+    /// An absent key answers an empty `Hit`, as the provided `try_lookup`
+    /// did for this tree.
+    fn try_lookup(&self, key: &Datum) -> LookupResult {
+        LookupResult::Hit(self.stored(key).unwrap_or(&self.empty).clone())
     }
 
     fn serve_time(&self, _key: &Datum, result_bytes: u64) -> SimDuration {
@@ -241,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_build_keys_deduped() {
+    fn a_duplicated_build_key_keeps_its_first_list() {
         let t = DistBTree::build(
             "d",
             &Cluster::edbt_testbed(),
@@ -253,5 +277,6 @@ mod tests {
             ],
         );
         assert_eq!(t.len(), 1);
+        assert_eq!(t.lookup(&Datum::Int(1)), vec![Datum::Int(10)]);
     }
 }

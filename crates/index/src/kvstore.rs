@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use efind::{IndexAccessor, PartitionScheme};
+use efind::{IndexAccessor, LookupResult, PartitionScheme};
 use efind_cluster::{Cluster, NodeId, SimDuration};
 use efind_common::{fx_hash_bytes, fx_hash_datum, Datum, FxHashMap};
 use rand::rngs::SmallRng;
@@ -63,15 +63,22 @@ impl PartitionScheme for HashScheme {
 }
 
 /// The distributed key-value store.
+///
+/// Each key's value list is stored as one `Arc<[Datum]>`, created in
+/// [`build`](Self::build); [`try_lookup`](IndexAccessor::try_lookup) hands
+/// out a refcount bump of that block, never a copy.
 pub struct KvStore {
     name: String,
-    partitions: Vec<FxHashMap<Datum, Vec<Datum>>>,
+    partitions: Vec<FxHashMap<Datum, Arc<[Datum]>>>,
+    /// The answer for a key the store does not hold.
+    empty: Arc<[Datum]>,
     scheme: Arc<HashScheme>,
     config: KvStoreConfig,
 }
 
 impl KvStore {
-    /// Builds a store over `cluster` from `(key, values)` pairs.
+    /// Builds a store over `cluster` from `(key, values)` pairs. A key that
+    /// occurs more than once keeps the value list of its *last* pair.
     pub fn build(
         name: impl Into<String>,
         cluster: &Cluster,
@@ -97,20 +104,22 @@ impl KvStore {
             .collect();
         let scheme = Arc::new(HashScheme { hosts });
 
-        let mut partitions: Vec<FxHashMap<Datum, Vec<Datum>>> =
+        let mut partitions: Vec<FxHashMap<Datum, Arc<[Datum]>>> =
             (0..num_p).map(|_| FxHashMap::default()).collect();
-        let mut store = KvStore {
+        for (k, v) in pairs {
+            partitions[scheme.partition_of(&k)].insert(k, v.into());
+        }
+        KvStore {
             name,
-            partitions: Vec::new(),
+            partitions,
+            empty: Arc::new([]),
             scheme,
             config,
-        };
-        for (k, v) in pairs {
-            let p = store.scheme.partition_of(&k);
-            partitions[p].insert(k, v);
         }
-        store.partitions = partitions;
-        store
+    }
+
+    fn stored(&self, key: &Datum) -> Option<&Arc<[Datum]>> {
+        self.partitions[self.scheme.partition_of(key)].get(key)
     }
 
     /// Number of stored keys.
@@ -135,8 +144,13 @@ impl IndexAccessor for KvStore {
     }
 
     fn lookup(&self, key: &Datum) -> Vec<Datum> {
-        let p = self.scheme.partition_of(key);
-        self.partitions[p].get(key).cloned().unwrap_or_default()
+        self.stored(key).map_or_else(Vec::new, |v| v.to_vec())
+    }
+
+    /// An absent key answers an empty `Hit`, as the provided `try_lookup`
+    /// did for this store.
+    fn try_lookup(&self, key: &Datum) -> LookupResult {
+        LookupResult::Hit(self.stored(key).unwrap_or(&self.empty).clone())
     }
 
     fn serve_time(&self, _key: &Datum, result_bytes: u64) -> SimDuration {
@@ -170,6 +184,21 @@ mod tests {
             assert_eq!(s.lookup(&Datum::Int(i)), vec![Datum::Text(format!("v{i}"))]);
         }
         assert!(s.lookup(&Datum::Int(5000)).is_empty());
+    }
+
+    #[test]
+    fn a_duplicated_build_key_keeps_its_last_list() {
+        let s = KvStore::build(
+            "kv",
+            &Cluster::edbt_testbed(),
+            KvStoreConfig::default(),
+            vec![
+                (Datum::Int(1), vec![Datum::Int(10)]),
+                (Datum::Int(1), vec![Datum::Int(20)]),
+            ],
+        );
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.lookup(&Datum::Int(1)), vec![Datum::Int(20)]);
     }
 
     #[test]

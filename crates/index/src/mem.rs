@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use efind::{IndexAccessor, PartitionScheme};
+use efind::{IndexAccessor, LookupResult, PartitionScheme};
 use efind_cluster::SimDuration;
 use efind_common::{Datum, FxHashMap};
 
@@ -11,14 +11,22 @@ use efind_common::{Datum, FxHashMap};
 /// The simplest possible index: useful in tests, examples, and as the
 /// storage behind quick experiments. Exposes no partition scheme, so index
 /// locality does not apply (like the paper's single-host services).
+///
+/// Each key's value list is stored as one `Arc<[Datum]>`, created in
+/// [`new`](Self::new); [`try_lookup`](IndexAccessor::try_lookup) hands out
+/// a refcount bump of that block, never a copy.
 pub struct MemTable {
     name: String,
-    data: FxHashMap<Datum, Vec<Datum>>,
+    data: FxHashMap<Datum, Arc<[Datum]>>,
+    /// The answer for a key the table does not hold.
+    empty: Arc<[Datum]>,
     serve: SimDuration,
 }
 
 impl MemTable {
     /// Builds a table from `(key, values)` pairs with a fixed service time.
+    /// A key that occurs more than once keeps the value list of its *last*
+    /// pair.
     pub fn new(
         name: impl Into<String>,
         pairs: impl IntoIterator<Item = (Datum, Vec<Datum>)>,
@@ -26,7 +34,8 @@ impl MemTable {
     ) -> Self {
         MemTable {
             name: name.into(),
-            data: pairs.into_iter().collect(),
+            data: pairs.into_iter().map(|(k, v)| (k, v.into())).collect(),
+            empty: Arc::new([]),
             serve,
         }
     }
@@ -48,7 +57,13 @@ impl IndexAccessor for MemTable {
     }
 
     fn lookup(&self, key: &Datum) -> Vec<Datum> {
-        self.data.get(key).cloned().unwrap_or_default()
+        self.data.get(key).map_or_else(Vec::new, |v| v.to_vec())
+    }
+
+    /// An absent key answers an empty `Hit`, as the provided `try_lookup`
+    /// did for this table.
+    fn try_lookup(&self, key: &Datum) -> LookupResult {
+        LookupResult::Hit(self.data.get(key).unwrap_or(&self.empty).clone())
     }
 
     fn serve_time(&self, _key: &Datum, _result_bytes: u64) -> SimDuration {
@@ -80,5 +95,19 @@ mod tests {
             t.serve_time(&Datum::Int(1), 0),
             SimDuration::from_micros(10)
         );
+    }
+
+    #[test]
+    fn a_duplicated_build_key_keeps_its_last_list() {
+        let t = MemTable::new(
+            "t",
+            vec![
+                (Datum::Int(1), vec![Datum::Int(10)]),
+                (Datum::Int(1), vec![Datum::Int(20)]),
+            ],
+            SimDuration::from_micros(10),
+        );
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.lookup(&Datum::Int(1)), vec![Datum::Int(20)]);
     }
 }

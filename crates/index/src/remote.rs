@@ -42,7 +42,7 @@ impl RemoteService {
         delay: SimDuration,
         func: impl Fn(&Datum) -> Vec<Datum> + Send + Sync + 'static,
     ) -> Self {
-        Self::fallible(name, delay, move |k| LookupResult::Hit(func(k)))
+        Self::fallible(name, delay, move |k| LookupResult::hit(func(k)))
     }
 
     /// Wraps a fallible lookup function: the service decides per key
@@ -64,13 +64,17 @@ impl RemoteService {
     /// Convenience: a remote service backed by a static table. A key
     /// absent from the table is reported as [`LookupResult::Miss`] — not
     /// as a silent empty result — so miss and failure counters stay
-    /// distinguishable downstream.
+    /// distinguishable downstream. Each key's value list is stored as
+    /// one `Arc<[Datum]>` created here, and a hit is a refcount bump of
+    /// it; a key that occurs more than once keeps the value list of its
+    /// *last* pair.
     pub fn table(
         name: impl Into<String>,
         delay: SimDuration,
         pairs: impl IntoIterator<Item = (Datum, Vec<Datum>)>,
     ) -> Self {
-        let table: FxHashMap<Datum, Vec<Datum>> = pairs.into_iter().collect();
+        let table: FxHashMap<Datum, Arc<[Datum]>> =
+            pairs.into_iter().map(|(k, v)| (k, v.into())).collect();
         Self::fallible(name, delay, move |k| match table.get(k) {
             Some(values) => LookupResult::Hit(values.clone()),
             None => LookupResult::Miss,
@@ -90,7 +94,7 @@ impl IndexAccessor for RemoteService {
 
     fn lookup(&self, key: &Datum) -> Vec<Datum> {
         match (self.func)(key) {
-            LookupResult::Hit(values) => values,
+            LookupResult::Hit(values) => values.to_vec(),
             LookupResult::Miss | LookupResult::Failed(_) => Vec::new(),
         }
     }
@@ -125,7 +129,7 @@ mod tests {
         // still a Hit.
         assert_eq!(
             svc.try_lookup(&Datum::Text("x".into())),
-            LookupResult::Hit(vec![])
+            LookupResult::hit(vec![])
         );
         assert_eq!(
             svc.serve_time(&Datum::Int(0), 100),
@@ -166,7 +170,7 @@ mod tests {
             LookupResult::Hit(v) if v.len() == 1
         ));
         // A key mapped to an empty list answers Hit([]) …
-        assert_eq!(svc.try_lookup(&Datum::Int(2)), LookupResult::Hit(vec![]));
+        assert_eq!(svc.try_lookup(&Datum::Int(2)), LookupResult::hit(vec![]));
         // … while an absent key is a Miss; the infallible view of both is
         // an empty Vec.
         assert_eq!(svc.try_lookup(&Datum::Int(3)), LookupResult::Miss);
@@ -174,16 +178,29 @@ mod tests {
     }
 
     #[test]
+    fn a_duplicated_table_key_keeps_its_last_list() {
+        let svc = RemoteService::table(
+            "geo",
+            RemoteService::BASE_DELAY,
+            vec![
+                (Datum::Int(1), vec![Datum::Int(10)]),
+                (Datum::Int(1), vec![Datum::Int(20)]),
+            ],
+        );
+        assert_eq!(svc.lookup(&Datum::Int(1)), vec![Datum::Int(20)]);
+    }
+
+    #[test]
     fn fallible_services_can_fail() {
         let svc =
             RemoteService::fallible("flaky", RemoteService::BASE_DELAY, |k| match k.as_int() {
-                Some(v) if v % 2 == 0 => LookupResult::Hit(vec![Datum::Int(v / 2)]),
+                Some(v) if v % 2 == 0 => LookupResult::hit(vec![Datum::Int(v / 2)]),
                 Some(_) => LookupResult::Failed("shard offline".into()),
                 None => LookupResult::Miss,
             });
         assert_eq!(
             svc.try_lookup(&Datum::Int(4)),
-            LookupResult::Hit(vec![Datum::Int(2)])
+            LookupResult::hit(vec![Datum::Int(2)])
         );
         assert!(matches!(
             svc.try_lookup(&Datum::Int(3)),

@@ -130,10 +130,15 @@ pub fn build_job(index: Arc<KvStore>) -> IndexJobConf {
             }
         },
         |rec: Record, values: &efind::IndexOutput, out: &mut dyn Collector| {
-            let joined = values.first(0).first().cloned().unwrap_or(Datum::Null);
+            // Only the joined value's size is recorded; an absent value
+            // counts as a `Null`.
+            let joined = values
+                .first(0)
+                .first()
+                .map_or(Datum::Null.size_bytes(), Datum::size_bytes);
             out.collect(Record {
                 key: rec.key,
-                value: Datum::List(vec![rec.value, Datum::Int(joined.size_bytes() as i64)]),
+                value: Datum::List(vec![rec.value, Datum::Int(joined as i64)]),
             });
         },
     );

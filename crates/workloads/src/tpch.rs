@@ -253,12 +253,15 @@ pub fn generate(config: &TpchConfig) -> TpchData {
     }
 }
 
-fn kv(name: &str, cluster: &Cluster, pairs: Vec<(Datum, Vec<Datum>)>) -> Arc<KvStore> {
+/// Clones the table one pair at a time, as the store consumes it: each
+/// cloned list is freed as soon as the store has made its shared block of
+/// it, so the table is never held twice.
+fn kv(name: &str, cluster: &Cluster, pairs: &[(Datum, Vec<Datum>)]) -> Arc<KvStore> {
     Arc::new(KvStore::build(
         name,
         cluster,
         KvStoreConfig::default(),
-        pairs,
+        pairs.iter().cloned(),
     ))
 }
 
@@ -271,8 +274,8 @@ fn field(value: &Datum, idx: usize) -> Datum {
 
 /// Builds the Q3 job over a loaded DFS (`tpch.lineitem` present).
 pub fn q3_job(cluster: &Cluster, data: &TpchData) -> IndexJobConf {
-    let orders_idx = kv("orders", cluster, data.orders.clone());
-    let customer_idx = kv("customer", cluster, data.customer.clone());
+    let orders_idx = kv("orders", cluster, &data.orders);
+    let customer_idx = kv("customer", cluster, &data.customer);
 
     // I1: LineItem ⋈ Orders on l_orderkey; filters o_orderdate < cutoff
     // and l_shipdate > cutoff; projects to what Q3 still needs.
@@ -348,11 +351,11 @@ pub fn q3_job(cluster: &Cluster, data: &TpchData) -> IndexJobConf {
 
 /// Builds the Q9 job over a loaded DFS (`tpch.lineitem` present).
 pub fn q9_job(cluster: &Cluster, data: &TpchData) -> IndexJobConf {
-    let supplier_idx = kv("supplier", cluster, data.supplier.clone());
-    let part_idx = kv("part", cluster, data.part.clone());
-    let partsupp_idx = kv("partsupp", cluster, data.partsupp.clone());
-    let orders_idx = kv("orders9", cluster, data.orders.clone());
-    let nation_idx = kv("nation", cluster, data.nation.clone());
+    let supplier_idx = kv("supplier", cluster, &data.supplier);
+    let part_idx = kv("part", cluster, &data.part);
+    let partsupp_idx = kv("partsupp", cluster, &data.partsupp);
+    let orders_idx = kv("orders9", cluster, &data.orders);
+    let nation_idx = kv("nation", cluster, &data.nation);
 
     // I1: ⋈ Supplier on l_suppkey → value [ok, pk, sk, qty, price, disc, snation].
     let supplier_op = operator_fn(

@@ -32,6 +32,20 @@ echo "== efbench (the benchmark of record builds and passes its own tests) =="
 # RuntimeEnv fields of the crates it measures; building and testing it
 # here breaks CI, not the benchmark pipeline, when one of them changes.
 cargo build --release --manifest-path efbench/Cargo.toml && cargo test -q --manifest-path efbench/Cargo.toml
+# A lookup hands out the value list the index stores, so `lookup_cold`
+# (240 k records, 1 KB values, nearly every lookup reaches the index)
+# allocates 238.51 MB on seed 1; one copy of the results anywhere on the
+# per-record path adds about 245 MB. The count repeats exactly for a seed,
+# so the gate has no noise to allow for.
+cargo run --release --quiet --manifest-path efbench/Cargo.toml -- \
+    --workload lookup_cold --seed 1 --seconds 1 --trace 0 | tail -n 1 | awk '
+    match($0, /"failed": [0-9]+/) { failed = substr($0, RSTART + 10, RLENGTH - 10) }
+    match($0, /"alloc_mb": \{"value": [0-9.]+/) { alloc = substr($0, RSTART + 22, RLENGTH - 22) }
+    END {
+        if (failed == "" || alloc == "") { print "efbench lookup_cold: no result line"; exit 1 }
+        printf "efbench lookup_cold: failed %d, alloc_mb %.2f (gate: 0 and <= 260)\n", failed, alloc
+        exit !(failed + 0 == 0 && alloc + 0 <= 260)
+    }'
 
 echo "== fault injection (pinned seed matrix) =="
 # Deterministic chaos sweep: per (seed, rate, strategy) cell two runs
