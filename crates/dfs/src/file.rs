@@ -186,7 +186,8 @@ impl Dfs {
     /// configured size and placing replicas deterministically.
     /// Overwrites any existing file of the same name.
     pub fn write_file(&mut self, name: &str, records: Vec<Record>) -> DfsFile {
-        self.write_file_chunked(name, records, self.config.chunk_size_bytes)
+        let sizes = records.iter().map(Record::size_bytes).collect();
+        self.write_file_chunked(name, records, sizes, self.config.chunk_size_bytes)
     }
 
     /// Writes `records` as `name` targeting approximately `num_chunks`
@@ -198,56 +199,66 @@ impl Dfs {
         records: Vec<Record>,
         num_chunks: usize,
     ) -> DfsFile {
-        let total: u64 = records.iter().map(Record::size_bytes).sum();
+        let sizes: Vec<u64> = records.iter().map(Record::size_bytes).collect();
+        let total: u64 = sizes.iter().sum();
         let per_chunk = (total / num_chunks.max(1) as u64).max(1);
-        self.write_file_chunked(name, records, per_chunk)
+        self.write_file_chunked(name, records, sizes, per_chunk)
     }
 
+    /// Writes `records`, whose serialized sizes are `sizes`, as `name`: a
+    /// chunk is closed before the record that would take it past
+    /// `chunk_bytes` (so only a record larger than that has a chunk of
+    /// its own above the limit), and each chunk's records move once into
+    /// their shared block.
     fn write_file_chunked(
         &mut self,
         name: &str,
         records: Vec<Record>,
+        sizes: Vec<u64>,
         chunk_bytes: u64,
     ) -> DfsFile {
+        // (records, bytes) of every chunk, in order.
+        let mut cuts: Vec<(usize, u64)> = Vec::new();
+        let (mut len, mut bytes) = (0usize, 0u64);
+        for sz in sizes {
+            if bytes + sz > chunk_bytes && len > 0 {
+                cuts.push((len, bytes));
+                (len, bytes) = (0, 0);
+            }
+            len += 1;
+            bytes += sz;
+        }
+        if len > 0 {
+            cuts.push((len, bytes));
+        }
+
         let mut placement = Placement::new(
             self.cluster.num_nodes(),
             self.config.seed ^ fx_hash_bytes(name.as_bytes()),
         );
-        let dead = self.dead.clone();
         // Write boundary: when the integrity layer is armed, checksum each
         // chunk as it is sealed so read boundaries have something to
         // verify against. Quiet runs skip this entirely (the lazy cell
         // covers files that predate an installed plan).
         let checksum_on_write = self.verifies_chunks();
-        let mut chunks = Vec::new();
-        let mut current = Vec::new();
-        let mut current_bytes = 0u64;
-        let mut flush = |current: &mut Vec<Record>, current_bytes: &mut u64| {
-            if current.is_empty() {
-                return;
-            }
-            let crc = OnceLock::new();
-            if checksum_on_write {
-                let _ = crc.set(encoded_crc(current, None));
-            }
-            chunks.push(StoredChunk {
-                hosts: placement.pick_avoiding(self.config.replication, &dead),
-                bytes: *current_bytes,
-                records: std::mem::take(current).into(),
-                crc,
-            });
-            *current_bytes = 0;
-        };
-        for rec in records {
-            let sz = rec.size_bytes();
-            if current_bytes + sz > chunk_bytes && !current.is_empty() {
-                flush(&mut current, &mut current_bytes);
-            }
-            current_bytes += sz;
-            current.push(rec);
-        }
-        flush(&mut current, &mut current_bytes);
+        let mut rest = records.into_iter();
         // An empty file still exists in the namespace with zero chunks.
+        let chunks: Vec<StoredChunk> = cuts
+            .into_iter()
+            .map(|(len, bytes)| {
+                let records: Arc<[Record]> = rest.by_ref().take(len).collect();
+                let crc = OnceLock::new();
+                if checksum_on_write {
+                    let _ = crc.set(encoded_crc(&records, None));
+                }
+                StoredChunk {
+                    hosts: placement.pick_avoiding(self.config.replication, &self.dead),
+                    bytes,
+                    records,
+                    crc,
+                }
+            })
+            .collect();
         let meta = DfsFile {
             name: name.to_owned(),
             chunks: chunks
@@ -631,6 +642,129 @@ mod tests {
         (0..n)
             .map(|i| Record::new(i as i64, Datum::Bytes(vec![0u8; 100])))
             .collect()
+    }
+
+    /// How a table case writes its file.
+    enum Cut {
+        /// `write_file` under this `chunk_size_bytes`.
+        Bytes(u64),
+        /// `write_file_with_chunks` with this chunk count.
+        Count(usize),
+    }
+
+    /// Chunk boundaries decide task counts and with them virtual time, so
+    /// they are pinned: `(records, bytes, crc)` per chunk, captured from the
+    /// writer that sized every record twice and grew each chunk by doubling.
+    #[test]
+    fn chunk_boundaries_bytes_and_crcs_are_pinned() {
+        // A record with an `n`-byte payload takes 9 + 5 + n bytes.
+        let mixed: Vec<usize> = (0..40).map(|i| (i * 37) % 211).collect();
+        type Chunks = Vec<(usize, u64, u32)>;
+        let cases: Vec<(&str, Cut, Vec<usize>, Chunks)> = vec![
+            ("empty", Cut::Bytes(1024), vec![], vec![]),
+            ("empty by count", Cut::Count(4), vec![], vec![]),
+            (
+                "one oversized record",
+                Cut::Bytes(1024),
+                vec![5000],
+                vec![(1, 5014, 3600109240)],
+            ),
+            (
+                "oversized in the middle",
+                Cut::Bytes(1024),
+                vec![100, 5000, 100, 100],
+                vec![
+                    (1, 114, 2974995253),
+                    (1, 5014, 636423255),
+                    (2, 228, 2783793062),
+                ],
+            ),
+            (
+                "exact fit",
+                Cut::Bytes(1024),
+                vec![114; 16],
+                vec![(8, 1024, 3769763407), (8, 1024, 4285993906)],
+            ),
+            (
+                "one byte over",
+                Cut::Bytes(1023),
+                vec![114; 16],
+                vec![
+                    (7, 896, 3175665804),
+                    (7, 896, 362115758),
+                    (2, 256, 1461423478),
+                ],
+            ),
+            (
+                "more chunks than records",
+                Cut::Count(10),
+                vec![10, 20, 30],
+                vec![(1, 24, 2605343295), (1, 34, 313966716), (1, 44, 3438446551)],
+            ),
+            (
+                "zero chunks asked",
+                Cut::Count(0),
+                vec![10, 20, 30],
+                vec![(3, 102, 1868281062)],
+            ),
+            (
+                "mixed by size",
+                Cut::Bytes(512),
+                mixed.clone(),
+                vec![
+                    (5, 440, 1057900103),
+                    (4, 385, 1879419439),
+                    (2, 309, 1793077573),
+                    (4, 429, 269250485),
+                    (2, 331, 2511072708),
+                    (4, 473, 423681615),
+                    (4, 432, 2299283182),
+                    (3, 396, 225182858),
+                    (4, 413, 259585278),
+                    (2, 323, 3618341166),
+                    (4, 457, 1002709121),
+                    (2, 345, 233017847),
+                ],
+            ),
+            (
+                "mixed by count",
+                Cut::Count(7),
+                mixed,
+                vec![
+                    (7, 664, 4243310087),
+                    (4, 470, 1486287050),
+                    (5, 576, 1946268044),
+                    (5, 657, 817927957),
+                    (6, 659, 2033551507),
+                    (5, 582, 506581585),
+                    (5, 663, 3837839770),
+                    (3, 462, 361419991),
+                ],
+            ),
+        ];
+        for (label, cut, payloads, expected) in cases {
+            let data: Vec<Record> = payloads
+                .iter()
+                .enumerate()
+                .map(|(i, n)| Record::new(i as i64, Datum::Bytes(vec![i as u8; *n])))
+                .collect();
+            let mut d = dfs();
+            let meta = match cut {
+                Cut::Bytes(chunk_size_bytes) => {
+                    d.config.chunk_size_bytes = chunk_size_bytes;
+                    d.write_file("f", data.clone())
+                }
+                Cut::Count(n) => d.write_file_with_chunks("f", data.clone(), n),
+            };
+            let got: Chunks = meta
+                .chunks
+                .iter()
+                .zip(&d.files["f"])
+                .map(|(m, c)| (m.records, m.bytes, chunk_crc(c)))
+                .collect();
+            assert_eq!(got, expected, "{label}");
+            assert_eq!(d.read_file("f").unwrap(), data, "{label}");
+        }
     }
 
     #[test]

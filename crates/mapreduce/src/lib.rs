@@ -27,6 +27,7 @@
 pub mod api;
 pub mod context;
 pub mod counters;
+mod group;
 pub mod integrity;
 pub mod job;
 pub mod netsplit_log;

@@ -11,7 +11,8 @@ use efind_common::{fx_hash_datum, Datum};
 
 /// Routes a record key to one of `num_partitions` reducers.
 pub trait Partitioner: Send + Sync {
-    /// Returns the partition of `key` in `[0, num_partitions)`.
+    /// Returns the partition of `key` in `[0, num_partitions)`. The runner
+    /// takes an answer outside that range as the last partition.
     fn partition(&self, key: &Datum, num_partitions: usize) -> usize;
 }
 
@@ -33,7 +34,7 @@ where
     F: Fn(&Datum, usize) -> usize + Send + Sync,
 {
     fn partition(&self, key: &Datum, num_partitions: usize) -> usize {
-        (self.0)(key, num_partitions).min(num_partitions.saturating_sub(1))
+        (self.0)(key, num_partitions)
     }
 }
 
@@ -75,11 +76,5 @@ mod tests {
         let p = HashPartitioner;
         assert_eq!(p.partition(&Datum::Int(5), 1), 0);
         assert_eq!(p.partition(&Datum::Int(5), 0), 0);
-    }
-
-    #[test]
-    fn fn_partitioner_clamps() {
-        let p = partitioner_fn(|_k, _n| 99);
-        assert_eq!(p.partition(&Datum::Int(1), 4), 3);
     }
 }

@@ -1,8 +1,8 @@
 //! Job execution.
 //!
 //! User code runs for real — every map task reads its chunk's records,
-//! applies the chained functions, and the reduce phase sorts, groups, and
-//! reduces actual data — while the virtual timeline comes from the cluster
+//! applies the chained functions, and the reduce phase groups and reduces
+//! actual data — while the virtual timeline comes from the cluster
 //! scheduler: each task's placement-independent cost is accumulated during
 //! execution (CPU model, charges from user code, spill and shuffle
 //! volumes), then [`efind_cluster::sched::schedule_phase`] assigns tasks to
@@ -26,13 +26,14 @@ use efind_cluster::{
     ChaosPlan, Cluster, CorruptionPlan, CrashEvent, DetectorConfig, InjectionProfile, NodeId,
     PartitionPlan, SimDuration, SimTime, Suspicion, Verdict,
 };
-use efind_common::{crc32, Error, Record, Result};
+use efind_common::{crc32, Datum, Error, Record, Result};
 use efind_dfs::{ChunkMeta, Dfs, DfsFile};
 use parking_lot::Mutex;
 
 use crate::api::{run_chain, run_chain_shared, Collector};
 use crate::context::TaskCtx;
 use crate::counters::{Counters, Sketches};
+use crate::group::group_by_key;
 use crate::integrity::IntegrityLog;
 use crate::job::JobConf;
 use crate::netsplit_log::PartitionLog;
@@ -506,48 +507,57 @@ impl<'a> Runner<'a> {
     /// Partitions per-source map outputs into the job's reduce buckets,
     /// returning the partitions and the total shuffled bytes.
     ///
-    /// Sources partition independently (in parallel when there are several)
-    /// and merge in source order, so the result — including record order
-    /// within each bucket — is identical to a sequential pass.
+    /// Records keep source order within each bucket, so the result is
+    /// identical to a sequential pass over the sources.
     pub fn partition_for_reduce(
         &self,
         conf: &JobConf,
         sources: Vec<Vec<Record>>,
     ) -> (Vec<Vec<Record>>, u64) {
-        let (partitions, bytes) = self.partition_sized(conf, sources);
+        let (partitions, bytes) = self
+            .partition_sized(conf, sources)
+            // efind-lint: allow(panic, the signature has no error to return; the only Err is a panic of the job's partitioner on a worker thread, re-raised here)
+            .expect("shuffle partitioning");
         (partitions, bytes.iter().sum())
     }
 
     /// [`Runner::partition_for_reduce`] keeping each bucket's byte volume
     /// apart, so the reduce task that takes a bucket need not size its
     /// records a second time.
+    ///
+    /// Count, then fill. The sources are routed in parallel: one pass per
+    /// source asks the partitioner once per record and sizes the record
+    /// once. Every bucket is then allocated at exactly the summed count,
+    /// and one pass in source order moves each record from its source
+    /// straight into its bucket.
     fn partition_sized(
         &self,
         conf: &JobConf,
         sources: Vec<Vec<Record>>,
-    ) -> (Vec<Vec<Record>>, Vec<u64>) {
+    ) -> Result<(Vec<Vec<Record>>, Vec<u64>)> {
         let num_r = conf.num_reducers.max(1);
-        let per_source: Vec<Partitioned> =
-            fan_out("partition", sources, |s| Ok(partition_one(conf, num_r, s)))
-                // efind-lint: allow(panic, partitioning cannot fail, so the only Err is a panicked scoped worker that already tore down the run; propagating the panic is the contract)
-                .expect("partition worker panicked");
+        let routes = fan_out("partition", sources.iter().collect(), |source| {
+            Ok(route_one(conf, num_r, source))
+        })?;
 
         let mut partitions: Vec<Vec<Record>> = (0..num_r)
-            .map(|p| Vec::with_capacity(per_source.iter().map(|(ps, _)| ps[p].len()).sum()))
+            .map(|p| Vec::with_capacity(routes.iter().map(|r| r.counts[p]).sum()))
             .collect();
         let mut bucket_bytes = vec![0u64; num_r];
-        for (ps, bytes) in per_source {
-            for (p, (recs, b)) in ps.into_iter().zip(bytes).enumerate() {
-                partitions[p].extend(recs);
-                bucket_bytes[p] += b;
+        for (source, route) in sources.into_iter().zip(routes) {
+            for (total, bytes) in bucket_bytes.iter_mut().zip(route.bytes) {
+                *total += bytes;
+            }
+            for (rec, p) in source.into_iter().zip(route.ids) {
+                partitions[p as usize].push(rec);
             }
         }
-        (partitions, bucket_bytes)
+        Ok((partitions, bucket_bytes))
     }
 
     /// Executes (real computation, no scheduling) the reduce tasks for the
-    /// given `(task_id, input)` partitions, each taken by move so the sort
-    /// and group machinery works on the shuffle buffers directly. Used by
+    /// given `(task_id, input)` partitions, each taken by move so grouping
+    /// works on the shuffle buffers directly. Used by
     /// the adaptive optimizer to run the reduce phase wave by wave
     /// (Fig. 10(b)).
     pub fn execute_reduce_partitions_owned(
@@ -578,7 +588,10 @@ impl<'a> Runner<'a> {
     /// Writes per-task output record vectors, in task order, as the job's
     /// output file.
     fn write_output(&mut self, conf: &JobConf, outputs: Vec<Vec<Record>>) -> DfsFile {
-        let all_output: Vec<Record> = outputs.into_iter().flatten().collect();
+        let mut all_output = Vec::with_capacity(outputs.iter().map(Vec::len).sum());
+        for output in outputs {
+            all_output.extend(output);
+        }
         match conf.output_chunks {
             Some(n) => self.dfs.write_file_with_chunks(&conf.output, all_output, n),
             None => self.dfs.write_file(&conf.output, all_output),
@@ -611,7 +624,7 @@ impl<'a> Runner<'a> {
         // and is refetched from the in-memory source output.
         let (extra_fetch, shuffle_refetches, shuffle_refetch_time) =
             self.verify_shuffle_payloads(conf, &sources);
-        let (partitions, bucket_bytes) = self.partition_sized(conf, sources);
+        let (partitions, bucket_bytes) = self.partition_sized(conf, sources)?;
         let shuffle_bytes = bucket_bytes.iter().sum();
         let sized = partitions
             .into_iter()
@@ -669,7 +682,7 @@ impl<'a> Runner<'a> {
             let mut bufs: Vec<Vec<u8>> = (0..num_r).map(|_| Vec::new()).collect();
             let mut bytes = vec![0u64; num_r];
             for rec in source {
-                let p = conf.partitioner.partition(&rec.key, num_r);
+                let p = partition_of(conf, &rec.key, num_r);
                 rec.key.encode_into(&mut bufs[p]);
                 rec.value.encode_into(&mut bufs[p]);
                 bytes[p] += rec.size_bytes();
@@ -709,46 +722,29 @@ impl<'a> Runner<'a> {
     ) -> Result<ReduceTaskExec> {
         let input_records = input.len() as u64;
         let input_bytes = input_bytes.unwrap_or_else(|| input.iter().map(Record::size_bytes).sum());
-        let mut sorted = input;
-        // Stable sort: equal-key order is observable (it sets group value
-        // order and pass-through output order, and record sizes differ, so
-        // reordering shifts downstream chunk boundaries and virtual costs).
-        sorted.sort_by(|a, b| a.key.cmp(&b.key));
 
         let mut ctx = TaskCtx::new(task_id);
         let mut reduced: Vec<Record> = Vec::new();
         {
             let mut reducer = conf.reducer.as_ref().map(|f| f());
-            // Drain the sorted buffer group by group: keys and values move
-            // into the reducer, no per-record clones.
-            let mut rest = sorted.into_iter().peekable();
-            while let Some(first) = rest.next() {
-                let key = first.key;
-                let mut values = vec![first.value];
-                while let Some(rec) = rest.next_if(|r| r.key == key) {
-                    values.push(rec.value);
-                }
-                match reducer.as_mut() {
-                    Some(red) => red.reduce(key, values, &mut reduced, &mut ctx),
-                    None => {
-                        // Identity reduce: grouped pass-through. Every
-                        // emitted record needs its own key; the last one
-                        // takes ownership.
-                        let mut key = Some(key);
-                        let last = values.len() - 1;
-                        for (i, v) in values.into_iter().enumerate() {
-                            let k = if i == last {
-                                // efind-lint: allow(panic, key is Some until the final iteration by loop construction)
-                                key.take().expect("group key moved early")
-                            } else {
-                                // efind-lint: allow(panic, key is Some until the final iteration by loop construction)
-                                key.clone().expect("group key moved early")
-                            };
-                            reduced.collect(Record { key: k, value: v });
-                        }
+            // Keys and values move into the reducer, no per-record clones.
+            group_by_key(input, |key, values| match reducer.as_mut() {
+                Some(red) => red.reduce(key, values, &mut reduced, &mut ctx),
+                None => {
+                    // Identity reduce: grouped pass-through. Every emitted
+                    // record needs its own key; the last one takes the
+                    // group's.
+                    let mut values = values.into_iter();
+                    let last = values.next_back();
+                    for value in values {
+                        let key = key.clone();
+                        reduced.collect(Record { key, value });
+                    }
+                    if let Some(value) = last {
+                        reduced.collect(Record { key, value });
                     }
                 }
-            }
+            });
             if let Some(red) = reducer.as_mut() {
                 red.flush(&mut reduced, &mut ctx);
             }
@@ -1338,44 +1334,51 @@ fn fold_partition_replay(gray: &mut PartitionLog, replay: &PartitionReplay) {
     gray.orphan_results += replay.orphan_results;
 }
 
-/// One source's per-reducer buckets and the bytes shuffled into each.
-type Partitioned = (Vec<Vec<Record>>, Vec<u64>);
+/// The reduce partition of `key`: the job partitioner's answer, or the
+/// last partition when it answers out of range.
+fn partition_of(conf: &JobConf, key: &Datum, num_r: usize) -> usize {
+    conf.partitioner.partition(key, num_r).min(num_r - 1)
+}
 
-/// Partitions one map task's output into `num_r` reduce buckets.
-fn partition_one(conf: &JobConf, num_r: usize, source: Vec<Record>) -> Partitioned {
-    let mut partitions: Vec<Vec<Record>> = (0..num_r).map(|_| Vec::new()).collect();
+/// Where one source's records go.
+struct Route {
+    /// The partition of each record, in source order.
+    ids: Vec<u32>,
+    /// Records per partition.
+    counts: Vec<usize>,
+    /// Shuffled bytes per partition.
+    bytes: Vec<u64>,
+}
+
+/// Routes one map task's output to `num_r` reduce partitions.
+fn route_one(conf: &JobConf, num_r: usize, source: &[Record]) -> Route {
+    debug_assert!(u32::try_from(num_r).is_ok(), "partition ids are u32");
+    let mut counts = vec![0usize; num_r];
     let mut bytes = vec![0u64; num_r];
-    for rec in source {
-        let p = conf.partitioner.partition(&rec.key, num_r);
-        bytes[p] += rec.size_bytes();
-        partitions[p].push(rec);
-    }
-    (partitions, bytes)
+    let ids = source
+        .iter()
+        .map(|rec| {
+            let p = partition_of(conf, &rec.key, num_r);
+            counts[p] += 1;
+            bytes[p] += rec.size_bytes();
+            p as u32
+        })
+        .collect();
+    Route { ids, counts, bytes }
 }
 
 /// Runs the combiner over one map task's output: groups by key locally
 /// and applies the combining reduce function (Hadoop's map-side combine).
-/// The sorted buffer is drained group by group — keys and values move into
-/// the combiner without per-record clones.
+/// Groups reach it as they reach a reducer — combiners may be
+/// order-sensitive and equal-key order is observable downstream.
 fn run_combiner(
     combiner: &crate::api::ReducerFactory,
-    mut records: Vec<Record>,
+    records: Vec<Record>,
     ctx: &mut TaskCtx,
 ) -> Vec<Record> {
-    // Stable for the same reason as the reduce-side sort: combiners may be
-    // order-sensitive and equal-key order is observable downstream.
-    records.sort_by(|a, b| a.key.cmp(&b.key));
     let mut out: Vec<Record> = Vec::new();
     let mut c = combiner();
-    let mut rest = records.into_iter().peekable();
-    while let Some(first) = rest.next() {
-        let key = first.key;
-        let mut values = vec![first.value];
-        while let Some(rec) = rest.next_if(|r| r.key == key) {
-            values.push(rec.value);
-        }
-        c.reduce(key, values, &mut out, ctx);
-    }
+    group_by_key(records, |key, values| c.reduce(key, values, &mut out, ctx));
     c.flush(&mut out, ctx);
     out
 }
@@ -1755,6 +1758,203 @@ mod combiner_tests {
         }));
         let res = run_job(&cluster, &mut dfs, &conf).unwrap();
         assert_eq!(res.output.total_records(), 300);
+    }
+}
+
+#[cfg(test)]
+mod shuffle_tests {
+    use super::*;
+    use crate::api::reducer_fn;
+    use crate::group::sort_groups;
+    use crate::partition::partitioner_fn;
+    use efind_dfs::DfsConfig;
+    use proptest::prelude::*;
+
+    fn setup() -> (Cluster, Dfs) {
+        let cluster = Cluster::builder()
+            .nodes(3)
+            .map_slots(2)
+            .reduce_slots(2)
+            .build();
+        let dfs = Dfs::new(cluster.clone(), DfsConfig::default());
+        (cluster, dfs)
+    }
+
+    /// Keys that sit next to each other in `Datum`'s order or in its hash
+    /// input: every variant, `Int(1)` beside `Float(1.0)`, both zeros and
+    /// a NaN, strings of 0, 8 and 9 bytes (a whole hash word, and one
+    /// byte into the next), nested and empty lists.
+    fn key_pool() -> Vec<Datum> {
+        vec![
+            Datum::Null,
+            Datum::Bool(false),
+            Datum::Bool(true),
+            Datum::Int(1),
+            Datum::Float(1.0),
+            Datum::Int(0),
+            Datum::Float(0.0),
+            Datum::Float(-0.0),
+            Datum::Float(f64::NAN),
+            Datum::Int(i64::MIN),
+            Datum::Text(String::new()),
+            Datum::Text("abcdefgh".into()),
+            Datum::Text("abcdefghi".into()),
+            Datum::Bytes(Vec::new()),
+            Datum::Bytes(b"abcdefghi".to_vec()),
+            Datum::List(Vec::new()),
+            Datum::List(vec![Datum::Int(1), Datum::Text("x".into())]),
+            Datum::List(vec![Datum::Float(1.0), Datum::Text("x".into())]),
+            Datum::List(vec![Datum::List(Vec::new())]),
+        ]
+    }
+
+    /// Records over `distinct` keys — pool keys first, then integers — in
+    /// the drawn order; the value is the arrival index, so any change of
+    /// order within a group shows.
+    fn arb_records() -> impl Strategy<Value = Vec<Record>> {
+        (1usize..60, proptest::collection::vec(any::<u32>(), 0..200)).prop_map(
+            |(distinct, draws)| {
+                let pool = key_pool();
+                draws
+                    .iter()
+                    .enumerate()
+                    .map(|(i, draw)| {
+                        let k = *draw as usize % distinct;
+                        let key = pool.get(k).cloned().unwrap_or(Datum::Int(k as i64));
+                        Record::new(key, i as i64)
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    /// A reducer that shows everything it is given: one record per group,
+    /// the values as a list in the order they arrived.
+    fn listing_reducer() -> crate::api::ReducerFactory {
+        reducer_fn(|key, values, out, _ctx| {
+            out.collect(Record {
+                key,
+                value: Datum::List(values),
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Reduce, identity reduce and combiner hand over what the stable
+        /// sort hands over: same groups, same order, same values.
+        #[test]
+        fn grouping_equals_the_stable_sort(records in arb_records()) {
+            let mut groups: Vec<(Datum, Vec<Datum>)> = Vec::new();
+            sort_groups(records.clone(), |key, values| groups.push((key, values)));
+            let listed: Vec<Record> = groups
+                .iter()
+                .map(|(key, values)| Record::new(key.clone(), Datum::List(values.clone())))
+                .collect();
+            let passed_through: Vec<Record> = groups
+                .iter()
+                .flat_map(|(key, values)| values.iter().map(|v| Record::new(key.clone(), v.clone())))
+                .collect();
+
+            let (cluster, mut dfs) = setup();
+            let runner = Runner::new(&cluster, &mut dfs);
+            let conf = JobConf::new("g", "in", "out").with_reducer(listing_reducer(), 1);
+            let reduced = runner
+                .execute_reduce_partitions_owned(&conf, vec![(0, records.clone())])
+                .unwrap();
+            prop_assert_eq!(&reduced[0].output, &listed);
+
+            let conf = JobConf::new("g", "in", "out").with_identity_reduce(1);
+            let identity = runner
+                .execute_reduce_partitions_owned(&conf, vec![(0, records.clone())])
+                .unwrap();
+            prop_assert_eq!(&identity[0].output, &passed_through);
+
+            let combined = run_combiner(&listing_reducer(), records, &mut TaskCtx::new(0));
+            prop_assert_eq!(&combined, &listed);
+        }
+    }
+
+    #[test]
+    fn partitioning_equals_a_sequential_pass_into_exact_size_buckets() {
+        let (cluster, mut dfs) = setup();
+        let runner = Runner::new(&cluster, &mut dfs);
+        let conf = JobConf::new("p", "in", "out").with_identity_reduce(5);
+        // Sources of unequal length, one of them empty; record sizes differ.
+        let sources: Vec<Vec<Record>> = [0usize, 300, 1, 0, 977, 64, 1500]
+            .iter()
+            .enumerate()
+            .map(|(s, len)| {
+                (0..*len)
+                    .map(|i| Record::new(format!("k{}", (i * 31 + s) % 211), "v".repeat(i % 7)))
+                    .collect()
+            })
+            .collect();
+
+        let mut expected: Vec<Vec<Record>> = vec![Vec::new(); 5];
+        let mut expected_bytes = vec![0u64; 5];
+        for rec in sources.iter().flatten() {
+            let p = conf.partitioner.partition(&rec.key, 5);
+            expected_bytes[p] += rec.size_bytes();
+            expected[p].push(rec.clone());
+        }
+
+        let (partitions, bytes) = runner.partition_sized(&conf, sources.clone()).unwrap();
+        assert_eq!(partitions, expected);
+        assert_eq!(bytes, expected_bytes);
+        for p in &partitions {
+            assert_eq!(p.capacity(), p.len());
+        }
+        let (again, total) = runner.partition_for_reduce(&conf, sources);
+        assert_eq!(again, expected);
+        assert_eq!(total, expected_bytes.iter().sum::<u64>());
+    }
+
+    /// A `Partitioner` written outside this crate may answer anything.
+    struct Far;
+
+    impl crate::partition::Partitioner for Far {
+        fn partition(&self, _key: &Datum, _num_partitions: usize) -> usize {
+            usize::MAX
+        }
+    }
+
+    #[test]
+    fn out_of_range_partitioner_lands_in_the_last_partition() {
+        let (cluster, mut dfs) = setup();
+        let records: Vec<Record> = (0..500i64).map(|i| Record::new(i % 17, i)).collect();
+        dfs.write_file_with_chunks("in", records, 4);
+        let conf = JobConf::new("far", "in", "out")
+            .add_mapper(crate::api::identity_mapper())
+            .with_reducer(listing_reducer(), 3);
+        let far = conf.clone().with_partitioner(std::sync::Arc::new(Far));
+        let last = conf.with_partitioner(partitioner_fn(|_key, n| n - 1));
+
+        // Quiet, and with the shuffle payloads verified: both places that
+        // ask the partitioner.
+        for plan in [
+            None,
+            Some(efind_cluster::CorruptionPlan::new(3).shuffle(0.6)),
+        ] {
+            let mut outputs = Vec::new();
+            for conf in [&far, &last] {
+                let mut runner = Runner::new(&cluster, &mut dfs);
+                if let Some(plan) = &plan {
+                    runner = runner.with_corruption(plan.clone());
+                }
+                let res = runner.run(conf, SimTime::ZERO).unwrap();
+                let reduce = res.stats.reduce.unwrap();
+                let per_task: Vec<u64> = reduce.tasks.iter().map(|t| t.input_records).collect();
+                assert_eq!(per_task, vec![0, 0, 500]);
+                outputs.push((
+                    dfs.read_file("out").unwrap(),
+                    res.stats.finished,
+                    res.stats.shuffle_bytes,
+                ));
+            }
+            assert_eq!(outputs[0], outputs[1]);
+        }
     }
 }
 

