@@ -82,14 +82,14 @@ fn hashing_and_carrier(c: &mut Criterion) {
     });
     g.bench_function("carrier_roundtrip", |b| {
         let rec = Record::new(7i64, Datum::Bytes(vec![1u8; 128]));
+        // One carrier for every iteration, as a task keeps one for every
+        // record.
+        let mut carrier = Carrier::default();
         b.iter(|| {
-            let carrier = Carrier::new(
-                rec.key.clone(),
-                rec.value.clone(),
-                vec![vec![Datum::Int(9)]],
-            );
-            let r = carrier.into_record(Datum::Int(9));
-            black_box(Carrier::from_record(r).unwrap())
+            carrier.open(rec.clone(), 1, |_, keys| keys.put(0, 9i64));
+            let r = carrier.encode(Datum::Int(9));
+            carrier.decode(r.value).unwrap();
+            black_box(carrier.k1());
         })
     });
     g.finish();

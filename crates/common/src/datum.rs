@@ -272,11 +272,37 @@ impl Datum {
         buf: &'a [u8],
         item: impl FnMut(&'a [u8]) -> Result<(T, &'a [u8])>,
     ) -> Result<(Vec<T>, &'a [u8])> {
-        match buf.split_first() {
-            Some((&LIST_TAG, rest)) => decode_items(rest, item),
-            Some((&tag, _)) => Err(Error::Decode(format!("expected a list, found tag {tag}"))),
-            None => Err(Error::Decode("empty buffer".into())),
+        decode_items(strip_list_tag(buf)?, item)
+    }
+
+    /// Decodes an encoded list from the front of `buf` into `out`, element
+    /// by element and in place: `out` comes to hold exactly the list's
+    /// elements, `item` writing each over what `out` held at its position
+    /// (a default value where `out` was shorter). A caller that keeps `out`
+    /// between lists keeps its buffer and whatever its elements own; no
+    /// `Vec` is built. Returns the rest of `buf`; on an error `out` is left
+    /// part old, part new.
+    pub fn decode_list_in_place<'a, T: Default>(
+        buf: &'a [u8],
+        out: &mut Vec<T>,
+        mut item: impl FnMut(&mut T, &'a [u8]) -> Result<&'a [u8]>,
+    ) -> Result<&'a [u8]> {
+        let (n, mut rest) = list_len(strip_list_tag(buf)?)?;
+        out.truncate(n);
+        out.reserve(n.min(rest.len()).saturating_sub(out.len()));
+        for i in 0..n {
+            match out.get_mut(i) {
+                Some(held) => rest = item(held, rest)?,
+                // Pushed once it has parsed: a count the input cannot back
+                // grows `out` no further than the reservation above.
+                None => {
+                    let mut fresh = T::default();
+                    rest = item(&mut fresh, rest)?;
+                    out.push(fresh);
+                }
+            }
         }
+        Ok(rest)
     }
 
     /// The rest of `buf` when the datum at its front is `Null`.
@@ -295,16 +321,32 @@ impl Datum {
     }
 }
 
-/// Reads a list's element count and then its elements with `item`.
+/// The rest of `buf` behind the tag of the list at its front.
+fn strip_list_tag(buf: &[u8]) -> Result<&[u8]> {
+    match buf.split_first() {
+        Some((&LIST_TAG, rest)) => Ok(rest),
+        Some((&tag, _)) => Err(Error::Decode(format!("expected a list, found tag {tag}"))),
+        None => Err(Error::Decode("empty buffer".into())),
+    }
+}
+
+/// A list's element count `n`, and the rest of `buf` where its elements
+/// start.
 ///
-/// The count comes from the input, so it bounds the reservation only as
-/// far as the input can back it: every element takes at least one byte.
+/// The count comes from the input, so it bounds a reservation only as far
+/// as the input can back it — `n.min(rest.len())`: every element takes at
+/// least one byte.
+fn list_len(buf: &[u8]) -> Result<(usize, &[u8])> {
+    let (head, rest) = split_n(buf, 4, "list len")?;
+    Ok((u32::from_le_bytes(head.try_into().unwrap()) as usize, rest))
+}
+
+/// Reads a list's element count and then its elements with `item`.
 fn decode_items<'a, T>(
     buf: &'a [u8],
     mut item: impl FnMut(&'a [u8]) -> Result<(T, &'a [u8])>,
 ) -> Result<(Vec<T>, &'a [u8])> {
-    let (head, mut rest) = split_n(buf, 4, "list len")?;
-    let n = u32::from_le_bytes(head.try_into().unwrap()) as usize;
+    let (n, mut rest) = list_len(buf)?;
     let mut items = Vec::with_capacity(n.min(rest.len()));
     for _ in 0..n {
         let (it, r) = item(rest)?;
@@ -596,7 +638,26 @@ mod tests {
             Datum::List(items.clone()).encode()[..]
         );
         let (decoded, rest) = Datum::decode_list_with(&buf, Datum::decode_from).unwrap();
-        assert_eq!((decoded, rest), (items, &[0xAB][..]));
+        assert_eq!((decoded, rest), (items.clone(), &[0xAB][..]));
+
+        // In place: over a longer list, a shorter one and an empty one, the
+        // storage comes to hold the list and nothing of what it held.
+        let datum = |d: &mut Datum, b| {
+            let (v, rest) = Datum::decode_from(b)?;
+            *d = v;
+            Ok(rest)
+        };
+        for mut out in [vec![Datum::Int(9); 5], vec![Datum::Bool(true)], vec![]] {
+            let rest = Datum::decode_list_in_place(&buf, &mut out, datum).unwrap();
+            assert_eq!((&out, rest), (&items, &[0xAB][..]));
+        }
+        let mut out = vec![Datum::Int(9); 5];
+        for bad in [&[][..], &Datum::Int(1).encode(), &buf[..buf.len() - 4]] {
+            match Datum::decode_list_in_place(bad, &mut out, datum) {
+                Err(Error::Decode(_)) => {}
+                other => panic!("expected a decode error, got {other:?}"),
+            }
+        }
 
         assert!(Datum::decode_list_with(&[], Datum::decode_from).is_err());
         assert!(Datum::decode_list_with(&Datum::Int(1).encode(), Datum::decode_from).is_err());

@@ -56,3 +56,35 @@ fn a_claimed_element_count_reserves_no_more_than_the_buffer_holds() {
         "a {largest}-byte reservation for a 9-byte input"
     );
 }
+
+/// The element-by-element reader, on the shape a carrier payload has: the
+/// list of per-index key lists claims one list, and that list 2³² − 1 keys.
+#[test]
+fn a_key_list_claiming_u32_max_keys_grows_storage_by_what_it_holds() {
+    let mut buf = Vec::new();
+    for claimed in [1, u32::MAX] {
+        buf.push(6u8);
+        buf.extend_from_slice(&claimed.to_le_bytes());
+    }
+    buf.extend_from_slice(&[0, 0, 0, 0]);
+    let datum = |d: &mut Datum, b| {
+        let (v, rest) = Datum::decode_from(b)?;
+        *d = v;
+        Ok(rest)
+    };
+
+    // Into empty storage, and into storage that already holds more.
+    for mut keys in [Vec::new(), vec![vec![Datum::Int(7); 6]; 3]] {
+        LARGEST.with(|l| l.set(0));
+        let parsed = Datum::decode_list_in_place(&buf, &mut keys, |list, b| {
+            Datum::decode_list_in_place(b, list, datum)
+        });
+        let largest = LARGEST.with(Cell::get);
+        assert!(matches!(parsed, Err(Error::Decode(_))), "{parsed:?}");
+        let four_elements = 4 * std::mem::size_of::<Datum>();
+        assert!(
+            largest <= four_elements,
+            "a {largest}-byte reservation for a 14-byte input"
+        );
+    }
+}

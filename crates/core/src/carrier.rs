@@ -17,21 +17,31 @@
 //! lists. That is the encoding of the list `[k1, v1, keys, values]` without
 //! the list's own 5-byte header, and the `Bytes` header is 5 bytes too, so
 //! the record is sized as if the value were that nested list. One buffer
-//! is one heap block: the task that builds a carrier record frees
-//! everything else the carrier held, and the task that parses it owns
-//! everything it builds — no block is allocated by one worker for another
-//! to free, except the buffer itself.
+//! is one heap block, the only one a task allocates for another to free.
+//!
+//! # One carrier a task
+//!
+//! A segment owns one [`Carrier`] and takes every record of its task
+//! through it: [`Carrier::open`] and [`Carrier::decode`] empty the key
+//! lists and result slots of the record before — keeping their buffers —
+//! and write the next record into them. The carrier keeps the length of
+//! its encoded payload in step with what it holds, so the size statistics
+//! and [`Carrier::encode`]'s one reservation read a number instead of
+//! walking the payload again.
 
 use std::sync::Arc;
 
 use efind_common::{Datum, Error, Record, Result};
 
-use crate::operator::IndexOutput;
+use crate::operator::{IndexInput, IndexOutput};
 
 /// Bytes of a `Datum::List` header (tag + count) — and of the
 /// `Datum::Bytes` header (tag + length) that stands in for the payload
 /// list's. See [`Datum::size_bytes`].
 const HEADER: u64 = 5;
+
+/// Encoded size of an unfilled slot, a `Null`.
+const UNFILLED: u64 = 1;
 
 fn list_bytes(items: &[Datum]) -> u64 {
     HEADER + items.iter().map(Datum::size_bytes).sum::<u64>()
@@ -44,66 +54,152 @@ fn encode_list(items: &[Datum], out: &mut Vec<u8>) {
     }
 }
 
-fn decode_list(buf: &[u8]) -> Result<(Vec<Datum>, &[u8])> {
-    Datum::decode_list_with(buf, Datum::decode_from)
+fn decode_datum<'a>(slot: &mut Datum, buf: &'a [u8]) -> Result<&'a [u8]> {
+    let (datum, rest) = Datum::decode_from(buf)?;
+    *slot = datum;
+    Ok(rest)
 }
 
-/// One value slot: unfilled, or one result list per key.
-type Slot = Option<Vec<Arc<[Datum]>>>;
-
-fn decode_slot(buf: &[u8]) -> Result<(Slot, &[u8])> {
-    if let Some(rest) = Datum::strip_null(buf) {
-        return Ok((None, rest));
-    }
-    let (per_key, rest) = Datum::decode_list_with(buf, |b| {
-        decode_list(b).map(|(list, rest)| (Arc::from(list), rest))
-    })?;
-    Ok((Some(per_key), rest))
+/// Makes `lists` `m` empty lists, keeping the buffers of those it had.
+fn empty_lists<T>(lists: &mut Vec<Vec<T>>, m: usize) {
+    lists.resize_with(m, Vec::new);
+    lists.iter_mut().for_each(Vec::clear);
 }
 
-/// The in-flight state of one record inside an index operator.
+/// The in-flight state of one record inside an index operator, in storage
+/// that outlives the record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Carrier {
     /// Original record key `k1`.
-    pub k1: Datum,
+    k1: Datum,
     /// Original (possibly projected) record value `v1`.
-    pub v1: Datum,
+    v1: Datum,
     /// Per-index lookup key lists.
-    pub keys: Vec<Vec<Datum>>,
-    /// Per-index lookup results; `None` until the index is accessed. Each
-    /// per-key result list is a shared handle so cache hits and group
+    keys: IndexInput,
+    /// Per-index lookup results, one list per key, where `filled`; empty
+    /// elsewhere. Each list is a shared handle so cache hits and group
     /// fan-out don't deep-copy values.
-    pub values: Vec<Option<Vec<Arc<[Datum]>>>>,
+    values: IndexOutput,
+    /// Per index, whether it has been accessed.
+    filled: Vec<bool>,
+    /// Length of the buffer [`Carrier::encode`] writes. Every method that
+    /// changes what the carrier holds restates it; `encode` checks it.
+    payload: u64,
+}
+
+impl Default for Carrier {
+    /// The carrier of `(Null, Null)` with no indices.
+    fn default() -> Self {
+        Carrier {
+            k1: Datum::Null,
+            v1: Datum::Null,
+            keys: IndexInput::default(),
+            values: IndexOutput::default(),
+            filled: Vec::new(),
+            payload: 2 * Datum::Null.size_bytes() + 2 * HEADER,
+        }
+    }
 }
 
 impl Carrier {
-    /// Creates a carrier fresh out of `pre_process`.
-    pub fn new(k1: Datum, v1: Datum, keys: Vec<Vec<Datum>>) -> Self {
-        let m = keys.len();
-        Carrier {
-            k1,
-            v1,
-            keys,
-            values: vec![None; m],
+    /// Starts on `rec` with `num_indices` unfilled slots: `pre_process`
+    /// extracts the lookup keys into the carrier's own key lists and may
+    /// rewrite the record. Nothing of the record before shows through.
+    pub fn open(
+        &mut self,
+        mut rec: Record,
+        num_indices: usize,
+        pre_process: impl FnOnce(&mut Record, &mut IndexInput),
+    ) {
+        empty_lists(&mut self.keys.keys, num_indices);
+        empty_lists(&mut self.values.values, num_indices);
+        self.filled.clear();
+        self.filled.resize(num_indices, false);
+        pre_process(&mut rec, &mut self.keys);
+        (self.k1, self.v1) = (rec.key, rec.value);
+        let keys: u64 = self.keys.keys.iter().map(|list| list_bytes(list)).sum();
+        self.payload = self.k1.size_bytes()
+            + self.v1.size_bytes()
+            + (HEADER + keys)
+            + (HEADER + num_indices as u64 * UNFILLED);
+    }
+
+    /// Original record key `k1`.
+    pub fn k1(&self) -> &Datum {
+        &self.k1
+    }
+
+    /// Original (possibly projected) record value `v1`.
+    pub fn v1(&self) -> &Datum {
+        &self.v1
+    }
+
+    /// Number of indices.
+    pub fn num_indices(&self) -> usize {
+        self.filled.len()
+    }
+
+    /// Lookup keys extracted for index `j`.
+    pub fn keys(&self, index: usize) -> &[Datum] {
+        self.keys.keys(index)
+    }
+
+    /// Lookup results of index `j`, one list per key; `None` until the
+    /// index is accessed.
+    pub fn results(&self, index: usize) -> Option<&[Arc<[Datum]>]> {
+        self.filled[index].then(|| self.values.get(index))
+    }
+
+    /// Encoded size of slot `index` as it stands.
+    fn slot_bytes(&self, index: usize) -> u64 {
+        match self.results(index) {
+            None => UNFILLED,
+            Some(per_key) => HEADER + per_key.iter().map(|list| list_bytes(list)).sum::<u64>(),
         }
+    }
+
+    /// Fills slot `index`: `lookup` is handed the index's keys and the
+    /// slot's emptied result list, and pushes one result per key.
+    ///
+    /// # Errors
+    /// Errors if the carrier has no such slot — a stored carrier of another
+    /// operator's arity.
+    pub fn fill(
+        &mut self,
+        index: usize,
+        lookup: impl FnOnce(&[Datum], &mut Vec<Arc<[Datum]>>),
+    ) -> Result<()> {
+        if index >= self.num_indices() {
+            return Err(Error::Decode(format!(
+                "carrier of {} indices has no slot {index}",
+                self.num_indices()
+            )));
+        }
+        let before = self.slot_bytes(index);
+        let results = &mut self.values.values[index];
+        results.clear();
+        lookup(&self.keys.keys[index], results);
+        self.filled[index] = true;
+        self.payload = self.payload - before + self.slot_bytes(index);
+        Ok(())
     }
 
     /// Serializes into a record routed by `routing_key`: the payload is
     /// written once, into a buffer of exactly its size. Result lists are
     /// read through their handles, so one a cache entry still shares is
     /// neither cloned nor disturbed.
-    pub fn into_record(self, routing_key: Datum) -> Record {
-        let len = self.payload_bytes() as usize;
+    pub fn encode(&self, routing_key: Datum) -> Record {
+        let len = self.payload as usize;
         let mut buf = Vec::with_capacity(len);
         self.k1.encode_into(&mut buf);
         self.v1.encode_into(&mut buf);
-        Datum::encode_list_header(self.keys.len(), &mut buf);
-        for list in &self.keys {
+        Datum::encode_list_header(self.num_indices(), &mut buf);
+        for list in &self.keys.keys {
             encode_list(list, &mut buf);
         }
-        Datum::encode_list_header(self.values.len(), &mut buf);
-        for slot in &self.values {
-            match slot {
+        Datum::encode_list_header(self.num_indices(), &mut buf);
+        for index in 0..self.num_indices() {
+            match self.results(index) {
                 None => Datum::Null.encode_into(&mut buf),
                 Some(per_key) => {
                     Datum::encode_list_header(per_key.len(), &mut buf);
@@ -116,7 +212,7 @@ impl Carrier {
         debug_assert_eq!(
             buf.len(),
             len,
-            "the payload outgrew or underfilled its one reservation"
+            "the payload size fell out of step with the carrier's contents"
         );
         Record {
             key: routing_key,
@@ -124,66 +220,69 @@ impl Carrier {
         }
     }
 
-    /// Deserializes a carrier record (inverse of [`Carrier::into_record`]).
-    pub fn from_record(rec: Record) -> Result<Carrier> {
-        Self::from_value(rec.value)
+    /// Deserializes a carrier payload (inverse of [`Carrier::encode`]) over
+    /// whatever the carrier held, reusing its key lists and result slots.
+    ///
+    /// # Errors
+    /// A payload that does not parse is an [`Error::Decode`], and leaves the
+    /// carrier as [`Carrier::default`] builds it.
+    pub fn decode(&mut self, value: Datum) -> Result<()> {
+        let parsed = match &value {
+            Datum::Bytes(buf) => self.parse(buf),
+            _ => Err(Error::Decode("carrier payload is not a byte buffer".into())),
+        };
+        if parsed.is_err() {
+            *self = Carrier::default();
+        }
+        parsed
     }
 
-    /// Deserializes a carrier from just the payload value.
-    pub fn from_value(value: Datum) -> Result<Carrier> {
-        let Datum::Bytes(buf) = value else {
-            return Err(Error::Decode("carrier payload is not a byte buffer".into()));
-        };
-        let (k1, rest) = Datum::decode_from(&buf)?;
-        let (v1, rest) = Datum::decode_from(rest)?;
-        let (keys, rest) = Datum::decode_list_with(rest, decode_list)?;
-        let (values, rest) = Datum::decode_list_with(rest, decode_slot)?;
+    fn parse(&mut self, buf: &[u8]) -> Result<()> {
+        let rest = decode_datum(&mut self.k1, buf)?;
+        let rest = decode_datum(&mut self.v1, rest)?;
+        let rest = Datum::decode_list_in_place(rest, &mut self.keys.keys, |list, b| {
+            Datum::decode_list_in_place(b, list, decode_datum)
+        })?;
+        let filled = &mut self.filled;
+        filled.clear();
+        let rest = Datum::decode_list_in_place(rest, &mut self.values.values, |per_key, b| {
+            let unfilled = Datum::strip_null(b);
+            filled.push(unfilled.is_none());
+            if let Some(rest) = unfilled {
+                per_key.clear();
+                return Ok(rest);
+            }
+            Datum::decode_list_in_place(b, per_key, |list, b| {
+                let (items, rest) = Datum::decode_list_with(b, Datum::decode_from)?;
+                *list = items.into();
+                Ok(rest)
+            })
+        })?;
         if !rest.is_empty() {
             return Err(Error::Decode(format!(
                 "{} trailing bytes in carrier payload",
                 rest.len()
             )));
         }
-        if keys.len() != values.len() {
+        if self.keys.keys.len() != self.filled.len() {
             return Err(Error::Decode("carrier key/value arity mismatch".into()));
         }
-        Ok(Carrier {
-            k1,
-            v1,
-            keys,
-            values,
-        })
+        self.payload = buf.len() as u64;
+        Ok(())
     }
 
-    /// Length of the payload buffer [`Carrier::into_record`] writes.
-    fn payload_bytes(&self) -> u64 {
-        let keys: u64 = HEADER + self.keys.iter().map(|list| list_bytes(list)).sum::<u64>();
-        let values: u64 = HEADER
-            + self
-                .values
-                .iter()
-                .map(|slot| match slot {
-                    None => Datum::Null.size_bytes(),
-                    Some(per_key) => {
-                        HEADER + per_key.iter().map(|list| list_bytes(list)).sum::<u64>()
-                    }
-                })
-                .sum::<u64>();
-        self.k1.size_bytes() + self.v1.size_bytes() + keys + values
-    }
-
-    /// Serialized size of the record [`Carrier::into_record`] would build
-    /// with `routing`, computed without building it. Fused (in-memory)
-    /// stages use this to bump the same byte counters the staged pipeline
-    /// derives from real intermediate records.
+    /// Serialized size of the record [`Carrier::encode`] would build with
+    /// `routing`, read off without building it. Fused (in-memory) stages
+    /// use this to bump the same byte counters the staged pipeline derives
+    /// from real intermediate records.
     pub fn record_size_bytes(&self, routing: &Datum) -> u64 {
-        routing.size_bytes() + HEADER + self.payload_bytes()
+        routing.size_bytes() + HEADER + self.payload
     }
 
     /// The single lookup key for index `j`, required by shuffle strategies
     /// (re-partitioning groups records *by* that key).
     pub fn single_key(&self, index: usize) -> Result<&Datum> {
-        match self.keys[index].as_slice() {
+        match self.keys.keys.get(index).map_or(&[][..], Vec::as_slice) {
             [k] => Ok(k),
             other => Err(Error::Unsupported(format!(
                 "shuffle strategies need exactly one key per record for index {index}, found {}",
@@ -192,29 +291,23 @@ impl Carrier {
         }
     }
 
-    /// Converts the filled carrier into `(record, IndexOutput)` for
-    /// `post_process`.
+    /// Hands the filled carrier to `post_process`: the record, moved out,
+    /// and the lookup results, lent. The carrier holds no record from here
+    /// to the next [`Carrier::open`] or [`Carrier::decode`].
     ///
     /// # Errors
     /// Errors if any index slot is still unfilled.
-    pub fn into_post_input(self) -> Result<(Record, IndexOutput)> {
-        let values = self
-            .values
-            .into_iter()
-            .enumerate()
-            .map(|(j, v)| {
-                v.ok_or_else(|| {
-                    Error::Internal(format!("index {j} not looked up before postProcess"))
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok((
-            Record {
-                key: self.k1,
-                value: self.v1,
-            },
-            IndexOutput::new(values),
-        ))
+    pub fn post_input(&mut self) -> Result<(Record, &IndexOutput)> {
+        if let Some(j) = self.filled.iter().position(|filled| !filled) {
+            return Err(Error::Internal(format!(
+                "index {j} not looked up before postProcess"
+            )));
+        }
+        let rec = Record {
+            key: std::mem::take(&mut self.k1),
+            value: std::mem::take(&mut self.v1),
+        };
+        Ok((rec, &self.values))
     }
 }
 
@@ -222,17 +315,62 @@ impl Carrier {
 mod tests {
     use super::*;
 
-    fn sample() -> Carrier {
-        let mut c = Carrier::new(
-            Datum::Int(1),
-            Datum::Text("v".into()),
-            vec![
-                vec![Datum::Int(10)],
-                vec![Datum::Text("a".into()), Datum::Text("b".into())],
-            ],
-        );
-        c.values[0] = Some(vec![vec![Datum::Int(100), Datum::Int(200)].into()]);
+    /// A carrier built from nothing: `keys[j]` for index `j`, filled with
+    /// `results[j]` where that is `Some`.
+    fn built(
+        k1: Datum,
+        v1: Datum,
+        keys: &[Vec<Datum>],
+        results: &[Option<Vec<Vec<Datum>>>],
+    ) -> Carrier {
+        let mut c = Carrier::default();
+        c.open(Record { key: k1, value: v1 }, keys.len(), |_, input| {
+            for (j, list) in keys.iter().enumerate() {
+                list.iter().for_each(|key| input.put(j, key.clone()));
+            }
+        });
+        for (j, lists) in results.iter().enumerate() {
+            if let Some(lists) = lists {
+                c.fill(j, |_, out| out.extend(lists.iter().cloned().map(Arc::from)))
+                    .unwrap();
+            }
+        }
         c
+    }
+
+    fn text(s: &str) -> Datum {
+        Datum::Text(s.into())
+    }
+
+    fn sample() -> Carrier {
+        built(
+            Datum::Int(1),
+            text("v"),
+            &[vec![Datum::Int(10)], vec![text("a"), text("b")]],
+            &[Some(vec![vec![Datum::Int(100), Datum::Int(200)]]), None],
+        )
+    }
+
+    fn payload_of(c: &Carrier) -> Vec<u8> {
+        match c.encode(Datum::Null).value {
+            Datum::Bytes(buf) => buf,
+            other => panic!("carrier payload is {other:?}, not a byte buffer"),
+        }
+    }
+
+    fn payload(parts: &[Datum]) -> Datum {
+        let mut buf = Vec::new();
+        for part in parts {
+            part.encode_into(&mut buf);
+        }
+        Datum::Bytes(buf)
+    }
+
+    fn decode_err(carrier: &mut Carrier, value: Datum) -> String {
+        match carrier.decode(value) {
+            Err(Error::Decode(msg)) => msg,
+            other => panic!("expected a decode error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -240,35 +378,69 @@ mod tests {
         let c = sample();
         assert_eq!(c.single_key(0).unwrap(), &Datum::Int(10));
         assert!(c.single_key(1).is_err());
+        // No such index: zero keys, not an index out of bounds.
+        assert!(c.single_key(2).unwrap_err().to_string().contains("found 0"));
     }
 
     #[test]
     fn post_input_requires_complete() {
         let mut c = sample();
-        assert!(c.clone().into_post_input().is_err());
-        c.values[1] = Some(vec![Vec::new().into(), vec![Datum::Int(1)].into()]);
-        let (rec, out) = c.into_post_input().unwrap();
+        let err = c.post_input().unwrap_err().to_string();
+        assert!(err.contains("index 1 not looked up"), "{err}");
+        c.fill(1, |keys, out| {
+            assert_eq!(keys, [text("a"), text("b")]);
+            out.extend([Vec::new().into(), vec![Datum::Int(1)].into()]);
+        })
+        .unwrap();
+        let (rec, out) = c.post_input().unwrap();
         assert_eq!(rec, Record::new(1i64, "v"));
         assert_eq!(out.get(1)[1][..], [Datum::Int(1)]);
     }
 
     #[test]
+    fn a_slot_the_carrier_does_not_have_is_an_error() {
+        let mut c = sample();
+        let before = c.clone();
+        let err = c.fill(2, |_, _| panic!("nothing to fill")).unwrap_err();
+        assert!(matches!(err, Error::Decode(_)), "{err:?}");
+        assert_eq!(c, before);
+    }
+
+    #[test]
+    fn the_payload_size_follows_every_change() {
+        let mut c = Carrier::default();
+        assert_eq!(payload_of(&c).len() as u64, c.payload);
+        c = sample();
+        assert_eq!(payload_of(&c).len() as u64, c.payload);
+        // Filling, and filling again with something of another size.
+        for lists in [vec![vec![text("a long result"); 3], vec![]], vec![vec![]]] {
+            c.fill(1, |_, out| out.extend(lists.into_iter().map(Arc::from)))
+                .unwrap();
+            assert_eq!(payload_of(&c).len() as u64, c.payload);
+            let routing = text("route");
+            assert_eq!(
+                c.record_size_bytes(&routing),
+                c.encode(routing).size_bytes()
+            );
+        }
+    }
+
+    #[test]
     fn malformed_payload_rejected() {
-        let decode_err = |value: Datum| match Carrier::from_value(value) {
-            Err(Error::Decode(msg)) => msg,
-            other => panic!("expected a decode error, got {other:?}"),
-        };
-        let payload = |parts: &[Datum]| {
-            let mut buf = Vec::new();
-            for part in parts {
-                part.encode_into(&mut buf);
-            }
-            Datum::Bytes(buf)
+        let mut c = sample();
+        let mut decode_err = |value: Datum| {
+            let msg = decode_err(&mut c, value);
+            // What a failed parse leaves is a carrier like any other.
+            assert_eq!(c, Carrier::default());
+            assert_eq!(payload_of(&c).len() as u64, c.payload);
+            assert!(c.fill(0, |_, _| ()).is_err() && c.single_key(0).is_err());
+            msg
         };
         let lists = |n: usize| Datum::List(vec![Datum::List(vec![]); n]);
 
         // Not a buffer at all — the nested list of the old encoding included.
-        decode_err(Datum::Int(3));
+        let msg = decode_err(Datum::Int(3));
+        assert_eq!(msg, "carrier payload is not a byte buffer");
         decode_err(Datum::List(vec![
             Datum::Null,
             Datum::Null,
@@ -294,7 +466,8 @@ mod tests {
         let bad_result = Datum::List(vec![Datum::List(vec![Datum::Int(1)])]);
         decode_err(payload(&[Datum::Null, Datum::Null, lists(1), bad_result]));
         // Missing parts, an extra one, and differing arities.
-        decode_err(payload(&[Datum::Null, Datum::Null, lists(0)]));
+        let cut = decode_err(payload(&[Datum::Null, Datum::Null, lists(0)]));
+        assert_eq!(cut, "empty buffer");
         let trailing = decode_err(payload(&[
             Datum::Null,
             Datum::Null,
@@ -302,19 +475,101 @@ mod tests {
             lists(0),
             Datum::Null,
         ]));
-        assert!(trailing.contains("trailing"), "{trailing}");
+        assert_eq!(trailing, "1 trailing bytes in carrier payload");
         let arity = decode_err(payload(&[Datum::Null, Datum::Null, lists(2), lists(1)]));
-        assert!(arity.contains("arity"), "{arity}");
+        assert_eq!(arity, "carrier key/value arity mismatch");
+        let Datum::Bytes(mut truncated) = sample().encode(Datum::Null).value else {
+            panic!("a carrier payload is a byte buffer");
+        };
+        truncated.pop();
+        assert_eq!(decode_err(Datum::Bytes(truncated)), "empty buffer");
     }
 
     #[test]
     fn a_shared_result_list_is_read_not_taken() {
         // The cache-entry case: a second handle outlives the serialization.
-        let cached: Arc<[Datum]> = vec![Datum::Int(100), Datum::Text("r".into())].into();
+        let cached: Arc<[Datum]> = vec![Datum::Int(100), text("r")].into();
         let mut c = sample();
-        c.values[0] = Some(vec![cached.clone()]);
-        let rec = c.clone().into_record(Datum::Int(10));
-        assert_eq!(cached[..], [Datum::Int(100), Datum::Text("r".into())]);
-        assert_eq!(Carrier::from_record(rec).unwrap(), c);
+        c.fill(0, |_, out| out.push(cached.clone())).unwrap();
+        let rec = c.encode(Datum::Int(10));
+        assert_eq!(cached[..], [Datum::Int(100), text("r")]);
+        let mut back = Carrier::default();
+        back.decode(rec.value).unwrap();
+        assert_eq!(back, c);
+    }
+
+    /// Carriers from large to small: fewer indices, fewer keys an index,
+    /// fewer results a key, filled slots where the next has `Null`s.
+    fn shrinking() -> Vec<Carrier> {
+        let wide = |n: i64| -> Vec<Datum> { (0..n).map(|i| text(&format!("key-{i}"))).collect() };
+        vec![
+            built(
+                Datum::List(vec![Datum::Int(1), text("composite")]),
+                Datum::Bytes(vec![7; 40]),
+                &[wide(3), wide(2), wide(1)],
+                &[
+                    Some(vec![wide(4), wide(2), wide(0)]),
+                    Some(vec![wide(1), wide(3)]),
+                    Some(vec![wide(2)]),
+                ],
+            ),
+            built(
+                Datum::Int(2),
+                text("v"),
+                &[wide(1), wide(1), wide(2)],
+                &[None, Some(vec![wide(1)]), None],
+            ),
+            built(
+                Datum::Int(3),
+                Datum::Null,
+                &[wide(2), wide(0)],
+                &[Some(vec![wide(0), wide(1)]), None],
+            ),
+            built(Datum::Null, Datum::Int(4), &[wide(0)], &[Some(vec![])]),
+            built(Datum::Int(5), Datum::Null, &[], &[]),
+        ]
+    }
+
+    #[test]
+    fn a_reused_carrier_equals_a_fresh_one() {
+        let sequence = shrinking();
+        // Downhill, then back up, through one carrier.
+        let order = sequence.iter().chain(sequence.iter().rev());
+        let mut reused = Carrier::default();
+        for fresh in order {
+            let payload = payload_of(fresh);
+            reused.decode(Datum::Bytes(payload.clone())).unwrap();
+            assert_eq!(&reused, fresh);
+            assert_eq!(payload_of(&reused), payload);
+            assert_eq!(reused.num_indices(), fresh.num_indices());
+            for j in 0..fresh.num_indices() {
+                assert_eq!(reused.keys(j), fresh.keys(j));
+                assert_eq!(reused.results(j), fresh.results(j));
+            }
+        }
+        // Opened over the largest: nothing of it shows through.
+        let mut reopened = sequence[0].clone();
+        reopened.open(Record::new(9i64, "nine"), 2, |_, keys| keys.put(1, 9i64));
+        let fresh = built(
+            Datum::Int(9),
+            text("nine"),
+            &[vec![], vec![Datum::Int(9)]],
+            &[None, None],
+        );
+        assert_eq!(reopened, fresh);
+        assert_eq!(payload_of(&reopened), payload_of(&fresh));
+    }
+
+    #[test]
+    fn a_failed_decode_leaves_nothing_of_either_payload() {
+        let big = &shrinking()[0];
+        let mut cut = payload_of(big);
+        cut.truncate(cut.len() - 3);
+        let mut c = big.clone();
+        decode_err(&mut c, Datum::Bytes(cut));
+        assert_eq!(c, Carrier::default());
+        // And the carrier still takes the next payload.
+        c.decode(Datum::Bytes(payload_of(big))).unwrap();
+        assert_eq!(&c, big);
     }
 }

@@ -41,7 +41,7 @@ use crate::cache::{LookupCache, ShadowCache};
 use crate::carrier::Carrier;
 use crate::fault::{Breaker, FaultConfig};
 use crate::jobconf::{BoundOperator, IndexJobConf};
-use crate::operator::{IndexInput, IndexOperator};
+use crate::operator::IndexOperator;
 use crate::plan::{OperatorPlan, Strategy};
 use crate::statsx::names;
 
@@ -223,41 +223,72 @@ impl PreStep {
             shadow_capacity,
         }
     }
+}
 
-    fn shadows(&self) -> Vec<ShadowCache> {
-        (0..self.charged.len())
-            .map(|_| ShadowCache::new(self.shadow_capacity))
-            .collect()
+/// A [`PreStep`] inside one task: its shadow caches, and the counters it
+/// bumps once a record as plain tallies until `flush`.
+struct Opening {
+    step: Arc<PreStep>,
+    shadows: Vec<ShadowCache>,
+    n1: i64,
+    s1_bytes: i64,
+    spre_bytes: i64,
+    /// Per index, the records that extracted other than one key.
+    irregular: Vec<i64>,
+}
+
+impl Opening {
+    fn start(step: &Arc<PreStep>) -> Self {
+        let m = step.charged.len();
+        Opening {
+            step: step.clone(),
+            shadows: (0..m)
+                .map(|_| ShadowCache::new(step.shadow_capacity))
+                .collect(),
+            n1: 0,
+            s1_bytes: 0,
+            spre_bytes: 0,
+            irregular: vec![0; m],
+        }
     }
 
-    fn open(&self, shadows: &mut [ShadowCache], mut rec: Record, ctx: &mut TaskCtx) -> Carrier {
-        ctx.counters.bump(self.n1, 1);
-        ctx.counters.bump(self.s1_bytes, rec.size_bytes() as i64);
-        let mut keys = IndexInput::new(self.charged.len());
-        self.op.pre_process(&mut rec, &mut keys);
-        let key_lists = keys.into_keys();
-        for (j, list) in key_lists.iter().enumerate() {
-            for key in list {
-                self.charged[j].note_key(key, ctx);
-                shadows[j].observe(key);
+    fn open(&mut self, carrier: &mut Carrier, rec: Record, ctx: &mut TaskCtx) {
+        let step = &*self.step;
+        self.n1 += 1;
+        self.s1_bytes += rec.size_bytes() as i64;
+        carrier.open(rec, step.charged.len(), |rec, keys| {
+            step.op.pre_process(rec, keys)
+        });
+        for (j, charged) in step.charged.iter().enumerate() {
+            let keys = carrier.keys(j);
+            for key in keys {
+                charged.note_key(key, ctx);
+                self.shadows[j].observe(key);
             }
-            if list.len() != 1 {
-                ctx.counters.bump(self.irregular[j], 1);
-            }
+            self.irregular[j] += i64::from(keys.len() != 1);
         }
-        let carrier = Carrier::new(rec.key, rec.value, key_lists);
         // `Spre` is the size of the carrier record routed by the original
         // key — whether or not this segment ever builds that record.
-        let spre = carrier.record_size_bytes(&carrier.k1);
-        ctx.counters.bump(self.spre_bytes, spre as i64);
-        carrier
+        self.spre_bytes += carrier.record_size_bytes(carrier.k1()) as i64;
     }
 
-    fn flush(&self, shadows: &[ShadowCache], ctx: &mut TaskCtx) {
-        for (j, shadow) in shadows.iter().enumerate() {
+    /// Writes exactly the entries bumping once a record would have made:
+    /// none of the three without a record, `nik.irregular` only where some
+    /// record was.
+    fn flush(&self, ctx: &mut TaskCtx) {
+        let step = &*self.step;
+        if self.n1 > 0 {
+            ctx.counters.bump(step.n1, self.n1);
+            ctx.counters.bump(step.s1_bytes, self.s1_bytes);
+            ctx.counters.bump(step.spre_bytes, self.spre_bytes);
+        }
+        for (j, shadow) in self.shadows.iter().enumerate() {
+            if self.irregular[j] > 0 {
+                ctx.counters.bump(step.irregular[j], self.irregular[j]);
+            }
             ctx.counters
-                .bump(self.shadow_probes[j], shadow.probes() as i64);
-            ctx.counters.bump(self.shadow_hits[j], shadow.hits() as i64);
+                .bump(step.shadow_probes[j], shadow.probes() as i64);
+            ctx.counters.bump(step.shadow_hits[j], shadow.hits() as i64);
         }
     }
 }
@@ -291,27 +322,24 @@ impl DirectStep {
         mut breaker: Option<&mut Breaker>,
         carrier: &mut Carrier,
         ctx: &mut TaskCtx,
-    ) {
-        let keys = std::mem::take(&mut carrier.keys[self.slot]);
-        let mut results = Vec::with_capacity(keys.len());
-        for key in &keys {
-            let mut fetch = || {
-                self.charged
-                    .lookup_guarded(key, LookupMode::Remote, ctx, breaker.as_deref_mut())
-            };
-            // Hits and fresh-insert clones are Arc refcount bumps; the
-            // cached value list itself is never deep-copied here.
-            results.push(match cache.as_deref_mut() {
-                Some(cache) => cache.probe(key).unwrap_or_else(|| {
-                    let fresh = fetch();
-                    cache.insert(key.clone(), fresh.clone());
-                    fresh
-                }),
-                None => fetch(),
-            });
-        }
-        carrier.keys[self.slot] = keys;
-        carrier.values[self.slot] = Some(results);
+    ) -> Result<()> {
+        let charged = &self.charged;
+        carrier.fill(self.slot, |keys, results| {
+            for key in keys {
+                let mut fetch =
+                    || charged.lookup_guarded(key, LookupMode::Remote, ctx, breaker.as_deref_mut());
+                // Hits and fresh-insert clones are Arc refcount bumps; the
+                // cached value list itself is never deep-copied here.
+                results.push(match cache.as_deref_mut() {
+                    Some(cache) => cache.probe(key).unwrap_or_else(|| {
+                        let fresh = fetch();
+                        cache.insert(key.clone(), fresh.clone());
+                        fresh
+                    }),
+                    None => fetch(),
+                });
+            }
+        })
     }
 
     fn flush(&self, cache: &LookupCache, ctx: &mut TaskCtx) {
@@ -370,27 +398,6 @@ struct PostStep {
     c_post_out: CounterHandle,
 }
 
-impl PostStep {
-    fn close(&self, carrier: Carrier, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        // `Sidx`: the carrier record a lookup stage hands on is routed by
-        // the original key again.
-        let sidx = carrier.record_size_bytes(&carrier.k1);
-        ctx.counters.bump(self.c_sidx_bytes, sidx as i64);
-        let (prec, iout) = match carrier.into_post_input() {
-            Ok(v) => v,
-            Err(e) => return ctx.fail(format!("post stage: {e}")),
-        };
-        let mut metered = Metered {
-            out,
-            bytes: 0,
-            records: 0,
-        };
-        self.op.post_process(prec, &iout, &mut metered);
-        ctx.counters.bump(self.c_spost_bytes, metered.bytes as i64);
-        ctx.counters.bump(self.c_post_out, metered.records);
-    }
-}
-
 /// Forwards what `postProcess` emits and adds up its size and count on the
 /// way, so the `Spost` statistics need no buffer and no second pass.
 struct Metered<'a> {
@@ -446,10 +453,16 @@ impl Run {
 
 /// A [`Run`] inside one task: every direct lookup owns a lookup cache
 /// (when its strategy caches) and a circuit breaker (when faults are
-/// configured).
+/// configured), and the [`PostStep`] counters are plain tallies until
+/// `flush`.
 struct Running {
     lookups: Vec<(Arc<DirectStep>, Option<LookupCache>, Option<Breaker>)>,
     end: End,
+    sidx_bytes: i64,
+    /// Carriers `postProcess` was handed, and what it made of them.
+    posted: i64,
+    spost_bytes: i64,
+    post_out: i64,
 }
 
 impl Running {
@@ -461,60 +474,98 @@ impl Running {
                 .map(|d| (d.clone(), d.new_cache(), d.charged.new_breaker()))
                 .collect(),
             end: run.end.clone(),
+            sidx_bytes: 0,
+            posted: 0,
+            spost_bytes: 0,
+            post_out: 0,
         }
     }
 
-    /// Takes an open carrier through the run. It is serialized only if it
+    /// Takes the open carrier through the run. It is serialized only if it
     /// leaves the task still open.
-    fn advance(&mut self, mut carrier: Carrier, out: &mut dyn Collector, ctx: &mut TaskCtx) {
+    fn advance(&mut self, carrier: &mut Carrier, out: &mut dyn Collector, ctx: &mut TaskCtx) {
         for (d, cache, breaker) in &mut self.lookups {
-            d.fill(cache.as_mut(), breaker.as_mut(), &mut carrier, ctx);
+            if let Err(e) = d.fill(cache.as_mut(), breaker.as_mut(), carrier, ctx) {
+                return ctx.fail(format!("lookup stage: {e}"));
+            }
         }
         let routing = match &self.end {
-            End::Post(p) => return p.close(carrier, out, ctx),
+            End::Post(post) => {
+                // `Sidx`: the carrier record a lookup stage hands on is
+                // routed by the original key again.
+                self.sidx_bytes += carrier.record_size_bytes(carrier.k1()) as i64;
+                let (rec, values) = match carrier.post_input() {
+                    Ok(v) => v,
+                    Err(e) => return ctx.fail(format!("post stage: {e}")),
+                };
+                let mut metered = Metered {
+                    out,
+                    bytes: 0,
+                    records: 0,
+                };
+                post.op.post_process(rec, values, &mut metered);
+                self.posted += 1;
+                self.spost_bytes += metered.bytes as i64;
+                self.post_out += metered.records;
+                return;
+            }
             End::Rekey(slot) => match carrier.single_key(*slot) {
                 Ok(key) => key.clone(),
                 Err(e) => return ctx.fail(format!("rekey stage: {e}")),
             },
-            End::Boundary => carrier.k1.clone(),
+            End::Boundary => carrier.k1().clone(),
         };
-        out.collect(carrier.into_record(routing));
+        out.collect(carrier.encode(routing));
     }
 
+    /// Writes exactly the entries bumping once a record would have made:
+    /// `sidx.bytes` if a carrier reached `postProcess`, the `Spost` pair —
+    /// be it at zero — if one was let in.
     fn flush(&self, ctx: &mut TaskCtx) {
         for (d, cache, _) in &self.lookups {
             if let Some(cache) = cache {
                 d.flush(cache, ctx);
             }
         }
+        if let End::Post(post) = &self.end {
+            if self.sidx_bytes > 0 {
+                ctx.counters.bump(post.c_sidx_bytes, self.sidx_bytes);
+            }
+            if self.posted > 0 {
+                ctx.counters.bump(post.c_spost_bytes, self.spost_bytes);
+                ctx.counters.bump(post.c_post_out, self.post_out);
+            }
+        }
     }
 }
 
 /// A maximal run of one operator's carrier steps inside one map (or
-/// `reduce_post`) chain, executed on one in-memory carrier per record. The
+/// `reduce_post`) chain, executed on the task's one in-memory carrier. The
 /// carrier is parsed only when the run continues one that an earlier task
 /// serialized (`pre` is `None`).
 struct SegmentMapper {
-    pre: Option<(Arc<PreStep>, Vec<ShadowCache>)>,
+    pre: Option<Opening>,
     run: Running,
+    carrier: Carrier,
 }
 
 impl Mapper for SegmentMapper {
     fn map(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        let carrier = match &mut self.pre {
-            Some((pre, shadows)) => pre.open(shadows, rec, ctx),
-            None => match Carrier::from_value(rec.value) {
-                Ok(c) => c,
+        match &mut self.pre {
+            Some(pre) => pre.open(&mut self.carrier, rec, ctx),
+            None => {
                 // Only a direct lookup opens a chain on a stored carrier.
-                Err(e) => return ctx.fail(format!("lookup stage: {e}")),
-            },
-        };
-        self.run.advance(carrier, out, ctx);
+                if let Err(e) = self.carrier.decode(rec.value) {
+                    return ctx.fail(format!("lookup stage: {e}"));
+                }
+            }
+        }
+        self.run.advance(&mut self.carrier, out, ctx);
     }
 
     fn flush(&mut self, _out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        if let Some((pre, shadows)) = &self.pre {
-            pre.flush(shadows, ctx);
+        if let Some(pre) = &self.pre {
+            pre.flush(ctx);
         }
         self.run.flush(ctx);
     }
@@ -527,6 +578,7 @@ struct SegmentReducer {
     /// Per-task circuit breaker (present only when faults are configured).
     breaker: Option<Breaker>,
     run: Running,
+    carrier: Carrier,
 }
 
 impl Reducer for SegmentReducer {
@@ -538,12 +590,14 @@ impl Reducer for SegmentReducer {
         ctx: &mut TaskCtx,
     ) {
         let result = self.group.lookup(&key, self.breaker.as_mut(), ctx);
+        let carrier = &mut self.carrier;
         for payload in values {
-            let mut carrier = match Carrier::from_value(payload) {
-                Ok(c) => c,
-                Err(e) => return ctx.fail(format!("group lookup stage: {e}")),
-            };
-            carrier.values[self.group.slot] = Some(vec![result.clone()]);
+            let filled = carrier.decode(payload).and_then(|()| {
+                carrier.fill(self.group.slot, |_, results| results.push(result.clone()))
+            });
+            if let Err(e) = filled {
+                return ctx.fail(format!("group lookup stage: {e}"));
+            }
             self.run.advance(carrier, out, ctx);
         }
     }
@@ -622,8 +676,9 @@ impl Link {
             Link::Plain(factory) => factory,
             Link::Segment(pre, run) => Arc::new(move || {
                 Box::new(SegmentMapper {
-                    pre: pre.as_ref().map(|p| (p.clone(), p.shadows())),
+                    pre: pre.as_ref().map(Opening::start),
                     run: Running::start(&run),
+                    carrier: Carrier::default(),
                 })
             }),
         }
@@ -897,6 +952,7 @@ pub fn compile_pipeline(
                             group: group.clone(),
                             breaker: group.charged.new_breaker(),
                             run: Running::start(&run),
+                            carrier: Carrier::default(),
                         })
                     }))
                 }
@@ -916,7 +972,7 @@ pub fn compile_pipeline(
 mod tests {
     use super::*;
     use crate::accessor::testutil::MemIndex;
-    use crate::operator::{operator_fn, IndexOutput};
+    use crate::operator::{operator_fn, IndexInput, IndexOutput};
     use crate::plan::forced_plan;
     use efind_cluster::Cluster;
     use efind_cluster::SimTime;
@@ -1046,22 +1102,32 @@ mod tests {
         }
     }
 
-    fn filled_carrier(k: i64) -> Carrier {
-        let mut carrier = Carrier::new(Datum::Int(k), "v1".into(), vec![vec![Datum::Int(k)]]);
-        carrier.values[0] = Some(vec![vec![Datum::Text(format!("looked-{k}"))].into()]);
-        carrier
+    /// [`fanout_post`] as the end of a run without lookups, taken over
+    /// carriers `k1 = k`, each filled with `looked-k`, and flushed.
+    fn close_filled(ks: &[i64]) -> (Vec<Record>, TaskCtx) {
+        let mut run = Running::start(&Run {
+            lookups: Vec::new(),
+            end: End::Post(Arc::new(fanout_post())),
+        });
+        let mut ctx = TaskCtx::new(0);
+        let mut out: Vec<Record> = Vec::new();
+        // One carrier for all of them, as in a task.
+        let mut carrier = Carrier::default();
+        for &k in ks {
+            carrier.open(Record::new(k, "v1"), 1, |_, keys| keys.put(0, k));
+            let looked: Arc<[Datum]> = vec![Datum::Text(format!("looked-{k}"))].into();
+            carrier.fill(0, |_, results| results.push(looked)).unwrap();
+            run.advance(&mut carrier, &mut out, &mut ctx);
+        }
+        run.flush(&mut ctx);
+        (out, ctx)
     }
 
     #[test]
     fn metered_post_output_equals_the_buffered_one() {
         // Every literal below was captured from the buffering `close`
         // (a `Vec<Record>` per input record, sized in a second pass).
-        let post = fanout_post();
-        let mut ctx = TaskCtx::new(0);
-        let mut out: Vec<Record> = Vec::new();
-        for k in [2, 0, 1, 5, 3] {
-            post.close(filled_carrier(k), &mut out, &mut ctx);
-        }
+        let (out, ctx) = close_filled(&[2, 0, 1, 5, 3]);
         let text = |s: &str| Datum::Text(s.into());
         let three = |k: i64| {
             vec![
@@ -1088,10 +1154,7 @@ mod tests {
         // The golden fingerprints hash the counter map's key set, and a
         // zero bump creates its entry: both `Spost` counters must exist,
         // at zero.
-        let post = fanout_post();
-        let mut ctx = TaskCtx::new(0);
-        let mut out: Vec<Record> = Vec::new();
-        post.close(filled_carrier(3), &mut out, &mut ctx);
+        let (out, ctx) = close_filled(&[3]);
         assert!(out.is_empty());
         assert_eq!(
             ctx.counters.iter_sorted(),
@@ -1101,6 +1164,114 @@ mod tests {
                 (Arc::from("efind.fan.spost.bytes"), 0),
             ]
         );
+        // A task that closed nothing has none of the three.
+        assert!(close_filled(&[]).1.counters.is_empty());
+    }
+
+    /// One task-owned carrier must not carry one record into the next:
+    /// `pre_process` puts 0, 1, 2, 1, 0 keys on successive records, finds
+    /// its `IndexInput` empty every time, and `post_process` is handed the
+    /// result lists of its own record's keys and no others.
+    #[test]
+    fn successive_records_see_nothing_of_each_other() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let index = Arc::new(MemIndex::new(
+            "tens",
+            (0..10i64)
+                .map(|i| (Datum::Int(i), vec![Datum::Int(i * 10)]))
+                .collect(),
+        ));
+        let stale = Arc::new(AtomicBool::new(false));
+        let saw_stale = stale.clone();
+        let op = operator_fn(
+            "vary",
+            1,
+            move |rec: &mut Record, keys: &mut IndexInput| {
+                if keys.num_indices() != 1 || !keys.keys(0).is_empty() {
+                    saw_stale.store(true, Ordering::Relaxed);
+                }
+                let k = rec.key.as_int().unwrap();
+                for i in 0..k % 3 {
+                    keys.put(0, k + i);
+                }
+            },
+            |rec: Record, values: &IndexOutput, out: &mut dyn Collector| {
+                let lists = values.get(0).iter().map(|l| Datum::List(l.to_vec()));
+                out.collect(Record::new(rec.key, Datum::List(lists.collect())));
+            },
+        );
+        let bound = BoundOperator::new(op).add_index(index);
+        for strategy in [Strategy::Cache, Strategy::Baseline] {
+            let mut plans = FxHashMap::default();
+            plans.insert("vary".to_owned(), forced_plan(&bound.caps(), strategy));
+            let ijob = IndexJobConf::new("s", "in", "out").add_head_index_operator(bound.clone());
+            let compiled = compile_pipeline(&ijob, &plans, &env()).unwrap();
+            let input = [3i64, 1, 2, 4, 6].map(|k| Record::new(k, "x")).to_vec();
+            let mut ctx = TaskCtx::new(0);
+            let out = efind_mapreduce::api::run_chain(&compiled.jobs[0].map_chain, input, &mut ctx);
+            let looked = |keys: &[i64]| {
+                Datum::List(
+                    keys.iter()
+                        .map(|k| Datum::List(vec![Datum::Int(k * 10)]))
+                        .collect(),
+                )
+            };
+            let expected = vec![
+                Record::new(3i64, looked(&[])),
+                Record::new(1i64, looked(&[1])),
+                Record::new(2i64, looked(&[2, 3])),
+                Record::new(4i64, looked(&[4])),
+                Record::new(6i64, looked(&[])),
+            ];
+            assert_eq!(out, expected, "{strategy:?}");
+            assert!(ctx.error().is_none() && !stale.load(Ordering::Relaxed));
+            assert_eq!(ctx.counters.get("efind.vary.0.nik.irregular"), 3);
+        }
+    }
+
+    /// A group of several payloads through the shuffling job's reduce: the
+    /// one result reaches each, and no payload shows the `k1`, `v1` or keys
+    /// of the one before it — the wider one included.
+    #[test]
+    fn a_group_fans_its_result_out_to_every_payload() {
+        use Strategy::{Cache, Repartition};
+        // Index `a` (slot 0) is shuffled; job 0's reduce fills it and
+        // stores the carrier, still open for `b`.
+        let compiled = compile_two_index("head", [Repartition, Cache]);
+        let stored = |k1: i64, v1: &str, b_keys: &[i64]| -> Datum {
+            let mut carrier = Carrier::default();
+            carrier.open(Record::new(k1, v1), 2, |_, keys| {
+                keys.put(0, 4i64);
+                b_keys.iter().for_each(|&k| keys.put(1, k));
+            });
+            carrier.encode(Datum::Int(4)).value
+        };
+        let group = vec![
+            stored(14, "a long first value", &[0, 1, 2]),
+            stored(24, "", &[3]),
+            stored(4, "x", &[]),
+        ];
+        let mut reducer = (compiled.jobs[0].reducer.as_ref().unwrap())();
+        let mut ctx = TaskCtx::new(0);
+        let mut out: Vec<Record> = Vec::new();
+        reducer.reduce(Datum::Int(4), group, &mut out, &mut ctx);
+        reducer.flush(&mut out, &mut ctx);
+        assert_eq!(ctx.error(), None);
+        assert_eq!(ctx.counters.get("efind.pair.0.lookups"), 1);
+
+        let expect = |k1: i64, v1: &str, b_keys: &[i64]| {
+            let mut carrier = Carrier::default();
+            carrier.decode(stored(k1, v1, b_keys)).unwrap();
+            let a4: Arc<[Datum]> = vec![Datum::Text("a4".into())].into();
+            carrier.fill(0, |_, results| results.push(a4)).unwrap();
+            carrier.encode(Datum::Int(k1))
+        };
+        let expected = vec![
+            expect(14, "a long first value", &[0, 1, 2]),
+            expect(24, "", &[3]),
+            expect(4, "x", &[]),
+        ];
+        assert_eq!(out, expected);
     }
 
     #[test]
@@ -1388,15 +1559,7 @@ mod tests {
         let compiled = compile_two_index("head", [Repartition, Cache]);
         let garbage = failure_of(&compiled.jobs[1].map_chain, Datum::Int(3));
         assert!(garbage.starts_with("lookup stage: "), "{garbage}");
-        let unfilled = Carrier::new(
-            Datum::Int(1),
-            Datum::Null,
-            vec![vec![Datum::Int(1)], vec![Datum::Int(1)]],
-        );
-        let unfilled = failure_of(
-            &compiled.jobs[1].map_chain,
-            unfilled.into_record(Datum::Int(1)).value,
-        );
+        let unfilled = failure_of(&compiled.jobs[1].map_chain, stored_pair(1));
         assert!(
             unfilled.starts_with("post stage: ") && unfilled.contains("index 0 not looked up"),
             "{unfilled}"
@@ -1415,15 +1578,38 @@ mod tests {
                 "{garbage}"
             );
         }
+        // A payload of another operator's arity has no slot for the
+        // group's result, or for the next lookup's.
+        let narrow = Carrier::default().encode(Datum::Int(1)).value;
+        let mut reducer = (compiled.jobs[0].reducer.as_ref().unwrap())();
+        let mut ctx = TaskCtx::new(0);
+        reducer.reduce(
+            Datum::Int(1),
+            vec![narrow.clone()],
+            &mut Vec::new(),
+            &mut ctx,
+        );
+        let no_slot = ctx.error().expect("the task must fail");
+        assert!(
+            no_slot.starts_with("group lookup stage: ") && no_slot.contains("has no slot 0"),
+            "{no_slot}"
+        );
+        let no_slot = failure_of(&compiled.jobs[1].map_chain, narrow);
+        assert!(
+            no_slot.starts_with("lookup stage: ") && no_slot.contains("has no slot 1"),
+            "{no_slot}"
+        );
     }
 
     /// The payload of a stored, unfilled [`two_index_op`] carrier with
     /// `slot1_keys` lookup keys for index `b`.
     fn stored_pair(slot1_keys: usize) -> Datum {
-        let keys = vec![vec![Datum::Int(1)], vec![Datum::Int(1); slot1_keys]];
-        Carrier::new(Datum::Int(1), Datum::Null, keys)
-            .into_record(Datum::Int(1))
-            .value
+        let mut carrier = Carrier::default();
+        carrier.open(Record::new(1i64, Datum::Null), 2, |_, keys| {
+            keys.put(0, 1i64);
+            (0..slot1_keys).for_each(|_| keys.put(1, 1i64));
+        });
+        carrier.encode(Datum::Int(1)).value
     }
 
     /// `payload` as a shuffle or a file would hand it on had it lost its

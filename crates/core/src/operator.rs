@@ -15,7 +15,7 @@ use efind_mapreduce::Collector;
 /// (the `{{ik_1}, …, {ik_m}}` of Fig. 2).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IndexInput {
-    keys: Vec<Vec<Datum>>,
+    pub(crate) keys: Vec<Vec<Datum>>,
 }
 
 impl IndexInput {
@@ -40,11 +40,6 @@ impl IndexInput {
     pub fn keys(&self, index: usize) -> &[Datum] {
         &self.keys[index]
     }
-
-    /// Consumes the input, returning the per-index key lists.
-    pub fn into_keys(self) -> Vec<Vec<Datum>> {
-        self.keys
-    }
 }
 
 /// Lookup results handed to `post_process`: for each index, one value list
@@ -55,7 +50,7 @@ impl IndexInput {
 /// stay shared all the way into `post_process`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IndexOutput {
-    values: Vec<Vec<Arc<[Datum]>>>,
+    pub(crate) values: Vec<Vec<Arc<[Datum]>>>,
 }
 
 impl IndexOutput {

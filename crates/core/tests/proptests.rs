@@ -205,7 +205,7 @@ proptest! {
 mod carrier {
     use super::*;
     use efind::carrier::Carrier;
-    use efind_common::Error;
+    use efind_common::{Error, Record};
     use proptest::collection::vec;
     use proptest::option;
 
@@ -222,19 +222,51 @@ mod carrier {
         leaf.prop_recursive(2, 16, 4, |inner| vec(inner, 0..4).prop_map(Datum::List))
     }
 
+    /// One index slot: its keys and, when filled, one result list per key.
+    type Slot = (Vec<Datum>, Option<Vec<Vec<Datum>>>);
+
+    /// Takes `c` — whatever it held — to `(k1, v1, slots)`.
+    fn set(c: &mut Carrier, k1: &Datum, v1: &Datum, slots: &[Slot]) {
+        let rec = Record {
+            key: k1.clone(),
+            value: v1.clone(),
+        };
+        c.open(rec, slots.len(), |_, input| {
+            for (j, (keys, _)) in slots.iter().enumerate() {
+                keys.iter().for_each(|key| input.put(j, key.clone()));
+            }
+        });
+        for (j, (_, results)) in slots.iter().enumerate() {
+            if let Some(lists) = results {
+                c.fill(j, |_, out| {
+                    out.extend(lists.iter().cloned().map(Into::into))
+                })
+                .unwrap();
+            }
+        }
+    }
+
     /// 0–3 index slots of 0–3 keys each; a slot is unfilled, or filled
     /// with one (possibly empty) result list per key.
-    fn arb_carrier() -> impl Strategy<Value = Carrier> {
+    fn arb_parts() -> impl Strategy<Value = (Datum, Datum, Vec<Slot>)> {
         let slot = (
             vec(arb_datum(), 0..=3),
             option::of(vec(vec(arb_datum(), 0..=3), 3..=3)),
-        );
-        (arb_datum(), arb_datum(), vec(slot, 0..=3)).prop_map(|(k1, v1, slots)| {
-            let mut c = Carrier::new(k1, v1, slots.iter().map(|(k, _)| k.clone()).collect());
-            for (j, (keys, results)) in slots.into_iter().enumerate() {
-                c.values[j] = results
-                    .map(|lists| lists.into_iter().take(keys.len()).map(Into::into).collect());
-            }
+        )
+            .prop_map(|(keys, results)| {
+                let results = results.map(|mut lists| {
+                    lists.truncate(keys.len());
+                    lists
+                });
+                (keys, results)
+            });
+        (arb_datum(), arb_datum(), vec(slot, 0..=3))
+    }
+
+    fn arb_carrier() -> impl Strategy<Value = Carrier> {
+        arb_parts().prop_map(|(k1, v1, slots)| {
+            let mut c = Carrier::default();
+            set(&mut c, &k1, &v1, &slots);
             c
         })
     }
@@ -242,37 +274,33 @@ mod carrier {
     /// The wire-format oracle: the payload as the nested `Datum::List` the
     /// carrier was serialized to before it became one flat buffer.
     fn nested_payload(c: &Carrier) -> Datum {
-        let keys = c.keys.iter().cloned().map(Datum::List).collect();
-        let values = c
-            .values
-            .iter()
-            .map(|slot| match slot {
-                None => Datum::Null,
-                Some(per_key) => {
-                    Datum::List(per_key.iter().map(|l| Datum::List(l.to_vec())).collect())
-                }
-            })
-            .collect();
+        let indices = 0..c.num_indices();
+        let keys = indices.clone().map(|j| Datum::List(c.keys(j).to_vec()));
+        let values = indices.map(|j| match c.results(j) {
+            None => Datum::Null,
+            Some(per_key) => Datum::List(per_key.iter().map(|l| Datum::List(l.to_vec())).collect()),
+        });
         Datum::List(vec![
-            c.k1.clone(),
-            c.v1.clone(),
-            Datum::List(keys),
-            Datum::List(values),
+            c.k1().clone(),
+            c.v1().clone(),
+            Datum::List(keys.collect()),
+            Datum::List(values.collect()),
         ])
     }
 
     fn payload_of(c: &Carrier) -> Vec<u8> {
-        match c.clone().into_record(Datum::Null).value {
+        match c.encode(Datum::Null).value {
             Datum::Bytes(buf) => buf,
             other => panic!("carrier payload is {other:?}, not a byte buffer"),
         }
     }
 
-    /// Parsing bytes that are not a carrier's is a decode error or — when
-    /// they happen to spell one — a carrier, and nothing else.
-    fn parse(bytes: Vec<u8>) -> Option<Carrier> {
-        match Carrier::from_value(Datum::Bytes(bytes)) {
-            Ok(c) => Some(c),
+    /// Parsing bytes that are not a carrier's — over `onto`, a carrier that
+    /// holds one — is a decode error or, when they happen to spell one, a
+    /// carrier, and nothing else.
+    fn parse(mut onto: Carrier, bytes: Vec<u8>) -> Option<Carrier> {
+        match onto.decode(Datum::Bytes(bytes)) {
+            Ok(()) => Some(onto),
             Err(Error::Decode(_)) => None,
             Err(other) => panic!("not a decode error: {other:?}"),
         }
@@ -286,30 +314,63 @@ mod carrier {
         }
 
         #[test]
-        fn damaged_payloads_are_decode_errors_never_panics(c in arb_carrier()) {
+        fn damaged_payloads_are_decode_errors_never_panics(
+            c in arb_carrier(),
+            held in arb_carrier(),
+        ) {
             let payload = payload_of(&c);
             // A strict prefix always lacks at least the end of the values
             // list; anything appended is trailing.
             for cut in 0..payload.len() {
-                prop_assert_eq!(parse(payload[..cut].to_vec()), None, "cut at {}", cut);
+                let cut_short = parse(held.clone(), payload[..cut].to_vec());
+                prop_assert_eq!(cut_short, None, "cut at {}", cut);
             }
             let mut longer = payload.clone();
             longer.push(0);
-            prop_assert_eq!(parse(longer), None);
+            prop_assert_eq!(parse(held.clone(), longer), None);
             for at in 0..payload.len() {
                 for mask in [0x01, 0x06, 0x80, 0xFF] {
                     let mut flipped = payload.clone();
                     flipped[at] ^= mask;
-                    let _ = parse(flipped);
+                    // Whatever it parsed to, the size it claims is its own.
+                    if let Some(parsed) = parse(held.clone(), flipped) {
+                        prop_assert_eq!(
+                            parsed.record_size_bytes(&Datum::Null),
+                            parsed.encode(Datum::Null).size_bytes()
+                        );
+                    }
                 }
             }
         }
 
         #[test]
-        fn carrier_survives_the_record_roundtrip(c in arb_carrier(), routing in arb_datum()) {
-            let rec = c.clone().into_record(routing.clone());
+        fn carrier_survives_the_record_roundtrip(
+            c in arb_carrier(),
+            held in arb_carrier(),
+            routing in arb_datum(),
+        ) {
+            let rec = c.encode(routing.clone());
             prop_assert_eq!(&rec.key, &routing);
-            prop_assert_eq!(Carrier::from_record(rec).unwrap(), c);
+            // Decoded over what another record left behind, and over nothing.
+            for mut onto in [held, Carrier::default()] {
+                onto.decode(rec.value.clone()).unwrap();
+                prop_assert_eq!(&onto, &c);
+                prop_assert_eq!(onto.encode(routing.clone()), rec.clone());
+            }
+        }
+
+        #[test]
+        fn a_reused_carrier_is_the_fresh_one(
+            parts in arb_parts(),
+            held in arb_carrier(),
+        ) {
+            let (k1, v1, slots) = parts;
+            let mut held = held;
+            let mut fresh = Carrier::default();
+            set(&mut fresh, &k1, &v1, &slots);
+            set(&mut held, &k1, &v1, &slots);
+            prop_assert_eq!(&held, &fresh);
+            prop_assert_eq!(payload_of(&held), payload_of(&fresh));
         }
 
         #[test]
@@ -319,7 +380,7 @@ mod carrier {
         ) {
             prop_assert_eq!(
                 c.record_size_bytes(&routing),
-                c.clone().into_record(routing).size_bytes()
+                c.encode(routing).size_bytes()
             );
         }
     }

@@ -1,0 +1,233 @@
+//! A segment takes every record of its task through one carrier, so once
+//! the lookup cache and the carrier's buffers are warm, a record whose
+//! operator allocates nothing costs no allocator call on the cache path,
+//! and exactly the payload buffer where it leaves the task through a
+//! shuffle. Its own test binary: the check needs a `#[global_allocator]`
+//! that counts calls.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use efind::carrier::Carrier;
+use efind::compile::{compile_pipeline, CompiledPipeline, RuntimeEnv};
+use efind::{
+    forced_plan, operator_fn, BoundOperator, FaultConfig, HedgeConfig, IndexAccessor, IndexInput,
+    IndexJobConf, IndexOutput, LookupResult, Strategy,
+};
+use efind_cluster::{
+    ChaosPlan, CorruptionPlan, DetectorConfig, NetworkModel, PartitionPlan, SimDuration,
+    TenancyConfig,
+};
+use efind_common::{Datum, Error, FxHashMap, Record};
+use efind_mapreduce::{Collector, TaskCtx};
+
+thread_local! {
+    /// Calls this thread has made of the allocator, and the bytes asked for.
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+    /// Largest single request.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the bookkeeping touches only const-initialised,
+// destructor-free thread-local `Cell`s, which neither allocate nor unwind.
+// `realloc` is the provided one, which goes through `alloc` and is counted.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|b| b.set(b.get() + layout.size()));
+        LARGEST.with(|l| l.set(l.get().max(layout.size())));
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Allocator calls and bytes `f` made on this thread.
+fn counted(f: impl FnOnce()) -> (usize, usize) {
+    let before = (CALLS.with(Cell::get), BYTES.with(Cell::get));
+    f();
+    (
+        CALLS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
+}
+
+const KEYS: i64 = 1_000;
+const RECORDS: i64 = 10_000;
+/// Every key has been seen — cache, shadow cache, counters and the
+/// carrier's lists have what they will ever hold.
+const WARM: usize = 1_100;
+
+/// `key → [key * 2]`, stored as the blocks a lookup hands out.
+struct Stored(Vec<Arc<[Datum]>>);
+
+impl IndexAccessor for Stored {
+    fn name(&self) -> &str {
+        "stored"
+    }
+    fn lookup(&self, key: &Datum) -> Vec<Datum> {
+        self.0[key.as_int().expect("int key") as usize].to_vec()
+    }
+    fn try_lookup(&self, key: &Datum) -> LookupResult {
+        LookupResult::Hit(self.0[key.as_int().expect("int key") as usize].clone())
+    }
+    fn serve_time(&self, _key: &Datum, _result_bytes: u64) -> SimDuration {
+        SimDuration::from_micros(100)
+    }
+}
+
+/// A map-only join whose operator allocates nothing: an `Int` key, the
+/// value projected to `Null`, one `(k1, Int)` record out.
+fn pipeline(strategy: Strategy) -> CompiledPipeline {
+    let op = operator_fn(
+        "join",
+        1,
+        |rec: &mut Record, keys: &mut IndexInput| {
+            keys.put(0, rec.key.clone());
+            rec.value = Datum::Null;
+        },
+        |rec: Record, values: &IndexOutput, out: &mut dyn Collector| {
+            out.collect(Record {
+                key: rec.key,
+                value: values.first(0)[0].clone(),
+            });
+        },
+    );
+    let blocks = (0..KEYS).map(|k| vec![Datum::Int(k * 2)].into()).collect();
+    let bound = BoundOperator::new(op).add_index(Arc::new(Stored(blocks)));
+    let mut plans = FxHashMap::default();
+    plans.insert("join".to_owned(), forced_plan(&bound.caps(), strategy));
+    let ijob = IndexJobConf::new("budget", "in", "out").add_head_index_operator(bound);
+    let env = RuntimeEnv {
+        network: NetworkModel::gigabit(),
+        t_cache: SimDuration::from_micros(1),
+        cache_capacity: 1024,
+        shuffle_reducers: 1,
+        intermediate_chunks: 1,
+        hard_colocation: false,
+        faults: FaultConfig::disabled(),
+        corruption: CorruptionPlan::none(),
+        dfs_replication: 2,
+        chaos: ChaosPlan::none(),
+        cluster_nodes: 3,
+        netsplit: PartitionPlan::none(),
+        detector: DetectorConfig::default(),
+        hedge: HedgeConfig::disabled(),
+        measured: Vec::new(),
+        tenancy: TenancyConfig::none(),
+        tenant: None,
+    };
+    compile_pipeline(&ijob, &plans, &env).expect("the pipeline compiles")
+}
+
+fn input() -> Vec<Record> {
+    (0..RECORDS)
+        .map(|i| Record::new(i % KEYS, Datum::Int(i)))
+        .collect()
+}
+
+/// The segment's own mapper over `input`, into an output vector that never
+/// grows: allocator calls and bytes for the records behind the warm-up.
+fn map_side(pipeline: &CompiledPipeline, input: Vec<Record>) -> (Vec<Record>, usize, usize) {
+    let mut segment = (pipeline.jobs[0].map_chain[0])();
+    let mut out: Vec<Record> = Vec::with_capacity(input.len());
+    let mut ctx = TaskCtx::new(0);
+    let mut records = input.into_iter();
+    for rec in records.by_ref().take(WARM) {
+        segment.map(rec, &mut out, &mut ctx);
+    }
+    let (calls, bytes) = counted(|| {
+        for rec in records {
+            segment.map(rec, &mut out, &mut ctx);
+        }
+    });
+    segment.flush(&mut out, &mut ctx);
+    assert_eq!(ctx.error(), None);
+    assert_eq!(ctx.counters.get("efind.join.n1"), RECORDS);
+    (out, calls, bytes)
+}
+
+#[test]
+fn a_warm_cache_segment_makes_no_allocator_call_a_record() {
+    let (out, calls, bytes) = map_side(&pipeline(Strategy::Cache), input());
+    assert_eq!(out.len(), RECORDS as usize);
+    assert_eq!(out[9_999], Record::new(999i64, 1_998i64));
+    assert_eq!(
+        (calls, bytes),
+        (0, 0),
+        "{calls} allocator calls, {bytes} bytes for {} warm records",
+        RECORDS as usize - WARM
+    );
+}
+
+#[test]
+fn a_repartitioned_record_costs_its_payload_buffer_and_nothing_else() {
+    let pipeline = pipeline(Strategy::Repartition);
+    let (shuffled, calls, bytes) = map_side(&pipeline, input());
+    let warm = RECORDS as usize - WARM;
+    // (k1, Null, [[key]], [Null]): 9 + 1 + (5 + 5 + 9) + (5 + 1) bytes.
+    assert_eq!((calls, bytes), (warm, warm * 35));
+
+    // The reduce side: one lookup a group, and a payload decoded into the
+    // carrier's own lists — `Int` and `Null` datums own no heap block.
+    let mut groups: Vec<(Datum, Vec<Datum>)> =
+        (0..KEYS).map(|k| (Datum::Int(k), Vec::new())).collect();
+    for rec in shuffled {
+        let k = rec.key.as_int().expect("routed by the lookup key") as usize;
+        groups[k].1.push(rec.value);
+    }
+    let mut reducer = (pipeline.jobs[0].reducer.as_ref().expect("a shuffling job"))();
+    let mut out: Vec<Record> = Vec::with_capacity(RECORDS as usize);
+    let mut ctx = TaskCtx::new(0);
+    let mut groups = groups.into_iter();
+    for (key, values) in groups.by_ref().take(100) {
+        reducer.reduce(key, values, &mut out, &mut ctx);
+    }
+    let (calls, bytes) = counted(|| {
+        for (key, values) in groups {
+            reducer.reduce(key, values, &mut out, &mut ctx);
+        }
+    });
+    reducer.flush(&mut out, &mut ctx);
+    assert_eq!(ctx.error(), None);
+    assert_eq!(out.len(), RECORDS as usize);
+    assert_eq!(ctx.counters.get("efind.join.0.lookups"), KEYS);
+    assert_eq!(ctx.counters.get("efind.join.post.out"), RECORDS);
+    assert_eq!((calls, bytes), (0, 0));
+}
+
+/// A payload's list headers come from the input: one that claims 2³² − 1
+/// keys must not make the carrier reserve for them.
+#[test]
+fn a_claimed_key_count_reserves_no_more_than_the_payload_holds() {
+    let mut payload = Vec::new();
+    Datum::Int(1).encode_into(&mut payload);
+    Datum::Null.encode_into(&mut payload);
+    for claimed in [1, u32::MAX] {
+        payload.push(6);
+        payload.extend_from_slice(&claimed.to_le_bytes());
+    }
+    payload.extend_from_slice(&[0, 0, 0, 0]);
+    let mut carrier = Carrier::default();
+    LARGEST.with(|l| l.set(0));
+    let parsed = carrier.decode(Datum::Bytes(payload));
+    let largest = LARGEST.with(Cell::get);
+    assert!(matches!(parsed, Err(Error::Decode(_))), "{parsed:?}");
+    let four_elements = 4 * std::mem::size_of::<Datum>();
+    assert!(
+        largest <= four_elements,
+        "a {largest}-byte reservation for a 24-byte payload"
+    );
+}

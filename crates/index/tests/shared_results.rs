@@ -8,7 +8,7 @@ use std::sync::Arc;
 use efind::carrier::Carrier;
 use efind::{ChargedLookup, IndexAccessor, LookupCache, LookupMode, LookupResult};
 use efind_cluster::{Cluster, NetworkModel, SimDuration};
-use efind_common::Datum;
+use efind_common::{Datum, Record};
 use efind_index::rtree::Rect;
 use efind_index::spatial::encode_point;
 use efind_index::{
@@ -90,9 +90,14 @@ fn post_process_reads_the_block_the_store_holds() {
         cache.insert(key.clone(), fetched);
         let cached = cache.probe(&key).expect("just inserted");
 
-        let mut carrier = Carrier::new(Datum::Int(1), Datum::Null, vec![vec![key]]);
-        carrier.values[0] = Some(vec![cached]);
-        let (_, output) = carrier.into_post_input().expect("every slot is filled");
+        let mut carrier = Carrier::default();
+        carrier.open(Record::new(1i64, Datum::Null), 1, |_, keys| {
+            keys.put(0, key)
+        });
+        carrier
+            .fill(0, |_, results| results.push(cached))
+            .expect("the carrier has slot 0");
+        let (_, output) = carrier.post_input().expect("every slot is filled");
         assert!(
             Arc::ptr_eq(&output.get(0)[0], &stored),
             "{}: the list reached post_process as a copy",

@@ -59,6 +59,16 @@ efbench_gate lookup_cold 260
 # allocates 220.30 MB; buckets grown by doubling, a merged second copy of
 # the partitions and a merge sort's scratch buffer made it 567.42 MB.
 efbench_gate wc_shuffle 330
+# A segment takes every record of its task through one carrier, so
+# `lookup_hot` (120 k records, four in five a cache hit) allocates
+# 67.78 MB; a carrier, its key lists, its slots and the lookup's result
+# vector built afresh for every record made it 90.81 MB.
+efbench_gate lookup_hot 75
+# The same carrier on both sides of the shuffle: a re-partitioned record
+# costs its payload buffer going in and the datums it decodes to coming
+# out, so `lookup_repart` allocates 103.04 MB; per-record carriers made
+# it 135.64 MB.
+efbench_gate lookup_repart 115
 
 echo "== fault injection (pinned seed matrix) =="
 # Deterministic chaos sweep: per (seed, rate, strategy) cell two runs
