@@ -4,8 +4,8 @@
 //!
 //! One function per table/figure of the paper's §5. Each returns the data
 //! series the paper plots; `src/bin/figures.rs` renders them as text
-//! tables and the Criterion benches in `benches/` time the underlying
-//! machinery. `quick` scales inputs down ~4× for CI-speed runs; the full
+//! tables and `src/bin/explain.rs` prints one scenario's plans and cost
+//! breakdown. `quick` scales inputs down ~4× for CI-speed runs; the full
 //! scale is what `EXPERIMENTS.md` records.
 
 use efind::{Mode, Strategy};
@@ -559,8 +559,3 @@ pub const ALL_FIGURES: [&str; 14] = [
     "fig11a", "fig11b", "fig11c", "fig11d", "fig11e", "fig11f", "fig12", "fig13", "e9", "e10",
     "e11", "e12", "e13", "e14",
 ];
-
-/// Convenience for tests: run a single-mode scenario quickly.
-pub fn quick_seconds(scenario: &mut Scenario, strategy: Strategy) -> Result<f64> {
-    Ok(run_mode(scenario, "x", Mode::Uniform(strategy))?.secs)
-}

@@ -162,11 +162,7 @@ fn replan<'o>(
             }
             continue;
         };
-        // Partition-scheme availability is structural, not statistical —
-        // refresh it from the bound accessors.
-        for (idx, (_, scheme)) in stats.indices.iter_mut().zip(bound.caps()) {
-            idx.has_partition_scheme = scheme;
-        }
+        stats.refresh_partition_schemes(&bound.caps());
         let current: f64 = (0..stats.indices.len())
             .map(|j| cost_baseline(&env, &stats, j))
             .sum();
@@ -211,7 +207,7 @@ pub(crate) fn run_dynamic(
     // statically disables adaptive re-optimization: the job runs its
     // baseline plan end to end.
     if ijob.operators().next().is_none() || crate::analysis::has_nondeterministic_accessor(ijob) {
-        return rt.run_with_plans(ijob, baseline_plans, false);
+        return rt.run_with_plans(ijob, baseline_plans, Vec::new());
     }
 
     // Warm start from the cross-job store: when *every* indexed,
@@ -230,7 +226,7 @@ pub(crate) fn run_dynamic(
             &mut plans,
         );
         if let Some((_, measured)) = history {
-            return rt.run_with_plans_measured(ijob, plans, false, measured);
+            return rt.run_with_plans(ijob, plans, measured);
         }
     }
 

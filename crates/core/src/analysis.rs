@@ -3,7 +3,7 @@
 //! The analyzer crate knows nothing about the runtime types; this module
 //! lowers an [`IndexJobConf`] plus per-operator [`OperatorPlan`]s into its
 //! neutral IR and runs the checks. [`crate::compile::compile_pipeline`]
-//! calls [`analyze_job`] before building any stage — analyzer errors abort
+//! calls [`analyze_job_in_env`] before building any stage — analyzer errors abort
 //! compilation, warnings ride along in the compiled pipeline and are
 //! printed at job start. [`analyze_costs`] additionally exercises the
 //! statistics-dependent checks (`EF009`–`EF011`, `EF013`) from catalog
@@ -274,37 +274,11 @@ pub fn tenancy_model(cfg: &TenancyConfig, job_tenant: Option<&str>) -> Option<Te
     })
 }
 
-/// Runs the structural checks over a job and its plans.
+/// Runs the structural checks over a job and its plans: the model of a
+/// job in the default environment, where no injection layer is armed and
+/// nothing about the runtime configuration is known.
 pub fn analyze_job(ijob: &IndexJobConf, plans: &FxHashMap<String, OperatorPlan>) -> Result<Report> {
-    analyze_job_with_faults(ijob, plans, &FaultConfig::disabled())
-}
-
-/// [`analyze_job`] with the runtime fault configuration lowered alongside
-/// the plan, so the fault checks (`EF015`, `EF016`) run when the fault
-/// layer is armed.
-pub fn analyze_job_with_faults(
-    ijob: &IndexJobConf,
-    plans: &FxHashMap<String, OperatorPlan>,
-    faults: &FaultConfig,
-) -> Result<Report> {
-    analyze_job_with_injections(ijob, plans, faults, &CorruptionPlan::none(), usize::MAX)
-}
-
-/// [`analyze_job`] with both injection layers lowered alongside the plan:
-/// the fault checks (`EF015`, `EF016`) run when the fault layer is armed
-/// and the integrity checks (`EF017`, `EF018`) when corruption is
-/// injected. This is the variant the compiler calls.
-pub fn analyze_job_with_injections(
-    ijob: &IndexJobConf,
-    plans: &FxHashMap<String, OperatorPlan>,
-    faults: &FaultConfig,
-    corruption: &CorruptionPlan,
-    dfs_replication: usize,
-) -> Result<Report> {
-    let mut model = job_model(ijob, plans)?;
-    model.faults = fault_model(faults);
-    model.integrity = integrity_model(corruption, dfs_replication);
-    Ok(analyze(&model))
+    Ok(analyze(&job_model(ijob, plans)?))
 }
 
 /// [`analyze_job`] with the *whole* runtime environment lowered alongside
@@ -379,13 +353,7 @@ pub fn analyze_costs(
             continue;
         };
         let mut stats = stats.clone();
-        // Partition-scheme availability is structural, not statistical —
-        // refresh it from the bound accessors (as `plans_for` does).
-        for (j, (_, scheme)) in bound.caps().iter().enumerate() {
-            if let Some(idx) = stats.indices.get_mut(j) {
-                idx.has_partition_scheme = *scheme;
-            }
-        }
+        stats.refresh_partition_schemes(&bound.caps());
         let plan = optimize_operator(&stats, env, placement, enumeration);
         let mut model = operator_model(bound, placement, &plan);
         // Enrich the structural model with what the statistics know.
@@ -585,9 +553,10 @@ mod tests {
 
         let ijob = sample_job(sample_bound("op"));
         let plans = plans_with(&ijob, Strategy::Cache);
-        let mut config = FaultConfig::disabled().with_plan(FaultPlan::new(7).failures(0.1));
-        config.timeout = Some(SimDuration::ZERO);
-        let report = analyze_job_with_faults(&ijob, &plans, &config).unwrap();
+        let mut env = sample_env();
+        env.faults = FaultConfig::disabled().with_plan(FaultPlan::new(7).failures(0.1));
+        env.faults.timeout = Some(SimDuration::ZERO);
+        let report = analyze_job_in_env(&ijob, &plans, &env).unwrap();
         assert!(report.has_code(efind_analyze::DiagCode::EF015));
         assert!(report.into_result().is_err());
 
@@ -599,14 +568,16 @@ mod tests {
     fn chunk_corruption_on_unreplicated_dfs_fails_analysis() {
         let ijob = sample_job(sample_bound("op"));
         let plans = plans_with(&ijob, Strategy::Cache);
-        let plan = CorruptionPlan::new(1).chunks(0.1);
-        let faults = FaultConfig::disabled();
-        let report = analyze_job_with_injections(&ijob, &plans, &faults, &plan, 1).unwrap();
+        let mut env = sample_env();
+        env.corruption = CorruptionPlan::new(1).chunks(0.1);
+        env.dfs_replication = 1;
+        let report = analyze_job_in_env(&ijob, &plans, &env).unwrap();
         assert!(report.has_code(efind_analyze::DiagCode::EF017));
         assert!(report.into_result().is_err());
 
         // With an intact replica to fall back on, the same plan is clean.
-        let report = analyze_job_with_injections(&ijob, &plans, &faults, &plan, 3).unwrap();
+        env.dfs_replication = 3;
+        let report = analyze_job_in_env(&ijob, &plans, &env).unwrap();
         assert!(report.is_clean(), "{}", report.to_text());
 
         // A quiet plan is never lowered at all.
@@ -617,15 +588,15 @@ mod tests {
     fn unverified_cache_corruption_warns_but_passes() {
         let ijob = sample_job(sample_bound("op"));
         let plans = plans_with(&ijob, Strategy::Cache);
-        let plan = CorruptionPlan::new(1).cache(0.2).without_verification();
-        let faults = FaultConfig::disabled();
-        let report = analyze_job_with_injections(&ijob, &plans, &faults, &plan, 3).unwrap();
+        let mut env = sample_env();
+        env.corruption = CorruptionPlan::new(1).cache(0.2).without_verification();
+        let report = analyze_job_in_env(&ijob, &plans, &env).unwrap();
         assert!(report.has_code(efind_analyze::DiagCode::EF018));
         assert!(report.is_passing());
 
         // Baseline plans have no cache to poison.
         let plans = plans_with(&ijob, Strategy::Baseline);
-        let report = analyze_job_with_injections(&ijob, &plans, &faults, &plan, 3).unwrap();
+        let report = analyze_job_in_env(&ijob, &plans, &env).unwrap();
         assert!(report.is_clean(), "{}", report.to_text());
     }
 

@@ -164,6 +164,17 @@ impl OperatorStatsEstimate {
                 .sum::<f64>()
     }
 
+    /// Partition-scheme availability is structural, not statistical: it is
+    /// a property of the accessors bound today, whatever run the numbers
+    /// came from. Overwrites it from `caps`
+    /// ([`BoundOperator::caps`](crate::jobconf::BoundOperator::caps)),
+    /// position by position.
+    pub fn refresh_partition_schemes(&mut self, caps: &[(bool, bool)]) {
+        for (idx, &(_, scheme)) in self.indices.iter_mut().zip(caps) {
+            idx.has_partition_scheme = scheme;
+        }
+    }
+
     /// Deterministic element-wise mean over several runs' estimates — the
     /// aggregate the cross-job statistics store serves to the planner.
     /// Numeric tokens average in slice order; `theta` keeps its `≥ 1`

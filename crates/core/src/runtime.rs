@@ -439,13 +439,7 @@ impl<'a> EFindRuntime<'a> {
                             })?
                             .clone(),
                     };
-                    // Partition-scheme availability is structural, not
-                    // statistical — refresh it from the bound accessors.
-                    for (j, (_, scheme)) in bound.caps().iter().enumerate() {
-                        if let Some(idx) = stats.indices.get_mut(j) {
-                            idx.has_partition_scheme = *scheme;
-                        }
-                    }
+                    stats.refresh_partition_schemes(&bound.caps());
                     if let Some((shape, _)) = from_store {
                         if !bound.volatile {
                             measured.push(MeasuredOp::probe(name, shape, &stats, &env, placement));
@@ -489,7 +483,7 @@ impl<'a> EFindRuntime<'a> {
             Mode::Dynamic => crate::adaptive::run_dynamic(self, ijob)?,
             other => {
                 let (plans, measured) = self.plans_and_measured_for(ijob, &other)?;
-                self.run_with_plans_measured(ijob, plans, false, measured)?
+                self.run_with_plans(ijob, plans, measured)?
             }
         };
         // Surface pending store-load anomalies as counters on the first
@@ -512,23 +506,12 @@ impl<'a> EFindRuntime<'a> {
         Ok(res)
     }
 
-    /// Compiles and executes the pipeline for fixed plans.
+    /// Compiles and executes the pipeline for fixed plans, with the
+    /// measured-stats injections threaded to the analyzer (EF023).
     pub(crate) fn run_with_plans(
         &mut self,
         ijob: &IndexJobConf,
         plans: FxHashMap<String, OperatorPlan>,
-        replanned: bool,
-    ) -> Result<EFindJobResult> {
-        self.run_with_plans_measured(ijob, plans, replanned, Vec::new())
-    }
-
-    /// [`run_with_plans`](Self::run_with_plans) with the measured-stats
-    /// injections threaded to the analyzer (EF023).
-    pub(crate) fn run_with_plans_measured(
-        &mut self,
-        ijob: &IndexJobConf,
-        plans: FxHashMap<String, OperatorPlan>,
-        replanned: bool,
         measured: Vec<MeasuredOp>,
     ) -> Result<EFindJobResult> {
         let mut env = self.runtime_env();
@@ -559,7 +542,7 @@ impl<'a> EFindRuntime<'a> {
             jobs,
             // efind-lint: allow(unordered-iter, map-to-map collect; the destination is keyed and no order survives)
             plans: plans.into_iter().collect(),
-            replanned,
+            replanned: false,
         })
     }
 

@@ -1132,7 +1132,7 @@ mod tests {
         let f = scan_file("crates/core/src/runtime.rs", src);
         assert_eq!(codes(&f), vec![LintCode::L001]);
         // The same line inside crates/bench is fine.
-        assert!(scan_file("crates/bench/src/bin/hotpath.rs", src).is_empty());
+        assert!(scan_file("crates/bench/src/bin/figures.rs", src).is_empty());
     }
 
     #[test]

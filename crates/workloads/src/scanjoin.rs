@@ -48,8 +48,8 @@ pub fn run_scan_join(
 
 /// [`run_scan_join`] with explicit chaos and corruption plans installed on
 /// the runner. Quiet plans (including seeded-but-quiet ones) must be
-/// bit-identical to [`run_scan_join`] — the quiet-profile bench and golden
-/// tests pin exactly that.
+/// bit-identical to [`run_scan_join`] — the quiet-profile golden test pins
+/// exactly that.
 #[allow(clippy::too_many_arguments)]
 pub fn run_scan_join_with(
     cluster: &Cluster,

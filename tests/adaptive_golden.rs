@@ -18,6 +18,9 @@
 //! `JobStats` by hand; they must hold under any worker count
 //! (`scripts/ci.sh` reruns this binary under `taskset -c 0`).
 
+mod common;
+
+use common::{counter_fingerprint, file_fingerprint, obs as golden, Observables as Goldens};
 use std::sync::Arc;
 
 use efind::{
@@ -25,37 +28,9 @@ use efind::{
     IndexOutput, Mode,
 };
 use efind_cluster::{ChaosPlan, Cluster, CorruptionPlan, NodeId, SimDuration, SimTime};
-use efind_common::{fx_hash_bytes, Datum, FxHashMap, Record};
+use efind_common::{Datum, FxHashMap, Record};
 use efind_dfs::{Dfs, DfsConfig};
-use efind_mapreduce::{mapper_fn, reducer_fn, Collector, JobStats};
-
-/// Labeled golden observables; the whole vector is compared at once so a
-/// mismatch prints every captured value next to its expectation.
-type Goldens = Vec<(String, u64)>;
-
-fn golden(label: impl Into<String>, value: u64) -> (String, u64) {
-    (label.into(), value)
-}
-
-/// Stable fingerprint of a counter map (identical to
-/// `tests/hotpath_golden.rs`).
-fn counter_fingerprint(stats: &JobStats) -> u64 {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    for (k, v) in stats.counters.iter_sorted() {
-        let _ = writeln!(text, "{k}={v}");
-    }
-    fx_hash_bytes(text.as_bytes())
-}
-
-/// Stable fingerprint of a DFS file's full contents, in chunk order.
-fn file_fingerprint(dfs: &Dfs, name: &str) -> u64 {
-    let mut buf = Vec::new();
-    for rec in dfs.read_file(name).expect("golden output file missing") {
-        buf.extend_from_slice(&rec.encode());
-    }
-    fx_hash_bytes(&buf)
-}
+use efind_mapreduce::{mapper_fn, reducer_fn, Collector};
 
 /// A set of first-wave task ids (one per map slot, so all below 64) as a
 /// bit mask: `[0, 2, 3, 5]` is `0b101101`.

@@ -19,33 +19,14 @@
 //! small; the deterministic sweep in `tests/fault_injection.rs` covers
 //! the pinned seed matrix densely.
 
+mod common;
+
+use common::{counter_fingerprint, file_fingerprint, Observables};
 use efind::{EFindRuntime, FaultConfig, FaultPlan, MissPolicy, Mode, RetryPolicy, Strategy};
 use efind_cluster::{CorruptionPlan, NodeId, PartitionPlan, SimDuration, SimTime};
-use efind_common::{fx_hash_bytes, Datum};
-use efind_dfs::Dfs;
-use efind_mapreduce::JobStats;
+use efind_common::Datum;
 use efind_workloads::multi::{self, MultiConfig};
 use proptest::prelude::*;
-
-/// Labeled virtual observables (see `tests/fault_injection.rs`).
-type Observables = Vec<(String, u64)>;
-
-fn counter_fingerprint(stats: &JobStats) -> u64 {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    for (k, v) in stats.counters.iter_sorted() {
-        let _ = writeln!(text, "{k}={v}");
-    }
-    fx_hash_bytes(text.as_bytes())
-}
-
-fn file_fingerprint(dfs: &Dfs, name: &str) -> u64 {
-    let mut buf = Vec::new();
-    for rec in dfs.read_file(name).expect("output file missing") {
-        buf.extend_from_slice(&rec.encode());
-    }
-    fx_hash_bytes(&buf)
-}
 
 /// A small multi-index workload: three indices, every strategy viable.
 fn tiny_config() -> MultiConfig {

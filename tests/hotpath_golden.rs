@@ -8,42 +8,20 @@
 //! seed revision (before the rewrite) and pin that equivalence across a
 //! plain MapReduce job, the scan join, and a multi-index EFind workload.
 
+mod common;
+
+use common::{
+    counter_fingerprint, file_fingerprint, golden_config, multi_index_goldens, obs as golden,
+    Observables as Goldens,
+};
 use efind::{EFindRuntime, Mode, Strategy};
 use efind_cluster::Cluster;
 use efind_common::{fx_hash_bytes, Datum, Record};
 use efind_dfs::{Dfs, DfsConfig};
-use efind_mapreduce::{mapper_fn, reducer_fn, run_job, JobConf, JobStats};
+use efind_mapreduce::{mapper_fn, reducer_fn, run_job, JobConf};
 use efind_workloads::multi::{self, MultiConfig};
 use efind_workloads::scanjoin::run_scan_join;
 use efind_workloads::tpch::{self, TpchConfig};
-
-/// Labeled golden observables; the whole vector is compared at once so a
-/// mismatch prints every captured value next to its expectation.
-type Goldens = Vec<(String, u64)>;
-
-fn golden(label: &str, value: u64) -> (String, u64) {
-    (label.to_owned(), value)
-}
-
-/// Stable fingerprint of a counter map: hash of the sorted
-/// `name=value` lines.
-fn counter_fingerprint(stats: &JobStats) -> u64 {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    for (k, v) in stats.counters.iter_sorted() {
-        let _ = writeln!(text, "{k}={v}");
-    }
-    fx_hash_bytes(text.as_bytes())
-}
-
-/// Stable fingerprint of a DFS file's full contents, in chunk order.
-fn file_fingerprint(dfs: &Dfs, name: &str) -> u64 {
-    let mut buf = Vec::new();
-    for rec in dfs.read_file(name).expect("golden output file missing") {
-        buf.extend_from_slice(&rec.encode());
-    }
-    fx_hash_bytes(&buf)
-}
 
 #[test]
 fn wordcount_virtual_results_match_seed() {
@@ -90,11 +68,11 @@ fn wordcount_virtual_results_match_seed() {
         golden("output.fingerprint", file_fingerprint(&dfs, "out")),
     ];
     let expected: Goldens = vec![
-        golden("makespan.nanos", 208_274),
-        golden("shuffle.bytes", 3_475),
-        golden("counters.fingerprint", 15_743_512_941_036_554_716),
+        golden("makespan.nanos", common::WORDCOUNT_MAKESPAN_NANOS),
+        golden("shuffle.bytes", common::WORDCOUNT_SHUFFLE_BYTES),
+        golden("counters.fingerprint", common::WORDCOUNT_COUNTER_FP),
         golden("output.records", 5),
-        golden("output.fingerprint", 4_377_774_887_622_299_384),
+        golden("output.fingerprint", common::WORDCOUNT_OUTPUT_FP),
     ];
     assert_eq!(captured, expected);
 }
@@ -221,16 +199,7 @@ fn quiet_profile_is_byte_identical_to_plain() {
     // --- multi-index EFind workload: quiet plans on all three layers of
     // the runtime config, including the fault layer on every lookup.
     let run_multi = |quiet: bool| -> Goldens {
-        let config = MultiConfig {
-            num_events: 3_000,
-            num_users: 200,
-            num_ads: 500,
-            num_sites: 100,
-            site_value_bytes: 200,
-            chunks: 30,
-            ..MultiConfig::default()
-        };
-        let mut s = multi::scenario(&config);
+        let mut s = multi::scenario(&golden_config());
         let mut efind_config = s.efind_config.clone();
         if quiet {
             efind_config.faults = FaultConfig::disabled().with_plan(FaultPlan::new(SEED));
@@ -262,44 +231,8 @@ fn quiet_profile_is_byte_identical_to_plain() {
 /// maps, and the output file.
 #[test]
 fn multi_index_virtual_results_match_seed() {
-    let expected_by_mode: [(Strategy, Goldens); 2] = [
-        (
-            Strategy::Cache,
-            vec![
-                golden("total.nanos", 117_260_797),
-                golden("jobs", 1),
-                golden("job0.makespan.nanos", 117_260_797),
-                golden("job0.shuffle.bytes", 168_648),
-                golden("job0.counters.fingerprint", 3_799_603_285_767_459_785),
-                golden("output.records", 961),
-                golden("output.fingerprint", 14_711_040_664_649_218_481),
-            ],
-        ),
-        (
-            Strategy::Repartition,
-            vec![
-                golden("total.nanos", 21_230_168),
-                golden("jobs", 4),
-                golden("job0.makespan.nanos", 7_494_530),
-                golden("job0.shuffle.bytes", 330_000),
-                golden("job0.counters.fingerprint", 506_267_820_866_738_143),
-                golden("output.records", 961),
-                golden("output.fingerprint", 14_711_040_664_649_218_481),
-            ],
-        ),
-    ];
-
-    for (strategy, expected) in expected_by_mode {
-        let config = MultiConfig {
-            num_events: 3_000,
-            num_users: 200,
-            num_ads: 500,
-            num_sites: 100,
-            site_value_bytes: 200,
-            chunks: 30,
-            ..MultiConfig::default()
-        };
-        let mut s = multi::scenario(&config);
+    for (strategy, expected) in multi_index_goldens() {
+        let mut s = multi::scenario(&golden_config());
         let mut rt = EFindRuntime::with_config(&s.cluster, &mut s.dfs, s.efind_config.clone());
         let res = rt.run(&s.ijob, Mode::Uniform(strategy)).unwrap();
 
@@ -332,12 +265,12 @@ fn pipeline_goldens(res: &efind::EFindJobResult, dfs: &Dfs, output: &str) -> Gol
     ];
     for (i, job) in res.jobs.iter().enumerate() {
         captured.push(golden(
-            &format!("job{i}.makespan.nanos"),
+            format!("job{i}.makespan.nanos"),
             job.makespan().as_nanos(),
         ));
-        captured.push(golden(&format!("job{i}.shuffle.bytes"), job.shuffle_bytes));
+        captured.push(golden(format!("job{i}.shuffle.bytes"), job.shuffle_bytes));
         captured.push(golden(
-            &format!("job{i}.counters.fingerprint"),
+            format!("job{i}.counters.fingerprint"),
             counter_fingerprint(job),
         ));
     }

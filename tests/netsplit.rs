@@ -20,58 +20,16 @@
 //! to a comma-separated list of integers (decimal or 0x-hex), as
 //! `scripts/ci.sh` does.
 
+mod common;
+
+use common::{counter_fingerprint, file_fingerprint, obs, seeds_from_env, Observables};
 use efind::{EFindConfig, EFindRuntime, HedgeConfig, HedgePolicy, Mode, Strategy};
 use efind_cluster::{ChaosPlan, DetectorConfig, NodeId, PartitionPlan, SimDuration, SimTime};
-use efind_common::fx_hash_bytes;
-use efind_dfs::Dfs;
-use efind_mapreduce::JobStats;
 use efind_workloads::multi::{self, MultiConfig};
-
-/// Labeled virtual observables; whole vectors are compared at once so a
-/// mismatch prints every value next to its expectation.
-type Observables = Vec<(String, u64)>;
-
-fn obs(label: impl Into<String>, value: u64) -> (String, u64) {
-    (label.into(), value)
-}
-
-/// Stable fingerprint of a counter map (identical to
-/// `tests/hotpath_golden.rs`).
-fn counter_fingerprint(stats: &JobStats) -> u64 {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    for (k, v) in stats.counters.iter_sorted() {
-        let _ = writeln!(text, "{k}={v}");
-    }
-    fx_hash_bytes(text.as_bytes())
-}
-
-/// Stable fingerprint of a DFS file's full contents, in chunk order.
-fn file_fingerprint(dfs: &Dfs, name: &str) -> u64 {
-    let mut buf = Vec::new();
-    for rec in dfs.read_file(name).expect("output file missing") {
-        buf.extend_from_slice(&rec.encode());
-    }
-    fx_hash_bytes(&buf)
-}
 
 /// The pinned seed matrix, overridable via `EFIND_NETSPLIT_SEEDS`.
 fn netsplit_seeds() -> Vec<u64> {
-    let parse = |text: &str| -> Vec<u64> {
-        text.split(',')
-            .filter_map(|tok| {
-                let tok = tok.trim();
-                tok.strip_prefix("0x")
-                    .map(|h| u64::from_str_radix(h, 16))
-                    .unwrap_or_else(|| tok.parse())
-                    .ok()
-            })
-            .collect()
-    };
-    match std::env::var("EFIND_NETSPLIT_SEEDS") {
-        Ok(text) if !parse(&text).is_empty() => parse(&text),
-        _ => vec![0xEF1D_0010, 0x5EED_5EED],
-    }
+    seeds_from_env("EFIND_NETSPLIT_SEEDS", &[0xEF1D_0010, 0x5EED_5EED])
 }
 
 /// A small multi-index workload: three indices, every strategy viable.

@@ -24,58 +24,21 @@
 //! a comma-separated list of integers (decimal or 0x-hex) to sweep other
 //! seeds, as `scripts/ci.sh` does.
 
+mod common;
+
+use common::{
+    counter_fingerprint, file_fingerprint, golden_config, multi_index_goldens, obs, seeds_from_env,
+    Observables,
+};
 use efind::{EFindRuntime, Mode, Strategy};
 use efind_cluster::{ChaosPlan, SimDuration, SimTime};
-use efind_common::fx_hash_bytes;
 use efind_dfs::Dfs;
 use efind_mapreduce::JobStats;
 use efind_workloads::multi::{self, MultiConfig};
 
-/// Labeled virtual observables; whole vectors are compared at once so a
-/// mismatch prints every value next to its expectation.
-type Observables = Vec<(String, u64)>;
-
-fn obs(label: impl Into<String>, value: u64) -> (String, u64) {
-    (label.into(), value)
-}
-
-/// Stable fingerprint of a counter map: hash of the sorted
-/// `name=value` lines (identical to `tests/hotpath_golden.rs`).
-fn counter_fingerprint(stats: &JobStats) -> u64 {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    for (k, v) in stats.counters.iter_sorted() {
-        let _ = writeln!(text, "{k}={v}");
-    }
-    fx_hash_bytes(text.as_bytes())
-}
-
-/// Stable fingerprint of a DFS file's full contents, in chunk order.
-fn file_fingerprint(dfs: &Dfs, name: &str) -> u64 {
-    let mut buf = Vec::new();
-    for rec in dfs.read_file(name).expect("output file missing") {
-        buf.extend_from_slice(&rec.encode());
-    }
-    fx_hash_bytes(&buf)
-}
-
 /// The pinned seed matrix, overridable via `EFIND_CRASH_SEEDS`.
 fn crash_seeds() -> Vec<u64> {
-    let parse = |text: &str| -> Vec<u64> {
-        text.split(',')
-            .filter_map(|tok| {
-                let tok = tok.trim();
-                tok.strip_prefix("0x")
-                    .map(|h| u64::from_str_radix(h, 16))
-                    .unwrap_or_else(|| tok.parse())
-                    .ok()
-            })
-            .collect()
-    };
-    match std::env::var("EFIND_CRASH_SEEDS") {
-        Ok(text) if !parse(&text).is_empty() => parse(&text),
-        _ => vec![0xEF1D_0003, 0xDEAD_BEE5],
-    }
+    seeds_from_env("EFIND_CRASH_SEEDS", &[0xEF1D_0003, 0xDEAD_BEE5])
 }
 
 /// Runs the multi-index workload under one strategy and chaos plan,
@@ -114,19 +77,6 @@ fn run_multi_chaos(config: &MultiConfig, strategy: Strategy, chaos: ChaosPlan) -
         file_fingerprint(&s.dfs, "ads.enriched"),
     ));
     captured
-}
-
-/// The exact configuration `tests/hotpath_golden.rs` pins.
-fn golden_config() -> MultiConfig {
-    MultiConfig {
-        num_events: 3_000,
-        num_users: 200,
-        num_ads: 500,
-        num_sites: 100,
-        site_value_bytes: 200,
-        chunks: 30,
-        ..MultiConfig::default()
-    }
 }
 
 /// A smaller configuration for the crash sweep cells (recompute waves
@@ -225,34 +175,8 @@ fn crashed_runs_are_bit_identical_and_output_preserving() {
 /// single bit of any observable.
 #[test]
 fn zero_crash_cells_match_hotpath_goldens() {
-    let expected_by_mode: [(Strategy, Observables); 2] = [
-        (
-            Strategy::Cache,
-            vec![
-                obs("total.nanos", 117_260_797),
-                obs("jobs", 1),
-                obs("job0.makespan.nanos", 117_260_797),
-                obs("job0.shuffle.bytes", 168_648),
-                obs("job0.counters.fingerprint", 3_799_603_285_767_459_785),
-                obs("output.records", 961),
-                obs("output.fingerprint", 14_711_040_664_649_218_481),
-            ],
-        ),
-        (
-            Strategy::Repartition,
-            vec![
-                obs("total.nanos", 21_230_168),
-                obs("jobs", 4),
-                obs("job0.makespan.nanos", 7_494_530),
-                obs("job0.shuffle.bytes", 330_000),
-                obs("job0.counters.fingerprint", 506_267_820_866_738_143),
-                obs("output.records", 961),
-                obs("output.fingerprint", 14_711_040_664_649_218_481),
-            ],
-        ),
-    ];
     let num_nodes = multi::scenario(&golden_config()).cluster.num_nodes();
-    for (strategy, expected) in expected_by_mode {
+    for (strategy, expected) in multi_index_goldens() {
         for (label, chaos) in [
             ("none", ChaosPlan::none()),
             // A *seeded but empty* plan: the chaos machinery is armed in

@@ -18,36 +18,15 @@
 //! 3. run 2's virtual observables are bit-identical across double runs,
 //!    and the store file written after run 2 is byte-identical too.
 
+mod common;
+
+use common::{counter_fingerprint, file_fingerprint, Observables};
 use std::fs;
 use std::path::PathBuf;
 
 use efind_repro::cluster::SimDuration;
-use efind_repro::common::fx_hash_bytes;
 use efind_repro::core::{EFindRuntime, LoadStatus, Mode};
-use efind_repro::dfs::Dfs;
-use efind_repro::mapreduce::JobStats;
 use efind_repro::workloads::log;
-
-/// Labeled virtual observables, compared as a whole vector so a mismatch
-/// prints every captured value next to its expectation.
-type Observables = Vec<(String, u64)>;
-
-fn counter_fingerprint(stats: &JobStats) -> u64 {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    for (k, v) in stats.counters.iter_sorted() {
-        let _ = writeln!(text, "{k}={v}");
-    }
-    fx_hash_bytes(text.as_bytes())
-}
-
-fn file_fingerprint(dfs: &Dfs, name: &str) -> u64 {
-    let mut buf = Vec::new();
-    for rec in dfs.read_file(name).expect("output file missing") {
-        buf.extend_from_slice(&rec.encode());
-    }
-    fx_hash_bytes(&buf)
-}
 
 /// The Fig. 11(a) 5 ms-lookup configuration: expensive enough that the
 /// adaptive runtime replans from baseline to the shuffle plan mid-job.

@@ -19,34 +19,15 @@
 //! counts stay small; `tests/reopt_persistence.rs` covers the warm path
 //! densely.
 
+mod common;
+
+use common::{counter_fingerprint, file_fingerprint, Observables};
 use efind_repro::cluster::SimDuration;
-use efind_repro::common::fx_hash_bytes;
 use efind_repro::core::{
     fingerprint_operator, fingerprint_plan, forced_plan, EFindRuntime, Mode, StatStore, Strategy,
 };
-use efind_repro::dfs::Dfs;
-use efind_repro::mapreduce::JobStats;
 use efind_repro::workloads::log;
 use proptest::prelude::*;
-
-type Observables = Vec<(String, u64)>;
-
-fn counter_fingerprint(stats: &JobStats) -> u64 {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    for (k, v) in stats.counters.iter_sorted() {
-        let _ = writeln!(text, "{k}={v}");
-    }
-    fx_hash_bytes(text.as_bytes())
-}
-
-fn file_fingerprint(dfs: &Dfs, name: &str) -> u64 {
-    let mut buf = Vec::new();
-    for rec in dfs.read_file(name).expect("output file missing") {
-        buf.extend_from_slice(&rec.encode());
-    }
-    fx_hash_bytes(&buf)
-}
 
 /// A small LOG configuration; cheap enough for proptest cases.
 fn tiny_config() -> log::LogConfig {

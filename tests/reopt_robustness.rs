@@ -9,22 +9,15 @@
 //! * a schema-version bump (`v1` → `v2`) → `LoadStatus::VersionMismatch`,
 //!   the `efind.statstore.version.mismatch` counter, same clean fallback.
 
+mod common;
+
+use common::file_fingerprint;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use efind_repro::cluster::SimDuration;
-use efind_repro::common::fx_hash_bytes;
 use efind_repro::core::{EFindRuntime, LoadStatus, Mode};
-use efind_repro::dfs::Dfs;
 use efind_repro::workloads::log;
-
-fn file_fingerprint(dfs: &Dfs, name: &str) -> u64 {
-    let mut buf = Vec::new();
-    for rec in dfs.read_file(name).expect("output file missing") {
-        buf.extend_from_slice(&rec.encode());
-    }
-    fx_hash_bytes(&buf)
-}
 
 fn config() -> log::LogConfig {
     log::LogConfig {

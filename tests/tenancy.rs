@@ -10,13 +10,16 @@
 //! inputs (double runs bit-identical) and must confine every tenant's
 //! injection layers to that tenant's own jobs.
 
+mod common;
+
+use common::{counter_fingerprint, file_fingerprint};
 use efind_cluster::{
     ChaosPlan, Cluster, CorruptionPlan, IndexRateLimit, SimDuration, SimTime, TenancyConfig,
     TenantSpec,
 };
-use efind_common::{fx_hash_bytes, Datum, Record};
+use efind_common::{Datum, Record};
 use efind_dfs::{Dfs, DfsConfig};
-use efind_mapreduce::{mapper_fn, reducer_fn, run_tenant_mix, JobConf, JobStats, TenantJob};
+use efind_mapreduce::{mapper_fn, reducer_fn, run_tenant_mix, JobConf, TenantJob};
 
 fn testbed() -> (Cluster, Dfs) {
     let cluster = Cluster::builder()
@@ -59,34 +62,12 @@ fn wordcount(name: &str, input: &str, output: &str) -> JobConf {
         )
 }
 
-fn counter_fingerprint(stats: &JobStats) -> u64 {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    for (k, v) in stats.counters.iter_sorted() {
-        let _ = writeln!(text, "{k}={v}");
-    }
-    fx_hash_bytes(text.as_bytes())
-}
-
-fn file_fingerprint(dfs: &Dfs, name: &str) -> u64 {
-    let mut buf = Vec::new();
-    for rec in dfs.read_file(name).expect("output file missing") {
-        buf.extend_from_slice(&rec.encode());
-    }
-    fx_hash_bytes(&buf)
-}
-
 /// The quiet-tenancy golden, both legs: a mix with *no* tenancy config and
 /// a mix with a single unlimited tenant must both take the literal quiet
 /// path and reproduce the exact seed observables that `hotpath_golden.rs`
 /// pins for the plain runner.
 #[test]
 fn quiet_tenancy_mix_matches_seed_golden() {
-    const GOLDEN_MAKESPAN_NANOS: u64 = 208_274;
-    const GOLDEN_SHUFFLE_BYTES: u64 = 3_475;
-    const GOLDEN_COUNTER_FP: u64 = 15_743_512_941_036_554_716;
-    const GOLDEN_OUTPUT_FP: u64 = 4_377_774_887_622_299_384;
-
     let quiet_legs: Vec<(&str, TenancyConfig)> = vec![
         ("no tenancy config", TenancyConfig::none()),
         (
@@ -118,13 +99,29 @@ fn quiet_tenancy_mix_matches_seed_golden() {
         let res = mix.jobs[0].result.as_ref().unwrap().as_ref().unwrap();
         assert_eq!(
             res.stats.makespan().as_nanos(),
-            GOLDEN_MAKESPAN_NANOS,
+            common::WORDCOUNT_MAKESPAN_NANOS,
             "{leg}"
         );
-        assert_eq!(res.stats.shuffle_bytes, GOLDEN_SHUFFLE_BYTES, "{leg}");
-        assert_eq!(counter_fingerprint(&res.stats), GOLDEN_COUNTER_FP, "{leg}");
-        assert_eq!(file_fingerprint(&dfs, "out"), GOLDEN_OUTPUT_FP, "{leg}");
-        assert_eq!(mix.makespan.as_nanos(), GOLDEN_MAKESPAN_NANOS, "{leg}");
+        assert_eq!(
+            res.stats.shuffle_bytes,
+            common::WORDCOUNT_SHUFFLE_BYTES,
+            "{leg}"
+        );
+        assert_eq!(
+            counter_fingerprint(&res.stats),
+            common::WORDCOUNT_COUNTER_FP,
+            "{leg}"
+        );
+        assert_eq!(
+            file_fingerprint(&dfs, "out"),
+            common::WORDCOUNT_OUTPUT_FP,
+            "{leg}"
+        );
+        assert_eq!(
+            mix.makespan.as_nanos(),
+            common::WORDCOUNT_MAKESPAN_NANOS,
+            "{leg}"
+        );
     }
 }
 
@@ -253,6 +250,74 @@ fn admission_schedule_is_deterministic_across_double_runs() {
         beta.throttle_nanos > 0,
         "beta's demand saturates the bucket"
     );
+}
+
+/// The serving mix whose wall clock the retired `hotpath` binary timed as
+/// `scheduler_throughput`: 36 word counts from three weighted tenants
+/// through bounded admission, deficit-weighted grants and a per-index
+/// token bucket, every job inside its budget. Returns the schedule log,
+/// the makespan and one counter fingerprint per job. With `quiet_plans`
+/// each job also carries a seeded chaos and corruption plan that injects
+/// nothing.
+fn throughput_mix(quiet_plans: bool) -> (Vec<efind_cluster::SchedLogEntry>, SimDuration, Vec<u64>) {
+    let (cluster, mut dfs) = testbed();
+    dfs.write_file("input", words(400));
+    let tenant = |name: &str, weight: u64| {
+        TenantSpec::new(name)
+            .weight(weight)
+            .max_queued(24)
+            .max_running(2)
+    };
+    let cfg = TenancyConfig::none()
+        .tenant(tenant("alpha", 3))
+        .tenant(tenant("beta", 2))
+        .tenant(tenant("gamma", 1))
+        .queue_capacity(64)
+        .max_concurrent(2)
+        .rate_limit(IndexRateLimit::new("idx", 50_000.0, 1_000.0))
+        .degrade_threshold(SimDuration::from_millis(5));
+    let jobs: Vec<TenantJob> = (0..36usize)
+        .map(|i| {
+            let job = TenantJob::new(
+                ["alpha", "beta", "gamma"][i % 3],
+                SimTime::ZERO + SimDuration::from_micros(i as u64),
+                wordcount(&format!("j{i}"), "input", &format!("j{i}.out")),
+            )
+            .cost_hint(1 + (i % 3) as u64)
+            .demand("idx", 100);
+            if quiet_plans {
+                job.with_chaos(ChaosPlan::new(0xEF1D_0007))
+                    .with_corruption(CorruptionPlan::new(0xEF1D_0007))
+            } else {
+                job
+            }
+        })
+        .collect();
+    let mix = run_tenant_mix(&cluster, &mut dfs, &cfg, jobs).unwrap();
+    let fingerprints = mix
+        .jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| {
+            assert!(job.rejected.is_none(), "job {i} rejected inside the budget");
+            let res = job.result.as_ref().unwrap().as_ref().unwrap();
+            counter_fingerprint(&res.stats)
+        })
+        .collect();
+    (mix.log, mix.makespan, fingerprints)
+}
+
+/// The throughput mix admits every job, replays bit-identically, and does
+/// not see per-job injection plans that are configured but quiet.
+#[test]
+fn throughput_mix_is_deterministic_and_blind_to_quiet_plans() {
+    let plain = throughput_mix(false);
+    assert!(
+        plain.0.len() >= 2 * 36,
+        "every job is at least admitted and granted in the log"
+    );
+    assert_eq!(plain, throughput_mix(false), "double run diverged");
+    assert_eq!(plain, throughput_mix(true), "quiet plans moved the mix");
 }
 
 /// Tentpole robustness: one tenant's armed chaos/corruption layers and
