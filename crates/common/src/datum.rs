@@ -310,6 +310,36 @@ impl Datum {
         buf.strip_prefix(&[NULL_TAG])
     }
 
+    /// The length of the encoding at the front of `buf` — what
+    /// [`Datum::size_bytes`] says of the datum it encodes — found by reading
+    /// tags and length prefixes only: nothing is decoded and nothing is
+    /// allocated. Truncation and unknown tags are `Error::Decode`, as in
+    /// [`Datum::decode_from`].
+    pub fn encoded_len(buf: &[u8]) -> Result<usize> {
+        let (&tag, rest) = buf
+            .split_first()
+            .ok_or_else(|| Error::Decode("empty buffer".into()))?;
+        let body = match tag {
+            NULL_TAG => 0,
+            1 => 1,
+            2 | 3 => 8,
+            4 | 5 => 4 + split_len_prefixed(rest, "string")?.0.len(),
+            LIST_TAG => {
+                let (n, items) = list_len(rest)?;
+                let mut at = 0;
+                for _ in 0..n {
+                    at += Datum::encoded_len(&items[at..])?;
+                }
+                4 + at
+            }
+            other => return Err(Error::Decode(format!("unknown datum tag {other}"))),
+        };
+        if body > rest.len() {
+            return Err(Error::Decode("truncated datum".into()));
+        }
+        Ok(1 + body)
+    }
+
     /// Decodes a datum that must consume the whole buffer.
     pub fn decode(buf: &[u8]) -> Result<Datum> {
         let (d, rest) = Datum::decode_from(buf)?;
@@ -369,6 +399,12 @@ fn split_len_prefixed<'a>(buf: &'a [u8], what: &str) -> Result<(&'a [u8], &'a [u
     split_n(rest, len, what)
 }
 
+/// Two datums are equal exactly when their encodings are: `Int` and
+/// `Float` never compare `Equal`, floats compare by bit pattern
+/// (`total_cmp`: `0.0 != -0.0`, NaNs with different payloads differ), text,
+/// bytes and lists compare element by element, and every encoding is
+/// self-delimiting. The shuffle groups keys by their bytes on the strength
+/// of it; a property test in `tests/proptests.rs` pins it.
 impl PartialEq for Datum {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal

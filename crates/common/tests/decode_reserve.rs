@@ -1,6 +1,7 @@
 //! A list's element count is read from the input, so decoding must not
-//! reserve for it beyond what the input can back. Its own test binary: the
-//! check needs a `#[global_allocator]` that watches request sizes.
+//! reserve for it beyond what the input can back, and measuring an encoding
+//! must not allocate at all. Its own test binary: the checks need a
+//! `#[global_allocator]` that watches requests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -10,16 +11,19 @@ use efind_common::{Datum, Error};
 thread_local! {
     /// Largest single request this thread has made of the allocator.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Requests this thread has made of the allocator.
+    static CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Watching;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the bookkeeping touches only a const-initialised,
-// destructor-free thread-local `Cell`, which neither allocates nor unwinds.
+// `GlobalAlloc` contract; the bookkeeping touches only const-initialised,
+// destructor-free thread-local `Cell`s, which neither allocate nor unwind.
 unsafe impl GlobalAlloc for Watching {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LARGEST.with(|l| l.set(l.get().max(layout.size())));
+        CALLS.with(|c| c.set(c.get() + 1));
         // SAFETY: `layout` is the caller's, passed through as received.
         unsafe { System.alloc(layout) }
     }
@@ -45,10 +49,12 @@ fn a_claimed_element_count_reserves_no_more_than_the_buffer_holds() {
     LARGEST.with(|l| l.set(0));
     let flat = Datum::decode(&buf);
     let nested = Datum::decode_list_with(&buf, |b| Datum::decode_list_with(b, Datum::decode_from));
+    let len = Datum::encoded_len(&buf);
     let largest = LARGEST.with(Cell::get);
 
     assert!(matches!(flat, Err(Error::Decode(_))), "{flat:?}");
     assert!(matches!(nested, Err(Error::Decode(_))), "{nested:?}");
+    assert!(matches!(len, Err(Error::Decode(_))), "{len:?}");
     // The error strings are the only other allocations, and they are short.
     let four_elements = 4 * std::mem::size_of::<Datum>();
     assert!(
@@ -87,4 +93,40 @@ fn a_key_list_claiming_u32_max_keys_grows_storage_by_what_it_holds() {
             "a {largest}-byte reservation for a 14-byte input"
         );
     }
+}
+
+/// `Datum::encoded_len` reads tags and length prefixes: over encodings of
+/// every variant, nested lists included, it asks the allocator for nothing.
+#[test]
+fn encoded_len_makes_no_allocator_call() {
+    let leaves = vec![
+        Datum::Null,
+        Datum::Bool(true),
+        Datum::Int(-3),
+        Datum::Float(f64::NAN),
+        Datum::Text("abcdefghi".into()),
+        Datum::Bytes(vec![0; 300]),
+    ];
+    let nested = Datum::List(vec![
+        Datum::List(leaves.clone()),
+        Datum::List(Vec::new()),
+        Datum::List(vec![Datum::List(leaves.clone())]),
+    ]);
+    let mut run = Vec::new();
+    for d in leaves.iter().chain([&nested]) {
+        d.encode_into(&mut run);
+    }
+
+    CALLS.with(|c| c.set(0));
+    let mut at = 0;
+    let mut lengths = 0;
+    while at < run.len() {
+        let len = Datum::encoded_len(&run[at..]).expect("a valid encoding");
+        at += len;
+        lengths += 1;
+    }
+    let calls = CALLS.with(Cell::get);
+
+    assert_eq!((at, lengths), (run.len(), leaves.len() + 1));
+    assert_eq!(calls, 0, "encoded_len allocated");
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the value model and FM sketch.
 
-use efind_common::{Datum, FmSketch, Record};
+use efind_common::{Datum, Error, FmSketch, Record};
 use proptest::prelude::*;
 
 fn arb_datum() -> impl Strategy<Value = Datum> {
@@ -14,6 +14,39 @@ fn arb_datum() -> impl Strategy<Value = Datum> {
     ];
     leaf.prop_recursive(3, 64, 8, |inner| {
         proptest::collection::vec(inner, 0..6).prop_map(Datum::List)
+    })
+}
+
+/// Datums drawn from a small pool of neighbours — in `Datum`'s order or
+/// in its encoding — and short lists of them, so that two draws are often
+/// equal and often almost equal: every variant, `Int(1)` beside
+/// `Float(1.0)`, both zeros, NaNs with different payloads, strings of 0, 8
+/// and 9 bytes, nested and empty lists.
+fn arb_neighbour() -> impl Strategy<Value = Datum> {
+    let pool = vec![
+        Datum::Null,
+        Datum::Bool(false),
+        Datum::Bool(true),
+        Datum::Int(0),
+        Datum::Int(1),
+        Datum::Float(0.0),
+        Datum::Float(-0.0),
+        Datum::Float(1.0),
+        Datum::Float(f64::NAN),
+        Datum::Float(f64::from_bits(f64::NAN.to_bits() | 1)),
+        Datum::Float(-f64::NAN),
+        Datum::Text(String::new()),
+        Datum::Text("abcdefgh".into()),
+        Datum::Text("abcdefghi".into()),
+        Datum::Bytes(Vec::new()),
+        Datum::Bytes(b"abcdefgh".to_vec()),
+        Datum::Bytes(b"abcdefghi".to_vec()),
+        Datum::List(Vec::new()),
+        Datum::List(vec![Datum::List(Vec::new())]),
+    ];
+    let leaf = (0..pool.len()).prop_map(move |i| pool[i].clone());
+    leaf.prop_recursive(3, 16, 3, |inner| {
+        proptest::collection::vec(inner, 0..3).prop_map(Datum::List)
     })
 }
 
@@ -60,6 +93,54 @@ proptest! {
         a.hash(&mut ha);
         b.hash(&mut hb);
         prop_assert_eq!(ha.finish(), hb.finish());
+    }
+
+    /// The property the shuffle's byte-wise grouping stands on.
+    #[test]
+    fn datums_are_equal_exactly_when_their_encodings_are(
+        a in arb_neighbour(),
+        b in arb_neighbour(),
+        c in arb_datum(),
+    ) {
+        for (x, y) in [(&a, &b), (&a, &c), (&b, &b)] {
+            prop_assert_eq!(x == y, x.encode() == y.encode(), "{:?} against {:?}", x, y);
+        }
+    }
+
+    #[test]
+    fn encoded_len_is_the_size_and_every_proper_prefix_is_truncated(
+        d in arb_datum(),
+        tail in proptest::collection::vec(any::<u8>(), 0..4),
+        cut in any::<u64>(),
+    ) {
+        let mut buf = d.encode();
+        let len = buf.len();
+        buf.extend_from_slice(&tail);
+        prop_assert_eq!(Datum::encoded_len(&buf).unwrap() as u64, d.size_bytes());
+        let cut = (cut % len as u64) as usize;
+        prop_assert!(matches!(Datum::encoded_len(&buf[..cut]), Err(Error::Decode(_))));
+    }
+
+    /// On arbitrary bytes `encoded_len` returns — no panic — and agrees
+    /// with a full decode wherever that succeeds (a decode may also fail
+    /// on invalid UTF-8, which a length does not check).
+    #[test]
+    fn encoded_len_agrees_with_decode_on_any_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let len = Datum::encoded_len(&bytes);
+        if bytes.first().is_none_or(|tag| *tag > 6) {
+            prop_assert!(matches!(len, Err(Error::Decode(_))), "{:?}", len);
+        }
+        match (len, Datum::decode_from(&bytes)) {
+            (Ok(len), Ok((d, rest))) => {
+                prop_assert_eq!(len, bytes.len() - rest.len());
+                prop_assert_eq!(len as u64, d.size_bytes());
+            }
+            (Err(Error::Decode(_)), Err(_)) => {}
+            (Ok(_), Err(Error::Decode(msg))) if msg.contains("utf-8") => {}
+            (len, decoded) => prop_assert!(false, "{:?} against {:?}", len, decoded),
+        }
     }
 
     #[test]

@@ -373,16 +373,25 @@ pub(crate) fn run_dynamic(
 
     let last = &compiled2.jobs[n_jobs - 1];
     let output = if conf.has_reduce() {
+        // The wave-1 runs were spilled under the baseline job and feed the
+        // re-planned job's reduce as they are: `compile_pipeline` gives the
+        // job's own Reduce, partitioner and reducer count to the last job
+        // of any plan.
+        if !last.shuffles_like(&conf) {
+            return Err(Error::Internal(format!(
+                "job {}: the re-planned job {} shuffles unlike the baseline job",
+                ijob.name, last.name
+            )));
+        }
         let lchunks = rt.runner().chunks(last)?;
         let mut lexec = rt.runner().execute_maps(last, &lchunks, 0)?;
         let lsched = rt.runner().schedule_maps(&lexec, t);
         let map_end = lsched.makespan;
+        let map = lexec.phase_stats(lsched);
         // Merge: new-plan map outputs plus the reused wave-1 outputs.
-        let mut sources = lexec.take_outputs();
-        sources.extend(exec1.take_outputs());
-        let outcome = rt.runner().run_reduce_from(last, sources, map_end)?;
-        let (output, mut parts) =
-            JobParts::after_reduce(t, lexec.phase_stats(lsched), map_end, outcome);
+        lexec.tasks.append(&mut exec1.tasks);
+        let outcome = rt.runner().run_reduce(last, &mut lexec, map_end)?;
+        let (output, mut parts) = JobParts::after_reduce(t, map, map_end, outcome);
         parts.recovery = recovery;
         job_stats.push(rt.runner().seal(last, parts));
         output
@@ -469,23 +478,22 @@ fn try_reduce_phase_replan(
         return Ok(None);
     }
 
-    // Map phase timeline and shuffle partitioning.
+    // Map phase timeline. A job with a reduce shuffles its map output:
+    // the map tasks' output records and bytes are what the reducers read.
     let map_schedule = rt.runner().schedule_maps(exec, SimTime::ZERO);
     let map_end = map_schedule.makespan;
     let map = exec.phase_stats(map_schedule);
-    let (partitions, shuffle_bytes) = rt.runner().partition_for_reduce(conf, exec.take_outputs());
-    let mut partitions: Vec<(usize, Vec<Record>)> = partitions.into_iter().enumerate().collect();
-    let rest_input = partitions.split_off(reduce_slots);
-    let remaining_in: u64 = rest_input.iter().map(|(_, p)| p.len() as u64).sum();
+    let shuffle_bytes: u64 = map.tasks.iter().map(|t| t.output_bytes).sum();
+    let shuffled: u64 = map.tasks.iter().map(|t| t.output_records).sum();
+    let rest_tasks = reduce_slots..conf.num_reducers;
 
     // ---- Reduce wave 1 under the current (tail-baseline) plan. ----
-    let mut wave1 = rt
-        .runner()
-        .execute_reduce_partitions_owned(conf, partitions)?;
+    let mut wave1 = rt.runner().execute_reduces(conf, exec, 0..reduce_slots)?;
     let wave_schedule = rt.runner().schedule_reduces(&wave1, map_end);
 
     // ---- Re-optimize the tail operators from wave-1 statistics. ----
     let wave = Wave::of(wave1.iter().map(|t| &t.stats));
+    let remaining_in = shuffled.saturating_sub(wave.input_records());
     let mut tail_plans = Plans::default();
     let tail = ijob.operators().filter(|(_, p)| *p == Placement::Tail);
     let predicted_gain = wave
@@ -503,10 +511,9 @@ fn try_reduce_phase_replan(
     if !change {
         // No plan change: execute the remaining reduce waves under the
         // current plan and assemble an uninterrupted-equivalent run.
-        wave1.extend(
-            rt.runner()
-                .execute_reduce_partitions_owned(conf, rest_input)?,
-        );
+        wave1.extend(rt.runner().execute_reduces(conf, exec, rest_tasks)?);
+        // Every partition is reduced: free the runs before the output write.
+        exec.tasks.clear();
         let reduce_schedule = rt.runner().schedule_reduces(&wave1, map_end);
         let finished = reduce_schedule.makespan;
         let output = rt.dfs.write_file(&ijob.output, take_outputs(&mut wave1));
@@ -537,9 +544,9 @@ fn try_reduce_phase_replan(
     // remaining reduce tasks run without the tail chains.
     let mut stripped = conf.clone();
     stripped.reduce_post = Vec::new();
-    let mut rest = rt
-        .runner()
-        .execute_reduce_partitions_owned(&stripped, rest_input)?;
+    let mut rest = rt.runner().execute_reduces(&stripped, exec, rest_tasks)?;
+    // Every partition is reduced: free the runs before the tail pipeline.
+    exec.tasks.clear();
     let rest_start =
         wave_schedule.makespan + SimDuration::from_secs_f64(rt.config.plan_change_cost_secs);
     let rest_schedule = rt.runner().schedule_reduces(&rest, rest_start);

@@ -1442,6 +1442,11 @@ mod tests {
     /// A map + 2-reducer job with [`two_index_op`] in `placement`, compiled
     /// with strategy `mix[slot]` on each index.
     fn compile_two_index(placement: &str, mix: [Strategy; 2]) -> CompiledPipeline {
+        compile_pipeline(&two_index_job(placement), &two_index_plans(mix), &env()).unwrap()
+    }
+
+    /// A map + 2-reducer job with [`two_index_op`] in `placement`.
+    fn two_index_job(placement: &str) -> IndexJobConf {
         let base = IndexJobConf::new("j", "in", "out")
             .set_mapper(mapper_fn(|rec, out, _| out.collect(rec)))
             .set_reducer(
@@ -1452,11 +1457,15 @@ mod tests {
                 }),
                 2,
             );
-        let ijob = match placement {
+        match placement {
             "head" => base.add_head_index_operator(two_index_op()),
             "body" => base.add_body_index_operator(two_index_op()),
             _ => base.add_tail_index_operator(two_index_op()),
-        };
+        }
+    }
+
+    /// Plans for [`two_index_op`] with strategy `mix[slot]` on each index.
+    fn two_index_plans(mix: [Strategy; 2]) -> FxHashMap<String, OperatorPlan> {
         let mut plan = forced_plan(&two_index_op().caps(), Strategy::Cache);
         plan.choices[0].strategy = mix[0];
         plan.choices[1].strategy = mix[1];
@@ -1464,7 +1473,7 @@ mod tests {
         plan.choices.sort_by_key(|c| !c.strategy.is_shuffle());
         let mut plans = FxHashMap::default();
         plans.insert("pair".to_owned(), plan);
-        compile_pipeline(&ijob, &plans, &env()).unwrap()
+        plans
     }
 
     const PLACEMENTS: [&str; 3] = ["head", "body", "tail"];
@@ -1525,6 +1534,27 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(shape, expected(placement, mix), "{placement} {mix:?}");
+            }
+        }
+    }
+
+    /// A map-side re-plan (`adaptive.rs`) hands the map outputs the
+    /// baseline plan's single job spilled to the re-planned pipeline's last
+    /// job as they are. That is sound because the last job is where the
+    /// job's own Reduce lands, with its partitioner and reducer count: for
+    /// an operator at the head or in the body, under every mix.
+    #[test]
+    fn the_last_job_of_a_map_side_plan_shuffles_like_the_baseline_job() {
+        for placement in ["head", "body"] {
+            let ijob = two_index_job(placement);
+            let baseline = two_index_plans([Strategy::Baseline; 2]);
+            let baseline = compile_pipeline(&ijob, &baseline, &env()).unwrap().jobs;
+            assert_eq!(baseline.len(), 1);
+            for mix in MIXES {
+                let replanned =
+                    compile_pipeline(&ijob.clone(), &two_index_plans(mix), &env()).unwrap();
+                let last = replanned.jobs.last().unwrap();
+                assert!(last.shuffles_like(&baseline[0]), "{placement} {mix:?}");
             }
         }
     }

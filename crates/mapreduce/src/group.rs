@@ -1,97 +1,88 @@
 //! Reduce-side grouping: key groups in key order, each group's values in
 //! arrival order.
 //!
-//! Shuffled keys repeat — that is why the paper re-partitions lookups
-//! (§3.3) — so a task need not order its *records*, only its distinct
-//! keys. [`group_by_key`] assigns every record to its key's group through a
-//! hash table, orders the groups, and moves each value once into its
+//! A reduce task's input is its [`Slice`] of every map task's run, in
+//! source order, each key as its `Datum::encode` bytes. Shuffled keys
+//! repeat — that is why the paper re-partitions lookups (§3.3) — so a task
+//! need not order its *records*, only its distinct keys. [`group_by_key`]
+//! assigns every record to its key's group by the key's bytes, decodes one
+//! key per group, orders the groups, and moves each value once into its
 //! group's exact-size vector. What comes out is what a stable sort by key
-//! followed by a walk over the runs of equal keys hands over, because
-//! [`Datum`]'s `Eq` is `cmp == Equal` and its `Hash` hashes what `cmp`
-//! compares: the groups are the sort's runs, arrival order within a group
-//! is what the stable sort preserves, and the groups come out in key order.
+//! followed by a walk over the runs of equal keys hands over, because two
+//! datums are equal exactly when their encodings are: the groups are the
+//! sort's runs, arrival order within a group is what the stable sort
+//! preserves, and the groups come out in `Datum::cmp` order.
 
 use std::collections::hash_map::Entry;
-use std::hash::{Hash, Hasher};
+use std::mem;
 
-use efind_common::hash::{FxHashMap, FxHasher};
-use efind_common::{Datum, Record};
+use efind_common::hash::{fx_hash_bytes, FxHashMap};
+use efind_common::Datum;
+
+use crate::spill::Slice;
 
 /// "No next group" in a chain of groups whose keys share one hash.
 const END: u32 = u32::MAX;
 
 /// One distinct key met by the first pass.
-struct Group {
-    /// Index of the first record carrying the key.
-    first: u32,
+struct Group<'a> {
+    /// The key's encoding.
+    key: &'a [u8],
     /// Records carrying the key.
     count: u32,
     /// The next group whose key has the same 64-bit hash, or [`END`].
     next: u32,
 }
 
-/// The hash the table files `key` under: [`FxHasher`] over what
-/// `Datum::cmp` compares, without the finalizer the shuffle partitioner
-/// adds — a reduce partition is the set of keys equal under that one
-/// modulo the reducer count.
-fn key_hash(key: &Datum) -> u64 {
-    let mut hasher = FxHasher::default();
-    key.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// Calls `each` once per distinct key of `records`, in key order, with the
-/// key's values in arrival order.
-pub(crate) fn group_by_key(records: Vec<Record>, mut each: impl FnMut(Datum, Vec<Datum>)) {
-    let (group_of, groups) = assign_groups(&records);
-    let key_of = |g: u32| &records[groups[g as usize].first as usize].key;
-    let mut order: Vec<u32> = (0..groups.len() as u32).collect();
-    // Distinct keys: no two compare equal, so stability has nothing to keep.
-    order.sort_unstable_by(|a, b| key_of(*a).cmp(key_of(*b)));
-    let mut slot_of = vec![0u32; groups.len()];
-    for (slot, g) in order.iter().enumerate() {
-        slot_of[*g as usize] = slot as u32;
-    }
-    let mut slots: Vec<(Datum, Vec<Datum>)> = order
+/// The distinct keys of `input` in key order, each with its values in
+/// arrival order (slice by slice, record by record).
+pub(crate) fn group_by_key(mut input: Vec<Slice<'_>>) -> Vec<(Datum, Vec<Datum>)> {
+    let (group_of, groups) = assign_groups(&input);
+    // Every key is decoded before any value vector is allocated. A key
+    // outlives its group's vector (a reducer's output record keeps it), so
+    // decoded in between, each key would end up alone among the holes the
+    // vectors leave: on keys that do not repeat, that fragmented heap made
+    // every later allocation of the job slower (EXPERIMENTS.md E27).
+    let keys: Vec<Datum> = groups
         .iter()
-        .map(|g| {
-            let values = Vec::with_capacity(groups[*g as usize].count as usize);
-            (Datum::Null, values)
-        })
+        .map(|g| Datum::decode(g.key).expect("a run holds only the keys it encoded"))
         .collect();
-    for (rec, g) in records.into_iter().zip(group_of) {
-        let (key, values) = &mut slots[slot_of[g as usize] as usize];
-        // A group keeps the key of its first record; later ones are dropped.
-        if values.is_empty() {
-            *key = rec.key;
-        }
-        values.push(rec.value);
+    let mut grouped: Vec<(Datum, Vec<Datum>)> = keys
+        .into_iter()
+        .zip(&groups)
+        .map(|(key, g)| (key, Vec::with_capacity(g.count as usize)))
+        .collect();
+    let arrivals = input.iter_mut().flat_map(|slice| slice.values().iter_mut());
+    for (value, g) in arrivals.zip(group_of) {
+        grouped[g as usize].1.push(mem::take(value));
     }
-    for (key, values) in slots {
-        each(key, values);
-    }
+    // Distinct keys: no two compare equal, so stability has nothing to keep.
+    grouped.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    grouped
 }
 
 /// The first pass: each record's group, and the groups in order of first
-/// appearance. Reads the records and leaves them as they are.
+/// appearance. Reads the keys and leaves the values where they are.
 ///
-/// The table maps a key's hash to the first group with that hash and is
-/// only ever probed, never iterated; whether two keys are the same key is
-/// decided by `==` alone, so keys whose hashes collide stay apart.
-fn assign_groups(records: &[Record]) -> (Vec<u32>, Vec<Group>) {
-    debug_assert!(u32::try_from(records.len()).is_ok(), "indices are u32");
+/// The table maps a key's [`fx_hash_bytes`] to the first group with that
+/// hash and is only ever probed, never iterated; whether two keys are the
+/// same key is decided by comparing their bytes, so keys whose hashes
+/// collide stay apart.
+fn assign_groups<'a>(input: &[Slice<'a>]) -> (Vec<u32>, Vec<Group<'a>>) {
+    let records: usize = input.iter().map(Slice::len).sum();
+    debug_assert!(u32::try_from(records).is_ok(), "indices are u32");
     let mut table: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut groups: Vec<Group> = Vec::new();
-    let mut group_of: Vec<u32> = Vec::with_capacity(records.len());
-    for (i, rec) in records.iter().enumerate() {
+    let mut groups: Vec<Group<'a>> = Vec::new();
+    let mut group_of: Vec<u32> = Vec::with_capacity(records);
+    for key in input.iter().flat_map(Slice::keys) {
         let new = groups.len() as u32;
-        let g = match table.entry(key_hash(&rec.key)) {
+        let g = match table.entry(fx_hash_bytes(key)) {
             Entry::Vacant(slot) => *slot.insert(new),
             Entry::Occupied(slot) => {
                 let mut g = *slot.get();
                 loop {
                     let group = &mut groups[g as usize];
-                    if records[group.first as usize].key == rec.key {
+                    if group.key == key {
                         break g;
                     }
                     if group.next == END {
@@ -104,7 +95,7 @@ fn assign_groups(records: &[Record]) -> (Vec<u32>, Vec<Group>) {
         };
         if g == new {
             groups.push(Group {
-                first: i as u32,
+                key,
                 count: 0,
                 next: END,
             });
@@ -115,14 +106,15 @@ fn assign_groups(records: &[Record]) -> (Vec<u32>, Vec<Group>) {
     (group_of, groups)
 }
 
-/// The reference [`group_by_key`] is tested against: a stable sort by key,
-/// then one call of `each` per run of equal keys.
+/// The reference [`group_by_key`] is tested against: a stable sort of the
+/// records by key, then one group per run of equal keys.
 #[cfg(test)]
-pub(crate) fn sort_groups(mut records: Vec<Record>, mut each: impl FnMut(Datum, Vec<Datum>)) {
+pub(crate) fn sort_groups(mut records: Vec<efind_common::Record>) -> Vec<(Datum, Vec<Datum>)> {
     // Stable: equal-key order is observable (it sets group value order and
     // pass-through output order, and record sizes differ, so reordering
     // shifts downstream chunk boundaries and virtual costs).
     records.sort_by(|a, b| a.key.cmp(&b.key));
+    let mut groups = Vec::new();
     let mut rest = records.into_iter().peekable();
     while let Some(first) = rest.next() {
         let key = first.key;
@@ -130,57 +122,68 @@ pub(crate) fn sort_groups(mut records: Vec<Record>, mut each: impl FnMut(Datum, 
         while let Some(rec) = rest.next_if(|r| r.key == key) {
             values.push(rec.value);
         }
-        each(key, values);
+        groups.push((key, values));
     }
+    groups
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::Spill;
+    use efind_common::Record;
 
-    fn groups_of(records: Vec<Record>) -> Vec<(Datum, Vec<Datum>)> {
-        let mut groups = Vec::new();
-        group_by_key(records, |key, values| groups.push((key, values)));
-        groups
-    }
-
-    fn sorted_groups_of(records: Vec<Record>) -> Vec<(Datum, Vec<Datum>)> {
-        let mut groups = Vec::new();
-        sort_groups(records, |key, values| groups.push((key, values)));
-        groups
+    /// Groups `records` spilled into `partitions` partitions by `p`,
+    /// every slice handed to one task, as a reduce task receives its
+    /// slices of many runs.
+    fn groups_of(records: Vec<Record>, partitions: usize) -> Vec<(Datum, Vec<Datum>)> {
+        let p = |key: &Datum| fx_hash_bytes(&key.encode()) as usize % partitions;
+        let mut run = Spill::build(records, partitions, p);
+        group_by_key(run.slices().collect())
     }
 
     #[test]
     fn keys_with_one_hash_stay_two_groups_in_key_order() {
-        // `FxHasher`'s multiplier (`SEED` in efind-common's hash.rs). A
-        // `Text` of exactly eight bytes hashes to
-        // (rotl(4·SEED, 5) ^ word)·SEED and an `Int` to
-        // (rotl(2·SEED, 5) ^ v)·SEED, 4 and 2 being the variants' tags.
+        // `FxHasher` (efind-common's hash.rs) over the 16 bytes of an
+        // 11-byte `Bytes` key takes two words: the hash is
+        // (rotl(w1·SEED, 5) ^ w2)·SEED. The second key differs from the
+        // first in its first word and makes up for it in its second.
         const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-        let text = Datum::Text("collide!".into());
-        let word = u64::from_le_bytes(*b"collide!");
-        let v =
-            word ^ 4u64.wrapping_mul(SEED).rotate_left(5) ^ 2u64.wrapping_mul(SEED).rotate_left(5);
-        let int = Datum::Int(v as i64);
-        assert_eq!(key_hash(&text), key_hash(&int), "not a collision any more");
-        assert_ne!(text, int);
+        let words = |key: &Datum| {
+            let enc = key.encode();
+            let word = |i: usize| u64::from_le_bytes(enc[i..i + 8].try_into().unwrap());
+            (word(0), word(8))
+        };
+        let low = Datum::Bytes(vec![0; 11]);
+        let mut bytes = vec![0; 11];
+        bytes[0] = 1;
+        let ((w1, w2), (v1, _)) = (words(&low), words(&Datum::Bytes(bytes.clone())));
+        let fill = w2 ^ w1.wrapping_mul(SEED).rotate_left(5) ^ v1.wrapping_mul(SEED).rotate_left(5);
+        bytes[3..].copy_from_slice(&fill.to_le_bytes());
+        let high = Datum::Bytes(bytes);
+        assert_eq!(
+            fx_hash_bytes(&low.encode()),
+            fx_hash_bytes(&high.encode()),
+            "not a collision any more"
+        );
+        assert_ne!(low, high);
 
         let records = vec![
-            Record::new(text.clone(), 0i64),
-            Record::new(int.clone(), 1i64),
-            Record::new(text.clone(), 2i64),
-            Record::new(int.clone(), 3i64),
-            Record::new(int.clone(), 4i64),
+            Record::new(high.clone(), 0i64),
+            Record::new(low.clone(), 1i64),
+            Record::new(high.clone(), 2i64),
+            Record::new(low.clone(), 3i64),
+            Record::new(low.clone(), 4i64),
         ];
-        let groups = groups_of(records.clone());
+        let groups = groups_of(records.clone(), 1);
         assert_eq!(
             groups,
             vec![
-                (int, vec![Datum::Int(1), Datum::Int(3), Datum::Int(4)]),
-                (text, vec![Datum::Int(0), Datum::Int(2)]),
+                (low, vec![Datum::Int(1), Datum::Int(3), Datum::Int(4)]),
+                (high, vec![Datum::Int(0), Datum::Int(2)]),
             ]
         );
-        assert_eq!(groups, sorted_groups_of(records));
+        assert_eq!(groups, sort_groups(records));
     }
 
     #[test]
@@ -188,17 +191,17 @@ mod tests {
         let distinct: Vec<Record> = (0..10_000i64)
             .map(|i| Record::new((i * 7919) % 10_007, i))
             .collect();
-        let groups = groups_of(distinct.clone());
+        let groups = groups_of(distinct.clone(), 3);
         assert_eq!(groups.len(), 10_000);
-        assert_eq!(groups, sorted_groups_of(distinct));
+        assert_eq!(groups, sort_groups(distinct));
 
         let repeating: Vec<Record> = (0..10_000i64)
             .map(|i| Record::new(format!("k{}", (i * 7) % 10), i))
             .collect();
-        let groups = groups_of(repeating.clone());
+        let groups = groups_of(repeating.clone(), 3);
         assert_eq!(groups.len(), 10);
-        assert_eq!(groups, sorted_groups_of(repeating));
+        assert_eq!(groups, sort_groups(repeating));
 
-        assert_eq!(groups_of(Vec::new()), Vec::new());
+        assert_eq!(groups_of(Vec::new(), 1), Vec::new());
     }
 }

@@ -116,6 +116,14 @@ impl JobConf {
     pub fn has_reduce(&self) -> bool {
         self.num_reducers > 0
     }
+
+    /// True when `self` and `other` route every key to the same reduce
+    /// partition — the same reducer count and the same partitioner
+    /// instance — so the map outputs of one can feed the other's reduce.
+    pub fn shuffles_like(&self, other: &JobConf) -> bool {
+        self.num_reducers == other.num_reducers
+            && Arc::ptr_eq(&self.partitioner, &other.partitioner)
+    }
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@ pub mod partition;
 pub mod recovery;
 pub mod report;
 pub mod runner;
+mod spill;
 pub mod stats;
 pub mod tenancy;
 

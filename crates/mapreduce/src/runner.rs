@@ -9,14 +9,15 @@
 //! slots and yields the phase makespan.
 //!
 //! The runner's pieces are public individually (`execute_maps`,
-//! `schedule_maps`, `run_reduce_from`, `schedule_reduces`, `seal`) because
-//! EFind's adaptive optimizer (§4.3, Fig. 10) needs to stop a job after its
-//! first map wave, re-plan, and stitch the completed wave's outputs into
-//! the new plan's reduce. Whoever runs the phases, a job ends in
+//! `schedule_maps`, `run_reduce`, `execute_reduces`, `schedule_reduces`,
+//! `seal`) because EFind's adaptive optimizer (§4.3, Fig. 10) needs to stop
+//! a job after its first map wave, re-plan, and stitch the completed wave's
+//! outputs into the new plan's reduce, or to run the reduce phase wave by
+//! wave. Whoever runs the phases, a job ends in
 //! [`Runner::seal`]: the one place its ledgers are completed and mirrored
 //! and its [`JobStats`] is built.
 
-use std::thread;
+use std::{mem, ops::Range, thread};
 
 use efind_cluster::{
     sched::{
@@ -38,6 +39,7 @@ use crate::integrity::IntegrityLog;
 use crate::job::JobConf;
 use crate::netsplit_log::PartitionLog;
 use crate::recovery::RecoveryLog;
+use crate::spill::{Slice, Spill};
 use crate::stats::{JobStats, PhaseStats, TaskStats};
 
 /// First pause of a reducer's shuffle-fetch retry loop after a fetch
@@ -133,10 +135,25 @@ pub struct MapTaskExec {
     pub affinity_penalty: SimDuration,
     /// Whether the task must run on its affinity nodes.
     pub hard_affinity: bool,
-    /// The task's full output (pre-shuffle).
-    pub output: Vec<Record>,
+    /// The task's full output.
+    output: MapOutput,
     /// Per-task statistics.
     pub stats: TaskStats,
+}
+
+/// What a map task hands on.
+#[derive(Debug)]
+enum MapOutput {
+    /// The finished records of a map-only job, in emission order.
+    Records(Vec<Record>),
+    /// The shuffle run of a job with a reduce.
+    Run(Spill),
+}
+
+impl Default for MapOutput {
+    fn default() -> Self {
+        MapOutput::Records(Vec::new())
+    }
 }
 
 impl MapTaskExec {
@@ -163,11 +180,17 @@ pub struct MapPhaseExec {
 }
 
 impl MapPhaseExec {
-    /// Moves the per-task output record vectors out, in task order.
+    /// Moves the per-task output record vectors out, in task order. A
+    /// task of a job with a reduce hands its run back as records partition
+    /// by partition, each partition in emission order, so that the job's
+    /// own partitioner splits them into the partitions it shuffled.
     pub fn take_outputs(&mut self) -> Vec<Vec<Record>> {
         self.tasks
             .iter_mut()
-            .map(|t| std::mem::take(&mut t.output))
+            .map(|t| match mem::take(&mut t.output) {
+                MapOutput::Records(records) => records,
+                MapOutput::Run(run) => run.into_records(),
+            })
             .collect()
     }
 
@@ -416,7 +439,14 @@ impl<'a> Runner<'a> {
             )));
         }
         let output_records = output.len() as u64;
-        let output_bytes: u64 = output.iter().map(Record::size_bytes).sum();
+        let (output, output_bytes) = if conf.has_reduce() {
+            let run = spill(conf, output);
+            let bytes = run.bytes();
+            (MapOutput::Run(run), bytes)
+        } else {
+            let bytes = output.iter().map(Record::size_bytes).sum();
+            (MapOutput::Records(output), bytes)
+        };
 
         let mut base_cost =
             ctx.charged() + conf.cpu_per_record * (input_records + emitted_records) + combiner_cost;
@@ -505,84 +535,65 @@ impl<'a> Runner<'a> {
     }
 
     /// Partitions per-source map outputs into the job's reduce buckets,
-    /// returning the partitions and the total shuffled bytes.
-    ///
-    /// Records keep source order within each bucket, so the result is
-    /// identical to a sequential pass over the sources.
+    /// returning the partitions and the total shuffled bytes: each source
+    /// is spilled as its map task would have spilled it, and each
+    /// partition is the sources' slices back to back, in source order.
     pub fn partition_for_reduce(
         &self,
         conf: &JobConf,
         sources: Vec<Vec<Record>>,
     ) -> (Vec<Vec<Record>>, u64) {
-        let (partitions, bytes) = self
-            .partition_sized(conf, sources)
+        let mut runs = fan_out("partition", sources, |source| Ok(spill(conf, source)))
             // efind-lint: allow(panic, the signature has no error to return; the only Err is a panic of the job's partitioner on a worker thread, re-raised here)
             .expect("shuffle partitioning");
-        (partitions, bytes.iter().sum())
-    }
-
-    /// [`Runner::partition_for_reduce`] keeping each bucket's byte volume
-    /// apart, so the reduce task that takes a bucket need not size its
-    /// records a second time.
-    ///
-    /// Count, then fill. The sources are routed in parallel: one pass per
-    /// source asks the partitioner once per record and sizes the record
-    /// once. Every bucket is then allocated at exactly the summed count,
-    /// and one pass in source order moves each record from its source
-    /// straight into its bucket.
-    fn partition_sized(
-        &self,
-        conf: &JobConf,
-        sources: Vec<Vec<Record>>,
-    ) -> Result<(Vec<Vec<Record>>, Vec<u64>)> {
-        let num_r = conf.num_reducers.max(1);
-        let routes = fan_out("partition", sources.iter().collect(), |source| {
-            Ok(route_one(conf, num_r, source))
-        })?;
-
-        let mut partitions: Vec<Vec<Record>> = (0..num_r)
-            .map(|p| Vec::with_capacity(routes.iter().map(|r| r.counts[p]).sum()))
-            .collect();
-        let mut bucket_bytes = vec![0u64; num_r];
-        for (source, route) in sources.into_iter().zip(routes) {
-            for (total, bytes) in bucket_bytes.iter_mut().zip(route.bytes) {
-                *total += bytes;
-            }
-            for (rec, p) in source.into_iter().zip(route.ids) {
-                partitions[p as usize].push(rec);
+        let mut lens = vec![0; conf.num_reducers.max(1)];
+        for run in &mut runs {
+            for (len, slice) in lens.iter_mut().zip(run.slices()) {
+                *len += slice.len();
             }
         }
-        Ok((partitions, bucket_bytes))
+        let mut partitions: Vec<Vec<Record>> = lens.into_iter().map(Vec::with_capacity).collect();
+        for run in &mut runs {
+            for (partition, slice) in partitions.iter_mut().zip(run.slices()) {
+                partition.extend(slice.into_records());
+            }
+        }
+        (partitions, runs.iter().map(Spill::bytes).sum())
     }
 
     /// Executes (real computation, no scheduling) the reduce tasks for the
-    /// given `(task_id, input)` partitions, each taken by move so grouping
-    /// works on the shuffle buffers directly. Used by
-    /// the adaptive optimizer to run the reduce phase wave by wave
-    /// (Fig. 10(b)).
+    /// given `(task_id, input)` partitions, each taken by move.
     pub fn execute_reduce_partitions_owned(
         &self,
         conf: &JobConf,
         partitions: Vec<(usize, Vec<Record>)>,
     ) -> Result<Vec<ReduceTaskExec>> {
-        let partitions = partitions
-            .into_iter()
-            .map(|(id, input)| (id, input, None))
-            .collect();
-        self.execute_reduce_sized(conf, partitions)
+        fan_out("reduce", partitions, |(task_id, input)| {
+            let mut run = Spill::build(input, 1, |_| 0);
+            self.execute_one_reduce(conf, task_id, run.slices().collect())
+        })
     }
 
-    /// [`Runner::execute_reduce_partitions_owned`] over `(task_id, input,
-    /// input bytes)`; a partition whose byte volume the shuffle already
-    /// summed (`Some`) is not sized again.
-    fn execute_reduce_sized(
+    /// Executes (real computation, no scheduling) reduce tasks `tasks` of
+    /// `conf` over the shuffle runs an executed map phase still holds:
+    /// task `p` reads partition `p` of every run, in task order. The
+    /// partitions' values move into the reducers, so each task runs once.
+    /// Used by the adaptive optimizer to run the reduce phase wave by wave
+    /// (Fig. 10(b)).
+    pub fn execute_reduces(
         &self,
         conf: &JobConf,
-        partitions: Vec<(usize, Vec<Record>, Option<u64>)>,
+        exec: &mut MapPhaseExec,
+        tasks: Range<usize>,
     ) -> Result<Vec<ReduceTaskExec>> {
-        fan_out("reduce", partitions, |(task_id, input, bytes)| {
-            self.execute_one_reduce(conf, task_id, input, bytes)
-        })
+        if tasks.end > conf.num_reducers {
+            return Err(Error::InvalidConfig(format!(
+                "job {} has no reduce task {}",
+                conf.name,
+                tasks.end - 1
+            )));
+        }
+        self.reduce_partitions(conf, &mut shuffle_runs(conf, exec)?, tasks)
     }
 
     /// Writes per-task output record vectors, in task order, as the job's
@@ -598,41 +609,28 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Runs the reduce phase over per-source map outputs (in source order),
-    /// writes the job output file, and returns the outcome.
-    ///
-    /// `sources` is one record vector per completed map task; the shuffle
-    /// partitions each with the job's partitioner. This entry point is also
-    /// how the adaptive optimizer merges a completed first wave (old plan)
-    /// with the new plan's map outputs — Fig. 10(a).
-    pub fn run_reduce_from(
+    /// Runs the reduce phase over the shuffle runs of an executed map
+    /// phase, in task order, writes the job output file, and returns the
+    /// outcome. The tasks must have run under a job that shuffles like
+    /// `conf` ([`JobConf::shuffles_like`]). Besides [`Runner::finish`],
+    /// this is how the adaptive optimizer merges a completed first wave
+    /// (old plan) with the new plan's map phase — Fig. 10(a).
+    pub fn run_reduce(
         &mut self,
         conf: &JobConf,
-        sources: Vec<Vec<Record>>,
+        exec: &mut MapPhaseExec,
         start: SimTime,
     ) -> Result<ReduceOutcome> {
-        if !conf.has_reduce() {
-            return Err(Error::InvalidConfig(format!(
-                "job {} has no reduce phase",
-                conf.name
-            )));
-        }
-        // Shuffle-boundary verification happens while the per-source map
-        // outputs still exist (the merge below loses source identity):
-        // each (source, partition) payload is checksummed as the sender
-        // would send it; a corrupted transfer fails the reducer-side CRC
-        // and is refetched from the in-memory source output.
+        let mut runs = shuffle_runs(conf, exec)?;
         let (extra_fetch, shuffle_refetches, shuffle_refetch_time) =
-            self.verify_shuffle_payloads(conf, &sources);
-        let (partitions, bucket_bytes) = self.partition_sized(conf, sources)?;
-        let shuffle_bytes = bucket_bytes.iter().sum();
-        let sized = partitions
-            .into_iter()
-            .zip(bucket_bytes)
-            .enumerate()
-            .map(|(id, (input, bytes))| (id, input, Some(bytes)))
-            .collect();
-        let mut execs = self.execute_reduce_sized(conf, sized)?;
+            self.verify_shuffle_payloads(conf, &mut runs);
+        let shuffle_bytes = runs.iter().map(|run| run.bytes()).sum();
+        let mut execs = self.reduce_partitions(conf, &mut runs, 0..conf.num_reducers)?;
+        // Freed before the output write, which frees the file it replaces,
+        // the runs' buffers cost the allocator less than after it (E27).
+        for t in &mut exec.tasks {
+            t.output = MapOutput::default();
+        }
         for e in &mut execs {
             if let Some(extra) = extra_fetch.get(e.task_id).filter(|d| !d.is_zero()) {
                 e.spec.base += *extra;
@@ -659,6 +657,27 @@ impl<'a> Runner<'a> {
         })
     }
 
+    /// Reduce tasks `tasks` over one run per map task: task `p` borrows
+    /// partition `p` of every run, in run order.
+    fn reduce_partitions(
+        &self,
+        conf: &JobConf,
+        runs: &mut [&mut Spill],
+        tasks: Range<usize>,
+    ) -> Result<Vec<ReduceTaskExec>> {
+        let mut inputs: Vec<(usize, Vec<Slice>)> = tasks.clone().map(|p| (p, Vec::new())).collect();
+        for run in runs {
+            for ((_, input), slice) in inputs.iter_mut().zip(run.slices().skip(tasks.start)) {
+                if !slice.is_empty() {
+                    input.push(slice);
+                }
+            }
+        }
+        fan_out("reduce", inputs, |(task_id, slices)| {
+            self.execute_one_reduce(conf, task_id, slices)
+        })
+    }
+
     /// Verifies every (map source, reduce partition) shuffle payload
     /// against its sender-side CRC-32 and prices the refetch of corrupted
     /// transfers. Returns per-partition extra fetch time, the refetch
@@ -667,45 +686,33 @@ impl<'a> Runner<'a> {
     fn verify_shuffle_payloads(
         &self,
         conf: &JobConf,
-        sources: &[Vec<Record>],
+        runs: &mut [&mut Spill],
     ) -> (Vec<SimDuration>, u64, SimDuration) {
-        let num_r = conf.num_reducers.max(1);
         if !self.corruption.verifies_shuffle() {
             return (Vec::new(), 0, SimDuration::ZERO);
         }
-        let mut extra = vec![SimDuration::ZERO; num_r];
+        let mut extra = vec![SimDuration::ZERO; conf.num_reducers];
         let mut refetches = 0u64;
         let mut refetch_time = SimDuration::ZERO;
-        for (s, source) in sources.iter().enumerate() {
-            // The payload each reducer fetches from this source, encoded
-            // exactly as the sender serializes it.
-            let mut bufs: Vec<Vec<u8>> = (0..num_r).map(|_| Vec::new()).collect();
-            let mut bytes = vec![0u64; num_r];
-            for rec in source {
-                let p = partition_of(conf, &rec.key, num_r);
-                rec.key.encode_into(&mut bufs[p]);
-                rec.value.encode_into(&mut bufs[p]);
-                bytes[p] += rec.size_bytes();
-            }
-            for (p, buf) in bufs.iter_mut().enumerate() {
-                if buf.is_empty() {
-                    continue;
-                }
-                let sent = crc32(buf);
-                if !self.corruption.shuffle_corrupt(&conf.name, s, p) {
+        for (s, run) in runs.iter_mut().enumerate() {
+            for (p, slice) in run.slices().enumerate() {
+                if slice.is_empty() || !self.corruption.shuffle_corrupt(&conf.name, s, p) {
                     continue;
                 }
                 // The transfer flipped a byte; the reducer's CRC check
-                // catches it and the payload is fetched again (the map
-                // output is still in memory at the source — shuffle
-                // corruption is always recoverable).
-                let flip = s % buf.len();
-                buf[flip] ^= 0x55;
-                if crc32(buf) == sent {
+                // catches it and the payload is fetched again (the run is
+                // still in memory at the source — shuffle corruption is
+                // always recoverable). The checksum covers the slice's key
+                // bytes: its values travel live, not encoded.
+                let sent = crc32(slice.key_bytes());
+                let mut received = slice.key_bytes().to_vec();
+                let flip = s % received.len();
+                received[flip] ^= 0x55;
+                if crc32(&received) == sent {
                     continue; // undetectable in principle; never for 1-byte flips
                 }
                 refetches += 1;
-                let cost = self.cluster.network.volume(bytes[p]);
+                let cost = self.cluster.network.volume(slice.bytes());
                 extra[p] += cost;
                 refetch_time += cost;
             }
@@ -717,34 +724,36 @@ impl<'a> Runner<'a> {
         &self,
         conf: &JobConf,
         task_id: usize,
-        input: Vec<Record>,
-        input_bytes: Option<u64>,
+        input: Vec<Slice<'_>>,
     ) -> Result<ReduceTaskExec> {
-        let input_records = input.len() as u64;
-        let input_bytes = input_bytes.unwrap_or_else(|| input.iter().map(Record::size_bytes).sum());
+        let input_records = input.iter().map(Slice::len).sum::<usize>() as u64;
+        let input_bytes = input.iter().map(Slice::bytes).sum();
+        let groups = group_by_key(input);
 
         let mut ctx = TaskCtx::new(task_id);
         let mut reduced: Vec<Record> = Vec::new();
         {
             let mut reducer = conf.reducer.as_ref().map(|f| f());
             // Keys and values move into the reducer, no per-record clones.
-            group_by_key(input, |key, values| match reducer.as_mut() {
-                Some(red) => red.reduce(key, values, &mut reduced, &mut ctx),
-                None => {
-                    // Identity reduce: grouped pass-through. Every emitted
-                    // record needs its own key; the last one takes the
-                    // group's.
-                    let mut values = values.into_iter();
-                    let last = values.next_back();
-                    for value in values {
-                        let key = key.clone();
-                        reduced.collect(Record { key, value });
-                    }
-                    if let Some(value) = last {
-                        reduced.collect(Record { key, value });
+            for (key, values) in groups {
+                match reducer.as_mut() {
+                    Some(red) => red.reduce(key, values, &mut reduced, &mut ctx),
+                    None => {
+                        // Identity reduce: grouped pass-through. Every
+                        // emitted record needs its own key; the last one
+                        // takes the group's.
+                        let mut values = values.into_iter();
+                        let last = values.next_back();
+                        for value in values {
+                            let key = key.clone();
+                            reduced.collect(Record { key, value });
+                        }
+                        if let Some(value) = last {
+                            reduced.collect(Record { key, value });
+                        }
                     }
                 }
-            });
+            }
             if let Some(red) = reducer.as_mut() {
                 red.flush(&mut reduced, &mut ctx);
             }
@@ -980,7 +989,7 @@ impl<'a> Runner<'a> {
 
         let map = exec.phase_stats(schedule);
         let (output, mut parts) = if conf.has_reduce() {
-            let outcome = self.run_reduce_from(conf, exec.take_outputs(), reduce_start)?;
+            let outcome = self.run_reduce(conf, exec, reduce_start)?;
             JobParts::after_reduce(start, map, reduce_start, outcome)
         } else {
             let output = self.write_output(conf, exec.take_outputs());
@@ -1340,31 +1349,37 @@ fn partition_of(conf: &JobConf, key: &Datum, num_r: usize) -> usize {
     conf.partitioner.partition(key, num_r).min(num_r - 1)
 }
 
-/// Where one source's records go.
-struct Route {
-    /// The partition of each record, in source order.
-    ids: Vec<u32>,
-    /// Records per partition.
-    counts: Vec<usize>,
-    /// Shuffled bytes per partition.
-    bytes: Vec<u64>,
+/// One map task's output spilled into the job's reduce partitions.
+fn spill(conf: &JobConf, records: Vec<Record>) -> Spill {
+    let num_r = conf.num_reducers.max(1);
+    Spill::build(records, num_r, |key| partition_of(conf, key, num_r))
 }
 
-/// Routes one map task's output to `num_r` reduce partitions.
-fn route_one(conf: &JobConf, num_r: usize, source: &[Record]) -> Route {
-    debug_assert!(u32::try_from(num_r).is_ok(), "partition ids are u32");
-    let mut counts = vec![0usize; num_r];
-    let mut bytes = vec![0u64; num_r];
-    let ids = source
-        .iter()
-        .map(|rec| {
-            let p = partition_of(conf, &rec.key, num_r);
-            counts[p] += 1;
-            bytes[p] += rec.size_bytes();
-            p as u32
+/// The shuffle runs of an executed map phase, in task order, checked to
+/// be `conf`'s: one per task, each spilled into `conf`'s reducer count.
+fn shuffle_runs<'e>(conf: &JobConf, exec: &'e mut MapPhaseExec) -> Result<Vec<&'e mut Spill>> {
+    if !conf.has_reduce() {
+        return Err(Error::InvalidConfig(format!(
+            "job {} has no reduce phase",
+            conf.name
+        )));
+    }
+    exec.tasks
+        .iter_mut()
+        .map(|t| match &mut t.output {
+            MapOutput::Run(run) => match run.partitions() {
+                p if p == conf.num_reducers => Ok(run),
+                p => Err(Error::Internal(format!(
+                    "job {} has {} reducers but map task {} spilled into {p} partitions",
+                    conf.name, conf.num_reducers, t.task_id
+                ))),
+            },
+            MapOutput::Records(_) => Err(Error::Internal(format!(
+                "job {}: map task {} ran without a shuffle",
+                conf.name, t.task_id
+            ))),
         })
-        .collect();
-    Route { ids, counts, bytes }
+        .collect()
 }
 
 /// Runs the combiner over one map task's output: groups by key locally
@@ -1378,7 +1393,10 @@ fn run_combiner(
 ) -> Vec<Record> {
     let mut out: Vec<Record> = Vec::new();
     let mut c = combiner();
-    group_by_key(records, |key, values| c.reduce(key, values, &mut out, ctx));
+    let mut run = Spill::build(records, 1, |_| 0);
+    for (key, values) in group_by_key(run.slices().collect()) {
+        c.reduce(key, values, &mut out, ctx);
+    }
     c.flush(&mut out, ctx);
     out
 }
@@ -1608,20 +1626,71 @@ mod tests {
     }
 
     #[test]
-    fn reduce_from_requires_reduce() {
+    fn run_reduce_requires_reduce() {
         let (cluster, mut dfs) = setup(vec![]);
         let conf = JobConf::new("x", "input", "out");
         let mut runner = Runner::new(&cluster, &mut dfs);
-        assert!(runner
-            .run_reduce_from(&conf, vec![], SimTime::ZERO)
-            .is_err());
+        let mut empty = MapPhaseExec::default();
+        assert!(matches!(
+            runner.run_reduce(&conf, &mut empty, SimTime::ZERO),
+            Err(Error::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            runner.execute_reduces(&conf, &mut empty, 0..0),
+            Err(Error::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn reducing_a_map_only_phase_is_an_error() {
+        let (cluster, mut dfs) = setup(words());
+        let map_only = JobConf::new("m", "input", "out").add_mapper(identity_mapper());
+        let mut runner = Runner::new(&cluster, &mut dfs);
+        let chunks = runner.chunks(&map_only).unwrap();
+        let mut exec = runner.execute_maps(&map_only, &chunks, 0).unwrap();
+        assert!(matches!(
+            runner.run_reduce(&wordcount_conf(), &mut exec, SimTime::ZERO),
+            Err(Error::Internal(_))
+        ));
+    }
+
+    #[test]
+    fn reduce_waves_over_the_runs_match_one_reduce_phase() {
+        // What the adaptive reduce-phase branch does: reduce tasks run in
+        // waves over the runs the map phase still holds.
+        let (cluster, mut dfs) = setup(words());
+        let conf = wordcount_conf();
+        let mut runner = Runner::new(&cluster, &mut dfs);
+        let chunks = runner.chunks(&conf).unwrap();
+        let mut whole_exec = runner.execute_maps(&conf, &chunks, 0).unwrap();
+        let whole = runner
+            .run_reduce(&conf, &mut whole_exec, SimTime::ZERO)
+            .unwrap();
+        let mut exec = runner.execute_maps(&conf, &chunks, 0).unwrap();
+        let mut waves = runner.execute_reduces(&conf, &mut exec, 0..1).unwrap();
+        waves.extend(runner.execute_reduces(&conf, &mut exec, 1..3).unwrap());
+        assert_eq!(
+            waves.iter().map(|t| t.task_id).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+        let outputs: Vec<Record> = waves.iter().flat_map(|t| t.output.clone()).collect();
+        assert_eq!(outputs, runner.dfs.read_file("out").unwrap());
+        for (wave, task) in waves.iter().zip(&whole.phase.tasks) {
+            assert_eq!(wave.stats.input_records, task.input_records);
+            assert_eq!(wave.stats.input_bytes, task.input_bytes);
+            assert_eq!(wave.stats.compute_cost, task.compute_cost);
+        }
+        assert!(matches!(
+            runner.execute_reduces(&conf, &mut exec, 2..4),
+            Err(Error::InvalidConfig(_))
+        ));
     }
 
     #[test]
     fn wave_split_then_merge_matches_full_run() {
-        // Simulates what the adaptive optimizer does when it decides NOT to
-        // change plans: wave 1 and the remainder executed separately must
-        // reduce to the same output as one full run.
+        // What the adaptive optimizer does with a reused first wave: wave 1
+        // and the remainder, executed separately and appended, must reduce
+        // to the same output as one full run.
         let (cluster, mut dfs) = setup(words());
         let conf = wordcount_conf();
         let full = run_job(&cluster, &mut dfs, &conf).unwrap();
@@ -1636,11 +1705,8 @@ mod tests {
             .max(1);
         let mut exec1 = runner.execute_maps(&conf, &chunks[..w], 0).unwrap();
         let mut exec2 = runner.execute_maps(&conf, &chunks[w..], w).unwrap();
-        let mut sources = exec1.take_outputs();
-        sources.extend(exec2.take_outputs());
-        let outcome = runner
-            .run_reduce_from(&conf, sources, SimTime::ZERO)
-            .unwrap();
+        exec1.tasks.append(&mut exec2.tasks);
+        let outcome = runner.run_reduce(&conf, &mut exec1, SimTime::ZERO).unwrap();
         let merged_out = dfs2.read_file("out").unwrap();
         assert_eq!(full_out, merged_out);
         assert_eq!(full.output.total_bytes(), outcome.output.total_bytes());
@@ -1809,23 +1875,30 @@ mod shuffle_tests {
     }
 
     /// Records over `distinct` keys — pool keys first, then integers — in
-    /// the drawn order; the value is the arrival index, so any change of
-    /// order within a group shows.
+    /// the drawn order, or with every key distinct; the value is the
+    /// arrival index, so any change of order within a group shows.
     fn arb_records() -> impl Strategy<Value = Vec<Record>> {
-        (1usize..60, proptest::collection::vec(any::<u32>(), 0..200)).prop_map(
-            |(distinct, draws)| {
+        (
+            1usize..60,
+            proptest::collection::vec(any::<u32>(), 0..200),
+            any::<bool>(),
+        )
+            .prop_map(|(distinct, draws, all_distinct)| {
                 let pool = key_pool();
                 draws
                     .iter()
                     .enumerate()
                     .map(|(i, draw)| {
-                        let k = *draw as usize % distinct;
+                        let k = if all_distinct {
+                            i
+                        } else {
+                            *draw as usize % distinct
+                        };
                         let key = pool.get(k).cloned().unwrap_or(Datum::Int(k as i64));
                         Record::new(key, i as i64)
                     })
                     .collect()
-            },
-        )
+            })
     }
 
     /// A reducer that shows everything it is given: one record per group,
@@ -1839,6 +1912,14 @@ mod shuffle_tests {
         })
     }
 
+    /// What the listing reducer emits for `records`, by the reference.
+    fn listed(records: Vec<Record>) -> Vec<Record> {
+        sort_groups(records)
+            .into_iter()
+            .map(|(key, values)| Record::new(key, Datum::List(values)))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1846,16 +1927,12 @@ mod shuffle_tests {
         /// sort hands over: same groups, same order, same values.
         #[test]
         fn grouping_equals_the_stable_sort(records in arb_records()) {
-            let mut groups: Vec<(Datum, Vec<Datum>)> = Vec::new();
-            sort_groups(records.clone(), |key, values| groups.push((key, values)));
-            let listed: Vec<Record> = groups
-                .iter()
-                .map(|(key, values)| Record::new(key.clone(), Datum::List(values.clone())))
-                .collect();
+            let groups = sort_groups(records.clone());
             let passed_through: Vec<Record> = groups
                 .iter()
                 .flat_map(|(key, values)| values.iter().map(|v| Record::new(key.clone(), v.clone())))
                 .collect();
+            let listed = listed(records.clone());
 
             let (cluster, mut dfs) = setup();
             let runner = Runner::new(&cluster, &mut dfs);
@@ -1874,10 +1951,32 @@ mod shuffle_tests {
             let combined = run_combiner(&listing_reducer(), records, &mut TaskCtx::new(0));
             prop_assert_eq!(&combined, &listed);
         }
+
+        /// Slice `p` of a run is the map task's records of partition `p` in
+        /// emission order, and carries their bytes, at any reducer count.
+        #[test]
+        fn a_slice_keeps_its_sources_emission_order(
+            records in arb_records(),
+            reducers in prop_oneof![Just(1usize), Just(8), Just(240)],
+        ) {
+            let conf = JobConf::new("s", "in", "out").with_identity_reduce(reducers);
+            let mut run = spill(&conf, records.clone());
+            prop_assert_eq!(run.len(), records.len());
+            prop_assert_eq!(run.bytes(), records.iter().map(Record::size_bytes).sum::<u64>());
+            for (p, slice) in run.slices().enumerate() {
+                let sent: Vec<Record> = records
+                    .iter()
+                    .filter(|r| conf.partitioner.partition(&r.key, reducers) == p)
+                    .cloned()
+                    .collect();
+                prop_assert_eq!(slice.bytes(), sent.iter().map(Record::size_bytes).sum::<u64>());
+                prop_assert_eq!(slice.into_records().collect::<Vec<_>>(), sent);
+            }
+        }
     }
 
     #[test]
-    fn partitioning_equals_a_sequential_pass_into_exact_size_buckets() {
+    fn partitioning_equals_a_sequential_pass() {
         let (cluster, mut dfs) = setup();
         let runner = Runner::new(&cluster, &mut dfs);
         let conf = JobConf::new("p", "in", "out").with_identity_reduce(5);
@@ -1900,15 +1999,55 @@ mod shuffle_tests {
             expected[p].push(rec.clone());
         }
 
-        let (partitions, bytes) = runner.partition_sized(&conf, sources.clone()).unwrap();
-        assert_eq!(partitions, expected);
-        assert_eq!(bytes, expected_bytes);
-        for p in &partitions {
-            assert_eq!(p.capacity(), p.len());
+        // What a reduce task is handed: its slice of every run.
+        let mut runs: Vec<Spill> = sources.iter().map(|s| spill(&conf, s.clone())).collect();
+        let mut bytes = vec![0u64; 5];
+        for run in &mut runs {
+            for (total, slice) in bytes.iter_mut().zip(run.slices()) {
+                *total += slice.bytes();
+            }
         }
-        let (again, total) = runner.partition_for_reduce(&conf, sources);
-        assert_eq!(again, expected);
+        assert_eq!(bytes, expected_bytes);
+        let (partitions, total) = runner.partition_for_reduce(&conf, sources);
+        assert_eq!(partitions, expected);
         assert_eq!(total, expected_bytes.iter().sum::<u64>());
+    }
+
+    /// A whole job at 240 reducers, most of them with nothing to do: each
+    /// reduce task groups its slices of every run as the stable sort
+    /// groups its partition.
+    #[test]
+    fn a_job_with_240_reducers_reduces_each_partition_as_the_sort_does() {
+        let (cluster, mut dfs) = setup();
+        let records: Vec<Record> = (0..900i64)
+            .map(|i| {
+                let key = key_pool()
+                    .get(i as usize % 40)
+                    .cloned()
+                    .unwrap_or(Datum::Int(i % 97));
+                Record::new(key, i)
+            })
+            .collect();
+        dfs.write_file_with_chunks("in", records.clone(), 7);
+        let conf = JobConf::new("wide", "in", "out")
+            .add_mapper(crate::api::identity_mapper())
+            .with_reducer(listing_reducer(), 240);
+        let mut partitions: Vec<Vec<Record>> = vec![Vec::new(); 240];
+        for rec in &records {
+            partitions[conf.partitioner.partition(&rec.key, 240)].push(rec.clone());
+        }
+        let expected: Vec<Record> = partitions.into_iter().flat_map(listed).collect();
+
+        let res = Runner::new(&cluster, &mut dfs)
+            .run(&conf, SimTime::ZERO)
+            .unwrap();
+        assert!(res.stats.map.tasks.len() > 1);
+        assert_eq!(res.stats.reduce.unwrap().tasks.len(), 240);
+        assert_eq!(
+            res.stats.shuffle_bytes,
+            records.iter().map(Record::size_bytes).sum::<u64>()
+        );
+        assert_eq!(dfs.read_file("out").unwrap(), expected);
     }
 
     /// A `Partitioner` written outside this crate may answer anything.

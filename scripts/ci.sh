@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full CI gate: lint (efind-lint, fmt, clippy -D warnings), the complete
 # test suite, the goldens again under one worker, a build and test of
-# efbench — the benchmark of record (`BENCHMARK.json`) — with its four
+# efbench — the benchmark of record (`BENCHMARK.json`) — with its five
 # exact `alloc_mb` gates, and the pinned seed matrices. Nothing here
 # reads the wall clock: comparing two commits' host time with efbench is
 # a manual campaign, see efbench/README.md.
@@ -53,11 +53,17 @@ efbench_gate() {
 # allocates 181.60 MB; one copy of the results anywhere on the per-record
 # path adds about 245 MB.
 efbench_gate lookup_cold 260
-# A shuffled record moves once into an exact-size partition and a reduce
-# task's values once into their groups, so `wc_shuffle` (1.2 M records)
-# allocates 220.30 MB; buckets grown by doubling, a merged second copy of
-# the partitions and a merge sort's scratch buffer made it 567.42 MB.
-efbench_gate wc_shuffle 330
+# `wc_shuffle` (1.2 M records, string keys, integer values) allocates
+# 202.73 MB: each map task writes its output once into a run (keys encoded,
+# values moved) and each reduce task moves a value once into its group.
+# Records crossing the shuffle whole made it 220.30 MB; buckets grown by
+# doubling, a merged second copy and a merge sort's scratch buffer 567.42 MB.
+efbench_gate wc_shuffle 219
+# `scanjoin_write` (integer keys, list values) is the one shuffling
+# workload whose values own heap blocks. Each value moves into its map
+# task's run and from there into its group, so it allocates 267.06 MB;
+# a run that encoded the values as well would add their bytes again.
+efbench_gate scanjoin_write 280
 # A segment takes every record of its task through one carrier, so
 # `lookup_hot` (120 k records, four in five a cache hit) allocates
 # 67.78 MB; a carrier, its key lists, its slots and the lookup's result
@@ -65,7 +71,7 @@ efbench_gate wc_shuffle 330
 efbench_gate lookup_hot 75
 # The same carrier on both sides of the shuffle: a re-partitioned record
 # costs its payload buffer going in and the datums it decodes to coming
-# out, so `lookup_repart` allocates 103.04 MB; per-record carriers made
+# out, so `lookup_repart` allocates 100.96 MB; per-record carriers made
 # it 135.64 MB.
 efbench_gate lookup_repart 115
 
