@@ -2,8 +2,8 @@
 
 use crate::diag::{DiagCode, Diagnostic, Report, Span};
 use crate::model::{
-    CacheModel, FaultModel, HedgeModel, IntegrityModel, MeasuredStatsModel, OperatorModel,
-    PartitionModel, PlanModel, StrategyKind, TenancyModel,
+    CacheModel, FaultModel, HedgeModel, IndexStatsModel, IntegrityModel, MeasuredStatsModel,
+    OperatorModel, PartitionModel, PlanModel, StrategyKind, TenancyModel,
 };
 
 use efind_common::FxHashSet;
@@ -44,7 +44,6 @@ pub fn analyze(model: &PlanModel) -> Report {
     if let Some(cache) = &model.cache {
         check_cache_coherence(model, cache, &mut report);
     }
-    check_quiet_plan_purity(model, &mut report);
     for m in &model.measured {
         check_measured_stats(model, m, &mut report);
     }
@@ -579,18 +578,49 @@ fn check_integrity_config(model: &PlanModel, integ: &IntegrityModel, report: &mu
     }
 }
 
+/// A statistics token outside its legal range: name, value, legal range.
+type BadToken = (&'static str, f64, &'static str);
+
+/// The `[0, inf)` rule of sizes, times, `N1` and `Nik`.
+fn non_negative(what: &'static str, v: f64) -> Option<BadToken> {
+    (!v.is_finite() || v < 0.0).then_some((what, v, "[0, inf)"))
+}
+
+/// The legal range of every per-index token feeding Eqs. 1–4, shared by
+/// `EF019` (`statsx` estimates) and `EF023` (store-served measurements).
+/// A NaN is outside every range.
+fn bad_index_tokens(s: &IndexStatsModel) -> impl Iterator<Item = BadToken> {
+    [
+        non_negative("Sik", s.sik_bytes),
+        non_negative("Siv", s.siv_bytes),
+        non_negative("Tj", s.tj_secs),
+        (!(0.0..=1.0 + EPS).contains(&s.miss_ratio)).then_some(("miss", s.miss_ratio, "[0, 1]")),
+        (!s.theta.is_finite() || s.theta < 1.0 - EPS).then_some(("theta", s.theta, "[1, inf)")),
+        (!(0.0..1.0).contains(&s.failure_rate)).then_some(("fail", s.failure_rate, "[0, 1)")),
+    ]
+    .into_iter()
+    .flatten()
+}
+
+/// The doubled-`N1` probe of `EF019` and `EF023`: the Eq. 1–4 estimates
+/// are sums of terms linear in `N1`, so the best plan cost at `2·N1` may
+/// not drop below the cost at `N1`.
+fn drops_when_n1_doubles(full_est_secs: f64, doubled_est_secs: f64) -> bool {
+    doubled_est_secs < full_est_secs * (1.0 - 1e-6) - EPS
+}
+
 /// EF019 (part 1): every `statsx` token feeding Eqs. 1–4 must sit in its
 /// legal range. Out-of-range tokens poison every downstream estimate, so
 /// they are errors, not warnings.
 fn check_stats_tokens(pos: usize, op: &OperatorModel, report: &mut Report) {
     for idx in &op.indices {
         let Some(s) = &idx.stats else { continue };
-        let span = || Span::index(pos, &op.name, &idx.name);
-        let mut bad = |what: &str, value: f64, legal: &str| {
+        let nik = idx.nik.and_then(|nik| non_negative("Nik", nik));
+        for (what, value, legal) in bad_index_tokens(s).chain(nik) {
             report.push(
                 Diagnostic::error(
                     DiagCode::EF019,
-                    span(),
+                    Span::index(pos, &op.name, &idx.name),
                     format!("statistics token {what} = {value} is outside {legal}"),
                 )
                 .with_hint(
@@ -598,29 +628,6 @@ fn check_stats_tokens(pos: usize, op: &OperatorModel, report: &mut Report) {
                      estimates built from it are meaningless",
                 ),
             );
-        };
-        for (what, v) in [
-            ("Sik", s.sik_bytes),
-            ("Siv", s.siv_bytes),
-            ("Tj", s.tj_secs),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                bad(what, v, "[0, inf)");
-            }
-        }
-        if !(0.0..=1.0 + EPS).contains(&s.miss_ratio) || s.miss_ratio.is_nan() {
-            bad("miss", s.miss_ratio, "[0, 1]");
-        }
-        if !s.theta.is_finite() || s.theta < 1.0 - EPS {
-            bad("theta", s.theta, "[1, inf)");
-        }
-        if !(0.0..1.0).contains(&s.failure_rate) || s.failure_rate.is_nan() {
-            bad("fail", s.failure_rate, "[0, 1)");
-        }
-        if let Some(nik) = idx.nik {
-            if !nik.is_finite() || nik < 0.0 {
-                bad("Nik", nik, "[0, inf)");
-            }
         }
     }
 }
@@ -634,7 +641,7 @@ fn check_cost_monotonicity(pos: usize, op: &OperatorModel, report: &mut Report) 
     let Some(doubled) = costs.est_at_double_n1_secs else {
         return;
     };
-    if doubled < costs.full_est_secs * (1.0 - 1e-6) - EPS {
+    if drops_when_n1_doubles(costs.full_est_secs, doubled) {
         report.push(
             Diagnostic::error(
                 DiagCode::EF019,
@@ -665,7 +672,11 @@ fn check_measured_stats(model: &PlanModel, m: &MeasuredStatsModel, report: &mut 
         .iter()
         .position(|op| op.name == m.operator)
         .unwrap_or(0);
-    let mut bad = |what: &str, value: f64, legal: &str| {
+    let bad = non_negative("N1", m.n1)
+        .into_iter()
+        .chain(m.nik.iter().filter_map(|&nik| non_negative("Nik", nik)))
+        .chain(m.indices.iter().flat_map(bad_index_tokens));
+    for (what, value, legal) in bad {
         report.push(
             Diagnostic::error(
                 DiagCode::EF023,
@@ -677,36 +688,8 @@ fn check_measured_stats(model: &PlanModel, m: &MeasuredStatsModel, report: &mut 
                  built from it is meaningless — fall back to estimates",
             ),
         );
-    };
-    if !m.n1.is_finite() || m.n1 < 0.0 {
-        bad("N1", m.n1, "[0, inf)");
     }
-    for &nik in &m.nik {
-        if !nik.is_finite() || nik < 0.0 {
-            bad("Nik", nik, "[0, inf)");
-        }
-    }
-    for s in &m.indices {
-        for (what, v) in [
-            ("Sik", s.sik_bytes),
-            ("Siv", s.siv_bytes),
-            ("Tj", s.tj_secs),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                bad(what, v, "[0, inf)");
-            }
-        }
-        if !(0.0..=1.0 + EPS).contains(&s.miss_ratio) || s.miss_ratio.is_nan() {
-            bad("miss", s.miss_ratio, "[0, 1]");
-        }
-        if !s.theta.is_finite() || s.theta < 1.0 - EPS {
-            bad("theta", s.theta, "[1, inf)");
-        }
-        if !(0.0..1.0).contains(&s.failure_rate) || s.failure_rate.is_nan() {
-            bad("fail", s.failure_rate, "[0, 1)");
-        }
-    }
-    if m.est_at_double_n1_secs < m.full_est_secs * (1.0 - 1e-6) - EPS {
+    if drops_when_n1_doubles(m.full_est_secs, m.est_at_double_n1_secs) {
         report.push(
             Diagnostic::error(
                 DiagCode::EF023,
@@ -831,69 +814,6 @@ fn check_cache_coherence(model: &PlanModel, cache: &CacheModel, report: &mut Rep
             )
             .with_hint("use a small positive T_cache so cache and baseline stay comparable"),
         );
-    }
-}
-
-/// EF022: quiet-plan purity. The lowering only arms an injection layer
-/// when its plan is non-quiet (`is_quiet()` short-circuits), so an armed
-/// layer that injects *nothing* means a guard was bypassed: the run pays
-/// injection bookkeeping and draws for a no-op experiment.
-fn check_quiet_plan_purity(model: &PlanModel, report: &mut Report) {
-    let quiet_hint = "quiet plans must short-circuit before arming the layer \
-                      (is_quiet() guards in the lowering); drop the empty plan";
-    if let Some(f) = &model.faults {
-        if f.inject_failure_rate == 0.0
-            && f.inject_timeout_rate == 0.0
-            && f.inject_slowdown_rate == 0.0
-        {
-            report.push(
-                Diagnostic::warning(
-                    DiagCode::EF022,
-                    Span::job(),
-                    "the fault layer is armed but its plan injects no failures, \
-                     timeouts, or slowdowns",
-                )
-                .with_hint(quiet_hint),
-            );
-        }
-    }
-    if let Some(i) = &model.integrity {
-        if !i.corrupts_chunks && !i.corrupts_cache {
-            report.push(
-                Diagnostic::warning(
-                    DiagCode::EF022,
-                    Span::job(),
-                    "the corruption layer is armed but its plan corrupts neither \
-                     chunks nor cache entries",
-                )
-                .with_hint(quiet_hint),
-            );
-        }
-    }
-    if let Some(c) = &model.chaos {
-        if c.kill_events == 0 {
-            report.push(
-                Diagnostic::warning(
-                    DiagCode::EF022,
-                    Span::job(),
-                    "the chaos layer is armed but its plan schedules zero node kills",
-                )
-                .with_hint(quiet_hint),
-            );
-        }
-    }
-    if let Some(p) = &model.partition {
-        if p.partition_events == 0 && p.slow_links == 0 {
-            report.push(
-                Diagnostic::warning(
-                    DiagCode::EF022,
-                    Span::job(),
-                    "the partition layer is armed but its plan schedules no cuts \
-                     or link slowdowns",
-                )
-                .with_hint(quiet_hint),
-            );
-        }
     }
 }
 
@@ -1583,8 +1503,7 @@ mod tests {
         assert!(report.has_code(DiagCode::EF017));
         assert!(report.has_errors());
 
-        // Without chunk corruption, replication 1 is fine for EF017 (the
-        // now-empty corruption plan earns EF022 instead).
+        // Without chunk corruption, replication 1 is fine for EF017.
         let mut model = job(vec![operator("a", StrategyKind::Baseline)]);
         let mut i = crate::model::testutil::integrity();
         i.dfs_replication = 1;
@@ -1772,43 +1691,13 @@ mod tests {
     }
 
     #[test]
-    fn ef022_armed_but_empty_layers_warn() {
-        // Fault layer armed with all-zero injection rates.
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut f = crate::model::testutil::faults();
-        f.inject_failure_rate = 0.0;
-        f.inject_timeout_rate = 0.0;
-        f.inject_slowdown_rate = 0.0;
-        model.faults = Some(f);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF022), "{}", report.to_text());
-        assert!(!report.has_errors());
-
-        // Corruption layer armed but corrupting nothing.
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut i = crate::model::testutil::integrity();
-        i.corrupts_chunks = false;
-        i.corrupts_cache = false;
-        model.integrity = Some(i);
-        assert!(analyze(&model).has_code(DiagCode::EF022));
-
-        // Chaos layer armed with zero kills.
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut c = crate::model::testutil::chaos();
-        c.kill_events = 0;
-        model.chaos = Some(c);
-        assert!(analyze(&model).has_code(DiagCode::EF022));
-    }
-
-    #[test]
-    fn ef022_silent_on_genuinely_injecting_layers() {
+    fn benign_injection_layers_together_are_clean() {
         let mut model = job(vec![operator("a", StrategyKind::Cache)]);
         model.faults = Some(crate::model::testutil::faults());
         model.integrity = Some(crate::model::testutil::integrity());
         model.chaos = Some(crate::model::testutil::chaos());
         model.cache = Some(crate::model::testutil::cache());
         let report = analyze(&model);
-        assert!(!report.has_code(DiagCode::EF022), "{}", report.to_text());
         assert!(report.is_clean(), "{}", report.to_text());
     }
 
@@ -2057,26 +1946,6 @@ mod tests {
         let report = analyze(&model);
         assert!(report.has_code(DiagCode::EF025), "{}", report.to_text());
         assert!(!report.has_errors());
-    }
-
-    #[test]
-    fn ef022_armed_but_empty_partition_plan_warns() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut p = crate::model::testutil::partition();
-        p.partition_events = 0;
-        p.slow_links = 0;
-        model.partition = Some(p);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF022), "{}", report.to_text());
-        assert!(!report.has_errors());
-
-        // Slowdowns alone are a real experiment — no purity warning.
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut p = crate::model::testutil::partition();
-        p.partition_events = 0;
-        p.slow_links = 2;
-        model.partition = Some(p);
-        assert!(analyze(&model).is_clean());
     }
 
     #[test]

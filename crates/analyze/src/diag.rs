@@ -66,11 +66,6 @@ pub enum DiagCode {
     /// Cache-config incoherence: a cache-strategy plan with a zero-entry
     /// cache, or a negative/NaN `T_cache` probe time.
     EF021,
-    /// Quiet-plan purity violation: an injection layer is armed by a plan
-    /// that injects nothing. Quiet plans must short-circuit before
-    /// arming (`is_quiet()`), so an armed-but-empty layer means a lowering
-    /// guard was bypassed and the run pays injection bookkeeping for free.
-    EF022,
     /// Measured-stats injection inconsistency: statistics served from the
     /// cross-job re-optimization store violate the same invariants
     /// `EF019` enforces for `statsx` tokens — a token outside its legal
@@ -126,7 +121,6 @@ impl DiagCode {
             DiagCode::EF019 => "EF019",
             DiagCode::EF020 => "EF020",
             DiagCode::EF021 => "EF021",
-            DiagCode::EF022 => "EF022",
             DiagCode::EF023 => "EF023",
             DiagCode::EF024 => "EF024",
             DiagCode::EF025 => "EF025",

@@ -162,7 +162,8 @@ pub struct OperatorModel {
 }
 
 /// The job-wide fault-tolerance configuration, lowered only when the fault
-/// layer is armed (an injection plan is installed). The fault checks
+/// layer is armed (a plan with nonzero rates, or any plan alongside a
+/// per-index timeout). The fault checks
 /// (`EF015`, `EF016`) are skipped without it.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultModel {
@@ -181,13 +182,6 @@ pub struct FaultModel {
     pub breaker_threshold: f64,
     /// Attempts observed before the breaker may open.
     pub breaker_min_samples: u64,
-    /// Aggregate injected failure probability across the plan's rules
-    /// (0.0 when the plan injects no failures).
-    pub inject_failure_rate: f64,
-    /// Aggregate injected timeout probability.
-    pub inject_timeout_rate: f64,
-    /// Aggregate injected slowdown probability.
-    pub inject_slowdown_rate: f64,
 }
 
 /// The job-wide data-integrity configuration, lowered only when the
@@ -208,7 +202,7 @@ pub struct IntegrityModel {
 }
 
 /// The node-crash (chaos) configuration, lowered only when a chaos plan
-/// is armed. `EF020`/`EF022` consume it.
+/// is armed. `EF020` consumes it.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosModel {
     /// Number of scheduled node-kill events.
@@ -227,10 +221,6 @@ pub struct ChaosModel {
 /// removes its nodes from the reachable replica budget.
 #[derive(Clone, Copy, Debug)]
 pub struct PartitionModel {
-    /// Scheduled partition (isolation) events, healed or not.
-    pub partition_events: usize,
-    /// Scheduled link-slowdown events.
-    pub slow_links: usize,
     /// Distinct nodes isolated by an event that never heals.
     pub permanently_isolated: usize,
     /// Nodes in the simulated cluster.
@@ -443,9 +433,6 @@ pub(crate) mod testutil {
             fail_job_on_exhaustion: false,
             breaker_threshold: 0.5,
             breaker_min_samples: 16,
-            inject_failure_rate: 0.05,
-            inject_timeout_rate: 0.0,
-            inject_slowdown_rate: 0.0,
         }
     }
 
@@ -482,8 +469,6 @@ pub(crate) mod testutil {
     /// cluster, a sane detector).
     pub fn partition() -> PartitionModel {
         PartitionModel {
-            partition_events: 1,
-            slow_links: 0,
             permanently_isolated: 0,
             cluster_nodes: 8,
             dfs_replication: 3,

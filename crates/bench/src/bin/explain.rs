@@ -5,7 +5,7 @@
 //! cargo run --release -p efind-bench --bin explain -- q9
 //! ```
 
-use efind::{EFindRuntime, Mode, Strategy};
+use efind::{EFindRuntime, Enumeration, Mode, Strategy};
 use efind_workloads::{log, multi, osm, synthetic, topics, tpch};
 
 fn indent(text: &str) -> String {
@@ -140,7 +140,7 @@ fn main() {
         &scenario.ijob,
         &rt.catalog,
         &rt.cost_env(),
-        rt.config.enumeration,
+        Enumeration::Full,
     );
     if cost_report.is_clean() {
         println!("  cost model: clean");

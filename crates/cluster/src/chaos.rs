@@ -106,16 +106,10 @@ impl ChaosPlan {
     }
 
     /// True when no node ever crashes. The quiet plan must never change any
-    /// virtual observable.
+    /// virtual observable; the layer is armed only when at least one kill
+    /// event is scheduled, and hot paths ask this outside their loops.
     pub fn is_quiet(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// The layer's once-per-job classification: `Armed` only when at
-    /// least one kill event is scheduled. Hot paths hoist this decision
-    /// outside their loops (see [`crate::profile::InjectionProfile`]).
-    pub fn layer_state(&self) -> crate::profile::LayerState {
-        crate::profile::LayerState::from_armed(!self.is_quiet())
     }
 
     /// All crash events, sorted by `(time, node)`.
@@ -139,8 +133,8 @@ impl ChaosPlan {
     /// replays query this inside per-assignment loops, and an allocation
     /// per query was pure overhead (callers that need a set can still
     /// `collect()`). Like every chaos query, loops must consult it only
-    /// behind a [`LayerState`](crate::profile::LayerState) check (lint
-    /// L007 flags unguarded query calls in hot loops).
+    /// behind an [`is_quiet`](Self::is_quiet) check (lint L007 flags
+    /// unguarded query calls in hot loops).
     pub fn dead_at(&self, t: SimTime) -> impl Iterator<Item = NodeId> + '_ {
         self.events
             .iter()
@@ -155,9 +149,15 @@ mod tests {
 
     #[test]
     fn quiet_plan_is_quiet() {
+        // Configured-but-quiet is the production steady state: a plan
+        // installed (seeded, ready to arm) but scheduling no kill.
         assert!(ChaosPlan::none().is_quiet());
         assert!(ChaosPlan::new(42).is_quiet());
         assert_eq!(ChaosPlan::none().crash_time(NodeId(0)), None);
+        // One kill event arms the layer.
+        assert!(!ChaosPlan::none()
+            .kill(NodeId(0), SimTime::ZERO + SimDuration::from_millis(1))
+            .is_quiet());
     }
 
     #[test]

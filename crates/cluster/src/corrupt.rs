@@ -108,7 +108,8 @@ impl CorruptionPlan {
     }
 
     /// True when no payload can ever be corrupted. The quiet plan must
-    /// never change any virtual observable.
+    /// never change any virtual observable; any nonzero surface rate arms
+    /// the layer, and hot paths ask this outside their loops.
     pub fn is_quiet(&self) -> bool {
         self.chunk_rate == 0.0
             && self.shuffle_rate == 0.0
@@ -139,14 +140,6 @@ impl CorruptionPlan {
     /// True when the plan can corrupt index responses on the wire.
     pub fn corrupts_responses(&self) -> bool {
         self.response_rate > 0.0
-    }
-
-    /// The layer's once-per-job classification: `Armed` only when some
-    /// surface has a nonzero corruption rate. Hot paths hoist this
-    /// decision outside their loops (see
-    /// [`crate::profile::InjectionProfile`]).
-    pub fn layer_state(&self) -> crate::profile::LayerState {
-        crate::profile::LayerState::from_armed(!self.is_quiet())
     }
 
     /// True when DFS chunk reads both can be corrupted *and* verify
@@ -246,21 +239,21 @@ mod tests {
     }
 
     #[test]
-    fn layer_state_and_verify_gates() {
-        use crate::profile::LayerState;
-        // Configured-but-quiet stays Quiet; any rate arms the layer.
-        assert_eq!(CorruptionPlan::new(42).layer_state(), LayerState::Quiet);
-        assert_eq!(
-            CorruptionPlan::new(42).cache(0.1).layer_state(),
-            LayerState::Armed
-        );
+    fn quiet_classification_and_verify_gates() {
+        // Configured-but-quiet stays quiet; any one surface's rate arms
+        // the layer on its own.
+        assert!(CorruptionPlan::new(42).is_quiet());
+        assert!(!CorruptionPlan::new(42).cache(0.1).is_quiet());
+        assert!(!CorruptionPlan::new(1).chunks(0.1).is_quiet());
+        assert!(!CorruptionPlan::new(1).shuffle(0.1).is_quiet());
+        assert!(!CorruptionPlan::new(1).responses(0.1).is_quiet());
         // A sub-layer verifies only when it can corrupt AND verification
         // is on — disabling verification silences every verify gate.
         let armed = CorruptionPlan::new(1).chunks(0.1).shuffle(0.1);
         assert!(armed.verifies_chunks() && armed.verifies_shuffle());
         assert!(!armed.verifies_cache() && !armed.verifies_responses());
         let blind = armed.without_verification();
-        assert_eq!(blind.layer_state(), LayerState::Armed);
+        assert!(!blind.is_quiet());
         assert!(!blind.verifies_chunks() && !blind.verifies_shuffle());
     }
 

@@ -24,7 +24,6 @@ pub mod detector;
 pub mod model;
 pub mod netsplit;
 pub mod node;
-pub mod profile;
 pub mod sched;
 pub mod tenancy;
 pub mod time;
@@ -35,7 +34,6 @@ pub use detector::{DetectorConfig, Suspicion, Verdict};
 pub use model::{DiskModel, NetworkModel};
 pub use netsplit::{LinkSlowdown, PartitionEvent, PartitionPlan};
 pub use node::{Cluster, ClusterBuilder, NodeId};
-pub use profile::{InjectionProfile, LayerState};
 pub use sched::{Assignment, PartitionReplay, Schedule, SlotKind, TaskSpec};
 pub use tenancy::{
     Grant, IndexRateLimit, MultiTenantScheduler, QosCharge, SchedDecision, SchedLogEntry,

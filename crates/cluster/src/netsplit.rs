@@ -211,17 +211,11 @@ impl PartitionPlan {
     }
 
     /// True when no link can ever be cut or slowed. The quiet plan must
-    /// never change any virtual observable.
+    /// never change any virtual observable; the layer is armed only when
+    /// some effective partition or slowdown window exists, and hot paths
+    /// ask this outside their loops.
     pub fn is_quiet(&self) -> bool {
         self.events.is_empty() && self.slow.is_empty()
-    }
-
-    /// The layer's once-per-job classification: `Armed` only when some
-    /// effective partition or slowdown window exists. Hot paths hoist
-    /// this decision outside their loops (see
-    /// [`crate::profile::InjectionProfile`]).
-    pub fn layer_state(&self) -> crate::profile::LayerState {
-        crate::profile::LayerState::from_armed(!self.is_quiet())
     }
 
     /// The isolation window of `node`, if any: `(start, heal)` with
@@ -265,7 +259,6 @@ impl PartitionPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::LayerState;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -275,7 +268,9 @@ mod tests {
     fn quiet_plan_is_quiet() {
         assert!(PartitionPlan::none().is_quiet());
         assert!(PartitionPlan::new(42).is_quiet());
-        assert_eq!(PartitionPlan::new(42).layer_state(), LayerState::Quiet);
+        assert!(!PartitionPlan::new(7)
+            .split(&[NodeId(1)], SimTime::ZERO, None)
+            .is_quiet());
         assert!(!PartitionPlan::none().is_isolated_at(NodeId(0), t(5)));
         assert_eq!(PartitionPlan::none().slowdown_at(NodeId(0), t(5)), 1.0);
     }
@@ -284,7 +279,7 @@ mod tests {
     fn degenerate_windows_stay_quiet() {
         // A partition that heals before (or the instant) it starts, an
         // empty node set, and a ≤1.0 slowdown can never fire: all three
-        // are dropped so the plan still classifies Quiet.
+        // are dropped so the plan is still quiet.
         let plan = PartitionPlan::new(7)
             .split(&[NodeId(1)], t(5), Some(t(5)))
             .split(&[NodeId(2)], t(9), Some(t(3)))
@@ -292,7 +287,6 @@ mod tests {
             .slow_link(NodeId(3), t(1), Some(t(9)), 1.0)
             .slow_link(NodeId(3), t(4), Some(t(2)), 3.0);
         assert!(plan.is_quiet());
-        assert_eq!(plan.layer_state(), LayerState::Quiet);
     }
 
     #[test]

@@ -466,10 +466,10 @@ pub fn schedule_phase_chaos(
     // whose node dies before it starts simply migrates; one interrupted
     // mid-run is killed at the crash instant (the wasted work stays on the
     // dead machine, which serves nothing afterwards anyway) and re-executed
-    // on the surviving node where it finishes earliest. The layer is
-    // classified once here, outside the replay loop: a quiet plan skips
-    // the whole pass, keeping EFT placement free of per-task crash checks.
-    if chaos.layer_state().is_armed() {
+    // on the surviving node where it finishes earliest. The plan is asked
+    // once here, outside the replay loop: a quiet plan skips the whole
+    // pass, keeping EFT placement free of per-task crash checks.
+    if !chaos.is_quiet() {
         let mut slot_free: Vec<SimTime> = vec![phase_start; slots.len()];
         let mut order: Vec<usize> = (0..schedule.assignments.len()).collect();
         order.sort_by_key(|&i| (schedule.assignments[i].start, i));
@@ -583,7 +583,7 @@ pub fn schedule_phase_gray(
     detector: &DetectorConfig,
 ) -> Schedule {
     let mut schedule = schedule_phase_chaos(cluster, tasks, phase_start, chaos);
-    if !partition.layer_state().is_armed() || tasks.is_empty() {
+    if partition.is_quiet() || tasks.is_empty() {
         return schedule;
     }
     let kind = tasks[0].kind;

@@ -21,10 +21,9 @@
 //!   ([`Error::AdmissionRejected`] / [`Error::QuotaExhausted`]).
 //! * **Quiet by default.** [`TenancyConfig::none`] — and any config that
 //!   cannot influence a run (a single tenant with unlimited quotas, no
-//!   queue bound, no rate limits) — classifies
-//!   [`LayerState::Quiet`]: executors take the literal single-job path and
-//!   the ledger contributes no counters, byte-identical to a runtime that
-//!   never heard of tenancy.
+//!   queue bound, no rate limits) — is quiet ([`TenancyConfig::is_quiet`]):
+//!   executors take the literal single-job path and the ledger contributes
+//!   no counters, byte-identical to a runtime that never heard of tenancy.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -32,7 +31,6 @@ use std::fmt;
 
 use efind_common::{Error, Result};
 
-use crate::profile::LayerState;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a tenant: its index in [`TenancyConfig::tenants`].
@@ -211,19 +209,14 @@ impl TenancyConfig {
 
     /// True when the config cannot influence any run: at most one tenant,
     /// everything unlimited, no rate limits. The executor's quiet path —
-    /// and the quiet-tenancy golden — hang off this predicate.
+    /// and the quiet-tenancy golden — hang off this predicate. Like the
+    /// injection plans, it classifies from config *values*.
     pub fn is_quiet(&self) -> bool {
         self.tenants.len() <= 1
             && self.tenants.iter().all(TenantSpec::is_unlimited)
             && self.queue_capacity == usize::MAX
             && self.max_concurrent == usize::MAX
             && self.rate_limits.is_empty()
-    }
-
-    /// The layer's once-per-run Quiet/Armed classification, from config
-    /// *values* — the same discipline as the injection plans.
-    pub fn layer_state(&self) -> LayerState {
-        LayerState::from_armed(!self.is_quiet())
     }
 
     /// Resolves a tenant name to its id. With no declared tenants, every
@@ -797,8 +790,6 @@ mod tests {
         assert!(!TenancyConfig::none()
             .rate_limit(IndexRateLimit::new("idx", 10.0, 5.0))
             .is_quiet());
-        assert!(TenancyConfig::none().layer_state() == LayerState::Quiet);
-        assert!(cfg_two_tenants().layer_state().is_armed());
     }
 
     #[test]

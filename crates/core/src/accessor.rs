@@ -145,9 +145,9 @@ impl HedgeConfig {
         HedgeConfig::default()
     }
 
-    /// True when lookups actually hedge.
-    pub fn is_armed(&self) -> bool {
-        self.threshold.is_some()
+    /// True when lookups never hedge (no threshold).
+    pub fn is_quiet(&self) -> bool {
+        self.threshold.is_none()
     }
 }
 
@@ -266,15 +266,15 @@ impl ChargedLookup {
         }
     }
 
-    /// Installs the fault layer. The config is classified once here via
-    /// [`FaultConfig::layer_state`]: a `Quiet` config — no plan, or a
+    /// Installs the fault layer. The config is asked once here via
+    /// [`FaultConfig::is_quiet`]: a quiet config — no plan, or a
     /// configured-but-quiet plan with no per-index timeout — leaves the
     /// wrapper on the plain path, so per-lookup fault draws, breaker
     /// bookkeeping, and timeout checks cost literally nothing. Only an
-    /// `Armed` config (nonzero rates, or any timeout alongside a plan)
+    /// armed config (nonzero rates, or any timeout alongside a plan)
     /// installs [`FaultState`] and routes lookups through the guarded path.
     pub fn with_faults(mut self, config: &FaultConfig) -> Self {
-        if !config.layer_state().is_armed() {
+        if config.is_quiet() {
             self.fault = None;
             return self;
         }
@@ -806,7 +806,7 @@ mod tests {
     #[test]
     fn quiet_config_installs_no_fault_state_or_breaker() {
         // The tentpole contract: a configured-but-quiet fault layer is
-        // classified Quiet once at install time, so the wrapper carries no
+        // found quiet once at install time, so the wrapper carries no
         // FaultState, hands out no breaker, and lookup_guarded dispatches
         // straight to the plain path.
         let quiet = charged_with(FaultConfig::disabled().with_plan(FaultPlan::new(5)));

@@ -35,7 +35,7 @@ use efind_mapreduce::{
 use crate::compile::compile_pipeline;
 use crate::cost::{cost_baseline, Placement};
 use crate::jobconf::{BoundOperator, IndexJobConf};
-use crate::plan::{forced_plan, optimize_operator, OperatorPlan, Strategy};
+use crate::plan::{forced_plan, optimize_operator, Enumeration, OperatorPlan, Strategy};
 use crate::runtime::{EFindJobResult, EFindRuntime};
 use crate::statstore::MeasuredOp;
 use crate::statsx::{extract_operator_stats, variance_ok};
@@ -166,7 +166,7 @@ fn replan<'o>(
         let current: f64 = (0..stats.indices.len())
             .map(|j| cost_baseline(&env, &stats, j))
             .sum();
-        let plan = optimize_operator(&stats, &env, placement, rt.config.enumeration);
+        let plan = optimize_operator(&stats, &env, placement, Enumeration::Full);
         if let Some(shape) = shape {
             measured.push(MeasuredOp::probe(name, shape, &stats, &env, placement));
         }

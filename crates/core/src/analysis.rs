@@ -21,7 +21,9 @@ use efind_common::{Error, FxHashMap, Result};
 use crate::cost::{s_min, CostEnv, OperatorStatsEstimate, Placement};
 use crate::fault::{FaultConfig, MissPolicy};
 use crate::jobconf::{BoundOperator, IndexJobConf};
-use crate::plan::{forced_plan, optimize_operator, Enumeration, OperatorPlan, Strategy};
+use crate::plan::{
+    doubled_n1_probe, forced_plan, optimize_operator, Enumeration, OperatorPlan, Strategy,
+};
 use crate::statsx::Catalog;
 
 fn strategy_kind(s: Strategy) -> StrategyKind {
@@ -116,22 +118,15 @@ pub fn job_model(
 }
 
 /// Lowers the runtime fault configuration into the analyzer's IR. Only an
-/// `Armed` configuration ([`FaultConfig::layer_state`]) is lowered — the
-/// fault checks are meaningless for the Quiet path, which never retries,
-/// pauses, or times out. This mirrors the quiet guards of
-/// [`integrity_model`] and [`chaos_model`]: a configured-but-quiet plan
-/// takes the plain lookup path at runtime, so the analyzer must not treat
-/// it as armed either (and EF022's armed-but-quiet warning stays reserved
-/// for hand-built models that bypass this lowering).
+/// armed configuration (not [`FaultConfig::is_quiet`]) is lowered — the
+/// fault checks are meaningless for the quiet path, which never retries,
+/// pauses, or times out. Like every lowering here, this asks the runtime's
+/// own `is_quiet()`, so the analyzer arms exactly the layers the run does.
 pub fn fault_model(config: &FaultConfig) -> Option<FaultModel> {
-    if !config.layer_state().is_armed() {
+    if config.is_quiet() {
         return None;
     }
-    let plan = config.plan.as_ref()?;
     Some(FaultModel {
-        inject_failure_rate: plan.failure_rate,
-        inject_timeout_rate: plan.timeout_rate,
-        inject_slowdown_rate: plan.slowdown_rate,
         max_retries: config.retry.max_retries,
         backoff_base_nanos: config.retry.backoff_base.as_nanos(),
         max_backoff_nanos: config.retry.max_backoff.as_nanos(),
@@ -199,8 +194,6 @@ pub fn partition_model(
         .map(|e| e.nodes.len())
         .sum();
     Some(PartitionModel {
-        partition_events: netsplit.events().len(),
-        slow_links: netsplit.slow_links().len(),
         permanently_isolated,
         cluster_nodes,
         dfs_replication,
@@ -216,9 +209,11 @@ pub fn hedge_model(
     hedge: &crate::accessor::HedgeConfig,
     dfs_replication: usize,
 ) -> Option<HedgeModel> {
-    let threshold = hedge.threshold?;
+    if hedge.is_quiet() {
+        return None;
+    }
     Some(HedgeModel {
-        threshold_nanos: threshold.as_nanos(),
+        threshold_nanos: hedge.threshold?.as_nanos(),
         charge_both: matches!(hedge.policy, crate::accessor::HedgePolicy::ChargeBoth),
         dfs_replication,
     })
@@ -235,14 +230,14 @@ pub fn cache_model(capacity: usize, t_cache_secs: f64) -> CacheModel {
 }
 
 /// Lowers the multi-tenant serving configuration into the analyzer's IR.
-/// Only an armed configuration ([`TenancyConfig::layer_state`]) is lowered
+/// Only an armed configuration (not [`TenancyConfig::is_quiet`]) is lowered
 /// — the tenancy checks are meaningless for the quiet single-job path,
 /// which never queues, throttles, or meters anything. `job_tenant` is the
 /// tenant the analyzed job resolves to (the job's own tag, falling back to
 /// the runtime default), so `EF024` can catch an unknown-tenant tag before
 /// the scheduler rejects it at submit time.
 pub fn tenancy_model(cfg: &TenancyConfig, job_tenant: Option<&str>) -> Option<TenancyModel> {
-    if !cfg.layer_state().is_armed() {
+    if cfg.is_quiet() {
         return None;
     }
     Some(TenancyModel {
@@ -283,7 +278,7 @@ pub fn analyze_job(ijob: &IndexJobConf, plans: &FxHashMap<String, OperatorPlan>)
 
 /// [`analyze_job`] with the *whole* runtime environment lowered alongside
 /// the plan: fault, integrity, chaos, and partition injection layers
-/// (`EF015`–`EF018`, `EF020`, `EF022`, `EF025`) plus the lookup-cache
+/// (`EF015`–`EF018`, `EF020`, `EF025`) plus the lookup-cache
 /// (`EF021`), tenancy (`EF024`), and hedged-lookup (`EF026`)
 /// configurations. This is the variant the compiler calls.
 pub fn analyze_job_in_env(
@@ -397,20 +392,12 @@ fn operator_costs(
     plan: &OperatorPlan,
     enumeration: Enumeration,
 ) -> OperatorCosts {
-    let full = optimize_operator(stats, env, placement, Enumeration::Full);
+    let (full_est_secs, doubled_est) = doubled_n1_probe(stats, env, placement);
     let krepart_k = match enumeration {
         Enumeration::KRepart(k) => k.max(1),
         Enumeration::Full => 2,
     };
     let krepart = optimize_operator(stats, env, placement, Enumeration::KRepart(krepart_k));
-    // Monotonicity probe (EF019): the Eq. 1–4 estimates are sums of terms
-    // linear in `N1`, so doubling the input cardinality must not lower the
-    // best full-enumeration cost.
-    let doubled_est = {
-        let mut doubled = stats.clone();
-        doubled.n1 *= 2.0;
-        optimize_operator(&doubled, env, placement, Enumeration::Full).est_cost_secs
-    };
     let mut s_min_by_position = Vec::with_capacity(plan.choices.len());
     let mut carried_by_position = Vec::with_capacity(plan.choices.len());
     let mut accessed: Vec<usize> = Vec::with_capacity(plan.choices.len());
@@ -423,7 +410,7 @@ fn operator_costs(
     OperatorCosts {
         n1: stats.n1,
         t_cache_secs: env.t_cache_secs,
-        full_est_secs: full.est_cost_secs,
+        full_est_secs,
         krepart_est_secs: krepart.est_cost_secs,
         krepart_k,
         est_at_double_n1_secs: Some(doubled_est),
@@ -790,6 +777,44 @@ mod tests {
             measured: Vec::new(),
             tenancy: efind_cluster::TenancyConfig::none(),
             tenant: None,
+        }
+    }
+
+    #[test]
+    fn armed_experiments_outside_every_check_analyze_clean() {
+        use crate::fault::FaultPlan;
+        use efind_cluster::SimDuration;
+
+        // Each config arms a layer the run really injects through, but no
+        // check has anything to say about it: the report must be clean.
+        let mut timed = FaultConfig::disabled().with_plan(FaultPlan::new(7));
+        timed.timeout = Some(SimDuration::from_millis(2));
+        let cases: [(&str, FaultConfig, CorruptionPlan); 3] = [
+            (
+                "shuffle-only corruption",
+                FaultConfig::disabled(),
+                CorruptionPlan::new(1).shuffle(0.1),
+            ),
+            (
+                "response-only corruption",
+                FaultConfig::disabled(),
+                CorruptionPlan::new(1).responses(0.1),
+            ),
+            (
+                "quiet fault plan with a timeout",
+                timed,
+                CorruptionPlan::none(),
+            ),
+        ];
+        let ijob = sample_job(sample_bound("op"));
+        let plans = plans_with(&ijob, Strategy::Cache);
+        for (name, faults, corruption) in cases {
+            assert!(!faults.is_quiet() || !corruption.is_quiet(), "{name}");
+            let mut env = sample_env();
+            env.faults = faults;
+            env.corruption = corruption;
+            let report = analyze_job_in_env(&ijob, &plans, &env).unwrap();
+            assert!(report.is_clean(), "{name}: {}", report.to_text());
         }
     }
 

@@ -27,8 +27,8 @@
 use std::sync::Arc;
 
 use efind_cluster::{
-    ChaosPlan, CorruptionPlan, DetectorConfig, InjectionProfile, NetworkModel, PartitionPlan,
-    SimDuration, TenancyConfig,
+    ChaosPlan, CorruptionPlan, DetectorConfig, NetworkModel, PartitionPlan, SimDuration,
+    TenancyConfig,
 };
 use efind_common::{Datum, Error, FxHashMap, Record, Result};
 use efind_mapreduce::{
@@ -110,22 +110,6 @@ pub struct RuntimeEnv {
 }
 
 impl RuntimeEnv {
-    /// Classifies the three injection layers once for this pipeline.
-    ///
-    /// This is the compile-time half of the quiet-path monomorphization:
-    /// the profile is resolved here, before any stage closure is built, and
-    /// every per-index install ([`ChargedLookup::with_faults`],
-    /// [`LookupCache::with_corruption`]) makes the same Quiet/Armed call
-    /// from the plans it receives — so a configured-but-quiet pipeline
-    /// compiles to exactly the stages a never-configured one does.
-    pub fn injection_profile(&self) -> InjectionProfile {
-        let mut profile = InjectionProfile::from_plans(&self.chaos, &self.corruption)
-            .with_partition(&self.netsplit)
-            .with_tenancy(&self.tenancy);
-        profile.faults = self.faults.layer_state();
-        profile
-    }
-
     /// The lookup-cache capacity this pipeline's caches are built with:
     /// the full configured capacity on the quiet path, or the tenant's
     /// reserved share of the shared cache when the tenancy layer is armed
@@ -134,7 +118,7 @@ impl RuntimeEnv {
     /// without a reservation sees the full shared capacity, competing
     /// unreserved.
     pub fn effective_cache_capacity(&self) -> usize {
-        if !self.tenancy.layer_state().is_armed() {
+        if self.tenancy.is_quiet() {
             return self.cache_capacity;
         }
         let share = self
@@ -152,7 +136,7 @@ impl RuntimeEnv {
     /// the tenancy layer is armed for a named tenant — the quiet path
     /// compiles mappers with no eviction accounting at all.
     fn tenant_eviction_handle(&self) -> Option<CounterHandle> {
-        if !self.tenancy.layer_state().is_armed() {
+        if self.tenancy.is_quiet() {
             return None;
         }
         let tenant = self.tenant.as_deref()?;

@@ -29,7 +29,7 @@
 //! injects nothing and changes nothing: with no `FaultPlan` installed the
 //! accessor path is byte-for-byte the plain lookup path.
 
-use efind_cluster::{LayerState, SimDuration};
+use efind_cluster::SimDuration;
 use efind_common::{det, Datum};
 
 /// What the fault plan decides for one lookup attempt.
@@ -258,27 +258,21 @@ impl FaultConfig {
         self
     }
 
-    /// True when the fault layer is installed in the accessor path.
-    pub fn is_active(&self) -> bool {
-        self.plan.is_some()
-    }
-
-    /// The layer's once-per-job classification, resolved before any
-    /// per-lookup loop runs.
+    /// True when nothing this config describes can ever fire, asked
+    /// before any per-lookup loop runs: no plan, or a plan whose rates are
+    /// all zero *and* no per-index timeout.
     ///
-    /// `Quiet` when nothing this config describes can ever fire: no plan,
-    /// or a plan whose rates are all zero *and* no per-index timeout (a
-    /// timeout is enforced against real serve times even when the plan
-    /// injects nothing, so it keeps the layer armed). Quiet configs
+    /// The timeout is the one asymmetry of the layer. A timeout is enforced
+    /// against real serve times even when the plan injects nothing, so a
+    /// quiet plan with a timeout is armed; with no plan at all nothing
+    /// consults the timeout, so the config stays quiet. Quiet configs
     /// compile down to the plain lookup path — no per-attempt hash draw,
     /// no breaker, no retry bookkeeping — which is exactly the behavior
     /// the quiet-plan bit-identity proptests pin.
-    pub fn layer_state(&self) -> LayerState {
-        match &self.plan {
-            None => LayerState::Quiet,
-            Some(plan) if plan.is_quiet() && self.timeout.is_none() => LayerState::Quiet,
-            Some(_) => LayerState::Armed,
-        }
+    pub fn is_quiet(&self) -> bool {
+        self.plan
+            .as_ref()
+            .is_none_or(|plan| plan.is_quiet() && self.timeout.is_none())
     }
 
     /// Breaker threshold as a ratio.
@@ -565,33 +559,33 @@ mod tests {
     }
 
     #[test]
-    fn layer_state_classification() {
-        // No plan, or a configured-but-quiet plan without a timeout:
-        // Quiet — the accessor keeps the plain path.
-        assert_eq!(FaultConfig::disabled().layer_state(), LayerState::Quiet);
+    fn quiet_classification() {
+        // No plan, or a configured-but-quiet plan without a timeout: quiet
+        // — the accessor keeps the plain path.
+        assert!(FaultConfig::disabled().is_quiet());
         let quiet = FaultConfig::disabled().with_plan(FaultPlan::new(7));
-        assert_eq!(quiet.layer_state(), LayerState::Quiet);
+        assert!(quiet.is_quiet());
         // Any nonzero rate arms the layer.
         let rates = FaultConfig::disabled().with_plan(FaultPlan::new(7).failures(0.01));
-        assert_eq!(rates.layer_state(), LayerState::Armed);
+        assert!(!rates.is_quiet());
         // A per-index timeout arms it even under a quiet plan: timeouts
         // bound *real* serve times, not just injected ones.
         let mut timed = FaultConfig::disabled().with_plan(FaultPlan::new(7));
         timed.timeout = Some(SimDuration::from_micros(50));
-        assert_eq!(timed.layer_state(), LayerState::Armed);
-        // A timeout with no plan at all stays Quiet (nothing consults it).
+        assert!(!timed.is_quiet());
+        // A timeout with no plan at all stays quiet (nothing consults it).
         let mut planless = FaultConfig::disabled();
         planless.timeout = Some(SimDuration::from_micros(50));
-        assert_eq!(planless.layer_state(), LayerState::Quiet);
+        assert!(planless.is_quiet());
     }
 
     #[test]
     fn default_config_is_inert() {
         let cfg = FaultConfig::default();
-        assert!(!cfg.is_active());
+        assert!(cfg.is_quiet());
         assert_eq!(cfg.miss_policy, MissPolicy::Skip);
         let cfg = FaultConfig::disabled();
-        assert!(!cfg.is_active());
+        assert!(cfg.is_quiet());
         assert_eq!(cfg.breaker_threshold(), 1.0);
         assert_eq!(cfg.degrade_threshold(), 0.5);
     }

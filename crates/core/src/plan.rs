@@ -244,6 +244,22 @@ pub fn optimize_operator(
     }
 }
 
+/// The monotonicity probe of `EF019` and `EF023`: the best
+/// full-enumeration plan cost under `op`, and the same cost with the input
+/// cardinality `N1` doubled. Eqs. 1–4 are sums of terms linear in `N1`, so
+/// for a consistent cost model the second is never below the first.
+pub(crate) fn doubled_n1_probe(
+    op: &OperatorStatsEstimate,
+    env: &CostEnv,
+    placement: Placement,
+) -> (f64, f64) {
+    let full = optimize_operator(op, env, placement, Enumeration::Full);
+    let mut doubled = op.clone();
+    doubled.n1 *= 2.0;
+    let at_double = optimize_operator(&doubled, env, placement, Enumeration::Full);
+    (full.est_cost_secs, at_double.est_cost_secs)
+}
+
 /// Builds a plan forcing `strategy` on every index, degrading gracefully:
 /// index locality without a partition scheme falls back to re-partitioning;
 /// shuffle strategies on a non-shuffleable index fall back to cache.

@@ -22,6 +22,13 @@ use crate::statstore::{
 };
 use crate::statsx::{extract_operator_stats, Catalog};
 
+/// Fixed wall-clock overhead the planner charges per *extra* MapReduce job
+/// a shuffle strategy introduces (startup, phase barriers, the follow-up
+/// job's fixed latency) — the reason "it is rare that such strategies are
+/// chosen by many indices" (§3.5). Scaled to the reproduction's virtual job
+/// durations; Hadoop deployments would use tens of seconds.
+const JOB_OVERHEAD_SECS: f64 = 0.02;
+
 /// Runtime configuration.
 #[derive(Clone, Debug)]
 pub struct EFindConfig {
@@ -39,8 +46,6 @@ pub struct EFindConfig {
     /// default matches the scaled-down reproduction's job durations; a
     /// production Hadoop deployment would set seconds here.
     pub plan_change_cost_secs: f64,
-    /// Multi-index planning algorithm.
-    pub enumeration: Enumeration,
     /// Reducer count for shuffling jobs (`None` = all reduce slots).
     pub shuffle_reducers: Option<usize>,
     /// Keep intermediate DFS files after the job (for inspection).
@@ -50,24 +55,17 @@ pub struct EFindConfig {
     /// that machine's unavailability stall the job); this switch exists
     /// for the experiment that demonstrates why.
     pub hard_colocation: bool,
-    /// Fixed wall-clock overhead the planner charges per *extra* MapReduce
-    /// job a shuffle strategy introduces (startup, phase barriers, the
-    /// follow-up job's fixed latency) — the reason "it is rare that such
-    /// strategies are chosen by many indices" (§3.5). Scaled to the
-    /// reproduction's virtual job durations; Hadoop deployments would use
-    /// tens of seconds.
-    pub job_overhead_secs: f64,
     /// Fault-tolerance configuration for the accessor path: injection
     /// plan (tests/chaos runs), retry policy, per-index timeout, circuit
     /// breaker, and miss policy. Disabled by default — the zero-fault
     /// lookup path is byte-identical to a build without the fault layer.
     ///
-    /// All three injection layers (`faults`, `chaos`, `corruption`) are
-    /// classified Quiet/Armed **once per job** when the pipeline compiles
-    /// (see [`RuntimeEnv::injection_profile`]): a configured-but-quiet
-    /// plan — seeded but with zero rates and no kill events — takes the
-    /// exact same hot path as a never-configured one, paying no per-record
-    /// or per-lookup draws, checksums, or ledger bookkeeping.
+    /// Every injection layer is armed exactly when its plan's `is_quiet()`
+    /// (here [`FaultConfig::is_quiet`]) says no, asked outside the hot
+    /// loops: a configured-but-quiet plan — seeded but with zero rates and
+    /// no kill events — takes the exact same hot path as a never-configured
+    /// one, paying no per-record or per-lookup draws, checksums, or ledger
+    /// bookkeeping.
     pub faults: FaultConfig,
     /// Node-crash plan applied to every constituent MapReduce job: nodes
     /// die at their planned virtual times, completed map outputs lost with
@@ -129,11 +127,9 @@ impl Default for EFindConfig {
             t_cache: SimDuration::from_micros(1),
             variance_threshold: 0.5,
             plan_change_cost_secs: 0.05,
-            enumeration: Enumeration::Full,
             shuffle_reducers: None,
             keep_intermediates: false,
             hard_colocation: false,
-            job_overhead_secs: 0.02,
             faults: FaultConfig::disabled(),
             chaos: ChaosPlan::none(),
             corruption: CorruptionPlan::none(),
@@ -316,7 +312,7 @@ impl<'a> EFindRuntime<'a> {
             t_cache_secs: self.config.t_cache.as_secs_f64(),
             lookup_latency_secs: self.cluster.network.latency.as_secs_f64(),
             shuffle_secs_per_byte,
-            job_overhead_secs: self.config.job_overhead_secs,
+            job_overhead_secs: JOB_OVERHEAD_SECS,
             reduce_parallelism: self
                 .config
                 .shuffle_reducers
@@ -447,7 +443,7 @@ impl<'a> EFindRuntime<'a> {
                     }
                     plans.insert(
                         name.to_owned(),
-                        optimize_operator(&stats, &env, placement, self.config.enumeration),
+                        optimize_operator(&stats, &env, placement, Enumeration::Full),
                     );
                 }
             }

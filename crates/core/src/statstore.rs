@@ -38,7 +38,7 @@ use efind_common::hash::{fx_hash_bytes, mix64};
 
 use crate::cost::{CostEnv, OperatorStatsEstimate, Placement};
 use crate::jobconf::BoundOperator;
-use crate::plan::{optimize_operator, Enumeration, OperatorPlan};
+use crate::plan::{doubled_n1_probe, OperatorPlan};
 use crate::statsx::tokens;
 
 /// On-disk schema version; bump on any incompatible format change so old
@@ -373,16 +373,13 @@ impl MeasuredOp {
         env: &CostEnv,
         placement: Placement,
     ) -> MeasuredOp {
-        let full = optimize_operator(stats, env, placement, Enumeration::Full);
-        let mut doubled = stats.clone();
-        doubled.n1 *= 2.0;
-        let at_double = optimize_operator(&doubled, env, placement, Enumeration::Full);
+        let (full_est_secs, est_at_double_n1_secs) = doubled_n1_probe(stats, env, placement);
         MeasuredOp {
             operator: operator.to_owned(),
             fingerprint,
             stats: stats.clone(),
-            full_est_secs: full.est_cost_secs,
-            est_at_double_n1_secs: at_double.est_cost_secs,
+            full_est_secs,
+            est_at_double_n1_secs,
         }
     }
 }

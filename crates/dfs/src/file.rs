@@ -175,9 +175,9 @@ impl Dfs {
     }
 
     /// True when chunk reads verify CRCs: the plan can corrupt chunk
-    /// replicas and verification is enabled. Delegates to the plan's own
-    /// once-per-job classification so every read and write boundary in
-    /// this file makes the identical Quiet/Armed call.
+    /// replicas and verification is enabled. Delegates to the plan so
+    /// every read and write boundary in this file makes the identical
+    /// call.
     fn verifies_chunks(&self) -> bool {
         self.corruption.verifies_chunks()
     }

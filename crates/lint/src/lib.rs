@@ -530,8 +530,8 @@ const INJECTION_FILES: &[&str] = &["fault.rs", "chaos.rs", "corrupt.rs", "netspl
 /// Hot-path crates where per-record/per-lookup loops must not reach an
 /// injection plan without a Quiet/Armed classification (L007). These are
 /// the crates the quiet-path monomorphization pinned: a draw or CRC
-/// verify inside their loops is exactly the per-iteration dispatch the
-/// profile is supposed to hoist.
+/// verify inside their loops is exactly the per-iteration dispatch a
+/// plan's `is_quiet()` check is supposed to hoist.
 const HOT_PATH_CRATES: &[&str] = &["core", "mapreduce", "cluster", "dfs"];
 
 /// Injection-plan draw/verify calls that are priced per lookup, record,
@@ -558,18 +558,10 @@ const INJECTION_CALL_TOKENS: &[&str] = &[
 
 /// Tokens whose presence in the enclosing function shows the layer was
 /// classified before (or while) reaching the loop.
-const GUARD_TOKENS: &[&str] = &[
-    "is_quiet",
-    "layer_state",
-    "is_armed",
-    "LayerState",
-    "InjectionProfile",
-    "verification_enabled",
-    "FaultState",
-];
+const GUARD_TOKENS: &[&str] = &["is_quiet", "verification_enabled", "FaultState"];
 
-/// True for identifiers that count as a Quiet/Armed guard: the profile
-/// vocabulary plus the `verifies_*`/`corrupts_*` plan classifiers.
+/// True for identifiers that count as a Quiet/Armed guard: a plan's
+/// `is_quiet()` plus the `verifies_*`/`corrupts_*` plan classifiers.
 fn is_guard_ident(s: &str) -> bool {
     GUARD_TOKENS.contains(&s) || s.starts_with("verifies_") || s.starts_with("corrupts_")
 }
@@ -903,9 +895,9 @@ pub fn scan_file(path: &str, source: &str) -> Vec<Finding> {
                                     "injection call `{call}` in a hot-path loop with no \
                                      Quiet/Armed guard"
                                 ),
-                                "classify the layer once outside the loop (InjectionProfile / \
-                                 layer_state / verifies_*) and branch on it, so quiet runs \
-                                 never reach the per-iteration draw",
+                                "ask the plan once outside the loop (is_quiet / verifies_*) \
+                                 and branch on it, so quiet runs never reach the \
+                                 per-iteration draw",
                             );
                         }
                     }
@@ -1321,7 +1313,7 @@ mod tests {
     #[test]
     fn l007_partition_queries_in_loops_need_a_guard() {
         // A per-record partition query without a Quiet/Armed guard is the
-        // per-iteration dispatch the profile exists to hoist.
+        // per-iteration dispatch `is_quiet()` exists to hoist.
         let src = "fn f(plan: &PartitionPlan, keys: &[Datum], t: SimTime) -> u64 {\n\
                    let mut n = 0;\n\
                    for _key in keys {\n\
@@ -1335,7 +1327,7 @@ mod tests {
 
         // Classified before the loop: the hoisted dispatch the rule wants.
         let src = "fn f(plan: &PartitionPlan, keys: &[Datum], t: SimTime) -> u64 {\n\
-                   if !plan.layer_state().is_armed() { return 0; }\n\
+                   if plan.is_quiet() { return 0; }\n\
                    let mut n = 0;\n\
                    for _key in keys {\n\
                    if plan.slowdown_at(NodeId(0), t) > 1.0 { n += 1; }\n\

@@ -15,8 +15,8 @@
 //! completed and mirrored in exactly one place, the corruption block of
 //! [`Runner::seal`](crate::Runner::seal) — end-of-job sweep, the
 //! counter-map scan of [`IntegrityLog::collect_lookup_counters`], the
-//! mirror. The runner classifies the layer once per job and skips that
-//! whole block when it is Quiet — observably identical, since a quiet
+//! mirror. The runner asks the plan's `is_quiet()` once per job and skips
+//! that whole block when it is quiet — observably identical, since a quiet
 //! layer's ledger is all zeros and zeros are never written.
 
 use efind_cluster::SimDuration;

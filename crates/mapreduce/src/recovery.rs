@@ -13,9 +13,10 @@
 //! contributes nothing — no counters, no report lines — so crash-free runs
 //! are bit-identical to a build that never heard of crashes. The ledger
 //! is completed and mirrored in exactly one place, the chaos block of
-//! [`Runner::seal`](crate::Runner::seal); the runner classifies the layer
-//! once per job and skips that whole block when it is Quiet, which is
-//! observably identical because only nonzero fields ever become counters.
+//! [`Runner::seal`](crate::Runner::seal); the runner asks the plan's
+//! `is_quiet()` once per job and skips that whole block when it is quiet,
+//! which is observably identical because only nonzero fields ever become
+//! counters.
 
 use efind_cluster::{CrashEvent, SimDuration};
 

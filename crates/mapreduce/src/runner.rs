@@ -24,8 +24,8 @@ use efind_cluster::{
         schedule_phase_chaos, schedule_phase_gray, Assignment, PartitionReplay, Schedule, SlotKind,
         TaskSpec,
     },
-    ChaosPlan, Cluster, CorruptionPlan, CrashEvent, DetectorConfig, InjectionProfile, NodeId,
-    PartitionPlan, SimDuration, SimTime, Suspicion, Verdict,
+    ChaosPlan, Cluster, CorruptionPlan, CrashEvent, DetectorConfig, NodeId, PartitionPlan,
+    SimDuration, SimTime, Suspicion, Verdict,
 };
 use efind_common::{crc32, Datum, Error, Record, Result};
 use efind_dfs::{ChunkMeta, Dfs, DfsFile};
@@ -299,6 +299,10 @@ struct MapSide<'e> {
 }
 
 /// Executes jobs against a cluster and DFS.
+///
+/// Every per-record, per-payload, and per-task loop of the runner calls its
+/// layer's `is_quiet()` *outside* the loop, so a configured-but-quiet
+/// runner takes byte-for-byte the plain path.
 pub struct Runner<'a> {
     /// The simulated cluster.
     pub cluster: &'a Cluster,
@@ -319,12 +323,6 @@ pub struct Runner<'a> {
     /// suspicions (and refutes them when nodes rejoin). Only consulted
     /// when the partition layer is armed.
     detector: DetectorConfig,
-    /// Quiet/Armed classification of the chaos and corruption layers,
-    /// resolved once at construction (and re-resolved by the `with_*`
-    /// builders). Every per-record, per-payload, and per-task loop in
-    /// this file dispatches on this profile *outside* the loop, so a
-    /// configured-but-quiet runner takes byte-for-byte the plain path.
-    profile: InjectionProfile,
 }
 
 impl<'a> Runner<'a> {
@@ -343,9 +341,7 @@ impl<'a> Runner<'a> {
             corruption: CorruptionPlan::none(),
             netsplit: PartitionPlan::none(),
             detector: DetectorConfig::default(),
-            profile: InjectionProfile::quiet(),
         }
-        .classified()
     }
 
     /// Arms the data-corruption plan: installs it on the DFS (so chunk
@@ -354,7 +350,7 @@ impl<'a> Runner<'a> {
     pub fn with_corruption(mut self, plan: CorruptionPlan) -> Self {
         self.dfs.set_corruption(plan.clone());
         self.corruption = plan;
-        self.classified()
+        self
     }
 
     /// Arms the network-partition plan and the failure detector that
@@ -371,13 +367,6 @@ impl<'a> Runner<'a> {
     pub fn with_netsplit(mut self, plan: PartitionPlan, detector: DetectorConfig) -> Self {
         self.netsplit = plan;
         self.detector = detector;
-        self.classified()
-    }
-
-    /// Resolves the Quiet/Armed classification of the installed plans.
-    fn classified(mut self) -> Self {
-        self.profile = InjectionProfile::from_plans(&self.chaos, &self.corruption)
-            .with_partition(&self.netsplit);
         self
     }
 
@@ -456,10 +445,10 @@ impl<'a> Runner<'a> {
         }
         // Corrupt replicas discovered at the read boundary: each wasted
         // fetch (pull copy, CRC mismatch, move to the next replica) is
-        // charged as a remote retrieve. The profile gate means a quiet
-        // corruption layer pays not even the per-task ledger probe;
+        // charged as a remote retrieve. A quiet corruption layer pays not
+        // even the per-task ledger probe;
         // `chunk_integrity` is additionally `None` on clean chunks.
-        if self.profile.corruption.is_armed() {
+        if !self.corruption.is_quiet() {
             if let Some(integ) = dfs.chunk_integrity(&conf.input, chunk.index) {
                 base_cost += integ.reread_cost;
             }
@@ -503,7 +492,7 @@ impl<'a> Runner<'a> {
     /// The hoisted branch keeps the quiet partition path literally the
     /// pre-partition code path.
     fn schedule_phase(&self, specs: &[TaskSpec], start: SimTime) -> Schedule {
-        if self.profile.partition.is_armed() {
+        if !self.netsplit.is_quiet() {
             schedule_phase_gray(
                 self.cluster,
                 specs,
@@ -864,7 +853,7 @@ impl<'a> Runner<'a> {
     /// so a suspicion seen by both the map and the reduce schedule is
     /// never double-counted.
     fn suspicions(&self) -> Vec<Suspicion> {
-        if !self.profile.partition.is_armed() {
+        if self.netsplit.is_quiet() {
             return Vec::new();
         }
         self.detector
@@ -1016,7 +1005,7 @@ impl<'a> Runner<'a> {
     /// just unreachable forever, which is why this is `Partitioned` and
     /// not `DataLoss`.
     fn fail_on_unreachable_input(&self, conf: &JobConf, attempts: &[Assignment]) -> Result<()> {
-        if !self.profile.partition.is_armed() {
+        if self.netsplit.is_quiet() {
             return Ok(());
         }
         let meta = self.dfs.stat(&conf.input)?;
@@ -1057,7 +1046,7 @@ impl<'a> Runner<'a> {
     /// first-wave result on a node with *any* planned death cannot be
     /// trusted to still be there for the re-planned job's reduce.
     pub fn apply_crashes(&mut self, upto: SimTime, recovery: &mut RecoveryLog) {
-        if !self.profile.chaos.is_armed() {
+        if self.chaos.is_quiet() {
             return;
         }
         for e in self.chaos.events().to_vec() {
@@ -1109,9 +1098,9 @@ impl<'a> Runner<'a> {
     /// past its (current) end is left to [`Runner::seal`], which applies
     /// it if it still falls inside the job.
     fn replay_crashes(&mut self, conf: &JobConf, side: &mut MapSide) -> Result<()> {
-        // One branch on the hoisted classification replaces every
+        // One branch on the plan's `is_quiet()` replaces every
         // per-event / per-attempt chaos check for quiet runs.
-        if !self.profile.chaos.is_armed() {
+        if self.chaos.is_quiet() {
             return Ok(());
         }
         for e in self.chaos.events().to_vec() {
@@ -1183,7 +1172,7 @@ impl<'a> Runner<'a> {
     /// Returns whether any task re-ran.
     fn replace_stranded(&self, conf: &JobConf, side: &mut MapSide) -> Result<bool> {
         let mut stranded = false;
-        if !self.profile.partition.is_armed() || !conf.has_reduce() {
+        if self.netsplit.is_quiet() || !conf.has_reduce() {
             return Ok(stranded);
         }
         for s in self.suspicions() {
@@ -1245,7 +1234,7 @@ impl<'a> Runner<'a> {
             side.recovery.fetch_backoff = paused;
             reduce_start = reduce_start.max(fetch_ready + paused);
         }
-        if self.profile.partition.is_armed() {
+        if !self.netsplit.is_quiet() {
             let mut wait_until = if stranded { side.end } else { fetch_ready };
             for a in &side.attempts {
                 if !self.netsplit.is_isolated_at(a.node, fetch_ready) {
@@ -1302,16 +1291,16 @@ impl<'a> Runner<'a> {
             recovery.crashed_attempts += phase.schedule.crashed_attempts;
             fold_partition_replay(&mut partition, &phase.schedule.partition);
         }
-        if self.profile.chaos.is_armed() {
+        if !self.chaos.is_quiet() {
             self.apply_crashes(finished, &mut recovery);
             recovery.add_counters(&mut counters);
         }
-        if self.profile.corruption.is_armed() {
+        if !self.corruption.is_quiet() {
             self.integrity_sweep(conf, &mut integrity);
             integrity.collect_lookup_counters(&counters);
             integrity.add_counters(&mut counters);
         }
-        if self.profile.partition.is_armed() {
+        if !self.netsplit.is_quiet() {
             self.account_gray_nodes(conf, finished, &mut partition);
             partition.add_counters(&mut counters);
         }

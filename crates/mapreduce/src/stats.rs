@@ -91,19 +91,19 @@ pub struct JobStats {
     /// Bytes written to the DFS output file.
     pub output_bytes: u64,
     /// Crash-recovery ledger, completed by `Runner::seal`. Stays
-    /// `RecoveryLog::default()` whenever the chaos layer is classified
-    /// Quiet for the job — including configured-but-quiet plans — and
-    /// nothing of it is then in the counter set.
+    /// `RecoveryLog::default()` whenever the chaos plan is quiet —
+    /// including configured-but-quiet plans — and nothing of it is then
+    /// in the counter set.
     pub recovery: RecoveryLog,
     /// Data-integrity ledger, completed by `Runner::seal`. Stays
-    /// `IntegrityLog::default()` whenever the corruption layer is
-    /// classified Quiet for the job — including configured-but-quiet
-    /// plans — and nothing of it is then in the counter set.
+    /// `IntegrityLog::default()` whenever the corruption plan is quiet —
+    /// including configured-but-quiet plans — and nothing of it is then
+    /// in the counter set.
     pub integrity: IntegrityLog,
     /// Gray-failure ledger, completed by `Runner::seal`. Stays
-    /// `PartitionLog::default()` whenever the partition layer is
-    /// classified Quiet for the job — including configured-but-quiet
-    /// plans — and nothing of it is then in the counter set.
+    /// `PartitionLog::default()` whenever the partition plan is quiet —
+    /// including configured-but-quiet plans — and nothing of it is then
+    /// in the counter set.
     pub partition: PartitionLog,
 }
 

@@ -205,7 +205,7 @@ proptest! {
     /// existed: jobs start at virtual zero and windows are half-open
     /// `[start, heal)`, so a window closing at-or-before its own start
     /// (the only way to close by time zero) is dropped at insertion, the
-    /// plan classifies Quiet, and the run is byte-identical to one with
+    /// plan is quiet, and the run is byte-identical to one with
     /// no plan at all — whatever the seed, node, window, or strategy.
     #[test]
     fn partition_healed_before_job_start_changes_no_observable(
