@@ -1,10 +1,9 @@
-//! The analysis passes: every `EFxxx` check over a [`PlanModel`].
+//! The plan checks over a [`PlanModel`]: `EF001`–`EF014`, `EF019` and
+//! `EF023`. The checks of the runtime configuration run in
+//! `efind::analysis`, on the runtime's own types.
 
 use crate::diag::{DiagCode, Diagnostic, Report, Span};
-use crate::model::{
-    CacheModel, FaultModel, HedgeModel, IndexStatsModel, IntegrityModel, MeasuredStatsModel,
-    OperatorModel, PartitionModel, PlanModel, StrategyKind, TenancyModel,
-};
+use crate::model::{IndexStatsModel, MeasuredStatsModel, OperatorModel, PlanModel, StrategyKind};
 
 use efind_common::FxHashSet;
 
@@ -34,27 +33,8 @@ pub fn analyze(model: &PlanModel) -> Report {
         check_stats_tokens(pos, op, &mut report);
         check_cost_monotonicity(pos, op, &mut report);
     }
-    if let Some(faults) = &model.faults {
-        check_fault_config(faults, &mut report);
-    }
-    if let Some(integrity) = &model.integrity {
-        check_integrity_config(model, integrity, &mut report);
-    }
-    check_injection_conflicts(model, &mut report);
-    if let Some(cache) = &model.cache {
-        check_cache_coherence(model, cache, &mut report);
-    }
     for m in &model.measured {
         check_measured_stats(model, m, &mut report);
-    }
-    if let Some(tenancy) = &model.tenancy {
-        check_tenancy_config(model, tenancy, &mut report);
-    }
-    if let Some(partition) = &model.partition {
-        check_partition_config(partition, &mut report);
-    }
-    if let Some(hedge) = &model.hedge {
-        check_hedge_config(model, hedge, &mut report);
     }
     report
 }
@@ -480,104 +460,6 @@ fn check_volatile_pinning(pos: usize, op: &OperatorModel, report: &mut Report) {
     }
 }
 
-/// EF015/EF016: fault-tolerance configuration sanity. Runs only when the
-/// fault layer is armed; a job without faults never sees these codes.
-fn check_fault_config(f: &FaultModel, report: &mut Report) {
-    if f.timeout_nanos == Some(0) {
-        report.push(
-            Diagnostic::error(
-                DiagCode::EF015,
-                Span::job(),
-                "per-index timeout is zero: every lookup attempt times out before it can answer",
-            )
-            .with_hint(
-                "set the timeout above the slowest expected serve + transfer time, \
-                 or drop it to disable timeout enforcement",
-            ),
-        );
-    }
-    if f.fail_job_on_exhaustion && f.max_retries == 0 {
-        report.push(
-            Diagnostic::warning(
-                DiagCode::EF016,
-                Span::job(),
-                "FailJob miss policy with zero retries: one transient failure fails the whole job",
-            )
-            .with_hint("allow at least one retry, or degrade misses instead of failing the job"),
-        );
-    }
-    if f.backoff_base_nanos > f.max_backoff_nanos {
-        report.push(
-            Diagnostic::warning(
-                DiagCode::EF016,
-                Span::job(),
-                format!(
-                    "backoff base ({} ns) exceeds its cap ({} ns): every pause clamps to the cap",
-                    f.backoff_base_nanos, f.max_backoff_nanos
-                ),
-            )
-            .with_hint("raise max_backoff or lower the base so the exponential schedule applies"),
-        );
-    }
-    if f.breaker_threshold < 1.0 && f.breaker_min_samples <= u64::from(f.max_retries) {
-        report.push(
-            Diagnostic::warning(
-                DiagCode::EF016,
-                Span::job(),
-                format!(
-                    "breaker min-samples ({}) within one key's retry budget ({}): a single \
-                     black-holed key can open the breaker and degrade the whole task",
-                    f.breaker_min_samples, f.max_retries
-                ),
-            )
-            .with_hint("raise breaker_min_samples above max_retries"),
-        );
-    }
-}
-
-/// EF017/EF018: data-integrity configuration sanity. Runs only when a
-/// corruption plan is armed; a job without injected corruption never sees
-/// these codes.
-fn check_integrity_config(model: &PlanModel, integ: &IntegrityModel, report: &mut Report) {
-    if integ.corrupts_chunks && integ.dfs_replication <= 1 {
-        report.push(
-            Diagnostic::error(
-                DiagCode::EF017,
-                Span::job(),
-                format!(
-                    "chunk corruption is injected but DFS replication is {}: the first \
-                     corrupted chunk has no intact replica and the job fails by construction",
-                    integ.dfs_replication
-                ),
-            )
-            .with_hint(
-                "raise the DFS replication factor to at least 2 so a corrupt replica \
-                 can be quarantined and re-read, or stop corrupting chunks",
-            ),
-        );
-    }
-    if integ.corrupts_cache && !integ.verification {
-        let cache_in_use = model
-            .operators
-            .iter()
-            .any(|op| op.choices.iter().any(|c| c.strategy == StrategyKind::Cache));
-        if cache_in_use {
-            report.push(
-                Diagnostic::warning(
-                    DiagCode::EF018,
-                    Span::job(),
-                    "lookup-cache corruption is injected with checksum verification \
-                     disabled: poisoned cache entries would be served undetected",
-                )
-                .with_hint(
-                    "keep verification enabled (drop without_verification) so poisoned \
-                     entries are invalidated and re-fetched, or stop corrupting the cache",
-                ),
-            );
-        }
-    }
-}
-
 /// A statistics token outside its legal range: name, value, legal range.
 type BadToken = (&'static str, f64, &'static str);
 
@@ -705,461 +587,6 @@ fn check_measured_stats(model: &PlanModel, m: &MeasuredStatsModel, report: &mut 
                  estimate means the stored history disagrees with the cost model",
             ),
         );
-    }
-}
-
-/// EF020: conflicts *between* injection layers. Each layer alone is
-/// checked by EF015–EF018; this check catches combinations that are
-/// unsurvivable (chaos kills the whole cluster) or quietly exhaust the
-/// recovery budget (kills plus corruption quarantines outrun the replica
-/// count).
-fn check_injection_conflicts(model: &PlanModel, report: &mut Report) {
-    let Some(chaos) = &model.chaos else { return };
-    if chaos.cluster_nodes > 0 && chaos.kill_events >= chaos.cluster_nodes {
-        report.push(
-            Diagnostic::error(
-                DiagCode::EF020,
-                Span::job(),
-                format!(
-                    "chaos plan kills {} nodes of a {}-node cluster: no node survives \
-                     to finish any wave",
-                    chaos.kill_events, chaos.cluster_nodes
-                ),
-            )
-            .with_hint("keep at least one node alive; recovery needs somewhere to run"),
-        );
-    }
-    if chaos.kill_events >= 1 && chaos.dfs_replication <= 1 {
-        report.push(
-            Diagnostic::warning(
-                DiagCode::EF020,
-                Span::job(),
-                format!(
-                    "node kills are scheduled with DFS replication {}: any chunk on a \
-                     killed node is lost with no replica to recover from",
-                    chaos.dfs_replication
-                ),
-            )
-            .with_hint(
-                "raise replication to at least 2, or accept that the run exercises \
-                 the data-loss path by design",
-            ),
-        );
-    }
-    if let Some(integ) = &model.integrity {
-        if integ.corrupts_chunks
-            && chaos.dfs_replication > 1
-            && chaos.kill_events + 1 >= chaos.dfs_replication
-        {
-            report.push(
-                Diagnostic::warning(
-                    DiagCode::EF020,
-                    Span::job(),
-                    format!(
-                        "{} node kills plus chunk corruption against replication {}: \
-                         one quarantined replica plus the kills can exhaust every copy",
-                        chaos.kill_events, chaos.dfs_replication
-                    ),
-                )
-                .with_hint(
-                    "keep replication above kill_events + 1 when combining chaos with \
-                     chunk corruption, or the layers defeat each other's experiment",
-                ),
-            );
-        }
-    }
-}
-
-/// EF021: cache-config coherence. A plan that chose the cache strategy
-/// based on Eq. 2 must actually get a usable cache at runtime.
-fn check_cache_coherence(model: &PlanModel, cache: &CacheModel, report: &mut Report) {
-    let cache_in_use = model
-        .operators
-        .iter()
-        .any(|op| op.choices.iter().any(|c| c.strategy == StrategyKind::Cache));
-    if cache.t_cache_secs.is_nan() || cache.t_cache_secs < 0.0 {
-        report.push(
-            Diagnostic::error(
-                DiagCode::EF021,
-                Span::job(),
-                format!(
-                    "cache probe time T_cache = {} is negative or NaN",
-                    cache.t_cache_secs
-                ),
-            )
-            .with_hint("T_cache is a physical time; it must be a finite non-negative number"),
-        );
-    }
-    if !cache_in_use {
-        return;
-    }
-    if cache.capacity == 0 {
-        report.push(
-            Diagnostic::error(
-                DiagCode::EF021,
-                Span::job(),
-                "a cache-strategy plan is installed but the lookup cache holds zero \
-                 entries: every probe misses and the plan degenerates to baseline \
-                 plus pure overhead",
-            )
-            .with_hint("set cache_capacity to at least 1, or re-plan without the cache strategy"),
-        );
-    } else if cache.t_cache_secs == 0.0 {
-        report.push(
-            Diagnostic::warning(
-                DiagCode::EF021,
-                Span::job(),
-                "cache strategy planned with T_cache = 0: probes are free and the \
-                 Eq. 2 floor is degenerate, so the planner can never prefer baseline",
-            )
-            .with_hint("use a small positive T_cache so cache and baseline stay comparable"),
-        );
-    }
-}
-
-/// EF025: gray-failure configuration sanity. Partitions cut visibility,
-/// never state, so a cut that heals is always survivable — but a cut that
-/// *never* heals permanently removes its nodes from the reachable replica
-/// budget, and a cut isolating the whole cluster leaves no side to finish
-/// the job. The detector is also checked: suspicion below the heartbeat
-/// interval means every node is suspected on its first silent beat, so
-/// false positives dominate and re-placement churns.
-fn check_partition_config(partition: &PartitionModel, report: &mut Report) {
-    if partition.cluster_nodes > 0 && partition.permanently_isolated >= partition.cluster_nodes {
-        report.push(
-            Diagnostic::error(
-                DiagCode::EF025,
-                Span::job(),
-                format!(
-                    "an unhealed partition isolates all {} nodes of the cluster: \
-                     no reachable side is left to finish the job",
-                    partition.cluster_nodes
-                ),
-            )
-            .with_hint("give the cut a heal time, or leave at least one node reachable"),
-        );
-    }
-    if partition.permanently_isolated >= 1 && partition.dfs_replication <= 1 {
-        report.push(
-            Diagnostic::warning(
-                DiagCode::EF025,
-                Span::job(),
-                format!(
-                    "{} node(s) stay isolated forever with DFS replication {}: any \
-                     chunk hosted behind the cut has no reachable replica and the \
-                     job fails fast with a partition error",
-                    partition.permanently_isolated, partition.dfs_replication
-                ),
-            )
-            .with_hint(
-                "raise replication to at least 2, heal the cut, or accept that the \
-                 run exercises the fail-fast path by design",
-            ),
-        );
-    }
-    if partition.heartbeat_interval_nanos >= partition.suspicion_nanos {
-        report.push(
-            Diagnostic::warning(
-                DiagCode::EF025,
-                Span::job(),
-                format!(
-                    "detector heartbeat interval ({} ns) is at or above the suspicion \
-                     threshold ({} ns): every silent beat immediately suspects the \
-                     node, so false positives dominate and tasks churn between nodes",
-                    partition.heartbeat_interval_nanos, partition.suspicion_nanos
-                ),
-            )
-            .with_hint("keep the suspicion threshold at 2-3 heartbeat intervals"),
-        );
-    }
-}
-
-/// EF026: pointless hedging. A hedged lookup races a backup against a
-/// *different* replica or partition-side of the index; an accessor that
-/// exposes only one side (a single-partition scheme, or no scheme over an
-/// unreplicated DFS) makes the backup race the very service it is hedging
-/// against — it can never answer sooner and only adds virtual cost under
-/// the charge-both policy.
-fn check_hedge_config(model: &PlanModel, hedge: &HedgeModel, report: &mut Report) {
-    for (pos, op) in model.operators.iter().enumerate() {
-        for idx in &op.indices {
-            let sides = if idx.has_partition_scheme {
-                idx.partitions
-            } else {
-                hedge.dfs_replication
-            };
-            if sides <= 1 {
-                let what = if idx.has_partition_scheme {
-                    "exposes a single partition-side".to_string()
-                } else {
-                    format!(
-                        "exposes no partition scheme and the DFS holds {} replica(s)",
-                        hedge.dfs_replication
-                    )
-                };
-                report.push(
-                    Diagnostic::warning(
-                        DiagCode::EF026,
-                        Span::index(pos, &op.name, &idx.name),
-                        format!(
-                            "hedged lookups are armed but index `{}` {}: the backup \
-                             races the same service and can only lose",
-                            idx.name, what
-                        ),
-                    )
-                    .with_hint(
-                        "hedging needs a second replica or partition-side to race \
-                         against; raise replication or disable hedging for this run",
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// EF024: tenancy-config coherence. The multi-tenant scheduler is built
-/// to reject deterministically rather than hang, but a configuration with
-/// zero-slot quotas or degenerate weights rejects (or starves) *every*
-/// job by construction — that is a config error, not a scheduling
-/// outcome. Rate limits are softer: a bucket whose sustained rate plus
-/// burst cannot cover the job's expected lookup demand within its own
-/// estimated runtime likely starves the job it admits, so it warns.
-fn check_tenancy_config(model: &PlanModel, tenancy: &TenancyModel, report: &mut Report) {
-    let span = Span::job;
-    // Tenant table: names must be usable as counter segments and unique;
-    // quotas and weights must leave the tenant able to run something.
-    let mut seen = FxHashSet::default();
-    for t in &tenancy.tenants {
-        if t.name.is_empty() || t.name.contains('.') {
-            report.push(
-                Diagnostic::error(
-                    DiagCode::EF024,
-                    span(),
-                    format!(
-                        "tenant name {:?} is not a legal counter segment \
-                         (must be non-empty and dot-free)",
-                        t.name
-                    ),
-                )
-                .with_hint("tenant names become `efind.tenant.<name>.*` counter segments"),
-            );
-        }
-        if !seen.insert(t.name.as_str()) {
-            report.push(
-                Diagnostic::error(
-                    DiagCode::EF024,
-                    span(),
-                    format!("duplicate tenant name {:?}", t.name),
-                )
-                .with_hint("each tenant must be declared exactly once"),
-            );
-        }
-        if t.weight == 0 {
-            report.push(
-                Diagnostic::error(
-                    DiagCode::EF024,
-                    span(),
-                    format!(
-                        "tenant {:?} has deficit weight 0: it accrues no credit \
-                         and can never win a grant",
-                        t.name
-                    ),
-                )
-                .with_hint("weights must be at least 1; starvation-freedom assumes it"),
-            );
-        }
-        if t.max_running == 0 {
-            report.push(
-                Diagnostic::error(
-                    DiagCode::EF024,
-                    span(),
-                    format!(
-                        "tenant {:?} has max_running = 0: admitted jobs can never start",
-                        t.name
-                    ),
-                )
-                .with_hint("a zero-slot running quota turns every admission into a hang risk"),
-            );
-        }
-        if t.max_queued == 0 {
-            report.push(
-                Diagnostic::error(
-                    DiagCode::EF024,
-                    span(),
-                    format!(
-                        "tenant {:?} has max_queued = 0: every submission is \
-                         quota-rejected at the door",
-                        t.name
-                    ),
-                )
-                .with_hint("give each tenant at least one queue slot, or remove the tenant"),
-            );
-        }
-        if t.cache_share.is_nan() || !(0.0..=1.0).contains(&t.cache_share) {
-            report.push(
-                Diagnostic::error(
-                    DiagCode::EF024,
-                    span(),
-                    format!(
-                        "tenant {:?} has cache share {} outside [0, 1]",
-                        t.name, t.cache_share
-                    ),
-                )
-                .with_hint("shares are fractions of the shared lookup-cache capacity"),
-            );
-        }
-    }
-    let share_sum: f64 = tenancy
-        .tenants
-        .iter()
-        .map(|t| t.cache_share.clamp(0.0, 1.0))
-        .sum();
-    if share_sum > 1.0 + EPS {
-        report.push(
-            Diagnostic::warning(
-                DiagCode::EF024,
-                span(),
-                format!(
-                    "tenant cache shares sum to {share_sum:.3}: the shared cache \
-                     is oversubscribed and reservations cannot all be honored"
-                ),
-            )
-            .with_hint("keep the share sum at or below 1.0"),
-        );
-    }
-    // Global admission bounds: zero capacity rejects or stalls everything.
-    if tenancy.queue_capacity == 0 {
-        report.push(
-            Diagnostic::error(
-                DiagCode::EF024,
-                span(),
-                "admission queue capacity is 0: every submission that cannot start \
-                 immediately is rejected",
-            )
-            .with_hint("size the queue for the expected burst, or at least 1"),
-        );
-    }
-    if tenancy.max_concurrent == 0 {
-        report.push(
-            Diagnostic::error(
-                DiagCode::EF024,
-                span(),
-                "max_concurrent is 0: no job can ever be granted a slot",
-            )
-            .with_hint("allow at least one concurrent job"),
-        );
-    }
-    // Job tag: an unknown tenant is rejected at submit time — catch it
-    // at analysis time instead.
-    if let Some(job_tenant) = &tenancy.job_tenant {
-        if !tenancy.tenants.is_empty() && !tenancy.tenants.iter().any(|t| &t.name == job_tenant) {
-            report.push(
-                Diagnostic::error(
-                    DiagCode::EF024,
-                    span(),
-                    format!(
-                        "job is tagged with tenant {job_tenant:?}, which is not \
-                         declared in the tenancy configuration"
-                    ),
-                )
-                .with_hint("declare the tenant, or drop the job's tenant tag"),
-            );
-        }
-    }
-    // QoS knobs are virtual times; negative or NaN values are meaningless.
-    for (what, v) in [
-        ("degrade_threshold", tenancy.degrade_threshold_secs),
-        ("scan_fallback_cost", tenancy.scan_fallback_cost_secs),
-    ] {
-        if v.is_nan() || v < 0.0 {
-            report.push(
-                Diagnostic::error(
-                    DiagCode::EF024,
-                    span(),
-                    format!("QoS parameter {what} = {v} is negative or NaN"),
-                )
-                .with_hint("QoS thresholds are virtual durations; use finite non-negative values"),
-            );
-        }
-    }
-    // Rate limits: malformed buckets are errors; a well-formed bucket
-    // that cannot cover the job's expected lookup demand over its own
-    // estimated runtime is a starvation warning.
-    for rl in &tenancy.rate_limits {
-        if rl.rate_per_sec.is_nan() || rl.rate_per_sec < 0.0 || rl.burst.is_nan() || rl.burst < 0.0
-        {
-            report.push(
-                Diagnostic::error(
-                    DiagCode::EF024,
-                    span(),
-                    format!(
-                        "rate limit for index {:?} has negative or NaN parameters \
-                         (rate = {}, burst = {})",
-                        rl.index, rl.rate_per_sec, rl.burst
-                    ),
-                )
-                .with_hint("token-bucket rate and burst must be finite and non-negative"),
-            );
-            continue;
-        }
-        if rl.rate_per_sec == 0.0 && rl.burst == 0.0 {
-            report.push(
-                Diagnostic::error(
-                    DiagCode::EF024,
-                    span(),
-                    format!(
-                        "rate limit for index {:?} has zero rate and zero burst: \
-                         no lookup can ever be charged",
-                        rl.index
-                    ),
-                )
-                .with_hint("give the bucket a positive rate or burst, or remove the limit"),
-            );
-            continue;
-        }
-        // Expected lookups against this index: Σ over operators of
-        // N1 × Nik for every bound accessor matching the limited name.
-        let mut demand = 0.0;
-        let mut runtime_secs = 0.0;
-        for op in &model.operators {
-            let Some(costs) = &op.costs else { continue };
-            runtime_secs += op.est_cost_secs.max(0.0);
-            for idx in &op.indices {
-                if idx.name == rl.index {
-                    if let Some(nik) = idx.nik {
-                        demand += costs.n1.max(0.0) * nik.max(0.0);
-                    }
-                }
-            }
-        }
-        if demand <= 0.0 {
-            continue;
-        }
-        let supply = if runtime_secs > 0.0 {
-            rl.rate_per_sec * runtime_secs + rl.burst
-        } else {
-            // No runtime estimate: only the burst is guaranteed without
-            // paying queueing delay.
-            rl.burst
-        };
-        if supply + EPS < demand {
-            report.push(
-                Diagnostic::warning(
-                    DiagCode::EF024,
-                    span(),
-                    format!(
-                        "rate limit for index {:?} supplies ~{supply:.0} lookups over \
-                         the job's estimated runtime but the plan expects ~{demand:.0}: \
-                         the job will spend most of its time throttled or degraded to scan",
-                        rl.index
-                    ),
-                )
-                .with_hint(
-                    "raise the rate or burst, or accept that this job is expected to \
-                     run degraded under contention",
-                ),
-            );
-        }
     }
 }
 
@@ -1422,128 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn benign_fault_config_is_clean() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        model.faults = Some(crate::model::testutil::faults());
-        let report = analyze(&model);
-        assert!(report.is_clean(), "{}", report.to_text());
-    }
-
-    #[test]
-    fn ef015_zero_timeout_is_an_error() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut f = crate::model::testutil::faults();
-        f.timeout_nanos = Some(0);
-        model.faults = Some(f);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF015));
-        assert!(report.has_errors());
-    }
-
-    #[test]
-    fn ef016_fail_job_without_retries_warns() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut f = crate::model::testutil::faults();
-        f.fail_job_on_exhaustion = true;
-        f.max_retries = 0;
-        model.faults = Some(f);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF016));
-        assert!(!report.has_errors());
-    }
-
-    #[test]
-    fn ef016_backoff_base_above_cap_warns() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut f = crate::model::testutil::faults();
-        f.backoff_base_nanos = 1_000_000_000;
-        f.max_backoff_nanos = 1_000_000;
-        model.faults = Some(f);
-        assert!(analyze(&model).has_code(DiagCode::EF016));
-    }
-
-    #[test]
-    fn ef016_hair_trigger_breaker_warns() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut f = crate::model::testutil::faults();
-        f.breaker_min_samples = 2; // within one key's retry budget (3)
-        model.faults = Some(f);
-        assert!(analyze(&model).has_code(DiagCode::EF016));
-
-        // A disabled breaker (threshold 1.0) never trips the warning.
-        let mut f = crate::model::testutil::faults();
-        f.breaker_min_samples = 2;
-        f.breaker_threshold = 1.0;
-        model.faults = Some(f);
-        assert!(analyze(&model).is_clean());
-    }
-
-    #[test]
-    fn absent_fault_model_skips_fault_checks() {
-        let report = analyze(&job(vec![operator("a", StrategyKind::Cache)]));
-        assert!(!report.has_code(DiagCode::EF015));
-        assert!(!report.has_code(DiagCode::EF016));
-    }
-
-    #[test]
-    fn benign_integrity_config_is_clean() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        model.integrity = Some(crate::model::testutil::integrity());
-        let report = analyze(&model);
-        assert!(report.is_clean(), "{}", report.to_text());
-    }
-
-    #[test]
-    fn ef017_chunk_corruption_on_unreplicated_dfs_is_an_error() {
-        let mut model = job(vec![operator("a", StrategyKind::Baseline)]);
-        let mut i = crate::model::testutil::integrity();
-        i.dfs_replication = 1;
-        model.integrity = Some(i);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF017));
-        assert!(report.has_errors());
-
-        // Without chunk corruption, replication 1 is fine for EF017.
-        let mut model = job(vec![operator("a", StrategyKind::Baseline)]);
-        let mut i = crate::model::testutil::integrity();
-        i.dfs_replication = 1;
-        i.corrupts_chunks = false;
-        model.integrity = Some(i);
-        assert!(!analyze(&model).has_code(DiagCode::EF017));
-    }
-
-    #[test]
-    fn ef018_unverified_cache_corruption_warns_only_with_a_cache_plan() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut i = crate::model::testutil::integrity();
-        i.corrupts_cache = true;
-        i.verification = false;
-        i.corrupts_chunks = false;
-        model.integrity = Some(i);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF018));
-        assert!(!report.has_errors(), "EF018 is a warning");
-
-        // No cache strategy in the plan: nothing can be poisoned.
-        let mut model = job(vec![operator("a", StrategyKind::Baseline)]);
-        model.integrity = Some(i);
-        assert!(analyze(&model).is_clean());
-
-        // Verification enabled: poisoned entries are caught and re-fetched.
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        i.verification = true;
-        model.integrity = Some(i);
-        assert!(analyze(&model).is_clean());
-    }
-
-    #[test]
-    fn absent_integrity_model_skips_integrity_checks() {
-        let report = analyze(&job(vec![operator("a", StrategyKind::Cache)]));
-        assert!(!report.has_code(DiagCode::EF017));
-        assert!(!report.has_code(DiagCode::EF018));
-    }
-
-    #[test]
     fn ef019_legal_stats_tokens_are_clean() {
         let mut op = operator("a", StrategyKind::Cache);
         op.indices[0].nik = Some(2.0);
@@ -1598,107 +903,6 @@ mod tests {
         c.est_at_double_n1_secs = Some(1.0);
         op.costs = Some(c);
         assert!(analyze(&job(vec![op])).is_clean());
-    }
-
-    #[test]
-    fn ef020_chaos_killing_every_node_is_an_error() {
-        let mut model = job(vec![operator("a", StrategyKind::Baseline)]);
-        let mut c = crate::model::testutil::chaos();
-        c.kill_events = 8; // == cluster_nodes
-        model.chaos = Some(c);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF020));
-        assert!(report.has_errors());
-
-        // One kill on an 8-node replicated cluster is a benign experiment.
-        let mut model = job(vec![operator("a", StrategyKind::Baseline)]);
-        model.chaos = Some(crate::model::testutil::chaos());
-        assert!(analyze(&model).is_clean(), "{}", analyze(&model).to_text());
-    }
-
-    #[test]
-    fn ef020_kills_at_replication_one_warn() {
-        let mut model = job(vec![operator("a", StrategyKind::Baseline)]);
-        let mut c = crate::model::testutil::chaos();
-        c.dfs_replication = 1;
-        model.chaos = Some(c);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF020));
-        assert!(!report.has_errors(), "data-loss-by-design stays a warning");
-    }
-
-    #[test]
-    fn ef020_kills_plus_corruption_exhaust_replicas() {
-        let mut model = job(vec![operator("a", StrategyKind::Baseline)]);
-        let mut c = crate::model::testutil::chaos();
-        c.kill_events = 2;
-        c.dfs_replication = 3; // 2 kills + 1 quarantine == 3 copies
-        model.chaos = Some(c);
-        model.integrity = Some(crate::model::testutil::integrity());
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF020), "{}", report.to_text());
-        assert!(!report.has_errors());
-
-        // With headroom (1 kill against replication 3) the combination is
-        // clean.
-        let mut model = job(vec![operator("a", StrategyKind::Baseline)]);
-        model.chaos = Some(crate::model::testutil::chaos());
-        model.integrity = Some(crate::model::testutil::integrity());
-        assert!(analyze(&model).is_clean(), "{}", analyze(&model).to_text());
-    }
-
-    #[test]
-    fn ef021_zero_capacity_cache_plan_is_an_error() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut c = crate::model::testutil::cache();
-        c.capacity = 0;
-        model.cache = Some(c);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF021));
-        assert!(report.has_errors());
-
-        // Zero capacity without any cache-strategy choice is harmless.
-        let mut model = job(vec![operator("a", StrategyKind::Baseline)]);
-        model.cache = Some(c);
-        assert!(analyze(&model).is_clean());
-    }
-
-    #[test]
-    fn ef021_negative_t_cache_is_an_error_and_zero_warns() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut c = crate::model::testutil::cache();
-        c.t_cache_secs = -1.0e-6;
-        model.cache = Some(c);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF021));
-        assert!(report.has_errors());
-
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut c = crate::model::testutil::cache();
-        c.t_cache_secs = 0.0;
-        model.cache = Some(c);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF021));
-        assert!(
-            !report.has_errors(),
-            "free probes are suspicious, not fatal"
-        );
-
-        // The benign config is clean.
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        model.cache = Some(crate::model::testutil::cache());
-        assert!(analyze(&model).is_clean());
-    }
-
-    #[test]
-    fn benign_injection_layers_together_are_clean() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        model.faults = Some(crate::model::testutil::faults());
-        model.integrity = Some(crate::model::testutil::integrity());
-        model.chaos = Some(crate::model::testutil::chaos());
-        model.cache = Some(crate::model::testutil::cache());
-        let report = analyze(&model);
-        assert!(report.is_clean(), "{}", report.to_text());
     }
 
     fn measured(op: &str) -> crate::model::MeasuredStatsModel {
@@ -1763,234 +967,5 @@ mod tests {
         m.est_at_double_n1_secs = 1.0;
         model.measured = vec![m];
         assert!(analyze(&model).is_clean());
-    }
-
-    #[test]
-    fn ef024_benign_tenancy_is_clean() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        model.tenancy = Some(crate::model::testutil::tenancy());
-        let report = analyze(&model);
-        assert!(report.is_clean(), "{}", report.to_text());
-    }
-
-    #[test]
-    fn ef024_zero_slot_quotas_and_degenerate_weights_are_errors() {
-        type Mutate = fn(&mut crate::model::TenancyModel);
-        for mutate in [
-            (|t: &mut crate::model::TenancyModel| t.tenants[0].weight = 0) as Mutate,
-            |t| t.tenants[0].max_running = 0,
-            |t| t.tenants[1].max_queued = 0,
-            |t| t.queue_capacity = 0,
-            |t| t.max_concurrent = 0,
-            |t| t.tenants[0].name = String::new(),
-            |t| t.tenants[0].name = "alpha.prod".into(),
-            |t| t.tenants[1].name = "alpha".into(),
-            |t| t.tenants[0].cache_share = 1.5,
-            |t| t.tenants[0].cache_share = f64::NAN,
-            |t| t.degrade_threshold_secs = -1.0,
-            |t| t.scan_fallback_cost_secs = f64::NAN,
-            |t| t.job_tenant = Some("gamma".into()),
-        ] {
-            let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-            let mut tenancy = crate::model::testutil::tenancy();
-            mutate(&mut tenancy);
-            model.tenancy = Some(tenancy);
-            let report = analyze(&model);
-            assert!(report.has_code(DiagCode::EF024), "{}", report.to_text());
-            assert!(report.has_errors(), "{}", report.to_text());
-        }
-    }
-
-    #[test]
-    fn ef024_oversubscribed_cache_shares_warn() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut tenancy = crate::model::testutil::tenancy();
-        tenancy.tenants[0].cache_share = 0.8;
-        tenancy.tenants[1].cache_share = 0.7;
-        model.tenancy = Some(tenancy);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF024), "{}", report.to_text());
-        assert!(
-            !report.has_errors(),
-            "oversubscription degrades, not breaks"
-        );
-    }
-
-    #[test]
-    fn ef024_malformed_rate_limits_are_errors() {
-        type Mutate = fn(&mut crate::model::RateLimitModel);
-        for mutate in [
-            (|rl: &mut crate::model::RateLimitModel| rl.rate_per_sec = -1.0) as Mutate,
-            |rl| rl.rate_per_sec = f64::NAN,
-            |rl| rl.burst = -2.0,
-            |rl| {
-                rl.rate_per_sec = 0.0;
-                rl.burst = 0.0;
-            },
-        ] {
-            let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-            let mut tenancy = crate::model::testutil::tenancy();
-            let mut rl = crate::model::RateLimitModel {
-                index: "idx".into(),
-                rate_per_sec: 100.0,
-                burst: 10.0,
-            };
-            mutate(&mut rl);
-            tenancy.rate_limits.push(rl);
-            model.tenancy = Some(tenancy);
-            let report = analyze(&model);
-            assert!(report.has_code(DiagCode::EF024), "{}", report.to_text());
-            assert!(report.has_errors(), "{}", report.to_text());
-        }
-    }
-
-    #[test]
-    fn ef024_rate_limit_below_expected_demand_warns() {
-        // 1000 input records × 2 lookups/record = 2000 expected lookups
-        // against `idx`, but the bucket supplies 10/s × 1s + 10 = 20.
-        let mut op = operator("a", StrategyKind::Cache);
-        op.indices[0].nik = Some(2.0);
-        op.choices[0].est_cost_secs = 5.0e-3; // above the EF010 probe floor
-        op.est_cost_secs = 1.0;
-        op.costs = Some(costs());
-        let mut model = job(vec![op]);
-        let mut tenancy = crate::model::testutil::tenancy();
-        tenancy.rate_limits.push(crate::model::RateLimitModel {
-            index: "idx".into(),
-            rate_per_sec: 10.0,
-            burst: 10.0,
-        });
-        model.tenancy = Some(tenancy);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF024), "{}", report.to_text());
-        assert!(
-            !report.has_errors(),
-            "underprovisioning degrades, not breaks"
-        );
-
-        // A bucket that covers the demand is clean.
-        let mut op = operator("a", StrategyKind::Cache);
-        op.indices[0].nik = Some(2.0);
-        op.choices[0].est_cost_secs = 5.0e-3;
-        op.est_cost_secs = 1.0;
-        op.costs = Some(costs());
-        let mut model = job(vec![op]);
-        let mut tenancy = crate::model::testutil::tenancy();
-        tenancy.rate_limits.push(crate::model::RateLimitModel {
-            index: "idx".into(),
-            rate_per_sec: 5000.0,
-            burst: 100.0,
-        });
-        model.tenancy = Some(tenancy);
-        let report = analyze(&model);
-        assert!(report.is_clean(), "{}", report.to_text());
-
-        // A limit on an index the plan never touches says nothing.
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut tenancy = crate::model::testutil::tenancy();
-        tenancy.rate_limits.push(crate::model::RateLimitModel {
-            index: "other".into(),
-            rate_per_sec: 0.001,
-            burst: 0.0,
-        });
-        model.tenancy = Some(tenancy);
-        assert!(analyze(&model).is_clean());
-    }
-
-    #[test]
-    fn benign_partition_config_is_clean() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        model.partition = Some(crate::model::testutil::partition());
-        let report = analyze(&model);
-        assert!(report.is_clean(), "{}", report.to_text());
-    }
-
-    #[test]
-    fn ef025_unhealed_full_cluster_partition_is_an_error() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut p = crate::model::testutil::partition();
-        p.permanently_isolated = p.cluster_nodes;
-        model.partition = Some(p);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF025), "{}", report.to_text());
-        assert!(report.has_errors());
-    }
-
-    #[test]
-    fn ef025_permanent_isolation_on_unreplicated_dfs_warns() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut p = crate::model::testutil::partition();
-        p.permanently_isolated = 1;
-        p.dfs_replication = 1;
-        model.partition = Some(p);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF025), "{}", report.to_text());
-        assert!(!report.has_errors(), "fail-fast by design is a warning");
-
-        // The same permanent cut against a replicated DFS is clean: the
-        // reachable side still holds a copy of every chunk.
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut p = crate::model::testutil::partition();
-        p.permanently_isolated = 1;
-        model.partition = Some(p);
-        assert!(analyze(&model).is_clean());
-    }
-
-    #[test]
-    fn ef025_detector_interval_at_or_above_suspicion_warns() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut p = crate::model::testutil::partition();
-        p.heartbeat_interval_nanos = 2_000_000;
-        p.suspicion_nanos = 2_000_000;
-        model.partition = Some(p);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF025), "{}", report.to_text());
-        assert!(!report.has_errors());
-    }
-
-    #[test]
-    fn benign_hedge_config_is_clean() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        model.hedge = Some(crate::model::testutil::hedge());
-        let report = analyze(&model);
-        assert!(report.is_clean(), "{}", report.to_text());
-    }
-
-    #[test]
-    fn ef026_hedging_single_partition_side_warns() {
-        let mut op = operator("a", StrategyKind::Cache);
-        op.indices[0].has_partition_scheme = true;
-        op.indices[0].partitions = 1;
-        let mut model = job(vec![op]);
-        model.hedge = Some(crate::model::testutil::hedge());
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF026), "{}", report.to_text());
-        assert!(!report.has_errors(), "EF026 is a warning");
-
-        // Two partition-sides give the backup something to race.
-        let mut op = operator("a", StrategyKind::Cache);
-        op.indices[0].has_partition_scheme = true;
-        op.indices[0].partitions = 2;
-        let mut model = job(vec![op]);
-        model.hedge = Some(crate::model::testutil::hedge());
-        assert!(analyze(&model).is_clean());
-    }
-
-    #[test]
-    fn ef026_hedging_unreplicated_schemeless_index_warns() {
-        let mut model = job(vec![operator("a", StrategyKind::Cache)]);
-        let mut h = crate::model::testutil::hedge();
-        h.dfs_replication = 1;
-        model.hedge = Some(h);
-        let report = analyze(&model);
-        assert!(report.has_code(DiagCode::EF026), "{}", report.to_text());
-        assert!(!report.has_errors());
-    }
-
-    #[test]
-    fn absent_partition_and_hedge_models_skip_their_checks() {
-        let report = analyze(&job(vec![operator("a", StrategyKind::Cache)]));
-        assert!(!report.has_code(DiagCode::EF025));
-        assert!(!report.has_code(DiagCode::EF026));
     }
 }

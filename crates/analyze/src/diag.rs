@@ -64,7 +64,7 @@ pub enum DiagCode {
     /// kills + quarantines together exhaust the replica budget).
     EF020,
     /// Cache-config incoherence: a cache-strategy plan with a zero-entry
-    /// cache, or a negative/NaN `T_cache` probe time.
+    /// cache (error), or with a zero `T_cache` probe time (warning).
     EF021,
     /// Measured-stats injection inconsistency: statistics served from the
     /// cross-job re-optimization store violate the same invariants
@@ -76,10 +76,10 @@ pub enum DiagCode {
     /// Tenancy-config incoherence: a multi-tenant serving configuration
     /// that cannot serve — zero-slot quotas (`max_running`/`max_queued`/
     /// queue capacity/concurrency of 0), degenerate deficit weights
-    /// (weight 0 never wins a grant), malformed tenant names or cache
-    /// shares, a job tagged with an unknown tenant — or that likely
-    /// starves the job it admits (a rate limit below the job's expected
-    /// lookup demand; warning).
+    /// (weight 0 never wins a grant), malformed or duplicate tenant names,
+    /// cache shares outside `[0, 1]`, negative/NaN or zero-supply rate
+    /// limits, a job tagged with an unknown tenant (errors) — or cache
+    /// shares summing past 1 (warning).
     EF024,
     /// Unsurvivable or degenerate gray-failure configuration: a partition
     /// that never heals isolates every node of the cluster (no reachable

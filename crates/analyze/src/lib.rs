@@ -3,8 +3,10 @@
 //! `efind-analyze` verifies an index job + its per-operator plans *before*
 //! execution: the core crate lowers the runtime types into the neutral
 //! [`model`] IR and [`analyze`] emits structured [`Diagnostic`]s with
-//! stable `EFxxx` codes. Errors abort compilation; warnings surface in
-//! `explain` output and at job start.
+//! stable `EFxxx` codes. The checks of the runtime configuration a job
+//! runs under live beside the runtime types in `efind::analysis` and
+//! report through the same [`Report`]. Errors abort compilation; warnings
+//! surface in `explain` output and at job start.
 //!
 //! See the "Static plan analysis" section of `DESIGN.md` for the full
 //! code table.
@@ -18,7 +20,6 @@ pub mod model;
 pub use checks::analyze;
 pub use diag::{DiagCode, Diagnostic, Report, Severity, Span};
 pub use model::{
-    CacheModel, ChaosModel, ChoiceModel, FaultModel, HedgeModel, IndexModel, IndexStatsModel,
-    IntegrityModel, MeasuredStatsModel, OperatorCosts, OperatorModel, PartitionModel,
-    PlacementKind, PlanModel, RateLimitModel, StrategyKind, TenancyModel, TenantModel,
+    ChoiceModel, IndexModel, IndexStatsModel, MeasuredStatsModel, OperatorCosts, OperatorModel,
+    PlacementKind, PlanModel, StrategyKind,
 };

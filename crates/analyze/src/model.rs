@@ -4,7 +4,10 @@
 //! into this representation before compilation; the analyzer depends only
 //! on it (and `efind-common`), never on the runtime types themselves, so
 //! the checks stay decoupled from planner internals and are trivially
-//! testable with hand-built models.
+//! testable with hand-built models — including illegal plans the runtime
+//! types cannot represent. The runtime configuration (injection layers,
+//! lookup cache, tenancy, hedging) has no mirror here: `efind::analysis`
+//! checks it on the runtime's own types.
 
 use efind_common::KeyKind;
 
@@ -161,104 +164,6 @@ pub struct OperatorModel {
     pub costs: Option<OperatorCosts>,
 }
 
-/// The job-wide fault-tolerance configuration, lowered only when the fault
-/// layer is armed (a plan with nonzero rates, or any plan alongside a
-/// per-index timeout). The fault checks
-/// (`EF015`, `EF016`) are skipped without it.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultModel {
-    /// Maximum retries per lookup after the first attempt.
-    pub max_retries: u32,
-    /// First backoff pause in nanoseconds (0 disables pauses).
-    pub backoff_base_nanos: u64,
-    /// Backoff cap in nanoseconds.
-    pub max_backoff_nanos: u64,
-    /// Per-index lookup timeout in nanoseconds, if one is enforced.
-    pub timeout_nanos: Option<u64>,
-    /// True when exhausted retries fail the whole job (the `FailJob` miss
-    /// policy) rather than degrading to a miss.
-    pub fail_job_on_exhaustion: bool,
-    /// Circuit-breaker failure-rate threshold (1.0 = breaker disabled).
-    pub breaker_threshold: f64,
-    /// Attempts observed before the breaker may open.
-    pub breaker_min_samples: u64,
-}
-
-/// The job-wide data-integrity configuration, lowered only when the
-/// corruption-injection layer is armed (a non-quiet corruption plan is
-/// installed). The integrity checks (`EF017`, `EF018`) are skipped
-/// without it.
-#[derive(Clone, Copy, Debug)]
-pub struct IntegrityModel {
-    /// DFS replication factor of the cluster the job reads from.
-    pub dfs_replication: usize,
-    /// True when the plan corrupts DFS chunk replicas.
-    pub corrupts_chunks: bool,
-    /// True when the plan corrupts lookup-cache entries.
-    pub corrupts_cache: bool,
-    /// True when checksum verification runs at read boundaries. Disabled
-    /// verification means corruption is injected but never detected.
-    pub verification: bool,
-}
-
-/// The node-crash (chaos) configuration, lowered only when a chaos plan
-/// is armed. `EF020` consumes it.
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosModel {
-    /// Number of scheduled node-kill events.
-    pub kill_events: usize,
-    /// Nodes in the simulated cluster.
-    pub cluster_nodes: usize,
-    /// DFS replication factor the crashed replicas recover from.
-    pub dfs_replication: usize,
-}
-
-/// The network-partition / failure-detector configuration, lowered only
-/// when the partition layer is armed (a non-quiet partition plan is
-/// installed). `EF025` consumes it. Partitions cut *visibility*, never
-/// state: an isolated node keeps running, but nothing it holds can be
-/// reached until the cut heals — so a cut that never heals permanently
-/// removes its nodes from the reachable replica budget.
-#[derive(Clone, Copy, Debug)]
-pub struct PartitionModel {
-    /// Distinct nodes isolated by an event that never heals.
-    pub permanently_isolated: usize,
-    /// Nodes in the simulated cluster.
-    pub cluster_nodes: usize,
-    /// DFS replication factor of the input the job reads.
-    pub dfs_replication: usize,
-    /// Failure-detector heartbeat interval in nanoseconds.
-    pub heartbeat_interval_nanos: u64,
-    /// Failure-detector suspicion threshold in nanoseconds.
-    pub suspicion_nanos: u64,
-}
-
-/// The hedged-lookup configuration, lowered only when hedging is armed (a
-/// latency threshold is set). `EF026` warns when a hedged accessor has no
-/// second replica or partition-side to race the backup against.
-#[derive(Clone, Copy, Debug)]
-pub struct HedgeModel {
-    /// Latency threshold past which a backup lookup is raced, in
-    /// nanoseconds.
-    pub threshold_nanos: u64,
-    /// True when the loser's virtual cost is charged on top of the
-    /// winner's (the `ChargeBoth` policy).
-    pub charge_both: bool,
-    /// DFS replication factor — the backup-side count for accessors that
-    /// expose no partition scheme.
-    pub dfs_replication: usize,
-}
-
-/// The lookup-cache configuration, lowered whenever any operator plans a
-/// cache-strategy access. `EF021` checks its coherence.
-#[derive(Clone, Copy, Debug)]
-pub struct CacheModel {
-    /// Per-task LRU capacity in entries.
-    pub capacity: usize,
-    /// Cache probe time `T_cache` in seconds.
-    pub t_cache_secs: f64,
-}
-
 /// Measured statistics served from the cross-job re-optimization store
 /// for one operator, lowered only when a store fingerprint matched at
 /// compile time. `EF023` verifies them against the same token-range and
@@ -280,54 +185,6 @@ pub struct MeasuredStatsModel {
     pub est_at_double_n1_secs: f64,
 }
 
-/// One serving tenant of the multi-tenant cluster configuration.
-#[derive(Clone, Debug)]
-pub struct TenantModel {
-    /// Tenant name (a counter-name segment: non-empty, dot-free).
-    pub name: String,
-    /// Deficit-round-robin weight (0 = the tenant can never win a grant).
-    pub weight: u64,
-    /// Per-tenant queued-job quota.
-    pub max_queued: usize,
-    /// Per-tenant running-job quota (0 = admitted jobs can never start).
-    pub max_running: usize,
-    /// Reserved share of the shared lookup cache, in `[0, 1]`.
-    pub cache_share: f64,
-}
-
-/// One per-index rate limit of the multi-tenant configuration.
-#[derive(Clone, Debug)]
-pub struct RateLimitModel {
-    /// Index (accessor) name the token bucket throttles.
-    pub index: String,
-    /// Sustained refill rate in lookups per virtual second.
-    pub rate_per_sec: f64,
-    /// Burst capacity in lookups.
-    pub burst: f64,
-}
-
-/// The multi-tenant serving configuration, lowered only when the tenancy
-/// layer is armed (more than one tenant, or any quota/rate limit that can
-/// constrain a run). `EF024` checks its coherence; the quiet single-job
-/// path never lowers one.
-#[derive(Clone, Debug)]
-pub struct TenancyModel {
-    /// Declared tenants in configuration order.
-    pub tenants: Vec<TenantModel>,
-    /// Shared admission-queue bound.
-    pub queue_capacity: usize,
-    /// Cluster-wide concurrent-job bound.
-    pub max_concurrent: usize,
-    /// Per-index token-bucket rate limits.
-    pub rate_limits: Vec<RateLimitModel>,
-    /// QoS degrade threshold in seconds of queueing delay per lookup.
-    pub degrade_threshold_secs: f64,
-    /// Modeled per-lookup cost of the scan fallback, in seconds.
-    pub scan_fallback_cost_secs: f64,
-    /// The tenant this job claims to run as, when tagged.
-    pub job_tenant: Option<String>,
-}
-
 /// The whole job as the analyzer sees it.
 #[derive(Clone, Debug)]
 pub struct PlanModel {
@@ -337,25 +194,9 @@ pub struct PlanModel {
     pub has_reduce: bool,
     /// Operators in data-flow order (head → body → tail).
     pub operators: Vec<OperatorModel>,
-    /// Fault-tolerance configuration, when the fault layer is armed.
-    pub faults: Option<FaultModel>,
-    /// Data-integrity configuration, when corruption injection is armed.
-    pub integrity: Option<IntegrityModel>,
-    /// Node-crash configuration, when a chaos plan is armed.
-    pub chaos: Option<ChaosModel>,
-    /// Lookup-cache configuration, when known to the lowering.
-    pub cache: Option<CacheModel>,
     /// Measured-stats injections from the cross-job store, when any
     /// operator was planned from recorded history (`EF023`).
     pub measured: Vec<MeasuredStatsModel>,
-    /// Multi-tenant serving configuration, when the tenancy layer is
-    /// armed (`EF024`).
-    pub tenancy: Option<TenancyModel>,
-    /// Network-partition configuration, when the partition layer is armed
-    /// (`EF025`).
-    pub partition: Option<PartitionModel>,
-    /// Hedged-lookup configuration, when hedging is armed (`EF026`).
-    pub hedge: Option<HedgeModel>,
 }
 
 #[cfg(test)]
@@ -401,38 +242,7 @@ pub(crate) mod testutil {
             job: "test".into(),
             has_reduce: true,
             operators,
-            faults: None,
-            integrity: None,
-            chaos: None,
-            cache: None,
             measured: Vec::new(),
-            tenancy: None,
-            partition: None,
-            hedge: None,
-        }
-    }
-
-    /// A benign integrity configuration (replicated chunks, verification
-    /// on).
-    pub fn integrity() -> IntegrityModel {
-        IntegrityModel {
-            dfs_replication: 3,
-            corrupts_chunks: true,
-            corrupts_cache: false,
-            verification: true,
-        }
-    }
-
-    /// A benign fault configuration (bounded retries, sane backoff).
-    pub fn faults() -> FaultModel {
-        FaultModel {
-            max_retries: 3,
-            backoff_base_nanos: 1_000_000,
-            max_backoff_nanos: 100_000_000,
-            timeout_nanos: None,
-            fail_job_on_exhaustion: false,
-            breaker_threshold: 0.5,
-            breaker_min_samples: 16,
         }
     }
 
@@ -445,72 +255,6 @@ pub(crate) mod testutil {
             miss_ratio: 0.1,
             theta: 2.0,
             failure_rate: 0.0,
-        }
-    }
-
-    /// A benign chaos configuration (one kill on a replicated cluster).
-    pub fn chaos() -> ChaosModel {
-        ChaosModel {
-            kill_events: 1,
-            cluster_nodes: 8,
-            dfs_replication: 3,
-        }
-    }
-
-    /// A benign cache configuration.
-    pub fn cache() -> CacheModel {
-        CacheModel {
-            capacity: 1024,
-            t_cache_secs: 1.0e-6,
-        }
-    }
-
-    /// A benign partition configuration (one healed cut on a replicated
-    /// cluster, a sane detector).
-    pub fn partition() -> PartitionModel {
-        PartitionModel {
-            permanently_isolated: 0,
-            cluster_nodes: 8,
-            dfs_replication: 3,
-            heartbeat_interval_nanos: 500_000,
-            suspicion_nanos: 1_500_000,
-        }
-    }
-
-    /// A benign hedge configuration (replicated DFS to race against).
-    pub fn hedge() -> HedgeModel {
-        HedgeModel {
-            threshold_nanos: 2_000_000,
-            charge_both: false,
-            dfs_replication: 3,
-        }
-    }
-
-    /// A benign two-tenant serving configuration.
-    pub fn tenancy() -> TenancyModel {
-        TenancyModel {
-            tenants: vec![
-                TenantModel {
-                    name: "alpha".into(),
-                    weight: 2,
-                    max_queued: 8,
-                    max_running: 2,
-                    cache_share: 0.5,
-                },
-                TenantModel {
-                    name: "beta".into(),
-                    weight: 1,
-                    max_queued: 8,
-                    max_running: 2,
-                    cache_share: 0.25,
-                },
-            ],
-            queue_capacity: 16,
-            max_concurrent: 4,
-            rate_limits: Vec::new(),
-            degrade_threshold_secs: 1.0e-3,
-            scan_fallback_cost_secs: 2.0e-6,
-            job_tenant: Some("alpha".into()),
         }
     }
 }

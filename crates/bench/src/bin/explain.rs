@@ -126,7 +126,8 @@ fn main() {
 
     // Static analysis of the optimized plan: structural checks over the
     // plan the optimizer would pick, plus the statistics-dependent
-    // cost-model checks (EF009..EF013) from the freshly-populated catalog.
+    // cost-model checks (EF009-EF011, EF013, EF019) from the
+    // freshly-populated catalog.
     println!("\nstatic analysis:");
     match rt.plans_for(&scenario.ijob, &Mode::Optimized) {
         Ok(plans) => match efind::analysis::analyze_job(&scenario.ijob, &plans) {

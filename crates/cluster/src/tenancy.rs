@@ -50,13 +50,13 @@ pub struct TenantSpec {
     /// Tenant name (counter segment; must be unique and dot-free).
     pub name: String,
     /// Deficit-round-robin weight. Relative share of grant bandwidth;
-    /// zero starves the tenant and is flagged by analyzer check `EF024`.
+    /// zero starves the tenant of an armed config (an `EF024` error).
     pub weight: u64,
     /// Per-tenant bound on *queued* (admitted, not yet granted) jobs.
     /// `usize::MAX` = unlimited.
     pub max_queued: usize,
     /// Per-tenant bound on concurrently *running* jobs. `usize::MAX` =
-    /// unlimited; zero means the tenant can never run (`EF024` error).
+    /// unlimited; zero means the tenant can never run (an `EF024` error).
     pub max_running: usize,
     /// Fraction of the shared lookup-cache capacity reserved for this
     /// tenant (see `efind::cache::LookupCache::with_tenant_shares`).
@@ -268,8 +268,9 @@ impl TenancyConfig {
             .map_or(usize::MAX, |s| s.max_running)
     }
 
-    /// Structural validation shared by the executor and `EF024`: duplicate
-    /// or dotted tenant names are configuration errors.
+    /// Structural validation: an empty, dotted or duplicate tenant name is
+    /// a configuration error. The scheduler refuses such a config, and
+    /// `EF024` reports the same error before any job runs.
     pub fn validate(&self) -> Result<()> {
         for (i, t) in self.tenants.iter().enumerate() {
             if t.name.is_empty() || t.name.contains('.') {

@@ -101,8 +101,8 @@ pub struct RuntimeEnv {
     pub measured: Vec<crate::statstore::MeasuredOp>,
     /// Multi-tenant serving configuration of the cluster this job is
     /// admitted to. Quiet ([`TenancyConfig::is_quiet`]) = the plain
-    /// single-job path: full cache capacity, no tenant counters, and the
-    /// analyzer's EF024 checks never lower a tenancy model.
+    /// single-job path: full cache capacity, no tenant counters, and no
+    /// EF024 checks.
     pub tenancy: TenancyConfig,
     /// The tenant this job runs as (`None` = the implicit default
     /// tenant). Only consulted when `tenancy` is armed.

@@ -45,7 +45,9 @@
 //! plans into `efind-analyze`'s IR and verifies them: placement legality
 //! and Property 4, strategy/capability fit, key-kind compatibility,
 //! cost-model sanity, and a determinism audit gating the adaptive
-//! runtime's result reuse. Errors (stable `EFxxx` codes) abort
+//! runtime's result reuse. It then checks the runtime configuration —
+//! the armed injection layers, the lookup cache, tenancy and hedging — on
+//! the runtime's own types. Errors (stable `EFxxx` codes) abort
 //! compilation; warnings are printed at job start and surface in the
 //! `explain` report.
 //!

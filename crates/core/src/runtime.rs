@@ -113,7 +113,7 @@ pub struct EFindConfig {
     /// admission queue, per-index rate limits, and cache shares. Quiet by
     /// default ([`TenancyConfig::none`]) — a runtime without tenants (or
     /// with a single unlimited tenant) takes the literal plain path: full
-    /// cache capacity, no tenant counters, no EF024 tenancy checks.
+    /// cache capacity, no tenant counters, and `analysis` skips EF024.
     pub tenancy: TenancyConfig,
     /// The tenant this runtime's jobs run as (`None` = the implicit
     /// default tenant). Only consulted when `tenancy` is armed.
