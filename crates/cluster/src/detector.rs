@@ -130,11 +130,7 @@ impl DetectorConfig {
                         if suspect_at >= h {
                             return None; // link healed before suspicion
                         }
-                        if late_beat < h {
-                            late_beat
-                        } else {
-                            h
-                        }
+                        late_beat.min(h)
                     }
                     None => late_beat,
                 };

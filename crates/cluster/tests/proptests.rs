@@ -1,8 +1,12 @@
 //! Property-based tests for the slot scheduler: structural invariants
 //! that must hold for any task set on any cluster shape.
 
-use efind_cluster::sched::{schedule_phase, SlotKind, TaskSpec};
-use efind_cluster::{Cluster, NodeId, SimDuration, SimTime};
+use efind_cluster::sched::{
+    schedule_phase, schedule_phase_chaos, schedule_phase_gray, SlotKind, TaskSpec,
+};
+use efind_cluster::{
+    ChaosPlan, Cluster, DetectorConfig, NodeId, PartitionPlan, SimDuration, SimTime,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -145,5 +149,32 @@ proptest! {
         let p = schedule_phase(&plain, &specs, SimTime::ZERO);
         let s = schedule_phase(&speculative, &specs, SimTime::ZERO);
         prop_assert!(s.makespan <= p.makespan, "spec {} vs plain {}", s.makespan, p.makespan);
+    }
+
+    #[test]
+    fn a_partition_opening_after_the_phase_changes_nothing(
+        inputs in arb_tasks(4),
+        nodes in 2u16..5,
+        slots in 1u16..4,
+        seed in any::<u64>(),
+        crashes in 0usize..2,
+        gap_ms in 0u64..50,
+    ) {
+        // Every window opens at or after the chaos-only makespan: a seeded
+        // heal, a cut that never heals and a slow link that trips the
+        // detector. None of them reaches a task.
+        let cluster = Cluster::builder().nodes(nodes).map_slots(slots).build();
+        let specs = build_specs(&inputs);
+        let chaos = ChaosPlan::seeded(seed, nodes, crashes, SimTime::ZERO, SimDuration::from_millis(500));
+        let plain = schedule_phase_chaos(&cluster, &specs, SimTime::ZERO, &chaos);
+        let opens = plain.makespan + SimDuration::from_millis(gap_ms);
+        let plan = PartitionPlan::seeded(seed, nodes, 1, opens, SimDuration::from_millis(100))
+            .split(&[NodeId(0)], opens, None)
+            .slow_link(NodeId(nodes - 1), opens, None, 8.0);
+        let detector = DetectorConfig::default();
+        let gray = schedule_phase_gray(&cluster, &specs, SimTime::ZERO, &chaos, &plan, &detector);
+        prop_assert_eq!(&gray.assignments, &plain.assignments);
+        prop_assert_eq!(gray.makespan, plain.makespan);
+        prop_assert_eq!(gray.partition, plain.partition);
     }
 }

@@ -20,10 +20,7 @@
 use std::{mem, ops::Range, thread};
 
 use efind_cluster::{
-    sched::{
-        schedule_phase_chaos, schedule_phase_gray, Assignment, PartitionReplay, Schedule, SlotKind,
-        TaskSpec,
-    },
+    sched::{schedule_phase_gray, Assignment, PartitionReplay, Schedule, SlotKind, TaskSpec},
     ChaosPlan, Cluster, CorruptionPlan, CrashEvent, DetectorConfig, NodeId, PartitionPlan,
     SimDuration, SimTime, Suspicion, Verdict,
 };
@@ -487,23 +484,18 @@ impl<'a> Runner<'a> {
         })
     }
 
-    /// Schedules one phase's tasks, replaying the crash plan and — only
-    /// when the partition layer is armed — the gray-failure plan on top.
-    /// The hoisted branch keeps the quiet partition path literally the
-    /// pre-partition code path.
+    /// Schedules one phase's tasks, replaying the crash plan and the
+    /// gray-failure plan on top (the gray pass is skipped for a quiet
+    /// partition plan).
     fn schedule_phase(&self, specs: &[TaskSpec], start: SimTime) -> Schedule {
-        if !self.netsplit.is_quiet() {
-            schedule_phase_gray(
-                self.cluster,
-                specs,
-                start,
-                &self.chaos,
-                &self.netsplit,
-                &self.detector,
-            )
-        } else {
-            schedule_phase_chaos(self.cluster, specs, start, &self.chaos)
-        }
+        schedule_phase_gray(
+            self.cluster,
+            specs,
+            start,
+            &self.chaos,
+            &self.netsplit,
+            &self.detector,
+        )
     }
 
     /// Schedules executed map tasks onto the cluster starting at `start`.

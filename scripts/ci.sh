@@ -2,7 +2,7 @@
 # Full CI gate: lint (efind-lint, fmt, clippy -D warnings), the complete
 # test suite, the cost-model checks over a real catalog (`explain syn`),
 # the goldens again under one worker, a build and test of
-# efbench — the benchmark of record (`BENCHMARK.json`) — with its five
+# efbench — the benchmark of record (`BENCHMARK.json`) — with its six
 # exact `alloc_mb` gates, and the pinned seed matrices. Nothing here
 # reads the wall clock: comparing two commits' host time with efbench is
 # a manual campaign, see efbench/README.md.
@@ -87,6 +87,11 @@ efbench_gate lookup_hot 75
 # out, so `lookup_repart` allocates 100.96 MB; per-record carriers made
 # it 135.64 MB.
 efbench_gate lookup_repart 115
+# `lookup_armed` is `lookup_hot` with faults, a node crash, corruption,
+# partitions and hedging armed. Its oracle check runs on every iteration,
+# so `failed` 0 says no armed layer changed the answer. It allocates
+# 105.72 MB.
+efbench_gate lookup_armed 116
 
 echo "== fault injection (pinned seed matrix) =="
 # Deterministic chaos sweep: per (seed, rate, strategy) cell two runs
