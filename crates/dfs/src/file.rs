@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
+use std::vec;
 
 use efind_cluster::{Cluster, CorruptionPlan, NodeId, SimDuration};
 use efind_common::{fx_hash_bytes, Crc32, Error, Record, Result};
@@ -116,6 +117,106 @@ fn encoded_crc(records: &[Record], flip: Option<usize>) -> u32 {
     h.finish()
 }
 
+/// The chunk size limit of a file of `total` bytes written as about
+/// `num_chunks` equal chunks.
+fn chunk_limit(total: u64, num_chunks: usize) -> u64 {
+    (total / num_chunks.max(1) as u64).max(1)
+}
+
+/// Where a file's chunk boundaries fall, under the one rule: a chunk
+/// closes before the record that would take it past `limit`, so only a
+/// record larger than that has a chunk of its own above the limit.
+struct Cuts {
+    limit: u64,
+    /// `(records, bytes)` of every closed chunk, in order.
+    closed: Vec<(usize, u64)>,
+    /// Records and bytes of the open chunk.
+    len: usize,
+    bytes: u64,
+}
+
+impl Cuts {
+    fn new(limit: u64) -> Self {
+        Cuts {
+            limit,
+            closed: Vec::new(),
+            len: 0,
+            bytes: 0,
+        }
+    }
+
+    /// The next record, of `size` bytes.
+    fn record(&mut self, size: u64) {
+        if self.bytes + size > self.limit && self.len > 0 {
+            self.closed.push((self.len, self.bytes));
+            (self.len, self.bytes) = (0, 0);
+        }
+        self.len += 1;
+        self.bytes += size;
+    }
+
+    /// The next `records`, of `bytes` in total: taken whole when the open
+    /// chunk holds them all — then no boundary can fall among them — and
+    /// sized one by one otherwise.
+    fn part(&mut self, records: &[Record], bytes: u64) {
+        if self.bytes + bytes <= self.limit {
+            self.len += records.len();
+            self.bytes += bytes;
+        } else {
+            for rec in records {
+                self.record(rec.size_bytes());
+            }
+        }
+    }
+
+    /// Every chunk's `(records, bytes)`, the open one closed.
+    fn finish(mut self) -> Vec<(usize, u64)> {
+        if self.len > 0 {
+            self.closed.push((self.len, self.bytes));
+        }
+        self.closed
+    }
+}
+
+/// The records of a parts write, handed out a chunk at a time.
+struct Parts {
+    rest: vec::IntoIter<(Vec<Record>, u64)>,
+    current: vec::IntoIter<Record>,
+}
+
+impl Parts {
+    /// The next `len` records, moved into one exactly-sized block.
+    fn take(&mut self, len: usize) -> Arc<[Record]> {
+        while self.current.len() == 0 {
+            match self.rest.next() {
+                Some((records, _)) => self.current = records.into_iter(),
+                None => break,
+            }
+        }
+        if self.current.len() >= len {
+            // One part holds the chunk: an exact-length iterator, so one
+            // allocation and a straight move.
+            return self.current.by_ref().take(len).collect();
+        }
+        // A chunk across parts: still exact-length, each record pulled
+        // from the part that holds it.
+        (0..len).map(|_| self.next_record()).collect()
+    }
+
+    fn next_record(&mut self) -> Record {
+        loop {
+            if let Some(rec) = self.current.next() {
+                return rec;
+            }
+            let (records, _) = self
+                .rest
+                .next()
+                .expect("the cuts count only records the parts hold");
+            self.current = records.into_iter();
+        }
+    }
+}
+
 /// Outcome of one background re-replication sweep
 /// ([`Dfs::re_replicate`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -186,8 +287,12 @@ impl Dfs {
     /// configured size and placing replicas deterministically.
     /// Overwrites any existing file of the same name.
     pub fn write_file(&mut self, name: &str, records: Vec<Record>) -> DfsFile {
-        let sizes = records.iter().map(Record::size_bytes).collect();
-        self.write_file_chunked(name, records, sizes, self.config.chunk_size_bytes)
+        let mut cuts = Cuts::new(self.config.chunk_size_bytes);
+        for rec in &records {
+            cuts.record(rec.size_bytes());
+        }
+        let mut rest = records.into_iter();
+        self.write_chunks(name, cuts.finish(), |len| rest.by_ref().take(len).collect())
     }
 
     /// Writes `records` as `name` targeting approximately `num_chunks`
@@ -200,38 +305,56 @@ impl Dfs {
         num_chunks: usize,
     ) -> DfsFile {
         let sizes: Vec<u64> = records.iter().map(Record::size_bytes).collect();
-        let total: u64 = sizes.iter().sum();
-        let per_chunk = (total / num_chunks.max(1) as u64).max(1);
-        self.write_file_chunked(name, records, sizes, per_chunk)
+        let mut cuts = Cuts::new(chunk_limit(sizes.iter().sum(), num_chunks));
+        for sz in sizes {
+            cuts.record(sz);
+        }
+        let mut rest = records.into_iter();
+        self.write_chunks(name, cuts.finish(), |len| rest.by_ref().take(len).collect())
     }
 
-    /// Writes `records`, whose serialized sizes are `sizes`, as `name`: a
-    /// chunk is closed before the record that would take it past
-    /// `chunk_bytes` (so only a record larger than that has a chunk of
-    /// its own above the limit), and each chunk's records move once into
-    /// their shared block.
-    fn write_file_chunked(
+    /// Writes the records of `parts`, in order, as `name`: the file
+    /// [`Dfs::write_file`] — or [`Dfs::write_file_with_chunks`] when
+    /// `num_chunks` is set — writes from their concatenation, without
+    /// concatenating them. Each part comes with its records'
+    /// `Record::size_bytes` summed, which a job's tasks know already; only
+    /// a part that a chunk boundary falls inside is sized record by record,
+    /// and each record moves once, into its chunk.
+    pub fn write_file_parts(
         &mut self,
         name: &str,
-        records: Vec<Record>,
-        sizes: Vec<u64>,
-        chunk_bytes: u64,
+        parts: Vec<(Vec<Record>, u64)>,
+        num_chunks: Option<usize>,
     ) -> DfsFile {
-        // (records, bytes) of every chunk, in order.
-        let mut cuts: Vec<(usize, u64)> = Vec::new();
-        let (mut len, mut bytes) = (0usize, 0u64);
-        for sz in sizes {
-            if bytes + sz > chunk_bytes && len > 0 {
-                cuts.push((len, bytes));
-                (len, bytes) = (0, 0);
-            }
-            len += 1;
-            bytes += sz;
+        let limit = match num_chunks {
+            Some(n) => chunk_limit(parts.iter().map(|(_, bytes)| bytes).sum(), n),
+            None => self.config.chunk_size_bytes,
+        };
+        let mut cuts = Cuts::new(limit);
+        for (records, bytes) in &parts {
+            debug_assert_eq!(
+                records.iter().map(Record::size_bytes).sum::<u64>(),
+                *bytes,
+                "a part's bytes are its records' sizes summed"
+            );
+            cuts.part(records, *bytes);
         }
-        if len > 0 {
-            cuts.push((len, bytes));
-        }
+        let mut parts = Parts {
+            rest: parts.into_iter(),
+            current: Vec::new().into_iter(),
+        };
+        self.write_chunks(name, cuts.finish(), |len| parts.take(len))
+    }
 
+    /// Stores a file whose chunks hold `cuts` — `(records, bytes)` each, in
+    /// order — and whose records `chunk(len)` moves into a chunk's shared
+    /// block `len` at a time, placing replicas deterministically.
+    fn write_chunks(
+        &mut self,
+        name: &str,
+        cuts: Vec<(usize, u64)>,
+        mut chunk: impl FnMut(usize) -> Arc<[Record]>,
+    ) -> DfsFile {
         let mut placement = Placement::new(
             self.cluster.num_nodes(),
             self.config.seed ^ fx_hash_bytes(name.as_bytes()),
@@ -241,12 +364,11 @@ impl Dfs {
         // verify against. Quiet runs skip this entirely (the lazy cell
         // covers files that predate an installed plan).
         let checksum_on_write = self.verifies_chunks();
-        let mut rest = records.into_iter();
         // An empty file still exists in the namespace with zero chunks.
         let chunks: Vec<StoredChunk> = cuts
             .into_iter()
             .map(|(len, bytes)| {
-                let records: Arc<[Record]> = rest.by_ref().take(len).collect();
+                let records = chunk(len);
                 let crc = OnceLock::new();
                 if checksum_on_write {
                     let _ = crc.set(encoded_crc(&records, None));
@@ -749,22 +871,66 @@ mod tests {
                 .map(|(i, n)| Record::new(i as i64, Datum::Bytes(vec![i as u8; *n])))
                 .collect();
             let mut d = dfs();
-            let meta = match cut {
+            let num_chunks = match cut {
                 Cut::Bytes(chunk_size_bytes) => {
                     d.config.chunk_size_bytes = chunk_size_bytes;
-                    d.write_file("f", data.clone())
+                    d.write_file("f", data.clone());
+                    None
                 }
-                Cut::Count(n) => d.write_file_with_chunks("f", data.clone(), n),
+                Cut::Count(n) => {
+                    d.write_file_with_chunks("f", data.clone(), n);
+                    Some(n)
+                }
             };
-            let got: Chunks = meta
-                .chunks
-                .iter()
-                .zip(&d.files["f"])
-                .map(|(m, c)| (m.records, m.bytes, chunk_crc(c)))
-                .collect();
+            let written = chunks_of(&d, "f");
+            let got: Chunks = written.iter().map(|c| (c.0, c.1, c.2)).collect();
             assert_eq!(got, expected, "{label}");
             assert_eq!(d.read_file("f").unwrap(), data, "{label}");
+
+            // The parts write cuts the same chunks however the records are
+            // split: into three parts at every pair of positions (empty
+            // parts, an oversized record alone or inside a part), and one
+            // record a part with empty parts between.
+            let n = data.len();
+            let mut splits: Vec<Vec<Vec<Record>>> = Vec::new();
+            for i in 0..=n {
+                for j in i..=n {
+                    splits.push(vec![
+                        data[..i].to_vec(),
+                        data[i..j].to_vec(),
+                        data[j..].to_vec(),
+                    ]);
+                }
+            }
+            splits.push(
+                data.iter()
+                    .flat_map(|r| [Vec::new(), vec![r.clone()]])
+                    .chain([Vec::new()])
+                    .collect(),
+            );
+            for parts in splits {
+                let shape: Vec<usize> = parts.iter().map(Vec::len).collect();
+                let parts = parts
+                    .into_iter()
+                    .map(|p| {
+                        let bytes = p.iter().map(Record::size_bytes).sum();
+                        (p, bytes)
+                    })
+                    .collect();
+                let meta = d.write_file_parts("f", parts, num_chunks);
+                assert_eq!(chunks_of(&d, "f"), written, "{label}, parts {shape:?}");
+                assert_eq!(meta.total_records(), n, "{label}, parts {shape:?}");
+                assert_eq!(d.read_file("f").unwrap(), data, "{label}, parts {shape:?}");
+            }
         }
+    }
+
+    /// `(records, bytes, crc, hosts)` of every chunk of `name`.
+    fn chunks_of(d: &Dfs, name: &str) -> Vec<(usize, u64, u32, Vec<NodeId>)> {
+        d.files[name]
+            .iter()
+            .map(|c| (c.records.len(), c.bytes, chunk_crc(c), c.hosts.clone()))
+            .collect()
     }
 
     #[test]

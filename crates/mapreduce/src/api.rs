@@ -10,6 +10,18 @@
 //! Factories exist because tasks need private state — the lookup cache of
 //! §3.2 lives inside one task's chain instance — so every task instantiates
 //! its own chain.
+//!
+//! *The chain contract.* A chain runs record at a time, as `ChainMapper`
+//! does: an input record goes through stage 0, and every record a stage
+//! emits goes on through the next stage before the stage sees its next
+//! input. After the last input, the stages flush in stage order, and what a
+//! flush emits goes down the rest of the chain before the next stage
+//! flushes. Each stage therefore sees exactly the records, in exactly the
+//! order, that a stage-at-a-time pass would hand it — what changes is only
+//! how the stages' calls interleave, which shows to a stage that reads
+//! task-wide state another stage writes ([`TaskCtx::charged`]). Between two
+//! stages sits one buffer for the whole task; only the last stage's output
+//! is collected.
 
 use std::sync::Arc;
 
@@ -109,47 +121,142 @@ pub fn identity_mapper() -> MapperFactory {
     mapper_fn(|rec, out, _ctx| out.collect(rec))
 }
 
-/// Runs `records` through an instantiated chain of mappers, honoring
-/// per-stage `flush`. Stages execute in order; each stage sees the whole
-/// output of the previous one.
-pub fn run_chain(chain: &[MapperFactory], records: Vec<Record>, ctx: &mut TaskCtx) -> Vec<Record> {
-    let mut current = records;
-    for factory in chain {
-        let mut stage = factory();
-        let mut next = Vec::with_capacity(current.len());
-        for rec in current {
-            stage.map(rec, &mut next, ctx);
-        }
-        stage.flush(&mut next, ctx);
-        current = next;
-    }
-    current
+/// One instantiated stage of a [`Chain`] and the buffer it emits into.
+struct Stage {
+    mapper: Box<dyn Mapper>,
+    /// What one call of the stage emitted, until the rest of the chain has
+    /// taken it. The last stage emits straight into the chain's output and
+    /// never uses its buffer.
+    emitted: Vec<Record>,
 }
 
-/// [`run_chain`] over a shared input slice. The first stage streams clones
-/// of the shared records (no intermediate `Vec` materialized up front);
-/// later stages consume each other's owned output as usual. Map tasks use
-/// this to feed straight off shared DFS chunk storage.
+/// One task's instance of a chain of mappers, driven record at a time (see
+/// the module docs for the contract).
+pub(crate) struct Chain {
+    stages: Vec<Stage>,
+}
+
+impl Chain {
+    /// Instantiates every stage of `chain`, in order.
+    pub(crate) fn new(chain: &[MapperFactory]) -> Self {
+        let stages = chain
+            .iter()
+            .map(|factory| Stage {
+                mapper: factory(),
+                emitted: Vec::new(),
+            })
+            .collect();
+        Chain { stages }
+    }
+
+    /// Takes `rec` through every stage, collecting what the last one emits
+    /// into `out`.
+    pub(crate) fn push(&mut self, rec: Record, out: &mut Vec<Record>, ctx: &mut TaskCtx) {
+        push(&mut self.stages, rec, out, ctx);
+    }
+
+    /// [`Chain::push`] for each record of `records`, in order, leaving
+    /// `records` empty with its capacity kept.
+    pub(crate) fn push_all(
+        &mut self,
+        records: &mut Vec<Record>,
+        out: &mut Vec<Record>,
+        ctx: &mut TaskCtx,
+    ) {
+        if self.stages.is_empty() {
+            return out.append(records);
+        }
+        for rec in records.drain(..) {
+            push(&mut self.stages, rec, out, ctx);
+        }
+    }
+
+    /// Flushes the stages in stage order, each flush's output going down
+    /// the rest of the chain before the next stage flushes.
+    pub(crate) fn finish(mut self, out: &mut Vec<Record>, ctx: &mut TaskCtx) {
+        for i in 0..self.stages.len() {
+            emit(&mut self.stages[i..], out, ctx, |m, sink, ctx| {
+                m.flush(sink, ctx)
+            });
+        }
+    }
+}
+
+/// Takes `rec` through `stages` (into `out` when there are none).
+fn push(stages: &mut [Stage], rec: Record, out: &mut Vec<Record>, ctx: &mut TaskCtx) {
+    if stages.is_empty() {
+        return out.push(rec);
+    }
+    emit(stages, out, ctx, |m, sink, ctx| m.map(rec, sink, ctx));
+}
+
+/// Makes `call` on the first of `stages` and takes what it emits through
+/// the rest, record by record.
+fn emit(
+    stages: &mut [Stage],
+    out: &mut Vec<Record>,
+    ctx: &mut TaskCtx,
+    call: impl FnOnce(&mut dyn Mapper, &mut dyn Collector, &mut TaskCtx),
+) {
+    let Some((stage, rest)) = stages.split_first_mut() else {
+        return;
+    };
+    if rest.is_empty() {
+        return call(&mut *stage.mapper, out, ctx);
+    }
+    call(&mut *stage.mapper, &mut stage.emitted, ctx);
+    for rec in stage.emitted.drain(..) {
+        push(rest, rec, out, ctx);
+    }
+}
+
+/// Runs `records` through a fresh instance of `chain`, record at a time
+/// (see the module docs): each stage sees the records the previous one
+/// emits, in emission order, and then the previous one's flush output; the
+/// stages flush in order. An empty chain returns `records` itself.
+pub fn run_chain(chain: &[MapperFactory], records: Vec<Record>, ctx: &mut TaskCtx) -> Vec<Record> {
+    if chain.is_empty() {
+        return records;
+    }
+    run(chain, records.into_iter(), ctx)
+}
+
+/// [`run_chain`] over a shared input slice: stage 0 takes clones of the
+/// shared records, one at a time, so no copy of the input is made up front.
+/// Map tasks use this to feed straight off shared DFS chunk storage. An
+/// empty chain returns a copy of `records`.
 pub fn run_chain_shared(
     chain: &[MapperFactory],
     records: Arc<[Record]>,
     ctx: &mut TaskCtx,
 ) -> Vec<Record> {
-    let Some((first, rest)) = chain.split_first() else {
+    if chain.is_empty() {
         return records.to_vec();
-    };
-    let mut stage = first();
-    let mut next = Vec::with_capacity(records.len());
-    for rec in records.iter() {
-        stage.map(rec.clone(), &mut next, ctx);
     }
-    stage.flush(&mut next, ctx);
-    run_chain(rest, next, ctx)
+    run(chain, records.iter().cloned(), ctx)
+}
+
+/// Runs `records` through a fresh instance of the non-empty `chain`,
+/// collecting into one vector sized for as many records as went in.
+fn run(
+    chain: &[MapperFactory],
+    records: impl ExactSizeIterator<Item = Record>,
+    ctx: &mut TaskCtx,
+) -> Vec<Record> {
+    let mut chain = Chain::new(chain);
+    let mut out = Vec::with_capacity(records.len());
+    for rec in records {
+        chain.push(rec, &mut out, ctx);
+    }
+    chain.finish(&mut out, ctx);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use efind_cluster::{NodeId, SimDuration};
+    use proptest::prelude::*;
 
     fn ctx() -> TaskCtx {
         TaskCtx::new(0)
@@ -233,5 +340,221 @@ mod tests {
             // State must not leak between task instantiations.
             assert_eq!(out[0].key, Datum::Int(1));
         }
+    }
+
+    /// The stage-at-a-time loop the record-at-a-time chain replaced: each
+    /// stage runs over the whole output of the previous one, then flushes.
+    /// The reference the equivalence tests compare against.
+    fn run_chain_staged(
+        chain: &[MapperFactory],
+        records: Vec<Record>,
+        ctx: &mut TaskCtx,
+    ) -> Vec<Record> {
+        let mut current = records;
+        for factory in chain {
+            let mut stage = factory();
+            let mut next = Vec::with_capacity(current.len());
+            for rec in current {
+                stage.map(rec, &mut next, ctx);
+            }
+            stage.flush(&mut next, ctx);
+            current = next;
+        }
+        current
+    }
+
+    /// What a generated stage does with the records it is handed.
+    #[derive(Clone, Debug)]
+    enum Kind {
+        /// Drops the records whose key is a multiple of the divisor.
+        Filter(i64),
+        /// Emits this many records for each one.
+        Expand(usize),
+        /// Holds every record until `flush`, then emits them reversed.
+        Hold,
+        /// Emits nothing but, from `flush`, the count and key sum of what
+        /// it saw.
+        Summary,
+    }
+
+    /// A stage that also charges the task clock, bumps a counter, observes
+    /// a sketch and declares affinity for every record it sees, all under
+    /// its own stage number.
+    struct Probe {
+        id: usize,
+        kind: Kind,
+        charge: u64,
+        held: Vec<Record>,
+        count: i64,
+        sum: i64,
+    }
+
+    impl Mapper for Probe {
+        fn map(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
+            let key = rec.key.as_int().unwrap();
+            ctx.charge(SimDuration::from_nanos(
+                self.charge * (key.unsigned_abs() + 1),
+            ));
+            ctx.counters.add(&format!("probe{}.in", self.id), 1);
+            ctx.sketches
+                .observe(&format!("probe{}.keys", self.id), &rec.key);
+            ctx.add_affinity(&[NodeId(key.rem_euclid(5) as u16)]);
+            match self.kind {
+                Kind::Filter(m) if key % m == 0 => {}
+                Kind::Filter(_) => out.collect(rec),
+                Kind::Expand(n) => {
+                    for i in 0..n {
+                        out.collect(Record::new(key * 7 + i as i64, rec.value.clone()));
+                    }
+                }
+                Kind::Hold => self.held.push(rec),
+                Kind::Summary => {
+                    self.count += 1;
+                    self.sum += key;
+                }
+            }
+        }
+
+        fn flush(&mut self, out: &mut dyn Collector, ctx: &mut TaskCtx) {
+            ctx.charge(SimDuration::from_nanos(self.charge));
+            match self.kind {
+                Kind::Hold => {
+                    for rec in self.held.drain(..).rev() {
+                        out.collect(rec);
+                    }
+                }
+                Kind::Summary => out.collect(Record::new(self.sum, self.count)),
+                Kind::Filter(_) | Kind::Expand(_) => {}
+            }
+        }
+    }
+
+    fn probes(stages: &[(Kind, u64)]) -> Vec<MapperFactory> {
+        stages
+            .iter()
+            .enumerate()
+            .map(|(id, (kind, charge))| {
+                let (kind, charge) = (kind.clone(), *charge);
+                let factory: MapperFactory = Arc::new(move || {
+                    Box::new(Probe {
+                        id,
+                        kind: kind.clone(),
+                        charge,
+                        held: Vec::new(),
+                        count: 0,
+                        sum: 0,
+                    })
+                });
+                factory
+            })
+            .collect()
+    }
+
+    /// Counters, per-stage sketch estimates, charged time, affinity.
+    type Seen = (Vec<(Arc<str>, i64)>, Vec<f64>, SimDuration, Vec<NodeId>);
+
+    /// Everything a task's context holds that the runner reads, affinity
+    /// as a set (the scheduler only tests membership).
+    fn observed(ctx: &TaskCtx, stages: usize) -> Seen {
+        let sketches = (0..stages)
+            .map(|id| ctx.sketches.estimate(&format!("probe{id}.keys")))
+            .collect();
+        let mut affinity = ctx.affinity().to_vec();
+        affinity.sort();
+        (
+            ctx.counters.iter_sorted(),
+            sketches,
+            ctx.charged(),
+            affinity,
+        )
+    }
+
+    fn kind() -> impl Strategy<Value = Kind> {
+        prop_oneof![
+            (2i64..5).prop_map(Kind::Filter),
+            (0usize..3).prop_map(Kind::Expand),
+            Just(Kind::Hold),
+            Just(Kind::Summary),
+        ]
+    }
+
+    proptest! {
+        /// Record at a time, every stage sees what it saw stage at a time:
+        /// same output, counters, sketches, charged time and affinity, owned
+        /// input or shared.
+        #[test]
+        fn record_at_a_time_matches_stage_at_a_time(
+            stages in prop::collection::vec((kind(), 0u64..4), 0..=4),
+            keys in prop::collection::vec(-20i64..40, 0..40),
+        ) {
+            let chain = probes(&stages);
+            let input: Vec<Record> = keys.iter().map(|&k| Record::new(k, "v")).collect();
+            let mut want_ctx = ctx();
+            let want = run_chain_staged(&chain, input.clone(), &mut want_ctx);
+            let want_seen = observed(&want_ctx, stages.len());
+
+            let mut got_ctx = ctx();
+            let got = run_chain(&chain, input.clone(), &mut got_ctx);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(observed(&got_ctx, stages.len()), want_seen.clone());
+
+            let mut shared_ctx = ctx();
+            let shared = run_chain_shared(&chain, input.into(), &mut shared_ctx);
+            prop_assert_eq!(&shared, &want);
+            prop_assert_eq!(observed(&shared_ctx, stages.len()), want_seen);
+        }
+    }
+
+    #[test]
+    fn an_empty_chain_returns_its_input_buffer() {
+        let recs = vec![Record::new(1i64, "a"), Record::new(2i64, "b")];
+        let ptr = recs.as_ptr();
+        let out = run_chain(&[], recs, &mut ctx());
+        assert_eq!(out.as_ptr(), ptr);
+        assert_eq!(out.len(), 2);
+        let shared: Arc<[Record]> = out.into();
+        assert_eq!(
+            run_chain_shared(&[], shared.clone(), &mut ctx()),
+            &shared[..]
+        );
+    }
+
+    #[test]
+    fn empty_input_still_flushes_every_stage_in_order() {
+        let chain = probes(&[(Kind::Summary, 1), (Kind::Expand(2), 1), (Kind::Summary, 1)]);
+        let mut c = ctx();
+        let out = run_chain(&chain, Vec::new(), &mut c);
+        // Stage 0's summary (0, 0) is expanded to keys 0 and 1 before stage
+        // 2 flushes, so stage 2 sums 1 over 2 records.
+        assert_eq!(out, vec![Record::new(1i64, 2i64)]);
+        let mut staged = ctx();
+        assert_eq!(run_chain_staged(&chain, Vec::new(), &mut staged), out);
+        assert_eq!(observed(&c, 3), observed(&staged, 3));
+        let shared = run_chain_shared(&chain, Vec::new().into(), &mut ctx());
+        assert_eq!(shared, out);
+    }
+
+    #[test]
+    fn the_tasks_error_is_the_first_failure_in_record_order() {
+        let fail_at = |stage: &'static str, at: i64| {
+            mapper_fn(
+                move |rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx| {
+                    if rec.key == Datum::Int(at) {
+                        ctx.fail(format!("{stage} at {at}"));
+                    }
+                    out.collect(rec);
+                },
+            )
+        };
+        let chain = [fail_at("first", 2), fail_at("second", 1)];
+        let input: Vec<Record> = (0..4i64).map(|k| Record::new(k, Datum::Null)).collect();
+        // Record 1 reaches the second stage before record 2 reaches the
+        // first; stage at a time, the first stage saw record 2 first.
+        let mut c = ctx();
+        run_chain(&chain, input.clone(), &mut c);
+        assert_eq!(c.error(), Some("second at 1"));
+        let mut staged = ctx();
+        run_chain_staged(&chain, input, &mut staged);
+        assert_eq!(staged.error(), Some("first at 2"));
     }
 }

@@ -46,7 +46,9 @@ impl TaskCtx {
 
     /// Reports a task failure. `Mapper::map` has no error channel (like
     /// Hadoop's `map()` throwing into the framework); the runner checks
-    /// this after the task and fails the job. The first error wins.
+    /// this after the task and fails the job. The first error wins: a
+    /// chain runs record at a time, so of two stages that fail that is the
+    /// first failure in record order, not the first in stage order.
     pub fn fail(&mut self, msg: impl Into<String>) {
         if self.error.is_none() {
             self.error = Some(msg.into());

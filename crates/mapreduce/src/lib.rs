@@ -6,7 +6,8 @@
 //!
 //! * [`api`] — `Mapper`/`Reducer` traits, collectors, and *chained
 //!   functions*: a Map or Reduce computation is a chain of user functions
-//!   where each function's output feeds the next. EFind's baseline strategy
+//!   where each record a function emits goes on through the next, record
+//!   at a time as in Hadoop's `ChainMapper`. EFind's baseline strategy
 //!   (Fig. 6) works exactly by inserting `preProcess`/`lookup`/
 //!   `postProcess` into these chains.
 //! * [`counters`] — Hadoop-style global counters plus mergeable FM sketches;

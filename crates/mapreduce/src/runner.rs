@@ -28,7 +28,7 @@ use efind_common::{crc32, Datum, Error, Record, Result};
 use efind_dfs::{ChunkMeta, Dfs, DfsFile};
 use parking_lot::Mutex;
 
-use crate::api::{run_chain, run_chain_shared, Collector};
+use crate::api::{run_chain_shared, Chain, Collector};
 use crate::context::TaskCtx;
 use crate::counters::{Counters, Sketches};
 use crate::group::group_by_key;
@@ -182,11 +182,23 @@ impl MapPhaseExec {
     /// by partition, each partition in emission order, so that the job's
     /// own partitioner splits them into the partitions it shuffled.
     pub fn take_outputs(&mut self) -> Vec<Vec<Record>> {
+        self.take_parts()
+            .into_iter()
+            .map(|(records, _)| records)
+            .collect()
+    }
+
+    /// [`MapPhaseExec::take_outputs`], each task's records paired with the
+    /// bytes its worker summed for them (`TaskStats::output_bytes`).
+    fn take_parts(&mut self) -> Vec<(Vec<Record>, u64)> {
         self.tasks
             .iter_mut()
-            .map(|t| match mem::take(&mut t.output) {
-                MapOutput::Records(records) => records,
-                MapOutput::Run(run) => run.into_records(),
+            .map(|t| {
+                let records = match mem::take(&mut t.output) {
+                    MapOutput::Records(records) => records,
+                    MapOutput::Run(run) => run.into_records(),
+                };
+                (records, t.stats.output_bytes)
             })
             .collect()
     }
@@ -577,17 +589,13 @@ impl<'a> Runner<'a> {
         self.reduce_partitions(conf, &mut shuffle_runs(conf, exec)?, tasks)
     }
 
-    /// Writes per-task output record vectors, in task order, as the job's
-    /// output file.
-    fn write_output(&mut self, conf: &JobConf, outputs: Vec<Vec<Record>>) -> DfsFile {
-        let mut all_output = Vec::with_capacity(outputs.iter().map(Vec::len).sum());
-        for output in outputs {
-            all_output.extend(output);
-        }
-        match conf.output_chunks {
-            Some(n) => self.dfs.write_file_with_chunks(&conf.output, all_output, n),
-            None => self.dfs.write_file(&conf.output, all_output),
-        }
+    /// Writes per-task outputs, in task order, as the job's output file:
+    /// each task's records with the bytes its worker summed for them
+    /// (`TaskStats::output_bytes`), so the DFS sizes again only the records
+    /// of a task a chunk boundary falls inside.
+    fn write_output(&mut self, conf: &JobConf, outputs: Vec<(Vec<Record>, u64)>) -> DfsFile {
+        self.dfs
+            .write_file_parts(&conf.output, outputs, conf.output_chunks)
     }
 
     /// Runs the reduce phase over the shuffle runs of an executed map
@@ -623,9 +631,9 @@ impl<'a> Runner<'a> {
         let mut specs = Vec::with_capacity(execs.len());
         let mut outputs = Vec::with_capacity(execs.len());
         for e in execs {
+            outputs.push((e.output, e.stats.output_bytes));
             tasks.push(e.stats);
             specs.push(e.spec);
-            outputs.push(e.output);
         }
         let schedule = self.schedule_phase(&specs, start);
         let output = self.write_output(conf, outputs);
@@ -712,34 +720,38 @@ impl<'a> Runner<'a> {
         let groups = group_by_key(input);
 
         let mut ctx = TaskCtx::new(task_id);
+        let mut reducer = conf.reducer.as_ref().map(|f| f());
+        // The reducer and its `reduce_post` stages are one chain: what a
+        // group reduces to goes down the stages before the next group.
+        let mut post = Chain::new(&conf.reduce_post);
         let mut reduced: Vec<Record> = Vec::new();
-        {
-            let mut reducer = conf.reducer.as_ref().map(|f| f());
-            // Keys and values move into the reducer, no per-record clones.
-            for (key, values) in groups {
-                match reducer.as_mut() {
-                    Some(red) => red.reduce(key, values, &mut reduced, &mut ctx),
-                    None => {
-                        // Identity reduce: grouped pass-through. Every
-                        // emitted record needs its own key; the last one
-                        // takes the group's.
-                        let mut values = values.into_iter();
-                        let last = values.next_back();
-                        for value in values {
-                            let key = key.clone();
-                            reduced.collect(Record { key, value });
-                        }
-                        if let Some(value) = last {
-                            reduced.collect(Record { key, value });
-                        }
+        let mut output: Vec<Record> = Vec::new();
+        // Keys and values move into the reducer, no per-record clones.
+        for (key, values) in groups {
+            match reducer.as_mut() {
+                Some(red) => red.reduce(key, values, &mut reduced, &mut ctx),
+                None => {
+                    // Identity reduce: grouped pass-through. Every emitted
+                    // record needs its own key; the last one takes the
+                    // group's.
+                    let mut values = values.into_iter();
+                    let last = values.next_back();
+                    for value in values {
+                        let key = key.clone();
+                        reduced.collect(Record { key, value });
+                    }
+                    if let Some(value) = last {
+                        reduced.collect(Record { key, value });
                     }
                 }
             }
-            if let Some(red) = reducer.as_mut() {
-                red.flush(&mut reduced, &mut ctx);
-            }
+            post.push_all(&mut reduced, &mut output, &mut ctx);
         }
-        let output = run_chain(&conf.reduce_post, reduced, &mut ctx);
+        if let Some(red) = reducer.as_mut() {
+            red.flush(&mut reduced, &mut ctx);
+            post.push_all(&mut reduced, &mut output, &mut ctx);
+        }
+        post.finish(&mut output, &mut ctx);
         if let Some(msg) = ctx.error() {
             return Err(Error::Internal(format!(
                 "reduce task {task_id} of job {}: {msg}",
@@ -973,7 +985,7 @@ impl<'a> Runner<'a> {
             let outcome = self.run_reduce(conf, exec, reduce_start)?;
             JobParts::after_reduce(start, map, reduce_start, outcome)
         } else {
-            let output = self.write_output(conf, exec.take_outputs());
+            let output = self.write_output(conf, exec.take_parts());
             let parts = JobParts {
                 started: start,
                 finished: map_end,

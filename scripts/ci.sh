@@ -61,37 +61,43 @@ efbench_gate() {
             exit !(failed + 0 == 0 && alloc + 0 <= max + 0)
         }'
 }
-# A lookup hands out the value list the index stores, so `lookup_cold`
-# (240 k records, 1 KB values, nearly every lookup reaches the index)
-# allocates 181.60 MB; one copy of the results anywhere on the per-record
-# path adds about 245 MB.
-efbench_gate lookup_cold 260
+# A lookup hands out the value list the index stores, and a map task's
+# chain hands its records on one at a time into one output vector that
+# moves into the DFS once, so `lookup_cold` (240 k records, 1 KB values,
+# nearly every lookup reaches the index) allocates 87.57 MB. A vector per
+# chain stage made it 133.63 MB; one copy of the results anywhere on the
+# per-record path adds about 245 MB.
+efbench_gate lookup_cold 95
 # `wc_shuffle` (1.2 M records, string keys, integer values) allocates
-# 202.73 MB: each map task writes its output once into a run (keys encoded,
+# 201.28 MB: each map task writes its output once into a run (keys encoded,
 # values moved) and each reduce task moves a value once into its group.
 # Records crossing the shuffle whole made it 220.30 MB; buckets grown by
 # doubling, a merged second copy and a merge sort's scratch buffer 567.42 MB.
 efbench_gate wc_shuffle 219
 # `scanjoin_write` (integer keys, list values) is the one shuffling
 # workload whose values own heap blocks. Each value moves into its map
-# task's run and from there into its group, so it allocates 267.06 MB;
+# task's run and from there into its group, so it allocates 263.81 MB;
 # a run that encoded the values as well would add their bytes again.
 efbench_gate scanjoin_write 280
-# A segment takes every record of its task through one carrier, so
+# A segment takes every record of its task through one carrier, and the
+# task's chain (segment, user map, statistics counter) hands records on
+# one at a time into one output vector, which moves into the DFS once, so
 # `lookup_hot` (120 k records, four in five a cache hit) allocates
-# 67.78 MB; a carrier, its key lists, its slots and the lookup's result
-# vector built afresh for every record made it 90.81 MB.
-efbench_gate lookup_hot 75
+# 43.79 MB. A vector per chain stage made it 66.82 MB, and a carrier, its
+# key lists, its slots and the lookup's result vector built afresh for
+# every record 90.81 MB.
+efbench_gate lookup_hot 47
 # The same carrier on both sides of the shuffle: a re-partitioned record
 # costs its payload buffer going in and the datums it decodes to coming
-# out, so `lookup_repart` allocates 100.96 MB; per-record carriers made
-# it 135.64 MB.
-efbench_gate lookup_repart 115
+# out, and the reduce side hands each group's records down its chain as
+# the map side does, so `lookup_repart` allocates 78.52 MB. A vector per
+# chain stage made it 86.20 MB, per-record carriers 135.64 MB.
+efbench_gate lookup_repart 84
 # `lookup_armed` is `lookup_hot` with faults, a node crash, corruption,
 # partitions and hedging armed. Its oracle check runs on every iteration,
 # so `failed` 0 says no armed layer changed the answer. It allocates
-# 105.72 MB.
-efbench_gate lookup_armed 116
+# 81.73 MB; a vector per chain stage made it 104.76 MB.
+efbench_gate lookup_armed 88
 
 echo "== fault injection (pinned seed matrix) =="
 # Deterministic chaos sweep: per (seed, rate, strategy) cell two runs
