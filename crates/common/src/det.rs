@@ -24,13 +24,25 @@ use crate::fx_hash_bytes;
 /// decision's identity (key bytes, attempt number, replica index, ...)
 /// into `payload`.
 pub fn draw_unit(seed: u64, scope: &str, payload: &[u8]) -> f64 {
-    let mut buf = Vec::with_capacity(8 + scope.len() + payload.len());
-    buf.extend_from_slice(&seed.to_le_bytes());
-    buf.extend_from_slice(scope.as_bytes());
-    buf.extend_from_slice(payload);
+    let len = 8 + scope.len() + payload.len();
+    // On the stack when it fits, as every draw in the workspace does.
+    let (mut stack, mut heap) = ([0u8; STACK_DRAW], Vec::new());
+    let buf: &mut [u8] = if len <= STACK_DRAW {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, 0);
+        &mut heap
+    };
+    buf[..8].copy_from_slice(&seed.to_le_bytes());
+    buf[8..8 + scope.len()].copy_from_slice(scope.as_bytes());
+    buf[8 + scope.len()..].copy_from_slice(payload);
     // 53 uniform mantissa bits → u ∈ [0, 1).
-    (fx_hash_bytes(&buf) >> 11) as f64 / (1u64 << 53) as f64
+    (fx_hash_bytes(buf) >> 11) as f64 / (1u64 << 53) as f64
 }
+
+/// The longest `seed ++ scope ++ payload` [`draw_unit`] hashes without a
+/// heap buffer.
+const STACK_DRAW: usize = 128;
 
 /// [`draw_unit`] specialized to a single `u64` key payload (LE-encoded) —
 /// the common case for plans whose decisions are indexed by one integer.
@@ -75,6 +87,26 @@ mod tests {
             draw_unit_u64(9, "chaos.node", key),
             draw_unit(9, "chaos.node", &key.to_le_bytes())
         );
+    }
+
+    #[test]
+    fn draws_hash_the_concatenation_on_both_sides_of_the_stack_limit() {
+        const SCOPE: &str = "efind.op.index.scope";
+        let bytes: Vec<u8> = (0..300u32).map(|i| (i * 31 % 251) as u8).collect();
+        // `len` bytes of scope and payload after the 8-byte seed.
+        for len in 0..=300 {
+            let scope = &SCOPE[..len % (SCOPE.len() + 1)];
+            let payload = &bytes[..len - scope.len()];
+            let mut whole = 0xC0FFEEu64.to_le_bytes().to_vec();
+            whole.extend_from_slice(scope.as_bytes());
+            whole.extend_from_slice(payload);
+            let expected = (fx_hash_bytes(&whole) >> 11) as f64 / (1u64 << 53) as f64;
+            assert_eq!(
+                draw_unit(0xC0FFEE, scope, payload),
+                expected,
+                "length {len}"
+            );
+        }
     }
 
     #[test]

@@ -5,56 +5,70 @@
 //! into an LRU-organized cache. … It invokes the lookup method only when
 //! there is a miss in the lookup cache."* The cache holds a fixed number of
 //! key→value entries (1024 in the paper's experiments).
+//!
+//! What a cache costs: memory follows what the cache holds, capped by its
+//! capacity. A new cache allocates nothing; its entry slab grows with the
+//! keys inserted and stops at the capacity. An entry is the key — stored
+//! once, in the slab — its value and three 4-byte links (recency both ways,
+//! and the next key sharing its hash): 48 bytes in a key-only
+//! [`ShadowCache`], 72 in a [`LookupCache`], whose result lists are shared
+//! handles. The index maps each key's 64-bit [`fx_hash_datum`] to a 4-byte
+//! slab position, 16 bytes and a control byte a slot.
 
+use std::collections::hash_map::Entry as Slot;
 use std::sync::Arc;
 
 use efind_cluster::CorruptionPlan;
-use efind_common::{crc32, Datum, FxHashMap};
+use efind_common::{crc32, fx_hash_datum, Datum, FxHashMap};
 
-/// Intrusive doubly-linked LRU list over a slab of entries.
+/// One slab entry: a key, its value, its place in the recency list and in
+/// the chain of keys with the same hash.
 struct Entry<V> {
     key: Datum,
     value: V,
-    prev: usize,
-    next: usize,
+    /// Neighbours towards the most- and the least-recently-used end.
+    prev: u32,
+    next: u32,
+    /// The next entry whose key has the same hash, compared by value.
+    chain: u32,
 }
 
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
 
 /// A fixed-capacity LRU map from lookup keys to values.
 pub struct LruMap<V> {
-    map: FxHashMap<Datum, usize>,
+    /// Key hash → the first slab entry whose key has that hash.
+    index: FxHashMap<u64, u32>,
+    /// Every held entry, densely: the slab grows with the keys inserted,
+    /// never past `capacity`, and a removal moves the last entry into the
+    /// vacated slot.
     slab: Vec<Entry<V>>,
-    /// Slab slots vacated by [`remove`](Self::remove), reused before the
-    /// slab grows. The stale entry parks in its slot until reuse.
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
+    head: u32,
+    tail: u32,
     capacity: usize,
 }
 
 impl<V> LruMap<V> {
-    /// Creates an LRU map holding at most `capacity` entries (min 1).
+    /// Creates an LRU map holding at most `capacity` entries (at least 1,
+    /// at most `u32::MAX`). Allocates nothing until the first insertion.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         LruMap {
-            map: FxHashMap::default(),
-            slab: Vec::with_capacity(capacity),
-            free: Vec::new(),
+            index: FxHashMap::default(),
+            slab: Vec::new(),
             head: NIL,
             tail: NIL,
-            capacity,
+            capacity: capacity.clamp(1, NIL as usize),
         }
     }
 
     /// Current entry count.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slab.len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slab.is_empty()
     }
 
     /// The configured capacity.
@@ -62,25 +76,66 @@ impl<V> LruMap<V> {
         self.capacity
     }
 
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
+    /// The slab position of `key`, whose hash is `hash`.
+    fn find(&self, hash: u64, key: &Datum) -> Option<u32> {
+        let mut cur = *self.index.get(&hash)?;
+        while self.slab[cur as usize].key != *key {
+            cur = self.slab[cur as usize].chain;
+            if cur == NIL {
+                return None;
+            }
+        }
+        Some(cur)
+    }
+
+    /// The link that points at entry `idx` in the chain of `hash`: the
+    /// index slot or the previous entry's `chain`.
+    fn link_to(&mut self, hash: u64, idx: u32) -> &mut u32 {
+        let head = self
+            .index
+            .get_mut(&hash)
+            .expect("a held key's hash is indexed");
+        if *head == idx {
+            return head;
+        }
+        let mut cur = *head;
+        while self.slab[cur as usize].chain != idx {
+            cur = self.slab[cur as usize].chain;
+        }
+        &mut self.slab[cur as usize].chain
+    }
+
+    /// Takes entry `idx`, whose key hashes to `hash`, out of that chain.
+    fn unchain(&mut self, hash: u64, idx: u32) {
+        let next = self.slab[idx as usize].chain;
+        match self.index.entry(hash) {
+            Slot::Occupied(head) if *head.get() == idx && next == NIL => {
+                head.remove();
+            }
+            _ => *self.link_to(hash, idx) = next,
+        }
+    }
+
+    fn unlink(&mut self, idx: u32) {
+        let Entry { prev, next, .. } = self.slab[idx as usize];
         if prev != NIL {
-            self.slab[prev].next = next;
+            self.slab[prev as usize].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.slab[next].prev = prev;
+            self.slab[next as usize].prev = prev;
         } else {
             self.tail = prev;
         }
     }
 
-    fn push_front(&mut self, idx: usize) {
-        self.slab[idx].prev = NIL;
-        self.slab[idx].next = self.head;
+    fn push_front(&mut self, idx: u32) {
+        let entry = &mut self.slab[idx as usize];
+        entry.prev = NIL;
+        entry.next = self.head;
         if self.head != NIL {
-            self.slab[self.head].prev = idx;
+            self.slab[self.head as usize].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -88,80 +143,98 @@ impl<V> LruMap<V> {
         }
     }
 
-    /// Looks up `key`, promoting it to most-recently-used on hit.
-    pub fn get(&mut self, key: &Datum) -> Option<&V> {
-        let idx = *self.map.get(key)?;
+    /// Makes entry `idx` the most recently used.
+    fn promote(&mut self, idx: u32) {
         if idx != self.head {
             self.unlink(idx);
             self.push_front(idx);
         }
-        Some(&self.slab[idx].value)
+    }
+
+    /// Looks up `key`, promoting it to most-recently-used on hit.
+    pub fn get(&mut self, key: &Datum) -> Option<&V> {
+        let idx = self.find(fx_hash_datum(key), key)?;
+        self.promote(idx);
+        Some(&self.slab[idx as usize].value)
     }
 
     /// Removes `key` from the map, unlinking it from the recency list and
-    /// freeing its slab slot for reuse. Returns true if it was present.
+    /// dropping its entry. Returns true if it was present.
     pub fn remove(&mut self, key: &Datum) -> bool {
-        let Some(idx) = self.map.remove(key) else {
+        let hash = fx_hash_datum(key);
+        let Some(idx) = self.find(hash, key) else {
             return false;
         };
         self.unlink(idx);
-        self.free.push(idx);
+        self.unchain(hash, idx);
+        self.slab.swap_remove(idx as usize);
+        // The last entry moved into `idx`: repoint what linked to it.
+        let moved = self.slab.len() as u32;
+        if idx != moved {
+            let Entry { prev, next, .. } = self.slab[idx as usize];
+            if prev != NIL {
+                self.slab[prev as usize].next = idx;
+            } else {
+                self.head = idx;
+            }
+            if next != NIL {
+                self.slab[next as usize].prev = idx;
+            } else {
+                self.tail = idx;
+            }
+            let moved_hash = fx_hash_datum(&self.slab[idx as usize].key);
+            *self.link_to(moved_hash, moved) = idx;
+        }
         true
     }
 
     /// Inserts or refreshes `key`, evicting the least-recently-used entry
     /// at capacity. Returns true exactly when an entry was evicted.
     pub fn insert(&mut self, key: Datum, value: V) -> bool {
-        if let Some(&idx) = self.map.get(&key) {
-            self.slab[idx].value = value;
-            if idx != self.head {
-                self.unlink(idx);
-                self.push_front(idx);
-            }
+        let hash = fx_hash_datum(&key);
+        if let Some(idx) = self.find(hash, &key) {
+            self.slab[idx as usize].value = value;
+            self.promote(idx);
             return false;
         }
-        if let Some(idx) = self.free.pop() {
-            self.slab[idx] = Entry {
-                key: key.clone(),
-                value,
-                prev: NIL,
-                next: NIL,
-            };
-            self.map.insert(key, idx);
-            self.push_front(idx);
-            return false;
-        }
-        if self.map.len() == self.capacity {
-            // Evict LRU and reuse its slab slot.
+        let evict = self.slab.len() == self.capacity;
+        let idx = if evict {
+            // The LRU entry's slot takes the new key.
             let victim = self.tail;
             self.unlink(victim);
-            let old_key = std::mem::replace(&mut self.slab[victim].key, key.clone());
-            self.map.remove(&old_key);
-            self.slab[victim].value = value;
-            self.map.insert(key, victim);
-            self.push_front(victim);
-            true
+            self.unchain(fx_hash_datum(&self.slab[victim as usize].key), victim);
+            let entry = &mut self.slab[victim as usize];
+            entry.key = key;
+            entry.value = value;
+            victim
         } else {
-            let idx = self.slab.len();
+            if self.slab.len() == self.slab.capacity() {
+                // Doubling, from four entries, clipped at the capacity.
+                let room = self.slab.len().max(4).min(self.capacity - self.slab.len());
+                self.slab.reserve_exact(room);
+            }
             self.slab.push(Entry {
-                key: key.clone(),
+                key,
                 value,
                 prev: NIL,
                 next: NIL,
+                chain: NIL,
             });
-            self.map.insert(key, idx);
-            self.push_front(idx);
-            false
-        }
+            (self.slab.len() - 1) as u32
+        };
+        let head = self.index.entry(hash).or_insert(NIL);
+        self.slab[idx as usize].chain = std::mem::replace(head, idx);
+        self.push_front(idx);
+        evict
     }
 
     /// Keys from most- to least-recently used (test/debug helper).
     pub fn keys_mru_order(&self) -> Vec<&Datum> {
-        let mut out = Vec::with_capacity(self.map.len());
+        let mut out = Vec::with_capacity(self.slab.len());
         let mut cur = self.head;
         while cur != NIL {
-            out.push(&self.slab[cur].key);
-            cur = self.slab[cur].next;
+            out.push(&self.slab[cur as usize].key);
+            cur = self.slab[cur as usize].next;
         }
         out
     }
@@ -185,6 +258,9 @@ struct ArmedCorruption {
     scope: String,
     /// Per-key insertion ordinal, so re-inserted entries draw fresh.
     generations: FxHashMap<Datum, u64>,
+    /// Encode buffers reused across insertions: the result list, the key.
+    values_buf: Vec<u8>,
+    key_buf: Vec<u8>,
 }
 
 /// The lookup cache: an LRU of key → result lists, with hit statistics.
@@ -233,6 +309,8 @@ impl LookupCache {
                 plan: plan.clone(),
                 scope: scope.to_owned(),
                 generations: FxHashMap::default(),
+                values_buf: Vec::new(),
+                key_buf: Vec::new(),
             });
         }
         self
@@ -269,29 +347,31 @@ impl LookupCache {
                     .entry(key.clone())
                     .and_modify(|g| *g += 1)
                     .or_insert(0);
-                let mut buf = Vec::new();
+                let buf = &mut armed.values_buf;
+                buf.clear();
                 for v in values.iter() {
-                    v.encode_into(&mut buf);
+                    v.encode_into(buf);
                 }
-                let write_crc = crc32(&buf);
-                let mut key_bytes = Vec::new();
-                key.encode_into(&mut key_bytes);
-                let read_crc = if armed
-                    .plan
-                    .cache_corrupt(&armed.scope, &key_bytes, *generation)
-                {
-                    // The stored copy has one byte flipped; an empty
-                    // result list is modeled as header corruption.
-                    if buf.is_empty() {
-                        !write_crc
+                let write_crc = crc32(buf);
+                armed.key_buf.clear();
+                key.encode_into(&mut armed.key_buf);
+                let read_crc =
+                    if armed
+                        .plan
+                        .cache_corrupt(&armed.scope, &armed.key_buf, *generation)
+                    {
+                        // The stored copy has one byte flipped; an empty
+                        // result list is modeled as header corruption.
+                        if buf.is_empty() {
+                            !write_crc
+                        } else {
+                            let flip = *generation as usize % buf.len();
+                            buf[flip] ^= 0x55;
+                            crc32(buf)
+                        }
                     } else {
-                        let flip = *generation as usize % buf.len();
-                        buf[flip] ^= 0x55;
-                        crc32(&buf)
-                    }
-                } else {
-                    write_crc
-                };
+                        write_crc
+                    };
                 (write_crc, read_crc)
             }
         };
@@ -391,9 +471,234 @@ impl ShadowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn k(i: i64) -> Datum {
         Datum::Int(i)
+    }
+
+    /// The LRU as it was before the slab grew with its keys: the whole
+    /// slab reserved up front, a second clone of every key in a
+    /// `Datum`-keyed map, and removed slots parked on a free list. Kept as
+    /// the reference every [`LruMap`] call is checked against.
+    struct Reference<V> {
+        map: FxHashMap<Datum, usize>,
+        slab: Vec<RefEntry<V>>,
+        free: Vec<usize>,
+        head: usize,
+        tail: usize,
+        capacity: usize,
+    }
+
+    struct RefEntry<V> {
+        key: Datum,
+        value: V,
+        prev: usize,
+        next: usize,
+    }
+
+    const REF_NIL: usize = usize::MAX;
+
+    impl<V> Reference<V> {
+        fn new(capacity: usize) -> Self {
+            let capacity = capacity.max(1);
+            Reference {
+                map: FxHashMap::default(),
+                slab: Vec::with_capacity(capacity),
+                free: Vec::new(),
+                head: REF_NIL,
+                tail: REF_NIL,
+                capacity,
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.map.len()
+        }
+
+        fn unlink(&mut self, idx: usize) {
+            let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
+            if prev != REF_NIL {
+                self.slab[prev].next = next;
+            } else {
+                self.head = next;
+            }
+            if next != REF_NIL {
+                self.slab[next].prev = prev;
+            } else {
+                self.tail = prev;
+            }
+        }
+
+        fn push_front(&mut self, idx: usize) {
+            self.slab[idx].prev = REF_NIL;
+            self.slab[idx].next = self.head;
+            if self.head != REF_NIL {
+                self.slab[self.head].prev = idx;
+            }
+            self.head = idx;
+            if self.tail == REF_NIL {
+                self.tail = idx;
+            }
+        }
+
+        fn get(&mut self, key: &Datum) -> Option<&V> {
+            let idx = *self.map.get(key)?;
+            if idx != self.head {
+                self.unlink(idx);
+                self.push_front(idx);
+            }
+            Some(&self.slab[idx].value)
+        }
+
+        fn remove(&mut self, key: &Datum) -> bool {
+            let Some(idx) = self.map.remove(key) else {
+                return false;
+            };
+            self.unlink(idx);
+            self.free.push(idx);
+            true
+        }
+
+        fn insert(&mut self, key: Datum, value: V) -> bool {
+            if let Some(&idx) = self.map.get(&key) {
+                self.slab[idx].value = value;
+                if idx != self.head {
+                    self.unlink(idx);
+                    self.push_front(idx);
+                }
+                return false;
+            }
+            let entry = RefEntry {
+                key: key.clone(),
+                value,
+                prev: REF_NIL,
+                next: REF_NIL,
+            };
+            if let Some(idx) = self.free.pop() {
+                self.slab[idx] = entry;
+                self.map.insert(key, idx);
+                self.push_front(idx);
+                return false;
+            }
+            if self.map.len() == self.capacity {
+                let victim = self.tail;
+                self.unlink(victim);
+                let old = std::mem::replace(&mut self.slab[victim], entry);
+                self.map.remove(&old.key);
+                self.map.insert(key, victim);
+                self.push_front(victim);
+                true
+            } else {
+                let idx = self.slab.len();
+                self.slab.push(entry);
+                self.map.insert(key, idx);
+                self.push_front(idx);
+                false
+            }
+        }
+
+        fn keys_mru_order(&self) -> Vec<&Datum> {
+            let mut out = Vec::new();
+            let mut cur = self.head;
+            while cur != REF_NIL {
+                out.push(&self.slab[cur].key);
+                cur = self.slab[cur].next;
+            }
+            out
+        }
+    }
+
+    /// Two 16-byte `Bytes` keys with one [`fx_hash_datum`]. `Datum`'s
+    /// `Hash` feeds `FxHasher` (efind-common's hash.rs) the tag, then two
+    /// 8-byte words; after the tag and a first word `w` the state is
+    /// s1(w) = (rotl(tag·SEED, 5) ^ w)·SEED, and the second key's second
+    /// word makes up for its different first.
+    fn colliding_keys() -> [Datum; 2] {
+        const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        let tag = Datum::Bytes(Vec::new()).encode()[0] as u64;
+        let s1 = |w: u64| (tag.wrapping_mul(SEED).rotate_left(5) ^ w).wrapping_mul(SEED);
+        let second = s1(0).rotate_left(5) ^ s1(1).rotate_left(5);
+        let keys = [
+            Datum::Bytes(vec![0; 16]),
+            Datum::Bytes([1u64.to_le_bytes(), second.to_le_bytes()].concat()),
+        ];
+        assert_eq!(
+            fx_hash_datum(&keys[0]),
+            fx_hash_datum(&keys[1]),
+            "not a collision any more"
+        );
+        assert_ne!(keys[0], keys[1]);
+        keys
+    }
+
+    /// 80 `Int` keys, 20 `Text` keys, and the two colliding `Bytes` keys
+    /// last.
+    fn key_pool() -> Vec<Datum> {
+        let mut pool: Vec<Datum> = (0..80).map(k).collect();
+        pool.extend((0..20).map(|i| Datum::Text(format!("key{i}"))));
+        pool.extend(colliding_keys());
+        pool
+    }
+
+    const POOL: usize = 102;
+
+    /// `(operation, key, value)`: 0 is `get`, 1 `insert`, 2 `remove`. One
+    /// key in five is a colliding one.
+    fn arb_op() -> impl Strategy<Value = (u8, usize, u32)> {
+        (
+            0u8..3,
+            prop_oneof![4 => 0..POOL, 1 => POOL - 2..POOL],
+            any::<u32>(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every call returns what the reference returns — the value, the
+        /// eviction flag, the removal answer — and leaves the same length
+        /// and recency order. Each sequence starts by holding both
+        /// colliding keys, so every case walks a hash chain.
+        #[test]
+        fn lru_matches_the_reference(
+            cap in 1usize..=64,
+            ops in proptest::collection::vec(arb_op(), 0..600),
+        ) {
+            let pool = key_pool();
+            let (mut lru, mut reference) = (LruMap::new(cap), Reference::new(cap));
+            let prefix = [(1, POOL - 2, 0), (1, POOL - 1, 1), (0, POOL - 2, 0)];
+            for (op, key, value) in prefix.into_iter().chain(ops) {
+                let key = &pool[key];
+                match op {
+                    0 => prop_assert_eq!(lru.get(key), reference.get(key)),
+                    1 => prop_assert_eq!(
+                        lru.insert(key.clone(), value),
+                        reference.insert(key.clone(), value)
+                    ),
+                    _ => prop_assert_eq!(lru.remove(key), reference.remove(key)),
+                }
+                prop_assert_eq!(lru.len(), reference.len());
+                prop_assert_eq!(lru.keys_mru_order(), reference.keys_mru_order());
+            }
+        }
+    }
+
+    #[test]
+    fn a_new_cache_holds_no_slab_and_an_entry_costs_what_the_doc_says() {
+        assert_eq!(LruMap::<()>::new(1024).slab.capacity(), 0);
+        assert_eq!(std::mem::size_of::<Entry<()>>(), 48);
+        assert_eq!(std::mem::size_of::<Entry<CacheEntry>>(), 72);
+    }
+
+    #[test]
+    fn the_slab_stops_at_capacity() {
+        let mut c = LruMap::new(1000);
+        for i in 0..5000 {
+            c.insert(k(i), ());
+        }
+        assert_eq!(c.len(), 1000);
+        assert_eq!(c.slab.capacity(), 1000);
     }
 
     #[test]

@@ -97,23 +97,34 @@ fn chunk_crc(c: &StoredChunk) -> u32 {
     *c.crc.get_or_init(|| encoded_crc(&c.records, None))
 }
 
-/// CRC-32 over the concatenated record encodings. `flip` simulates the
-/// payload a reader fetches from a corrupt replica: one byte (chosen by
-/// the flip salt) XOR-perturbed, which CRC-32 detects with certainty.
+/// CRC-32 over the concatenated record encodings, fed record by record
+/// from one reused buffer. `flip` simulates the payload a reader fetches
+/// from a corrupt replica: the byte at `salt % total` XOR-perturbed, where
+/// `total` is the summed [`Record::size_bytes`] — the encoded length —
+/// which CRC-32 detects with certainty.
 fn encoded_crc(records: &[Record], flip: Option<usize>) -> u32 {
+    // The flip's offset from the start of the record being encoded.
+    let mut pos = flip.and_then(|salt| {
+        let total: u64 = records.iter().map(Record::size_bytes).sum();
+        (total > 0).then(|| salt % total as usize)
+    });
     let mut buf = Vec::new();
+    let mut h = Crc32::new();
     for rec in records {
+        buf.clear();
         rec.key.encode_into(&mut buf);
         rec.value.encode_into(&mut buf);
-    }
-    if let Some(salt) = flip {
-        if !buf.is_empty() {
-            let pos = salt % buf.len();
-            buf[pos] ^= 0x55;
+        if let Some(p) = pos {
+            match buf.get_mut(p) {
+                Some(byte) => {
+                    *byte ^= 0x55;
+                    pos = None;
+                }
+                None => pos = Some(p - buf.len()),
+            }
         }
+        h.update(&buf);
     }
-    let mut h = Crc32::new();
-    h.update(&buf);
     h.finish()
 }
 
@@ -748,6 +759,61 @@ impl Dfs {
 mod tests {
     use super::*;
     use efind_common::Datum;
+
+    /// The chunk CRC as it was computed before it streamed: the whole
+    /// chunk encoded into one buffer, the flip applied to that buffer.
+    fn encoded_crc_whole(records: &[Record], flip: Option<usize>) -> u32 {
+        let mut buf = Vec::new();
+        for rec in records {
+            rec.key.encode_into(&mut buf);
+            rec.value.encode_into(&mut buf);
+        }
+        if let Some(salt) = flip {
+            if !buf.is_empty() {
+                let pos = salt % buf.len();
+                buf[pos] ^= 0x55;
+            }
+        }
+        efind_common::crc32(&buf)
+    }
+
+    #[test]
+    fn streamed_crc_equals_the_whole_buffer_crc() {
+        let kinds = [
+            Datum::Null,
+            Datum::Bool(true),
+            Datum::Int(-7),
+            Datum::Float(2.5),
+            Datum::Text("chunk".into()),
+            Datum::Bytes(vec![9; 13]),
+            Datum::List(vec![Datum::Int(1), Datum::Text("x".into())]),
+        ];
+        let mut chunks: Vec<Vec<Record>> = vec![Vec::new()];
+        for (i, key) in kinds.iter().enumerate() {
+            chunks.push(vec![Record::new(
+                key.clone(),
+                kinds[(i + 3) % kinds.len()].clone(),
+            )]);
+        }
+        for len in 2..=kinds.len() {
+            chunks.push(
+                (0..len)
+                    .map(|i| Record::new(kinds[i].clone(), kinds[len - 1 - i].clone()))
+                    .collect(),
+            );
+        }
+        for records in &chunks {
+            assert_eq!(encoded_crc(records, None), encoded_crc_whole(records, None));
+            let total: u64 = records.iter().map(Record::size_bytes).sum();
+            for salt in 0..total.max(1) as usize + 3 {
+                assert_eq!(
+                    encoded_crc(records, Some(salt)),
+                    encoded_crc_whole(records, Some(salt)),
+                    "salt {salt} over {records:?}"
+                );
+            }
+        }
+    }
 
     fn dfs() -> Dfs {
         Dfs::new(

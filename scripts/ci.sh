@@ -2,7 +2,7 @@
 # Full CI gate: lint (efind-lint, fmt, clippy -D warnings), the complete
 # test suite, the cost-model checks over a real catalog (`explain syn`),
 # the goldens again under one worker, a build and test of
-# efbench — the benchmark of record (`BENCHMARK.json`) — with its six
+# efbench — the benchmark of record (`BENCHMARK.json`) — with its seven
 # exact `alloc_mb` gates, and the pinned seed matrices. Nothing here
 # reads the wall clock: comparing two commits' host time with efbench is
 # a manual campaign, see efbench/README.md.
@@ -63,11 +63,13 @@ efbench_gate() {
 }
 # A lookup hands out the value list the index stores, and a map task's
 # chain hands its records on one at a time into one output vector that
-# moves into the DFS once, so `lookup_cold` (240 k records, 1 KB values,
-# nearly every lookup reaches the index) allocates 87.57 MB. A vector per
-# chain stage made it 133.63 MB; one copy of the results anywhere on the
+# moves into the DFS once, and a full cache stores each key once, so
+# `lookup_cold` (240 k records, 1 KB values, nearly every lookup reaches
+# the index) allocates 84.02 MB. Caches that reserved their whole
+# capacity and kept a second clone of every key made it 87.57 MB, a vector
+# per chain stage 133.63 MB; one copy of the results anywhere on the
 # per-record path adds about 245 MB.
-efbench_gate lookup_cold 95
+efbench_gate lookup_cold 91
 # `wc_shuffle` (1.2 M records, string keys, integer values) allocates
 # 201.28 MB: each map task writes its output once into a run (keys encoded,
 # values moved) and each reduce task moves a value once into its group.
@@ -81,23 +83,39 @@ efbench_gate wc_shuffle 219
 efbench_gate scanjoin_write 280
 # A segment takes every record of its task through one carrier, and the
 # task's chain (segment, user map, statistics counter) hands records on
-# one at a time into one output vector, which moves into the DFS once, so
-# `lookup_hot` (120 k records, four in five a cache hit) allocates
-# 43.79 MB. A vector per chain stage made it 66.82 MB, and a carrier, its
-# key lists, its slots and the lookup's result vector built afresh for
-# every record 90.81 MB.
-efbench_gate lookup_hot 47
+# one at a time into one output vector, which moves into the DFS once, and
+# its caches grow with the keys they hold, so `lookup_hot` (120 k records,
+# four in five a cache hit) allocates 42.02 MB. Caches that reserved their
+# whole capacity and kept a second clone of every key made it 43.79 MB, a
+# vector per chain stage 66.82 MB, and a carrier, its key lists, its slots
+# and the lookup's result vector built afresh for every record 90.81 MB.
+efbench_gate lookup_hot 45
 # The same carrier on both sides of the shuffle: a re-partitioned record
 # costs its payload buffer going in and the datums it decodes to coming
 # out, and the reduce side hands each group's records down its chain as
-# the map side does, so `lookup_repart` allocates 78.52 MB. A vector per
-# chain stage made it 86.20 MB, per-record carriers 135.64 MB.
-efbench_gate lookup_repart 84
+# the map side does, so `lookup_repart` allocates 77.34 MB. Caches that
+# reserved their whole capacity and kept a second clone of every key made
+# it 78.52 MB, a vector per chain stage 86.20 MB, per-record carriers
+# 135.64 MB.
+efbench_gate lookup_repart 83
 # `lookup_armed` is `lookup_hot` with faults, a node crash, corruption,
 # partitions and hedging armed. Its oracle check runs on every iteration,
-# so `failed` 0 says no armed layer changed the answer. It allocates
-# 81.73 MB; a vector per chain stage made it 104.76 MB.
-efbench_gate lookup_armed 88
+# so `failed` 0 says no armed layer changed the answer. A verified chunk
+# read streams its CRC record by record through one buffer, an armed cache
+# insert encodes into buffers it keeps, and a draw hashes from the stack,
+# so it allocates 50.16 MB. Encoding each whole chunk to checksum it makes
+# it 72.70 MB; with that, per-insert encode buffers and caches that
+# reserved their whole capacity it read 81.73 MB, and a vector per chain
+# stage made that 104.76 MB.
+efbench_gate lookup_armed 54
+# `q9_adaptive` (TPC-H Q9, five indices, a Dynamic then an Optimized run)
+# builds a shadow cache for each index of each map task and a lookup cache
+# for each cache-strategy task, most holding far fewer keys than their
+# 1 024-entry capacity. They grow with what they hold, so it allocates
+# 214.97 MB. Reserving each cache's whole capacity up front makes it
+# 355.04 MB, and 368.22 MB with a second clone of every key in the
+# cache's index.
+efbench_gate q9_adaptive 232
 
 echo "== fault injection (pinned seed matrix) =="
 # Deterministic chaos sweep: per (seed, rate, strategy) cell two runs
