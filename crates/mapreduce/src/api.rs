@@ -20,8 +20,9 @@
 //! order, that a stage-at-a-time pass would hand it — what changes is only
 //! how the stages' calls interleave, which shows to a stage that reads
 //! task-wide state another stage writes ([`TaskCtx::charged`]). Between two
-//! stages sits one buffer for the whole task; only the last stage's output
-//! is collected.
+//! stages sits one buffer for the whole task; the last stage emits into the
+//! task's [`Collector`] — a map-only task's output vector, or the shuffle
+//! run of a job with a reduce, which encodes each record as it arrives.
 
 use std::sync::Arc;
 
@@ -151,7 +152,7 @@ impl Chain {
 
     /// Takes `rec` through every stage, collecting what the last one emits
     /// into `out`.
-    pub(crate) fn push(&mut self, rec: Record, out: &mut Vec<Record>, ctx: &mut TaskCtx) {
+    pub(crate) fn push(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
         push(&mut self.stages, rec, out, ctx);
     }
 
@@ -173,7 +174,7 @@ impl Chain {
 
     /// Flushes the stages in stage order, each flush's output going down
     /// the rest of the chain before the next stage flushes.
-    pub(crate) fn finish(mut self, out: &mut Vec<Record>, ctx: &mut TaskCtx) {
+    pub(crate) fn finish(mut self, out: &mut dyn Collector, ctx: &mut TaskCtx) {
         for i in 0..self.stages.len() {
             emit(&mut self.stages[i..], out, ctx, |m, sink, ctx| {
                 m.flush(sink, ctx)
@@ -183,9 +184,9 @@ impl Chain {
 }
 
 /// Takes `rec` through `stages` (into `out` when there are none).
-fn push(stages: &mut [Stage], rec: Record, out: &mut Vec<Record>, ctx: &mut TaskCtx) {
+fn push(stages: &mut [Stage], rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
     if stages.is_empty() {
-        return out.push(rec);
+        return out.collect(rec);
     }
     emit(stages, out, ctx, |m, sink, ctx| m.map(rec, sink, ctx));
 }
@@ -194,7 +195,7 @@ fn push(stages: &mut [Stage], rec: Record, out: &mut Vec<Record>, ctx: &mut Task
 /// the rest, record by record.
 fn emit(
     stages: &mut [Stage],
-    out: &mut Vec<Record>,
+    out: &mut dyn Collector,
     ctx: &mut TaskCtx,
     call: impl FnOnce(&mut dyn Mapper, &mut dyn Collector, &mut TaskCtx),
 ) {
@@ -223,8 +224,9 @@ pub fn run_chain(chain: &[MapperFactory], records: Vec<Record>, ctx: &mut TaskCt
 
 /// [`run_chain`] over a shared input slice: stage 0 takes clones of the
 /// shared records, one at a time, so no copy of the input is made up front.
-/// Map tasks use this to feed straight off shared DFS chunk storage. An
-/// empty chain returns a copy of `records`.
+/// Map-only tasks use this to feed straight off shared DFS chunk storage;
+/// a map task of a job with a reduce [`drive`]s its chain into its shuffle
+/// run instead. An empty chain returns a copy of `records`.
 pub fn run_chain_shared(
     chain: &[MapperFactory],
     records: Arc<[Record]>,
@@ -243,13 +245,25 @@ fn run(
     records: impl ExactSizeIterator<Item = Record>,
     ctx: &mut TaskCtx,
 ) -> Vec<Record> {
-    let mut chain = Chain::new(chain);
     let mut out = Vec::with_capacity(records.len());
-    for rec in records {
-        chain.push(rec, &mut out, ctx);
-    }
-    chain.finish(&mut out, ctx);
+    drive(chain, records, &mut out, ctx);
     out
+}
+
+/// Takes `records` through a fresh instance of `chain`, record at a time,
+/// then flushes its stages in order (see the module docs); what the last
+/// stage emits goes into `out`.
+pub(crate) fn drive(
+    chain: &[MapperFactory],
+    records: impl Iterator<Item = Record>,
+    out: &mut dyn Collector,
+    ctx: &mut TaskCtx,
+) {
+    let mut chain = Chain::new(chain);
+    for rec in records {
+        chain.push(rec, out, ctx);
+    }
+    chain.finish(out, ctx);
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use efind_common::{crc32, Datum, Error, Record, Result};
 use efind_dfs::{ChunkMeta, Dfs, DfsFile};
 use parking_lot::Mutex;
 
-use crate::api::{run_chain_shared, Chain, Collector};
+use crate::api::{drive, run_chain_shared, Chain, Collector, ReducerFactory};
 use crate::context::TaskCtx;
 use crate::counters::{Counters, Sketches};
 use crate::group::group_by_key;
@@ -36,7 +36,7 @@ use crate::integrity::IntegrityLog;
 use crate::job::JobConf;
 use crate::netsplit_log::PartitionLog;
 use crate::recovery::RecoveryLog;
-use crate::spill::{Slice, Spill};
+use crate::spill::{RunWriter, Slice, Spill};
 use crate::stats::{JobStats, PhaseStats, TaskStats};
 
 /// First pause of a reducer's shuffle-fetch retry loop after a fetch
@@ -420,30 +420,33 @@ impl<'a> Runner<'a> {
         let records = dfs.read_chunk_shared(&conf.input, chunk.index)?;
         let input_records = records.len() as u64;
         let mut ctx = TaskCtx::new(task_id);
-        let mut output = run_chain_shared(&conf.map_chain, records, &mut ctx);
-        // The map function's emit cost is per *emitted* record — count it
-        // before the combiner shrinks the output, and charge the combiner
+        // The map function's emit cost is per *emitted* record — counted
+        // before a combiner shrinks the output, and the combiner is charged
         // its own pass over those records.
-        let emitted_records = output.len() as u64;
-        let mut combiner_cost = SimDuration::ZERO;
-        if let Some(combiner) = conf.combiner.as_ref().filter(|_| conf.has_reduce()) {
-            output = run_combiner(combiner, output, &mut ctx);
-            combiner_cost = conf.cpu_per_record * emitted_records;
-        }
+        let (output, emitted_records, combiner_cost) = if conf.has_reduce() {
+            let (run, emitted) = spill_map(conf, &records, &mut ctx);
+            let combiner_cost = match conf.combiner {
+                Some(_) => conf.cpu_per_record * emitted,
+                None => SimDuration::ZERO,
+            };
+            (MapOutput::Run(run), emitted, combiner_cost)
+        } else {
+            let output = run_chain_shared(&conf.map_chain, records, &mut ctx);
+            let emitted = output.len() as u64;
+            (MapOutput::Records(output), emitted, SimDuration::ZERO)
+        };
         if let Some(msg) = ctx.error() {
             return Err(Error::Internal(format!(
                 "map task {task_id} of job {}: {msg}",
                 conf.name
             )));
         }
-        let output_records = output.len() as u64;
-        let (output, output_bytes) = if conf.has_reduce() {
-            let run = spill(conf, output);
-            let bytes = run.bytes();
-            (MapOutput::Run(run), bytes)
-        } else {
-            let bytes = output.iter().map(Record::size_bytes).sum();
-            (MapOutput::Records(output), bytes)
+        let (output_records, output_bytes) = match &output {
+            MapOutput::Run(run) => (run.len() as u64, run.bytes()),
+            MapOutput::Records(output) => (
+                output.len() as u64,
+                output.iter().map(Record::size_bytes).sum(),
+            ),
         };
 
         let mut base_cost =
@@ -1375,23 +1378,49 @@ fn shuffle_runs<'e>(conf: &JobConf, exec: &'e mut MapPhaseExec) -> Result<Vec<&'
         .collect()
 }
 
-/// Runs the combiner over one map task's output: groups by key locally
-/// and applies the combining reduce function (Hadoop's map-side combine).
-/// Groups reach it as they reach a reducer — combiners may be
-/// order-sensitive and equal-key order is observable downstream.
-fn run_combiner(
-    combiner: &crate::api::ReducerFactory,
-    records: Vec<Record>,
+/// Takes a map task's `records` through the job's map chain into the
+/// task's shuffle run — through a one-partition run and the combiner first
+/// when the job has one — and returns the sealed run and how many records
+/// the chain emitted.
+fn spill_map(conf: &JobConf, records: &[Record], ctx: &mut TaskCtx) -> (Spill, u64) {
+    let num_r = conf.num_reducers.max(1);
+    let partition = |key: &Datum| partition_of(conf, key, num_r);
+    let input = records.iter().cloned();
+    let Some(combiner) = &conf.combiner else {
+        let mut run = RunWriter::new(num_r, records.len(), partition);
+        drive(&conf.map_chain, input, &mut run, ctx);
+        let emitted = run.len() as u64;
+        return (run.seal(), emitted);
+    };
+    let mut output = RunWriter::new(1, records.len(), |_: &Datum| 0);
+    drive(&conf.map_chain, input, &mut output, ctx);
+    let emitted = output.len() as u64;
+    let run = combine(combiner, output.seal(), num_r, partition, ctx);
+    (run, emitted)
+}
+
+/// Runs the combiner over one map task's output, a one-partition run: groups
+/// it by key locally and applies the combining reduce function (Hadoop's
+/// map-side combine), which emits into a run of `partitions` partitions
+/// sized for one record a group. Groups reach it as they reach a reducer —
+/// combiners may be order-sensitive and equal-key order is observable
+/// downstream.
+fn combine(
+    combiner: &ReducerFactory,
+    mut output: Spill,
+    partitions: usize,
+    partition_of: impl Fn(&Datum) -> usize,
     ctx: &mut TaskCtx,
-) -> Vec<Record> {
-    let mut out: Vec<Record> = Vec::new();
+) -> Spill {
+    let groups = group_by_key(output.slices().collect());
+    drop(output);
+    let mut run = RunWriter::new(partitions, groups.len(), partition_of);
     let mut c = combiner();
-    let mut run = Spill::build(records, 1, |_| 0);
-    for (key, values) in group_by_key(run.slices().collect()) {
-        c.reduce(key, values, &mut out, ctx);
+    for (key, values) in groups {
+        c.reduce(key, values, &mut run, ctx);
     }
-    c.flush(&mut out, ctx);
-    out
+    c.flush(&mut run, ctx);
+    run.seal()
 }
 
 /// Convenience wrapper: runs `conf` from time zero.
@@ -1941,8 +1970,17 @@ mod shuffle_tests {
                 .unwrap();
             prop_assert_eq!(&identity[0].output, &passed_through);
 
-            let combined = run_combiner(&listing_reducer(), records, &mut TaskCtx::new(0));
-            prop_assert_eq!(&combined, &listed);
+            // The combiner, from a task's one-partition run into a run of
+            // one partition and into one of eight.
+            let one = |_: &Datum| 0;
+            let output = Spill::build(records.clone(), 1, one);
+            let combined = combine(&listing_reducer(), output, 1, one, &mut TaskCtx::new(0));
+            prop_assert_eq!(combined.into_records(), listed.clone());
+            let wide = JobConf::new("g", "in", "out").with_reducer(listing_reducer(), 8);
+            let p = |key: &Datum| partition_of(&wide, key, 8);
+            let output = Spill::build(records, 1, one);
+            let combined = combine(&listing_reducer(), output, 8, p, &mut TaskCtx::new(0));
+            prop_assert_eq!(combined, crate::spill::collected(listed, 8, p));
         }
 
         /// Slice `p` of a run is the map task's records of partition `p` in

@@ -1,21 +1,31 @@
 //! Map-side spill: a map task's shuffle output as one run ordered by
 //! reduce partition (Hadoop's `MapOutputBuffer`).
 //!
-//! A run holds every record the task emits, partition after partition and
-//! in emission order within a partition, in three buffers: each key's
-//! [`Datum::encode`] bytes back to back in one `Vec<u8>`, each value in one
-//! `Vec<Datum>`, and one [`End`] per partition. The values stay live
-//! because [`Reducer::reduce`](crate::Reducer::reduce) takes owned datums.
-//! The task builds its run before it ends, so the keys it allocated are
-//! encoded and freed on the thread that made them; a reduce task borrows
-//! its [`Slice`] of every run and decodes one key per group.
+//! The last stage of a map task's chain emits into a [`RunWriter`], so the
+//! task's records arrive one at a time: the writer asks for each record's
+//! partition once, encodes its key into a key block and moves its value
+//! into one vector, both in emission order. [`RunWriter::seal`] then puts
+//! the run in partition order, once. The task output never exists as
+//! records.
+//!
+//! A sealed run holds every record the task emits, partition after
+//! partition and in emission order within a partition, in three buffers:
+//! each key's [`Datum::encode`] bytes back to back in one `Vec<u8>`, each
+//! value in one `Vec<Datum>`, and one [`End`] per partition. The values
+//! stay live because [`Reducer::reduce`](crate::Reducer::reduce) takes owned
+//! datums. The task seals its run before it ends, so the keys it allocated
+//! are encoded and freed on the thread that made them; a reduce task
+//! borrows its [`Slice`] of every run and decodes one key per group.
 
 use std::mem;
 
 use efind_common::{Datum, Record};
 
+use crate::api::Collector;
+
 /// Where one partition's records end in a run, and what they shuffle.
 #[derive(Clone, Copy, Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 struct End {
     /// One past the partition's last key byte.
     key: usize,
@@ -25,8 +35,130 @@ struct End {
     bytes: u64,
 }
 
+/// A map task's run while records are emitted into it. How many
+/// allocations it makes does not depend on the partition count.
+pub(crate) struct RunWriter<P> {
+    partition_of: P,
+    /// Each record's key encoding, in emission order, in blocks that never
+    /// move: a key that does not fit the last block opens a new one as
+    /// large as all before it together, so the blocks ask the allocator
+    /// for less than twice the key bytes, and nothing is copied until the
+    /// run is sealed.
+    keys: Vec<Vec<u8>>,
+    /// Each record's value, in emission order.
+    values: Vec<Datum>,
+    /// Each record's partition, in emission order.
+    ids: Vec<u32>,
+    /// Each partition's key bytes, records and shuffled bytes so far;
+    /// sealing turns the sums into ends.
+    ends: Vec<End>,
+}
+
+impl<P: Fn(&Datum) -> usize> RunWriter<P> {
+    /// A writer into `partitions` partitions sized for `records` records:
+    /// as many values and partition ids, and a first key block of a byte
+    /// each (the shortest encoding). `partition_of` must answer below
+    /// `partitions`.
+    pub(crate) fn new(partitions: usize, records: usize, partition_of: P) -> Self {
+        RunWriter {
+            partition_of,
+            keys: vec![Vec::with_capacity(records)],
+            values: Vec::with_capacity(records),
+            ids: Vec::with_capacity(records),
+            ends: vec![End::default(); partitions],
+        }
+    }
+
+    /// Records collected so far.
+    pub(crate) fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The run in partition order, with no spare capacity. One copy moves
+    /// each key into its partition's range of an exact-size buffer, and the
+    /// values are permuted in place, cycle by cycle; either way a record
+    /// lands after the records of its partition emitted before it.
+    pub(crate) fn seal(self) -> Spill {
+        let RunWriter {
+            keys: blocks,
+            mut values,
+            ids: mut slots,
+            mut ends,
+            ..
+        } = self;
+        debug_assert!(u32::try_from(values.len()).is_ok(), "indices are u32");
+        // Sums become ends; `next` is each partition's next key byte and
+        // next value slot.
+        let mut next = Vec::with_capacity(ends.len());
+        let (mut key, mut value) = (0, 0);
+        for end in &mut ends {
+            next.push((key, value));
+            key += end.key;
+            value += end.value;
+            (end.key, end.value) = (key, value);
+        }
+        // Each record's partition becomes the slot its value moves to.
+        let mut keys = vec![0; key];
+        let encoded = blocks.iter().flat_map(|block| encodings(block));
+        for (slot, k) in slots.iter_mut().zip(encoded) {
+            let (key_at, value_at) = &mut next[*slot as usize];
+            keys[*key_at..*key_at + k.len()].copy_from_slice(k);
+            *key_at += k.len();
+            *slot = *value_at as u32;
+            *value_at += 1;
+        }
+        drop(blocks);
+        values.shrink_to_fit();
+        for i in 0..values.len() {
+            while slots[i] as usize != i {
+                let to = slots[i] as usize;
+                values.swap(i, to);
+                slots.swap(i, to);
+            }
+        }
+        Spill { keys, values, ends }
+    }
+}
+
+impl<P: Fn(&Datum) -> usize> Collector for RunWriter<P> {
+    fn collect(&mut self, rec: Record) {
+        let p = (self.partition_of)(&rec.key);
+        // A key's `size_bytes` is its encoded length.
+        let size = rec.key.size_bytes() as usize;
+        match self.keys.last_mut() {
+            Some(block) if block.capacity() - block.len() >= size => rec.key.encode_into(block),
+            _ => {
+                let held: usize = self.keys.iter().map(Vec::capacity).sum();
+                let mut block = Vec::with_capacity(size.max(held));
+                rec.key.encode_into(&mut block);
+                self.keys.push(block);
+            }
+        }
+        let end = &mut self.ends[p];
+        end.key += size;
+        end.value += 1;
+        end.bytes += size as u64 + rec.value.size_bytes();
+        self.ids.push(p as u32);
+        self.values.push(rec.value);
+    }
+}
+
+/// Each key encoding in `buf`, back to back.
+fn encodings(mut buf: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        if buf.is_empty() {
+            return None;
+        }
+        let len = Datum::encoded_len(buf).expect("a run holds only the keys it encoded");
+        let (key, rest) = buf.split_at(len);
+        buf = rest;
+        Some(key)
+    })
+}
+
 /// One map task's shuffle output.
 #[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct Spill {
     keys: Vec<u8>,
     values: Vec<Datum>,
@@ -34,56 +166,19 @@ pub(crate) struct Spill {
 }
 
 impl Spill {
-    /// Spills `records` into `partitions` partitions. A counting pass asks
-    /// `partition_of` once per record — it must answer below `partitions`
-    /// — and sizes the record; a fill pass encodes each key into its
-    /// partition's range of the key buffer and moves each value into its
-    /// partition's range of the value buffer. What is left of the records
-    /// is dropped here. How many allocations that takes does not depend on
+    /// Spills `records` into `partitions` partitions: a [`RunWriter`] fed
+    /// from the vector, then sealed. `partition_of` must answer below
     /// `partitions`.
     pub(crate) fn build(
-        mut records: Vec<Record>,
+        records: Vec<Record>,
         partitions: usize,
         partition_of: impl Fn(&Datum) -> usize,
     ) -> Spill {
-        debug_assert!(u32::try_from(records.len()).is_ok(), "indices are u32");
-        let mut ends = vec![End::default(); partitions];
-        let ids: Vec<u32> = records
-            .iter()
-            .map(|rec| {
-                let p = partition_of(&rec.key);
-                let key = rec.key.size_bytes();
-                let end = &mut ends[p];
-                end.key += key as usize;
-                end.value += 1;
-                end.bytes += key + rec.value.size_bytes();
-                p as u32
-            })
-            .collect();
-        // Sizes become ends; `next` is each partition's next free value slot.
-        let mut next = Vec::with_capacity(partitions);
-        let (mut key, mut value) = (0, 0);
-        for end in &mut ends {
-            next.push(value);
-            key += end.key;
-            value += end.value;
-            (end.key, end.value) = (key, value);
+        let mut run = RunWriter::new(partitions, records.len(), partition_of);
+        for rec in records {
+            run.collect(rec);
         }
-        let mut order = vec![0u32; records.len()];
-        for (i, p) in ids.into_iter().enumerate() {
-            let slot = &mut next[p as usize];
-            order[*slot] = i as u32;
-            *slot += 1;
-        }
-        let mut keys = Vec::with_capacity(key);
-        let mut values = Vec::with_capacity(value);
-        for i in order {
-            let rec = &mut records[i as usize];
-            rec.key.encode_into(&mut keys);
-            values.push(mem::take(&mut rec.value));
-        }
-        debug_assert_eq!(keys.len(), key, "size_bytes is the encoded length");
-        Spill { keys, values, ends }
+        run.seal()
     }
 
     /// Records in the run.
@@ -159,16 +254,7 @@ impl<'a> Slice<'a> {
 
     /// Each record's key encoding, in emission order.
     pub(crate) fn keys(&self) -> impl Iterator<Item = &'a [u8]> {
-        let mut rest = self.keys;
-        std::iter::from_fn(move || {
-            if rest.is_empty() {
-                return None;
-            }
-            let len = Datum::encoded_len(rest).expect("a run holds only the keys it encoded");
-            let (key, tail) = rest.split_at(len);
-            rest = tail;
-            Some(key)
-        })
+        encodings(self.keys)
     }
 
     /// Each record's value, in emission order, to be moved out.
@@ -188,5 +274,121 @@ impl<'a> Slice<'a> {
                 value: mem::take(value),
             }
         })
+    }
+}
+
+/// The spill of a collected vector that the writer replaced, kept as the
+/// reference it is tested against: a counting pass asks `partition_of`
+/// once per record and sizes the record, and a fill pass encodes each key
+/// into its partition's range of the key buffer and moves each value into
+/// its partition's range of the value buffer.
+#[cfg(test)]
+pub(crate) fn collected(
+    mut records: Vec<Record>,
+    partitions: usize,
+    partition_of: impl Fn(&Datum) -> usize,
+) -> Spill {
+    let mut ends = vec![End::default(); partitions];
+    let ids: Vec<u32> = records
+        .iter()
+        .map(|rec| {
+            let p = partition_of(&rec.key);
+            let key = rec.key.size_bytes();
+            let end = &mut ends[p];
+            end.key += key as usize;
+            end.value += 1;
+            end.bytes += key + rec.value.size_bytes();
+            p as u32
+        })
+        .collect();
+    let mut next = Vec::with_capacity(partitions);
+    let (mut key, mut value) = (0, 0);
+    for end in &mut ends {
+        next.push(value);
+        key += end.key;
+        value += end.value;
+        (end.key, end.value) = (key, value);
+    }
+    let mut order = vec![0u32; records.len()];
+    for (i, p) in ids.into_iter().enumerate() {
+        let slot = &mut next[p as usize];
+        order[*slot] = i as u32;
+        *slot += 1;
+    }
+    let mut keys = Vec::with_capacity(key);
+    let mut values = Vec::with_capacity(value);
+    for i in order {
+        let rec = &mut records[i as usize];
+        rec.key.encode_into(&mut keys);
+        values.push(mem::take(&mut rec.value));
+    }
+    Spill { keys, values, ends }
+}
+
+#[cfg(test)]
+impl Spill {
+    /// Whether the key and value buffers hold no spare capacity.
+    pub(crate) fn is_tight(&self) -> bool {
+        self.keys.capacity() == self.keys.len() && self.values.capacity() == self.values.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn by_key(partitions: usize) -> impl Fn(&Datum) -> usize {
+        move |key: &Datum| key.as_int().unwrap_or(0).rem_euclid(partitions as i64) as usize
+    }
+
+    /// A run of `input` records of which the chain emitted `fanout` each:
+    /// 0 filters every record out, 3 expands each into three.
+    fn sealed(input: usize, fanout: usize) -> Spill {
+        let mut run = RunWriter::new(4, input, by_key(4));
+        for i in 0..input as i64 {
+            for j in 0..fanout as i64 {
+                run.collect(Record::new(i * 3 + j, format!("v{i}")));
+            }
+        }
+        run.seal()
+    }
+
+    #[test]
+    fn a_sealed_run_holds_no_spare_capacity_below_or_above_the_input_hint() {
+        for (input, fanout) in [(100, 0), (100, 1), (100, 3), (0, 1), (1, 5)] {
+            let run = sealed(input, fanout);
+            assert_eq!(run.len(), input * fanout);
+            assert!(run.is_tight(), "{input} records, {fanout} out for each");
+        }
+        // Every other record filtered out: half the hint.
+        let mut run = RunWriter::new(4, 100, by_key(4));
+        for i in (0..100i64).step_by(2) {
+            run.collect(Record::new(i, i));
+        }
+        let run = run.seal();
+        assert_eq!(run.len(), 50);
+        assert!(run.is_tight());
+    }
+
+    #[test]
+    fn keys_longer_than_the_blocks_before_them_seal_in_partition_order() {
+        let records: Vec<Record> = (0..40i64)
+            .map(|i| {
+                let key = match i % 3 {
+                    0 => Datum::Int(i),
+                    1 => Datum::Text("x".repeat(i as usize * 5)),
+                    _ => Datum::List(vec![Datum::Int(i); i as usize]),
+                };
+                Record::new(key, i)
+            })
+            .collect();
+        let p = |key: &Datum| key.size_bytes() as usize % 3;
+        let want = collected(records.clone(), 3, p);
+        let mut run = RunWriter::new(3, 1, p);
+        for rec in records {
+            run.collect(rec);
+        }
+        assert!(run.keys.len() > 2, "the keys fit one block");
+        assert_eq!(run.seal(), want);
     }
 }
