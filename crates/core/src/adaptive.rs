@@ -336,23 +336,22 @@ pub(crate) fn run_dynamic(
 
     // The remaining splits — plus the lost wave-1 splits, which must be
     // re-mapped — become the new plan's input (namespace bookkeeping only:
-    // no data moves, so no time is charged). Wave-1 task ids equal their
-    // chunk indices, and a read whose last replica died with a node fails
-    // with a diagnosable `DataLoss` instead of silently dropping input.
+    // the new file's chunks view the input's records, no data moves, so no
+    // time is charged). Wave-1 task ids equal their chunk indices, and a
+    // read whose last replica died with a node fails with a diagnosable
+    // `DataLoss` instead of silently dropping input.
     let remaining_name = format!("{}.remaining", ijob.name);
-    let mut remaining_records = Vec::new();
-    for id in lost
+    let remaining: Vec<usize> = lost
         .iter()
         .copied()
         .chain(chunks[wave_n..].iter().map(|c| c.index))
-    {
-        remaining_records.extend_from_slice(rt.dfs.read_chunk(&conf.input, id)?);
-    }
-    rt.dfs.write_file_with_chunks(
+        .collect();
+    rt.dfs.write_file_from_chunks(
         &remaining_name,
-        remaining_records,
+        &conf.input,
+        &remaining,
         chunks.len() - wave_n + lost.len(),
-    );
+    )?;
 
     let mut ijob2 = ijob.clone();
     ijob2.name = format!("{}-replan", ijob.name);

@@ -1,8 +1,8 @@
 //! File namespace, chunking, cost accounting, and chunk integrity.
 
 use std::collections::BTreeMap;
+use std::slice;
 use std::sync::{Arc, OnceLock};
-use std::vec;
 
 use efind_cluster::{Cluster, CorruptionPlan, NodeId, SimDuration};
 use efind_common::{fx_hash_bytes, Crc32, Error, Record, Result};
@@ -65,12 +65,158 @@ impl DfsFile {
     }
 }
 
+/// Records one writer handed over, kept whole and shared: every chunk
+/// that covers some of them — in the file they were written as, or in a
+/// file later written from that file's chunks — views a range of them.
+type Part = Arc<Vec<Record>>;
+
+/// The records `start..end` of one part.
+#[derive(Clone, Debug)]
+struct Piece {
+    part: Part,
+    start: usize,
+    end: usize,
+}
+
+impl Piece {
+    /// All of `records`, trimmed first: a part with spare capacity is
+    /// shrunk to its length, so a file never holds slack.
+    fn whole(mut records: Vec<Record>) -> Piece {
+        records.shrink_to_fit();
+        Piece {
+            end: records.len(),
+            part: Arc::new(records),
+            start: 0,
+        }
+    }
+
+    fn records(&self) -> &[Record] {
+        &self.part[self.start..self.end]
+    }
+
+    fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// The first `len` records, and the rest.
+    fn split_at(self, len: usize) -> (Piece, Piece) {
+        let mid = self.start + len;
+        let head = Piece {
+            part: Arc::clone(&self.part),
+            start: self.start,
+            end: mid,
+        };
+        (head, Piece { start: mid, ..self })
+    }
+}
+
+/// One chunk's records, borrowed where they are stored: the pieces of the
+/// parts its writer handed over that the chunk covers, in order
+/// ([`Dfs::read_chunk`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Chunk<'a> {
+    pieces: &'a [Piece],
+    len: usize,
+}
+
+impl<'a> Chunk<'a> {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the chunk holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The records, in order.
+    pub fn iter(&self) -> ChunkIter<'a> {
+        ChunkIter {
+            pieces: self.pieces.iter(),
+            current: [].iter(),
+            left: self.len,
+        }
+    }
+
+    /// A copy of the records, in order.
+    pub fn to_vec(&self) -> Vec<Record> {
+        self.iter().cloned().collect()
+    }
+}
+
+impl<'a> IntoIterator for Chunk<'a> {
+    type Item = &'a Record;
+    type IntoIter = ChunkIter<'a>;
+
+    fn into_iter(self) -> ChunkIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a chunk's records, piece after piece.
+#[derive(Clone, Debug)]
+pub struct ChunkIter<'a> {
+    pieces: slice::Iter<'a, Piece>,
+    current: slice::Iter<'a, Record>,
+    left: usize,
+}
+
+impl<'a> Iterator for ChunkIter<'a> {
+    type Item = &'a Record;
+
+    fn next(&mut self) -> Option<&'a Record> {
+        loop {
+            if let Some(rec) = self.current.next() {
+                self.left -= 1;
+                return Some(rec);
+            }
+            self.current = self.pieces.next()?.records().iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for ChunkIter<'_> {}
+
+/// One chunk's records as an owned handle: reading it
+/// ([`Dfs::read_chunk_shared`]) or cloning it bumps a refcount and copies
+/// no record, so map tasks stream their input straight off the stored
+/// parts.
+#[derive(Clone, Debug)]
+pub struct SharedChunk {
+    pieces: Arc<[Piece]>,
+    len: usize,
+}
+
+impl SharedChunk {
+    /// The records, borrowed.
+    pub fn chunk(&self) -> Chunk<'_> {
+        Chunk {
+            pieces: &self.pieces,
+            len: self.len,
+        }
+    }
+}
+
+/// A chunk of one piece: all of `records`.
+impl From<Vec<Record>> for SharedChunk {
+    fn from(records: Vec<Record>) -> Self {
+        let len = records.len();
+        SharedChunk {
+            pieces: Arc::new([Piece::whole(records)]),
+            len,
+        }
+    }
+}
+
 struct StoredChunk {
     hosts: Vec<NodeId>,
     bytes: u64,
-    /// Shared so map tasks can read a chunk without copying it
-    /// ([`Dfs::read_chunk_shared`]).
-    records: Arc<[Record]>,
+    records: SharedChunk,
     /// CRC-32 over the chunk's encoded records. Filled at write time when
     /// the integrity layer is armed, lazily on first verified read
     /// otherwise (files written before the plan was installed); never
@@ -94,7 +240,7 @@ pub struct ChunkIntegrity {
 /// computed once and cached — the digest a write boundary seals the
 /// chunk with.
 fn chunk_crc(c: &StoredChunk) -> u32 {
-    *c.crc.get_or_init(|| encoded_crc(&c.records, None))
+    *c.crc.get_or_init(|| encoded_crc(c.records.chunk(), None))
 }
 
 /// CRC-32 over the concatenated record encodings, fed record by record
@@ -102,10 +248,13 @@ fn chunk_crc(c: &StoredChunk) -> u32 {
 /// from a corrupt replica: the byte at `salt % total` XOR-perturbed, where
 /// `total` is the summed [`Record::size_bytes`] — the encoded length —
 /// which CRC-32 detects with certainty.
-fn encoded_crc(records: &[Record], flip: Option<usize>) -> u32 {
+fn encoded_crc<'r>(
+    records: impl IntoIterator<Item = &'r Record> + Clone,
+    flip: Option<usize>,
+) -> u32 {
     // The flip's offset from the start of the record being encoded.
     let mut pos = flip.and_then(|salt| {
-        let total: u64 = records.iter().map(Record::size_bytes).sum();
+        let total: u64 = records.clone().into_iter().map(Record::size_bytes).sum();
         (total > 0).then(|| salt % total as usize)
     });
     let mut buf = Vec::new();
@@ -169,7 +318,7 @@ impl Cuts {
     /// The next `records`, of `bytes` in total: taken whole when the open
     /// chunk holds them all — then no boundary can fall among them — and
     /// sized one by one otherwise.
-    fn part(&mut self, records: &[Record], bytes: u64) {
+    fn part<'r>(&mut self, records: impl ExactSizeIterator<Item = &'r Record>, bytes: u64) {
         if self.bytes + bytes <= self.limit {
             self.len += records.len();
             self.bytes += bytes;
@@ -186,45 +335,6 @@ impl Cuts {
             self.closed.push((self.len, self.bytes));
         }
         self.closed
-    }
-}
-
-/// The records of a parts write, handed out a chunk at a time.
-struct Parts {
-    rest: vec::IntoIter<(Vec<Record>, u64)>,
-    current: vec::IntoIter<Record>,
-}
-
-impl Parts {
-    /// The next `len` records, moved into one exactly-sized block.
-    fn take(&mut self, len: usize) -> Arc<[Record]> {
-        while self.current.len() == 0 {
-            match self.rest.next() {
-                Some((records, _)) => self.current = records.into_iter(),
-                None => break,
-            }
-        }
-        if self.current.len() >= len {
-            // One part holds the chunk: an exact-length iterator, so one
-            // allocation and a straight move.
-            return self.current.by_ref().take(len).collect();
-        }
-        // A chunk across parts: still exact-length, each record pulled
-        // from the part that holds it.
-        (0..len).map(|_| self.next_record()).collect()
-    }
-
-    fn next_record(&mut self) -> Record {
-        loop {
-            if let Some(rec) = self.current.next() {
-                return rec;
-            }
-            let (records, _) = self
-                .rest
-                .next()
-                .expect("the cuts count only records the parts hold");
-            self.current = records.into_iter();
-        }
     }
 }
 
@@ -302,8 +412,7 @@ impl Dfs {
         for rec in &records {
             cuts.record(rec.size_bytes());
         }
-        let mut rest = records.into_iter();
-        self.write_chunks(name, cuts.finish(), |len| rest.by_ref().take(len).collect())
+        self.write_pieces(name, vec![Piece::whole(records)], cuts.finish())
     }
 
     /// Writes `records` as `name` targeting approximately `num_chunks`
@@ -320,8 +429,7 @@ impl Dfs {
         for sz in sizes {
             cuts.record(sz);
         }
-        let mut rest = records.into_iter();
-        self.write_chunks(name, cuts.finish(), |len| rest.by_ref().take(len).collect())
+        self.write_pieces(name, vec![Piece::whole(records)], cuts.finish())
     }
 
     /// Writes the records of `parts`, in order, as `name`: the file
@@ -329,8 +437,9 @@ impl Dfs {
     /// `num_chunks` is set — writes from their concatenation, without
     /// concatenating them. Each part comes with its records'
     /// `Record::size_bytes` summed, which a job's tasks know already; only
-    /// a part that a chunk boundary falls inside is sized record by record,
-    /// and each record moves once, into its chunk.
+    /// a part that a chunk boundary falls inside is sized record by record.
+    /// The file keeps each part's vector as it was handed over, trimmed of
+    /// spare capacity; no record moves.
     pub fn write_file_parts(
         &mut self,
         name: &str,
@@ -348,24 +457,49 @@ impl Dfs {
                 *bytes,
                 "a part's bytes are its records' sizes summed"
             );
-            cuts.part(records, *bytes);
+            cuts.part(records.iter(), *bytes);
         }
-        let mut parts = Parts {
-            rest: parts.into_iter(),
-            current: Vec::new().into_iter(),
-        };
-        self.write_chunks(name, cuts.finish(), |len| parts.take(len))
+        let pieces = parts
+            .into_iter()
+            .map(|(records, _)| Piece::whole(records))
+            .collect();
+        self.write_pieces(name, pieces, cuts.finish())
     }
 
-    /// Stores a file whose chunks hold `cuts` — `(records, bytes)` each, in
-    /// order — and whose records `chunk(len)` moves into a chunk's shared
-    /// block `len` at a time, placing replicas deterministically.
-    fn write_chunks(
+    /// Writes the records of chunks `chunks` of file `source`, in the order
+    /// given, as `name` cut into about `num_chunks` equal chunks — the file
+    /// [`Dfs::write_file_with_chunks`] writes from their concatenation. The
+    /// new chunks view the parts the source's chunks view, so no record is
+    /// copied, and the file outlives the source being deleted or
+    /// overwritten. Fails as [`Dfs::read_chunk`] does on a chunk that
+    /// cannot be read.
+    pub fn write_file_from_chunks(
         &mut self,
         name: &str,
-        cuts: Vec<(usize, u64)>,
-        mut chunk: impl FnMut(usize) -> Arc<[Record]>,
-    ) -> DfsFile {
+        source: &str,
+        chunks: &[usize],
+        num_chunks: usize,
+    ) -> Result<DfsFile> {
+        let read = chunks
+            .iter()
+            .map(|&chunk| self.readable(source, chunk))
+            .collect::<Result<Vec<_>>>()?;
+        let mut cuts = Cuts::new(chunk_limit(read.iter().map(|c| c.bytes).sum(), num_chunks));
+        for c in &read {
+            cuts.part(c.records.chunk().iter(), c.bytes);
+        }
+        let pieces = read
+            .iter()
+            .flat_map(|c| c.records.pieces.iter().cloned())
+            .collect();
+        Ok(self.write_pieces(name, pieces, cuts.finish()))
+    }
+
+    /// Stores as `name` a file whose records are those of `pieces`, in
+    /// order, and whose chunks hold `cuts` — `(records, bytes)` each, in
+    /// order: each chunk views the pieces its records lie in, and replicas
+    /// are placed deterministically.
+    fn write_pieces(&mut self, name: &str, pieces: Vec<Piece>, cuts: Vec<(usize, u64)>) -> DfsFile {
         let mut placement = Placement::new(
             self.cluster.num_nodes(),
             self.config.seed ^ fx_hash_bytes(name.as_bytes()),
@@ -375,14 +509,36 @@ impl Dfs {
         // verify against. Quiet runs skip this entirely (the lazy cell
         // covers files that predate an installed plan).
         let checksum_on_write = self.verifies_chunks();
+        let mut rest = pieces.into_iter().filter(|p| p.len() > 0);
+        let mut open: Option<Piece> = None;
         // An empty file still exists in the namespace with zero chunks.
         let chunks: Vec<StoredChunk> = cuts
             .into_iter()
             .map(|(len, bytes)| {
-                let records = chunk(len);
+                let mut covered = Vec::with_capacity(1);
+                let mut left = len;
+                while left > 0 {
+                    let piece = open
+                        .take()
+                        .or_else(|| rest.next())
+                        .expect("the cuts count only records the pieces hold");
+                    if piece.len() <= left {
+                        left -= piece.len();
+                        covered.push(piece);
+                    } else {
+                        let (head, tail) = piece.split_at(left);
+                        covered.push(head);
+                        open = Some(tail);
+                        left = 0;
+                    }
+                }
+                let records = SharedChunk {
+                    pieces: covered.into(),
+                    len,
+                };
                 let crc = OnceLock::new();
                 if checksum_on_write {
-                    let _ = crc.set(encoded_crc(&records, None));
+                    let _ = crc.set(encoded_crc(records.chunk(), None));
                 }
                 StoredChunk {
                     hosts: placement.pick_avoiding(self.config.replication, &self.dead),
@@ -392,21 +548,8 @@ impl Dfs {
                 }
             })
             .collect();
-        let meta = DfsFile {
-            name: name.to_owned(),
-            chunks: chunks
-                .iter()
-                .enumerate()
-                .map(|(index, c)| ChunkMeta {
-                    index,
-                    bytes: c.bytes,
-                    records: c.records.len(),
-                    hosts: c.hosts.clone(),
-                })
-                .collect(),
-        };
         self.files.insert(name.to_owned(), chunks);
-        meta
+        self.stat(name).expect("the file was just stored")
     }
 
     /// Returns the metadata handle of an existing file.
@@ -423,7 +566,7 @@ impl Dfs {
                 .map(|(index, c)| ChunkMeta {
                     index,
                     bytes: c.bytes,
-                    records: c.records.len(),
+                    records: c.records.len,
                     hosts: c.hosts.clone(),
                 })
                 .collect(),
@@ -431,27 +574,20 @@ impl Dfs {
     }
 
     /// Reads the records of one chunk.
-    pub fn read_chunk(&self, name: &str, chunk: usize) -> Result<&[Record]> {
-        let chunks = self
-            .files
-            .get(name)
-            .ok_or_else(|| Error::NotFound(format!("dfs file {name}")))?;
-        let c = chunks
-            .get(chunk)
-            .ok_or_else(|| Error::NotFound(format!("chunk {chunk} of {name}")))?;
-        if c.hosts.is_empty() {
-            return Err(Error::DataLoss(format!(
-                "all replicas of chunk {chunk} of {name} lost to node crashes"
-            )));
-        }
-        self.verify_chunk(name, chunk, c)?;
-        Ok(&c.records[..])
+    pub fn read_chunk(&self, name: &str, chunk: usize) -> Result<Chunk<'_>> {
+        Ok(self.readable(name, chunk)?.records.chunk())
     }
 
     /// Reads one chunk as a shared handle — a refcount bump, no record
     /// copies. Map tasks stream their input straight off shared chunk
     /// storage instead of materializing a private `Vec` first.
-    pub fn read_chunk_shared(&self, name: &str, chunk: usize) -> Result<Arc<[Record]>> {
+    pub fn read_chunk_shared(&self, name: &str, chunk: usize) -> Result<SharedChunk> {
+        Ok(self.readable(name, chunk)?.records.clone())
+    }
+
+    /// One chunk as a read finds it: it exists, has a live replica, and —
+    /// when the integrity layer verifies — a replica that passes its CRC.
+    fn readable(&self, name: &str, chunk: usize) -> Result<&StoredChunk> {
         let chunks = self
             .files
             .get(name)
@@ -465,7 +601,7 @@ impl Dfs {
             )));
         }
         self.verify_chunk(name, chunk, c)?;
-        Ok(c.records.clone())
+        Ok(c)
     }
 
     /// Reads a whole file in chunk order.
@@ -482,10 +618,11 @@ impl Dfs {
         for (idx, c) in chunks.iter().enumerate() {
             self.verify_chunk(name, idx, c)?;
         }
-        Ok(chunks
-            .iter()
-            .flat_map(|c| c.records.iter().cloned())
-            .collect())
+        let mut out = Vec::with_capacity(chunks.iter().map(|c| c.records.len).sum());
+        for c in chunks {
+            out.extend(c.records.chunk().iter().cloned());
+        }
+        Ok(out)
     }
 
     /// Read-boundary verification: fail fast with
@@ -517,7 +654,7 @@ impl Dfs {
     /// payload when the corruption plan flipped a byte in that copy.
     fn replica_crc(&self, name: &str, chunk: usize, c: &StoredChunk, host: NodeId) -> u32 {
         if self.corruption.chunk_replica_corrupt(name, chunk, host) {
-            encoded_crc(&c.records, Some(host.0 as usize))
+            encoded_crc(c.records.chunk(), Some(host.0 as usize))
         } else {
             chunk_crc(c)
         }
@@ -976,17 +1113,176 @@ mod tests {
             );
             for parts in splits {
                 let shape: Vec<usize> = parts.iter().map(Vec::len).collect();
-                let parts = parts
+                let parts: Vec<(Vec<Record>, u64)> = parts
                     .into_iter()
                     .map(|p| {
                         let bytes = p.iter().map(Record::size_bytes).sum();
                         (p, bytes)
                     })
                     .collect();
+                let copied = copying_write(&d, "f", parts.clone(), num_chunks);
                 let meta = d.write_file_parts("f", parts, num_chunks);
+                assert_eq!(stored(&d, "f"), copied, "{label}, parts {shape:?}");
                 assert_eq!(chunks_of(&d, "f"), written, "{label}, parts {shape:?}");
                 assert_eq!(meta.total_records(), n, "{label}, parts {shape:?}");
                 assert_eq!(d.read_file("f").unwrap(), data, "{label}, parts {shape:?}");
+            }
+
+            // Written from the views of every chunk, the file is the one
+            // written from the records.
+            if let Some(n) = num_chunks {
+                let all: Vec<usize> = (0..written.len()).collect();
+                d.write_file_from_chunks("g", "f", &all, n).unwrap();
+                let viewed = stored(&d, "g");
+                d.write_file_with_chunks("g", data.clone(), n);
+                assert_eq!(viewed, stored(&d, "g"), "{label}, from chunk views");
+            }
+        }
+    }
+
+    /// The records of a parts write, handed out a chunk at a time: how
+    /// the writer filled each chunk before chunks viewed the parts.
+    struct Parts {
+        rest: std::vec::IntoIter<(Vec<Record>, u64)>,
+        current: std::vec::IntoIter<Record>,
+    }
+
+    impl Parts {
+        /// The next `len` records, moved into one exactly-sized block.
+        fn take(&mut self, len: usize) -> Arc<[Record]> {
+            (0..len).map(|_| self.next_record()).collect()
+        }
+
+        fn next_record(&mut self) -> Record {
+            loop {
+                if let Some(rec) = self.current.next() {
+                    return rec;
+                }
+                let (records, _) = self.rest.next().expect("the cuts count only held records");
+                self.current = records.into_iter();
+            }
+        }
+    }
+
+    /// A stored chunk: its records, bytes, CRC and hosts.
+    type Stored = (Vec<Record>, u64, u32, Vec<NodeId>);
+
+    /// The chunks the copying writer stored for `write_file_parts(name,
+    /// parts, num_chunks)` on `d` — each chunk a block its records were
+    /// moved into — left unstored: the reference the views are checked
+    /// against.
+    fn copying_write(
+        d: &Dfs,
+        name: &str,
+        parts: Vec<(Vec<Record>, u64)>,
+        num_chunks: Option<usize>,
+    ) -> Vec<Stored> {
+        let limit = match num_chunks {
+            Some(n) => chunk_limit(parts.iter().map(|(_, bytes)| bytes).sum(), n),
+            None => d.config.chunk_size_bytes,
+        };
+        let mut cuts = Cuts::new(limit);
+        for (records, bytes) in &parts {
+            cuts.part(records.iter(), *bytes);
+        }
+        let mut parts = Parts {
+            rest: parts.into_iter(),
+            current: Vec::new().into_iter(),
+        };
+        let mut placement = Placement::new(
+            d.cluster.num_nodes(),
+            d.config.seed ^ fx_hash_bytes(name.as_bytes()),
+        );
+        cuts.finish()
+            .into_iter()
+            .map(|(len, bytes)| {
+                let records = parts.take(len);
+                let crc = encoded_crc(&records[..], None);
+                let hosts = placement.pick_avoiding(d.config.replication, &d.dead);
+                (records.to_vec(), bytes, crc, hosts)
+            })
+            .collect()
+    }
+
+    /// Every chunk of `name` as stored.
+    fn stored(d: &Dfs, name: &str) -> Vec<Stored> {
+        d.files[name]
+            .iter()
+            .map(|c| {
+                (
+                    c.records.chunk().to_vec(),
+                    c.bytes,
+                    chunk_crc(c),
+                    c.hosts.clone(),
+                )
+            })
+            .collect()
+    }
+
+    /// A file written from another's chunk views — some chunks, out of
+    /// order, as the adaptive re-plan writes the splits it sends back — is
+    /// the file written from their records, and keeps them when the source
+    /// is deleted or overwritten.
+    #[test]
+    fn a_file_written_from_chunk_views_outlives_its_source() {
+        let mut d = dfs();
+        let meta = d.write_file_with_chunks("src", records(60), 10);
+        assert_eq!(meta.chunks.len(), 10);
+        let order = [7, 2, 3, 4, 5, 6, 8, 9];
+        let want: Vec<Record> = order
+            .iter()
+            .flat_map(|&i| d.read_chunk("src", i).unwrap().to_vec())
+            .collect();
+        d.write_file_with_chunks("views", want.clone(), 6);
+        let expected = stored(&d, "views");
+        d.write_file_from_chunks("views", "src", &order, 6).unwrap();
+        assert_eq!(stored(&d, "views"), expected);
+        // No record was copied: every piece is a range of the source's one
+        // part, and a chunk of eight records spans two source chunks.
+        let source = Arc::clone(&d.files["src"][0].records.pieces[0].part);
+        let views = &d.files["views"];
+        assert!(views
+            .iter()
+            .flat_map(|c| c.records.pieces.iter())
+            .all(|piece| Arc::ptr_eq(&piece.part, &source)));
+        assert!(views.iter().any(|c| c.records.pieces.len() > 1));
+        drop(source);
+
+        d.write_file("src", records(3));
+        assert_eq!(stored(&d, "views"), expected, "source overwritten");
+        d.delete("src");
+        assert_eq!(stored(&d, "views"), expected, "source deleted");
+        assert_eq!(d.read_file("views").unwrap(), want);
+        // A source chunk that cannot be read fails the write.
+        assert!(d.write_file_from_chunks("again", "src", &[0], 1).is_err());
+        assert!(!d.exists("again"));
+    }
+
+    #[test]
+    fn a_stored_part_holds_no_spare_capacity() {
+        let mut d = dfs();
+        let slack = |n: usize| {
+            let mut v = Vec::with_capacity(2 * n + 3);
+            v.extend(records(n));
+            v
+        };
+        d.write_file("whole", slack(40));
+        d.write_file_with_chunks("counted", slack(40), 3);
+        let parts = [0, 17, 5, 0, 30]
+            .into_iter()
+            .map(|n| {
+                let p = slack(n);
+                let bytes = p.iter().map(Record::size_bytes).sum();
+                (p, bytes)
+            })
+            .collect();
+        d.write_file_parts("parts", parts, Some(4));
+        for name in ["whole", "counted", "parts"] {
+            for c in &d.files[name] {
+                for piece in c.records.pieces.iter() {
+                    assert_eq!(piece.part.capacity(), piece.part.len(), "{name}");
+                    assert!(piece.len() > 0, "{name}: an empty piece");
+                }
             }
         }
     }
@@ -995,7 +1291,7 @@ mod tests {
     fn chunks_of(d: &Dfs, name: &str) -> Vec<(usize, u64, u32, Vec<NodeId>)> {
         d.files[name]
             .iter()
-            .map(|c| (c.records.len(), c.bytes, chunk_crc(c), c.hosts.clone()))
+            .map(|c| (c.records.len, c.bytes, chunk_crc(c), c.hosts.clone()))
             .collect()
     }
 

@@ -21,4 +21,4 @@
 pub mod file;
 pub mod placement;
 
-pub use file::{ChunkMeta, Dfs, DfsConfig, DfsFile, ReReplication};
+pub use file::{Chunk, ChunkIter, ChunkMeta, Dfs, DfsConfig, DfsFile, ReReplication, SharedChunk};

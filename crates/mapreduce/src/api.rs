@@ -27,6 +27,7 @@
 use std::sync::Arc;
 
 use efind_common::{Datum, Record};
+use efind_dfs::SharedChunk;
 
 use crate::context::TaskCtx;
 
@@ -222,20 +223,20 @@ pub fn run_chain(chain: &[MapperFactory], records: Vec<Record>, ctx: &mut TaskCt
     run(chain, records.into_iter(), ctx)
 }
 
-/// [`run_chain`] over a shared input slice: stage 0 takes clones of the
+/// [`run_chain`] over a shared DFS chunk: stage 0 takes clones of the
 /// shared records, one at a time, so no copy of the input is made up front.
 /// Map-only tasks use this to feed straight off shared DFS chunk storage;
 /// a map task of a job with a reduce [`drive`]s its chain into its shuffle
 /// run instead. An empty chain returns a copy of `records`.
 pub fn run_chain_shared(
     chain: &[MapperFactory],
-    records: Arc<[Record]>,
+    records: SharedChunk,
     ctx: &mut TaskCtx,
 ) -> Vec<Record> {
     if chain.is_empty() {
-        return records.to_vec();
+        return records.chunk().to_vec();
     }
-    run(chain, records.iter().cloned(), ctx)
+    run(chain, records.chunk().iter().cloned(), ctx)
 }
 
 /// Runs `records` through a fresh instance of the non-empty `chain`,
@@ -526,10 +527,10 @@ mod tests {
         let out = run_chain(&[], recs, &mut ctx());
         assert_eq!(out.as_ptr(), ptr);
         assert_eq!(out.len(), 2);
-        let shared: Arc<[Record]> = out.into();
+        let shared = SharedChunk::from(out);
         assert_eq!(
             run_chain_shared(&[], shared.clone(), &mut ctx()),
-            &shared[..]
+            shared.chunk().to_vec()
         );
     }
 

@@ -25,7 +25,7 @@ use efind_cluster::{
     SimDuration, SimTime, Suspicion, Verdict,
 };
 use efind_common::{crc32, Datum, Error, Record, Result};
-use efind_dfs::{ChunkMeta, Dfs, DfsFile};
+use efind_dfs::{Chunk, ChunkMeta, Dfs, DfsFile};
 use parking_lot::Mutex;
 
 use crate::api::{drive, run_chain_shared, Chain, Collector, ReducerFactory};
@@ -418,13 +418,13 @@ impl<'a> Runner<'a> {
         dfs: &Dfs,
     ) -> Result<MapTaskExec> {
         let records = dfs.read_chunk_shared(&conf.input, chunk.index)?;
-        let input_records = records.len() as u64;
+        let input_records = records.chunk().len() as u64;
         let mut ctx = TaskCtx::new(task_id);
         // The map function's emit cost is per *emitted* record — counted
         // before a combiner shrinks the output, and the combiner is charged
         // its own pass over those records.
         let (output, emitted_records, combiner_cost) = if conf.has_reduce() {
-            let (run, emitted) = spill_map(conf, &records, &mut ctx);
+            let (run, emitted) = spill_map(conf, records.chunk(), &mut ctx);
             let combiner_cost = match conf.combiner {
                 Some(_) => conf.cpu_per_record * emitted,
                 None => SimDuration::ZERO,
@@ -1341,7 +1341,7 @@ fn fold_partition_replay(gray: &mut PartitionLog, replay: &PartitionReplay) {
 
 /// The reduce partition of `key`: the job partitioner's answer, or the
 /// last partition when it answers out of range.
-fn partition_of(conf: &JobConf, key: &Datum, num_r: usize) -> usize {
+pub(crate) fn partition_of(conf: &JobConf, key: &Datum, num_r: usize) -> usize {
     conf.partitioner.partition(key, num_r).min(num_r - 1)
 }
 
@@ -1382,7 +1382,7 @@ fn shuffle_runs<'e>(conf: &JobConf, exec: &'e mut MapPhaseExec) -> Result<Vec<&'
 /// task's shuffle run — through a one-partition run and the combiner first
 /// when the job has one — and returns the sealed run and how many records
 /// the chain emitted.
-fn spill_map(conf: &JobConf, records: &[Record], ctx: &mut TaskCtx) -> (Spill, u64) {
+pub(crate) fn spill_map(conf: &JobConf, records: Chunk<'_>, ctx: &mut TaskCtx) -> (Spill, u64) {
     let num_r = conf.num_reducers.max(1);
     let partition = |key: &Datum| partition_of(conf, key, num_r);
     let input = records.iter().cloned();

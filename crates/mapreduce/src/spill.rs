@@ -335,7 +335,15 @@ impl Spill {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use efind_dfs::SharedChunk;
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::api::{drive, reducer_fn, run_chain, Mapper, MapperFactory};
+    use crate::runner::{partition_of, spill_map};
+    use crate::{JobConf, TaskCtx};
 
     fn by_key(partitions: usize) -> impl Fn(&Datum) -> usize {
         move |key: &Datum| key.as_int().unwrap_or(0).rem_euclid(partitions as i64) as usize
@@ -390,5 +398,140 @@ mod tests {
         }
         assert!(run.keys.len() > 2, "the keys fit one block");
         assert_eq!(run.seal(), want);
+    }
+
+    /// What a generated map stage does with each record.
+    #[derive(Clone, Debug)]
+    enum Kind {
+        /// Drops the records whose value is a multiple of the divisor.
+        Filter(i64),
+        /// Emits this many records, under the same key, for each one.
+        Expand(usize),
+        /// Holds every record until `flush`, then emits them reversed.
+        Hold,
+        /// Fails the task at the record of this value, and passes it on.
+        Fail(i64),
+    }
+
+    struct Stage {
+        kind: Kind,
+        held: Vec<Record>,
+    }
+
+    impl Mapper for Stage {
+        fn map(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
+            let value = rec.value.as_int().unwrap();
+            match self.kind {
+                Kind::Filter(m) if value % m == 0 => {}
+                Kind::Filter(_) => out.collect(rec),
+                Kind::Expand(n) => {
+                    for i in 0..n as i64 {
+                        out.collect(Record::new(rec.key.clone(), value * 7 + i));
+                    }
+                }
+                Kind::Hold => self.held.push(rec),
+                Kind::Fail(at) => {
+                    if value == at {
+                        ctx.fail(format!("failed at {at}"));
+                    }
+                    out.collect(rec);
+                }
+            }
+        }
+
+        fn flush(&mut self, out: &mut dyn Collector, _: &mut TaskCtx) {
+            for rec in self.held.drain(..).rev() {
+                out.collect(rec);
+            }
+        }
+    }
+
+    fn kind() -> impl Strategy<Value = Kind> {
+        prop_oneof![
+            (2i64..5).prop_map(Kind::Filter),
+            (0usize..4).prop_map(Kind::Expand),
+            Just(Kind::Hold),
+            (0i64..30).prop_map(Kind::Fail),
+        ]
+    }
+
+    /// Every `Datum` variant, with keys that are equal as numbers but not
+    /// as datums (`Int(1)`, `Float(1.0)`; `0.0`, `-0.0`).
+    fn key_pool() -> Vec<Datum> {
+        vec![
+            Datum::Null,
+            Datum::Bool(false),
+            Datum::Bool(true),
+            Datum::Int(1),
+            Datum::Int(-40),
+            Datum::Float(1.0),
+            Datum::Float(0.0),
+            Datum::Float(-0.0),
+            Datum::Text(String::new()),
+            Datum::Text("key".into()),
+            Datum::Bytes(vec![1, 0, 255]),
+            Datum::List(Vec::new()),
+            Datum::List(vec![Datum::Int(1), Datum::Text("x".into())]),
+        ]
+    }
+
+    proptest! {
+        /// A map task's chain driven straight into its run, from owned or
+        /// from shared input, spills what collecting the chain's output and
+        /// spilling that vector does: the same run, and the same emitted
+        /// count, output records and output bytes, and task error.
+        #[test]
+        fn a_streamed_run_equals_the_collected_run(
+            stages in prop::collection::vec(kind(), 0..=3),
+            keys in prop::collection::vec((0usize..13, 0i64..30), 0..60),
+            partitions in prop_oneof![Just(1usize), Just(8), Just(240)],
+        ) {
+            let pool = key_pool();
+            let input: Vec<Record> = keys
+                .iter()
+                .map(|&(k, v)| Record::new(pool[k].clone(), v))
+                .collect();
+            let mut conf = JobConf::new("streamed", "in", "out")
+                .with_reducer(reducer_fn(|_, _, _, _| {}), partitions);
+            for kind in stages {
+                let factory: MapperFactory = Arc::new(move || {
+                    Box::new(Stage {
+                        kind: kind.clone(),
+                        held: Vec::new(),
+                    })
+                });
+                conf = conf.add_mapper(factory);
+            }
+            let partition = |key: &Datum| partition_of(&conf, key, partitions);
+
+            let mut want_ctx = TaskCtx::new(0);
+            let out = run_chain(&conf.map_chain, input.clone(), &mut want_ctx);
+            let want_bytes: u64 = out.iter().map(Record::size_bytes).sum();
+            let want_emitted = out.len() as u64;
+            let want = collected(out, partitions, partition);
+
+            let mut owned_ctx = TaskCtx::new(0);
+            let mut writer = RunWriter::new(partitions, input.len(), partition);
+            drive(&conf.map_chain, input.clone().into_iter(), &mut writer, &mut owned_ctx);
+            let owned_emitted = writer.len() as u64;
+            let owned = writer.seal();
+
+            let mut shared_ctx = TaskCtx::new(0);
+            let shared_input = SharedChunk::from(input);
+            let (shared, shared_emitted) =
+                spill_map(&conf, shared_input.chunk(), &mut shared_ctx);
+
+            for (run, emitted, ctx) in [
+                (owned, owned_emitted, owned_ctx),
+                (shared, shared_emitted, shared_ctx),
+            ] {
+                prop_assert_eq!(emitted, want_emitted);
+                // `mr.map.output.records` and `mr.map.output.bytes`.
+                prop_assert_eq!(run.len() as u64, want_emitted);
+                prop_assert_eq!(run.bytes(), want_bytes);
+                prop_assert_eq!(ctx.error(), want_ctx.error());
+                prop_assert_eq!(&run, &want);
+            }
+        }
     }
 }

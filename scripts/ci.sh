@@ -61,61 +61,77 @@ efbench_gate() {
             exit !(failed + 0 == 0 && alloc + 0 <= max + 0)
         }'
 }
-# A lookup hands out the value list the index stores, and a map task's
-# chain hands its records on one at a time into one output vector that
-# moves into the DFS once, and a full cache stores each key once, so
+# A lookup hands out the value list the index stores, a map task's chain
+# hands its records on one at a time into one output vector, the DFS keeps
+# that vector as the output file's part instead of copying its records
+# into chunk blocks, and a full cache stores each key once, so
 # `lookup_cold` (240 k records, 1 KB values, nearly every lookup reaches
-# the index) allocates 84.02 MB. Caches that reserved their whole
-# capacity and kept a second clone of every key made it 87.57 MB, a vector
-# per chain stage 133.63 MB; one copy of the results anywhere on the
-# per-record path adds about 245 MB.
-efbench_gate lookup_cold 91
+# the index) allocates 68.67 MB. A write that copies each record into its
+# chunk makes it 84.02 MB, with caches that reserved their whole capacity
+# and kept a second clone of every key 87.57 MB, a vector per chain stage
+# 133.63 MB; one copy of the results anywhere on the per-record path adds
+# about 245 MB.
+efbench_gate lookup_cold 74
 # `wc_shuffle` (1.2 M records, string keys, integer values) allocates
-# 201.28 MB: each map task writes its output once into a run (keys encoded,
-# values moved) and each reduce task moves a value once into its group.
-# Records crossing the shuffle whole made it 220.30 MB; buckets grown by
-# doubling, a merged second copy and a merge sort's scratch buffer 567.42 MB.
-efbench_gate wc_shuffle 219
+# 138.91 MB: each map task's chain emits straight into its run (keys
+# encoded, values moved) and each reduce task moves a value once into its
+# group; its output is a thousand records, so a copying write reads the
+# same. Map output collected into a vector before it was spilled made it
+# 201.28 MB, records crossing the shuffle whole 220.30 MB; buckets grown
+# by doubling, a merged second copy and a merge sort's scratch buffer
+# 567.42 MB.
+efbench_gate wc_shuffle 150
 # `scanjoin_write` (integer keys, list values) is the one shuffling
 # workload whose values own heap blocks. Each value moves into its map
-# task's run and from there into its group, so it allocates 263.81 MB;
-# a run that encoded the values as well would add their bytes again.
-efbench_gate scanjoin_write 280
+# task's run and from there into its group, and the tagged input the
+# workload writes inside its timed section is stored as the vector it
+# was handed, so it allocates 243.04 MB. A copying write makes it
+# 257.44 MB; a run that encoded the values as well would add their bytes
+# again.
+efbench_gate scanjoin_write 262
 # A segment takes every record of its task through one carrier, and the
 # task's chain (segment, user map, statistics counter) hands records on
-# one at a time into one output vector, which moves into the DFS once, and
+# one at a time into one output vector, which the output file keeps, and
 # its caches grow with the keys they hold, so `lookup_hot` (120 k records,
-# four in five a cache hit) allocates 42.02 MB. Caches that reserved their
-# whole capacity and kept a second clone of every key made it 43.79 MB, a
-# vector per chain stage 66.82 MB, and a carrier, its key lists, its slots
-# and the lookup's result vector built afresh for every record 90.81 MB.
-efbench_gate lookup_hot 45
+# four in five a cache hit) allocates 34.34 MB. A copying write makes it
+# 42.02 MB, with caches that reserved their whole capacity and kept a
+# second clone of every key 43.79 MB, a vector per chain stage 66.82 MB,
+# and a carrier, its key lists, its slots and the lookup's result vector
+# built afresh for every record 90.81 MB.
+efbench_gate lookup_hot 37
 # The same carrier on both sides of the shuffle: a re-partitioned record
 # costs its payload buffer going in and the datums it decodes to coming
-# out, and the reduce side hands each group's records down its chain as
-# the map side does, so `lookup_repart` allocates 77.34 MB. Caches that
-# reserved their whole capacity and kept a second clone of every key made
-# it 78.52 MB, a vector per chain stage 86.20 MB, per-record carriers
-# 135.64 MB.
-efbench_gate lookup_repart 83
+# out, the map side's chain emits straight into its run, and the reduce
+# side hands each group's records down its chain as the map side does,
+# so `lookup_repart` allocates 71.12 MB. Its reduce outputs grow by
+# doubling, so trimming them costs what a copying write did (71.11 MB).
+# Map output collected into a vector before it was spilled made it
+# 77.34 MB, with caches that reserved their whole capacity and kept a
+# second clone of every key 78.52 MB, a vector per chain stage 86.20 MB,
+# per-record carriers 135.64 MB.
+efbench_gate lookup_repart 77
 # `lookup_armed` is `lookup_hot` with faults, a node crash, corruption,
 # partitions and hedging armed. Its oracle check runs on every iteration,
 # so `failed` 0 says no armed layer changed the answer. A verified chunk
 # read streams its CRC record by record through one buffer, an armed cache
-# insert encodes into buffers it keeps, and a draw hashes from the stack,
-# so it allocates 50.16 MB. Encoding each whole chunk to checksum it makes
-# it 72.70 MB; with that, per-insert encode buffers and caches that
-# reserved their whole capacity it read 81.73 MB, and a vector per chain
-# stage made that 104.76 MB.
-efbench_gate lookup_armed 54
+# insert encodes into buffers it keeps, a draw hashes from the stack and
+# the output file keeps the tasks' vectors, so it allocates 42.49 MB. A
+# copying write makes it 50.16 MB, and encoding each whole chunk to
+# checksum it 72.70 MB; with that, per-insert encode buffers and caches
+# that reserved their whole capacity it read 81.73 MB, and a vector per
+# chain stage made that 104.76 MB.
+efbench_gate lookup_armed 46
 # `q9_adaptive` (TPC-H Q9, five indices, a Dynamic then an Optimized run)
 # builds a shadow cache for each index of each map task and a lookup cache
 # for each cache-strategy task, most holding far fewer keys than their
-# 1 024-entry capacity. They grow with what they hold, so it allocates
-# 214.97 MB. Reserving each cache's whole capacity up front makes it
-# 355.04 MB, and 368.22 MB with a second clone of every key in the
-# cache's index.
-efbench_gate q9_adaptive 232
+# 1 024-entry capacity. They grow with what they hold, the re-plan's
+# remaining file views the input's chunks and every output file keeps
+# its tasks' vectors, so it allocates 193.53 MB. A copying write makes it
+# 207.60 MB, and map output collected into a vector before it was spilled
+# 214.97 MB; with that, reserving each cache's whole capacity up front
+# made it 355.04 MB, and a second clone of every key in the cache's index
+# 368.22 MB.
+efbench_gate q9_adaptive 209
 
 echo "== fault injection (pinned seed matrix) =="
 # Deterministic chaos sweep: per (seed, rate, strategy) cell two runs
