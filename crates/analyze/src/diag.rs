@@ -315,11 +315,6 @@ impl Report {
         self.diagnostics.iter().any(|d| d.code == code)
     }
 
-    /// Merges another report's findings into this one.
-    pub fn merge(&mut self, other: Report) {
-        self.diagnostics.extend(other.diagnostics);
-    }
-
     /// Renders the report as one line per diagnostic.
     pub fn to_text(&self) -> String {
         if self.is_clean() {

@@ -1,11 +1,10 @@
-//! Static plan analysis for the EFind reproduction.
+//! Diagnostics of the EFind static analysis.
 //!
-//! `efind-analyze` verifies an index job + its per-operator plans *before*
-//! execution: the core crate lowers the runtime types into the neutral
-//! [`model`] IR and [`analyze`] emits structured [`Diagnostic`]s with
-//! stable `EFxxx` codes. The checks of the runtime configuration a job
-//! runs under live beside the runtime types in `efind::analysis` and
-//! report through the same [`Report`]. Errors abort compilation; warnings
+//! `efind-analyze` is the vocabulary the checks report in: stable `EFxxx`
+//! [`DiagCode`]s, [`Severity`], [`Span`]s, [`Diagnostic`]s and the
+//! [`Report`] with its rendering. The checks themselves live beside the
+//! runtime types in `efind::analysis` and read the runtime's own plans,
+//! statistics and configuration. Errors abort compilation; warnings
 //! surface in `explain` output and at job start.
 //!
 //! See the "Static plan analysis" section of `DESIGN.md` for the full
@@ -13,13 +12,6 @@
 
 #![warn(missing_docs)]
 
-pub mod checks;
 pub mod diag;
-pub mod model;
 
-pub use checks::analyze;
 pub use diag::{DiagCode, Diagnostic, Report, Severity, Span};
-pub use model::{
-    ChoiceModel, IndexModel, IndexStatsModel, MeasuredStatsModel, OperatorCosts, OperatorModel,
-    PlacementKind, PlanModel, StrategyKind,
-};

@@ -548,6 +548,14 @@ mod tests {
     }
 
     #[test]
+    fn key_kind_compatibility() {
+        assert!(KeyKind::Any.compatible(KeyKind::Int));
+        assert!(KeyKind::Int.compatible(KeyKind::Any));
+        assert!(KeyKind::Int.compatible(KeyKind::Int));
+        assert!(!KeyKind::Int.compatible(KeyKind::Text));
+    }
+
+    #[test]
     fn roundtrip_all_variants() {
         let values = vec![
             Datum::Null,

@@ -1,25 +1,25 @@
-//! Bridge to the `efind-analyze` static plan verifier, and the checks of
-//! the runtime configuration a job runs under.
+//! The static checks of a job before it runs: its plans and the runtime
+//! configuration it runs under.
 //!
-//! The analyzer crate knows nothing about the runtime types; this module
-//! lowers an [`IndexJobConf`] plus per-operator [`OperatorPlan`]s into its
-//! neutral plan IR and runs the plan checks there. The job-wide
-//! configuration checks need no IR: they read the [`RuntimeEnv`] fields
-//! themselves and skip a layer exactly when its own `is_quiet()` says so,
-//! the call the runtime makes. [`crate::compile::compile_pipeline`] calls
+//! Every check reads the runtime's own values. The plan checks (`EF001`–
+//! `EF014`, `EF019`, `EF023`) see each operator as its `BoundOperator`,
+//! placement and `OperatorPlan`, plus — for the cost checks — the catalog
+//! statistics the plan was priced from and the costs derived from them.
+//! The configuration checks read the [`RuntimeEnv`] fields and skip a
+//! layer exactly when its own `is_quiet()` says so, the call the runtime
+//! makes. `efind-analyze` supplies only the diagnostic vocabulary: codes,
+//! spans and the [`Report`]. [`crate::compile::compile_pipeline`] calls
 //! [`analyze_job_in_env`] before building any stage — analyzer errors
 //! abort compilation, warnings ride along in the compiled pipeline and are
 //! printed at job start. [`analyze_costs`] additionally exercises the
 //! statistics-dependent checks (`EF009`–`EF011`, `EF013`, `EF019`) from
 //! catalog statistics, for `explain`-style reporting.
 
-use efind_analyze::{
-    analyze, ChoiceModel, DiagCode, Diagnostic, IndexModel, IndexStatsModel, MeasuredStatsModel,
-    OperatorCosts, OperatorModel, PlacementKind, PlanModel, Report, Span, StrategyKind,
-};
+use efind_analyze::{DiagCode, Diagnostic, Report, Span};
 use efind_cluster::{SimDuration, TenancyConfig};
-use efind_common::{Error, FxHashMap, Result};
+use efind_common::{Error, FxHashMap, FxHashSet, Result};
 
+use crate::accessor::IndexAccessor;
 use crate::compile::RuntimeEnv;
 use crate::cost::{s_min, CostEnv, IndexStatsEstimate, OperatorStatsEstimate, Placement};
 use crate::fault::{FaultConfig, MissPolicy};
@@ -27,97 +27,131 @@ use crate::jobconf::{BoundOperator, IndexJobConf};
 use crate::plan::{
     doubled_n1_probe, forced_plan, optimize_operator, Enumeration, OperatorPlan, Strategy,
 };
+use crate::statstore::MeasuredOp;
 use crate::statsx::Catalog;
 
-fn strategy_kind(s: Strategy) -> StrategyKind {
-    match s {
-        Strategy::Baseline => StrategyKind::Baseline,
-        Strategy::Cache => StrategyKind::Cache,
-        Strategy::Repartition => StrategyKind::Repartition,
-        Strategy::IndexLocality => StrategyKind::IndexLocality,
-    }
-}
+/// Relative tolerance for float comparisons over cost estimates.
+const EPS: f64 = 1e-9;
 
-fn placement_kind(p: Placement) -> PlacementKind {
-    match p {
-        Placement::Head => PlacementKind::Head,
-        Placement::Body => PlacementKind::Body,
-        Placement::Tail => PlacementKind::Tail,
-    }
-}
-
-fn operator_model(
-    bound: &BoundOperator,
+/// One operator as the plan checks see it.
+struct OperatorView<'a> {
+    /// Position in head → body → tail order.
+    pos: usize,
+    bound: &'a BoundOperator,
     placement: Placement,
-    plan: &OperatorPlan,
-) -> OperatorModel {
-    let indices = bound
-        .indices
-        .iter()
-        .map(|acc| {
-            let scheme = acc.partition_scheme();
-            IndexModel {
-                name: acc.name().to_owned(),
-                deterministic: acc.deterministic(),
-                // Shuffleability (exactly one key per record) is a runtime
-                // property; statically it is assumed, matching `caps()`.
-                shuffleable: true,
-                has_partition_scheme: scheme.is_some(),
-                partitions: scheme.map(|s| s.num_partitions()).unwrap_or(0),
-                key_kind: acc.key_kind(),
-                nik: None,
+    plan: &'a OperatorPlan,
+    /// The catalog statistics the plan was priced from, partition schemes
+    /// refreshed from the bound accessors; only [`analyze_costs`] has them.
+    stats: Option<&'a OperatorStatsEstimate>,
+    /// What [`operator_costs`] derived from `stats`.
+    costs: Option<&'a OperatorCosts>,
+}
+
+impl<'a> OperatorView<'a> {
+    fn name(&self) -> &'a str {
+        self.bound.op.name()
+    }
+
+    fn span(&self) -> Span {
+        Span::operator(self.pos, self.name())
+    }
+
+    /// The span of declaration-order index `slot`; `?` names a slot out of
+    /// range, which `EF001` reports.
+    fn index_span(&self, slot: usize) -> Span {
+        let index = self.bound.indices.get(slot).map_or("?", |a| a.name());
+        Span::index(self.pos, self.name(), index)
+    }
+
+    fn index_stats(&self, slot: usize) -> Option<&'a IndexStatsEstimate> {
+        self.stats.and_then(|s| s.indices.get(slot))
+    }
+}
+
+/// Statistics-derived cost facts for one operator; the stat-dependent
+/// checks (`EF009`–`EF011`, `EF013`, `EF019`) are skipped without them.
+struct OperatorCosts {
+    /// Input records (`N1`).
+    n1: f64,
+    /// Cache probe time `T_cache` in seconds (the `EF010` floor input).
+    t_cache_secs: f64,
+    /// Best plan cost under FullEnumerate.
+    full_est_secs: f64,
+    /// Best plan cost under k-Repart.
+    krepart_est_secs: f64,
+    /// The `k` used for the k-Repart comparison.
+    krepart_k: usize,
+    /// `S_min` at each plan position, in access order.
+    s_min_by_position: Vec<f64>,
+    /// Carried intermediate size at each plan position, in access order.
+    carried_by_position: Vec<f64>,
+    /// Best plan cost re-estimated with the input cardinality doubled
+    /// (`N1 → 2·N1`). The Eq. 1–4 estimates are sums of terms linear in
+    /// `N1`, so this can never be below the plan cost at `N1` — `EF019`
+    /// enforces that monotonicity.
+    est_at_double_n1_secs: Option<f64>,
+}
+
+/// Pairs each operator of the job with its plan. A missing plan is an
+/// internal error: the planner plans every operator.
+fn operator_views<'a>(
+    ijob: &'a IndexJobConf,
+    plans: &'a FxHashMap<String, OperatorPlan>,
+) -> Result<Vec<OperatorView<'a>>> {
+    ijob.operators()
+        .enumerate()
+        .map(|(pos, (bound, placement))| {
+            let name = bound.op.name();
+            let plan = plans
+                .get(name)
+                .ok_or_else(|| Error::Internal(format!("no plan for operator {name}")))?;
+            Ok(OperatorView {
+                pos,
+                bound,
+                placement,
+                plan,
                 stats: None,
-            }
-        })
-        .collect();
-    OperatorModel {
-        name: bound.op.name().to_owned(),
-        placement: placement_kind(placement),
-        declared_arity: bound.op.num_indices(),
-        volatile: bound.volatile,
-        indices,
-        lookup_key_kinds: bound.key_kinds.clone(),
-        choices: plan
-            .choices
-            .iter()
-            .map(|c| ChoiceModel {
-                slot: c.index,
-                strategy: strategy_kind(c.strategy),
-                est_cost_secs: c.est_cost_secs,
+                costs: None,
             })
-            .collect(),
-        est_cost_secs: plan.est_cost_secs,
-        costs: None,
-    }
+        })
+        .collect()
 }
 
-/// Lowers a job and its plans into the analyzer's IR. A missing plan is an
-/// internal error, exactly as the compiler reported it before the analyzer
-/// existed.
-pub fn job_model(
-    ijob: &IndexJobConf,
-    plans: &FxHashMap<String, OperatorPlan>,
-) -> Result<PlanModel> {
-    let mut operators = Vec::new();
-    for (bound, placement) in ijob.operators() {
-        let plan = plans
-            .get(bound.op.name())
-            .ok_or_else(|| Error::Internal(format!("no plan for operator {}", bound.op.name())))?;
-        operators.push(operator_model(bound, placement, plan));
+/// Runs every plan check and returns the combined report: `EF002` over
+/// the job, each operator's checks in turn, then `EF023` over the
+/// store-served statistics. Checks are independent; one malformed
+/// operator produces every diagnostic it earns, not just the first.
+fn check_plans(has_reduce: bool, ops: &[OperatorView], measured: &[MeasuredOp]) -> Report {
+    let mut report = Report::new();
+    check_duplicate_names(ops, &mut report);
+    for op in ops {
+        check_arity(op, &mut report);
+        check_tail_placement(op, has_reduce, &mut report);
+        check_strategy_order(op, &mut report);
+        check_strategy_capabilities(op, &mut report);
+        check_key_kinds(op, &mut report);
+        check_partition_schemes(op, &mut report);
+        check_cost_sanity(op, &mut report);
+        check_cache_floor(op, &mut report);
+        check_s_min_monotonicity(op, &mut report);
+        check_determinism(op, &mut report);
+        check_enumeration_agreement(op, &mut report);
+        check_volatile_pinning(op, &mut report);
+        check_stats_tokens(op, &mut report);
+        check_cost_monotonicity(op, &mut report);
     }
-    Ok(PlanModel {
-        job: ijob.name.clone(),
-        has_reduce: ijob.has_reduce(),
-        operators,
-        measured: Vec::new(),
-    })
+    for m in measured {
+        check_measured_stats(ops, m, &mut report);
+    }
+    report
 }
 
-/// Runs the structural checks over a job and its plans: the model of a
-/// job in the default environment, where no injection layer is armed and
-/// nothing about the runtime configuration is known.
+/// Runs the structural checks over a job and its plans: the job in the
+/// default environment, where no injection layer is armed and nothing
+/// about the runtime configuration is known.
 pub fn analyze_job(ijob: &IndexJobConf, plans: &FxHashMap<String, OperatorPlan>) -> Result<Report> {
-    Ok(analyze(&job_model(ijob, plans)?))
+    let ops = operator_views(ijob, plans)?;
+    Ok(check_plans(ijob.has_reduce(), &ops, &[]))
 }
 
 /// [`analyze_job`] plus the `EF023` checks of store-served statistics,
@@ -131,13 +165,14 @@ pub fn analyze_job_in_env(
     plans: &FxHashMap<String, OperatorPlan>,
     env: &RuntimeEnv,
 ) -> Result<Report> {
-    let mut model = job_model(ijob, plans)?;
-    model.measured = env.measured.iter().map(measured_model).collect();
-    let mut report = analyze(&model);
-    let cache_in_use = model
-        .operators
-        .iter()
-        .any(|op| op.choices.iter().any(|c| c.strategy == StrategyKind::Cache));
+    let ops = operator_views(ijob, plans)?;
+    let mut report = check_plans(ijob.has_reduce(), &ops, &env.measured);
+    let cache_in_use = ops.iter().any(|op| {
+        op.plan
+            .choices
+            .iter()
+            .any(|c| c.strategy == Strategy::Cache)
+    });
     check_faults(&env.faults, &mut report);
     check_corruption(env, cache_in_use, &mut report);
     check_chaos(env, &mut report);
@@ -145,8 +180,540 @@ pub fn analyze_job_in_env(
     let tenant = ijob.tenant.as_deref().or(env.tenant.as_deref());
     check_tenancy(&env.tenancy, tenant, &mut report);
     check_partitions(env, &mut report);
-    check_hedging(env, &model, &mut report);
+    check_hedging(env, &ops, &mut report);
     Ok(report)
+}
+
+/// EF002: operator names must be unique within one job.
+fn check_duplicate_names(ops: &[OperatorView], report: &mut Report) {
+    let mut seen = FxHashSet::default();
+    for op in ops {
+        if !seen.insert(op.name()) {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF002,
+                    op.span(),
+                    format!("duplicate operator name `{}`", op.name()),
+                )
+                .with_hint("rename one of the operators; statistics and plans are keyed by name"),
+            );
+        }
+    }
+}
+
+/// EF001: bound accessors and plan choices must both match the declared
+/// arity, and every choice must target a distinct, in-range slot.
+fn check_arity(op: &OperatorView, report: &mut Report) {
+    let declared = op.bound.op.num_indices();
+    let bound = op.bound.indices.len();
+    if bound != declared {
+        report.push(
+            Diagnostic::error(
+                DiagCode::EF001,
+                op.span(),
+                format!("operator declares {declared} indices but {bound} accessors are bound"),
+            )
+            .with_hint("bind exactly one accessor per declared index with add_index"),
+        );
+    }
+    let choices = &op.plan.choices;
+    if choices.len() != bound {
+        report.push(
+            Diagnostic::error(
+                DiagCode::EF001,
+                op.span(),
+                format!("plan covers {} of {bound} bound indices", choices.len()),
+            )
+            .with_hint("every bound index needs exactly one access choice"),
+        );
+    }
+    let mut seen = FxHashSet::default();
+    for choice in choices {
+        if choice.index >= bound {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF001,
+                    op.span(),
+                    format!(
+                        "plan references index slot {} but only {bound} indices are bound",
+                        choice.index
+                    ),
+                )
+                .with_hint("plan slots must index into the operator's declaration order"),
+            );
+        } else if !seen.insert(choice.index) {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF001,
+                    op.index_span(choice.index),
+                    format!("index slot {} is accessed more than once", choice.index),
+                )
+                .with_hint("a plan accesses each index exactly once"),
+            );
+        }
+    }
+}
+
+/// EF003: tail operators need a reduce phase to attach to.
+fn check_tail_placement(op: &OperatorView, has_reduce: bool, report: &mut Report) {
+    if op.placement == Placement::Tail && !has_reduce {
+        report.push(
+            Diagnostic::error(
+                DiagCode::EF003,
+                op.span(),
+                "tail operator in a map-only job",
+            )
+            .with_hint("add a reduce phase or move the operator to head/body placement"),
+        );
+    }
+}
+
+/// EF004 (Property 4): shuffle-strategy accesses must precede
+/// baseline/cache accesses — a shuffle after a record-wise lookup would
+/// re-shuffle data that already carries lookup results, which the cost
+/// model proves is never optimal and the compiler never exploits.
+fn check_strategy_order(op: &OperatorView, report: &mut Report) {
+    for (prev, i) in op.plan.property4_violations() {
+        let choice = &op.plan.choices[i];
+        report.push(
+            Diagnostic::error(
+                DiagCode::EF004,
+                op.index_span(choice.index),
+                format!(
+                    "{} access at plan position {i} follows a non-shuffle access \
+                     at position {prev} (Property 4 violation)",
+                    choice.strategy.label(),
+                ),
+            )
+            .with_hint("reorder the plan so shuffle-strategy indices come first"),
+        );
+    }
+}
+
+/// EF005/EF006: a strategy may only be chosen for an index that supports
+/// it — index locality needs a partition scheme, shuffles need a
+/// shuffleable index. Shuffleability (exactly one key per record) is a
+/// runtime property: without statistics it is assumed, as
+/// [`BoundOperator::caps`] does.
+fn check_strategy_capabilities(op: &OperatorView, report: &mut Report) {
+    for choice in &op.plan.choices {
+        let Some(acc) = op.bound.indices.get(choice.index) else {
+            continue; // out-of-range slots already reported as EF001
+        };
+        let strategy = choice.strategy;
+        if strategy == Strategy::IndexLocality && acc.partition_scheme().is_none() {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF005,
+                    op.index_span(choice.index),
+                    "index locality chosen for an index with no partition scheme",
+                )
+                .with_hint(
+                    "expose a PartitionScheme from the accessor or fall back to re-partitioning",
+                ),
+            );
+        }
+        let shuffleable = op.index_stats(choice.index).is_none_or(|s| s.shuffleable);
+        if strategy.is_shuffle() && !shuffleable {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF006,
+                    op.index_span(choice.index),
+                    format!(
+                        "{} strategy chosen for a non-shuffleable index",
+                        strategy.label()
+                    ),
+                )
+                .with_hint("non-shuffleable indices support only baseline/cache access"),
+            );
+        }
+    }
+}
+
+/// EF007: the key kind an operator emits for a slot must be compatible
+/// with what the accessor accepts.
+fn check_key_kinds(op: &OperatorView, report: &mut Report) {
+    for (slot, acc) in op.bound.indices.iter().enumerate() {
+        let emitted = op.bound.key_kinds.get(slot).copied().unwrap_or_default();
+        let accepted = acc.key_kind();
+        if !emitted.compatible(accepted) {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF007,
+                    op.index_span(slot),
+                    format!(
+                        "operator emits {} lookup keys but the accessor expects {}",
+                        emitted.label(),
+                        accepted.label()
+                    ),
+                )
+                .with_hint("fix preProcess's key extraction or the accessor's declared key kind"),
+            );
+        }
+    }
+}
+
+/// EF008: a partition scheme with zero partitions cannot route anything.
+/// Statistics that recorded a partition count stand in for the scheme's.
+fn check_partition_schemes(op: &OperatorView, report: &mut Report) {
+    for (slot, acc) in op.bound.indices.iter().enumerate() {
+        let Some(scheme) = acc.partition_scheme() else {
+            continue;
+        };
+        let recorded = op.index_stats(slot).map_or(0, |s| s.partitions);
+        if recorded == 0 && scheme.num_partitions() == 0 {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF008,
+                    op.index_span(slot),
+                    "degenerate partition scheme: zero partitions",
+                )
+                .with_hint("num_partitions must be at least 1"),
+            );
+        }
+    }
+}
+
+/// EF009: every cost estimate must be a non-negative finite number.
+fn check_cost_sanity(op: &OperatorView, report: &mut Report) {
+    let bad = |v: f64| v.is_nan() || v < -EPS;
+    let plan = op.plan;
+    if bad(plan.est_cost_secs) {
+        report.push(
+            Diagnostic::error(
+                DiagCode::EF009,
+                op.span(),
+                format!(
+                    "operator plan cost {} is negative or NaN",
+                    plan.est_cost_secs
+                ),
+            )
+            .with_hint("cost estimates are sums of non-negative terms; check the statistics"),
+        );
+    }
+    for choice in &plan.choices {
+        if bad(choice.est_cost_secs) {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF009,
+                    op.index_span(choice.index),
+                    format!(
+                        "{} access cost {} is negative or NaN",
+                        choice.strategy.label(),
+                        choice.est_cost_secs
+                    ),
+                )
+                .with_hint("cost estimates are sums of non-negative terms; check the statistics"),
+            );
+        }
+    }
+    let Some(costs) = op.costs else { return };
+    for (what, v) in [
+        ("N1", costs.n1),
+        ("FullEnumerate cost", costs.full_est_secs),
+        ("k-Repart cost", costs.krepart_est_secs),
+    ] {
+        if bad(v) {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF009,
+                    op.span(),
+                    format!("{what} {v} is negative or NaN"),
+                )
+                .with_hint("statistics and derived costs must be non-negative"),
+            );
+        }
+    }
+    for seq in [&costs.s_min_by_position, &costs.carried_by_position] {
+        for &v in seq {
+            if bad(v) {
+                report.push(
+                    Diagnostic::error(
+                        DiagCode::EF009,
+                        op.span(),
+                        format!("size term {v} is negative or NaN"),
+                    )
+                    .with_hint("record and result sizes must be non-negative"),
+                );
+            }
+        }
+    }
+}
+
+/// EF010: a cache-strategy estimate can never be below the probe floor
+/// `N1 · Nik · T_cache` — every key pays at least one cache probe (Eq. 2).
+fn check_cache_floor(op: &OperatorView, report: &mut Report) {
+    let Some(costs) = op.costs else { return };
+    for choice in &op.plan.choices {
+        if choice.strategy != Strategy::Cache || choice.est_cost_secs <= 0.0 {
+            continue; // forced plans carry est 0.0 — nothing to sanity-check
+        }
+        let Some(stats) = op.index_stats(choice.index) else {
+            continue;
+        };
+        if choice.index >= op.bound.indices.len() {
+            continue; // out-of-range slots already reported as EF001
+        }
+        let floor = costs.n1 * stats.nik * costs.t_cache_secs;
+        if choice.est_cost_secs < floor * (1.0 - 1e-6) {
+            report.push(
+                Diagnostic::warning(
+                    DiagCode::EF010,
+                    op.index_span(choice.index),
+                    format!(
+                        "cache estimate {:.6}s is below the T_cache probe floor {:.6}s",
+                        choice.est_cost_secs, floor
+                    ),
+                )
+                .with_hint("every requested key pays at least one cache probe (Eq. 2)"),
+            );
+        }
+    }
+}
+
+/// EF011: `S_min` is a minimum over a set that includes the carried size,
+/// so it can never exceed it; and the carried size only grows along the
+/// access order (each access appends `Nik · Siv` of results). A violation
+/// means the statistics feeding the cost model are inconsistent.
+fn check_s_min_monotonicity(op: &OperatorView, report: &mut Report) {
+    let Some(costs) = op.costs else { return };
+    for (i, (&s_min, &carried)) in costs
+        .s_min_by_position
+        .iter()
+        .zip(&costs.carried_by_position)
+        .enumerate()
+    {
+        if s_min > carried * (1.0 + 1e-6) + EPS {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF011,
+                    op.span(),
+                    format!(
+                        "S_min {s_min:.1}B exceeds the carried size {carried:.1}B \
+                         at plan position {i}"
+                    ),
+                )
+                .with_hint("S_min is a minimum including the carried size; check the statistics"),
+            );
+        }
+    }
+    for (i, w) in costs.carried_by_position.windows(2).enumerate() {
+        if w[1] < w[0] * (1.0 - 1e-6) - EPS {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF011,
+                    op.span(),
+                    format!(
+                        "carried size shrinks from {:.1}B to {:.1}B between plan \
+                         positions {i} and {}",
+                        w[0],
+                        w[1],
+                        i + 1
+                    ),
+                )
+                .with_hint("each access appends Nik·Siv of lookup results; sizes cannot decrease"),
+            );
+        }
+    }
+}
+
+/// EF012: the adaptive runtime reuses completed-wave outputs across a
+/// mid-job plan change, which is only sound when every lookup is a pure
+/// function of its key (§3.2). Non-deterministic accessors statically
+/// disable that result reuse.
+fn check_determinism(op: &OperatorView, report: &mut Report) {
+    for (slot, acc) in nondeterministic_accessors(op.bound) {
+        report.push(
+            Diagnostic::warning(
+                DiagCode::EF012,
+                op.index_span(slot),
+                format!(
+                    "accessor `{}` is non-deterministic: adaptive re-optimization \
+                     result-reuse is disabled for this job",
+                    acc.name()
+                ),
+            )
+            .with_hint(
+                "Dynamic mode will run the static baseline plan; make lookup \
+                 idempotent to re-enable adaptive optimization",
+            ),
+        );
+    }
+}
+
+/// EF013: FullEnumerate and k-Repart disagreeing on plan cost means the
+/// cheap algorithm's prefix bound is cutting off the optimum — worth
+/// surfacing so the user can raise `k` or switch to full enumeration.
+fn check_enumeration_agreement(op: &OperatorView, report: &mut Report) {
+    let Some(costs) = op.costs else { return };
+    let scale = costs.full_est_secs.abs().max(1.0);
+    if (costs.full_est_secs - costs.krepart_est_secs).abs() > 1e-6 * scale {
+        report.push(
+            Diagnostic::warning(
+                DiagCode::EF013,
+                op.span(),
+                format!(
+                    "FullEnumerate ({:.4}s) and {}-Repart ({:.4}s) pick plans of \
+                     different cost",
+                    costs.full_est_secs, costs.krepart_k, costs.krepart_est_secs
+                ),
+            )
+            .with_hint("raise k or use Enumeration::Full for this operator count"),
+        );
+    }
+}
+
+/// EF014: a volatile (non-idempotent) operator must run the baseline
+/// strategy on every index — caching or deduplicating its lookups would
+/// change results.
+fn check_volatile_pinning(op: &OperatorView, report: &mut Report) {
+    if !op.bound.volatile {
+        return;
+    }
+    for choice in &op.plan.choices {
+        if choice.strategy != Strategy::Baseline {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF014,
+                    op.index_span(choice.index),
+                    format!(
+                        "volatile operator planned with the {} strategy",
+                        choice.strategy.label()
+                    ),
+                )
+                .with_hint("volatile operators are pinned to baseline in every mode (§3.2)"),
+            );
+        }
+    }
+}
+
+/// A statistics token outside its legal range: name, value, legal range.
+type BadToken = (&'static str, f64, &'static str);
+
+/// The `[0, inf)` rule of sizes, times, `N1` and `Nik`.
+fn non_negative(what: &'static str, v: f64) -> Option<BadToken> {
+    (!v.is_finite() || v < 0.0).then_some((what, v, "[0, inf)"))
+}
+
+/// The legal range of every per-index token feeding Eqs. 1–4, shared by
+/// `EF019` (`statsx` estimates) and `EF023` (store-served measurements).
+/// A NaN is outside every range.
+fn bad_index_tokens(s: &IndexStatsEstimate) -> impl Iterator<Item = BadToken> {
+    [
+        non_negative("Sik", s.sik),
+        non_negative("Siv", s.siv),
+        non_negative("Tj", s.tj_secs),
+        (!(0.0..=1.0 + EPS).contains(&s.miss_ratio)).then_some(("miss", s.miss_ratio, "[0, 1]")),
+        (!s.theta.is_finite() || s.theta < 1.0 - EPS).then_some(("theta", s.theta, "[1, inf)")),
+        (!(0.0..1.0).contains(&s.failure_rate)).then_some(("fail", s.failure_rate, "[0, 1)")),
+    ]
+    .into_iter()
+    .flatten()
+}
+
+/// The doubled-`N1` probe of `EF019` and `EF023`: the Eq. 1–4 estimates
+/// are sums of terms linear in `N1`, so the best plan cost at `2·N1` may
+/// not drop below the cost at `N1`.
+fn drops_when_n1_doubles(full_est_secs: f64, doubled_est_secs: f64) -> bool {
+    doubled_est_secs < full_est_secs * (1.0 - 1e-6) - EPS
+}
+
+/// EF019 (part 1): every `statsx` token feeding Eqs. 1–4 must sit in its
+/// legal range. Out-of-range tokens poison every downstream estimate, so
+/// they are errors, not warnings.
+fn check_stats_tokens(op: &OperatorView, report: &mut Report) {
+    let Some(stats) = op.stats else { return };
+    for (acc, s) in op.bound.indices.iter().zip(&stats.indices) {
+        for (what, value, legal) in bad_index_tokens(s).chain(non_negative("Nik", s.nik)) {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF019,
+                    Span::index(op.pos, op.name(), acc.name()),
+                    format!("statistics token {what} = {value} is outside {legal}"),
+                )
+                .with_hint(
+                    "the statsx extraction produced an impossible token; the Eq. 1-4 \
+                     estimates built from it are meaningless",
+                ),
+            );
+        }
+    }
+}
+
+/// EF019 (part 2): the Eq. 1–4 estimates are sums of terms linear in the
+/// input cardinality `N1`, so re-planning with `N1` doubled can never
+/// produce a *cheaper* best plan. A decrease means the cost model and the
+/// statistics disagree about what `N1` multiplies.
+fn check_cost_monotonicity(op: &OperatorView, report: &mut Report) {
+    let Some(costs) = op.costs else { return };
+    let Some(doubled) = costs.est_at_double_n1_secs else {
+        return;
+    };
+    if drops_when_n1_doubles(costs.full_est_secs, doubled) {
+        report.push(
+            Diagnostic::error(
+                DiagCode::EF019,
+                op.span(),
+                format!(
+                    "best plan cost drops from {:.6}s to {:.6}s when N1 doubles: \
+                     the estimate is not monotone in input cardinality",
+                    costs.full_est_secs, doubled
+                ),
+            )
+            .with_hint(
+                "Eq. 1-4 are sums of non-negative terms linear in N1; a decreasing \
+                 estimate means a term is subtracting input size",
+            ),
+        );
+    }
+}
+
+/// EF023: measured statistics injected from the cross-job store must
+/// satisfy the same invariants `EF019` enforces for `statsx` tokens —
+/// every token in its legal range and the Eq. 1–4 best-plan estimate
+/// monotone under the doubled-`N1` probe. Errors, not warnings: a store
+/// entry that fails here would poison every warm-start plan built from
+/// it, so the compile aborts and the caller falls back to estimates.
+fn check_measured_stats(ops: &[OperatorView], m: &MeasuredOp, report: &mut Report) {
+    let pos = ops
+        .iter()
+        .position(|op| op.name() == m.operator)
+        .unwrap_or(0);
+    let indices = &m.stats.indices;
+    let bad = non_negative("N1", m.stats.n1)
+        .into_iter()
+        .chain(indices.iter().filter_map(|s| non_negative("Nik", s.nik)))
+        .chain(indices.iter().flat_map(bad_index_tokens));
+    for (what, value, legal) in bad {
+        report.push(
+            Diagnostic::error(
+                DiagCode::EF023,
+                Span::operator(pos, &m.operator),
+                format!("measured statistics token {what} = {value} is outside {legal}"),
+            )
+            .with_hint(
+                "the cross-job store served an impossible token; the warm-start plan \
+                 built from it is meaningless — fall back to estimates",
+            ),
+        );
+    }
+    if drops_when_n1_doubles(m.full_est_secs, m.est_at_double_n1_secs) {
+        report.push(
+            Diagnostic::error(
+                DiagCode::EF023,
+                Span::operator(pos, &m.operator),
+                format!(
+                    "measured-stats plan cost drops from {:.6}s to {:.6}s when the \
+                     recorded N1 doubles: the estimate is not monotone in input cardinality",
+                    m.full_est_secs, m.est_at_double_n1_secs
+                ),
+            )
+            .with_hint(
+                "Eq. 1-4 are sums of non-negative terms linear in N1; a decreasing \
+                 estimate means the stored history disagrees with the cost model",
+            ),
+        );
+    }
 }
 
 /// A job-scoped error with its fix hint.
@@ -500,22 +1067,19 @@ fn check_partitions(env: &RuntimeEnv, report: &mut Report) {
 /// unreplicated DFS) makes the backup race the very service it is hedging
 /// against — it can never answer sooner and only adds virtual cost under
 /// the charge-both policy.
-fn check_hedging(env: &RuntimeEnv, model: &PlanModel, report: &mut Report) {
+fn check_hedging(env: &RuntimeEnv, ops: &[OperatorView], report: &mut Report) {
     if env.hedge.is_quiet() {
         return;
     }
     let replicas = env.dfs_replication;
-    for (pos, op) in model.operators.iter().enumerate() {
-        for idx in &op.indices {
-            let sides = if idx.has_partition_scheme {
-                idx.partitions
-            } else {
-                replicas
-            };
+    for op in ops {
+        for (slot, acc) in op.bound.indices.iter().enumerate() {
+            let scheme = acc.partition_scheme();
+            let sides = scheme.as_ref().map_or(replicas, |s| s.num_partitions());
             if sides > 1 {
                 continue;
             }
-            let what = if idx.has_partition_scheme {
+            let what = if scheme.is_some() {
                 "exposes a single partition-side".to_string()
             } else {
                 format!("exposes no partition scheme and the DFS holds {replicas} replica(s)")
@@ -523,11 +1087,11 @@ fn check_hedging(env: &RuntimeEnv, model: &PlanModel, report: &mut Report) {
             report.push(
                 Diagnostic::warning(
                     DiagCode::EF026,
-                    Span::index(pos, &op.name, &idx.name),
+                    op.index_span(slot),
                     format!(
                         "hedged lookups are armed but index `{}` {what}: the backup \
                          races the same service and can only lose",
-                        idx.name
+                        acc.name()
                     ),
                 )
                 .with_hint(
@@ -536,31 +1100,6 @@ fn check_hedging(env: &RuntimeEnv, model: &PlanModel, report: &mut Report) {
                 ),
             );
         }
-    }
-}
-
-/// The per-index tokens `EF019` and `EF023` range-check.
-fn index_stats_model(s: &IndexStatsEstimate) -> IndexStatsModel {
-    IndexStatsModel {
-        sik_bytes: s.sik,
-        siv_bytes: s.siv,
-        tj_secs: s.tj_secs,
-        miss_ratio: s.miss_ratio,
-        theta: s.theta,
-        failure_rate: s.failure_rate,
-    }
-}
-
-/// Lowers one cross-job store injection into the analyzer's IR for the
-/// `EF023` measured-stats checks.
-fn measured_model(m: &crate::statstore::MeasuredOp) -> MeasuredStatsModel {
-    MeasuredStatsModel {
-        operator: m.operator.clone(),
-        n1: m.stats.n1,
-        nik: m.stats.indices.iter().map(|i| i.nik).collect(),
-        indices: m.stats.indices.iter().map(index_stats_model).collect(),
-        full_est_secs: m.full_est_secs,
-        est_at_double_n1_secs: m.est_at_double_n1_secs,
     }
 }
 
@@ -573,35 +1112,33 @@ pub fn analyze_costs(
     env: &CostEnv,
     enumeration: Enumeration,
 ) -> Report {
-    let mut operators = Vec::new();
-    for (bound, placement) in ijob.operators() {
-        let Some(stats) = catalog.get(bound.op.name()) else {
-            let plan = forced_plan(&bound.caps(), Strategy::Baseline);
-            operators.push(operator_model(bound, placement, &plan));
-            continue;
-        };
-        let mut stats = stats.clone();
-        stats.refresh_partition_schemes(&bound.caps());
-        let plan = optimize_operator(&stats, env, placement, enumeration);
-        let mut model = operator_model(bound, placement, &plan);
-        // Enrich the structural model with what the statistics know.
-        for (m, s) in model.indices.iter_mut().zip(&stats.indices) {
-            m.shuffleable = s.shuffleable;
-            m.nik = Some(s.nik);
-            if s.partitions > 0 {
-                m.partitions = s.partitions;
-            }
-            m.stats = Some(index_stats_model(s));
-        }
-        model.costs = Some(operator_costs(&stats, env, placement, &plan, enumeration));
-        operators.push(model);
-    }
-    analyze(&PlanModel {
-        job: ijob.name.clone(),
-        has_reduce: ijob.has_reduce(),
-        operators,
-        measured: Vec::new(),
-    })
+    let priced: Vec<_> = ijob
+        .operators()
+        .map(|(bound, placement)| {
+            let Some(stats) = catalog.get(bound.op.name()) else {
+                let plan = forced_plan(&bound.caps(), Strategy::Baseline);
+                return (bound, placement, plan, None);
+            };
+            let mut stats = stats.clone();
+            stats.refresh_partition_schemes(&bound.caps());
+            let plan = optimize_operator(&stats, env, placement, enumeration);
+            let costs = operator_costs(&stats, env, placement, &plan, enumeration);
+            (bound, placement, plan, Some((stats, costs)))
+        })
+        .collect();
+    let ops: Vec<_> = priced
+        .iter()
+        .enumerate()
+        .map(|(pos, (bound, placement, plan, priced))| OperatorView {
+            pos,
+            bound,
+            placement: *placement,
+            plan,
+            stats: priced.as_ref().map(|(stats, _)| stats),
+            costs: priced.as_ref().map(|(_, costs)| costs),
+        })
+        .collect();
+    check_plans(ijob.has_reduce(), &ops, &[])
 }
 
 fn operator_costs(
@@ -638,23 +1175,6 @@ fn operator_costs(
     }
 }
 
-/// Property 4 as a predicate over a runtime plan: no shuffle-strategy
-/// access after a baseline/cache access. Used in debug assertions on every
-/// planner exit path.
-pub fn respects_property4(plan: &OperatorPlan) -> bool {
-    let mut seen_non_shuffle = false;
-    for c in &plan.choices {
-        if c.strategy.is_shuffle() {
-            if seen_non_shuffle {
-                return false;
-            }
-        } else {
-            seen_non_shuffle = true;
-        }
-    }
-    true
-}
-
 /// True when the job and plans pass structural analysis without errors —
 /// the invariant the adaptive runtime debug-asserts before compiling a
 /// mid-job replacement pipeline.
@@ -664,12 +1184,25 @@ pub fn passes(ijob: &IndexJobConf, plans: &FxHashMap<String, OperatorPlan>) -> b
         .unwrap_or(false)
 }
 
+/// The accessors of an operator whose lookups are not a pure function of
+/// the key, with their slots: what `EF012` warns about.
+fn nondeterministic_accessors(
+    bound: &BoundOperator,
+) -> impl Iterator<Item = (usize, &dyn IndexAccessor)> {
+    bound
+        .indices
+        .iter()
+        .enumerate()
+        .filter(|(_, acc)| !acc.deterministic())
+        .map(|(slot, acc)| (slot, acc.as_ref()))
+}
+
 /// True when any bound accessor reports non-deterministic lookups — the
 /// static gate (`EF012`) that disables the adaptive runtime's wave-1
 /// result reuse.
 pub fn has_nondeterministic_accessor(ijob: &IndexJobConf) -> bool {
     ijob.operators()
-        .any(|(b, _)| b.indices.iter().any(|a| !a.deterministic()))
+        .any(|(bound, _)| nondeterministic_accessors(bound).next().is_some())
 }
 
 #[cfg(test)]
@@ -694,13 +1227,20 @@ mod tests {
     }
 
     fn bound_over(name: &str, index: MemIndex) -> BoundOperator {
+        bound_with(name, 1, vec![Arc::new(index)])
+    }
+
+    /// An operator declaring `arity` indices, with `indices` bound.
+    fn bound_with(name: &str, arity: usize, indices: Vec<Arc<dyn IndexAccessor>>) -> BoundOperator {
         let op = operator_fn(
             name,
-            1,
+            arity,
             |rec: &mut Record, keys: &mut IndexInput| keys.put(0, rec.key.clone()),
             |rec: Record, _v: &IndexOutput, out: &mut dyn Collector| out.collect(rec),
         );
-        BoundOperator::new(op).add_index(Arc::new(index))
+        indices
+            .into_iter()
+            .fold(BoundOperator::new(op), BoundOperator::add_index)
     }
 
     fn sample_job(bound: BoundOperator) -> IndexJobConf {
@@ -722,41 +1262,10 @@ mod tests {
     }
 
     #[test]
-    fn lowering_preserves_shape() {
-        let ijob = sample_job(sample_bound("op"));
-        let plans = plans_with(&ijob, Strategy::Cache);
-        let model = job_model(&ijob, &plans).unwrap();
-        assert_eq!(model.operators.len(), 1);
-        assert_eq!(model.operators[0].name, "op");
-        assert_eq!(model.operators[0].declared_arity, 1);
-        assert_eq!(model.operators[0].indices[0].name, "mem");
-        assert!(model.has_reduce);
-        assert!(analyze(&model).is_clean());
-    }
-
-    #[test]
     fn missing_plan_is_internal_error() {
         let ijob = sample_job(sample_bound("op"));
-        assert!(job_model(&ijob, &FxHashMap::default()).is_err());
-    }
-
-    #[test]
-    fn property4_predicate() {
-        let choice = |index, strategy| IndexChoice {
-            index,
-            strategy,
-            est_cost_secs: 0.0,
-        };
-        let good = OperatorPlan {
-            choices: vec![choice(1, Strategy::Repartition), choice(0, Strategy::Cache)],
-            est_cost_secs: 0.0,
-        };
-        assert!(respects_property4(&good));
-        let bad = OperatorPlan {
-            choices: vec![choice(0, Strategy::Cache), choice(1, Strategy::Repartition)],
-            est_cost_secs: 0.0,
-        };
-        assert!(!respects_property4(&bad));
+        let err = analyze_job(&ijob, &FxHashMap::default()).unwrap_err();
+        assert!(matches!(err, Error::Internal(_)), "{err}");
     }
 
     #[test]
@@ -794,20 +1303,14 @@ mod tests {
         }
     }
 
+    /// An operator over one [`TypedIndex`].
+    fn typed(name: &str, kind: KeyKind, det: bool) -> BoundOperator {
+        bound_with(name, 1, vec![Arc::new(TypedIndex { kind, det })])
+    }
+
     #[test]
     fn key_kind_mismatch_is_ef007() {
-        let op = operator_fn(
-            "op",
-            1,
-            |rec: &mut Record, keys: &mut IndexInput| keys.put(0, rec.key.clone()),
-            |rec: Record, _v: &IndexOutput, out: &mut dyn Collector| out.collect(rec),
-        );
-        let bound = BoundOperator::new(op)
-            .add_index(Arc::new(TypedIndex {
-                kind: KeyKind::Int,
-                det: true,
-            }))
-            .key_kinds(vec![KeyKind::Text]);
+        let bound = typed("op", KeyKind::Int, true).key_kinds(vec![KeyKind::Text]);
         let ijob = sample_job(bound);
         let plans = plans_with(&ijob, Strategy::Baseline);
         let report = analyze_job(&ijob, &plans).unwrap();
@@ -817,16 +1320,7 @@ mod tests {
 
     #[test]
     fn non_deterministic_accessor_warns_but_passes() {
-        let op = operator_fn(
-            "op",
-            1,
-            |rec: &mut Record, keys: &mut IndexInput| keys.put(0, rec.key.clone()),
-            |rec: Record, _v: &IndexOutput, out: &mut dyn Collector| out.collect(rec),
-        );
-        let bound = BoundOperator::new(op).add_index(Arc::new(TypedIndex {
-            kind: KeyKind::Any,
-            det: false,
-        }));
+        let bound = typed("op", KeyKind::Any, false);
         let ijob = sample_job(bound);
         assert!(has_nondeterministic_accessor(&ijob));
         let plans = plans_with(&ijob, Strategy::Baseline);
@@ -1531,6 +2025,569 @@ mod tests {
             (case.env)(&mut env);
             let report = analyze_job_in_env(&ijob, &plans, &env).unwrap();
             assert_eq!(report.to_text(), case.report, "{}", case.name);
+        }
+    }
+    /// The job a plan-check row starts from: one head operator `op` over
+    /// the index `mem`, a reduce phase, a one-choice cache plan and
+    /// neither statistics, costs nor store-served measurements. A row's
+    /// `edit` changes it before the plan checks run.
+    struct Planned {
+        head: Vec<BoundOperator>,
+        tail: Vec<BoundOperator>,
+        reduce: bool,
+        plan: OperatorPlan,
+        stats: Option<OperatorStatsEstimate>,
+        costs: Option<OperatorCosts>,
+        measured: Vec<MeasuredOp>,
+    }
+
+    impl Planned {
+        fn new() -> Self {
+            Planned {
+                head: vec![sample_bound("op")],
+                tail: Vec::new(),
+                reduce: true,
+                plan: plan(vec![choice(0, Strategy::Cache)]),
+                stats: None,
+                costs: None,
+                measured: Vec::new(),
+            }
+        }
+
+        /// Runs the plan checks with every operator planned by `plan`, and
+        /// the statistics and costs on the first operator.
+        fn report(&self) -> Report {
+            let mut ijob = IndexJobConf::new("j", "in", "out");
+            ijob.head = self.head.clone();
+            ijob.tail = self.tail.clone();
+            if self.reduce {
+                ijob = ijob.set_identity_reducer(2);
+            }
+            let plans = ijob
+                .operators()
+                .map(|(b, _)| (b.op.name().to_owned(), self.plan.clone()))
+                .collect();
+            let mut ops = operator_views(&ijob, &plans).unwrap();
+            ops[0].stats = self.stats.as_ref();
+            ops[0].costs = self.costs.as_ref();
+            check_plans(ijob.has_reduce(), &ops, &self.measured)
+        }
+    }
+
+    fn choice(index: usize, strategy: Strategy) -> IndexChoice {
+        IndexChoice {
+            index,
+            strategy,
+            est_cost_secs: 0.0,
+        }
+    }
+
+    fn plan(choices: Vec<IndexChoice>) -> OperatorPlan {
+        OperatorPlan {
+            choices,
+            est_cost_secs: 0.0,
+        }
+    }
+
+    /// `op` declaring two indices, with `mem` and `mem2` bound.
+    fn two_indices() -> Vec<BoundOperator> {
+        let mem = |name: &str| Arc::new(MemIndex::new(name, vec![])) as Arc<dyn IndexAccessor>;
+        vec![bound_with("op", 2, vec![mem("mem"), mem("mem2")])]
+    }
+
+    /// `op` over `mem` with a scheme of `n` partitions.
+    fn partitioned(n: usize) -> Vec<BoundOperator> {
+        let mut index = MemIndex::new("mem", vec![]);
+        index.scheme = Some(Arc::new(Sides(n)));
+        vec![bound_over("op", index)]
+    }
+
+    /// Legal statistics for one operator over `mem`.
+    fn legal_stats() -> OperatorStatsEstimate {
+        OperatorStatsEstimate {
+            n1: 1000.0,
+            s1: 100.0,
+            spre: 80.0,
+            spost: 60.0,
+            smap: 40.0,
+            indices: vec![IndexStatsEstimate {
+                nik: 2.0,
+                sik: 16.0,
+                siv: 64.0,
+                tj_secs: 2.0e-3,
+                miss_ratio: 0.1,
+                theta: 2.0,
+                has_partition_scheme: false,
+                shuffleable: true,
+                partitions: 0,
+                failure_rate: 0.0,
+            }],
+        }
+    }
+
+    /// The statistics of `mem`, legal until edited.
+    fn index_stats(p: &mut Planned) -> &mut IndexStatsEstimate {
+        &mut p.stats.get_or_insert_with(legal_stats).indices[0]
+    }
+
+    /// Consistent costs, until edited.
+    fn costs(p: &mut Planned) -> &mut OperatorCosts {
+        p.costs.get_or_insert_with(|| OperatorCosts {
+            n1: 1000.0,
+            t_cache_secs: 1.0e-6,
+            full_est_secs: 1.0,
+            krepart_est_secs: 1.0,
+            krepart_k: 2,
+            s_min_by_position: vec![100.0],
+            carried_by_position: vec![200.0],
+            est_at_double_n1_secs: None,
+        })
+    }
+
+    /// A store-served measurement for `op`, legal until edited.
+    fn measured(p: &mut Planned) -> &mut MeasuredOp {
+        p.measured.push(MeasuredOp {
+            operator: "op".into(),
+            fingerprint: Fingerprint(0),
+            stats: legal_stats(),
+            full_est_secs: 1.0,
+            est_at_double_n1_secs: 1.8,
+        });
+        &mut p.measured[0]
+    }
+
+    /// One row of the plan-check table: [`Planned::new`] changed by
+    /// `edit`, and the exact report.
+    struct Row {
+        name: &'static str,
+        edit: fn(&mut Planned),
+        report: &'static str,
+    }
+
+    fn row(name: &'static str, edit: fn(&mut Planned), report: &'static str) -> Row {
+        Row { name, edit, report }
+    }
+
+    fn rows() -> Vec<Row> {
+        vec![
+            row("a cache plan", |_| {}, CLEAN),
+            // EF001: arity and plan slots.
+            row(
+                "two declared indices, one bound",
+                |p| p.head = vec![bound_with("op", 2, vec![Arc::new(MemIndex::new("mem", vec![]))])],
+                "error[EF001] at operator #0 `op`: operator declares 2 indices but 1 accessors \
+                 are bound (hint: bind exactly one accessor per declared index with add_index)\n",
+            ),
+            row(
+                "a plan with no choices",
+                |p| p.plan.choices.clear(),
+                "error[EF001] at operator #0 `op`: plan covers 0 of 1 bound indices (hint: every \
+                 bound index needs exactly one access choice)\n",
+            ),
+            row(
+                "a choice out of range",
+                |p| p.plan.choices[0].index = 3,
+                "error[EF001] at operator #0 `op`: plan references index slot 3 but only 1 \
+                 indices are bound (hint: plan slots must index into the operator's declaration \
+                 order)\n",
+            ),
+            row(
+                "a slot accessed twice",
+                |p| p.plan.choices.push(choice(0, Strategy::Baseline)),
+                "error[EF001] at operator #0 `op`: plan covers 2 of 1 bound indices (hint: every \
+                 bound index needs exactly one access choice)\n\
+                 error[EF001] at operator #0 `op`, index `mem`: index slot 0 is accessed more \
+                 than once (hint: a plan accesses each index exactly once)\n",
+            ),
+            // EF002, EF003: the job's shape.
+            row(
+                "two operators of one name",
+                |p| p.head.push(sample_bound("op")),
+                "error[EF002] at operator #1 `op`: duplicate operator name `op` (hint: rename one \
+                 of the operators; statistics and plans are keyed by name)\n",
+            ),
+            row(
+                "a tail operator in a map-only job",
+                |p| {
+                    p.tail = std::mem::take(&mut p.head);
+                    p.reduce = false;
+                },
+                "error[EF003] at operator #0 `op`: tail operator in a map-only job (hint: add a \
+                 reduce phase or move the operator to head/body placement)\n",
+            ),
+            row(
+                "a tail operator after a reduce",
+                |p| p.tail = std::mem::take(&mut p.head),
+                CLEAN,
+            ),
+            // EF004: Property 4.
+            row(
+                "a shuffle after a cache access",
+                |p| {
+                    p.head = two_indices();
+                    p.plan = plan(vec![
+                        choice(0, Strategy::Cache),
+                        choice(1, Strategy::Repartition),
+                    ]);
+                },
+                "error[EF004] at operator #0 `op`, index `mem2`: repart access at plan position 1 \
+                 follows a non-shuffle access at position 0 (Property 4 violation) (hint: \
+                 reorder the plan so shuffle-strategy indices come first)\n",
+            ),
+            row(
+                "a shuffle before a cache access",
+                |p| {
+                    p.head = two_indices();
+                    p.plan = plan(vec![
+                        choice(0, Strategy::Repartition),
+                        choice(1, Strategy::Cache),
+                    ]);
+                },
+                CLEAN,
+            ),
+            // EF005, EF006: strategy capabilities.
+            row(
+                "index locality without a scheme",
+                |p| p.plan = plan(vec![choice(0, Strategy::IndexLocality)]),
+                "error[EF005] at operator #0 `op`, index `mem`: index locality chosen for an index \
+                 with no partition scheme (hint: expose a PartitionScheme from the accessor or \
+                 fall back to re-partitioning)\n",
+            ),
+            row(
+                "index locality over eight partitions",
+                |p| {
+                    p.head = partitioned(8);
+                    p.plan = plan(vec![choice(0, Strategy::IndexLocality)]);
+                },
+                CLEAN,
+            ),
+            row(
+                "re-partitioning a non-shuffleable index",
+                |p| {
+                    p.plan = plan(vec![choice(0, Strategy::Repartition)]);
+                    index_stats(p).shuffleable = false;
+                },
+                "error[EF006] at operator #0 `op`, index `mem`: repart strategy chosen for a \
+                 non-shuffleable index (hint: non-shuffleable indices support only baseline/cache \
+                 access)\n",
+            ),
+            // EF007: key kinds.
+            row(
+                "text keys for an int index",
+                |p| p.head = vec![typed("op", KeyKind::Int, true).key_kinds(vec![KeyKind::Text])],
+                "error[EF007] at operator #0 `op`, index `typed`: operator emits text lookup keys \
+                 but the accessor expects int (hint: fix preProcess's key extraction or the \
+                 accessor's declared key kind)\n",
+            ),
+            row(
+                "any keys for an int index",
+                |p| p.head = vec![typed("op", KeyKind::Int, true).key_kinds(vec![KeyKind::Any])],
+                CLEAN,
+            ),
+            // EF008: partition schemes.
+            row(
+                "a scheme of zero partitions",
+                |p| p.head = partitioned(0),
+                "error[EF008] at operator #0 `op`, index `mem`: degenerate partition scheme: zero \
+                 partitions (hint: num_partitions must be at least 1)\n",
+            ),
+            // EF009: cost sanity.
+            row(
+                "a negative access cost",
+                |p| p.plan.choices[0].est_cost_secs = -1.0,
+                "error[EF009] at operator #0 `op`, index `mem`: cache access cost -1 is negative \
+                 or NaN (hint: cost estimates are sums of non-negative terms; check the \
+                 statistics)\n",
+            ),
+            row(
+                "a NaN plan cost",
+                |p| p.plan.est_cost_secs = f64::NAN,
+                "error[EF009] at operator #0 `op`: operator plan cost NaN is negative or NaN \
+                 (hint: cost estimates are sums of non-negative terms; check the statistics)\n",
+            ),
+            // EF010: the cache probe floor, 1000 · 2 · 1 µs.
+            row(
+                "a cache estimate below the probe floor",
+                |p| {
+                    index_stats(p);
+                    costs(p);
+                    p.plan.choices[0].est_cost_secs = 1.0e-9;
+                },
+                "warning[EF010] at operator #0 `op`, index `mem`: cache estimate 0.000000s is \
+                 below the T_cache probe floor 0.002000s (hint: every requested key pays at least \
+                 one cache probe (Eq. 2))\n",
+            ),
+            row(
+                "a cache estimate above the probe floor",
+                |p| {
+                    index_stats(p);
+                    costs(p);
+                    p.plan.choices[0].est_cost_secs = 5.0e-3;
+                },
+                CLEAN,
+            ),
+            // EF011: S_min and the carried size.
+            row(
+                "S_min above the carried size",
+                |p| costs(p).s_min_by_position = vec![500.0],
+                "error[EF011] at operator #0 `op`: S_min 500.0B exceeds the carried size 200.0B at \
+                 plan position 0 (hint: S_min is a minimum including the carried size; check the \
+                 statistics)\n",
+            ),
+            row(
+                "a shrinking carried size",
+                |p| {
+                    let c = costs(p);
+                    c.s_min_by_position = vec![100.0, 100.0];
+                    c.carried_by_position = vec![200.0, 150.0];
+                },
+                "error[EF011] at operator #0 `op`: carried size shrinks from 200.0B to 150.0B \
+                 between plan positions 0 and 1 (hint: each access appends Nik·Siv of lookup \
+                 results; sizes cannot decrease)\n",
+            ),
+            // EF012, EF013: warnings.
+            row(
+                "a non-deterministic accessor",
+                |p| p.head = vec![typed("op", KeyKind::Any, false)],
+                "warning[EF012] at operator #0 `op`, index `typed`: accessor `typed` is \
+                 non-deterministic: adaptive re-optimization result-reuse is disabled for this \
+                 job (hint: Dynamic mode will run the static baseline plan; make lookup \
+                 idempotent to re-enable adaptive optimization)\n",
+            ),
+            row(
+                "k-Repart dearer than FullEnumerate",
+                |p| costs(p).krepart_est_secs = 1.5,
+                "warning[EF013] at operator #0 `op`: FullEnumerate (1.0000s) and 2-Repart \
+                 (1.5000s) pick plans of different cost (hint: raise k or use Enumeration::Full \
+                 for this operator count)\n",
+            ),
+            // EF014: volatile operators.
+            row(
+                "a volatile operator on the cache",
+                |p| p.head[0].volatile = true,
+                "error[EF014] at operator #0 `op`, index `mem`: volatile operator planned with the \
+                 cache strategy (hint: volatile operators are pinned to baseline in every mode \
+                 (§3.2))\n",
+            ),
+            row(
+                "a volatile operator on baseline",
+                |p| {
+                    p.head[0].volatile = true;
+                    p.plan = plan(vec![choice(0, Strategy::Baseline)]);
+                },
+                CLEAN,
+            ),
+            row(
+                "a volatile operator on index locality without a scheme",
+                |p| {
+                    p.head[0].volatile = true;
+                    p.plan = plan(vec![choice(0, Strategy::IndexLocality)]);
+                },
+                "error[EF005] at operator #0 `op`, index `mem`: index locality chosen for an index \
+                 with no partition scheme (hint: expose a PartitionScheme from the accessor or \
+                 fall back to re-partitioning)\n\
+                 error[EF014] at operator #0 `op`, index `mem`: volatile operator planned with the \
+                 idxloc strategy (hint: volatile operators are pinned to baseline in every mode \
+                 (§3.2))\n",
+            ),
+            // EF019: statistics tokens and N1 monotonicity.
+            row(
+                "legal statistics",
+                |p| {
+                    index_stats(p);
+                },
+                CLEAN,
+            ),
+            row(
+                "miss above 1",
+                |p| index_stats(p).miss_ratio = 1.5,
+                "error[EF019] at operator #0 `op`, index `mem`: statistics token miss = 1.5 is \
+                 outside [0, 1] (hint: the statsx extraction produced an impossible token; the \
+                 Eq. 1-4 estimates built from it are meaningless)\n",
+            ),
+            row(
+                "negative miss",
+                |p| index_stats(p).miss_ratio = -0.1,
+                "error[EF019] at operator #0 `op`, index `mem`: statistics token miss = -0.1 is \
+                 outside [0, 1] (hint: the statsx extraction produced an impossible token; the \
+                 Eq. 1-4 estimates built from it are meaningless)\n",
+            ),
+            row(
+                "theta below 1",
+                |p| index_stats(p).theta = 0.5,
+                "error[EF019] at operator #0 `op`, index `mem`: statistics token theta = 0.5 is \
+                 outside [1, inf) (hint: the statsx extraction produced an impossible token; the \
+                 Eq. 1-4 estimates built from it are meaningless)\n",
+            ),
+            row(
+                "failure rate 1",
+                |p| index_stats(p).failure_rate = 1.0,
+                "error[EF019] at operator #0 `op`, index `mem`: statistics token fail = 1 is \
+                 outside [0, 1) (hint: the statsx extraction produced an impossible token; the \
+                 Eq. 1-4 estimates built from it are meaningless)\n",
+            ),
+            row(
+                "negative Sik",
+                |p| index_stats(p).sik = -1.0,
+                "error[EF019] at operator #0 `op`, index `mem`: statistics token Sik = -1 is \
+                 outside [0, inf) (hint: the statsx extraction produced an impossible token; the \
+                 Eq. 1-4 estimates built from it are meaningless)\n",
+            ),
+            row(
+                "NaN Tj",
+                |p| index_stats(p).tj_secs = f64::NAN,
+                "error[EF019] at operator #0 `op`, index `mem`: statistics token Tj = NaN is \
+                 outside [0, inf) (hint: the statsx extraction produced an impossible token; the \
+                 Eq. 1-4 estimates built from it are meaningless)\n",
+            ),
+            row(
+                "infinite Siv",
+                |p| index_stats(p).siv = f64::INFINITY,
+                "error[EF019] at operator #0 `op`, index `mem`: statistics token Siv = inf is \
+                 outside [0, inf) (hint: the statsx extraction produced an impossible token; the \
+                 Eq. 1-4 estimates built from it are meaningless)\n",
+            ),
+            row(
+                "NaN Nik",
+                |p| index_stats(p).nik = f64::NAN,
+                "error[EF019] at operator #0 `op`, index `mem`: statistics token Nik = NaN is \
+                 outside [0, inf) (hint: the statsx extraction produced an impossible token; the \
+                 Eq. 1-4 estimates built from it are meaningless)\n",
+            ),
+            row(
+                "a best plan cheaper at twice N1",
+                |p| costs(p).est_at_double_n1_secs = Some(0.4),
+                "error[EF019] at operator #0 `op`: best plan cost drops from 1.000000s to \
+                 0.400000s when N1 doubles: the estimate is not monotone in input cardinality \
+                 (hint: Eq. 1-4 are sums of non-negative terms linear in N1; a decreasing \
+                 estimate means a term is subtracting input size)\n",
+            ),
+            // Equal is legal: a plan may be dominated by N1-independent terms.
+            row(
+                "a best plan as dear at twice N1",
+                |p| costs(p).est_at_double_n1_secs = Some(1.0),
+                CLEAN,
+            ),
+            // EF023: store-served measurements.
+            row(
+                "legal measured statistics",
+                |p| {
+                    measured(p);
+                },
+                CLEAN,
+            ),
+            row(
+                "measured N1 negative",
+                |p| measured(p).stats.n1 = -1.0,
+                "error[EF023] at operator #0 `op`: measured statistics token N1 = -1 is outside \
+                 [0, inf) (hint: the cross-job store served an impossible token; the warm-start \
+                 plan built from it is meaningless — fall back to estimates)\n",
+            ),
+            row(
+                "measured N1 NaN",
+                |p| measured(p).stats.n1 = f64::NAN,
+                "error[EF023] at operator #0 `op`: measured statistics token N1 = NaN is outside \
+                 [0, inf) (hint: the cross-job store served an impossible token; the warm-start \
+                 plan built from it is meaningless — fall back to estimates)\n",
+            ),
+            row(
+                "measured Nik negative",
+                |p| measured(p).stats.indices[0].nik = -2.0,
+                "error[EF023] at operator #0 `op`: measured statistics token Nik = -2 is outside \
+                 [0, inf) (hint: the cross-job store served an impossible token; the warm-start \
+                 plan built from it is meaningless — fall back to estimates)\n",
+            ),
+            row(
+                "measured Nik infinite",
+                |p| measured(p).stats.indices[0].nik = f64::INFINITY,
+                "error[EF023] at operator #0 `op`: measured statistics token Nik = inf is outside \
+                 [0, inf) (hint: the cross-job store served an impossible token; the warm-start \
+                 plan built from it is meaningless — fall back to estimates)\n",
+            ),
+            row(
+                "measured miss above 1",
+                |p| measured(p).stats.indices[0].miss_ratio = 1.5,
+                "error[EF023] at operator #0 `op`: measured statistics token miss = 1.5 is \
+                 outside [0, 1] (hint: the cross-job store served an impossible token; the \
+                 warm-start plan built from it is meaningless — fall back to estimates)\n",
+            ),
+            row(
+                "measured miss negative",
+                |p| measured(p).stats.indices[0].miss_ratio = -0.1,
+                "error[EF023] at operator #0 `op`: measured statistics token miss = -0.1 is \
+                 outside [0, 1] (hint: the cross-job store served an impossible token; the \
+                 warm-start plan built from it is meaningless — fall back to estimates)\n",
+            ),
+            row(
+                "measured theta below 1",
+                |p| measured(p).stats.indices[0].theta = 0.5,
+                "error[EF023] at operator #0 `op`: measured statistics token theta = 0.5 is \
+                 outside [1, inf) (hint: the cross-job store served an impossible token; the \
+                 warm-start plan built from it is meaningless — fall back to estimates)\n",
+            ),
+            row(
+                "measured failure rate 1",
+                |p| measured(p).stats.indices[0].failure_rate = 1.0,
+                "error[EF023] at operator #0 `op`: measured statistics token fail = 1 is outside \
+                 [0, 1) (hint: the cross-job store served an impossible token; the warm-start \
+                 plan built from it is meaningless — fall back to estimates)\n",
+            ),
+            row(
+                "measured Sik negative",
+                |p| measured(p).stats.indices[0].sik = -1.0,
+                "error[EF023] at operator #0 `op`: measured statistics token Sik = -1 is outside \
+                 [0, inf) (hint: the cross-job store served an impossible token; the warm-start \
+                 plan built from it is meaningless — fall back to estimates)\n",
+            ),
+            row(
+                "measured Siv infinite",
+                |p| measured(p).stats.indices[0].siv = f64::INFINITY,
+                "error[EF023] at operator #0 `op`: measured statistics token Siv = inf is outside \
+                 [0, inf) (hint: the cross-job store served an impossible token; the warm-start \
+                 plan built from it is meaningless — fall back to estimates)\n",
+            ),
+            row(
+                "measured Tj NaN",
+                |p| measured(p).stats.indices[0].tj_secs = f64::NAN,
+                "error[EF023] at operator #0 `op`: measured statistics token Tj = NaN is outside \
+                 [0, inf) (hint: the cross-job store served an impossible token; the warm-start \
+                 plan built from it is meaningless — fall back to estimates)\n",
+            ),
+            row(
+                "a measured plan cheaper at twice N1",
+                |p| measured(p).est_at_double_n1_secs = 0.4,
+                "error[EF023] at operator #0 `op`: measured-stats plan cost drops from 1.000000s \
+                 to 0.400000s when the recorded N1 doubles: the estimate is not monotone in input \
+                 cardinality (hint: Eq. 1-4 are sums of non-negative terms linear in N1; a \
+                 decreasing estimate means the stored history disagrees with the cost model)\n",
+            ),
+            row(
+                "a measured plan as dear at twice N1",
+                |p| measured(p).est_at_double_n1_secs = 1.0,
+                CLEAN,
+            ),
+        ]
+    }
+
+    /// Every row's exact report, and `into_result` agreeing with it: an
+    /// error fails it and its message carries each error, warnings alone
+    /// pass it.
+    #[test]
+    fn plan_checks_report_exactly_their_findings() {
+        for row in rows() {
+            let mut planned = Planned::new();
+            (row.edit)(&mut planned);
+            let report = planned.report();
+            assert_eq!(report.to_text(), row.report, "{}", row.name);
+            let errors: Vec<String> = report.errors().map(|d| d.to_string()).collect();
+            match report.into_result() {
+                Ok(_) => assert!(errors.is_empty(), "{}", row.name),
+                Err(e) => {
+                    let message = e.to_string();
+                    assert!(!errors.is_empty(), "{}", row.name);
+                    assert!(errors.iter().all(|d| message.contains(d)), "{message}");
+                }
+            }
         }
     }
 }

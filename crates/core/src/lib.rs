@@ -41,13 +41,13 @@
 //!
 //! ## Static plan analysis
 //!
-//! Before any pipeline is compiled, [`analysis`] lowers the job and its
-//! plans into `efind-analyze`'s IR and verifies them: placement legality
-//! and Property 4, strategy/capability fit, key-kind compatibility,
-//! cost-model sanity, and a determinism audit gating the adaptive
-//! runtime's result reuse. It then checks the runtime configuration —
-//! the armed injection layers, the lookup cache, tenancy and hedging — on
-//! the runtime's own types. Errors (stable `EFxxx` codes) abort
+//! Before any pipeline is compiled, [`analysis`] verifies the job and its
+//! plans on the runtime's own types: placement legality and Property 4,
+//! strategy/capability fit, key-kind compatibility, cost-model sanity,
+//! and a determinism audit gating the adaptive runtime's result reuse.
+//! It then checks the runtime configuration — the armed injection
+//! layers, the lookup cache, tenancy and hedging. Findings are
+//! `efind-analyze` diagnostics: errors (stable `EFxxx` codes) abort
 //! compilation; warnings are printed at job start and surface in the
 //! `explain` report.
 //!

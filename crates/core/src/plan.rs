@@ -86,6 +86,19 @@ impl OperatorPlan {
     pub fn has_shuffle(&self) -> bool {
         self.choices.iter().any(|c| c.strategy.is_shuffle())
     }
+
+    /// Property 4's violations as `(p, s)` pairs of plan positions: the
+    /// first baseline/cache access at `p`, and each shuffle-strategy access
+    /// at `s > p`. An optimal plan yields none; the first pair is the first
+    /// violation.
+    pub fn property4_violations(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let first_non_shuffle = self.choices.iter().position(|c| !c.strategy.is_shuffle());
+        first_non_shuffle.into_iter().flat_map(move |p| {
+            (p + 1..self.choices.len())
+                .filter(move |&s| self.choices[s].strategy.is_shuffle())
+                .map(move |s| (p, s))
+        })
+    }
 }
 
 /// Which planning algorithm to run.
@@ -340,14 +353,42 @@ mod tests {
         op.indices.push(idx(100.0, 1.0, 0.05, false));
         op.indices.push(idx(50.0, 1.0, 1.0, false));
         let plan = optimize_operator(&op, &env, Placement::Body, Enumeration::Full);
-        let mut seen_non_shuffle = false;
-        for c in &plan.choices {
-            if c.strategy.is_shuffle() {
-                assert!(!seen_non_shuffle, "shuffle after non-shuffle: {plan:?}");
-            } else {
-                seen_non_shuffle = true;
-            }
-        }
+        assert_eq!(plan.property4_violations().next(), None, "{plan:?}");
+    }
+
+    #[test]
+    fn property4_predicate() {
+        let choice = |index, strategy| IndexChoice {
+            index,
+            strategy,
+            est_cost_secs: 0.0,
+        };
+        let plan = |choices| OperatorPlan {
+            choices,
+            est_cost_secs: 0.0,
+        };
+        let good = plan(vec![
+            choice(1, Strategy::Repartition),
+            choice(0, Strategy::Cache),
+        ]);
+        assert_eq!(good.property4_violations().next(), None);
+        let bad = plan(vec![
+            choice(0, Strategy::Repartition),
+            choice(1, Strategy::Cache),
+            choice(2, Strategy::IndexLocality),
+            choice(3, Strategy::Baseline),
+            choice(4, Strategy::Repartition),
+        ]);
+        let pairs: Vec<_> = bad.property4_violations().collect();
+        assert_eq!(pairs, vec![(1, 2), (1, 4)]);
+    }
+
+    #[test]
+    fn strategy_shuffle_classification() {
+        assert!(!Strategy::Baseline.is_shuffle());
+        assert!(!Strategy::Cache.is_shuffle());
+        assert!(Strategy::Repartition.is_shuffle());
+        assert!(Strategy::IndexLocality.is_shuffle());
     }
 
     #[test]

@@ -464,9 +464,10 @@ impl<'a> EFindRuntime<'a> {
                 );
             }
         }
+        let property4_holds = |p: &OperatorPlan| p.property4_violations().next().is_none();
         debug_assert!(
             // efind-lint: allow(unordered-iter, order-free forall predicate; no output depends on visit order)
-            plans.values().all(crate::analysis::respects_property4),
+            plans.values().all(property4_holds),
             "planner produced a Property 4 violation (shuffle after non-shuffle)"
         );
         Ok((plans, measured))

@@ -3,7 +3,7 @@
 //! The adaptive runtime (§4) measures real selectivities, lookup
 //! redundancy, and index serve times mid-job — and then throws them away
 //! when the job ends. This module keeps them: operator subtrees are
-//! fingerprinted over the *neutral* plan IR (operator shape, index
+//! fingerprinted over their structure (operator shape, index
 //! identities, key kinds, placement — never plan-node addresses), and at
 //! each job boundary the harvested [`OperatorStatsEstimate`] is appended
 //! to a bounded previous-N-runs history per fingerprint. On the next
@@ -79,7 +79,7 @@ fn placement_label(p: Placement) -> &'static str {
 
 /// Fingerprints one bound operator at its placement.
 ///
-/// The hash covers a canonical text rendering of the neutral IR, so it is
+/// The hash covers a canonical text rendering of that structure, so it is
 /// invariant under re-binding the same operator/accessor structure and
 /// under anything address- or allocation-dependent.
 pub fn fingerprint_operator(bound: &BoundOperator, placement: Placement) -> Fingerprint {

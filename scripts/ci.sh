@@ -44,14 +44,18 @@ echo "== efbench (the benchmark of record builds and passes its own tests) =="
 # efbench is a package of its own that mirrors public signatures and
 # RuntimeEnv fields of the crates it measures; building and testing it
 # here breaks CI, not the benchmark pipeline, when one of them changes.
-cargo build --release --manifest-path efbench/Cargo.toml && cargo test -q --manifest-path efbench/Cargo.toml
+# `--locked`: a change to the measured crates' dependencies that would
+# rewrite efbench/Cargo.lock fails here instead of quietly changing the
+# benchmark's directory.
+cargo build --locked --release --manifest-path efbench/Cargo.toml &&
+    cargo test --locked -q --manifest-path efbench/Cargo.toml
 # Exact-count gates: `alloc_mb` is counted in a one-worker child process
 # and repeats to the byte for a seed, so a gate has no noise to allow for.
 # `efbench_gate <workload> <max alloc_mb>` runs the workload for a second
 # on seed 1 and fails unless no iteration failed and `alloc_mb` is within
 # the limit.
 efbench_gate() {
-    cargo run --release --quiet --manifest-path efbench/Cargo.toml -- \
+    cargo run --locked --release --quiet --manifest-path efbench/Cargo.toml -- \
         --workload "$1" --seed 1 --seconds 1 --trace 0 | tail -n 1 | awk -v w="$1" -v max="$2" '
         match($0, /"failed": [0-9]+/) { failed = substr($0, RSTART + 10, RLENGTH - 10) }
         match($0, /"alloc_mb": \{"value": [0-9.]+/) { alloc = substr($0, RSTART + 22, RLENGTH - 22) }
