@@ -5,7 +5,7 @@
 //! cargo run --release -p efind-bench --bin explain -- q9
 //! ```
 
-use efind::{EFindRuntime, Enumeration, Mode, Strategy};
+use efind::{EFindRuntime, Mode, Strategy};
 use efind_workloads::{log, multi, osm, synthetic, topics, tpch};
 
 fn indent(text: &str) -> String {
@@ -126,8 +126,8 @@ fn main() {
 
     // Static analysis of the optimized plan: structural checks over the
     // plan the optimizer would pick, plus the statistics-dependent
-    // cost-model checks (EF009-EF011, EF013, EF019) from the
-    // freshly-populated catalog.
+    // cost-model checks (EF009-EF011, EF013, EF019) over the same plans,
+    // priced from the freshly-populated catalog.
     println!("\nstatic analysis:");
     match rt.plans_for(&scenario.ijob, &Mode::Optimized) {
         Ok(plans) => match efind::analysis::analyze_job(&scenario.ijob, &plans) {
@@ -137,12 +137,7 @@ fn main() {
         },
         Err(e) => println!("  structural: {e}"),
     }
-    let cost_report = efind::analysis::analyze_costs(
-        &scenario.ijob,
-        &rt.catalog,
-        &rt.cost_env(),
-        Enumeration::Full,
-    );
+    let cost_report = efind::analysis::analyze_costs(&rt, &scenario.ijob);
     if cost_report.is_clean() {
         println!("  cost model: clean");
     } else {
@@ -157,6 +152,7 @@ fn main() {
         opt.total_time.as_secs_f64(),
         opt.jobs.len()
     );
+    let env = rt.cost_env();
     let mut plans = opt.plans.clone();
     plans.sort_by(|a, b| a.0.cmp(&b.0));
     for (op, plan) in &plans {
@@ -168,7 +164,7 @@ fn main() {
                     "{}:{} ({:.2}s est)",
                     c.index,
                     c.strategy.label(),
-                    c.est_cost_secs / 96.0
+                    env.wall_secs(c.est_cost_secs)
                 )
             })
             .collect();

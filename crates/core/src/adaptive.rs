@@ -20,10 +20,12 @@
 //! most once per job.
 //!
 //! Every planning pass — map-side after the first map wave, tail-side
-//! after the first reduce wave, and the warm start from the cross-job
-//! store — is the same per-operator step over the [`Evidence`] at hand
-//! ([`replan`]). Every job the runtime stitches together by hand ends in
-//! the runner's own tail ([`Runner::seal`](efind_mapreduce::Runner::seal)).
+//! after the first reduce wave, the warm start from the cross-job store,
+//! `Mode::Optimized` and `analysis::analyze_costs` — is the same
+//! per-operator step over the [`Evidence`] at hand ([`replan`]); each
+//! caller folds the priced operators into its own plan map. Every job the
+//! runtime stitches together by hand ends in the runner's own tail
+//! ([`Runner::seal`](efind_mapreduce::Runner::seal)).
 
 use efind_cluster::{sched::Schedule, SimDuration, SimTime};
 use efind_common::{Error, FxHashMap, Record, Result};
@@ -33,10 +35,10 @@ use efind_mapreduce::{
 };
 
 use crate::compile::compile_pipeline;
-use crate::cost::{cost_baseline, Placement};
+use crate::cost::{cost_baseline, OperatorStatsEstimate, Placement};
 use crate::jobconf::{BoundOperator, IndexJobConf};
 use crate::plan::{forced_plan, optimize_operator, Enumeration, OperatorPlan, Strategy};
-use crate::runtime::{EFindJobResult, EFindRuntime};
+use crate::runtime::{forced_plans, EFindJobResult, EFindRuntime};
 use crate::statstore::MeasuredOp;
 use crate::statsx::{extract_operator_stats, variance_ok};
 
@@ -44,7 +46,7 @@ use crate::statsx::{extract_operator_stats, variance_ok};
 type Plans = FxHashMap<String, OperatorPlan>;
 
 /// What a completed first wave (of map or of reduce tasks) observed.
-struct Wave<'a> {
+pub(crate) struct Wave<'a> {
     tasks: Vec<&'a TaskStats>,
     counters: Counters,
     sketches: Sketches,
@@ -80,7 +82,7 @@ impl<'a> Wave<'a> {
 }
 
 /// The statistics a planning pass works from.
-enum Evidence<'a> {
+pub(crate) enum Evidence<'a> {
     /// A first wave of this very job; volumes scale by the factor
     /// (remaining input over the wave's input), averages and ratios carry
     /// over unchanged.
@@ -88,28 +90,57 @@ enum Evidence<'a> {
     /// What earlier runs measured for the same operator shapes, from the
     /// attached cross-job store.
     History,
+    /// The store's measured history where it has the operator's shape,
+    /// otherwise the catalog entry a previous run left (§5's `Optimized`).
+    Catalog,
 }
 
-/// How a planning pass fills its plan map — the two real differences
-/// between the passes, as data.
-#[derive(Clone, Copy, PartialEq)]
-enum Fill {
-    /// The map already holds the baseline plan of every operator (the
-    /// map-side pass): only operators that get cheaper are overwritten.
-    Improvements,
-    /// The map starts empty and the pipeline compiled from it needs an
-    /// entry for every operator (the tail pass, the warm start): a gated
-    /// operator gets the forced baseline plan, a planned one the
-    /// optimizer's plan even when that is not cheaper.
-    Everything,
+/// One operator as a planning pass priced it.
+pub(crate) struct Priced<'o> {
+    pub(crate) bound: &'o BoundOperator,
+    pub(crate) placement: Placement,
+    /// The plan the operator runs: the optimizer's, or the baseline plan
+    /// when the operator is gated.
+    pub(crate) plan: OperatorPlan,
+    /// The statistics the plan was priced from, partition schemes
+    /// refreshed from the bound accessors, and the baseline plan's cost
+    /// under them; `None` when the operator is gated.
+    pub(crate) stats: Option<(OperatorStatsEstimate, f64)>,
 }
 
-/// Plans each of `ops` from `evidence` into `plans`. Returns the predicted
-/// saving over the baseline plans (cost-model seconds, summed over the
-/// operators that got cheaper) and a probe for every operator planned from
-/// measured history — or `None` when the history lacks an indexed,
-/// non-volatile operator (a wave that saw nothing of an operator merely
-/// gates it).
+impl Priced<'_> {
+    /// What the plan saves over the baseline plan (cost-model seconds),
+    /// when it is cheaper.
+    fn saving(&self) -> Option<f64> {
+        let (_, baseline) = self.stats.as_ref()?;
+        (self.plan.est_cost_secs < *baseline).then(|| baseline - self.plan.est_cost_secs)
+    }
+}
+
+/// What one planning pass produced.
+#[derive(Default)]
+pub(crate) struct Replan<'o> {
+    /// Every operator, in the order the pass was given them.
+    pub(crate) priced: Vec<Priced<'o>>,
+    /// A probe for every operator priced from measured history.
+    pub(crate) measured: Vec<MeasuredOp>,
+    /// The first indexed, non-volatile operator the store (or catalog)
+    /// has no statistics for; it is gated. A wave that saw nothing of an
+    /// operator merely gates it.
+    pub(crate) missing: Option<&'o str>,
+}
+
+/// Every priced operator's plan, by name.
+pub(crate) fn plans_of(priced: Vec<Priced<'_>>) -> Plans {
+    priced
+        .into_iter()
+        .map(|p| (p.bound.op.name().to_owned(), p.plan))
+        .collect()
+}
+
+/// Plans each of `ops` from `evidence`: the one planning step behind the
+/// map-side and tail-side waves, the warm start, `Mode::Optimized` and
+/// [`analyze_costs`](crate::analysis::analyze_costs).
 ///
 /// An operator is *gated*, i.e. stays on the baseline plan, when it is
 /// volatile (§3.2: non-idempotent lookups) or has no index, when its
@@ -118,23 +149,24 @@ enum Fill {
 /// beyond the configured threshold — committing a shuffle job (or cached
 /// reuse) to an index that may be black-holed compounds the damage, and
 /// baseline keeps the retry/breaker machinery on the simplest path.
-fn replan<'o>(
+pub(crate) fn replan<'o>(
     rt: &EFindRuntime<'_>,
     ops: impl Iterator<Item = (&'o BoundOperator, Placement)>,
     evidence: &Evidence<'_>,
-    fill: Fill,
-    plans: &mut Plans,
-) -> Option<(f64, Vec<MeasuredOp>)> {
+) -> Replan<'o> {
     let env = rt.cost_env();
     let degrade = rt.config.faults.degrade_threshold();
-    let mut gain = 0.0f64;
-    let mut measured = Vec::new();
+    let mut out = Replan::default();
     for (bound, placement) in ops {
         let name = bound.op.name();
         let gathered = if bound.volatile || bound.indices.is_empty() {
             None
         } else {
-            match evidence {
+            let from_store = || {
+                rt.measured_for(bound, placement)
+                    .map(|(shape, stats)| (stats, Some(shape)))
+            };
+            let gathered = match evidence {
                 Evidence::Wave(wave, scale) => {
                     let desc = bound.descriptor();
                     variance_ok(&wave.tasks, &desc, rt.config.variance_threshold)
@@ -145,40 +177,41 @@ fn replan<'o>(
                             (stats, None)
                         })
                 }
-                Evidence::History => {
-                    let (shape, stats) = rt.measured_for(bound, placement)?;
-                    Some((stats, Some(shape)))
+                Evidence::History => from_store(),
+                Evidence::Catalog => {
+                    from_store().or_else(|| rt.catalog.get(name).map(|s| (s.clone(), None)))
                 }
+            };
+            if gathered.is_none() && !matches!(evidence, Evidence::Wave(..)) {
+                out.missing.get_or_insert(name);
             }
+            gathered
         };
         let healthy =
             gathered.filter(|(stats, _)| !stats.indices.iter().any(|i| i.failure_rate > degrade));
-        let Some((mut stats, shape)) = healthy else {
-            if fill == Fill::Everything {
-                plans.insert(
-                    name.to_owned(),
-                    forced_plan(&bound.caps(), Strategy::Baseline),
-                );
+        let (plan, stats) = match healthy {
+            None => (forced_plan(&bound.caps(), Strategy::Baseline), None),
+            Some((mut stats, shape)) => {
+                stats.refresh_partition_schemes(&bound.caps());
+                let baseline: f64 = (0..stats.indices.len())
+                    .map(|j| cost_baseline(&env, &stats, j))
+                    .sum();
+                let plan = optimize_operator(&stats, &env, placement, Enumeration::Full);
+                if let Some(shape) = shape {
+                    out.measured
+                        .push(MeasuredOp::probe(name, shape, &stats, &env, placement));
+                }
+                (plan, Some((stats, baseline)))
             }
-            continue;
         };
-        stats.refresh_partition_schemes(&bound.caps());
-        let current: f64 = (0..stats.indices.len())
-            .map(|j| cost_baseline(&env, &stats, j))
-            .sum();
-        let plan = optimize_operator(&stats, &env, placement, Enumeration::Full);
-        if let Some(shape) = shape {
-            measured.push(MeasuredOp::probe(name, shape, &stats, &env, placement));
-        }
-        let cheaper = plan.est_cost_secs < current;
-        if cheaper {
-            gain += current - plan.est_cost_secs;
-        }
-        if cheaper || fill == Fill::Everything {
-            plans.insert(name.to_owned(), plan);
-        }
+        out.priced.push(Priced {
+            bound,
+            placement,
+            plan,
+            stats,
+        });
     }
-    Some((gain, measured))
+    out
 }
 
 /// Runs an enhanced job in dynamic (adaptive) mode.
@@ -186,15 +219,7 @@ pub(crate) fn run_dynamic(
     rt: &mut EFindRuntime<'_>,
     ijob: &IndexJobConf,
 ) -> Result<EFindJobResult> {
-    let baseline_plans: Plans = ijob
-        .operators()
-        .map(|(b, _)| {
-            (
-                b.op.name().to_owned(),
-                forced_plan(&b.caps(), Strategy::Baseline),
-            )
-        })
-        .collect();
+    let baseline_plans = forced_plans(ijob, |_| Strategy::Baseline);
 
     // Without any operators there is nothing to re-plan at all; run the
     // baseline plan statically (statistics still collected). Jobs with
@@ -217,16 +242,9 @@ pub(crate) fn run_dynamic(
     // falls through to the full adaptive run below (a partial warm start
     // would skip the statistics wave the cold operators still need).
     if rt.store.as_ref().is_some_and(|store| !store.is_empty()) {
-        let mut plans = Plans::default();
-        let history = replan(
-            rt,
-            ijob.operators(),
-            &Evidence::History,
-            Fill::Everything,
-            &mut plans,
-        );
-        if let Some((_, measured)) = history {
-            return rt.run_with_plans(ijob, plans, measured);
+        let history = replan(rt, ijob.operators(), &Evidence::History);
+        if history.missing.is_none() {
+            return rt.run_with_plans(ijob, plans_of(history.priced), history.measured);
         }
     }
 
@@ -255,11 +273,16 @@ pub(crate) fn run_dynamic(
     let wave = Wave::of(exec1.tasks.iter().map(|t| &t.stats));
     let total_in: u64 = chunks.iter().map(|c| c.records as u64).sum();
     let mut new_plans = baseline_plans.clone();
-    let map_side = ijob.operators().filter(|(_, p)| *p != Placement::Tail);
-    let predicted_gain = wave
-        .scaled_to(total_in.saturating_sub(wave.input_records()))
-        .and_then(|evidence| replan(rt, map_side, &evidence, Fill::Improvements, &mut new_plans))
-        .map_or(0.0, |(gain, _)| gain);
+    let mut predicted_gain = 0.0;
+    if let Some(evidence) = wave.scaled_to(total_in.saturating_sub(wave.input_records())) {
+        let map_side = ijob.operators().filter(|(_, p)| *p != Placement::Tail);
+        for priced in replan(rt, map_side, &evidence).priced {
+            if let Some(saving) = priced.saving() {
+                predicted_gain += saving;
+                new_plans.insert(priced.bound.op.name().to_owned(), priced.plan);
+            }
+        }
+    }
     let Wave {
         counters: wave_counters,
         sketches: wave_sketches,
@@ -493,12 +516,15 @@ fn try_reduce_phase_replan(
     // ---- Re-optimize the tail operators from wave-1 statistics. ----
     let wave = Wave::of(wave1.iter().map(|t| &t.stats));
     let remaining_in = shuffled.saturating_sub(wave.input_records());
-    let mut tail_plans = Plans::default();
     let tail = ijob.operators().filter(|(_, p)| *p == Placement::Tail);
-    let predicted_gain = wave
-        .scaled_to(remaining_in)
-        .and_then(|evidence| replan(rt, tail, &evidence, Fill::Everything, &mut tail_plans))
-        .map_or(0.0, |(gain, _)| gain);
+    let (predicted_gain, tail_plans) = match wave.scaled_to(remaining_in) {
+        Some(evidence) => {
+            let priced = replan(rt, tail, &evidence).priced;
+            let gain = priced.iter().filter_map(Priced::saving).sum();
+            (gain, plans_of(priced))
+        }
+        None => (0.0, Plans::default()),
+    };
     // Any beneficial plan (cache or a shuffle strategy) justifies the
     // change: the re-planned tail pipeline runs map-side either way.
     let improved = tail_plans

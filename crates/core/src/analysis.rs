@@ -3,8 +3,9 @@
 //!
 //! Every check reads the runtime's own values. The plan checks (`EF001`–
 //! `EF014`, `EF019`, `EF023`) see each operator as its `BoundOperator`,
-//! placement and `OperatorPlan`, plus — for the cost checks — the catalog
-//! statistics the plan was priced from and the costs derived from them.
+//! placement and `OperatorPlan`, plus — for the cost checks — the
+//! statistics the planner priced the plan from and the costs derived from
+//! them.
 //! The configuration checks read the [`RuntimeEnv`] fields and skip a
 //! layer exactly when its own `is_quiet()` says so, the call the runtime
 //! makes. `efind-analyze` supplies only the diagnostic vocabulary: codes,
@@ -12,26 +13,29 @@
 //! [`analyze_job_in_env`] before building any stage — analyzer errors
 //! abort compilation, warnings ride along in the compiled pipeline and are
 //! printed at job start. [`analyze_costs`] additionally exercises the
-//! statistics-dependent checks (`EF009`–`EF011`, `EF013`, `EF019`) from
-//! catalog statistics, for `explain`-style reporting.
+//! statistics-dependent checks (`EF009`–`EF011`, `EF013`, `EF019`) over
+//! the plans `Mode::Optimized` would run, priced by the planner itself
+//! from the runtime's store and catalog, for `explain`-style reporting.
 
 use efind_analyze::{DiagCode, Diagnostic, Report, Span};
 use efind_cluster::{SimDuration, TenancyConfig};
 use efind_common::{Error, FxHashMap, FxHashSet, Result};
 
 use crate::accessor::IndexAccessor;
+use crate::adaptive::{replan, Evidence};
 use crate::compile::RuntimeEnv;
 use crate::cost::{s_min, CostEnv, IndexStatsEstimate, OperatorStatsEstimate, Placement};
 use crate::fault::{FaultConfig, MissPolicy};
 use crate::jobconf::{BoundOperator, IndexJobConf};
-use crate::plan::{
-    doubled_n1_probe, forced_plan, optimize_operator, Enumeration, OperatorPlan, Strategy,
-};
+use crate::plan::{doubled_n1_probe, optimize_operator, Enumeration, OperatorPlan, Strategy};
+use crate::runtime::EFindRuntime;
 use crate::statstore::MeasuredOp;
-use crate::statsx::Catalog;
 
 /// Relative tolerance for float comparisons over cost estimates.
 const EPS: f64 = 1e-9;
+
+/// The `k` of the k-Repart plan `EF013` compares FullEnumerate against.
+const KREPART_K: usize = 2;
 
 /// One operator as the plan checks see it.
 struct OperatorView<'a> {
@@ -40,7 +44,7 @@ struct OperatorView<'a> {
     bound: &'a BoundOperator,
     placement: Placement,
     plan: &'a OperatorPlan,
-    /// The catalog statistics the plan was priced from, partition schemes
+    /// The statistics the planner priced the plan from, partition schemes
     /// refreshed from the bound accessors; only [`analyze_costs`] has them.
     stats: Option<&'a OperatorStatsEstimate>,
     /// What [`operator_costs`] derived from `stats`.
@@ -77,10 +81,8 @@ struct OperatorCosts {
     t_cache_secs: f64,
     /// Best plan cost under FullEnumerate.
     full_est_secs: f64,
-    /// Best plan cost under k-Repart.
+    /// Best plan cost under k-Repart with `k` = [`KREPART_K`].
     krepart_est_secs: f64,
-    /// The `k` used for the k-Repart comparison.
-    krepart_k: usize,
     /// `S_min` at each plan position, in access order.
     s_min_by_position: Vec<f64>,
     /// Carried intermediate size at each plan position, in access order.
@@ -555,7 +557,7 @@ fn check_enumeration_agreement(op: &OperatorView, report: &mut Report) {
                 format!(
                     "FullEnumerate ({:.4}s) and {}-Repart ({:.4}s) pick plans of \
                      different cost",
-                    costs.full_est_secs, costs.krepart_k, costs.krepart_est_secs
+                    costs.full_est_secs, KREPART_K, costs.krepart_est_secs
                 ),
             )
             .with_hint("raise k or use Enumeration::Full for this operator count"),
@@ -1104,38 +1106,34 @@ fn check_hedging(env: &RuntimeEnv, ops: &[OperatorView], report: &mut Report) {
 }
 
 /// Runs the full check set — structural plus the statistics-dependent
-/// cost-model checks — from catalog statistics. Operators without catalog
-/// entries are verified structurally under a forced baseline plan.
-pub fn analyze_costs(
-    ijob: &IndexJobConf,
-    catalog: &Catalog,
-    env: &CostEnv,
-    enumeration: Enumeration,
-) -> Report {
-    let priced: Vec<_> = ijob
-        .operators()
-        .map(|(bound, placement)| {
-            let Some(stats) = catalog.get(bound.op.name()) else {
-                let plan = forced_plan(&bound.caps(), Strategy::Baseline);
-                return (bound, placement, plan, None);
-            };
-            let mut stats = stats.clone();
-            stats.refresh_partition_schemes(&bound.caps());
-            let plan = optimize_operator(&stats, env, placement, enumeration);
-            let costs = operator_costs(&stats, env, placement, &plan, enumeration);
-            (bound, placement, plan, Some((stats, costs)))
+/// cost-model checks — over the plans `Mode::Optimized` would run: the
+/// planner's own pass over the runtime's store and catalog, priced in the
+/// runtime's [`CostEnv`]. Operators the planner gates (volatile,
+/// index-less, degraded, or without statistics) are verified structurally
+/// under their baseline plan.
+pub fn analyze_costs(rt: &EFindRuntime<'_>, ijob: &IndexJobConf) -> Report {
+    let env = rt.cost_env();
+    let planned = replan(rt, ijob.operators(), &Evidence::Catalog);
+    let costs: Vec<_> = planned
+        .priced
+        .iter()
+        .map(|p| {
+            let (stats, _) = p.stats.as_ref()?;
+            Some(operator_costs(stats, &env, p.placement, &p.plan))
         })
         .collect();
-    let ops: Vec<_> = priced
+    let ops: Vec<_> = planned
+        .priced
         .iter()
+        .zip(&costs)
         .enumerate()
-        .map(|(pos, (bound, placement, plan, priced))| OperatorView {
+        .map(|(pos, (p, costs))| OperatorView {
             pos,
-            bound,
-            placement: *placement,
-            plan,
-            stats: priced.as_ref().map(|(stats, _)| stats),
-            costs: priced.as_ref().map(|(_, costs)| costs),
+            bound: p.bound,
+            placement: p.placement,
+            plan: &p.plan,
+            stats: p.stats.as_ref().map(|(stats, _)| stats),
+            costs: costs.as_ref(),
         })
         .collect();
     check_plans(ijob.has_reduce(), &ops, &[])
@@ -1146,14 +1144,9 @@ fn operator_costs(
     env: &CostEnv,
     placement: Placement,
     plan: &OperatorPlan,
-    enumeration: Enumeration,
 ) -> OperatorCosts {
     let (full_est_secs, doubled_est) = doubled_n1_probe(stats, env, placement);
-    let krepart_k = match enumeration {
-        Enumeration::KRepart(k) => k.max(1),
-        Enumeration::Full => 2,
-    };
-    let krepart = optimize_operator(stats, env, placement, Enumeration::KRepart(krepart_k));
+    let krepart = optimize_operator(stats, env, placement, Enumeration::KRepart(KREPART_K));
     let mut s_min_by_position = Vec::with_capacity(plan.choices.len());
     let mut carried_by_position = Vec::with_capacity(plan.choices.len());
     let mut accessed: Vec<usize> = Vec::with_capacity(plan.choices.len());
@@ -1168,7 +1161,6 @@ fn operator_costs(
         t_cache_secs: env.t_cache_secs,
         full_est_secs,
         krepart_est_secs: krepart.est_cost_secs,
-        krepart_k,
         est_at_double_n1_secs: Some(doubled_est),
         s_min_by_position,
         carried_by_position,
@@ -1212,13 +1204,15 @@ mod tests {
     use crate::accessor::{HedgeConfig, IndexAccessor, PartitionScheme};
     use crate::fault::{FaultPlan, RetryPolicy};
     use crate::operator::{operator_fn, IndexInput, IndexOutput};
-    use crate::plan::IndexChoice;
+    use crate::plan::{forced_plan, IndexChoice};
     use crate::statstore::{Fingerprint, MeasuredOp};
+    use crate::statsx::Catalog;
     use efind_cluster::{
-        ChaosPlan, CorruptionPlan, DetectorConfig, IndexRateLimit, NodeId, PartitionPlan, SimTime,
-        TenantSpec,
+        ChaosPlan, Cluster, CorruptionPlan, DetectorConfig, IndexRateLimit, NodeId, PartitionPlan,
+        SimTime, TenantSpec,
     };
     use efind_common::{Datum, KeyKind, Record};
+    use efind_dfs::{Dfs, DfsConfig};
     use efind_mapreduce::{mapper_fn, reducer_fn, Collector};
     use std::sync::Arc;
 
@@ -1356,28 +1350,19 @@ mod tests {
         cat
     }
 
-    fn cost_env() -> CostEnv {
-        CostEnv {
-            bw_bytes_per_sec: 125.0e6,
-            f_per_byte: 2.0e-8,
-            t_cache_secs: 1.0e-6,
-            lookup_latency_secs: 1.0e-4,
-            shuffle_secs_per_byte: 3.6e-8,
-            job_overhead_secs: 0.0,
-            reduce_parallelism: 48.0,
-            parallelism: 96.0,
-        }
+    /// `analyze_costs` of `ijob` on a small runtime whose catalog is `catalog`.
+    fn cost_report(ijob: &IndexJobConf, catalog: Catalog) -> Report {
+        let cluster = Cluster::builder().nodes(2).build();
+        let mut dfs = Dfs::new(cluster.clone(), DfsConfig::default());
+        let mut rt = EFindRuntime::new(&cluster, &mut dfs);
+        rt.catalog = catalog;
+        analyze_costs(&rt, ijob)
     }
 
     #[test]
     fn cost_analysis_on_sane_statistics_is_passing() {
         let ijob = sample_job(sample_bound("op"));
-        let report = analyze_costs(
-            &ijob,
-            &catalog_with("op", 2.0),
-            &cost_env(),
-            Enumeration::Full,
-        );
+        let report = cost_report(&ijob, catalog_with("op", 2.0));
         assert!(report.is_passing(), "{}", report.to_text());
         assert!(!report.has_code(DiagCode::EF009));
         assert!(!report.has_code(DiagCode::EF011));
@@ -1386,7 +1371,19 @@ mod tests {
     #[test]
     fn cost_analysis_without_catalog_is_structural_only() {
         let ijob = sample_job(sample_bound("op"));
-        let report = analyze_costs(&ijob, &Catalog::new(), &cost_env(), Enumeration::Full);
+        let report = cost_report(&ijob, Catalog::new());
+        assert!(report.is_clean(), "{}", report.to_text());
+    }
+
+    #[test]
+    fn cost_analysis_checks_volatile_operators_under_their_baseline_plan() {
+        // The planner gates a volatile operator, so the cost checks see
+        // the baseline plan it runs, not an optimizer's cache plan (EF014).
+        let mut bound = sample_bound("op");
+        bound.volatile = true;
+        let ijob = sample_job(bound);
+        let report = cost_report(&ijob, catalog_with("op", 2.0));
+        assert!(!report.has_code(DiagCode::EF014), "{}", report.to_text());
         assert!(report.is_clean(), "{}", report.to_text());
     }
 
@@ -1419,17 +1416,12 @@ mod tests {
         let mut stats = cat.get("op").unwrap().clone();
         stats.indices[0].miss_ratio = 1.5;
         cat.put("op", stats);
-        let report = analyze_costs(&ijob, &cat, &cost_env(), Enumeration::Full);
+        let report = cost_report(&ijob, cat);
         assert!(report.has_code(DiagCode::EF019), "{}", report.to_text());
 
         // Sane statistics pass the same gate, and the monotonicity probe
         // is populated on every operator with catalog statistics.
-        let report = analyze_costs(
-            &ijob,
-            &catalog_with("op", 2.0),
-            &cost_env(),
-            Enumeration::Full,
-        );
+        let report = cost_report(&ijob, catalog_with("op", 2.0));
         assert!(!report.has_code(DiagCode::EF019), "{}", report.to_text());
     }
 
@@ -1440,7 +1432,7 @@ mod tests {
         let mut stats = cat.get("op").unwrap().clone();
         stats.n1 = -5.0;
         cat.put("op", stats);
-        let report = analyze_costs(&ijob, &cat, &cost_env(), Enumeration::Full);
+        let report = cost_report(&ijob, cat);
         assert!(report.has_code(DiagCode::EF009), "{}", report.to_text());
     }
 
@@ -2137,7 +2129,6 @@ mod tests {
             t_cache_secs: 1.0e-6,
             full_est_secs: 1.0,
             krepart_est_secs: 1.0,
-            krepart_k: 2,
             s_min_by_position: vec![100.0],
             carried_by_position: vec![200.0],
             est_at_double_n1_secs: None,

@@ -74,14 +74,6 @@ pub struct OperatorPlan {
 }
 
 impl OperatorPlan {
-    /// The strategy chosen for declaration-order index `j`.
-    pub fn strategy_of(&self, index: usize) -> Option<Strategy> {
-        self.choices
-            .iter()
-            .find(|c| c.index == index)
-            .map(|c| c.strategy)
-    }
-
     /// True if any index uses a shuffle strategy.
     pub fn has_shuffle(&self) -> bool {
         self.choices.iter().any(|c| c.strategy.is_shuffle())

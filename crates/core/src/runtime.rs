@@ -12,13 +12,15 @@ use efind_dfs::{Dfs, DfsFile};
 use efind_mapreduce::{Counters, JobStats, Runner, Sketches};
 
 use crate::accessor::HedgeConfig;
+use crate::adaptive::{plans_of, replan, Evidence};
 use crate::compile::{compile_pipeline, RuntimeEnv};
-use crate::cost::CostEnv;
+use crate::cost::{CostEnv, OperatorStatsEstimate, Placement};
 use crate::fault::FaultConfig;
-use crate::jobconf::IndexJobConf;
-use crate::plan::{forced_plan, optimize_operator, Enumeration, OperatorPlan, Strategy};
+use crate::jobconf::{BoundOperator, IndexJobConf};
+use crate::plan::{forced_plan, OperatorPlan, Strategy};
 use crate::statstore::{
-    fingerprint_operator, fingerprint_plan, LoadStatus, MeasuredOp, StatStore, DEFAULT_HISTORY,
+    fingerprint_operator, fingerprint_plan, Fingerprint, LoadStatus, MeasuredOp, StatStore,
+    DEFAULT_HISTORY,
 };
 use crate::statsx::{extract_operator_stats, Catalog};
 
@@ -151,8 +153,10 @@ pub enum Mode {
     /// Per-operator forced strategies (unlisted operators default to
     /// `Cache`, matching the paper's multi-join methodology).
     Manual(FxHashMap<String, Strategy>),
-    /// Cost-based optimization from catalog statistics (§5's `Optimized`;
-    /// requires statistics from a previous run).
+    /// Cost-based optimization from a previous run's statistics (§5's
+    /// `Optimized`: the store's measured history, else the catalog),
+    /// planned by the same step as `Dynamic`'s re-plans. Fails when an
+    /// indexed, non-volatile operator has no statistics.
     Optimized,
     /// Adaptive optimization from scratch (§4, §5's `Dynamic`): start with
     /// baseline, collect statistics in the first map wave, re-optimize.
@@ -369,14 +373,11 @@ impl<'a> EFindRuntime<'a> {
 
     /// The measured-stats history for one bound operator, if the attached
     /// store has a matching fingerprint whose arity fits the binding.
-    pub fn measured_for(
+    pub(crate) fn measured_for(
         &self,
-        bound: &crate::jobconf::BoundOperator,
-        placement: crate::cost::Placement,
-    ) -> Option<(
-        crate::statstore::Fingerprint,
-        crate::cost::OperatorStatsEstimate,
-    )> {
+        bound: &BoundOperator,
+        placement: Placement,
+    ) -> Option<(Fingerprint, OperatorStatsEstimate)> {
         let shape = fingerprint_operator(bound, placement);
         let stats = self
             .store
@@ -394,76 +395,28 @@ impl<'a> EFindRuntime<'a> {
         ijob: &IndexJobConf,
         mode: &Mode,
     ) -> Result<(FxHashMap<String, OperatorPlan>, Vec<MeasuredOp>)> {
-        let mut plans = FxHashMap::default();
-        let mut measured = Vec::new();
-        match mode {
-            Mode::Uniform(strategy) => {
-                for (bound, _) in ijob.operators() {
-                    plans.insert(
-                        bound.op.name().to_owned(),
-                        forced_plan(&bound.caps(), *strategy),
-                    );
-                }
-            }
+        let (plans, measured) = match mode {
+            Mode::Uniform(strategy) => (forced_plans(ijob, |_| *strategy), Vec::new()),
             Mode::Manual(per_op) => {
-                for (bound, _) in ijob.operators() {
-                    let s = per_op
-                        .get(bound.op.name())
-                        .copied()
-                        .unwrap_or(Strategy::Cache);
-                    plans.insert(bound.op.name().to_owned(), forced_plan(&bound.caps(), s));
-                }
+                let strategy = |name: &str| per_op.get(name).copied().unwrap_or(Strategy::Cache);
+                (forced_plans(ijob, strategy), Vec::new())
             }
             Mode::Optimized => {
-                let env = self.cost_env();
-                for (bound, placement) in ijob.operators() {
-                    let name = bound.op.name();
-                    // The cross-job store outranks the catalog: a matching
-                    // fingerprint means these exact shapes were measured on
-                    // a previous run.
-                    let from_store = self.measured_for(bound, placement);
-                    let mut stats = match &from_store {
-                        Some((_, stats)) => stats.clone(),
-                        None => self
-                            .catalog
-                            .get(name)
-                            .ok_or_else(|| {
-                                Error::InvalidConfig(format!(
-                                    "no catalog statistics for operator {name}; run the job once \
-                                     (any mode) or use Mode::Dynamic"
-                                ))
-                            })?
-                            .clone(),
-                    };
-                    stats.refresh_partition_schemes(&bound.caps());
-                    if let Some((shape, _)) = from_store {
-                        if !bound.volatile {
-                            measured.push(MeasuredOp::probe(name, shape, &stats, &env, placement));
-                        }
-                    }
-                    plans.insert(
-                        name.to_owned(),
-                        optimize_operator(&stats, &env, placement, Enumeration::Full),
-                    );
+                let planned = replan(self, ijob.operators(), &Evidence::Catalog);
+                if let Some(name) = planned.missing {
+                    return Err(Error::InvalidConfig(format!(
+                        "no catalog statistics for operator {name}; run the job once \
+                         (any mode) or use Mode::Dynamic"
+                    )));
                 }
+                (plans_of(planned.priced), planned.measured)
             }
             Mode::Dynamic => {
                 return Err(Error::Internal(
                     "Dynamic plans are computed during execution".into(),
                 ))
             }
-        }
-        // Volatile operators (non-idempotent lookups, §3.2) are pinned to
-        // the baseline strategy regardless of mode: caching or
-        // deduplicating their lookups would change results.
-        for (bound, _) in ijob.operators() {
-            if bound.volatile {
-                plans.insert(
-                    bound.op.name().to_owned(),
-                    forced_plan(&bound.caps(), Strategy::Baseline),
-                );
-            }
-        }
+        };
         let property4_holds = |p: &OperatorPlan| p.property4_violations().next().is_none();
         debug_assert!(
             // efind-lint: allow(unordered-iter, order-free forall predicate; no output depends on visit order)
@@ -584,6 +537,27 @@ impl<'a> EFindRuntime<'a> {
     }
 }
 
+/// Forces `strategy(name)` on every operator of `ijob`, except that a
+/// volatile operator (non-idempotent lookups, §3.2) is pinned to the
+/// baseline strategy: caching or deduplicating its lookups would change
+/// results. The planner ([`replan`]) gates volatile operators the same way.
+pub(crate) fn forced_plans(
+    ijob: &IndexJobConf,
+    strategy: impl Fn(&str) -> Strategy,
+) -> FxHashMap<String, OperatorPlan> {
+    ijob.operators()
+        .map(|(bound, _)| {
+            let name = bound.op.name();
+            let s = if bound.volatile {
+                Strategy::Baseline
+            } else {
+                strategy(name)
+            };
+            (name.to_owned(), forced_plan(&bound.caps(), s))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,12 +644,33 @@ mod tests {
     fn optimized_requires_catalog_then_works() {
         let (cluster, mut dfs, ijob) = setup(200, 10);
         let mut rt = EFindRuntime::new(&cluster, &mut dfs);
-        assert!(rt.run(&ijob, Mode::Optimized).is_err());
+        let err = rt.run(&ijob, Mode::Optimized).unwrap_err();
+        let text = "no catalog statistics for operator join; run the job once (any mode) or use \
+                    Mode::Dynamic";
+        assert!(matches!(err, Error::InvalidConfig(msg) if msg == text));
         rt.run(&ijob, Mode::Uniform(Strategy::Baseline)).unwrap();
         let baseline_out = sorted_output(rt.dfs);
         let res = rt.run(&ijob, Mode::Optimized).unwrap();
         assert_eq!(sorted_output(rt.dfs), baseline_out);
         assert_eq!(res.plans.len(), 1);
+    }
+
+    #[test]
+    fn optimized_keeps_a_failing_index_on_baseline() {
+        // Redundant keys make the cache plan the optimizer's pick; a
+        // catalog showing the index failing past the degrade threshold
+        // keeps the operator on the baseline plan, as in Dynamic mode.
+        let (cluster, mut dfs, ijob) = setup(400, 5);
+        let mut rt = EFindRuntime::new(&cluster, &mut dfs);
+        rt.run(&ijob, Mode::Uniform(Strategy::Baseline)).unwrap();
+        let strategy = |rt: &EFindRuntime| {
+            rt.plans_for(&ijob, &Mode::Optimized).unwrap()["join"].choices[0].strategy
+        };
+        assert_eq!(strategy(&rt), Strategy::Cache);
+        let mut stats = rt.catalog.get("join").unwrap().clone();
+        stats.indices[0].failure_rate = 0.9;
+        rt.catalog.put("join", stats);
+        assert_eq!(strategy(&rt), Strategy::Baseline);
     }
 
     #[test]
@@ -715,10 +710,15 @@ mod tests {
         let (cluster, mut dfs, mut ijob) = setup(200, 10);
         ijob.head[0].volatile = true;
         let mut rt = EFindRuntime::new(&cluster, &mut dfs);
+        // Optimized mode first on an empty catalog (a volatile operator
+        // runs its baseline plan, so it needs no statistics), and last
+        // with the statistics of the runs before it.
         for mode in [
+            Mode::Optimized,
             Mode::Uniform(Strategy::Cache),
             Mode::Uniform(Strategy::Repartition),
             Mode::Dynamic,
+            Mode::Optimized,
         ] {
             let res = rt.run(&ijob, mode).unwrap();
             let plan = &res.plans.iter().find(|(n, _)| n == "join").unwrap().1;
@@ -729,13 +729,6 @@ mod tests {
                 "volatile operator must stay baseline: {plan:?}"
             );
         }
-        // Optimized mode too (statistics exist from the runs above).
-        let res = rt.run(&ijob, Mode::Optimized).unwrap();
-        let plan = &res.plans.iter().find(|(n, _)| n == "join").unwrap().1;
-        assert!(plan
-            .choices
-            .iter()
-            .all(|c| c.strategy == Strategy::Baseline));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full CI gate: lint (efind-lint, fmt, clippy -D warnings), the complete
-# test suite, the cost-model checks over a real catalog (`explain syn`),
-# the goldens again under one worker, a build and test of
+# test suite, the cost-model checks over a real catalog (`explain` on all
+# seven scenarios), the goldens again under one worker, a build and test of
 # efbench — the benchmark of record (`BENCHMARK.json`) — with its seven
 # exact `alloc_mb` gates, and the pinned seed matrices. Nothing here
 # reads the wall clock: comparing two commits' host time with efbench is
@@ -20,14 +20,16 @@ cargo test -q --workspace
 echo "== explain: cost-model checks over real catalog statistics =="
 # `analyze_costs` runs the statistics-dependent checks (EF009-EF011, EF013,
 # EF019) only from a catalog a real run filled, and `explain` is its one
-# caller. On the synthetic scenario both reports must be clean.
-explain=$(cargo run --release -q -p efind-bench --bin explain -- syn)
-if ! grep -q 'structural: clean' <<<"$explain" || ! grep -q 'cost model: clean' <<<"$explain"; then
-    printf '%s\n' "$explain"
-    echo "explain syn: the static analysis is not clean"
-    exit 1
-fi
-echo "explain syn: structural and cost-model analysis clean"
+# caller. On every scenario both reports must be clean.
+for scenario in syn q9 q3 log osm topics multi; do
+    explain=$(cargo run --release -q -p efind-bench --bin explain -- "$scenario")
+    if ! grep -q 'structural: clean' <<<"$explain" || ! grep -q 'cost model: clean' <<<"$explain"; then
+        printf '%s\n' "$explain"
+        echo "explain $scenario: the static analysis is not clean"
+        exit 1
+    fi
+    echo "explain $scenario: structural and cost-model analysis clean"
+done
 
 echo "== goldens under one worker =="
 # The runner's `fan_out` is the one place available_parallelism() enters;
