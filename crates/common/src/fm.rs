@@ -37,11 +37,6 @@ impl FmSketch {
         }
     }
 
-    /// Number of bitmaps.
-    pub fn num_maps(&self) -> usize {
-        self.maps.len()
-    }
-
     /// Observes a pre-hashed key.
     pub fn insert_hash(&mut self, hash: u64) {
         // Multiplicative hashes (FxHash included) barely mix toward the low

@@ -28,7 +28,7 @@
 //! ([`Runner::seal`](efind_mapreduce::Runner::seal)).
 
 use efind_cluster::{sched::Schedule, SimDuration, SimTime};
-use efind_common::{Error, FxHashMap, Record, Result};
+use efind_common::{Error, FxHashMap, Result};
 use efind_mapreduce::{
     Counters, JobConf, JobParts, JobStats, MapPhaseExec, PhaseStats, RecoveryLog, ReduceTaskExec,
     Sketches, TaskStats,
@@ -434,9 +434,12 @@ pub(crate) fn run_dynamic(
         res.stats.recovery.surviving_tasks = recovery.surviving_tasks;
         res.stats.recovery.lost_tasks = recovery.lost_tasks;
         job_stats.push(res.stats);
-        let mut all: Vec<_> = exec1.take_outputs().into_iter().flatten().collect();
-        all.extend(rt.dfs.read_file(&ijob.output)?);
-        rt.dfs.write_file(&ijob.output, all)
+        rt.dfs.write_file_parts_then(
+            &ijob.output,
+            exec1.take_parts(),
+            &ijob.output,
+            last.output_chunks,
+        )?
     };
     let total_end = job_stats.last().map_or(t, |j| j.finished);
 
@@ -469,14 +472,6 @@ fn reduce_phase(tasks: &[ReduceTaskExec], schedule: Schedule) -> PhaseStats {
         tasks: tasks.iter().map(|t| t.stats.clone()).collect(),
         schedule,
     }
-}
-
-/// Moves the output records of executed reduce tasks out, in task order.
-fn take_outputs(tasks: &mut [ReduceTaskExec]) -> Vec<Record> {
-    tasks
-        .iter_mut()
-        .flat_map(|t| std::mem::take(&mut t.output))
-        .collect()
 }
 
 /// Fig. 10(b) / Algorithm 1's reduce-phase branch: when the final job's
@@ -541,7 +536,11 @@ fn try_reduce_phase_replan(
         exec.tasks.clear();
         let reduce_schedule = rt.runner().schedule_reduces(&wave1, map_end);
         let finished = reduce_schedule.makespan;
-        let output = rt.dfs.write_file(&ijob.output, take_outputs(&mut wave1));
+        let output = rt.dfs.write_file_parts(
+            &ijob.output,
+            ReduceTaskExec::take_parts(&mut wave1),
+            conf.output_chunks,
+        );
         let stats = rt.runner().seal(
             conf,
             JobParts {
@@ -579,10 +578,10 @@ fn try_reduce_phase_replan(
 
     // The re-planned tail pipeline consumes the stripped outputs.
     let tmp_in = format!("{}.tail-replan.in", ijob.name);
-    rt.dfs.write_file_with_chunks(
+    rt.dfs.write_file_parts(
         &tmp_in,
-        take_outputs(&mut rest),
-        rt.cluster.total_map_slots(),
+        ReduceTaskExec::take_parts(&mut rest),
+        Some(rt.cluster.total_map_slots()),
     );
     let tmp_out = format!("{}.tail-replan.out", ijob.name);
     let mut tail_ijob = IndexJobConf::new(format!("{}-tailreplan", ijob.name), &tmp_in, &tmp_out);
@@ -601,9 +600,12 @@ fn try_reduce_phase_replan(
     }
 
     // Merge: completed wave-1 outputs + the tail pipeline's outputs.
-    let mut final_records = take_outputs(&mut wave1);
-    final_records.extend(rt.dfs.read_file(&tmp_out)?);
-    let output = rt.dfs.write_file(&ijob.output, final_records);
+    let output = rt.dfs.write_file_parts_then(
+        &ijob.output,
+        ReduceTaskExec::take_parts(&mut wave1),
+        &tmp_out,
+        conf.output_chunks,
+    )?;
     if !rt.config.keep_intermediates {
         rt.dfs.delete(&tmp_in);
         rt.dfs.delete(&tmp_out);

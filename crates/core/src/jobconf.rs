@@ -166,12 +166,6 @@ impl IndexJobConf {
         }
     }
 
-    /// Tags the job with the tenant it runs as.
-    pub fn set_tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = Some(tenant.into());
-        self
-    }
-
     /// Sets the Map function(s).
     pub fn set_mapper(mut self, m: MapperFactory) -> Self {
         self.map.push(m);
@@ -189,18 +183,6 @@ impl IndexJobConf {
     pub fn set_identity_reducer(mut self, num_reducers: usize) -> Self {
         self.reducer = None;
         self.num_reducers = num_reducers.max(1);
-        self
-    }
-
-    /// Overrides the job's own shuffle partitioner.
-    pub fn set_partitioner(mut self, p: Arc<dyn Partitioner>) -> Self {
-        self.partitioner = p;
-        self
-    }
-
-    /// Overrides the per-record CPU model.
-    pub fn set_cpu_per_record(mut self, d: SimDuration) -> Self {
-        self.cpu_per_record = d;
         self
     }
 

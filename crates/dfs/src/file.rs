@@ -436,34 +436,40 @@ impl Dfs {
     /// [`Dfs::write_file`] — or [`Dfs::write_file_with_chunks`] when
     /// `num_chunks` is set — writes from their concatenation, without
     /// concatenating them. Each part comes with its records'
-    /// `Record::size_bytes` summed, which a job's tasks know already; only
-    /// a part that a chunk boundary falls inside is sized record by record.
-    /// The file keeps each part's vector as it was handed over, trimmed of
-    /// spare capacity; no record moves.
+    /// `Record::size_bytes` summed, which a job's tasks know already (the
+    /// blocks of a [`PartWriter`](crate::PartWriter)); only a part that a
+    /// chunk boundary falls inside is sized record by record. The file
+    /// keeps each part's vector as it was handed over, trimmed of spare
+    /// capacity; no record moves.
     pub fn write_file_parts(
         &mut self,
         name: &str,
         parts: Vec<(Vec<Record>, u64)>,
         num_chunks: Option<usize>,
     ) -> DfsFile {
-        let limit = match num_chunks {
-            Some(n) => chunk_limit(parts.iter().map(|(_, bytes)| bytes).sum(), n),
-            None => self.config.chunk_size_bytes,
-        };
-        let mut cuts = Cuts::new(limit);
-        for (records, bytes) in &parts {
-            debug_assert_eq!(
-                records.iter().map(Record::size_bytes).sum::<u64>(),
-                *bytes,
-                "a part's bytes are its records' sizes summed"
-            );
-            cuts.part(records.iter(), *bytes);
-        }
-        let pieces = parts
-            .into_iter()
-            .map(|(records, _)| Piece::whole(records))
-            .collect();
-        self.write_pieces(name, pieces, cuts.finish())
+        self.write_spliced(name, parts, Vec::new(), num_chunks)
+    }
+
+    /// Writes the records of `parts`, then those of every chunk of file
+    /// `source`, as `name`: the file [`Dfs::write_file_parts`] writes from
+    /// `parts` followed by the source's chunks as parts. The new chunks
+    /// keep the parts and view the source's, so no record is copied, and
+    /// `source` may be `name` itself. Fails as [`Dfs::read_chunk`] does on
+    /// a chunk that cannot be read.
+    pub fn write_file_parts_then(
+        &mut self,
+        name: &str,
+        parts: Vec<(Vec<Record>, u64)>,
+        source: &str,
+        num_chunks: Option<usize>,
+    ) -> Result<DfsFile> {
+        let count = self
+            .files
+            .get(source)
+            .ok_or_else(|| Error::NotFound(format!("dfs file {source}")))?
+            .len();
+        let views = self.views(source, 0..count)?;
+        Ok(self.write_spliced(name, parts, views, num_chunks))
     }
 
     /// Writes the records of chunks `chunks` of file `source`, in the order
@@ -480,19 +486,60 @@ impl Dfs {
         chunks: &[usize],
         num_chunks: usize,
     ) -> Result<DfsFile> {
-        let read = chunks
-            .iter()
-            .map(|&chunk| self.readable(source, chunk))
-            .collect::<Result<Vec<_>>>()?;
-        let mut cuts = Cuts::new(chunk_limit(read.iter().map(|c| c.bytes).sum(), num_chunks));
-        for c in &read {
-            cuts.part(c.records.chunk().iter(), c.bytes);
+        let views = self.views(source, chunks.iter().copied())?;
+        Ok(self.write_spliced(name, Vec::new(), views, Some(num_chunks)))
+    }
+
+    /// Chunks `chunks` of file `source` as a read finds them, each with its
+    /// bytes.
+    fn views(
+        &self,
+        source: &str,
+        chunks: impl Iterator<Item = usize>,
+    ) -> Result<Vec<(SharedChunk, u64)>> {
+        chunks
+            .map(|chunk| {
+                let c = self.readable(source, chunk)?;
+                Ok((c.records.clone(), c.bytes))
+            })
+            .collect()
+    }
+
+    /// Writes the records of `parts`, then those of `views`, as `name`,
+    /// under the one [`Cuts`] rule: each part is kept and each view's
+    /// pieces are shared.
+    fn write_spliced(
+        &mut self,
+        name: &str,
+        parts: Vec<(Vec<Record>, u64)>,
+        views: Vec<(SharedChunk, u64)>,
+        num_chunks: Option<usize>,
+    ) -> DfsFile {
+        let limit = match num_chunks {
+            Some(n) => {
+                let bytes = parts.iter().map(|(_, b)| b);
+                chunk_limit(bytes.chain(views.iter().map(|(_, b)| b)).sum(), n)
+            }
+            None => self.config.chunk_size_bytes,
+        };
+        let mut cuts = Cuts::new(limit);
+        for (records, bytes) in &parts {
+            debug_assert_eq!(
+                records.iter().map(Record::size_bytes).sum::<u64>(),
+                *bytes,
+                "a part's bytes are its records' sizes summed"
+            );
+            cuts.part(records.iter(), *bytes);
         }
-        let pieces = read
-            .iter()
-            .flat_map(|c| c.records.pieces.iter().cloned())
+        for (chunk, bytes) in &views {
+            cuts.part(chunk.chunk().iter(), *bytes);
+        }
+        let pieces = parts
+            .into_iter()
+            .map(|(records, _)| Piece::whole(records))
+            .chain(views.iter().flat_map(|(c, _)| c.pieces.iter().cloned()))
             .collect();
-        Ok(self.write_pieces(name, pieces, cuts.finish()))
+        self.write_pieces(name, pieces, cuts.finish())
     }
 
     /// Stores as `name` a file whose records are those of `pieces`, in
@@ -895,7 +942,9 @@ impl Dfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PartWriter;
     use efind_common::Datum;
+    use proptest::prelude::*;
 
     /// The chunk CRC as it was computed before it streamed: the whole
     /// chunk encoded into one buffer, the flip applied to that buffer.
@@ -1285,6 +1334,105 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A payload length: mostly small, now and then one that makes its
+    /// record larger than a small chunk limit.
+    fn payload() -> impl Strategy<Value = usize> {
+        prop_oneof![9 => 0usize..120, 1 => 1500usize..3000]
+    }
+
+    /// A task's output: its writer's first block capacity and its
+    /// records' payload lengths, some tasks empty.
+    fn task() -> impl Strategy<Value = (usize, Vec<usize>)> {
+        let payloads = prop_oneof![
+            1 => Just(Vec::new()),
+            3 => prop::collection::vec(payload(), 0..1000),
+        ];
+        (0usize..1500, payloads)
+    }
+
+    /// `records` emitted into a writer whose first block holds `first`.
+    fn written(first: usize, records: &[Record]) -> PartWriter {
+        let mut w = PartWriter::with_capacity(first);
+        records.iter().cloned().for_each(|r| w.push(r));
+        w
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The file written from the tasks' writer blocks is the file
+        /// written from their concatenated records — records, chunk
+        /// boundaries, bytes, CRCs and hosts — wherever the boundaries fall
+        /// among the blocks, by size or by count, with oversized records
+        /// and empty tasks. So is the file written from some tasks' blocks
+        /// followed by the chunks of a file holding the others' records.
+        #[test]
+        fn a_file_written_from_writer_blocks_is_the_file_written_from_its_records(
+            tasks in prop::collection::vec(task(), 0..4),
+            chunk_size_bytes in 200u64..6000,
+            num_chunks in proptest::option::of(0usize..40),
+            split in 0usize..4,
+            source_chunks in 0usize..9,
+        ) {
+            let mut d = dfs();
+            d.config.chunk_size_bytes = chunk_size_bytes;
+            let mut next = 0i64;
+            let tasks: Vec<(usize, Vec<Record>)> = tasks
+                .into_iter()
+                .map(|(first, payloads)| {
+                    let records = payloads
+                        .into_iter()
+                        .map(|n| {
+                            next += 1;
+                            Record::new(next, Datum::Bytes(vec![next as u8; n]))
+                        })
+                        .collect();
+                    (first, records)
+                })
+                .collect();
+            let all: Vec<Record> = tasks.iter().flat_map(|(_, r)| r.iter().cloned()).collect();
+            match num_chunks {
+                Some(n) => d.write_file_with_chunks("f", all.clone(), n),
+                None => d.write_file("f", all.clone()),
+            };
+            let want = stored(&d, "f");
+
+            let parts = |tasks: &[(usize, Vec<Record>)]| -> Vec<(Vec<Record>, u64)> {
+                tasks
+                    .iter()
+                    .flat_map(|(first, records)| written(*first, records).into_parts())
+                    .collect()
+            };
+            d.write_file_parts("f", parts(&tasks), num_chunks);
+            prop_assert_eq!(&stored(&d, "f"), &want);
+
+            let (head, tail) = tasks.split_at(split.min(tasks.len()));
+            let rest: Vec<Record> = tail.iter().flat_map(|(_, r)| r.iter().cloned()).collect();
+            d.write_file_with_chunks("src", rest, source_chunks);
+            d.write_file_parts_then("f", parts(head), "src", num_chunks).unwrap();
+            prop_assert_eq!(&stored(&d, "f"), &want);
+            prop_assert_eq!(d.read_file("f").unwrap(), all);
+        }
+    }
+
+    /// Writing a file from its own chunks after some parts keeps its
+    /// records, and a missing source fails the write.
+    #[test]
+    fn a_file_can_be_written_from_parts_then_its_own_chunks() {
+        let mut d = dfs();
+        let data = records(30);
+        d.write_file("f", data.clone());
+        let want = stored(&d, "f");
+        d.write_file("f", data[10..].to_vec());
+        let head = written(0, &data[..10]).into_parts().collect();
+        d.write_file_parts_then("f", head, "f", None).unwrap();
+        assert_eq!(stored(&d, "f"), want);
+        assert!(d
+            .write_file_parts_then("h", Vec::new(), "nope", None)
+            .is_err());
+        assert!(!d.exists("h"));
     }
 
     /// `(records, bytes, crc, hosts)` of every chunk of `name`.

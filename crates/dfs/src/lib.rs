@@ -17,8 +17,14 @@
 //! and [`Dfs::re_replicate`] restores the replication target in the
 //! background (priced on the network/disk models). A chunk whose last
 //! replica dies is permanently lost — reads fail with a `DataLoss` error.
+//!
+//! A task writes its output into a [`PartWriter`], whose blocks never move:
+//! the output file keeps them as its parts, and a file written from another
+//! file's chunks views their parts, so no write copies a record.
 
 pub mod file;
 pub mod placement;
+pub mod writer;
 
 pub use file::{Chunk, ChunkIter, ChunkMeta, Dfs, DfsConfig, DfsFile, ReReplication, SharedChunk};
+pub use writer::PartWriter;

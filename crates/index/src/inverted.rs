@@ -100,11 +100,6 @@ impl InvertedIndex {
         }
     }
 
-    /// Number of distinct terms.
-    pub fn num_terms(&self) -> usize {
-        self.partitions.iter().map(FxHashMap::len).sum()
-    }
-
     /// The posting list of a term (empty if absent).
     pub fn postings(&self, term: &str) -> &[Posting] {
         let key = Datum::Text(term.to_lowercase());

@@ -21,13 +21,14 @@
 //! how the stages' calls interleave, which shows to a stage that reads
 //! task-wide state another stage writes ([`TaskCtx::charged`]). Between two
 //! stages sits one buffer for the whole task; the last stage emits into the
-//! task's [`Collector`] — a map-only task's output vector, or the shuffle
-//! run of a job with a reduce, which encodes each record as it arrives.
+//! task's [`Collector`] — the [`PartWriter`] whose blocks become the parts
+//! of a map-only or reduce task's output file, or the shuffle run of a map
+//! task of a job with a reduce, which encodes each record as it arrives.
 
 use std::sync::Arc;
 
 use efind_common::{Datum, Record};
-use efind_dfs::SharedChunk;
+use efind_dfs::{Chunk, PartWriter};
 
 use crate::context::TaskCtx;
 
@@ -38,6 +39,12 @@ pub trait Collector {
 }
 
 impl Collector for Vec<Record> {
+    fn collect(&mut self, rec: Record) {
+        self.push(rec);
+    }
+}
+
+impl Collector for PartWriter {
     fn collect(&mut self, rec: Record) {
         self.push(rec);
     }
@@ -162,12 +169,9 @@ impl Chain {
     pub(crate) fn push_all(
         &mut self,
         records: &mut Vec<Record>,
-        out: &mut Vec<Record>,
+        out: &mut dyn Collector,
         ctx: &mut TaskCtx,
     ) {
-        if self.stages.is_empty() {
-            return out.append(records);
-        }
         for rec in records.drain(..) {
             push(&mut self.stages, rec, out, ctx);
         }
@@ -220,40 +224,32 @@ pub fn run_chain(chain: &[MapperFactory], records: Vec<Record>, ctx: &mut TaskCt
     if chain.is_empty() {
         return records;
     }
-    run(chain, records.into_iter(), ctx)
-}
-
-/// [`run_chain`] over a shared DFS chunk: stage 0 takes clones of the
-/// shared records, one at a time, so no copy of the input is made up front.
-/// Map-only tasks use this to feed straight off shared DFS chunk storage;
-/// a map task of a job with a reduce [`drive`]s its chain into its shuffle
-/// run instead. An empty chain returns a copy of `records`.
-pub fn run_chain_shared(
-    chain: &[MapperFactory],
-    records: SharedChunk,
-    ctx: &mut TaskCtx,
-) -> Vec<Record> {
-    if chain.is_empty() {
-        return records.chunk().to_vec();
-    }
-    run(chain, records.chunk().iter().cloned(), ctx)
-}
-
-/// Runs `records` through a fresh instance of the non-empty `chain`,
-/// collecting into one vector sized for as many records as went in.
-fn run(
-    chain: &[MapperFactory],
-    records: impl ExactSizeIterator<Item = Record>,
-    ctx: &mut TaskCtx,
-) -> Vec<Record> {
     let mut out = Vec::with_capacity(records.len());
-    drive(chain, records, &mut out, ctx);
+    drive(chain, records.into_iter(), &mut out, ctx);
+    out
+}
+
+/// Runs a map-only task's `chain` over its input chunk into the writer of
+/// its output file, whose first block holds as many records as went in:
+/// stage 0 takes clones of the shared records, one at a time, so no copy
+/// of the input is made up front.
+pub(crate) fn run_into_parts(
+    chain: &[MapperFactory],
+    records: Chunk<'_>,
+    ctx: &mut TaskCtx,
+) -> PartWriter {
+    let mut out = PartWriter::with_capacity(records.len());
+    drive(chain, records.iter().cloned(), &mut out, ctx);
     out
 }
 
 /// Takes `records` through a fresh instance of `chain`, record at a time,
 /// then flushes its stages in order (see the module docs); what the last
-/// stage emits goes into `out`.
+/// stage emits goes into `out`. Inlined into every caller: a map task of a
+/// job with a reduce and a map-only task drive the same iterator type, and
+/// the one shared copy the compiler made of it ran `wc_shuffle`'s map
+/// phase a sixth slower (EXPERIMENTS.md E37).
+#[inline(always)]
 pub(crate) fn drive(
     chain: &[MapperFactory],
     records: impl Iterator<Item = Record>,
@@ -271,6 +267,7 @@ pub(crate) fn drive(
 mod tests {
     use super::*;
     use efind_cluster::{NodeId, SimDuration};
+    use efind_dfs::SharedChunk;
     use proptest::prelude::*;
 
     fn ctx() -> TaskCtx {
@@ -493,10 +490,17 @@ mod tests {
         ]
     }
 
+    /// The records a map-only task's chain writes over `records`.
+    fn parts_of(chain: &[MapperFactory], records: SharedChunk, ctx: &mut TaskCtx) -> Vec<Record> {
+        run_into_parts(chain, records.chunk(), ctx)
+            .into_iter()
+            .collect()
+    }
+
     proptest! {
         /// Record at a time, every stage sees what it saw stage at a time:
         /// same output, counters, sketches, charged time and affinity, owned
-        /// input or shared.
+        /// input or a shared chunk written into parts.
         #[test]
         fn record_at_a_time_matches_stage_at_a_time(
             stages in prop::collection::vec((kind(), 0u64..4), 0..=4),
@@ -514,7 +518,7 @@ mod tests {
             prop_assert_eq!(observed(&got_ctx, stages.len()), want_seen.clone());
 
             let mut shared_ctx = ctx();
-            let shared = run_chain_shared(&chain, input.into(), &mut shared_ctx);
+            let shared = parts_of(&chain, input.into(), &mut shared_ctx);
             prop_assert_eq!(&shared, &want);
             prop_assert_eq!(observed(&shared_ctx, stages.len()), want_seen);
         }
@@ -529,7 +533,7 @@ mod tests {
         assert_eq!(out.len(), 2);
         let shared = SharedChunk::from(out);
         assert_eq!(
-            run_chain_shared(&[], shared.clone(), &mut ctx()),
+            parts_of(&[], shared.clone(), &mut ctx()),
             shared.chunk().to_vec()
         );
     }
@@ -545,7 +549,7 @@ mod tests {
         let mut staged = ctx();
         assert_eq!(run_chain_staged(&chain, Vec::new(), &mut staged), out);
         assert_eq!(observed(&c, 3), observed(&staged, 3));
-        let shared = run_chain_shared(&chain, Vec::new().into(), &mut ctx());
+        let shared = parts_of(&chain, Vec::new().into(), &mut ctx());
         assert_eq!(shared, out);
     }
 

@@ -25,10 +25,10 @@ use efind_cluster::{
     SimDuration, SimTime, Suspicion, Verdict,
 };
 use efind_common::{crc32, Datum, Error, Record, Result};
-use efind_dfs::{Chunk, ChunkMeta, Dfs, DfsFile};
+use efind_dfs::{Chunk, ChunkMeta, Dfs, DfsFile, PartWriter};
 use parking_lot::Mutex;
 
-use crate::api::{drive, run_chain_shared, Chain, Collector, ReducerFactory};
+use crate::api::{drive, run_into_parts, Chain, Collector, ReducerFactory};
 use crate::context::TaskCtx;
 use crate::counters::{Counters, Sketches};
 use crate::group::group_by_key;
@@ -141,15 +141,16 @@ pub struct MapTaskExec {
 /// What a map task hands on.
 #[derive(Debug)]
 enum MapOutput {
-    /// The finished records of a map-only job, in emission order.
-    Records(Vec<Record>),
+    /// The finished records of a map-only job, in emission order, in the
+    /// blocks the output file keeps.
+    Parts(PartWriter),
     /// The shuffle run of a job with a reduce.
     Run(Spill),
 }
 
 impl Default for MapOutput {
     fn default() -> Self {
-        MapOutput::Records(Vec::new())
+        MapOutput::Parts(PartWriter::default())
     }
 }
 
@@ -182,25 +183,27 @@ impl MapPhaseExec {
     /// by partition, each partition in emission order, so that the job's
     /// own partitioner splits them into the partitions it shuffled.
     pub fn take_outputs(&mut self) -> Vec<Vec<Record>> {
-        self.take_parts()
-            .into_iter()
-            .map(|(records, _)| records)
+        self.tasks
+            .iter_mut()
+            .map(|t| match mem::take(&mut t.output) {
+                MapOutput::Parts(parts) => parts.into_iter().collect(),
+                MapOutput::Run(run) => run.into_records(),
+            })
             .collect()
     }
 
-    /// [`MapPhaseExec::take_outputs`], each task's records paired with the
-    /// bytes its worker summed for them (`TaskStats::output_bytes`).
-    fn take_parts(&mut self) -> Vec<(Vec<Record>, u64)> {
-        self.tasks
-            .iter_mut()
-            .map(|t| {
-                let records = match mem::take(&mut t.output) {
-                    MapOutput::Records(records) => records,
-                    MapOutput::Run(run) => run.into_records(),
-                };
-                (records, t.stats.output_bytes)
-            })
-            .collect()
+    /// The outputs [`MapPhaseExec::take_outputs`] moves out, as parts of a
+    /// file: a map-only task's blocks, or a task's run as one part, each
+    /// with its records' bytes. What [`Dfs::write_file_parts`] takes.
+    pub fn take_parts(&mut self) -> Vec<(Vec<Record>, u64)> {
+        let mut parts = Vec::with_capacity(self.tasks.len());
+        for t in &mut self.tasks {
+            match mem::take(&mut t.output) {
+                MapOutput::Parts(blocks) => parts.extend(blocks.into_parts()),
+                MapOutput::Run(run) => parts.push((run.into_records(), t.stats.output_bytes)),
+            }
+        }
+        parts
     }
 
     /// The phase's statistics under `schedule`.
@@ -220,8 +223,19 @@ pub struct ReduceTaskExec {
     pub stats: TaskStats,
     /// The schedulable task.
     pub spec: TaskSpec,
-    /// The task's output records.
-    pub output: Vec<Record>,
+    /// The task's output records, in the blocks the output file keeps.
+    pub output: PartWriter,
+}
+
+impl ReduceTaskExec {
+    /// Moves the output blocks of `tasks` out, in task order, each with
+    /// its records' bytes: the parts [`Dfs::write_file_parts`] takes.
+    pub fn take_parts(tasks: &mut [ReduceTaskExec]) -> Vec<(Vec<Record>, u64)> {
+        tasks
+            .iter_mut()
+            .flat_map(|t| mem::take(&mut t.output).into_parts())
+            .collect()
+    }
 }
 
 /// Outcome of a reduce phase.
@@ -431,9 +445,9 @@ impl<'a> Runner<'a> {
             };
             (MapOutput::Run(run), emitted, combiner_cost)
         } else {
-            let output = run_chain_shared(&conf.map_chain, records, &mut ctx);
+            let output = run_into_parts(&conf.map_chain, records.chunk(), &mut ctx);
             let emitted = output.len() as u64;
-            (MapOutput::Records(output), emitted, SimDuration::ZERO)
+            (MapOutput::Parts(output), emitted, SimDuration::ZERO)
         };
         if let Some(msg) = ctx.error() {
             return Err(Error::Internal(format!(
@@ -443,10 +457,7 @@ impl<'a> Runner<'a> {
         }
         let (output_records, output_bytes) = match &output {
             MapOutput::Run(run) => (run.len() as u64, run.bytes()),
-            MapOutput::Records(output) => (
-                output.len() as u64,
-                output.iter().map(Record::size_bytes).sum(),
-            ),
+            MapOutput::Parts(output) => (output.len() as u64, output.bytes()),
         };
 
         let mut base_cost =
@@ -593,9 +604,9 @@ impl<'a> Runner<'a> {
     }
 
     /// Writes per-task outputs, in task order, as the job's output file:
-    /// each task's records with the bytes its worker summed for them
-    /// (`TaskStats::output_bytes`), so the DFS sizes again only the records
-    /// of a task a chunk boundary falls inside.
+    /// each task's blocks with the bytes its worker summed for them as they
+    /// were emitted, so the DFS sizes again only the records of a block a
+    /// chunk boundary falls inside.
     fn write_output(&mut self, conf: &JobConf, outputs: Vec<(Vec<Record>, u64)>) -> DfsFile {
         self.dfs
             .write_file_parts(&conf.output, outputs, conf.output_chunks)
@@ -630,11 +641,10 @@ impl<'a> Runner<'a> {
             }
         }
 
+        let outputs = ReduceTaskExec::take_parts(&mut execs);
         let mut tasks = Vec::with_capacity(execs.len());
         let mut specs = Vec::with_capacity(execs.len());
-        let mut outputs = Vec::with_capacity(execs.len());
         for e in execs {
-            outputs.push((e.output, e.stats.output_bytes));
             tasks.push(e.stats);
             specs.push(e.spec);
         }
@@ -728,7 +738,7 @@ impl<'a> Runner<'a> {
         // group reduces to goes down the stages before the next group.
         let mut post = Chain::new(&conf.reduce_post);
         let mut reduced: Vec<Record> = Vec::new();
-        let mut output: Vec<Record> = Vec::new();
+        let mut output = PartWriter::default();
         // Keys and values move into the reducer, no per-record clones.
         for (key, values) in groups {
             match reducer.as_mut() {
@@ -762,7 +772,7 @@ impl<'a> Runner<'a> {
             )));
         }
         let output_records = output.len() as u64;
-        let output_bytes: u64 = output.iter().map(Record::size_bytes).sum();
+        let output_bytes = output.bytes();
 
         // Shuffle transfer (remote fraction), merge spill, and the DFS
         // write of the task's output slice.
@@ -1370,7 +1380,7 @@ fn shuffle_runs<'e>(conf: &JobConf, exec: &'e mut MapPhaseExec) -> Result<Vec<&'
                     conf.name, conf.num_reducers, t.task_id
                 ))),
             },
-            MapOutput::Records(_) => Err(Error::Internal(format!(
+            MapOutput::Parts(_) => Err(Error::Internal(format!(
                 "job {}: map task {} ran without a shuffle",
                 conf.name, t.task_id
             ))),
@@ -1695,7 +1705,10 @@ mod tests {
             waves.iter().map(|t| t.task_id).collect::<Vec<_>>(),
             [0, 1, 2]
         );
-        let outputs: Vec<Record> = waves.iter().flat_map(|t| t.output.clone()).collect();
+        let outputs: Vec<Record> = ReduceTaskExec::take_parts(&mut waves)
+            .into_iter()
+            .flat_map(|(records, _)| records)
+            .collect();
         assert_eq!(outputs, runner.dfs.read_file("out").unwrap());
         for (wave, task) in waves.iter().zip(&whole.phase.tasks) {
             assert_eq!(wave.stats.input_records, task.input_records);
@@ -1959,16 +1972,18 @@ mod shuffle_tests {
             let (cluster, mut dfs) = setup();
             let runner = Runner::new(&cluster, &mut dfs);
             let conf = JobConf::new("g", "in", "out").with_reducer(listing_reducer(), 1);
-            let reduced = runner
+            let mut reduced = runner
                 .execute_reduce_partitions_owned(&conf, vec![(0, records.clone())])
                 .unwrap();
-            prop_assert_eq!(&reduced[0].output, &listed);
+            let output: Vec<Record> = mem::take(&mut reduced[0].output).into_iter().collect();
+            prop_assert_eq!(&output, &listed);
 
             let conf = JobConf::new("g", "in", "out").with_identity_reduce(1);
-            let identity = runner
+            let mut identity = runner
                 .execute_reduce_partitions_owned(&conf, vec![(0, records.clone())])
                 .unwrap();
-            prop_assert_eq!(&identity[0].output, &passed_through);
+            let output: Vec<Record> = mem::take(&mut identity[0].output).into_iter().collect();
+            prop_assert_eq!(&output, &passed_through);
 
             // The combiner, from a task's one-partition run into a run of
             // one partition and into one of eight.

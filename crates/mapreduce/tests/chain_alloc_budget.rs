@@ -1,9 +1,10 @@
 //! A map task's chain hands records on one at a time, and the DFS keeps
-//! the job's output in the vectors the tasks filled: a map-only job whose
+//! the job's output in the blocks the tasks filled: a map-only job whose
 //! chain is three identity stages asks the allocator for one output-sized
-//! vector per task and nothing record-sized after — not a vector per stage,
+//! block per task and nothing record-sized after — not a vector per stage,
 //! a concatenation of every task's output or a copy of the records into
-//! each output chunk. Its own test binary: the checks need a
+//! each output chunk — and a reduce task's output blocks are allocated
+//! once each, not grown by doubling. Its own test binary: the checks need a
 //! `#[global_allocator]` that counts, on every thread the runner fans out
 //! to.
 
@@ -71,6 +72,13 @@ fn identity_job() -> (Cluster, Dfs, JobConf) {
     (cluster, dfs, conf)
 }
 
+/// An identity reduce with 4 reducers over the same records.
+fn identity_reduce_job() -> (Cluster, Dfs, JobConf) {
+    let (cluster, dfs, _) = identity_job();
+    let conf = JobConf::new("idr", "in", "out").with_identity_reduce(4);
+    (cluster, dfs, conf)
+}
+
 fn check_output(dfs: &Dfs) {
     let out = dfs.read_file("out").unwrap();
     assert_eq!(out.len(), RECORDS);
@@ -128,5 +136,38 @@ fn the_job_tail_requests_under_an_eighth_of_the_records_bytes() {
     assert!(
         requested < VECTOR / 8,
         "{requested} bytes requested by the job tail; the records take {VECTOR}"
+    );
+}
+
+/// A reduce task writes its output into blocks the output file keeps, each
+/// allocated once at its full size. The tail of the identity reduce asks
+/// for 29 855 701 bytes: the grouping, and one block's worth of bytes per
+/// output record. Output vectors grown by doubling and then trimmed by the
+/// file write made it 46 337 229 bytes; the bound lies between.
+#[test]
+fn an_identity_reduce_writes_its_output_where_it_emitted_it() {
+    let _turn = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (cluster, mut dfs, conf) = identity_reduce_job();
+    let mut runner = Runner::new(&cluster, &mut dfs);
+    let chunks = runner.chunks(&conf).unwrap();
+    let mut exec = runner.execute_maps(&conf, &chunks, 0).unwrap();
+
+    let before = REQUESTED.load(Ordering::Relaxed);
+    runner.finish(&conf, &mut exec, SimTime::ZERO).unwrap();
+    let requested = REQUESTED.load(Ordering::Relaxed) - before;
+
+    let mut out = dfs.read_file("out").unwrap();
+    out.sort_by(|a, b| a.key.cmp(&b.key));
+    assert_eq!(out.len(), RECORDS);
+    assert!(out
+        .iter()
+        .enumerate()
+        .all(|(i, r)| *r == Record::new(i as i64, i as i64 * 3)));
+    println!("{requested} bytes requested by the reduce job's tail, {VECTOR} bytes a vector");
+    assert!(
+        requested < 6 * VECTOR,
+        "{requested} bytes requested by the reduce job's tail; the records take {VECTOR}"
     );
 }

@@ -68,8 +68,8 @@ efbench_gate() {
         }'
 }
 # A lookup hands out the value list the index stores, a map task's chain
-# hands its records on one at a time into one output vector, the DFS keeps
-# that vector as the output file's part instead of copying its records
+# hands its records on one at a time into one output block, the DFS keeps
+# that block as the output file's part instead of copying its records
 # into chunk blocks, and a full cache stores each key once, so
 # `lookup_cold` (240 k records, 1 KB values, nearly every lookup reaches
 # the index) allocates 68.67 MB. A write that copies each record into its
@@ -79,25 +79,27 @@ efbench_gate() {
 # about 245 MB.
 efbench_gate lookup_cold 74
 # `wc_shuffle` (1.2 M records, string keys, integer values) allocates
-# 138.91 MB: each map task's chain emits straight into its run (keys
-# encoded, values moved) and each reduce task moves a value once into its
-# group; its output is a thousand records, so a copying write reads the
-# same. Map output collected into a vector before it was spilled made it
+# 135.27 MB: each map task's chain emits straight into its run (keys
+# encoded, values moved), each reduce task moves a value once into its
+# group and writes one record a word into blocks the output file keeps.
+# Reduce outputs grown by doubling and trimmed by the write made it
+# 138.91 MB, map output collected into a vector before it was spilled
 # 201.28 MB, records crossing the shuffle whole 220.30 MB; buckets grown
 # by doubling, a merged second copy and a merge sort's scratch buffer
 # 567.42 MB.
-efbench_gate wc_shuffle 150
+efbench_gate wc_shuffle 146
 # `scanjoin_write` (integer keys, list values) is the one shuffling
 # workload whose values own heap blocks. Each value moves into its map
 # task's run and from there into its group, and the tagged input the
 # workload writes inside its timed section is stored as the vector it
-# was handed, so it allocates 243.04 MB. A copying write makes it
-# 257.44 MB; a run that encoded the values as well would add their bytes
-# again.
-efbench_gate scanjoin_write 262
+# was handed, and the join's reduce tasks write into blocks the output
+# file keeps, so it allocates 238.40 MB. Reduce outputs grown by doubling
+# and trimmed made it 243.04 MB, and a copying write on top 257.44 MB; a
+# run that encoded the values as well would add their bytes again.
+efbench_gate scanjoin_write 257
 # A segment takes every record of its task through one carrier, and the
 # task's chain (segment, user map, statistics counter) hands records on
-# one at a time into one output vector, which the output file keeps, and
+# one at a time into one output block, which the output file keeps, and
 # its caches grow with the keys they hold, so `lookup_hot` (120 k records,
 # four in five a cache hit) allocates 34.34 MB. A copying write makes it
 # 42.02 MB, with caches that reserved their whole capacity and kept a
@@ -109,19 +111,20 @@ efbench_gate lookup_hot 37
 # costs its payload buffer going in and the datums it decodes to coming
 # out, the map side's chain emits straight into its run, and the reduce
 # side hands each group's records down its chain as the map side does,
-# so `lookup_repart` allocates 71.12 MB. Its reduce outputs grow by
-# doubling, so trimming them costs what a copying write did (71.11 MB).
-# Map output collected into a vector before it was spilled made it
-# 77.34 MB, with caches that reserved their whole capacity and kept a
-# second clone of every key 78.52 MB, a vector per chain stage 86.20 MB,
-# per-record carriers 135.64 MB.
-efbench_gate lookup_repart 77
+# into blocks allocated once at their full size that the output file
+# keeps, so `lookup_repart` allocates 51.18 MB. Reduce outputs grown by
+# doubling and then trimmed by the write made it 71.12 MB, as much as a
+# copying write (71.11 MB); map output collected into a vector before it
+# was spilled 77.34 MB, with caches that reserved their whole capacity
+# and kept a second clone of every key 78.52 MB, a vector per chain
+# stage 86.20 MB, per-record carriers 135.64 MB.
+efbench_gate lookup_repart 55
 # `lookup_armed` is `lookup_hot` with faults, a node crash, corruption,
 # partitions and hedging armed. Its oracle check runs on every iteration,
 # so `failed` 0 says no armed layer changed the answer. A verified chunk
 # read streams its CRC record by record through one buffer, an armed cache
 # insert encodes into buffers it keeps, a draw hashes from the stack and
-# the output file keeps the tasks' vectors, so it allocates 42.49 MB. A
+# the output file keeps the tasks' blocks, so it allocates 42.49 MB. A
 # copying write makes it 50.16 MB, and encoding each whole chunk to
 # checksum it 72.70 MB; with that, per-insert encode buffers and caches
 # that reserved their whole capacity it read 81.73 MB, and a vector per
@@ -132,12 +135,13 @@ efbench_gate lookup_armed 46
 # for each cache-strategy task, most holding far fewer keys than their
 # 1 024-entry capacity. They grow with what they hold, the re-plan's
 # remaining file views the input's chunks and every output file keeps
-# its tasks' vectors, so it allocates 193.53 MB. A copying write makes it
-# 207.60 MB, and map output collected into a vector before it was spilled
-# 214.97 MB; with that, reserving each cache's whole capacity up front
-# made it 355.04 MB, and a second clone of every key in the cache's index
-# 368.22 MB.
-efbench_gate q9_adaptive 209
+# the blocks its tasks wrote, so it allocates 183.22 MB. Reduce outputs
+# grown by doubling and trimmed made it 193.53 MB, a copying write on
+# top 207.60 MB, and map output collected into a vector before it was
+# spilled 214.97 MB; with that, reserving each cache's whole capacity up
+# front made it 355.04 MB, and a second clone of every key in the
+# cache's index 368.22 MB.
+efbench_gate q9_adaptive 198
 
 echo "== fault injection (pinned seed matrix) =="
 # Deterministic chaos sweep: per (seed, rate, strategy) cell two runs
