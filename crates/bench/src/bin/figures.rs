@@ -33,6 +33,10 @@ fn main() -> ExitCode {
     };
 
     for id in ids {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "progress display on stderr only; never charged to virtual time"
+        )]
         let start = std::time::Instant::now();
         match efind_bench::run_figure(id, quick) {
             Ok(figure) => {

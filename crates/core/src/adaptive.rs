@@ -38,7 +38,7 @@ use crate::compile::compile_pipeline;
 use crate::cost::{cost_baseline, OperatorStatsEstimate, Placement};
 use crate::jobconf::{BoundOperator, IndexJobConf};
 use crate::plan::{forced_plan, optimize_operator, Enumeration, OperatorPlan, Strategy};
-use crate::runtime::{forced_plans, EFindJobResult, EFindRuntime};
+use crate::runtime::{forced_plans, in_operator_order, EFindJobResult, EFindRuntime};
 use crate::statstore::MeasuredOp;
 use crate::statsx::{extract_operator_stats, variance_ok};
 
@@ -307,8 +307,7 @@ pub(crate) fn run_dynamic(
             output: res.output,
             total_time: res.stats.makespan(),
             jobs: vec![res.stats],
-            // efind-lint: allow(unordered-iter, map-to-map collect; the destination is keyed and no order survives)
-            plans: baseline_plans.into_iter().collect(),
+            plans: in_operator_order(ijob, baseline_plans),
             replanned: false,
         });
     }
@@ -461,7 +460,7 @@ pub(crate) fn run_dynamic(
         output,
         total_time: total_end.since(SimTime::ZERO),
         jobs: job_stats,
-        plans: new_plans.into_iter().collect(),
+        plans: in_operator_order(ijob, new_plans),
         replanned: true,
     })
 }
@@ -522,6 +521,10 @@ fn try_reduce_phase_replan(
     };
     // Any beneficial plan (cache or a shuffle strategy) justifies the
     // change: the re-planned tail pipeline runs map-side either way.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "order-free exists predicate; no output depends on visit order"
+    )]
     let improved = tail_plans
         .values()
         .any(|p| p.choices.iter().any(|c| c.strategy != Strategy::Baseline));
@@ -558,7 +561,7 @@ fn try_reduce_phase_replan(
             output,
             total_time: finished.since(SimTime::ZERO),
             jobs: vec![stats],
-            plans: baseline_plans.clone().into_iter().collect(),
+            plans: in_operator_order(ijob, baseline_plans.clone()),
             replanned: false,
         }));
     }
@@ -640,7 +643,10 @@ fn try_reduce_phase_replan(
     // Head/body operators executed under the baseline plans; the tail
     // operators under their re-planned strategies.
     let mut final_plans = baseline_plans.clone();
-    // efind-lint: allow(unordered-iter, map-to-map merge; the destination is keyed and no order survives)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "map-to-map merge of distinct operator names; no order survives"
+    )]
     final_plans.extend(tail_plans.iter().map(|(k, v)| (k.clone(), v.clone())));
     rt.absorb_stats(ijob, &jobs, &final_plans);
 
@@ -648,8 +654,7 @@ fn try_reduce_phase_replan(
         output,
         total_time: t.since(SimTime::ZERO),
         jobs,
-        // efind-lint: allow(unordered-iter, map-to-map collect; the destination is keyed and no order survives)
-        plans: tail_plans.into_iter().collect(),
+        plans: in_operator_order(ijob, tail_plans),
         replanned: true,
     }))
 }

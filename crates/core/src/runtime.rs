@@ -419,8 +419,9 @@ impl<'a> EFindRuntime<'a> {
         };
         let property4_holds = |p: &OperatorPlan| p.property4_violations().next().is_none();
         debug_assert!(
-            // efind-lint: allow(unordered-iter, order-free forall predicate; no output depends on visit order)
-            plans.values().all(property4_holds),
+            ijob.operators()
+                .filter_map(|(bound, _)| plans.get(bound.op.name()))
+                .all(property4_holds),
             "planner produced a Property 4 violation (shuffle after non-shuffle)"
         );
         Ok((plans, measured))
@@ -490,8 +491,7 @@ impl<'a> EFindRuntime<'a> {
             output,
             total_time: t.since(SimTime::ZERO),
             jobs,
-            // efind-lint: allow(unordered-iter, map-to-map collect; the destination is keyed and no order survives)
-            plans: plans.into_iter().collect(),
+            plans: in_operator_order(ijob, plans),
             replanned: false,
         })
     }
@@ -535,6 +535,20 @@ impl<'a> EFindRuntime<'a> {
             }
         }
     }
+}
+
+/// `plans` as [`EFindJobResult::plans`] lists them: in `ijob.operators()`
+/// order, skipping operators that have no plan.
+pub(crate) fn in_operator_order(
+    ijob: &IndexJobConf,
+    mut plans: FxHashMap<String, OperatorPlan>,
+) -> Vec<(String, OperatorPlan)> {
+    let mut ordered = Vec::with_capacity(plans.len());
+    ordered.extend(
+        ijob.operators()
+            .filter_map(|(bound, _)| plans.remove_entry(bound.op.name())),
+    );
+    ordered
 }
 
 /// Forces `strategy(name)` on every operator of `ijob`, except that a

@@ -80,13 +80,21 @@ impl InvertedIndex {
             for token in text.split_whitespace() {
                 *counts.entry(token.to_lowercase()).or_insert(0) += 1;
             }
-            // efind-lint: allow(unordered-iter, per-term postings are sorted after the build; insertion order does not survive)
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "per-term postings are sorted after the build; insertion order does not survive"
+            )]
             for (term, tf) in counts {
                 let p = scheme.partition_of(&Datum::Text(term.clone()));
                 partitions[p].entry(term).or_default().push((doc, tf));
             }
         }
         for part in &mut partitions {
+            #[expect(
+                clippy::iter_over_hash_type,
+                clippy::disallowed_methods,
+                reason = "each term's postings are sorted on their own; no order crosses terms"
+            )]
             for postings in part.values_mut() {
                 postings.sort_unstable();
             }

@@ -1,28 +1,34 @@
-//! `efind-lint`: a source-level determinism & virtual-time static
-//! analyzer for the workspace.
+//! `efind-lint`: the determinism & virtual-time rules that clippy cannot
+//! express, as a source-level scanner over the workspace.
 //!
 //! Every guarantee the repo makes — bit-identical double runs, quiet
 //! injection plans that change nothing, virtual-time-only charging — is a
-//! *convention* until something enforces it. This crate is the enforcer:
-//! a zero-dependency line/token scanner (in the spirit of the hand-rolled
-//! `efind_common::crc`) over the workspace `.rs` files, with seven rules:
+//! *convention* until something enforces it. Clippy enforces the rules
+//! that resolve on types, across every target: wall-clock types
+//! (`clippy::disallowed_types`), hash-map and hash-set iteration
+//! (`clippy::iter_over_hash_type`, `clippy::disallowed_methods`) and panics
+//! in the runner and the query compiler (`clippy::unwrap_used` and kin);
+//! the policy is the root `clippy.toml` plus `[workspace.lints.clippy]`.
+//! This crate is a zero-dependency line/token scanner (in the spirit of
+//! the hand-rolled `efind_common::crc`) for the four project-specific
+//! rules left:
 //!
 //! | Code | Waiver key | Meaning |
 //! |------|-----------|---------|
-//! | L001 | `wall-clock` | `Instant`/`SystemTime` outside `crates/bench` |
-//! | L002 | `unordered-iter` | iteration over a hash map/set in an observable-output crate |
 //! | L003 | `raw-draw` | raw seeding/hash draws in injection code outside `efind_common::det` |
 //! | L004 | `counter-name` | counter-name literal not registered in `efind_common::intern::registry` |
-//! | L005 | `panic` | `unwrap`/`expect`/`panic!` in runner/ql error paths |
-//! | L006 | `float-accum` | float accumulation over an unordered collection |
+//! | L006 | `float-accum` | float accumulation in a statement whose `#[expect]` waives a hash iteration |
 //! | L007 | `unguarded-injection` | injection-plan call in a hot-path loop with no Quiet/Armed guard |
+//!
+//! L001 (wall clock), L002 (hash iteration) and L005 (panics) moved to
+//! clippy; their codes are retired, not reused.
 //!
 //! A finding is suppressed by a *justified* waiver comment on the same
 //! line or the comment line(s) directly above it:
 //!
 //! ```text
-//! // efind-lint: allow(unordered-iter, merge sums commute; order never observed)
-//! for (&k, &v) in &other.values { ... }
+//! // efind-lint: allow(float-accum, loads are multiples of 0.25; the sum is exact)
+//! total += *v;
 //! ```
 //!
 //! A waiver without a reason does not count. Diagnostics follow the
@@ -30,11 +36,10 @@
 //! nonzero on any un-waived finding, which is what `scripts/lint.sh` and
 //! `scripts/ci.sh` gate on.
 //!
-//! The scanner is deliberately heuristic — it reads lines and tokens, not
-//! types. It can miss an iteration over a hash map whose type is fully
-//! inferred, and it can flag a `Vec` that shadows a hash-map name. Both
-//! are acceptable for a tripwire: the first stays covered by the runtime
-//! double-run tests, the second costs one waiver comment.
+//! The scanner reads lines and tokens, not types, and skips `#[cfg(test)]`
+//! modules. L006 needs no type information: clippy makes every hash
+//! iteration carry an `#[expect]`, so that attribute marks the statements
+//! whose visit order is the hasher's.
 
 #![warn(missing_docs)]
 
@@ -43,23 +48,19 @@ use std::path::Path;
 
 use efind_common::intern::registry;
 
-/// Stable lint codes (`L001`..). Append-only, like `EFxxx`.
+/// Stable lint codes. Append-only, like `EFxxx`; L001, L002 and L005
+/// are retired (clippy enforces them).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LintCode {
-    /// Wall-clock time source outside `crates/bench`.
-    L001,
-    /// Iteration over an unordered hash collection in an
-    /// observable-output crate.
-    L002,
     /// Raw seeding/hash draw in injection code outside
     /// `efind_common::det`.
     L003,
     /// Counter-name string literal not registered in the
     /// `efind_common::intern::registry` symbol table.
     L004,
-    /// `unwrap()`/`expect()`/`panic!` in runner/ql error paths.
-    L005,
-    /// Float accumulation over an unordered collection.
+    /// Float accumulation inside a statement whose `#[expect]` waives a
+    /// hash iteration (`clippy::iter_over_hash_type` or
+    /// `clippy::disallowed_methods`).
     L006,
     /// Injection-plan draw/verify call inside a per-record or per-lookup
     /// loop in a hot-path crate, with no Quiet/Armed classification in
@@ -68,14 +69,11 @@ pub enum LintCode {
 }
 
 impl LintCode {
-    /// The stable textual form, e.g. `"L002"`.
+    /// The stable textual form, e.g. `"L003"`.
     pub fn as_str(self) -> &'static str {
         match self {
-            LintCode::L001 => "L001",
-            LintCode::L002 => "L002",
             LintCode::L003 => "L003",
             LintCode::L004 => "L004",
-            LintCode::L005 => "L005",
             LintCode::L006 => "L006",
             LintCode::L007 => "L007",
         }
@@ -84,11 +82,8 @@ impl LintCode {
     /// The waiver key accepted in `efind-lint: allow(<key>, <reason>)`.
     pub fn waiver_key(self) -> &'static str {
         match self {
-            LintCode::L001 => "wall-clock",
-            LintCode::L002 => "unordered-iter",
             LintCode::L003 => "raw-draw",
             LintCode::L004 => "counter-name",
-            LintCode::L005 => "panic",
             LintCode::L006 => "float-accum",
             LintCode::L007 => "unguarded-injection",
         }
@@ -519,10 +514,6 @@ fn parse_waivers(comment: &str) -> Vec<(String, String)> {
 // Rule scoping.
 // ---------------------------------------------------------------------------
 
-/// Crates whose outputs (records, counters, virtual times, fingerprints)
-/// are observable — where unordered iteration can leak into results.
-const OBSERVABLE_CRATES: &[&str] = &["core", "mapreduce", "cluster", "dfs", "index", "workloads"];
-
 /// Injection modules: all randomness must route through
 /// `efind_common::det`.
 const INJECTION_FILES: &[&str] = &["fault.rs", "chaos.rs", "corrupt.rs", "netsplit.rs"];
@@ -581,19 +572,6 @@ fn file_name(path: &str) -> &str {
 // The scanner.
 // ---------------------------------------------------------------------------
 
-const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "retain",
-];
 const RAW_DRAW_TOKENS: &[&str] = &[
     "fx_hash_bytes",
     "fx_hash_datum",
@@ -604,7 +582,10 @@ const RAW_DRAW_TOKENS: &[&str] = &[
     "seed_from_u64",
     "from_entropy",
 ];
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+
+/// Clippy lints whose `#[expect]` marks a statement that iterates a hash
+/// collection in the hasher's order (L006's trigger).
+const HASH_ITER_LINTS: &[&str] = &["iter_over_hash_type", "disallowed_methods"];
 
 /// Scans one file's source. `path` decides rule scoping (crate name,
 /// injection-module status) and appears in findings; `source` is the file
@@ -613,83 +594,17 @@ pub fn scan_file(path: &str, source: &str) -> Vec<Finding> {
     let lines = preprocess(source);
     let krate = crate_of(path).unwrap_or("");
     let fname = file_name(path);
-    let observable = OBSERVABLE_CRATES.contains(&krate);
     let injection = INJECTION_FILES.contains(&fname) && path.contains("crates/");
     let is_det_module = path.ends_with("common/src/det.rs");
     let is_registry_module = path.ends_with("common/src/intern.rs");
-    let panic_scoped =
-        krate == "ql" || path.ends_with("mapreduce/src/runner.rs") || fname == "l005.rs";
     // L007 scope: hot-path crate sources. The injection modules
     // themselves are exempt (they *implement* the draws), as are
     // integration tests (never on the measured path).
     let hot_path = HOT_PATH_CRATES.contains(&krate) && path.contains("/src/") && !injection;
 
-    // Pass A: collect hash-collection identifiers declared in this file.
-    let mut hash_names: Vec<String> = Vec::new();
-    for info in &lines {
-        if info.in_test {
-            continue;
-        }
-        let toks = tokens(&info.code);
-        for i in 0..toks.len() {
-            let Some(t) = ident_at(&toks, i) else {
-                continue;
-            };
-            if !HASH_TYPES.contains(&t) {
-                continue;
-            }
-            // `name : [&] [mut] [path ::]* T <` — walk back over the type
-            // path and reference sigils to the `ident :` that declared it
-            // (a field, a `let` with annotation, or an fn parameter).
-            let mut j = i;
-            loop {
-                if j >= 3
-                    && punct_at(&toks, j - 1, ':')
-                    && punct_at(&toks, j - 2, ':')
-                    && ident_at(&toks, j - 3).is_some()
-                {
-                    j -= 3; // path segment `seg ::`
-                } else if j >= 1
-                    && (punct_at(&toks, j - 1, '&')
-                        || punct_at(&toks, j - 1, '\'')
-                        || matches!(ident_at(&toks, j - 1), Some("mut") | Some("dyn")))
-                {
-                    j -= 1;
-                } else {
-                    break;
-                }
-            }
-            if j >= 2 && punct_at(&toks, j - 1, ':') && !punct_at(&toks, j - 2, ':') {
-                if let Some(name) = ident_at(&toks, j - 2) {
-                    if name
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_lowercase() || c == '_')
-                    {
-                        hash_names.push(name.to_string());
-                    }
-                }
-            }
-            // `let [mut] name = ... T::new/default/with_capacity(...)`.
-            if let Some(p) = toks[..i].iter().position(|t| *t == Tok::Ident("let")) {
-                let mut k = p + 1;
-                if ident_at(&toks, k) == Some("mut") {
-                    k += 1;
-                }
-                if let Some(name) = ident_at(&toks, k) {
-                    if toks[k + 1..i].iter().any(|t| matches!(t, Tok::Punct('='))) {
-                        hash_names.push(name.to_string());
-                    }
-                }
-            }
-        }
-    }
-    hash_names.sort();
-    hash_names.dedup();
-
-    // Pass A': float-typed bindings (`let mut total = 0.0;`,
-    // `acc: f64`), so L006 can spot `total += v` even when the
-    // accumulation line itself carries no float marker.
+    // Float-typed bindings (`let mut total = 0.0;`, `acc: f64`), so L006
+    // can spot `total += v` even when the accumulation line itself carries
+    // no float marker.
     let mut float_names: Vec<String> = Vec::new();
     for info in &lines {
         if info.in_test {
@@ -776,24 +691,6 @@ pub fn scan_file(path: &str, source: &str) -> Vec<Finding> {
         }
         let toks = tokens(&info.code);
 
-        // L001: wall-clock sources outside crates/bench.
-        if krate != "bench" {
-            for t in &toks {
-                if let Tok::Ident(s) = t {
-                    if *s == "Instant" || *s == "SystemTime" {
-                        push(
-                            LintCode::L001,
-                            idx,
-                            format!("wall-clock time source `{s}` outside crates/bench"),
-                            "charge virtual time (SimTime/SimDuration); real clocks break \
-                             bit-identical double runs",
-                        );
-                        break;
-                    }
-                }
-            }
-        }
-
         // L003: raw draws in injection modules.
         if injection && !is_det_module {
             for t in &toks {
@@ -808,30 +705,6 @@ pub fn scan_file(path: &str, source: &str) -> Vec<Finding> {
                         );
                         break;
                     }
-                }
-            }
-        }
-
-        // L005: panics in runner/ql error paths.
-        if panic_scoped {
-            for i in 0..toks.len() {
-                let hit = match ident_at(&toks, i) {
-                    Some("unwrap") | Some("expect") => {
-                        i > 0 && punct_at(&toks, i - 1, '.') && punct_at(&toks, i + 1, '(')
-                    }
-                    Some(m) if PANIC_MACROS.contains(&m) => punct_at(&toks, i + 1, '!'),
-                    _ => false,
-                };
-                if hit {
-                    let what = ident_at(&toks, i).unwrap_or("panic");
-                    push(
-                        LintCode::L005,
-                        idx,
-                        format!("`{what}` on a runner/ql error path"),
-                        "return a structured efind_common::Error (the PR-1 panic-free \
-                         contract); panics abort the whole simulated cluster",
-                    );
-                    break;
                 }
             }
         }
@@ -951,86 +824,36 @@ pub fn scan_file(path: &str, source: &str) -> Vec<Finding> {
             }
         }
 
-        if !observable || hash_names.is_empty() {
-            continue;
-        }
-
-        // L002: iteration over a hash collection.
-        let mut l002_hit: Option<String> = None;
-        for i in 0..toks.len() {
-            if let Some(n) = ident_at(&toks, i) {
-                if hash_names.iter().any(|h| h == n)
-                    && punct_at(&toks, i + 1, '.')
-                    && ident_at(&toks, i + 2).is_some_and(|m| ITER_METHODS.contains(&m))
-                    && punct_at(&toks, i + 3, '(')
-                {
-                    l002_hit = Some(n.to_string());
-                    break;
-                }
-            }
-        }
-        if l002_hit.is_none() {
-            if let Some(in_pos) = toks.iter().position(|t| *t == Tok::Ident("in")) {
-                if toks[..in_pos].contains(&Tok::Ident("for")) {
-                    for i in in_pos + 1..toks.len() {
-                        if let Some(n) = ident_at(&toks, i) {
-                            if hash_names.iter().any(|h| h == n)
-                                && (i + 1 == toks.len() || punct_at(&toks, i + 1, '{'))
-                            {
-                                l002_hit = Some(n.to_string());
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(n) = l002_hit {
-            push(
-                LintCode::L002,
-                idx,
-                format!("iteration over unordered hash collection `{n}`"),
-                "hash-map order must never reach observable output: iterate a BTreeMap, \
-                 sort the items first, or waive with the reason the order cannot leak",
-            );
-
-            // L006: float accumulation fed by that iteration.
-            let same_line_sum = toks.contains(&Tok::Ident("sum"))
-                && toks
-                    .iter()
-                    .any(|t| matches!(t, Tok::Ident("f64") | Tok::Ident("f32")));
-            let mut l006_line = same_line_sum.then_some(idx);
-            if l006_line.is_none() && info.code.trim_end().ends_with('{') {
-                // Scan the loop body for float `+=` accumulation.
-                let base = info.depth_start;
-                for (j, body) in lines.iter().enumerate().skip(idx + 1) {
-                    if body.depth_start <= base {
-                        break;
-                    }
-                    let btoks = tokens(&body.code);
-                    let plus_eq = btoks
-                        .windows(2)
-                        .position(|w| matches!(w, [Tok::Punct('+'), Tok::Punct('=')]));
-                    let Some(pe) = plus_eq else { continue };
-                    let lhs_float = (0..pe)
-                        .rev()
-                        .find_map(|k| ident_at(&btoks, k))
-                        .is_some_and(|lhs| float_names.iter().any(|f| f == lhs));
-                    let floaty = body.code.contains("f64")
-                        || body.code.contains("f32")
-                        || has_float_literal(&body.code)
-                        || lhs_float;
-                    if floaty {
-                        l006_line = Some(j);
-                        break;
-                    }
-                }
-            }
-            if let Some(j) = l006_line {
+        // L006: float accumulation in a statement whose `#[expect]`
+        // waives a hash iteration.
+        if let Some((lint, stmt)) = hash_iter_statement(&lines, idx) {
+            let accum = stmt.into_iter().find(|&j| {
+                let code = &lines[j].code;
+                let toks = tokens(code);
+                let floaty =
+                    code.contains("f64") || code.contains("f32") || has_float_literal(code);
+                let float_sum = toks.contains(&Tok::Ident("sum")) && floaty;
+                let plus_eq = toks
+                    .windows(2)
+                    .position(|w| matches!(w, [Tok::Punct('+'), Tok::Punct('=')]));
+                let float_plus_eq = plus_eq.is_some_and(|pe| {
+                    floaty
+                        || (0..pe)
+                            .rev()
+                            .find_map(|k| ident_at(&toks, k))
+                            .is_some_and(|lhs| float_names.iter().any(|f| f == lhs))
+                });
+                float_sum || float_plus_eq
+            });
+            if let Some(j) = accum {
                 push(
                     LintCode::L006,
                     j,
-                    format!("float accumulation over unordered collection `{n}`"),
+                    format!(
+                        "float accumulation in a hash-order iteration \
+                         (`#[expect(clippy::{lint})]` at line {})",
+                        idx + 1
+                    ),
                     "float addition is not associative: iterate in sorted order (or \
                      accumulate integers) so the sum is order-independent",
                 );
@@ -1038,6 +861,40 @@ pub fn scan_file(path: &str, source: &str) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// When line `idx` opens an `#[expect(...)]` naming a hash-iteration lint,
+/// that lint and the line range of the statement (or item) the attribute
+/// sits on: from its first code line to the line that ends it, back at
+/// the attribute's brace depth, with `;` or `}`.
+fn hash_iter_statement(
+    lines: &[LineInfo],
+    idx: usize,
+) -> Option<(&'static str, std::ops::RangeInclusive<usize>)> {
+    if !lines[idx].code.contains("#[expect(") {
+        return None;
+    }
+    let attr_end = (idx..lines.len()).find(|&j| lines[j].code.contains(")]"))?;
+    let lint = HASH_ITER_LINTS.iter().copied().find(|lint| {
+        lines[idx..=attr_end]
+            .iter()
+            .any(|l| tokens(&l.code).contains(&Tok::Ident(lint)))
+    })?;
+    // Further attributes and comment-only lines belong to the same statement.
+    let start = (attr_end + 1..lines.len()).find(|&j| {
+        let code = lines[j].code.trim();
+        let attribute = code.starts_with("#[") && code.ends_with(']');
+        !code.is_empty() && !attribute
+    })?;
+    let base = lines[start].depth_start;
+    let end = (start..lines.len())
+        .find(|&j| {
+            let code = lines[j].code.trim_end();
+            let depth_after = lines.get(j + 1).map_or(base, |l| l.depth_start);
+            depth_after <= base && (code.ends_with(';') || code.ends_with('}'))
+        })
+        .unwrap_or(lines.len() - 1);
+    Some((lint, start..=end))
 }
 
 fn has_float_literal(code: &str) -> bool {
@@ -1119,52 +976,6 @@ mod tests {
     }
 
     #[test]
-    fn l001_wall_clock_outside_bench() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        let f = scan_file("crates/core/src/runtime.rs", src);
-        assert_eq!(codes(&f), vec![LintCode::L001]);
-        // The same line inside crates/bench is fine.
-        assert!(scan_file("crates/bench/src/bin/figures.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l001_waiver_needs_a_reason() {
-        let src = "// efind-lint: allow(wall-clock)\nlet t = Instant::now();\n";
-        let f = scan_file("crates/core/src/x.rs", src);
-        assert_eq!(codes(&f), vec![LintCode::L001], "reasonless waiver ignored");
-
-        let src =
-            "// efind-lint: allow(wall-clock, progress display only)\nlet t = Instant::now();\n";
-        let f = scan_file("crates/core/src/x.rs", src);
-        assert!(codes(&f).is_empty());
-        assert_eq!(f.len(), 1, "waived finding still reported");
-        assert_eq!(f[0].waived.as_deref(), Some("progress display only"));
-    }
-
-    #[test]
-    fn l002_iteration_over_hash_map() {
-        let src = "struct S { m: FxHashMap<u32, u32> }\n\
-                   fn f(s: &S) { for (k, v) in &s.m { let _ = (k, v); } }\n";
-        let f = scan_file("crates/mapreduce/src/x.rs", src);
-        assert_eq!(codes(&f), vec![LintCode::L002]);
-        // Non-observable crates are out of scope.
-        assert!(scan_file("crates/analyze/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l002_method_iteration_and_waiver() {
-        let src = "fn f() { let mut m = FxHashMap::default();\n\
-                   m.insert(1, 2);\n\
-                   // efind-lint: allow(unordered-iter, values summed; addition commutes)\n\
-                   let s: u64 = m.values().sum();\n}\n";
-        let f = scan_file("crates/dfs/src/x.rs", src);
-        assert!(codes(&f).is_empty());
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].code, LintCode::L002);
-        assert!(f[0].waived.is_some());
-    }
-
-    #[test]
     fn l003_raw_draw_in_injection_module() {
         let src = "fn roll(seed: u64) -> u64 { mix64(seed) }\n";
         let f = scan_file("crates/cluster/src/chaos.rs", src);
@@ -1230,43 +1041,59 @@ mod tests {
     }
 
     #[test]
-    fn l005_panic_in_runner_scope() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let f = scan_file("crates/mapreduce/src/runner.rs", src);
-        assert_eq!(codes(&f), vec![LintCode::L005]);
-        assert!(scan_file("crates/ql/src/compile.rs", src)
-            .iter()
-            .any(|f| f.code == LintCode::L005));
-        // Other modules are out of scope for L005.
-        assert!(scan_file("crates/mapreduce/src/job.rs", src).is_empty());
-        // unwrap_or is not unwrap.
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n";
-        assert!(scan_file("crates/mapreduce/src/runner.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l006_float_accumulation() {
+    fn l006_float_accumulation_under_a_hash_iteration_expect() {
+        // A float `+=` in a `for` loop whose `expect` waives the iteration.
         let src = "fn f(m: &FxHashMap<u32, f64>) -> f64 {\n\
                    let mut total = 0.0;\n\
-                   for v in m.values() {\n\
-                   total += *v as f64;\n\
-                   }\n\
-                   total\n}\n";
-        let f = scan_file("crates/core/src/x.rs", src);
-        let codes_all: Vec<LintCode> = codes(&f);
-        assert!(codes_all.contains(&LintCode::L002));
-        assert!(codes_all.contains(&LintCode::L006));
-        // Integer accumulation is order-independent: L002 only.
-        let src = "fn f(m: &FxHashMap<u32, u64>) -> u64 {\n\
-                   let mut total = 0;\n\
+                   #[expect(\n\
+                   clippy::iter_over_hash_type,\n\
+                   reason = \"values are summed\"\n\
+                   )]\n\
                    for v in m.values() {\n\
                    total += *v;\n\
                    }\n\
                    total\n}\n";
+        let f = scan_file("crates/core/src/x.rs", src);
+        assert_eq!(codes(&f), vec![LintCode::L006]);
+        assert_eq!(f[0].line, 8, "reported at the accumulation");
+        // A method-form iteration summed as floats in one statement.
+        let src = "fn f(m: &FxHashMap<u32, f64>) -> f64 {\n\
+                   #[expect(clippy::disallowed_methods, reason = \"summed\")]\n\
+                   let total: f64 = m.values().sum();\n\
+                   total\n}\n";
         assert_eq!(
-            codes(&scan_file("crates/core/src/x.rs", src)),
-            vec![LintCode::L002]
+            codes(&scan_file("crates/analyze/src/x.rs", src)),
+            vec![LintCode::L006]
         );
+        // Integer accumulation is order-independent.
+        let src = "fn f(m: &FxHashMap<u32, u64>) -> u64 {\n\
+                   let mut total = 0;\n\
+                   #[expect(clippy::iter_over_hash_type, reason = \"integer sum\")]\n\
+                   for v in m.values() {\n\
+                   total += *v;\n\
+                   }\n\
+                   total\n}\n";
+        assert!(scan_file("crates/core/src/x.rs", src).is_empty());
+        // A float sum over an ordered collection, or after the waived
+        // statement ends, is not a hash-order sum.
+        let src = "fn f(m: &FxHashMap<u32, f64>, v: &[f64]) -> f64 {\n\
+                   #[expect(clippy::disallowed_methods, reason = \"count only\")]\n\
+                   let n = m.keys().count();\n\
+                   let mut total = 0.0;\n\
+                   for x in v {\n\
+                   total += *x;\n\
+                   }\n\
+                   total / n as f64\n}\n";
+        assert!(scan_file("crates/core/src/x.rs", src).is_empty());
+        // Other lints' expectations do not trigger it.
+        let src = "fn f(v: &[f64]) -> f64 {\n\
+                   let mut total = 0.0;\n\
+                   #[expect(clippy::needless_range_loop, reason = \"index used\")]\n\
+                   for i in 0..v.len() {\n\
+                   total += v[i];\n\
+                   }\n\
+                   total\n}\n";
+        assert!(scan_file("crates/core/src/x.rs", src).is_empty());
     }
 
     #[test]
@@ -1361,27 +1188,41 @@ mod tests {
 
     #[test]
     fn test_modules_are_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f() { let t = Instant::now(); }\n}\n";
-        assert!(scan_file("crates/core/src/x.rs", src).is_empty());
+        let src = "#[cfg(test)]\nmod tests {\n    fn f(s: u64) -> u64 { mix64(s) }\n}\n";
+        assert!(scan_file("crates/cluster/src/chaos.rs", src).is_empty());
     }
 
     #[test]
     fn strings_and_comments_do_not_trip_rules() {
-        let src = "fn f() { let s = \"Instant::now()\"; } // Instant::now in a comment\n";
-        assert!(scan_file("crates/core/src/x.rs", src).is_empty());
+        let src = "fn f() { let s = \"mix64(seed)\"; } // mix64 in a comment\n";
+        assert!(scan_file("crates/cluster/src/chaos.rs", src).is_empty());
+    }
+
+    #[test]
+    fn waiver_needs_a_reason() {
+        let src = "// efind-lint: allow(raw-draw)\nfn f(s: u64) -> u64 { mix64(s) }\n";
+        let f = scan_file("crates/cluster/src/chaos.rs", src);
+        assert_eq!(codes(&f), vec![LintCode::L003], "reasonless waiver ignored");
+
+        let src = "// efind-lint: allow(raw-draw, audited copy of det::mix64)\n\
+                   fn f(s: u64) -> u64 { mix64(s) }\n";
+        let f = scan_file("crates/cluster/src/chaos.rs", src);
+        assert!(codes(&f).is_empty());
+        assert_eq!(f.len(), 1, "waived finding still reported");
+        assert_eq!(f[0].waived.as_deref(), Some("audited copy of det::mix64"));
     }
 
     #[test]
     fn report_rendering() {
-        let src = "fn f() { let t = Instant::now(); }\n";
+        let src = "fn f(s: u64) -> u64 { mix64(s) }\n";
         let report = LintReport {
-            findings: scan_file("crates/core/src/x.rs", src),
+            findings: scan_file("crates/cluster/src/chaos.rs", src),
             files_scanned: 1,
         };
         assert!(!report.is_passing());
-        assert!(report.to_text().contains("error[L001]"));
+        assert!(report.to_text().contains("error[L003]"));
         let json = report.to_json();
-        assert!(json.contains("\"code\": \"L001\""));
+        assert!(json.contains("\"code\": \"L003\""));
         assert!(json.contains("\"active\": 1"));
     }
 }

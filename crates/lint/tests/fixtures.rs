@@ -1,6 +1,7 @@
-//! Fixture-corpus tests: one known-bad snippet per rule (L001–L007) plus
-//! a waived variant, asserting exact diagnostic codes through the library
-//! and exit status through the `efind-lint` binary.
+//! Fixture-corpus tests: one known-bad snippet per rule (L003, L004, L006,
+//! L007) plus a waived variant, asserting exact diagnostic codes through
+//! the library and exit status through the `efind-lint` binary, and the
+//! clippy gate's fixture crate kept on the workspace's lint table.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -13,12 +14,9 @@ fn fixtures_root() -> PathBuf {
 
 /// `(fixture path under bad/ and waived/, codes the bad variant emits)`.
 const CASES: &[(&str, &[LintCode])] = &[
-    ("crates/core/src/l001.rs", &[LintCode::L001]),
-    ("crates/mapreduce/src/l002.rs", &[LintCode::L002]),
     ("crates/cluster/src/chaos.rs", &[LintCode::L003]),
     ("crates/core/src/l004.rs", &[LintCode::L004]),
-    ("crates/ql/src/l005.rs", &[LintCode::L005]),
-    ("crates/dfs/src/l006.rs", &[LintCode::L002, LintCode::L006]),
+    ("crates/dfs/src/l006.rs", &[LintCode::L006]),
     ("crates/core/src/l007.rs", &[LintCode::L007]),
 ];
 
@@ -86,7 +84,7 @@ fn run_binary(variant: &str, json: bool) -> (i32, String) {
 fn clean_statstore_idiom_has_no_findings() {
     // The cross-job statstore pattern — job-boundary file I/O, ordered
     // iteration, registered counters, arithmetic-only hot loops — must be
-    // invisible to every rule, L001 and L007 in particular.
+    // invisible to every rule, L006 and L007 in particular.
     let report = scan_one("clean", "crates/core/src/statstore_io.rs");
     assert!(
         report.findings.is_empty(),
@@ -99,7 +97,7 @@ fn clean_statstore_idiom_has_no_findings() {
 fn binary_fails_on_bad_corpus() {
     let (code, stdout) = run_binary("bad", false);
     assert_eq!(code, 1, "bad corpus must exit 1:\n{stdout}");
-    for rule in ["L001", "L002", "L003", "L004", "L005", "L006", "L007"] {
+    for rule in ["L003", "L004", "L006", "L007"] {
         assert!(
             stdout.contains(&format!("error[{rule}]")),
             "{rule} missing:\n{stdout}"
@@ -119,7 +117,7 @@ fn binary_json_mode_reports_findings() {
     let (code, stdout) = run_binary("bad", true);
     assert_eq!(code, 1);
     assert!(stdout.trim_start().starts_with('{'), "not JSON:\n{stdout}");
-    assert!(stdout.contains("\"code\": \"L001\""), "{stdout}");
+    assert!(stdout.contains("\"code\": \"L003\""), "{stdout}");
     assert!(stdout.contains("\"waived\": null"), "{stdout}");
     let (code, stdout) = run_binary("waived", true);
     assert_eq!(code, 0);
@@ -145,5 +143,35 @@ fn workspace_scan_skips_fixture_corpus() {
         report.is_passing(),
         "workspace must be lint-clean:\n{}",
         report.to_text()
+    );
+}
+
+#[test]
+fn clippy_gate_fixture_carries_the_workspace_lint_table() {
+    // The gate's fixture crate is a workspace of its own and cannot
+    // inherit the root's lint table, so it carries a copy; the copy must
+    // not drift, or CI would gate a policy the workspace does not use.
+    fn clippy_table(manifest: &Path) -> Vec<String> {
+        let text = std::fs::read_to_string(manifest).expect("manifest readable");
+        let mut lines = text.lines();
+        assert!(
+            lines.any(|line| line == "[workspace.lints.clippy]"),
+            "no lint table in {}",
+            manifest.display()
+        );
+        lines
+            .take_while(|line| !line.trim().is_empty() && !line.starts_with('['))
+            .map(|line| line.trim().to_owned())
+            .collect()
+    }
+    let repo_root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("repo root");
+    let root = clippy_table(&repo_root.join("Cargo.toml"));
+    assert!(root.iter().any(|l| l.starts_with("iter_over_hash_type")));
+    assert_eq!(
+        clippy_table(&fixtures_root().join("clippy/Cargo.toml")),
+        root
     );
 }

@@ -1,9 +1,9 @@
 // Fixture: the cross-job statstore idiom, distilled. Job-boundary file
 // I/O, CRC-checked parsing, ordered (BTreeMap) iteration over the
-// fingerprint entries, a registered load-anomaly counter literal, and a
-// measured-history averaging loop — with no wall-clock reads (L001), no
-// unordered iteration feeding observables (L002), and no per-iteration
-// injection dispatch (L007). The scan must report nothing.
+// fingerprint entries, a registered load-anomaly counter literal (L004),
+// and a measured-history averaging loop — a float sum in data order, not
+// hash order (L006), with no per-iteration injection dispatch (L007).
+// The scan must report nothing.
 
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -99,7 +99,10 @@ impl Counters {
     /// Merges another counter set into this one by summing. Keys are
     /// interned symbols (`Copy`), so nothing is cloned.
     pub fn merge(&mut self, other: &Counters) {
-        // efind-lint: allow(unordered-iter, merge sums commute; no order reaches any output)
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "integer sums commute; no order reaches any output"
+        )]
         for (&k, &v) in &other.values {
             *self.values.entry(k).or_insert(0) += v;
         }
@@ -109,8 +112,11 @@ impl Counters {
     /// returned names are shared handles into the intern table, not
     /// rebuilt strings.
     pub fn iter_sorted(&self) -> Vec<(Arc<str>, i64)> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "items are sorted by name before being returned"
+        )]
         let mut items: Vec<(Arc<str>, i64)> =
-            // efind-lint: allow(unordered-iter, items are sorted by name before being returned)
             self.values.iter().map(|(&k, &v)| (resolve(k), v)).collect();
         items.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         items
@@ -156,7 +162,10 @@ impl Sketches {
     /// ORs another sketch set into this one. Keys are interned symbols
     /// (`Copy`), so nothing is cloned.
     pub fn merge(&mut self, other: &Sketches) {
-        // efind-lint: allow(unordered-iter, sketch merge is a bitwise OR; it commutes and no order escapes)
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "sketch merge is a bitwise OR; it commutes and no order escapes"
+        )]
         for (&k, v) in &other.sketches {
             self.sketches.entry(k).or_default().merge(v);
         }

@@ -17,6 +17,17 @@
 //! [`Runner::seal`]: the one place its ledgers are completed and mirrored
 //! and its [`JobStats`] is built.
 
+// The runner returns structured errors; a panic would abort the whole
+// simulated cluster.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::{mem, ops::Range, thread};
 
 use efind_cluster::{
@@ -550,8 +561,12 @@ impl<'a> Runner<'a> {
         conf: &JobConf,
         sources: Vec<Vec<Record>>,
     ) -> (Vec<Vec<Record>>, u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the signature has no error to return; the only Err is a panic of the \
+                      job's partitioner on a worker thread, re-raised here"
+        )]
         let mut runs = fan_out("partition", sources, |source| Ok(spill(conf, source)))
-            // efind-lint: allow(panic, the signature has no error to return; the only Err is a panic of the job's partitioner on a worker thread, re-raised here)
             .expect("shuffle partitioning");
         let mut lens = vec![0; conf.num_reducers.max(1)];
         for run in &mut runs {

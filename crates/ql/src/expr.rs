@@ -115,7 +115,10 @@ impl Pred {
     }
 
     /// Negation helper.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "spelled like its siblings `and` and `or`; an `std::ops::Not` impl would add `!p` as a second spelling"
+    )]
     pub fn not(self) -> Pred {
         Pred::Not(Box::new(self))
     }

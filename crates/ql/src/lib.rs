@@ -1,4 +1,14 @@
 #![warn(missing_docs)]
+// Query compilation returns structured errors; a panic would abort the
+// whole simulated cluster.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! # efind-ql — a minimal declarative layer over EFind
 //!

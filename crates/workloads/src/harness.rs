@@ -82,6 +82,10 @@ pub fn standard_modes(scenario: &Scenario) -> Vec<(String, Mode)> {
         let idxloc_mode = if scenario.repart_overrides.is_empty() {
             Mode::Uniform(Strategy::IndexLocality)
         } else {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "map-to-map collect; Mode::Manual looks strategies up by operator name"
+            )]
             let overrides: FxHashMap<String, Strategy> = scenario
                 .repart_overrides
                 .iter()

@@ -50,7 +50,6 @@ pub fn run_scan_join(
 /// the runner. Quiet plans (including seeded-but-quiet ones) must be
 /// bit-identical to [`run_scan_join`] — the quiet-profile golden test pins
 /// exactly that.
-#[allow(clippy::too_many_arguments)]
 pub fn run_scan_join_with(
     cluster: &Cluster,
     dfs: &mut Dfs,

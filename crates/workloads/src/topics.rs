@@ -215,8 +215,11 @@ pub fn build_job(
                 for t in &topics {
                     *counts.entry(t).or_insert(0) += 1;
                 }
-                // efind-lint: allow(unordered-iter, ranked is re-sorted below with a total-order tiebreak)
-                let mut ranked: Vec<(&Datum, usize)> = counts.into_iter().collect();
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "ranked is re-sorted below with a total-order tiebreak"
+                )]
+                let mut ranked: Vec<(&Datum, usize)> = counts.drain().collect();
                 ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
                 let top: Vec<Datum> = ranked
                     .into_iter()

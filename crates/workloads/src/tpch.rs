@@ -541,7 +541,6 @@ pub fn q9_scenario(config: &TpchConfig) -> Scenario {
 
 /// Serial reference implementation of Q3 (test oracle).
 pub fn q3_reference(data: &TpchData) -> FxHashMap<Datum, f64> {
-    // efind-lint: allow(unordered-iter, keyed lookup side table built from an ordered Vec; never iterated)
     let orders: FxHashMap<&Datum, &Vec<Datum>> = data.orders.iter().map(|(k, v)| (k, v)).collect();
     let customers: FxHashMap<&Datum, &Vec<Datum>> =
         data.customer.iter().map(|(k, v)| (k, v)).collect();

@@ -1,18 +1,41 @@
 #!/usr/bin/env bash
-# Full CI gate: lint (efind-lint, fmt, clippy -D warnings), the complete
-# test suite, the cost-model checks over a real catalog (`explain` on all
-# seven scenarios), the goldens again under one worker, a build and test of
-# efbench — the benchmark of record (`BENCHMARK.json`) — with its seven
-# exact `alloc_mb` gates, and the pinned seed matrices. Nothing here
-# reads the wall clock: comparing two commits' host time with efbench is
-# a manual campaign, see efbench/README.md.
+# Full CI gate: lint (efind-lint, fmt, clippy -D warnings), the clippy
+# gate's known-bad fixture (it must fail with exactly the determinism
+# lints), the complete test suite, the cost-model checks over a real
+# catalog (`explain` on all seven scenarios), the goldens again under one
+# worker, a build and test of efbench — the benchmark of record
+# (`BENCHMARK.json`) — with its seven exact `alloc_mb` gates, and the
+# pinned seed matrices. Nothing here reads the wall clock: comparing two
+# commits' host time with efbench is a manual campaign, see
+# efbench/README.md.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# The determinism lint runs once, in JSON mode (the machine-readable
-# artifact; nonzero exit on any un-waived L001..L007 finding).
+# The determinism scanner runs once, in JSON mode (the machine-readable
+# artifact; nonzero exit on any un-waived L003, L004, L006 or L007
+# finding), followed by fmt and clippy.
 scripts/lint.sh --json
+
+echo "== clippy gate: known-bad fixture must fail with exactly its lints =="
+# The determinism rules clippy enforces live in `clippy.toml` and the root
+# `[workspace.lints.clippy]` table. The fixture crate holds one breach of
+# each: a wall-clock read, hash iteration in `for` and method form, and an
+# `unwrap` in a runner-style panic scope. Clippy must fail on it and name
+# exactly these four lints, so an edit that loosens the policy fails here.
+expected="disallowed_methods disallowed_types iter_over_hash_type unwrap_used"
+if gate=$(cargo clippy -q --locked --manifest-path crates/lint/tests/fixtures/clippy/Cargo.toml \
+    --target-dir target/clippy-gate --message-format=json -- -D warnings 2>/dev/null); then
+    echo "clippy gate: the known-bad fixture passed clippy"
+    exit 1
+fi
+named=$(grep -o '"code":{"code":"clippy::[a-z_]*"' <<<"$gate" | sed 's/.*clippy:://; s/"$//' |
+    sort -u | paste -sd ' ' || true)
+if [ "$named" != "$expected" ]; then
+    echo "clippy gate: expected [$expected], clippy named [$named]"
+    exit 1
+fi
+echo "clippy gate: fails with $named"
 
 echo "== cargo test =="
 cargo test -q --workspace

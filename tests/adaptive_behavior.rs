@@ -3,7 +3,7 @@
 
 use efind_repro::cluster::SimDuration;
 use efind_repro::core::{EFindConfig, EFindRuntime, Mode, Strategy};
-use efind_repro::workloads::log;
+use efind_repro::workloads::{log, tpch};
 
 fn config_with_delay(extra_ms: u64) -> log::LogConfig {
     log::LogConfig {
@@ -163,5 +163,44 @@ fn empty_input_is_handled_in_every_mode() {
         let res = rt.run(&s.ijob, mode).unwrap();
         assert_eq!(res.output.total_records(), 0);
         assert!(!res.replanned);
+    }
+}
+
+#[test]
+fn plans_come_in_operator_order() {
+    // Q9 binds five operators across head, body and tail; every mode lists
+    // its plans in the job's data-flow order, whatever order the planner
+    // keyed them in.
+    let mut s = tpch::q9_scenario(&tpch::TpchConfig {
+        scale: 0.002,
+        chunks: 30,
+        seed: 3,
+        ..tpch::TpchConfig::default()
+    });
+    let operators: Vec<String> = s
+        .ijob
+        .operators()
+        .map(|(bound, _)| bound.op.name().to_owned())
+        .collect();
+    assert_eq!(operators.len(), 5);
+    let mut rt = EFindRuntime::with_config(&s.cluster, &mut s.dfs, s.efind_config.clone());
+    for mode in [
+        Mode::Uniform(Strategy::Baseline),
+        Mode::Uniform(Strategy::Cache),
+        Mode::Optimized,
+        Mode::Dynamic,
+    ] {
+        let res = rt.run(&s.ijob, mode.clone()).unwrap();
+        let names: Vec<&str> = res.plans.iter().map(|(name, _)| name.as_str()).collect();
+        // A re-planned Dynamic run lists only the operators it re-planned.
+        let expected: Vec<&str> = operators
+            .iter()
+            .map(String::as_str)
+            .filter(|op| names.contains(op))
+            .collect();
+        assert_eq!(names, expected, "{mode:?}");
+        if !res.replanned {
+            assert_eq!(names.len(), operators.len(), "{mode:?}");
+        }
     }
 }

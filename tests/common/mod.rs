@@ -4,8 +4,10 @@
 //! the pinned values more than one suite checks against. Re-pinning a
 //! golden is an edit here and nowhere else.
 
-// Each test binary compiles this module and uses its own subset.
-#![allow(dead_code)]
+#![expect(
+    dead_code,
+    reason = "each test binary compiles this module and uses its own subset"
+)]
 
 use efind::Strategy;
 use efind_common::fx_hash_bytes;
