@@ -7,16 +7,29 @@
 //! key→value entries (1024 in the paper's experiments).
 //!
 //! What a cache costs: memory follows what the cache holds, capped by its
-//! capacity. A new cache allocates nothing; its entry slab grows with the
-//! keys inserted and stops at the capacity. An entry is the key — stored
-//! once, in the slab — its value and three 4-byte links (recency both ways,
-//! and the next key sharing its hash): 48 bytes in a key-only
-//! [`ShadowCache`], 72 in a [`LookupCache`], whose result lists are shared
-//! handles. The index maps each key's 64-bit [`fx_hash_datum`] to a 4-byte
-//! slab position, 16 bytes and a control byte a slot.
+//! capacity. Its entry slab grows with the keys inserted and stops at the
+//! capacity. An entry is the key — stored once, in the slab — its value and
+//! three 4-byte links (recency both ways, and the next key sharing its
+//! hash): 48 bytes in a key-only [`ShadowCache`], 72 in a [`LookupCache`],
+//! whose result lists are shared handles. The index maps each key's 64-bit
+//! [`fx_hash_datum`] to a 4-byte slab position, 16 bytes and a control byte
+//! a slot.
+//!
+//! The storage outlives the cache on its thread. A dropped cache empties
+//! its slab and index and leaves them on the thread's list of spares; the
+//! next cache of its kind the thread builds takes one instead of growing
+//! its own from nothing. So a worker that runs task after task asks the
+//! allocator for cache storage about once, not once a task. A thread holds
+//! no more spares than it had caches live at once, and they are freed when
+//! it ends — for the runner's workers, at the end of each phase. Only
+//! storage carries over: every cache starts empty, with its own counts and
+//! its own corruption state.
 
+use std::cell::RefCell;
 use std::collections::hash_map::Entry as Slot;
+use std::mem;
 use std::sync::Arc;
+use std::thread::LocalKey;
 
 use efind_cluster::CorruptionPlan;
 use efind_common::{crc32, fx_hash_datum, Datum, FxHashMap};
@@ -34,6 +47,14 @@ struct Entry<V> {
 }
 
 const NIL: u32 = u32::MAX;
+
+/// A thread's storage left by dropped caches of one kind, emptied.
+type Spares<V> = LocalKey<RefCell<Vec<LruMap<V>>>>;
+
+thread_local! {
+    static LOOKUP_SPARES: RefCell<Vec<LruMap<CacheEntry>>> = const { RefCell::new(Vec::new()) };
+    static SHADOW_SPARES: RefCell<Vec<LruMap<()>>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A fixed-capacity LRU map from lookup keys to values.
 pub struct LruMap<V> {
@@ -59,6 +80,37 @@ impl<V> LruMap<V> {
             tail: NIL,
             capacity: capacity.clamp(1, NIL as usize),
         }
+    }
+
+    /// Empties the map and sets its capacity; the slab and the index keep
+    /// their allocations.
+    fn reset(&mut self, capacity: usize) {
+        self.index.clear();
+        self.slab.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.capacity = capacity.clamp(1, NIL as usize);
+    }
+
+    /// An empty map of `capacity` on a spare from `spares`, or on fresh
+    /// storage when the thread has none.
+    fn take(spares: &'static Spares<V>, capacity: usize) -> Self {
+        match spares.try_with(|s| s.borrow_mut().pop()) {
+            Ok(Some(mut lru)) => {
+                lru.reset(capacity);
+                lru
+            }
+            _ => LruMap::new(capacity),
+        }
+    }
+
+    /// Hands this map's storage to `spares`, leaving an empty map that owns
+    /// none. The entries drop before the list is borrowed; on a thread that
+    /// is ending, the storage is freed instead.
+    fn give_back(&mut self, spares: &'static Spares<V>) {
+        self.reset(1);
+        let lru = mem::replace(self, LruMap::new(1));
+        let _ = spares.try_with(|s| s.borrow_mut().push(lru));
     }
 
     /// Current entry count.
@@ -287,10 +339,11 @@ impl LookupCache {
     /// Paper default: 1024 index key-value entries.
     pub const DEFAULT_CAPACITY: usize = 1024;
 
-    /// Creates a cache with `capacity` entries.
+    /// Creates an empty cache with `capacity` entries, on the storage of a
+    /// lookup cache this thread dropped if there is one.
     pub fn new(capacity: usize) -> Self {
         LookupCache {
-            lru: LruMap::new(capacity),
+            lru: LruMap::take(&LOOKUP_SPARES, capacity),
             probes: 0,
             hits: 0,
             invalidations: 0,
@@ -418,10 +471,16 @@ impl LookupCache {
     }
 }
 
+impl Drop for LookupCache {
+    fn drop(&mut self) {
+        self.lru.give_back(&LOOKUP_SPARES);
+    }
+}
+
 /// The statistics-only cache of §4.2: *"we use a simple version of the
 /// lookup cache that does not cache lookup results"* — it tracks keys only,
-/// to estimate what the miss ratio `R` *would be*, without memory cost or
-/// time charges.
+/// to estimate what the miss ratio `R` *would be*. It charges no time, and
+/// its memory is the keys it holds: 48 bytes an entry plus the index.
 pub struct ShadowCache {
     lru: LruMap<()>,
     probes: u64,
@@ -429,10 +488,11 @@ pub struct ShadowCache {
 }
 
 impl ShadowCache {
-    /// Creates a shadow cache sized like the real one.
+    /// Creates an empty shadow cache sized like the real one, on the
+    /// storage of a shadow cache this thread dropped if there is one.
     pub fn new(capacity: usize) -> Self {
         ShadowCache {
-            lru: LruMap::new(capacity),
+            lru: LruMap::take(&SHADOW_SPARES, capacity),
             probes: 0,
             hits: 0,
         }
@@ -465,6 +525,12 @@ impl ShadowCache {
         } else {
             1.0 - self.hits as f64 / self.probes as f64
         }
+    }
+}
+
+impl Drop for ShadowCache {
+    fn drop(&mut self) {
+        self.lru.give_back(&SHADOW_SPARES);
     }
 }
 

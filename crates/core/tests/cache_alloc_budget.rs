@@ -1,9 +1,10 @@
-//! A lookup or shadow cache costs what it holds: one that sees a few keys
-//! asks the allocator for a few entries, not for its whole capacity, and
-//! one that fills up and keeps evicting asks for no more than the cache
-//! that reserved its whole slab up front and stored every key twice. Its
-//! own test binary: the check needs a `#[global_allocator]` that counts
-//! bytes.
+//! A lookup or shadow cache costs what it holds: on a thread of its own,
+//! one that sees a few keys asks the allocator for a few entries, not for
+//! its whole capacity, and one that fills up and keeps evicting asks for no
+//! more than the cache that reserved its whole slab up front and stored
+//! every key twice. A cache that holds no more keys than one its thread
+//! dropped asks for nothing: it takes that cache's storage. Its own test
+//! binary: the check needs a `#[global_allocator]` that counts bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -46,6 +47,12 @@ fn counted(f: impl FnOnce()) -> usize {
     BYTES.with(Cell::get) - before
 }
 
+/// Runs `f` on a thread of its own, which starts with no spare cache
+/// storage.
+fn on_a_new_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| s.spawn(f).join().expect("the measured caches panicked"))
+}
+
 /// The paper's capacity.
 const CAPACITY: usize = 1024;
 
@@ -85,9 +92,10 @@ fn lookup_bytes(keys: Vec<Datum>) -> usize {
 #[test]
 fn a_cache_that_sees_ten_keys_asks_for_ten_keys_worth() {
     // Reserving the whole slab up front asked for 50 708 and 75 104 bytes.
-    let keys = keys(10);
-    let shadow = shadow_bytes(&keys);
-    let lookup = lookup_bytes(keys);
+    let (shadow, lookup) = on_a_new_thread(|| {
+        let keys = keys(10);
+        (shadow_bytes(&keys), lookup_bytes(keys))
+    });
     assert!(
         shadow < 4096,
         "a shadow cache of 10 keys asked for {shadow} B"
@@ -104,9 +112,24 @@ fn a_full_cache_evicting_asks_for_no_more_than_the_eager_one() {
     // measured with the slab reserved up front and a second clone of every
     // key in a `Datum`-keyed index: 613 948 bytes for the shadow cache,
     // 440 092 for the lookup cache.
-    let keys = keys(CAPACITY + 10_000);
-    let shadow = shadow_bytes(&keys);
-    let lookup = lookup_bytes(keys);
+    let (shadow, lookup) = on_a_new_thread(|| {
+        let keys = keys(CAPACITY + 10_000);
+        (shadow_bytes(&keys), lookup_bytes(keys))
+    });
     assert!(shadow <= 613_948, "the shadow cache asked for {shadow} B");
     assert!(lookup <= 440_092, "the lookup cache asked for {lookup} B");
+}
+
+#[test]
+fn a_cache_no_fuller_than_its_dropped_predecessor_asks_for_nothing() {
+    // Integer keys, so the shadow cache's own copy of a key owns no heap
+    // block: what is left to count is the caches' storage.
+    let (shadow, lookup) = on_a_new_thread(|| {
+        let first: Vec<Datum> = (0..600).map(Datum::Int).collect();
+        let second: Vec<Datum> = (1_000..1_600).map(Datum::Int).collect();
+        assert!(shadow_bytes(&first) > 0 && lookup_bytes(first) > 0);
+        (shadow_bytes(&second), lookup_bytes(second))
+    });
+    assert_eq!(shadow, 0, "the shadow cache asked for {shadow} B");
+    assert_eq!(lookup, 0, "the lookup cache asked for {lookup} B");
 }

@@ -7,6 +7,7 @@ use efind::cost::{
     OperatorStatsEstimate, Placement,
 };
 use efind::plan::{optimize_operator, Enumeration, Strategy as AccessStrategy};
+use efind_cluster::CorruptionPlan;
 use efind_common::Datum;
 use proptest::prelude::*;
 
@@ -72,6 +73,76 @@ fn arb_op(m: usize) -> impl Strategy<Value = OperatorStatsEstimate> {
         )
 }
 
+/// Key `i` of a small pool; the odd ones own a heap block.
+fn pool_key(i: u8) -> Datum {
+    if i.is_multiple_of(2) {
+        Datum::Int(i64::from(i))
+    } else {
+        Datum::Text(format!("key{i}"))
+    }
+}
+
+/// Everything a lookup and a shadow cache answered.
+#[derive(Debug, PartialEq)]
+struct Answers {
+    /// Each probe's result, in order.
+    probed: Vec<Option<Vec<Datum>>>,
+    /// The lookup cache's probes, hits, evictions and invalidations.
+    lookup: [u64; 4],
+    lookup_miss_ratio: f64,
+    /// The shadow cache's probes and hits.
+    shadow: [u64; 2],
+    shadow_miss_ratio: f64,
+}
+
+/// Builds a lookup and a shadow cache of `capacity` on the calling thread,
+/// the lookup cache armed with cache corruption at `rate` (unarmed at 0),
+/// and runs `ops` through them: `(true, k)` probes key `k`, observes it and
+/// inserts it on a miss, `(false, k)` only inserts it. Both drop on return.
+fn answers(capacity: usize, rate: f64, ops: &[(bool, u8)]) -> Answers {
+    let plan = CorruptionPlan::new(11).cache(rate);
+    let mut cache = LookupCache::new(capacity).with_corruption(&plan, "efind.op.0.");
+    let mut shadow = ShadowCache::new(capacity);
+    let mut probed = Vec::new();
+    for (n, &(probe, k)) in ops.iter().enumerate() {
+        let key = pool_key(k);
+        let values: std::sync::Arc<[Datum]> = vec![Datum::Int(n as i64)].into();
+        if probe {
+            shadow.observe(&key);
+            let hit = cache.probe(&key);
+            probed.push(hit.as_deref().map(<[Datum]>::to_vec));
+            if hit.is_none() {
+                cache.insert(key, values);
+            }
+        } else {
+            cache.insert(key, values);
+        }
+    }
+    Answers {
+        probed,
+        lookup: [
+            cache.probes(),
+            cache.hits(),
+            cache.evictions(),
+            cache.invalidations(),
+        ],
+        lookup_miss_ratio: cache.miss_ratio(),
+        shadow: [shadow.probes(), shadow.hits()],
+        shadow_miss_ratio: shadow.miss_ratio(),
+    }
+}
+
+/// Runs `f` on a thread of its own, which starts with no spare cache
+/// storage.
+fn on_a_new_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| s.spawn(f).join().expect("the caches panicked"))
+}
+
+/// A corruption rate: unarmed half the time.
+fn arb_rate() -> impl Strategy<Value = f64> {
+    (any::<bool>(), 0.05f64..0.9).prop_map(|(armed, rate)| if armed { rate } else { 0.0 })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -87,6 +158,26 @@ proptest! {
             }
             prop_assert!(lru.len() <= cap);
         }
+    }
+
+    /// Caches built where a dropped pair left its storage — a different
+    /// capacity, filled with other keys, armed differently — answer every
+    /// probe, insert and observation as caches on fresh storage do.
+    #[test]
+    fn a_cache_on_a_dropped_caches_storage_answers_like_a_fresh_one(
+        before_cap in 1usize..=64,
+        before_rate in arb_rate(),
+        before in proptest::collection::vec((any::<bool>(), 0u8..96), 0..300),
+        cap in 1usize..=64,
+        rate in arb_rate(),
+        ops in proptest::collection::vec((any::<bool>(), 0u8..96), 0..300),
+    ) {
+        let fresh = on_a_new_thread(|| answers(cap, rate, &ops));
+        let reused = on_a_new_thread(|| {
+            answers(before_cap, before_rate, &before);
+            answers(cap, rate, &ops)
+        });
+        prop_assert_eq!(reused, fresh);
     }
 
     #[test]

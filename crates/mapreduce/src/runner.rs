@@ -28,7 +28,12 @@
     clippy::unimplemented
 )]
 
-use std::{mem, ops::Range, thread};
+use std::{
+    mem,
+    ops::Range,
+    panic::{self, AssertUnwindSafe},
+    thread,
+};
 
 use efind_cluster::{
     sched::{schedule_phase_gray, Assignment, PartitionReplay, Schedule, SlotKind, TaskSpec},
@@ -80,15 +85,23 @@ fn backoff_until(from: SimTime, until: SimTime) -> (u32, SimDuration) {
 /// the runner. Workers pull the next item off one queue, so which thread
 /// runs which item never shows in the result. A single item runs on the
 /// calling thread. The first `Err` in item order becomes the call's
-/// `Err`; a panicking worker is an [`Error::Internal`] naming `what`.
+/// `Err`; a panic in `work`, on a worker or on the calling thread, is an
+/// [`Error::Internal`] naming `what`.
 fn fan_out<I: Send, T: Send>(
     what: &str,
     items: Vec<I>,
     work: impl Fn(I) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
+    let panicked = || Error::Internal(format!("{what} worker panicked"));
     let n = items.len();
     if n <= 1 {
-        return items.into_iter().map(work).collect();
+        return items
+            .into_iter()
+            .map(|item| {
+                panic::catch_unwind(AssertUnwindSafe(|| work(item)))
+                    .unwrap_or_else(|_| Err(panicked()))
+            })
+            .collect();
     }
     let queue = Mutex::new(items.into_iter().enumerate());
     let results: Mutex<Vec<Option<Result<T>>>> = Mutex::new((0..n).map(|_| None).collect());
@@ -96,18 +109,30 @@ fn fan_out<I: Send, T: Send>(
         .map(|p| p.get())
         .unwrap_or(4)
         .min(n);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let Some((i, item)) = queue.lock().next() else {
-                    break;
-                };
-                let out = work(item);
-                results.lock()[i] = Some(out);
-            });
-        }
-    })
-    .map_err(|_| Error::Internal(format!("{what} worker panicked")))?;
+    let all_returned = crossbeam::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|_| loop {
+                    let Some((i, item)) = queue.lock().next() else {
+                        break;
+                    };
+                    let out = work(item);
+                    results.lock()[i] = Some(out);
+                })
+            })
+            .collect();
+        // Every handle is joined here: a panic left for the scope to join
+        // would be re-raised on the caller.
+        handles
+            .into_iter()
+            .map(|h| h.join())
+            .filter(Result::is_err)
+            .count()
+            == 0
+    });
+    if !matches!(all_returned, Ok(true)) {
+        return Err(panicked());
+    }
     results
         .into_inner()
         .into_iter()
@@ -563,8 +588,8 @@ impl<'a> Runner<'a> {
     ) -> (Vec<Vec<Record>>, u64) {
         #[expect(
             clippy::expect_used,
-            reason = "the signature has no error to return; the only Err is a panic of the \
-                      job's partitioner on a worker thread, re-raised here"
+            reason = "the signature has no error to return; the only Err is `fan_out`'s report \
+                      of a panic in the job's partitioner, re-raised here"
         )]
         let mut runs = fan_out("partition", sources, |source| Ok(spill(conf, source)))
             .expect("shuffle partitioning");
@@ -682,7 +707,10 @@ impl<'a> Runner<'a> {
         runs: &mut [&mut Spill],
         tasks: Range<usize>,
     ) -> Result<Vec<ReduceTaskExec>> {
-        let mut inputs: Vec<(usize, Vec<Slice>)> = tasks.clone().map(|p| (p, Vec::new())).collect();
+        let mut inputs: Vec<(usize, Vec<Slice>)> = tasks
+            .clone()
+            .map(|p| (p, Vec::with_capacity(runs.len())))
+            .collect();
         for run in runs {
             for ((_, input), slice) in inputs.iter_mut().zip(run.slices().skip(tasks.start)) {
                 if !slice.is_empty() {
@@ -1530,6 +1558,36 @@ mod tests {
         let single: Result<Vec<u64>> =
             fan_out("test", vec![1u64], |_| Err(Error::Internal("lone".into())));
         assert!(matches!(single, Err(Error::Internal(msg)) if msg == "lone"));
+    }
+
+    /// Runs a map-only job over `words()` in `chunks` chunks whose mapper
+    /// panics on one record.
+    fn run_a_panicking_mapper(chunks: usize) -> Result<JobResult> {
+        let (cluster, mut dfs) = setup(Vec::new());
+        dfs.write_file_with_chunks("input", words(), chunks);
+        let conf = JobConf::new("panics", "input", "out").add_mapper(mapper_fn(|rec, out, _| {
+            assert_ne!(rec.key, Datum::Int(99), "the mapper's own bug");
+            out.collect(rec);
+        }));
+        run_job(&cluster, &mut dfs, &conf)
+    }
+
+    #[test]
+    fn a_mapper_panicking_on_a_worker_is_an_internal_error() {
+        let res = run_a_panicking_mapper(8);
+        assert!(
+            matches!(&res, Err(Error::Internal(msg)) if msg == "map worker panicked"),
+            "{res:?}"
+        );
+    }
+
+    #[test]
+    fn a_mapper_panicking_on_the_calling_thread_is_an_internal_error() {
+        let res = run_a_panicking_mapper(1);
+        assert!(
+            matches!(&res, Err(Error::Internal(msg)) if msg == "map worker panicked"),
+            "{res:?}"
+        );
     }
 
     #[test]

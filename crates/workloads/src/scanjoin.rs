@@ -90,19 +90,15 @@ pub fn run_scan_join_with(
                     if l[6].as_int().unwrap_or(i64::MAX) >= ship_cutoff {
                         return;
                     }
+                    let key = l[0].clone();
                     out.collect(Record {
-                        key: l[0].clone(),
-                        value: rec.value.clone(),
+                        key,
+                        value: rec.value,
                     });
                 }
-                "O" => {
-                    // Every dimension row must be shuffled — the scan
-                    // join's fixed cost regardless of fact selectivity.
-                    out.collect(Record {
-                        key: rec.key.clone(),
-                        value: rec.value.clone(),
-                    });
-                }
+                // Every dimension row must be shuffled — the scan join's
+                // fixed cost regardless of fact selectivity.
+                "O" => out.collect(rec),
                 _ => {}
             }
         }))

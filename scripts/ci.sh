@@ -93,19 +93,22 @@ efbench_gate() {
 # A lookup hands out the value list the index stores, a map task's chain
 # hands its records on one at a time into one output block, the DFS keeps
 # that block as the output file's part instead of copying its records
-# into chunk blocks, and a full cache stores each key once, so
-# `lookup_cold` (240 k records, 1 KB values, nearly every lookup reaches
-# the index) allocates 68.67 MB. A write that copies each record into its
-# chunk makes it 84.02 MB, with caches that reserved their whole capacity
-# and kept a second clone of every key 87.57 MB, a vector per chain stage
+# into chunk blocks, a full cache stores each key once, and a new cache
+# takes the storage its worker's last one left, so `lookup_cold` (240 k
+# records, 1 KB values, nearly every lookup reaches the index) allocates
+# 50.59 MB. Caches that grew their storage afresh in every task made it
+# 68.67 MB, a write that copies each record into its chunk on top
+# 84.02 MB, with caches that reserved their whole capacity and kept a
+# second clone of every key 87.57 MB, a vector per chain stage
 # 133.63 MB; one copy of the results anywhere on the per-record path adds
 # about 245 MB.
-efbench_gate lookup_cold 74
+efbench_gate lookup_cold 55
 # `wc_shuffle` (1.2 M records, string keys, integer values) allocates
-# 135.27 MB: each map task's chain emits straight into its run (keys
-# encoded, values moved), each reduce task moves a value once into its
-# group and writes one record a word into blocks the output file keeps.
-# Reduce outputs grown by doubling and trimmed by the write made it
+# 135.22 MB: each map task's chain emits straight into its run (keys
+# encoded, values moved), each reduce task sizes its slice list once,
+# moves a value once into its group and writes one record a word into
+# blocks the output file keeps. Slice lists grown by doubling made it
+# 135.27 MB, reduce outputs grown by doubling and trimmed by the write
 # 138.91 MB, map output collected into a vector before it was spilled
 # 201.28 MB, records crossing the shuffle whole 220.30 MB; buckets grown
 # by doubling, a merged second copy and a merge sort's scratch buffer
@@ -115,56 +118,69 @@ efbench_gate wc_shuffle 146
 # workload whose values own heap blocks. Each value moves into its map
 # task's run and from there into its group, and the tagged input the
 # workload writes inside its timed section is stored as the vector it
-# was handed, and the join's reduce tasks write into blocks the output
-# file keeps, so it allocates 238.40 MB. Reduce outputs grown by doubling
-# and trimmed made it 243.04 MB, and a copying write on top 257.44 MB; a
-# run that encoded the values as well would add their bytes again.
-efbench_gate scanjoin_write 257
+# was handed, the join's mapper moves each record it keeps instead of
+# cloning its value, and the join's reduce tasks write into blocks the
+# output file keeps, so it allocates 179.09 MB. A mapper that cloned
+# every value it emitted made it 238.40 MB, reduce outputs grown by
+# doubling and trimmed on top 243.04 MB, and a copying write on top of
+# that 257.44 MB; a run that encoded the values as well would add their
+# bytes again.
+efbench_gate scanjoin_write 193
 # A segment takes every record of its task through one carrier, and the
 # task's chain (segment, user map, statistics counter) hands records on
 # one at a time into one output block, which the output file keeps, and
-# its caches grow with the keys they hold, so `lookup_hot` (120 k records,
-# four in five a cache hit) allocates 34.34 MB. A copying write makes it
-# 42.02 MB, with caches that reserved their whole capacity and kept a
-# second clone of every key 43.79 MB, a vector per chain stage 66.82 MB,
-# and a carrier, its key lists, its slots and the lookup's result vector
-# built afresh for every record 90.81 MB.
-efbench_gate lookup_hot 37
+# its caches grow with the keys they hold on storage their worker's last
+# caches left, so `lookup_hot` (120 k records, four in five a cache hit)
+# allocates 25.49 MB. Caches that grew their storage afresh in every task
+# made it 34.34 MB, a copying write on top 42.02 MB, with caches that
+# reserved their whole capacity and kept a second clone of every key
+# 43.79 MB, a vector per chain stage 66.82 MB, and a carrier, its key
+# lists, its slots and the lookup's result vector built afresh for every
+# record 90.81 MB.
+efbench_gate lookup_hot 28
 # The same carrier on both sides of the shuffle: a re-partitioned record
 # costs its payload buffer going in and the datums it decodes to coming
 # out, the map side's chain emits straight into its run, and the reduce
 # side hands each group's records down its chain as the map side does,
 # into blocks allocated once at their full size that the output file
-# keeps, so `lookup_repart` allocates 51.18 MB. Reduce outputs grown by
-# doubling and then trimmed by the write made it 71.12 MB, as much as a
-# copying write (71.11 MB); map output collected into a vector before it
-# was spilled 77.34 MB, with caches that reserved their whole capacity
-# and kept a second clone of every key 78.52 MB, a vector per chain
-# stage 86.20 MB, per-record carriers 135.64 MB.
-efbench_gate lookup_repart 55
+# keeps; its caches take the storage their worker's last ones left, and
+# a reduce task's slice list is sized once from the run count, so
+# `lookup_repart` allocates 47.25 MB. Caches that grew their storage
+# afresh in every task made it 51.18 MB; reduce outputs grown by
+# doubling and then trimmed by the write 71.12 MB, as much as a copying
+# write (71.11 MB); map output collected into a vector before it was
+# spilled 77.34 MB, with caches that reserved their whole capacity and
+# kept a second clone of every key 78.52 MB, a vector per chain stage
+# 86.20 MB, per-record carriers 135.64 MB.
+efbench_gate lookup_repart 51
 # `lookup_armed` is `lookup_hot` with faults, a node crash, corruption,
 # partitions and hedging armed. Its oracle check runs on every iteration,
 # so `failed` 0 says no armed layer changed the answer. A verified chunk
 # read streams its CRC record by record through one buffer, an armed cache
-# insert encodes into buffers it keeps, a draw hashes from the stack and
-# the output file keeps the tasks' blocks, so it allocates 42.49 MB. A
-# copying write makes it 50.16 MB, and encoding each whole chunk to
-# checksum it 72.70 MB; with that, per-insert encode buffers and caches
-# that reserved their whole capacity it read 81.73 MB, and a vector per
-# chain stage made that 104.76 MB.
-efbench_gate lookup_armed 46
+# insert encodes into buffers it keeps, a new cache takes the storage its
+# worker's last one left, a draw hashes from the stack and the output
+# file keeps the tasks' blocks, so it allocates 33.64 MB. Caches that
+# grew their storage afresh in every task made it 42.49 MB, a copying
+# write on top 50.16 MB, and encoding each whole chunk to checksum it
+# 72.70 MB; with that, per-insert encode buffers and caches that reserved
+# their whole capacity it read 81.73 MB, and a vector per chain stage
+# made that 104.76 MB.
+efbench_gate lookup_armed 36
 # `q9_adaptive` (TPC-H Q9, five indices, a Dynamic then an Optimized run)
 # builds a shadow cache for each index of each map task and a lookup cache
 # for each cache-strategy task, most holding far fewer keys than their
-# 1 024-entry capacity. They grow with what they hold, the re-plan's
-# remaining file views the input's chunks and every output file keeps
-# the blocks its tasks wrote, so it allocates 183.22 MB. Reduce outputs
-# grown by doubling and trimmed made it 193.53 MB, a copying write on
-# top 207.60 MB, and map output collected into a vector before it was
-# spilled 214.97 MB; with that, reserving each cache's whole capacity up
-# front made it 355.04 MB, and a second clone of every key in the
-# cache's index 368.22 MB.
-efbench_gate q9_adaptive 198
+# 1 024-entry capacity. They grow with what they hold, on storage their
+# worker's last caches left; a reduce task's slice list is sized once
+# from the run count, the re-plan's remaining file views the input's
+# chunks and every output file keeps the blocks its tasks wrote, so it
+# allocates 148.09 MB. Caches that grew their storage afresh in every
+# task and slice lists grown by doubling made it 183.22 MB, reduce
+# outputs grown by doubling and trimmed on top 193.53 MB, a copying
+# write on top of that 207.60 MB, and map output collected into a vector
+# before it was spilled 214.97 MB; with that, reserving each cache's
+# whole capacity up front made it 355.04 MB, and a second clone of every
+# key in the cache's index 368.22 MB.
+efbench_gate q9_adaptive 160
 
 echo "== fault injection (pinned seed matrix) =="
 # Deterministic chaos sweep: per (seed, rate, strategy) cell two runs
