@@ -357,7 +357,9 @@ impl ChargedLookup {
         breaker: Option<&mut Breaker>,
     ) -> Arc<[Datum]> {
         match &self.fault {
-            None => self.lookup_plain(key, mode, ctx),
+            None => self
+                .round_trip(key, mode, ctx, None, None)
+                .unwrap_or_else(|| self.empty.clone()),
             Some(fault) => self.lookup_faulty(fault, key, mode, ctx, breaker),
         }
     }
@@ -481,41 +483,59 @@ impl ChargedLookup {
         }
     }
 
-    /// The fault-free path; byte-for-byte the pre-fault-layer behavior for
-    /// accessors whose `try_lookup` never reports a miss or failure.
-    fn lookup_plain(&self, key: &Datum, mode: LookupMode, ctx: &mut TaskCtx) -> Arc<[Datum]> {
+    /// One round trip to the accessor: charge it, count it, verify the
+    /// answer. `slowdown` scales the service time of an attempt the fault
+    /// plan slowed, and an answer with values that would land after
+    /// `timeout` is given up at the deadline. Returns `None` when the
+    /// attempt failed or timed out, its cost and counter already charged.
+    /// The plain path passes `None` for both: no draw, no deadline, and a
+    /// failure surfaces as an empty result.
+    fn round_trip(
+        &self,
+        key: &Datum,
+        mode: LookupMode,
+        ctx: &mut TaskCtx,
+        slowdown: Option<f64>,
+        timeout: Option<SimDuration>,
+    ) -> Option<Arc<[Datum]>> {
         let sik = key.size_bytes();
-        match self.accessor.try_lookup(key) {
+        let (values, siv, miss) = match self.accessor.try_lookup(key) {
             LookupResult::Hit(values) => {
-                let siv: u64 = values.iter().map(Datum::size_bytes).sum();
-                let serve = self.accessor.serve_time(key, siv);
-                let transfer = self.network.transfer(sik + siv);
-                self.charge_completed(key, mode, ctx, serve, transfer);
-                self.bump_lookup_counters(ctx, sik, siv, serve);
-                self.verify_response(key, mode, ctx, serve, transfer);
-                values
+                let siv = values.iter().map(Datum::size_bytes).sum();
+                (values, siv, false)
             }
-            LookupResult::Miss => {
-                // A miss is a completed round trip with an empty answer;
-                // it costs the same as an empty hit but is counted apart.
-                let serve = self.accessor.serve_time(key, 0);
-                let transfer = self.network.transfer(sik);
-                self.charge_completed(key, mode, ctx, serve, transfer);
-                self.bump_lookup_counters(ctx, sik, 0, serve);
-                ctx.counters.bump(self.c_misses, 1);
-                self.verify_response(key, mode, ctx, serve, transfer);
-                self.empty.clone()
-            }
+            // A miss is a completed round trip with an empty answer; it
+            // costs the same as an empty hit but is counted apart.
+            LookupResult::Miss => (self.empty.clone(), 0, true),
             LookupResult::Failed(_) => {
-                // Without a fault layer there is no retry budget: charge
-                // the failed round trip, count it, and surface an empty
-                // result (the historical silent behavior, now visible).
                 let serve = self.accessor.serve_time(key, 0);
                 self.charge_split(mode, ctx, serve, self.network.transfer(sik));
                 ctx.counters.bump(self.c_f_failures, 1);
-                self.empty.clone()
+                return None;
             }
+        };
+        let mut serve = self.accessor.serve_time(key, siv);
+        if let Some(factor) = slowdown {
+            serve = serve.mul_f64(factor);
         }
+        let transfer = self.network.transfer(sik + siv);
+        if let Some(deadline) = timeout.filter(|&t| !miss && serve + transfer > t) {
+            // Too slow: the caller gives up at the deadline; the answer
+            // is discarded.
+            ctx.charge(deadline);
+            ctx.counters.bump(self.c_f_timeouts, 1);
+            return None;
+        }
+        if slowdown.is_some() {
+            ctx.counters.bump(self.c_f_slowdowns, 1);
+        }
+        self.charge_completed(key, mode, ctx, serve, transfer);
+        self.bump_lookup_counters(ctx, sik, siv, serve);
+        if miss {
+            ctx.counters.bump(self.c_misses, 1);
+        }
+        self.verify_response(key, mode, ctx, serve, transfer);
+        Some(values)
     }
 
     /// The guarded path: injects faults from the plan, retries with
@@ -556,54 +576,15 @@ impl ChargedLookup {
                     ctx.charge(wait);
                     ctx.counters.bump(self.c_f_timeouts, 1);
                 }
-                FaultKind::Ok | FaultKind::Slow => match self.accessor.try_lookup(key) {
-                    LookupResult::Hit(values) => {
-                        let siv: u64 = values.iter().map(Datum::size_bytes).sum();
-                        let mut serve = self.accessor.serve_time(key, siv);
-                        if kind == FaultKind::Slow {
-                            serve = serve.mul_f64(fault.plan.slowdown_factor);
-                        }
-                        let transfer = self.network.transfer(sik + siv);
-                        if fault.timeout.is_some_and(|t| serve + transfer > t) {
-                            // Too slow: the caller gives up at the
-                            // deadline; the answer is discarded.
-                            ctx.charge(fault.timeout.unwrap_or(SimDuration::ZERO));
-                            ctx.counters.bump(self.c_f_timeouts, 1);
-                        } else {
-                            if kind == FaultKind::Slow {
-                                ctx.counters.bump(self.c_f_slowdowns, 1);
-                            }
-                            self.charge_completed(key, mode, ctx, serve, transfer);
-                            self.bump_lookup_counters(ctx, sik, siv, serve);
-                            self.verify_response(key, mode, ctx, serve, transfer);
-                            if let Some(b) = breaker.as_deref_mut() {
-                                b.record_at(true, ctx.charged());
-                            }
-                            return values;
-                        }
-                    }
-                    LookupResult::Miss => {
-                        let mut serve = self.accessor.serve_time(key, 0);
-                        if kind == FaultKind::Slow {
-                            serve = serve.mul_f64(fault.plan.slowdown_factor);
-                            ctx.counters.bump(self.c_f_slowdowns, 1);
-                        }
-                        let transfer = self.network.transfer(sik);
-                        self.charge_completed(key, mode, ctx, serve, transfer);
-                        self.bump_lookup_counters(ctx, sik, 0, serve);
-                        ctx.counters.bump(self.c_misses, 1);
-                        self.verify_response(key, mode, ctx, serve, transfer);
+                FaultKind::Ok | FaultKind::Slow => {
+                    let slowdown = (kind == FaultKind::Slow).then_some(fault.plan.slowdown_factor);
+                    if let Some(values) = self.round_trip(key, mode, ctx, slowdown, fault.timeout) {
                         if let Some(b) = breaker.as_deref_mut() {
                             b.record_at(true, ctx.charged());
                         }
-                        return self.empty.clone();
+                        return values;
                     }
-                    LookupResult::Failed(_) => {
-                        let serve = self.accessor.serve_time(key, 0);
-                        self.charge_split(mode, ctx, serve, self.network.transfer(sik));
-                        ctx.counters.bump(self.c_f_failures, 1);
-                    }
-                },
+                }
             }
             // The attempt failed (injected or real). Update the breaker,
             // then either retry on the virtual clock or give up.
