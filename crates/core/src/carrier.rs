@@ -29,6 +29,7 @@
 //! and [`Carrier::encode`]'s one reservation read a number instead of
 //! walking the payload again.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use efind_common::{Datum, Error, Record, Result};
@@ -102,20 +103,21 @@ impl Default for Carrier {
 }
 
 impl Carrier {
-    /// Starts on `rec` with `num_indices` unfilled slots: `pre_process`
-    /// extracts the lookup keys into the carrier's own key lists and may
-    /// rewrite the record. Nothing of the record before shows through.
+    /// Starts on `rec`, borrowed or owned, with `num_indices` unfilled
+    /// slots: `pre_process` extracts the lookup keys into the carrier's own
+    /// key lists and returns the record to carry, which may be a projection
+    /// of `rec`. Nothing of the record before shows through.
     pub fn open(
         &mut self,
-        mut rec: Record,
+        rec: Cow<'_, Record>,
         num_indices: usize,
-        pre_process: impl FnOnce(&mut Record, &mut IndexInput),
+        pre_process: impl FnOnce(Cow<'_, Record>, &mut IndexInput) -> Record,
     ) {
         empty_lists(&mut self.keys.keys, num_indices);
         empty_lists(&mut self.values.values, num_indices);
         self.filled.clear();
         self.filled.resize(num_indices, false);
-        pre_process(&mut rec, &mut self.keys);
+        let rec = pre_process(rec, &mut self.keys);
         (self.k1, self.v1) = (rec.key, rec.value);
         let keys: u64 = self.keys.keys.iter().map(|list| list_bytes(list)).sum();
         self.payload = self.k1.size_bytes()
@@ -222,12 +224,14 @@ impl Carrier {
 
     /// Deserializes a carrier payload (inverse of [`Carrier::encode`]) over
     /// whatever the carrier held, reusing its key lists and result slots.
+    /// The payload is only read, so a stored carrier decodes straight from
+    /// the row that holds it.
     ///
     /// # Errors
     /// A payload that does not parse is an [`Error::Decode`], and leaves the
     /// carrier as [`Carrier::default`] builds it.
-    pub fn decode(&mut self, value: Datum) -> Result<()> {
-        let parsed = match &value {
+    pub fn decode(&mut self, value: &Datum) -> Result<()> {
+        let parsed = match value {
             Datum::Bytes(buf) => self.parse(buf),
             _ => Err(Error::Decode("carrier payload is not a byte buffer".into())),
         };
@@ -324,10 +328,12 @@ mod tests {
         results: &[Option<Vec<Vec<Datum>>>],
     ) -> Carrier {
         let mut c = Carrier::default();
-        c.open(Record { key: k1, value: v1 }, keys.len(), |_, input| {
+        let rec = Record { key: k1, value: v1 };
+        c.open(Cow::Owned(rec), keys.len(), |rec, input| {
             for (j, list) in keys.iter().enumerate() {
                 list.iter().for_each(|key| input.put(j, key.clone()));
             }
+            rec.into_owned()
         });
         for (j, lists) in results.iter().enumerate() {
             if let Some(lists) = lists {
@@ -367,7 +373,7 @@ mod tests {
     }
 
     fn decode_err(carrier: &mut Carrier, value: Datum) -> String {
-        match carrier.decode(value) {
+        match carrier.decode(&value) {
             Err(Error::Decode(msg)) => msg,
             other => panic!("expected a decode error, got {other:?}"),
         }
@@ -494,7 +500,7 @@ mod tests {
         let rec = c.encode(Datum::Int(10));
         assert_eq!(cached[..], [Datum::Int(100), text("r")]);
         let mut back = Carrier::default();
-        back.decode(rec.value).unwrap();
+        back.decode(&rec.value).unwrap();
         assert_eq!(back, c);
     }
 
@@ -538,7 +544,7 @@ mod tests {
         let mut reused = Carrier::default();
         for fresh in order {
             let payload = payload_of(fresh);
-            reused.decode(Datum::Bytes(payload.clone())).unwrap();
+            reused.decode(&Datum::Bytes(payload.clone())).unwrap();
             assert_eq!(&reused, fresh);
             assert_eq!(payload_of(&reused), payload);
             assert_eq!(reused.num_indices(), fresh.num_indices());
@@ -549,7 +555,11 @@ mod tests {
         }
         // Opened over the largest: nothing of it shows through.
         let mut reopened = sequence[0].clone();
-        reopened.open(Record::new(9i64, "nine"), 2, |_, keys| keys.put(1, 9i64));
+        let nine = Record::new(9i64, "nine");
+        reopened.open(Cow::Borrowed(&nine), 2, |rec, keys| {
+            keys.put(1, 9i64);
+            rec.into_owned()
+        });
         let fresh = built(
             Datum::Int(9),
             text("nine"),
@@ -569,7 +579,7 @@ mod tests {
         decode_err(&mut c, Datum::Bytes(cut));
         assert_eq!(c, Carrier::default());
         // And the carrier still takes the next payload.
-        c.decode(Datum::Bytes(payload_of(big))).unwrap();
+        c.decode(&Datum::Bytes(payload_of(big))).unwrap();
         assert_eq!(&c, big);
     }
 }

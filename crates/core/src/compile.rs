@@ -24,6 +24,7 @@
 //! [`Carrier`] in memory and serializes it only where a record really
 //! crosses a shuffle or a job-boundary file.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use efind_cluster::{
@@ -236,7 +237,7 @@ impl Opening {
         }
     }
 
-    fn open(&mut self, carrier: &mut Carrier, rec: Record, ctx: &mut TaskCtx) {
+    fn open(&mut self, carrier: &mut Carrier, rec: Cow<'_, Record>, ctx: &mut TaskCtx) {
         let step = &*self.step;
         self.n1 += 1;
         self.s1_bytes += rec.size_bytes() as i64;
@@ -526,25 +527,37 @@ impl Running {
 /// A maximal run of one operator's carrier steps inside one map (or
 /// `reduce_post`) chain, executed on the task's one in-memory carrier. The
 /// carrier is parsed only when the run continues one that an earlier task
-/// serialized (`pre` is `None`).
+/// serialized (`pre` is `None`). At the head of a map task's chain it is
+/// lent each input row ([`Mapper::map_row`]): `pre_process` copies what it
+/// keeps, and a stored carrier decodes from the row in place.
 struct SegmentMapper {
     pre: Option<Opening>,
     run: Running,
     carrier: Carrier,
 }
 
-impl Mapper for SegmentMapper {
-    fn map(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
+impl SegmentMapper {
+    fn process(&mut self, rec: Cow<'_, Record>, out: &mut dyn Collector, ctx: &mut TaskCtx) {
         match &mut self.pre {
             Some(pre) => pre.open(&mut self.carrier, rec, ctx),
             None => {
                 // Only a direct lookup opens a chain on a stored carrier.
-                if let Err(e) = self.carrier.decode(rec.value) {
+                if let Err(e) = self.carrier.decode(&rec.value) {
                     return ctx.fail(format!("lookup stage: {e}"));
                 }
             }
         }
         self.run.advance(&mut self.carrier, out, ctx);
+    }
+}
+
+impl Mapper for SegmentMapper {
+    fn map(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
+        self.process(Cow::Owned(rec), out, ctx);
+    }
+
+    fn map_row(&mut self, rec: &Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
+        self.process(Cow::Borrowed(rec), out, ctx);
     }
 
     fn flush(&mut self, _out: &mut dyn Collector, ctx: &mut TaskCtx) {
@@ -576,7 +589,7 @@ impl Reducer for SegmentReducer {
         let result = self.group.lookup(&key, self.breaker.as_mut(), ctx);
         let carrier = &mut self.carrier;
         for payload in values {
-            let filled = carrier.decode(payload).and_then(|()| {
+            let filled = carrier.decode(&payload).and_then(|()| {
                 carrier.fill(self.group.slot, |_, results| results.push(result.clone()))
             });
             if let Err(e) = filled {
@@ -1098,7 +1111,10 @@ mod tests {
         // One carrier for all of them, as in a task.
         let mut carrier = Carrier::default();
         for &k in ks {
-            carrier.open(Record::new(k, "v1"), 1, |_, keys| keys.put(0, k));
+            carrier.open(Cow::Owned(Record::new(k, "v1")), 1, |rec, keys| {
+                keys.put(0, k);
+                rec.into_owned()
+            });
             let looked: Arc<[Datum]> = vec![Datum::Text(format!("looked-{k}"))].into();
             carrier.fill(0, |_, results| results.push(looked)).unwrap();
             run.advance(&mut carrier, &mut out, &mut ctx);
@@ -1224,9 +1240,10 @@ mod tests {
         let compiled = compile_two_index("head", [Repartition, Cache]);
         let stored = |k1: i64, v1: &str, b_keys: &[i64]| -> Datum {
             let mut carrier = Carrier::default();
-            carrier.open(Record::new(k1, v1), 2, |_, keys| {
+            carrier.open(Cow::Owned(Record::new(k1, v1)), 2, |rec, keys| {
                 keys.put(0, 4i64);
                 b_keys.iter().for_each(|&k| keys.put(1, k));
+                rec.into_owned()
             });
             carrier.encode(Datum::Int(4)).value
         };
@@ -1245,7 +1262,7 @@ mod tests {
 
         let expect = |k1: i64, v1: &str, b_keys: &[i64]| {
             let mut carrier = Carrier::default();
-            carrier.decode(stored(k1, v1, b_keys)).unwrap();
+            carrier.decode(&stored(k1, v1, b_keys)).unwrap();
             let a4: Arc<[Datum]> = vec![Datum::Text("a4".into())].into();
             carrier.fill(0, |_, results| results.push(a4)).unwrap();
             carrier.encode(Datum::Int(k1))
@@ -1619,10 +1636,15 @@ mod tests {
     /// `slot1_keys` lookup keys for index `b`.
     fn stored_pair(slot1_keys: usize) -> Datum {
         let mut carrier = Carrier::default();
-        carrier.open(Record::new(1i64, Datum::Null), 2, |_, keys| {
-            keys.put(0, 1i64);
-            (0..slot1_keys).for_each(|_| keys.put(1, 1i64));
-        });
+        carrier.open(
+            Cow::Owned(Record::new(1i64, Datum::Null)),
+            2,
+            |rec, keys| {
+                keys.put(0, 1i64);
+                (0..slot1_keys).for_each(|_| keys.put(1, 1i64));
+                rec.into_owned()
+            },
+        );
         carrier.encode(Datum::Int(1)).value
     }
 

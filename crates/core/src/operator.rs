@@ -1,11 +1,23 @@
 //! The index operator interface.
 //!
 //! Mirrors Figure 2: an `IndexOperator` customizes index access at one
-//! point in a MapReduce data flow. `pre_process` takes `(k1, v1)`, extracts
-//! one key list per index, and may rewrite the record (projection);
-//! `post_process` combines the lookup results into `(k2, v2)` outputs,
-//! optionally filtering.
+//! point in a MapReduce data flow. `preProcess(k1, v1) → (k1', v1', {ik})`
+//! is [`IndexOperator::pre_process`]: it is handed `(k1, v1)`, puts one key
+//! list per index into an [`IndexInput`], and returns the `(k1', v1')` the
+//! carrier keeps until the lookups are done — the record itself, or a
+//! projection of it. `post_process` combines the lookup results into
+//! `(k2, v2)` outputs, optionally filtering.
+//!
+//! *Borrowed or owned.* The record comes as a [`Cow`]: borrowed when the
+//! operator heads a map task's chain and its input row stays in the chunk
+//! ([`efind_mapreduce::Mapper::map_row`]), owned when an earlier stage made
+//! it. An operator that projects copies only what it keeps out of a
+//! borrowed row; `rec.into_owned()` returns the record whole, copying it
+//! only if it was borrowed. [`operator_fn`] is sugar for the in-place
+//! rewrite: its closure edits `&mut Record`, which costs a borrowed row a
+//! whole copy first.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use efind_common::{Datum, Record};
@@ -91,10 +103,12 @@ pub trait IndexOperator: Send + Sync {
     /// Number of indices this operator accesses (`m`).
     fn num_indices(&self) -> usize;
 
-    /// Extracts per-index lookup keys from `(k1, v1)` and may rewrite the
-    /// record in place (e.g. project away fields that are no longer
-    /// needed, shrinking everything downstream).
-    fn pre_process(&self, rec: &mut Record, keys: &mut IndexInput);
+    /// Extracts per-index lookup keys from `(k1, v1)` into `keys` and
+    /// returns the `(k1', v1')` to carry on: `rec` whole, or a projection
+    /// that drops fields no longer needed, shrinking everything downstream.
+    /// A projection of a borrowed `rec` copies only what it keeps (see the
+    /// module docs).
+    fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record;
 
     /// Combines the index lookup results with the (possibly rewritten)
     /// record into zero or more `(k2, v2)` outputs.
@@ -119,8 +133,10 @@ where
     fn num_indices(&self) -> usize {
         self.num_indices
     }
-    fn pre_process(&self, rec: &mut Record, keys: &mut IndexInput) {
-        (self.pre)(rec, keys)
+    fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record {
+        let mut rec = rec.into_owned();
+        (self.pre)(&mut rec, keys);
+        rec
     }
     fn post_process(&self, rec: Record, values: &IndexOutput, out: &mut dyn Collector) {
         (self.post)(rec, values, out)
@@ -128,7 +144,10 @@ where
 }
 
 /// Builds an [`IndexOperator`] from two closures — the lightweight way to
-/// express the paper's `UserProfileIndexOperator`-style classes.
+/// express the paper's `UserProfileIndexOperator`-style classes. `pre`
+/// rewrites the record in place, so a borrowed input row is copied whole
+/// before it runs; an operator that projects a head segment's rows
+/// implements [`IndexOperator`] itself to copy only what it keeps.
 pub fn operator_fn<P, Q>(name: &str, num_indices: usize, pre: P, post: Q) -> Arc<dyn IndexOperator>
 where
     P: Fn(&mut Record, &mut IndexInput) + Send + Sync + 'static,
@@ -185,11 +204,19 @@ mod tests {
         assert_eq!(op.name(), "enrich");
         assert_eq!(op.num_indices(), 1);
 
-        let mut rec = Record::new(7i64, "payload");
+        let row = Record::new(7i64, "payload");
         let mut keys = IndexInput::new(1);
-        op.pre_process(&mut rec, &mut keys);
+        let rec = op.pre_process(Cow::Borrowed(&row), &mut keys);
         assert_eq!(keys.keys(0), &[Datum::Int(7)]);
         assert!(rec.value.is_null());
+        assert_eq!(
+            row,
+            Record::new(7i64, "payload"),
+            "a lent row is not edited"
+        );
+        let mut owned_keys = IndexInput::new(1);
+        assert_eq!(op.pre_process(Cow::Owned(row), &mut owned_keys), rec);
+        assert_eq!(owned_keys, keys);
 
         let values = IndexOutput::new(vec![vec![vec![Datum::Text("hit".into())]]]);
         let mut out: Vec<Record> = Vec::new();

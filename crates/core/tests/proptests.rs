@@ -299,9 +299,10 @@ mod carrier {
     use efind_common::{Error, Record};
     use proptest::collection::vec;
     use proptest::option;
+    use std::borrow::Cow;
 
     /// Every `Datum` kind, lists included (composite keys).
-    fn arb_datum() -> impl Strategy<Value = Datum> {
+    pub(super) fn arb_datum() -> impl Strategy<Value = Datum> {
         let leaf = prop_oneof![
             Just(Datum::Null),
             any::<bool>().prop_map(Datum::Bool),
@@ -316,17 +317,31 @@ mod carrier {
     /// One index slot: its keys and, when filled, one result list per key.
     type Slot = (Vec<Datum>, Option<Vec<Vec<Datum>>>);
 
+    /// Opens `c` — whatever it held — on `rec` with the keys of `slots`,
+    /// carrying `rec` whole or, when `project`, its key alone.
+    fn open(c: &mut Carrier, rec: Cow<'_, Record>, slots: &[Slot], project: bool) {
+        c.open(rec, slots.len(), |rec, input| {
+            for (j, (keys, _)) in slots.iter().enumerate() {
+                keys.iter().for_each(|key| input.put(j, key.clone()));
+            }
+            if project {
+                Record {
+                    key: rec.key.clone(),
+                    value: Datum::Null,
+                }
+            } else {
+                rec.into_owned()
+            }
+        });
+    }
+
     /// Takes `c` — whatever it held — to `(k1, v1, slots)`.
     fn set(c: &mut Carrier, k1: &Datum, v1: &Datum, slots: &[Slot]) {
         let rec = Record {
             key: k1.clone(),
             value: v1.clone(),
         };
-        c.open(rec, slots.len(), |_, input| {
-            for (j, (keys, _)) in slots.iter().enumerate() {
-                keys.iter().for_each(|key| input.put(j, key.clone()));
-            }
-        });
+        open(c, Cow::Owned(rec), slots, false);
         for (j, (_, results)) in slots.iter().enumerate() {
             if let Some(lists) = results {
                 c.fill(j, |_, out| {
@@ -390,7 +405,7 @@ mod carrier {
     /// holds one — is a decode error or, when they happen to spell one, a
     /// carrier, and nothing else.
     fn parse(mut onto: Carrier, bytes: Vec<u8>) -> Option<Carrier> {
-        match onto.decode(Datum::Bytes(bytes)) {
+        match onto.decode(&Datum::Bytes(bytes)) {
             Ok(()) => Some(onto),
             Err(Error::Decode(_)) => None,
             Err(other) => panic!("not a decode error: {other:?}"),
@@ -444,7 +459,7 @@ mod carrier {
             prop_assert_eq!(&rec.key, &routing);
             // Decoded over what another record left behind, and over nothing.
             for mut onto in [held, Carrier::default()] {
-                onto.decode(rec.value.clone()).unwrap();
+                onto.decode(&rec.value).unwrap();
                 prop_assert_eq!(&onto, &c);
                 prop_assert_eq!(onto.encode(routing.clone()), rec.clone());
             }
@@ -464,6 +479,25 @@ mod carrier {
             prop_assert_eq!(payload_of(&held), payload_of(&fresh));
         }
 
+        /// A record lent to `Carrier::open` and the same record handed over
+        /// open the same carrier, whole or projected, over whatever the
+        /// carrier held.
+        #[test]
+        fn a_lent_and_an_owned_record_open_the_same_carrier(
+            parts in arb_parts(),
+            held in arb_carrier(),
+            project in any::<bool>(),
+        ) {
+            let (k1, v1, slots) = parts;
+            let rec = Record { key: k1, value: v1 };
+            let mut lent = held.clone();
+            open(&mut lent, Cow::Borrowed(&rec), &slots, project);
+            let mut owned = held;
+            open(&mut owned, Cow::Owned(rec.clone()), &slots, project);
+            prop_assert_eq!(&lent, &owned);
+            prop_assert_eq!(lent.encode(rec.key.clone()), owned.encode(rec.key));
+        }
+
         #[test]
         fn record_size_is_computed_without_building_the_record(
             c in arb_carrier(),
@@ -473,6 +507,218 @@ mod carrier {
                 c.record_size_bytes(&routing),
                 c.encode(routing).size_bytes()
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A head segment lent its input rows is the segment handed copies of them.
+
+mod lent_rows {
+    use super::carrier::arb_datum;
+    use super::*;
+    use efind::compile::{compile_pipeline, RuntimeEnv};
+    use efind::{
+        forced_plan, operator_fn, BoundOperator, FaultConfig, HedgeConfig, IndexAccessor,
+        IndexInput, IndexJobConf, IndexOperator, IndexOutput,
+    };
+    use efind_cluster::{
+        ChaosPlan, DetectorConfig, NetworkModel, PartitionPlan, SimDuration, TenancyConfig,
+    };
+    use efind_common::{FxHashMap, Record};
+    use efind_mapreduce::{Collector, TaskCtx};
+    use std::borrow::Cow;
+    use std::sync::Arc;
+
+    /// A cache of 4 entries, so random keys both hit and evict.
+    fn env() -> RuntimeEnv {
+        RuntimeEnv {
+            network: NetworkModel::gigabit(),
+            t_cache: SimDuration::from_micros(1),
+            cache_capacity: 4,
+            shuffle_reducers: 2,
+            intermediate_chunks: 1,
+            hard_colocation: false,
+            faults: FaultConfig::disabled(),
+            corruption: CorruptionPlan::none(),
+            dfs_replication: 2,
+            chaos: ChaosPlan::none(),
+            cluster_nodes: 3,
+            netsplit: PartitionPlan::none(),
+            detector: DetectorConfig::default(),
+            hedge: HedgeConfig::disabled(),
+            measured: Vec::new(),
+            tenancy: TenancyConfig::none(),
+            tenant: None,
+        }
+    }
+
+    /// `key → [key's size, key]`, for any key.
+    struct Echo;
+
+    impl IndexAccessor for Echo {
+        fn name(&self) -> &str {
+            "echo"
+        }
+        fn lookup(&self, key: &Datum) -> Vec<Datum> {
+            vec![Datum::Int(key.size_bytes() as i64), key.clone()]
+        }
+        fn serve_time(&self, _key: &Datum, _result_bytes: u64) -> SimDuration {
+            SimDuration::from_micros(100)
+        }
+    }
+
+    /// The first field of a `List` value; any other value itself.
+    fn first_field(value: &Datum) -> &Datum {
+        value.as_list().and_then(|l| l.first()).unwrap_or(value)
+    }
+
+    /// `(k1, [results…, v1'])`.
+    fn joined(rec: Record, values: &IndexOutput, out: &mut dyn Collector) {
+        let mut value = values.first(0).to_vec();
+        value.push(rec.value);
+        out.collect(Record {
+            key: rec.key,
+            value: Datum::List(value),
+        });
+    }
+
+    /// Looks up the first field of the value and carries only it, copying
+    /// nothing else out of a lent row.
+    struct Projecting;
+
+    impl IndexOperator for Projecting {
+        fn name(&self) -> &str {
+            "proj"
+        }
+        fn num_indices(&self) -> usize {
+            1
+        }
+        fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record {
+            let first = first_field(&rec.value).clone();
+            keys.put(0, first.clone());
+            Record {
+                key: rec.key.clone(),
+                value: first,
+            }
+        }
+        fn post_process(&self, rec: Record, values: &IndexOutput, out: &mut dyn Collector) {
+            joined(rec, values, out);
+        }
+    }
+
+    /// [`Projecting`] as in-place `operator_fn` sugar.
+    fn in_place() -> Arc<dyn IndexOperator> {
+        operator_fn(
+            "proj",
+            1,
+            |rec: &mut Record, keys: &mut IndexInput| {
+                let first = first_field(&rec.value).clone();
+                keys.put(0, first.clone());
+                rec.value = first;
+            },
+            joined,
+        )
+    }
+
+    /// What one side of a task emitted, and its counters.
+    type Side = (Vec<Record>, Vec<(Arc<str>, i64)>);
+
+    /// `op`'s head segment under `strategy` over `rows`, each lent to it
+    /// (`map_row`) or handed a copy (`map`); then, where the job shuffles,
+    /// one reduce task over the groups of what it emitted.
+    fn run(
+        op: Arc<dyn IndexOperator>,
+        strategy: AccessStrategy,
+        rows: &[Record],
+        lend: bool,
+    ) -> (Side, Option<Side>) {
+        let bound = BoundOperator::new(op).add_index(Arc::new(Echo));
+        let mut plans = FxHashMap::default();
+        plans.insert("proj".to_owned(), forced_plan(&bound.caps(), strategy));
+        let ijob = IndexJobConf::new("lent", "in", "out").add_head_index_operator(bound);
+        let pipeline = compile_pipeline(&ijob, &plans, &env()).expect("the pipeline compiles");
+        let job = &pipeline.jobs[0];
+
+        let mut segment = (job.map_chain[0])();
+        let mut ctx = TaskCtx::new(0);
+        let mut mapped: Vec<Record> = Vec::new();
+        for row in rows {
+            if lend {
+                segment.map_row(row, &mut mapped, &mut ctx);
+            } else {
+                segment.map(row.clone(), &mut mapped, &mut ctx);
+            }
+        }
+        segment.flush(&mut mapped, &mut ctx);
+        assert_eq!(ctx.error(), None);
+        let map_side = (mapped.clone(), ctx.counters.iter_sorted());
+        let Some(reducer) = &job.reducer else {
+            return (map_side, None);
+        };
+
+        mapped.sort_by(|a, b| a.key.cmp(&b.key));
+        let mut groups: Vec<(Datum, Vec<Datum>)> = Vec::new();
+        for rec in mapped {
+            match groups.last_mut() {
+                Some((key, values)) if *key == rec.key => values.push(rec.value),
+                _ => groups.push((rec.key, vec![rec.value])),
+            }
+        }
+        let mut reducer = reducer();
+        let mut ctx = TaskCtx::new(0);
+        let mut reduced: Vec<Record> = Vec::new();
+        for (key, values) in groups {
+            reducer.reduce(key, values, &mut reduced, &mut ctx);
+        }
+        reducer.flush(&mut reduced, &mut ctx);
+        assert_eq!(ctx.error(), None);
+        (map_side, Some((reduced, ctx.counters.iter_sorted())))
+    }
+
+    fn has(counters: &[(Arc<str>, i64)], name: &str) -> bool {
+        counters.iter().any(|(n, _)| &**n == name)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Lent or handed a copy, a head segment emits the same records and
+        /// the same counters — `n1`, `s1.bytes`, `spre.bytes`, the shadow
+        /// probes, `sidx.bytes` and the `Spost` pair among them — under
+        /// the cache and the re-partitioning strategy, for an in-place
+        /// `operator_fn` and for an operator that projects a lent row. The
+        /// two operators agree with each other too.
+        #[test]
+        fn a_lent_row_and_its_copy_take_a_head_segment_to_the_same_place(
+            rows in proptest::collection::vec((arb_datum(), arb_datum()), 1..24),
+        ) {
+            let rows: Vec<Record> = rows
+                .into_iter()
+                .map(|(key, value)| Record { key, value })
+                .collect();
+            for strategy in [AccessStrategy::Cache, AccessStrategy::Repartition] {
+                let ops: [fn() -> Arc<dyn IndexOperator>; 2] = [in_place, || Arc::new(Projecting)];
+                let want = run(ops[0](), strategy, &rows, false);
+                for op in ops {
+                    for lend in [false, true] {
+                        let got = run(op(), strategy, &rows, lend);
+                        prop_assert_eq!(&got, &want, "{:?}, lent: {}", strategy, lend);
+                    }
+                }
+                let (map_side, reduce_side) = &want;
+                let post_side = reduce_side.as_ref().unwrap_or(map_side);
+                for (side, name) in [
+                    (map_side, "n1"),
+                    (map_side, "s1.bytes"),
+                    (map_side, "spre.bytes"),
+                    (map_side, "0.shadow.probes"),
+                    (post_side, "sidx.bytes"),
+                    (post_side, "spost.bytes"),
+                ] {
+                    prop_assert!(has(&side.1, &format!("efind.proj.{name}")), "{:?}: no {}", strategy, name);
+                }
+            }
         }
     }
 }

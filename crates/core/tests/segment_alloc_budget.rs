@@ -2,10 +2,12 @@
 //! the lookup cache and the carrier's buffers are warm, a record whose
 //! operator allocates nothing costs no allocator call on the cache path,
 //! and exactly the payload buffer where it leaves the task through a
-//! shuffle. Its own test binary: the check needs a `#[global_allocator]`
-//! that counts calls.
+//! shuffle. A head segment lent its input rows copies only what its
+//! operator keeps. Its own test binary: the check needs a
+//! `#[global_allocator]` that counts calls.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -13,7 +15,7 @@ use efind::carrier::Carrier;
 use efind::compile::{compile_pipeline, CompiledPipeline, RuntimeEnv};
 use efind::{
     forced_plan, operator_fn, BoundOperator, FaultConfig, HedgeConfig, IndexAccessor, IndexInput,
-    IndexJobConf, IndexOutput, LookupResult, Strategy,
+    IndexJobConf, IndexOperator, IndexOutput, LookupResult, Strategy,
 };
 use efind_cluster::{
     ChaosPlan, CorruptionPlan, DetectorConfig, NetworkModel, PartitionPlan, SimDuration,
@@ -88,6 +90,38 @@ impl IndexAccessor for Stored {
     }
 }
 
+/// `(k1, Int)` out of a carrier of one lookup.
+fn emit_join(rec: Record, values: &IndexOutput, out: &mut dyn Collector) {
+    out.collect(Record {
+        key: rec.key,
+        value: values.first(0)[0].clone(),
+    });
+}
+
+/// The join of [`pipeline`] as its own operator: it carries the first field
+/// of a `List` value and copies nothing else out of the record it is lent.
+struct Projecting;
+
+impl IndexOperator for Projecting {
+    fn name(&self) -> &str {
+        "join"
+    }
+    fn num_indices(&self) -> usize {
+        1
+    }
+    fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record {
+        keys.put(0, rec.key.clone());
+        let value = rec.value.as_list().map_or(Datum::Null, |l| l[0].clone());
+        Record {
+            key: rec.key.clone(),
+            value,
+        }
+    }
+    fn post_process(&self, rec: Record, values: &IndexOutput, out: &mut dyn Collector) {
+        emit_join(rec, values, out);
+    }
+}
+
 /// A map-only join whose operator allocates nothing: an `Int` key, the
 /// value projected to `Null`, one `(k1, Int)` record out.
 fn pipeline(strategy: Strategy) -> CompiledPipeline {
@@ -98,13 +132,13 @@ fn pipeline(strategy: Strategy) -> CompiledPipeline {
             keys.put(0, rec.key.clone());
             rec.value = Datum::Null;
         },
-        |rec: Record, values: &IndexOutput, out: &mut dyn Collector| {
-            out.collect(Record {
-                key: rec.key,
-                value: values.first(0)[0].clone(),
-            });
-        },
+        emit_join,
     );
+    compiled(op, strategy)
+}
+
+/// `op` joined against [`Stored`] under `strategy`, as a map-only job.
+fn compiled(op: Arc<dyn IndexOperator>, strategy: Strategy) -> CompiledPipeline {
     let blocks = (0..KEYS).map(|k| vec![Datum::Int(k * 2)].into()).collect();
     let bound = BoundOperator::new(op).add_index(Arc::new(Stored(blocks)));
     let mut plans = FxHashMap::default();
@@ -172,6 +206,49 @@ fn a_warm_cache_segment_makes_no_allocator_call_a_record() {
     );
 }
 
+/// Input rows of a padded `List` value, `[i, <pad bytes>]`, that a
+/// projecting head segment must not copy.
+fn padded_rows(pad: usize) -> Vec<Record> {
+    (0..RECORDS)
+        .map(|i| {
+            let value = Datum::List(vec![Datum::Int(i), Datum::Bytes(vec![0xAB; pad])]);
+            Record::new(i % KEYS, value)
+        })
+        .collect()
+}
+
+#[test]
+fn a_warm_projecting_segment_lent_its_rows_makes_no_allocator_call_a_record() {
+    let pipeline = compiled(Arc::new(Projecting), Strategy::Cache);
+    let rows = padded_rows(1_024);
+    let mut segment = (pipeline.jobs[0].map_chain[0])();
+    let mut out: Vec<Record> = Vec::with_capacity(rows.len());
+    let mut ctx = TaskCtx::new(0);
+    let (warm, rest) = rows.split_at(WARM);
+    for rec in warm {
+        segment.map_row(rec, &mut out, &mut ctx);
+    }
+    let (calls, bytes) = counted(|| {
+        for rec in rest {
+            segment.map_row(rec, &mut out, &mut ctx);
+        }
+    });
+    segment.flush(&mut out, &mut ctx);
+    assert_eq!(ctx.error(), None);
+    assert_eq!(ctx.counters.get("efind.join.n1"), RECORDS);
+    // `S1` is still the size of the whole row, padding included.
+    let s1: i64 = rows.iter().map(|r| r.size_bytes() as i64).sum();
+    assert_eq!(ctx.counters.get("efind.join.s1.bytes"), s1);
+    assert_eq!(out.len(), RECORDS as usize);
+    assert_eq!(out[9_999], Record::new(999i64, 1_998i64));
+    assert_eq!(
+        (calls, bytes),
+        (0, 0),
+        "{calls} allocator calls, {bytes} bytes for {} warm rows",
+        rest.len()
+    );
+}
+
 #[test]
 fn a_repartitioned_record_costs_its_payload_buffer_and_nothing_else() {
     let pipeline = pipeline(Strategy::Repartition);
@@ -222,7 +299,7 @@ fn a_claimed_key_count_reserves_no_more_than_the_payload_holds() {
     payload.extend_from_slice(&[0, 0, 0, 0]);
     let mut carrier = Carrier::default();
     LARGEST.with(|l| l.set(0));
-    let parsed = carrier.decode(Datum::Bytes(payload));
+    let parsed = carrier.decode(&Datum::Bytes(payload));
     let largest = LARGEST.with(Cell::get);
     assert!(matches!(parsed, Err(Error::Decode(_))), "{parsed:?}");
     let four_elements = 4 * std::mem::size_of::<Datum>();

@@ -3,6 +3,7 @@
 //! `post_process` read. And for every accessor in this crate the owned
 //! `lookup` and the shared `try_lookup` give the same answer.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use efind::carrier::Carrier;
@@ -91,9 +92,14 @@ fn post_process_reads_the_block_the_store_holds() {
         let cached = cache.probe(&key).expect("just inserted");
 
         let mut carrier = Carrier::default();
-        carrier.open(Record::new(1i64, Datum::Null), 1, |_, keys| {
-            keys.put(0, key)
-        });
+        carrier.open(
+            Cow::Owned(Record::new(1i64, Datum::Null)),
+            1,
+            |rec, keys| {
+                keys.put(0, key);
+                rec.into_owned()
+            },
+        );
         carrier
             .fill(0, |_, results| results.push(cached))
             .expect("the carrier has slot 0");

@@ -24,6 +24,13 @@
 //! task's [`Collector`] — the [`PartWriter`] whose blocks become the parts
 //! of a map-only or reduce task's output file, or the shuffle run of a map
 //! task of a job with a reduce, which encodes each record as it arrives.
+//!
+//! *Lent input.* A map task's input rows stay in its chunk: stage 0 is
+//! handed each row by reference ([`Mapper::map_row`]) and copies what it
+//! keeps. The default copies the whole row into [`Mapper::map`]; EFind's
+//! head operator copies only what its `pre_process` projects to. Every
+//! later stage, and every stage of a chain driven over owned records
+//! ([`run_chain`], a reduce task's tail), is handed records it owns.
 
 use std::sync::Arc;
 
@@ -54,6 +61,13 @@ impl Collector for PartWriter {
 pub trait Mapper: Send {
     /// Processes one input record, emitting any number of output records.
     fn map(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx);
+
+    /// Processes one input record the task only borrows: a row of a map
+    /// task's input chunk. The default maps a copy of the whole row; a
+    /// mapper that keeps less of it overrides this to copy only that.
+    fn map_row(&mut self, rec: &Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
+        self.map(rec.clone(), out, ctx);
+    }
 
     /// Called once after the last record of the task; emits any buffered
     /// output (used by stateful chain elements).
@@ -158,14 +172,21 @@ impl Chain {
         Chain { stages }
     }
 
-    /// Takes `rec` through every stage, collecting what the last one emits
-    /// into `out`.
-    pub(crate) fn push(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        push(&mut self.stages, rec, out, ctx);
+    /// Takes `rec`, which the task only borrows, through every stage,
+    /// collecting what the last one emits into `out`: stage 0 is lent it
+    /// ([`Mapper::map_row`]); an empty chain emits a copy.
+    fn push_row(&mut self, rec: &Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
+        if self.stages.is_empty() {
+            return out.collect(rec.clone());
+        }
+        emit(&mut self.stages, out, ctx, |m, sink, ctx| {
+            m.map_row(rec, sink, ctx)
+        });
     }
 
-    /// [`Chain::push`] for each record of `records`, in order, leaving
-    /// `records` empty with its capacity kept.
+    /// Takes each record of `records`, in order, through every stage,
+    /// collecting what the last one emits into `out`; leaves `records`
+    /// empty with its capacity kept.
     pub(crate) fn push_all(
         &mut self,
         records: &mut Vec<Record>,
@@ -220,45 +241,51 @@ fn emit(
 /// (see the module docs): each stage sees the records the previous one
 /// emits, in emission order, and then the previous one's flush output; the
 /// stages flush in order. An empty chain returns `records` itself.
-pub fn run_chain(chain: &[MapperFactory], records: Vec<Record>, ctx: &mut TaskCtx) -> Vec<Record> {
+pub fn run_chain(
+    chain: &[MapperFactory],
+    mut records: Vec<Record>,
+    ctx: &mut TaskCtx,
+) -> Vec<Record> {
     if chain.is_empty() {
         return records;
     }
     let mut out = Vec::with_capacity(records.len());
-    drive(chain, records.into_iter(), &mut out, ctx);
+    let mut stages = Chain::new(chain);
+    stages.push_all(&mut records, &mut out, ctx);
+    stages.finish(&mut out, ctx);
     out
 }
 
 /// Runs a map-only task's `chain` over its input chunk into the writer of
 /// its output file, whose first block holds as many records as went in:
-/// stage 0 takes clones of the shared records, one at a time, so no copy
-/// of the input is made up front.
+/// stage 0 is lent the chunk's rows one at a time (see the module docs),
+/// so no copy of the input is made up front.
 pub(crate) fn run_into_parts(
     chain: &[MapperFactory],
     records: Chunk<'_>,
     ctx: &mut TaskCtx,
 ) -> PartWriter {
     let mut out = PartWriter::with_capacity(records.len());
-    drive(chain, records.iter().cloned(), &mut out, ctx);
+    drive(chain, records, &mut out, ctx);
     out
 }
 
-/// Takes `records` through a fresh instance of `chain`, record at a time,
-/// then flushes its stages in order (see the module docs); what the last
-/// stage emits goes into `out`. Inlined into every caller: a map task of a
-/// job with a reduce and a map-only task drive the same iterator type, and
-/// the one shared copy the compiler made of it ran `wc_shuffle`'s map
-/// phase a sixth slower (EXPERIMENTS.md E37).
+/// Takes the rows of `records` through a fresh instance of `chain`, lent
+/// to stage 0 one at a time, then flushes its stages in order (see the
+/// module docs); what the last stage emits goes into `out`. Inlined into
+/// every caller: a map task of a job with a reduce and a map-only task
+/// drive the same iterator type, and the one shared copy the compiler made
+/// of it ran `wc_shuffle`'s map phase a sixth slower (EXPERIMENTS.md E37).
 #[inline(always)]
 pub(crate) fn drive(
     chain: &[MapperFactory],
-    records: impl Iterator<Item = Record>,
+    records: Chunk<'_>,
     out: &mut dyn Collector,
     ctx: &mut TaskCtx,
 ) {
     let mut chain = Chain::new(chain);
     for rec in records {
-        chain.push(rec, out, ctx);
+        chain.push_row(rec, out, ctx);
     }
     chain.finish(out, ctx);
 }
@@ -536,6 +563,30 @@ mod tests {
             parts_of(&[], shared.clone(), &mut ctx()),
             shared.chunk().to_vec()
         );
+    }
+
+    #[test]
+    fn only_stage_0_of_a_map_task_is_lent_its_rows() {
+        /// Emits each record's key, tagged with how it was handed over.
+        struct How;
+        impl Mapper for How {
+            fn map(&mut self, rec: Record, out: &mut dyn Collector, _ctx: &mut TaskCtx) {
+                out.collect(Record::new(rec.key, "owned"));
+            }
+            fn map_row(&mut self, rec: &Record, out: &mut dyn Collector, _ctx: &mut TaskCtx) {
+                out.collect(Record::new(rec.key.clone(), "lent"));
+            }
+        }
+        let how: MapperFactory = Arc::new(|| Box::new(How));
+        let rows = vec![Record::new(1i64, "a"), Record::new(2i64, "b")];
+        let tags = |out: Vec<Record>| -> Vec<Datum> { out.into_iter().map(|r| r.value).collect() };
+        let [lent, owned] = ["lent", "owned"].map(|t| vec![Datum::Text(t.into()); 2]);
+        let shared = SharedChunk::from(rows.clone());
+        let one = std::slice::from_ref(&how);
+        assert_eq!(tags(parts_of(one, shared.clone(), &mut ctx())), lent);
+        let two = [how.clone(), how.clone()];
+        assert_eq!(tags(parts_of(&two, shared, &mut ctx())), owned);
+        assert_eq!(tags(run_chain(one, rows, &mut ctx())), owned);
     }
 
     #[test]

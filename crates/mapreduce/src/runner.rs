@@ -1438,15 +1438,14 @@ fn shuffle_runs<'e>(conf: &JobConf, exec: &'e mut MapPhaseExec) -> Result<Vec<&'
 pub(crate) fn spill_map(conf: &JobConf, records: Chunk<'_>, ctx: &mut TaskCtx) -> (Spill, u64) {
     let num_r = conf.num_reducers.max(1);
     let partition = |key: &Datum| partition_of(conf, key, num_r);
-    let input = records.iter().cloned();
     let Some(combiner) = &conf.combiner else {
         let mut run = RunWriter::new(num_r, records.len(), partition);
-        drive(&conf.map_chain, input, &mut run, ctx);
+        drive(&conf.map_chain, records, &mut run, ctx);
         let emitted = run.len() as u64;
         return (run.seal(), emitted);
     };
     let mut output = RunWriter::new(1, records.len(), |_: &Datum| 0);
-    drive(&conf.map_chain, input, &mut output, ctx);
+    drive(&conf.map_chain, records, &mut output, ctx);
     let emitted = output.len() as u64;
     let run = combine(combiner, output.seal(), num_r, partition, ctx);
     (run, emitted)

@@ -341,7 +341,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::api::{drive, reducer_fn, run_chain, Mapper, MapperFactory};
+    use crate::api::{reducer_fn, run_chain, Chain, Mapper, MapperFactory};
     use crate::runner::{partition_of, spill_map};
     use crate::{JobConf, TaskCtx};
 
@@ -512,7 +512,9 @@ mod tests {
 
             let mut owned_ctx = TaskCtx::new(0);
             let mut writer = RunWriter::new(partitions, input.len(), partition);
-            drive(&conf.map_chain, input.clone().into_iter(), &mut writer, &mut owned_ctx);
+            let mut chain = Chain::new(&conf.map_chain);
+            chain.push_all(&mut input.clone(), &mut writer, &mut owned_ctx);
+            chain.finish(&mut writer, &mut owned_ctx);
             let owned_emitted = writer.len() as u64;
             let owned = writer.seal();
 

@@ -14,9 +14,10 @@
 //! each burst is striped across several server streams (cross-machine
 //! redundancy across files).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use efind::{operator_fn, BoundOperator, EFindConfig, IndexJobConf};
+use efind::{BoundOperator, EFindConfig, IndexInput, IndexJobConf, IndexOperator, IndexOutput};
 use efind_cluster::{Cluster, SimDuration};
 use efind_common::{fx_hash_bytes, Datum, FxHashMap, Record};
 use efind_dfs::{Dfs, DfsConfig};
@@ -126,31 +127,48 @@ pub fn geo_service(config: &LogConfig) -> RemoteService {
     )
 }
 
+/// The geo-IP operator: looks each event's IP up and re-keys the event's
+/// URL by the region it finds.
+struct GeoIp;
+
+impl IndexOperator for GeoIp {
+    fn name(&self) -> &str {
+        "geoip"
+    }
+
+    fn num_indices(&self) -> usize {
+        1
+    }
+
+    fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record {
+        let Some(fields) = rec.value.as_list() else {
+            return rec.into_owned();
+        };
+        keys.put(0, fields[0].clone());
+        // Projection: only the URL is needed downstream, so only it is
+        // copied out of the input row.
+        Record {
+            key: rec.key.clone(),
+            value: fields[1].clone(),
+        }
+    }
+
+    fn post_process(&self, rec: Record, values: &IndexOutput, out: &mut dyn Collector) {
+        if let Some(region) = values.first(0).first() {
+            out.collect(Record {
+                key: region.clone(),
+                value: rec.value,
+            });
+        }
+    }
+}
+
 /// Builds the enhanced job: head geo-IP operator, identity Map, top-k
 /// Reduce per region.
 pub fn build_job(config: &LogConfig, service: Arc<RemoteService>) -> IndexJobConf {
     let top_k = config.top_k;
-    let geo_op = operator_fn(
-        "geoip",
-        1,
-        |rec: &mut Record, keys: &mut efind::IndexInput| {
-            if let Some(fields) = rec.value.as_list() {
-                keys.put(0, fields[0].clone());
-                // Projection: only the URL is needed downstream.
-                rec.value = fields[1].clone();
-            }
-        },
-        |rec: Record, values: &efind::IndexOutput, out: &mut dyn Collector| {
-            if let Some(region) = values.first(0).first() {
-                out.collect(Record {
-                    key: region.clone(),
-                    value: rec.value,
-                });
-            }
-        },
-    );
     IndexJobConf::new("log-topk", "log.events", "log.topk")
-        .add_head_index_operator(BoundOperator::new(geo_op).add_index(service))
+        .add_head_index_operator(BoundOperator::new(Arc::new(GeoIp)).add_index(service))
         .set_mapper(mapper_fn(|rec, out, _| out.collect(rec)))
         .set_reducer(
             reducer_fn(move |region, urls, out, _| {

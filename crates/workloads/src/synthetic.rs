@@ -12,9 +12,10 @@
 //! lookups, and index locality starts winning once `l` outgrows the
 //! shuffled record size.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use efind::{operator_fn, BoundOperator, EFindConfig, IndexJobConf};
+use efind::{BoundOperator, EFindConfig, IndexInput, IndexJobConf, IndexOperator, IndexOutput};
 use efind_cluster::Cluster;
 use efind_common::{Datum, FxHashMap, Record};
 use efind_dfs::{Dfs, DfsConfig};
@@ -109,41 +110,53 @@ pub fn build_index(config: &SyntheticConfig, cluster: &Cluster) -> Arc<KvStore> 
     ))
 }
 
+/// The join's index operator: looks each record's join key up and records
+/// the size of what it finds.
+struct SynJoin;
+
+impl IndexOperator for SynJoin {
+    fn name(&self) -> &str {
+        "synjoin"
+    }
+
+    fn num_indices(&self) -> usize {
+        1
+    }
+
+    fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record {
+        let Some(fields) = rec.value.as_list() else {
+            keys.put(0, Datum::Null);
+            return rec.into_owned();
+        };
+        keys.put(0, fields[0].clone());
+        // The padding has served its purpose (input volume); project it
+        // away — without copying it out of the input row — so downstream
+        // sizes reflect the join result.
+        Record {
+            key: rec.key.clone(),
+            value: fields[0].clone(),
+        }
+    }
+
+    fn post_process(&self, rec: Record, values: &IndexOutput, out: &mut dyn Collector) {
+        // Only the joined value's size is recorded; an absent value counts
+        // as a `Null`.
+        let joined = values
+            .first(0)
+            .first()
+            .map_or(Datum::Null.size_bytes(), Datum::size_bytes);
+        out.collect(Record {
+            key: rec.key,
+            value: Datum::List(vec![rec.value, Datum::Int(joined as i64)]),
+        });
+    }
+}
+
 /// Builds the join job: a head operator joins each record with the index;
 /// the job is map-only (the paper's job is a pure join).
 pub fn build_job(index: Arc<KvStore>) -> IndexJobConf {
-    let join_op = operator_fn(
-        "synjoin",
-        1,
-        |rec: &mut Record, keys: &mut efind::IndexInput| {
-            keys.put(
-                0,
-                rec.value
-                    .as_list()
-                    .map(|l| l[0].clone())
-                    .unwrap_or(Datum::Null),
-            );
-            // The padding has served its purpose (input volume); project
-            // it away so downstream sizes reflect the join result.
-            if let Some(l) = rec.value.as_list() {
-                rec.value = l[0].clone();
-            }
-        },
-        |rec: Record, values: &efind::IndexOutput, out: &mut dyn Collector| {
-            // Only the joined value's size is recorded; an absent value
-            // counts as a `Null`.
-            let joined = values
-                .first(0)
-                .first()
-                .map_or(Datum::Null.size_bytes(), Datum::size_bytes);
-            out.collect(Record {
-                key: rec.key,
-                value: Datum::List(vec![rec.value, Datum::Int(joined as i64)]),
-            });
-        },
-    );
     IndexJobConf::new("synthetic-join", "syn.input", "syn.joined")
-        .add_head_index_operator(BoundOperator::new(join_op).add_index(index))
+        .add_head_index_operator(BoundOperator::new(Arc::new(SynJoin)).add_index(index))
         .set_mapper(mapper_fn(|rec, out, _| out.collect(rec)))
 }
 

@@ -93,16 +93,18 @@ efbench_gate() {
 # A lookup hands out the value list the index stores, a map task's chain
 # hands its records on one at a time into one output block, the DFS keeps
 # that block as the output file's part instead of copying its records
-# into chunk blocks, a full cache stores each key once, and a new cache
-# takes the storage its worker's last one left, so `lookup_cold` (240 k
-# records, 1 KB values, nearly every lookup reaches the index) allocates
-# 50.59 MB. Caches that grew their storage afresh in every task made it
-# 68.67 MB, a write that copies each record into its chunk on top
+# into chunk blocks, a full cache stores each key once, a new cache
+# takes the storage its worker's last one left, and the join's head
+# operator copies only the join key out of the input row it is lent, so
+# `lookup_cold` (240 k records, 1 KB values, nearly every lookup reaches
+# the index) allocates 31.39 MB. A segment that cloned every input row
+# made it 50.59 MB, with caches that grew their storage afresh in every
+# task 68.67 MB, a write that copies each record into its chunk on top
 # 84.02 MB, with caches that reserved their whole capacity and kept a
 # second clone of every key 87.57 MB, a vector per chain stage
 # 133.63 MB; one copy of the results anywhere on the per-record path adds
 # about 245 MB.
-efbench_gate lookup_cold 55
+efbench_gate lookup_cold 34
 # `wc_shuffle` (1.2 M records, string keys, integer values) allocates
 # 135.22 MB: each map task's chain emits straight into its run (keys
 # encoded, values moved), each reduce task sizes its slice list once,
@@ -130,51 +132,59 @@ efbench_gate scanjoin_write 193
 # task's chain (segment, user map, statistics counter) hands records on
 # one at a time into one output block, which the output file keeps, and
 # its caches grow with the keys they hold on storage their worker's last
-# caches left, so `lookup_hot` (120 k records, four in five a cache hit)
-# allocates 25.49 MB. Caches that grew their storage afresh in every task
-# made it 34.34 MB, a copying write on top 42.02 MB, with caches that
+# caches left, and the segment is lent each input row and copies only the
+# join key out of it, so `lookup_hot` (120 k records, four in five a cache
+# hit) allocates 15.89 MB. A segment that cloned every input row made it
+# 25.49 MB, with caches that grew their storage afresh in every task
+# 34.34 MB, a copying write on top 42.02 MB, with caches that
 # reserved their whole capacity and kept a second clone of every key
 # 43.79 MB, a vector per chain stage 66.82 MB, and a carrier, its key
 # lists, its slots and the lookup's result vector built afresh for every
 # record 90.81 MB.
-efbench_gate lookup_hot 28
+efbench_gate lookup_hot 17
 # The same carrier on both sides of the shuffle: a re-partitioned record
 # costs its payload buffer going in and the datums it decodes to coming
 # out, the map side's chain emits straight into its run, and the reduce
 # side hands each group's records down its chain as the map side does,
 # into blocks allocated once at their full size that the output file
-# keeps; its caches take the storage their worker's last ones left, and
-# a reduce task's slice list is sized once from the run count, so
-# `lookup_repart` allocates 47.25 MB. Caches that grew their storage
-# afresh in every task made it 51.18 MB; reduce outputs grown by
+# keeps; its caches take the storage their worker's last ones left, a
+# reduce task's slice list is sized once from the run count, and the map
+# side's segment copies only the join key out of each input row it is
+# lent, so `lookup_repart` allocates 37.65 MB. A segment that cloned
+# every input row made it 47.25 MB, with caches that grew their storage
+# afresh in every task 51.18 MB; reduce outputs grown by
 # doubling and then trimmed by the write 71.12 MB, as much as a copying
 # write (71.11 MB); map output collected into a vector before it was
 # spilled 77.34 MB, with caches that reserved their whole capacity and
 # kept a second clone of every key 78.52 MB, a vector per chain stage
 # 86.20 MB, per-record carriers 135.64 MB.
-efbench_gate lookup_repart 51
+efbench_gate lookup_repart 41
 # `lookup_armed` is `lookup_hot` with faults, a node crash, corruption,
 # partitions and hedging armed. Its oracle check runs on every iteration,
 # so `failed` 0 says no armed layer changed the answer. A verified chunk
 # read streams its CRC record by record through one buffer, an armed cache
 # insert encodes into buffers it keeps, a new cache takes the storage its
-# worker's last one left, a draw hashes from the stack and the output
-# file keeps the tasks' blocks, so it allocates 33.64 MB. Caches that
-# grew their storage afresh in every task made it 42.49 MB, a copying
+# worker's last one left, a draw hashes from the stack, the output file
+# keeps the tasks' blocks and the segment copies only the join key out of
+# each input row it is lent, so it allocates 24.04 MB. A segment that
+# cloned every input row made it 33.64 MB, with caches that grew their
+# storage afresh in every task 42.49 MB, a copying
 # write on top 50.16 MB, and encoding each whole chunk to checksum it
 # 72.70 MB; with that, per-insert encode buffers and caches that reserved
 # their whole capacity it read 81.73 MB, and a vector per chain stage
 # made that 104.76 MB.
-efbench_gate lookup_armed 36
+efbench_gate lookup_armed 26
 # `q9_adaptive` (TPC-H Q9, five indices, a Dynamic then an Optimized run)
 # builds a shadow cache for each index of each map task and a lookup cache
 # for each cache-strategy task, most holding far fewer keys than their
 # 1 024-entry capacity. They grow with what they hold, on storage their
 # worker's last caches left; a reduce task's slice list is sized once
 # from the run count, the re-plan's remaining file views the input's
-# chunks and every output file keeps the blocks its tasks wrote, so it
-# allocates 148.09 MB. Caches that grew their storage afresh in every
-# task and slice lists grown by doubling made it 183.22 MB, reduce
+# chunks, every output file keeps the blocks its tasks wrote and a
+# carrier an earlier job stored is decoded from the row that holds it, so
+# it allocates 147.29 MB. Decoding from a clone of each such row made it
+# 148.09 MB, with caches that grew their storage afresh in every task and
+# slice lists grown by doubling 183.22 MB, reduce
 # outputs grown by doubling and trimmed on top 193.53 MB, a copying
 # write on top of that 207.60 MB, and map output collected into a vector
 # before it was spilled 214.97 MB; with that, reserving each cache's
