@@ -249,9 +249,7 @@ impl Datum {
             }
             4 => {
                 let (payload, rest) = split_len_prefixed(rest, "text")?;
-                let s = std::str::from_utf8(payload)
-                    .map_err(|e| Error::Decode(format!("invalid utf-8: {e}")))?;
-                Ok((Datum::Text(s.to_owned()), rest))
+                Ok((Datum::Text(utf8(payload)?.to_owned()), rest))
             }
             5 => {
                 let (payload, rest) = split_len_prefixed(rest, "bytes")?;
@@ -262,6 +260,40 @@ impl Datum {
                 Ok((Datum::List(items), rest))
             }
             other => Err(Error::Decode(format!("unknown datum tag {other}"))),
+        }
+    }
+
+    /// Decodes one datum from the front of `buf` over `slot`, returning the
+    /// rest: [`Datum::decode_from`]'s datum, written into the storage `slot`
+    /// already has. A `Text`, `Bytes` or `List` slot that decodes to its
+    /// own kind keeps its buffer — a list its elements', recursively — and
+    /// grows it only as far as the input backs; any other slot takes a
+    /// freshly decoded datum. On an error `slot` is left part old, part new.
+    pub fn decode_in_place<'a>(slot: &mut Datum, buf: &'a [u8]) -> Result<&'a [u8]> {
+        match (slot, buf.split_first()) {
+            (Datum::Text(held), Some((4, rest))) => {
+                let (payload, rest) = split_len_prefixed(rest, "text")?;
+                let text = utf8(payload)?;
+                held.clear();
+                held.reserve_exact(text.len());
+                held.push_str(text);
+                Ok(rest)
+            }
+            (Datum::Bytes(held), Some((5, rest))) => {
+                let (payload, rest) = split_len_prefixed(rest, "bytes")?;
+                held.clear();
+                held.reserve_exact(payload.len());
+                held.extend_from_slice(payload);
+                Ok(rest)
+            }
+            (Datum::List(held), Some((&LIST_TAG, _))) => {
+                Datum::decode_list_in_place(buf, held, Datum::decode_in_place)
+            }
+            (slot, _) => {
+                let (datum, rest) = Datum::decode_from(buf)?;
+                *slot = datum;
+                Ok(rest)
+            }
         }
     }
 
@@ -391,6 +423,10 @@ fn split_n<'a>(buf: &'a [u8], n: usize, what: &str) -> Result<(&'a [u8], &'a [u8
         return Err(Error::Decode(format!("truncated {what}")));
     }
     Ok(buf.split_at(n))
+}
+
+fn utf8(payload: &[u8]) -> Result<&str> {
+    std::str::from_utf8(payload).map_err(|e| Error::Decode(format!("invalid utf-8: {e}")))
 }
 
 fn split_len_prefixed<'a>(buf: &'a [u8], what: &str) -> Result<(&'a [u8], &'a [u8])> {

@@ -95,6 +95,71 @@ fn a_key_list_claiming_u32_max_keys_grows_storage_by_what_it_holds() {
     }
 }
 
+/// In place, over a slot of every kind — a list holding more elements
+/// than the input backs, and fewer — a claimed element count reserves no
+/// more than the input holds, and a claimed text or byte length is
+/// checked against the input before anything is reserved.
+#[test]
+fn an_in_place_decode_reserves_no_more_than_the_buffer_holds() {
+    let claiming = |tag: u8, body: &[u8]| {
+        let mut buf = vec![tag];
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(body);
+        buf
+    };
+    let inputs = [
+        claiming(6, &[0, 0, 0, 0]),
+        claiming(4, b"abcd"),
+        claiming(5, b"abcd"),
+    ];
+    let slots = [
+        Datum::Null,
+        Datum::Text("x".into()),
+        Datum::Bytes(vec![1]),
+        Datum::List(Vec::new()),
+        Datum::List(vec![Datum::Text("held".into()); 6]),
+    ];
+    for buf in &inputs {
+        for held in &slots {
+            let mut slot = held.clone();
+            LARGEST.with(|l| l.set(0));
+            let parsed = Datum::decode_in_place(&mut slot, buf);
+            let largest = LARGEST.with(Cell::get);
+            assert!(matches!(parsed, Err(Error::Decode(_))), "{parsed:?}");
+            let four_elements = 4 * std::mem::size_of::<Datum>();
+            assert!(
+                largest <= four_elements,
+                "a {largest}-byte reservation for a 9-byte input over {held:?}"
+            );
+        }
+    }
+}
+
+/// Decoded in place over a value of its own shape — a row of text, bytes
+/// and a nested list, each no longer than before — a datum reuses every
+/// buffer and asks the allocator for nothing.
+#[test]
+fn an_in_place_decode_over_its_own_shape_makes_no_allocator_call() {
+    let row = |name: &str, tags: &[i64]| {
+        Datum::List(vec![
+            Datum::Int(1),
+            Datum::Text(name.into()),
+            Datum::Bytes(name.as_bytes().to_vec()),
+            Datum::List(tags.iter().map(|t| Datum::Int(*t)).collect()),
+        ])
+    };
+    let mut slot = row("a longer name", &[1, 2, 3]);
+    let next = row("short", &[4]).encode();
+
+    CALLS.with(|c| c.set(0));
+    let rest = Datum::decode_in_place(&mut slot, &next).expect("a valid encoding");
+    let calls = CALLS.with(Cell::get);
+
+    assert!(rest.is_empty());
+    assert_eq!(slot, row("short", &[4]));
+    assert_eq!(calls, 0, "the in-place decode allocated");
+}
+
 /// `Datum::encoded_len` reads tags and length prefixes: over encodings of
 /// every variant, nested lists included, it asks the allocator for nothing.
 #[test]

@@ -143,6 +143,64 @@ proptest! {
         }
     }
 
+    /// Whatever the slot held — every variant, a longer or shorter list, a
+    /// list nested deeper or shallower — decoding over it gives what
+    /// `decode_from` gives, and hands back the same rest. Decoding the held
+    /// value back over the result takes the same buffers the other way.
+    #[test]
+    fn decoding_in_place_is_decode_from_whatever_the_slot_held(
+        held in prop_oneof![arb_datum(), arb_neighbour()],
+        d in prop_oneof![arb_datum(), arb_neighbour()],
+        tail in proptest::collection::vec(any::<u8>(), 0..4),
+    ) {
+        for (from, to) in [(&held, &d), (&d, &held)] {
+            let mut buf = to.encode();
+            buf.extend_from_slice(&tail);
+            let mut slot = from.clone();
+            let rest = Datum::decode_in_place(&mut slot, &buf).unwrap();
+            prop_assert_eq!(&slot, to);
+            prop_assert_eq!(rest, &tail[..]);
+            // And again over its own result, as a reused slot is.
+            prop_assert_eq!(Datum::decode_in_place(&mut slot, &buf).unwrap(), &tail[..]);
+            prop_assert_eq!(&slot, to);
+        }
+    }
+
+    /// Every strict prefix of an encoding is a decode error in place, over
+    /// any slot, and never a panic.
+    #[test]
+    fn a_truncated_encoding_decoded_in_place_is_a_decode_error(
+        held in arb_datum(),
+        d in arb_datum(),
+    ) {
+        let buf = d.encode();
+        for cut in 0..buf.len() {
+            let mut slot = held.clone();
+            let parsed = Datum::decode_in_place(&mut slot, &buf[..cut]);
+            prop_assert!(matches!(parsed, Err(Error::Decode(_))), "cut at {}: {:?}", cut, parsed);
+        }
+    }
+
+    /// On arbitrary bytes the in-place decode returns — no panic — and
+    /// agrees with `decode_from`: the same datum and rest, or both an
+    /// error. Bytes behind a datum are handed back, so a caller that wants
+    /// the whole buffer (a carrier payload) rejects them.
+    #[test]
+    fn decoding_in_place_agrees_with_decode_from_on_any_bytes(
+        held in arb_datum(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let mut slot = held;
+        match (Datum::decode_in_place(&mut slot, &bytes), Datum::decode_from(&bytes)) {
+            (Ok(rest), Ok((d, expected))) => {
+                prop_assert_eq!(rest, expected);
+                prop_assert_eq!(slot, d);
+            }
+            (Err(Error::Decode(_)), Err(Error::Decode(_))) => {}
+            (in_place, fresh) => prop_assert!(false, "{:?} against {:?}", in_place, fresh),
+        }
+    }
+
     #[test]
     fn fm_estimate_never_explodes(keys in proptest::collection::vec(any::<i64>(), 1..2000)) {
         let mut sketch = FmSketch::default();

@@ -28,6 +28,16 @@
 //! its encoded payload in step with what it holds, so the size statistics
 //! and [`Carrier::encode`]'s one reservation read a number instead of
 //! walking the payload again.
+//!
+//! # The record, handed over or lent
+//!
+//! The carrier holds `(k1, v1)` as one [`Record`]. One that `pre_process`
+//! made in this task is the carrier's to give: [`Carrier::post_input`]
+//! hands it to `post_process` owned. One decoded from a stored payload is
+//! lent instead, and stays in the carrier, so the next [`Carrier::decode`]
+//! parses into its storage ([`Datum::decode_in_place`]): a `postProcess`
+//! that filters a row out, or builds a row of its own, pays nothing for the
+//! one it was shown.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -55,12 +65,6 @@ fn encode_list(items: &[Datum], out: &mut Vec<u8>) {
     }
 }
 
-fn decode_datum<'a>(slot: &mut Datum, buf: &'a [u8]) -> Result<&'a [u8]> {
-    let (datum, rest) = Datum::decode_from(buf)?;
-    *slot = datum;
-    Ok(rest)
-}
-
 /// Makes `lists` `m` empty lists, keeping the buffers of those it had.
 fn empty_lists<T>(lists: &mut Vec<Vec<T>>, m: usize) {
     lists.resize_with(m, Vec::new);
@@ -69,12 +73,13 @@ fn empty_lists<T>(lists: &mut Vec<Vec<T>>, m: usize) {
 
 /// The in-flight state of one record inside an index operator, in storage
 /// that outlives the record.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Carrier {
-    /// Original record key `k1`.
-    k1: Datum,
-    /// Original (possibly projected) record value `v1`.
-    v1: Datum,
+    /// The original record key `k1` and (possibly projected) value `v1`.
+    rec: Record,
+    /// Whether `rec` came from `pre_process` in this task, and so is
+    /// handed over, rather than from a stored payload, and so is lent.
+    opened: bool,
     /// Per-index lookup key lists.
     keys: IndexInput,
     /// Per-index lookup results, one list per key, where `filled`; empty
@@ -92,8 +97,8 @@ impl Default for Carrier {
     /// The carrier of `(Null, Null)` with no indices.
     fn default() -> Self {
         Carrier {
-            k1: Datum::Null,
-            v1: Datum::Null,
+            rec: Record::default(),
+            opened: false,
             keys: IndexInput::default(),
             values: IndexOutput::default(),
             filled: Vec::new(),
@@ -117,23 +122,21 @@ impl Carrier {
         empty_lists(&mut self.values.values, num_indices);
         self.filled.clear();
         self.filled.resize(num_indices, false);
-        let rec = pre_process(rec, &mut self.keys);
-        (self.k1, self.v1) = (rec.key, rec.value);
+        self.rec = pre_process(rec, &mut self.keys);
+        self.opened = true;
         let keys: u64 = self.keys.keys.iter().map(|list| list_bytes(list)).sum();
-        self.payload = self.k1.size_bytes()
-            + self.v1.size_bytes()
-            + (HEADER + keys)
-            + (HEADER + num_indices as u64 * UNFILLED);
+        self.payload =
+            self.rec.size_bytes() + (HEADER + keys) + (HEADER + num_indices as u64 * UNFILLED);
     }
 
     /// Original record key `k1`.
     pub fn k1(&self) -> &Datum {
-        &self.k1
+        &self.rec.key
     }
 
     /// Original (possibly projected) record value `v1`.
     pub fn v1(&self) -> &Datum {
-        &self.v1
+        &self.rec.value
     }
 
     /// Number of indices.
@@ -193,8 +196,8 @@ impl Carrier {
     pub fn encode(&self, routing_key: Datum) -> Record {
         let len = self.payload as usize;
         let mut buf = Vec::with_capacity(len);
-        self.k1.encode_into(&mut buf);
-        self.v1.encode_into(&mut buf);
+        self.rec.key.encode_into(&mut buf);
+        self.rec.value.encode_into(&mut buf);
         Datum::encode_list_header(self.num_indices(), &mut buf);
         for list in &self.keys.keys {
             encode_list(list, &mut buf);
@@ -223,9 +226,9 @@ impl Carrier {
     }
 
     /// Deserializes a carrier payload (inverse of [`Carrier::encode`]) over
-    /// whatever the carrier held, reusing its key lists and result slots.
-    /// The payload is only read, so a stored carrier decodes straight from
-    /// the row that holds it.
+    /// whatever the carrier held, reusing its record's storage, key lists
+    /// and result slots. The payload is only read, so a stored carrier
+    /// decodes straight from the row that holds it.
     ///
     /// # Errors
     /// A payload that does not parse is an [`Error::Decode`], and leaves the
@@ -242,10 +245,11 @@ impl Carrier {
     }
 
     fn parse(&mut self, buf: &[u8]) -> Result<()> {
-        let rest = decode_datum(&mut self.k1, buf)?;
-        let rest = decode_datum(&mut self.v1, rest)?;
+        self.opened = false;
+        let rest = Datum::decode_in_place(&mut self.rec.key, buf)?;
+        let rest = Datum::decode_in_place(&mut self.rec.value, rest)?;
         let rest = Datum::decode_list_in_place(rest, &mut self.keys.keys, |list, b| {
-            Datum::decode_list_in_place(b, list, decode_datum)
+            Datum::decode_list_in_place(b, list, Datum::decode_in_place)
         })?;
         let filled = &mut self.filled;
         filled.clear();
@@ -295,25 +299,42 @@ impl Carrier {
         }
     }
 
-    /// Hands the filled carrier to `post_process`: the record, moved out,
-    /// and the lookup results, lent. The carrier holds no record from here
-    /// to the next [`Carrier::open`] or [`Carrier::decode`].
+    /// Hands the filled carrier to `post_process`: the record, moved out if
+    /// `pre_process` made it and lent if it was decoded (see the module
+    /// docs), and the lookup results, lent. A carrier that handed its record
+    /// over holds none from here to the next [`Carrier::open`] or
+    /// [`Carrier::decode`].
     ///
     /// # Errors
     /// Errors if any index slot is still unfilled.
-    pub fn post_input(&mut self) -> Result<(Record, &IndexOutput)> {
+    pub fn post_input(&mut self) -> Result<(Cow<'_, Record>, &IndexOutput)> {
         if let Some(j) = self.filled.iter().position(|filled| !filled) {
             return Err(Error::Internal(format!(
                 "index {j} not looked up before postProcess"
             )));
         }
-        let rec = Record {
-            key: std::mem::take(&mut self.k1),
-            value: std::mem::take(&mut self.v1),
+        let rec = if self.opened {
+            Cow::Owned(std::mem::take(&mut self.rec))
+        } else {
+            Cow::Borrowed(&self.rec)
         };
         Ok((rec, &self.values))
     }
 }
+
+/// Two carriers are equal when they hold the same tuple, whether each
+/// opened it or decoded it.
+impl PartialEq for Carrier {
+    fn eq(&self, other: &Self) -> bool {
+        self.rec == other.rec
+            && self.keys == other.keys
+            && self.values == other.values
+            && self.filled == other.filled
+            && self.payload == other.payload
+    }
+}
+
+impl Eq for Carrier {}
 
 #[cfg(test)]
 mod tests {
@@ -399,8 +420,39 @@ mod tests {
         })
         .unwrap();
         let (rec, out) = c.post_input().unwrap();
-        assert_eq!(rec, Record::new(1i64, "v"));
+        assert!(
+            matches!(rec, Cow::Owned(_)),
+            "an opened record is handed over"
+        );
+        assert_eq!(*rec, Record::new(1i64, "v"));
         assert_eq!(out.get(1)[1][..], [Datum::Int(1)]);
+    }
+
+    #[test]
+    fn a_decoded_record_is_lent_and_the_next_decodes_into_its_storage() {
+        let stored = |i: i64, name: &str| {
+            let row = Datum::List(vec![Datum::Int(i), text(name)]);
+            let c = built(Datum::Int(i), row, &[vec![Datum::Int(i)]], &[None]);
+            c.encode(Datum::Int(i)).value
+        };
+        let buffers = |c: &Carrier| match c.v1().as_list() {
+            Some([_, Datum::Text(name)]) => (c.v1().as_list().unwrap().as_ptr(), name.as_ptr()),
+            other => panic!("not a decoded row: {other:?}"),
+        };
+        let mut c = Carrier::default();
+        c.decode(&stored(2, "a longer name")).unwrap();
+        let held = buffers(&c);
+        c.fill(0, |_, out| out.push(vec![Datum::Int(7)].into()))
+            .unwrap();
+        let (rec, _) = c.post_input().unwrap();
+        assert!(matches!(rec, Cow::Borrowed(_)), "a decoded record is lent");
+        assert_eq!(rec.value.as_list().unwrap()[1], text("a longer name"));
+        // What it lent stays, and a row no larger decodes into its buffers.
+        c.decode(&stored(3, "three")).unwrap();
+        assert_eq!(buffers(&c), held);
+        assert_eq!(c.v1(), &Datum::List(vec![Datum::Int(3), text("three")]));
+        let (rec, _) = c.fill(0, |_, _| ()).and_then(|()| c.post_input()).unwrap();
+        assert!(matches!(rec, Cow::Borrowed(_)));
     }
 
     #[test]

@@ -5,17 +5,21 @@
 //! is [`IndexOperator::pre_process`]: it is handed `(k1, v1)`, puts one key
 //! list per index into an [`IndexInput`], and returns the `(k1', v1')` the
 //! carrier keeps until the lookups are done — the record itself, or a
-//! projection of it. `post_process` combines the lookup results into
-//! `(k2, v2)` outputs, optionally filtering.
+//! projection of it. `postProcess(k1', v1', {results})` is
+//! [`IndexOperator::post_process`]: it combines the lookup results with the
+//! carried record into `(k2, v2)` outputs, optionally filtering.
 //!
-//! *Borrowed or owned.* The record comes as a [`Cow`]: borrowed when the
-//! operator heads a map task's chain and its input row stays in the chunk
-//! ([`efind_mapreduce::Mapper::map_row`]), owned when an earlier stage made
-//! it. An operator that projects copies only what it keeps out of a
-//! borrowed row; `rec.into_owned()` returns the record whole, copying it
-//! only if it was borrowed. [`operator_fn`] is sugar for the in-place
-//! rewrite: its closure edits `&mut Record`, which costs a borrowed row a
-//! whole copy first.
+//! *Borrowed or owned.* Both methods take the record as a [`Cow`].
+//! `pre_process` is lent it when the operator heads a map task's chain and
+//! its input row stays in the chunk ([`efind_mapreduce::Mapper::map_row`]),
+//! and handed it when an earlier stage made it. `post_process` is handed
+//! the record `pre_process` returned in the same task, and lent one the
+//! carrier decoded from a stored payload, which the carrier keeps to decode
+//! the next one into. An operator copies only what it keeps or emits out
+//! of a borrowed record; `rec.into_owned()` returns the record whole,
+//! copying it only if it was borrowed. [`operator_fn`] is sugar for the
+//! in-place rewrite: its closures edit `&mut Record` and take `Record`,
+//! which costs a borrowed record a whole copy first.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -111,8 +115,10 @@ pub trait IndexOperator: Send + Sync {
     fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record;
 
     /// Combines the index lookup results with the (possibly rewritten)
-    /// record into zero or more `(k2, v2)` outputs.
-    fn post_process(&self, rec: Record, values: &IndexOutput, out: &mut dyn Collector);
+    /// record into zero or more `(k2, v2)` outputs. A borrowed `rec` is
+    /// only read: an output copies what it needs of it (see the module
+    /// docs).
+    fn post_process(&self, rec: Cow<'_, Record>, values: &IndexOutput, out: &mut dyn Collector);
 }
 
 struct FnOperator<P, Q> {
@@ -138,16 +144,18 @@ where
         (self.pre)(&mut rec, keys);
         rec
     }
-    fn post_process(&self, rec: Record, values: &IndexOutput, out: &mut dyn Collector) {
-        (self.post)(rec, values, out)
+    fn post_process(&self, rec: Cow<'_, Record>, values: &IndexOutput, out: &mut dyn Collector) {
+        (self.post)(rec.into_owned(), values, out)
     }
 }
 
 /// Builds an [`IndexOperator`] from two closures — the lightweight way to
 /// express the paper's `UserProfileIndexOperator`-style classes. `pre`
-/// rewrites the record in place, so a borrowed input row is copied whole
-/// before it runs; an operator that projects a head segment's rows
-/// implements [`IndexOperator`] itself to copy only what it keeps.
+/// rewrites the record in place and `post` takes it owned, so a borrowed
+/// record is copied whole before either runs; an operator that projects a
+/// head segment's rows, or filters or rebuilds the rows a stored carrier
+/// lends it, implements [`IndexOperator`] itself to copy only what it
+/// keeps.
 pub fn operator_fn<P, Q>(name: &str, num_indices: usize, pre: P, post: Q) -> Arc<dyn IndexOperator>
 where
     P: Fn(&mut Record, &mut IndexInput) + Send + Sync + 'static,
@@ -220,7 +228,8 @@ mod tests {
 
         let values = IndexOutput::new(vec![vec![vec![Datum::Text("hit".into())]]]);
         let mut out: Vec<Record> = Vec::new();
-        op.post_process(rec, &values, &mut out);
-        assert_eq!(out, vec![Record::new(7i64, "hit")]);
+        op.post_process(Cow::Borrowed(&rec), &values, &mut out);
+        op.post_process(Cow::Owned(rec), &values, &mut out);
+        assert_eq!(out, vec![Record::new(7i64, "hit"); 2]);
     }
 }

@@ -602,8 +602,13 @@ mod lent_rows {
                 value: first,
             }
         }
-        fn post_process(&self, rec: Record, values: &IndexOutput, out: &mut dyn Collector) {
-            joined(rec, values, out);
+        fn post_process(
+            &self,
+            rec: Cow<'_, Record>,
+            values: &IndexOutput,
+            out: &mut dyn Collector,
+        ) {
+            joined(rec.into_owned(), values, out);
         }
     }
 
@@ -718,6 +723,27 @@ mod lent_rows {
                 ] {
                     prop_assert!(has(&side.1, &format!("efind.proj.{name}")), "{:?}: no {}", strategy, name);
                 }
+            }
+        }
+
+        /// `post_process` emits the same records whether its carrier hands
+        /// it the record or lends it: the in-place `operator_fn`, which
+        /// takes a copy of a lent record, and an operator that reads it.
+        #[test]
+        fn a_lent_and_an_owned_record_post_process_alike(
+            key in arb_datum(),
+            value in arb_datum(),
+            results in proptest::collection::vec(arb_datum(), 0..3),
+        ) {
+            let rec = Record { key, value };
+            let values = IndexOutput::new(vec![vec![results]]);
+            let ops: [Arc<dyn IndexOperator>; 2] = [in_place(), Arc::new(Projecting)];
+            for op in ops {
+                let (mut lent, mut owned) = (Vec::new(), Vec::new());
+                op.post_process(Cow::Borrowed(&rec), &values, &mut lent);
+                op.post_process(Cow::Owned(rec.clone()), &values, &mut owned);
+                prop_assert_eq!(lent.len(), 1);
+                prop_assert_eq!(&lent, &owned);
             }
         }
     }

@@ -117,8 +117,32 @@ impl IndexOperator for Projecting {
             value,
         }
     }
-    fn post_process(&self, rec: Record, values: &IndexOutput, out: &mut dyn Collector) {
-        emit_join(rec, values, out);
+    fn post_process(&self, rec: Cow<'_, Record>, values: &IndexOutput, out: &mut dyn Collector) {
+        emit_join(rec.into_owned(), values, out);
+    }
+}
+
+/// A join that carries its `[i, 3i]` row whole and builds its own output,
+/// `(k1, [i, result])`, reading the row it is handed or lent.
+struct Rebuilding;
+
+impl IndexOperator for Rebuilding {
+    fn name(&self) -> &str {
+        "join"
+    }
+    fn num_indices(&self) -> usize {
+        1
+    }
+    fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record {
+        keys.put(0, rec.key.clone());
+        rec.into_owned()
+    }
+    fn post_process(&self, rec: Cow<'_, Record>, values: &IndexOutput, out: &mut dyn Collector) {
+        let first = rec.value.as_list().map_or(Datum::Null, |l| l[0].clone());
+        out.collect(Record {
+            key: rec.key.clone(),
+            value: Datum::List(vec![first, values.first(0)[0].clone()]),
+        });
     }
 }
 
@@ -259,6 +283,18 @@ fn a_repartitioned_record_costs_its_payload_buffer_and_nothing_else() {
 
     // The reduce side: one lookup a group, and a payload decoded into the
     // carrier's own lists — `Int` and `Null` datums own no heap block.
+    let (out, calls, bytes) = reduce_side(&pipeline, shuffled);
+    assert_eq!(out[9_999], Record::new(999i64, 1_998i64));
+    assert_eq!((calls, bytes), (0, 0));
+}
+
+/// Groups lookups made this many groups in warm up the reducer.
+const WARM_GROUPS: usize = 100;
+
+/// The shuffling job's reducer over what the map side routed to it, one
+/// group a key, into an output vector that never grows: allocator calls
+/// and bytes for the groups behind the warm-up.
+fn reduce_side(pipeline: &CompiledPipeline, shuffled: Vec<Record>) -> (Vec<Record>, usize, usize) {
     let mut groups: Vec<(Datum, Vec<Datum>)> =
         (0..KEYS).map(|k| (Datum::Int(k), Vec::new())).collect();
     for rec in shuffled {
@@ -269,7 +305,7 @@ fn a_repartitioned_record_costs_its_payload_buffer_and_nothing_else() {
     let mut out: Vec<Record> = Vec::with_capacity(RECORDS as usize);
     let mut ctx = TaskCtx::new(0);
     let mut groups = groups.into_iter();
-    for (key, values) in groups.by_ref().take(100) {
+    for (key, values) in groups.by_ref().take(WARM_GROUPS) {
         reducer.reduce(key, values, &mut out, &mut ctx);
     }
     let (calls, bytes) = counted(|| {
@@ -282,7 +318,35 @@ fn a_repartitioned_record_costs_its_payload_buffer_and_nothing_else() {
     assert_eq!(out.len(), RECORDS as usize);
     assert_eq!(ctx.counters.get("efind.join.0.lookups"), KEYS);
     assert_eq!(ctx.counters.get("efind.join.post.out"), RECORDS);
-    assert_eq!((calls, bytes), (0, 0));
+    (out, calls, bytes)
+}
+
+/// A stored carrier is decoded into the storage the carrier's last record
+/// left, and lent to `post_process`: a warm group-lookup segment whose
+/// operator builds its own output allocates that output and nothing else —
+/// not the row it decoded.
+#[test]
+fn a_warm_group_lookup_segment_lent_its_decoded_carriers_allocates_only_its_output() {
+    let pipeline = compiled(Arc::new(Rebuilding), Strategy::Repartition);
+    let rows = (0..RECORDS).map(|i| {
+        let value = Datum::List(vec![Datum::Int(i), Datum::Int(3 * i)]);
+        Record::new(i % KEYS, value)
+    });
+    let (shuffled, _, _) = map_side(&pipeline, rows.collect());
+    // Key `k`'s group holds the records `k + j * KEYS`.
+    let warm = (KEYS as usize - WARM_GROUPS) * (RECORDS / KEYS) as usize;
+    let (out, calls, bytes) = reduce_side(&pipeline, shuffled);
+    assert_eq!(
+        out[9_999],
+        Record::new(999i64, vec![Datum::Int(9_999), Datum::Int(1_998)])
+    );
+    // One output list of two datums a record.
+    let output = 2 * std::mem::size_of::<Datum>();
+    assert_eq!(
+        (calls, bytes),
+        (warm, warm * output),
+        "{calls} allocator calls, {bytes} bytes for {warm} warm records"
+    );
 }
 
 /// A payload's list headers come from the input: one that claims 2³² − 1

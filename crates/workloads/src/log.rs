@@ -153,11 +153,15 @@ impl IndexOperator for GeoIp {
         }
     }
 
-    fn post_process(&self, rec: Record, values: &IndexOutput, out: &mut dyn Collector) {
+    fn post_process(&self, rec: Cow<'_, Record>, values: &IndexOutput, out: &mut dyn Collector) {
         if let Some(region) = values.first(0).first() {
+            let url = match rec {
+                Cow::Borrowed(rec) => rec.value.clone(),
+                Cow::Owned(rec) => rec.value,
+            };
             out.collect(Record {
                 key: region.clone(),
-                value: rec.value,
+                value: url,
             });
         }
     }

@@ -138,16 +138,18 @@ impl IndexOperator for SynJoin {
         }
     }
 
-    fn post_process(&self, rec: Record, values: &IndexOutput, out: &mut dyn Collector) {
+    fn post_process(&self, rec: Cow<'_, Record>, values: &IndexOutput, out: &mut dyn Collector) {
         // Only the joined value's size is recorded; an absent value counts
         // as a `Null`.
         let joined = values
             .first(0)
             .first()
             .map_or(Datum::Null.size_bytes(), Datum::size_bytes);
+        // Key and value are both emitted, so a lent record is copied whole.
+        let Record { key, value } = rec.into_owned();
         out.collect(Record {
-            key: rec.key,
-            value: Datum::List(vec![rec.value, Datum::Int(joined as i64)]),
+            key,
+            value: Datum::List(vec![value, Datum::Int(joined as i64)]),
         });
     }
 }

@@ -15,9 +15,12 @@
 //! locality and only re-partitioning removes the redundancy).
 //! `dup_lineitem = 10` reproduces the DUP10 variants.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use efind::{operator_fn, BoundOperator, EFindConfig, IndexJobConf, Strategy};
+use efind::{
+    BoundOperator, EFindConfig, IndexInput, IndexJobConf, IndexOperator, IndexOutput, Strategy,
+};
 use efind_cluster::Cluster;
 use efind_common::{Datum, FxHashMap, Record};
 use efind_dfs::{Dfs, DfsConfig};
@@ -272,67 +275,120 @@ fn field(value: &Datum, idx: usize) -> Datum {
         .unwrap_or(Datum::Null)
 }
 
+/// One join of a TPC-H job: the lineitem-derived row is looked up in one
+/// index by `key` and carried whole, and `post` sees it with the values the
+/// index found for the key; a row whose key the index lacks is dropped.
+/// `post` is lent the row when its carrier was decoded from a stored
+/// payload, and copies only what it emits of it.
+struct Join {
+    name: &'static str,
+    key: fn(&Datum) -> Datum,
+    post: fn(Cow<'_, Record>, &[Datum], &mut dyn Collector),
+}
+
+impl IndexOperator for Join {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn num_indices(&self) -> usize {
+        1
+    }
+
+    fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record {
+        keys.put(0, (self.key)(&rec.value));
+        rec.into_owned()
+    }
+
+    fn post_process(&self, rec: Cow<'_, Record>, values: &IndexOutput, out: &mut dyn Collector) {
+        let found = values.first(0);
+        if !found.is_empty() {
+            (self.post)(rec, found, out);
+        }
+    }
+}
+
+fn join(join: Join, index: Arc<KvStore>) -> BoundOperator {
+    BoundOperator::new(Arc::new(join)).add_index(index)
+}
+
+/// The key and the first `keep` fields of a `List` row, in a vector with
+/// room for `width` fields: the row's own vector when it is handed over,
+/// grown once and exactly if it is narrower, and a new one when it is lent.
+fn row(rec: Cow<'_, Record>, keep: usize, width: usize) -> Option<(Datum, Vec<Datum>)> {
+    match rec {
+        Cow::Owned(Record {
+            key,
+            value: Datum::List(mut fields),
+        }) => {
+            fields.truncate(keep);
+            fields.reserve_exact(width.saturating_sub(fields.len()));
+            Some((key, fields))
+        }
+        Cow::Borrowed(Record {
+            key,
+            value: Datum::List(fields),
+        }) => {
+            let fields = &fields[..keep.min(fields.len())];
+            let mut row = Vec::with_capacity(width.max(fields.len()));
+            row.extend_from_slice(fields);
+            Some((key.clone(), row))
+        }
+        _ => None,
+    }
+}
+
+/// Q3's I1, the Orders join: keeps lineitems of orders placed before the
+/// cutoff and shipped after it, as `[orderkey, revenue, custkey,
+/// orderdate, shippriority]`.
+fn q3_orders(rec: Cow<'_, Record>, o: &[Datum], out: &mut dyn Collector) {
+    let Some(l) = rec.value.as_list() else { return };
+    let orderdate = o[1].as_int().unwrap_or(i64::MAX);
+    let shipdate = l[6].as_int().unwrap_or(0);
+    if orderdate >= Q3_DATE_CUTOFF || shipdate <= Q3_DATE_CUTOFF {
+        return;
+    }
+    let revenue = l[4].as_float().unwrap_or(0.0) * (1.0 - l[5].as_float().unwrap_or(0.0));
+    out.collect(Record {
+        key: rec.key.clone(),
+        value: Datum::List(vec![
+            l[0].clone(),          // orderkey
+            Datum::Float(revenue), // revenue
+            o[0].clone(),          // custkey
+            o[1].clone(),          // orderdate
+            o[2].clone(),          // shippriority
+        ]),
+    });
+}
+
+/// Q3's I2, the Customer join: keeps rows of the market segment, as
+/// `[orderkey, revenue, orderdate, shippriority]`.
+fn q3_customer(rec: Cow<'_, Record>, c: &[Datum], out: &mut dyn Collector) {
+    if c[0].as_text() != Some(Q3_SEGMENT) {
+        return;
+    }
+    let Some(v) = rec.value.as_list() else { return };
+    out.collect(Record {
+        key: rec.key.clone(),
+        value: Datum::List(vec![v[0].clone(), v[1].clone(), v[3].clone(), v[4].clone()]),
+    });
+}
+
 /// Builds the Q3 job over a loaded DFS (`tpch.lineitem` present).
 pub fn q3_job(cluster: &Cluster, data: &TpchData) -> IndexJobConf {
-    let orders_idx = kv("orders", cluster, &data.orders);
-    let customer_idx = kv("customer", cluster, &data.customer);
-
-    // I1: LineItem ⋈ Orders on l_orderkey; filters o_orderdate < cutoff
-    // and l_shipdate > cutoff; projects to what Q3 still needs.
-    let orders_op = operator_fn(
-        "orders",
-        1,
-        |rec: &mut Record, keys: &mut efind::IndexInput| {
-            keys.put(0, field(&rec.value, 0));
-        },
-        |rec: Record, values: &efind::IndexOutput, out: &mut dyn Collector| {
-            let Some(l) = rec.value.as_list() else { return };
-            let o = values.first(0);
-            if o.is_empty() {
-                return;
-            }
-            let orderdate = o[1].as_int().unwrap_or(i64::MAX);
-            let shipdate = l[6].as_int().unwrap_or(0);
-            if orderdate >= Q3_DATE_CUTOFF || shipdate <= Q3_DATE_CUTOFF {
-                return;
-            }
-            let revenue = l[4].as_float().unwrap_or(0.0) * (1.0 - l[5].as_float().unwrap_or(0.0));
-            out.collect(Record {
-                key: rec.key,
-                value: Datum::List(vec![
-                    l[0].clone(),          // orderkey
-                    Datum::Float(revenue), // revenue
-                    o[0].clone(),          // custkey
-                    o[1].clone(),          // orderdate
-                    o[2].clone(),          // shippriority
-                ]),
-            });
-        },
-    );
-
-    // I2: ⋈ Customer on custkey; filters the market segment.
-    let customer_op = operator_fn(
-        "customer",
-        1,
-        |rec: &mut Record, keys: &mut efind::IndexInput| {
-            keys.put(0, field(&rec.value, 2));
-        },
-        |rec: Record, values: &efind::IndexOutput, out: &mut dyn Collector| {
-            let c = values.first(0);
-            if c.is_empty() || c[0].as_text() != Some(Q3_SEGMENT) {
-                return;
-            }
-            let Some(v) = rec.value.as_list() else { return };
-            out.collect(Record {
-                key: rec.key,
-                value: Datum::List(vec![v[0].clone(), v[1].clone(), v[3].clone(), v[4].clone()]),
-            });
-        },
-    );
-
+    let orders = Join {
+        name: "orders",
+        key: |l| field(l, 0),
+        post: q3_orders,
+    };
+    let customer = Join {
+        name: "customer",
+        key: |v| field(v, 2),
+        post: q3_customer,
+    };
     IndexJobConf::new("tpch-q3", "tpch.lineitem", "tpch.q3")
-        .add_head_index_operator(BoundOperator::new(orders_op).add_index(orders_idx))
-        .add_head_index_operator(BoundOperator::new(customer_op).add_index(customer_idx))
+        .add_head_index_operator(join(orders, kv("orders", cluster, &data.orders)))
+        .add_head_index_operator(join(customer, kv("customer", cluster, &data.customer)))
         .set_mapper(mapper_fn(|rec, out, _| {
             let Some(v) = rec.value.as_list() else { return };
             out.collect(Record {
@@ -349,138 +405,85 @@ pub fn q3_job(cluster: &Cluster, data: &TpchData) -> IndexJobConf {
         )
 }
 
+/// Fields of a Q9 row once every join has appended its own: `[ok, pk, sk,
+/// qty, price, disc, snation, supplycost, o_year, nation]`.
+const Q9_WIDTH: usize = 10;
+
+/// Q9's I1, the Supplier join: `[ok, pk, sk, qty, price, disc, snation]`.
+/// A row it is handed becomes the output, its shipdate giving way to the
+/// supplier's nation key.
+fn q9_supplier(rec: Cow<'_, Record>, s: &[Datum], out: &mut dyn Collector) {
+    let Some((key, mut v)) = row(rec, 6, 7) else {
+        return;
+    };
+    v.push(s[1].clone()); // s_nationkey at [6]
+    out.collect(Record {
+        key,
+        value: Datum::List(v),
+    });
+}
+
+/// Q9's I2, the Part join: keeps only parts whose name contains the color
+/// token (`p_name like '%green%'`); only those rows are copied.
+fn q9_part(rec: Cow<'_, Record>, p: &[Datum], out: &mut dyn Collector) {
+    if !p[0].as_text().is_some_and(|n| n.contains(Q9_COLOR)) {
+        return;
+    }
+    q9_append(rec, None, out);
+}
+
+/// Emits the row with `field`, if any, appended, in a vector with room for
+/// every field the joins after it append: the row grows at most once.
+fn q9_append(rec: Cow<'_, Record>, field: Option<Datum>, out: &mut dyn Collector) {
+    let Some((key, mut v)) = row(rec, usize::MAX, Q9_WIDTH) else {
+        return;
+    };
+    v.extend(field);
+    out.collect(Record {
+        key,
+        value: Datum::List(v),
+    });
+}
+
 /// Builds the Q9 job over a loaded DFS (`tpch.lineitem` present).
 pub fn q9_job(cluster: &Cluster, data: &TpchData) -> IndexJobConf {
-    let supplier_idx = kv("supplier", cluster, &data.supplier);
-    let part_idx = kv("part", cluster, &data.part);
-    let partsupp_idx = kv("partsupp", cluster, &data.partsupp);
-    let orders_idx = kv("orders9", cluster, &data.orders);
-    let nation_idx = kv("nation", cluster, &data.nation);
-
-    // I1: ⋈ Supplier on l_suppkey → value [ok, pk, sk, qty, price, disc, snation].
-    let supplier_op = operator_fn(
-        "supplier",
-        1,
-        |rec: &mut Record, keys: &mut efind::IndexInput| {
-            keys.put(0, field(&rec.value, 2));
+    let supplier = Join {
+        name: "supplier",
+        key: |l| field(l, 2),
+        post: q9_supplier,
+    };
+    let part = Join {
+        name: "part",
+        key: |v| field(v, 1),
+        post: q9_part,
+    };
+    // ⋈ PartSupp on (partkey, suppkey) → append supplycost at [7].
+    let partsupp = Join {
+        name: "partsupp",
+        key: |v| match v.as_list() {
+            Some(v) => Datum::List(vec![v[1].clone(), v[2].clone()]),
+            None => Datum::Null,
         },
-        |rec: Record, values: &efind::IndexOutput, out: &mut dyn Collector| {
-            let s = values.first(0);
-            if s.is_empty() {
-                return;
-            }
-            let Some(l) = rec.value.as_list() else { return };
-            out.collect(Record {
-                key: rec.key,
-                value: Datum::List(vec![
-                    l[0].clone(),
-                    l[1].clone(),
-                    l[2].clone(),
-                    l[3].clone(),
-                    l[4].clone(),
-                    l[5].clone(),
-                    s[1].clone(), // s_nationkey
-                ]),
-            });
-        },
-    );
-
-    // I2: ⋈ Part on l_partkey; keeps only parts whose name contains the
-    // color token (Q9's `p_name like '%green%'`).
-    let part_op = operator_fn(
-        "part",
-        1,
-        |rec: &mut Record, keys: &mut efind::IndexInput| {
-            keys.put(0, field(&rec.value, 1));
-        },
-        |rec: Record, values: &efind::IndexOutput, out: &mut dyn Collector| {
-            let p = values.first(0);
-            if p.is_empty() || !p[0].as_text().is_some_and(|n| n.contains(Q9_COLOR)) {
-                return;
-            }
-            out.collect(rec);
-        },
-    );
-
-    // I3: ⋈ PartSupp on (partkey, suppkey) → append supplycost.
-    let partsupp_op = operator_fn(
-        "partsupp",
-        1,
-        |rec: &mut Record, keys: &mut efind::IndexInput| {
-            if let Some(v) = rec.value.as_list() {
-                keys.put(0, Datum::List(vec![v[1].clone(), v[2].clone()]));
-            } else {
-                keys.put(0, Datum::Null);
-            }
-        },
-        |rec: Record, values: &efind::IndexOutput, out: &mut dyn Collector| {
-            let ps = values.first(0);
-            if ps.is_empty() {
-                return;
-            }
-            let Some(mut v) = rec.value.into_list() else {
-                return;
-            };
-            v.push(ps[0].clone()); // supplycost at [7]
-            out.collect(Record {
-                key: rec.key,
-                value: Datum::List(v),
-            });
-        },
-    );
-
-    // I4: ⋈ Orders on l_orderkey → append o_year at [8].
-    let orders_op = operator_fn(
-        "orders9",
-        1,
-        |rec: &mut Record, keys: &mut efind::IndexInput| {
-            keys.put(0, field(&rec.value, 0));
-        },
-        |rec: Record, values: &efind::IndexOutput, out: &mut dyn Collector| {
-            let o = values.first(0);
-            if o.is_empty() {
-                return;
-            }
-            let Some(mut v) = rec.value.into_list() else {
-                return;
-            };
-            v.push(Datum::Int(o[1].as_int().unwrap_or(0) / 365));
-            out.collect(Record {
-                key: rec.key,
-                value: Datum::List(v),
-            });
-        },
-    );
-
-    // I5: ⋈ Nation on s_nationkey → append nation name at [9].
-    let nation_op = operator_fn(
-        "nation",
-        1,
-        |rec: &mut Record, keys: &mut efind::IndexInput| {
-            keys.put(0, field(&rec.value, 6));
-        },
-        |rec: Record, values: &efind::IndexOutput, out: &mut dyn Collector| {
-            let n = values.first(0);
-            if n.is_empty() {
-                return;
-            }
-            let Some(mut v) = rec.value.into_list() else {
-                return;
-            };
-            v.push(n[0].clone());
-            out.collect(Record {
-                key: rec.key,
-                value: Datum::List(v),
-            });
-        },
-    );
-
+        post: |rec, ps, out| q9_append(rec, Some(ps[0].clone()), out),
+    };
+    // ⋈ Orders on l_orderkey → append o_year at [8].
+    let orders = Join {
+        name: "orders9",
+        key: |v| field(v, 0),
+        post: |rec, o, out| q9_append(rec, Some(Datum::Int(o[1].as_int().unwrap_or(0) / 365)), out),
+    };
+    // ⋈ Nation on s_nationkey → append the nation's name at [9].
+    let nation = Join {
+        name: "nation",
+        key: |v| field(v, 6),
+        post: |rec, n, out| q9_append(rec, Some(n[0].clone()), out),
+    };
     IndexJobConf::new("tpch-q9", "tpch.lineitem", "tpch.q9")
-        .add_head_index_operator(BoundOperator::new(supplier_op).add_index(supplier_idx))
-        .add_head_index_operator(BoundOperator::new(part_op).add_index(part_idx))
-        .add_head_index_operator(BoundOperator::new(partsupp_op).add_index(partsupp_idx))
-        .add_head_index_operator(BoundOperator::new(orders_op).add_index(orders_idx))
-        .add_head_index_operator(BoundOperator::new(nation_op).add_index(nation_idx))
+        .add_head_index_operator(join(supplier, kv("supplier", cluster, &data.supplier)))
+        .add_head_index_operator(join(part, kv("part", cluster, &data.part)))
+        .add_head_index_operator(join(partsupp, kv("partsupp", cluster, &data.partsupp)))
+        .add_head_index_operator(join(orders, kv("orders9", cluster, &data.orders)))
+        .add_head_index_operator(join(nation, kv("nation", cluster, &data.nation)))
         .set_mapper(mapper_fn(|rec, out, _| {
             let Some(v) = rec.value.as_list() else { return };
             let qty = v[3].as_float().unwrap_or(0.0);
@@ -569,6 +572,8 @@ mod tests {
     use super::*;
     use crate::harness::run_mode;
     use efind::Mode;
+    use proptest::prelude::{any, prop_assert_eq, prop_oneof, proptest, Just};
+    use proptest::strategy::Strategy as _;
 
     fn tiny() -> TpchConfig {
         TpchConfig {
@@ -648,6 +653,67 @@ mod tests {
             let key = r.key.as_list().unwrap();
             assert!(key[0].as_text().unwrap().starts_with("NATION"));
             assert!(key[1].as_int().is_some());
+        }
+    }
+
+    /// Q3's and Q9's operators, built once over the tiny tables.
+    fn operators() -> &'static [Arc<dyn IndexOperator>] {
+        static OPS: std::sync::OnceLock<Vec<Arc<dyn IndexOperator>>> = std::sync::OnceLock::new();
+        OPS.get_or_init(|| {
+            let cluster = Cluster::edbt_testbed();
+            let data = generate(&tiny());
+            let jobs = [q3_job(&cluster, &data), q9_job(&cluster, &data)];
+            jobs.iter()
+                .flat_map(|job| job.head.iter().map(|bound| bound.op.clone()))
+                .collect()
+        })
+    }
+
+    /// Fields of the kinds the joins read: numbers, text the filters look
+    /// for, and lists.
+    fn arb_field() -> impl proptest::strategy::Strategy<Value = Datum> {
+        let texts = ["green", Q3_SEGMENT, "NATION07", "forest green"];
+        prop_oneof![
+            any::<i64>().prop_map(Datum::Int),
+            (0.0..1e5f64).prop_map(Datum::Float),
+            (0..texts.len()).prop_map(move |i| Datum::from(texts[i])),
+            Just(Datum::List(vec![Datum::Int(1), Datum::Null])),
+        ]
+    }
+
+    /// Rows of 7 to 10 fields, the widths the joins see, and now and then
+    /// a value that is not a list.
+    fn arb_row() -> impl proptest::strategy::Strategy<Value = Record> {
+        let value = prop_oneof![
+            9 => proptest::collection::vec(arb_field(), 7..=10).prop_map(Datum::List),
+            1 => any::<i64>().prop_map(Datum::Int),
+        ];
+        (any::<i64>(), value).prop_map(|(key, value)| Record::new(key, value))
+    }
+
+    proptest! {
+        /// Every Q3 and Q9 operator emits the same records whether its
+        /// carrier hands it the row or lends it, and carries the same row
+        /// and keys from a lent input row as from its copy.
+        #[test]
+        fn a_lent_and_an_owned_row_give_every_tpch_operator_the_same_output(
+            row in arb_row(),
+            found in proptest::option::of(proptest::collection::vec(arb_field(), 3..=3)),
+        ) {
+            // The index row the key found, or none.
+            let values = IndexOutput::new(vec![vec![found.unwrap_or_default()]]);
+            for op in operators() {
+                let (mut lent, mut owned) = (Vec::new(), Vec::new());
+                op.post_process(Cow::Borrowed(&row), &values, &mut lent);
+                op.post_process(Cow::Owned(row.clone()), &values, &mut owned);
+                prop_assert_eq!(&lent, &owned, "{}", op.name());
+
+                let (mut lent_keys, mut owned_keys) = (IndexInput::new(1), IndexInput::new(1));
+                let carried = op.pre_process(Cow::Borrowed(&row), &mut lent_keys);
+                prop_assert_eq!(&carried, &row);
+                prop_assert_eq!(op.pre_process(Cow::Owned(row.clone()), &mut owned_keys), carried);
+                prop_assert_eq!(lent_keys, owned_keys);
+            }
         }
     }
 

@@ -54,6 +54,20 @@ for scenario in syn q9 q3 log osm topics multi; do
     echo "explain $scenario: structural and cost-model analysis clean"
 done
 
+echo "== quick figures: the committed CSVs, byte for byte =="
+# Every figure is a function of its seeds and the virtual clock, so the 14
+# reduced-scale CSV series repeat exactly. `results/quick/` holds them; a
+# change that moves a cell regenerates them with
+# `figures --quick --csv results/quick` and says why.
+quick=$(mktemp -d)
+trap 'rm -rf "$quick"' EXIT
+cargo run --release -q -p efind-bench --bin figures -- --quick --csv "$quick" >/dev/null
+if ! diff -r results/quick "$quick"; then
+    echo "quick figures: the CSVs differ from results/quick"
+    exit 1
+fi
+echo "quick figures: all $(ls "$quick" | wc -l) CSVs match results/quick"
+
 echo "== goldens under one worker =="
 # The runner's `fan_out` is the one place available_parallelism() enters;
 # virtual observables must not depend on how many workers there are.
@@ -180,9 +194,13 @@ efbench_gate lookup_armed 26
 # 1 024-entry capacity. They grow with what they hold, on storage their
 # worker's last caches left; a reduce task's slice list is sized once
 # from the run count, the re-plan's remaining file views the input's
-# chunks, every output file keeps the blocks its tasks wrote and a
-# carrier an earlier job stored is decoded from the row that holds it, so
-# it allocates 147.29 MB. Decoding from a clone of each such row made it
+# chunks, every output file keeps the blocks its tasks wrote, a carrier
+# an earlier job stored is decoded from the row that holds it into the
+# storage the carrier's last record left and lent to `postProcess`, and
+# the joins copy only the rows they emit, each Q9 row growing once to its
+# final width, so it allocates 110.28 MB. Decoding each stored carrier
+# into a fresh record handed over to `postProcess`, and rows grown by
+# doubling, made it 147.29 MB, decoding from a clone of each such row
 # 148.09 MB, with caches that grew their storage afresh in every task and
 # slice lists grown by doubling 183.22 MB, reduce
 # outputs grown by doubling and trimmed on top 193.53 MB, a copying
@@ -190,7 +208,7 @@ efbench_gate lookup_armed 26
 # before it was spilled 214.97 MB; with that, reserving each cache's
 # whole capacity up front made it 355.04 MB, and a second clone of every
 # key in the cache's index 368.22 MB.
-efbench_gate q9_adaptive 160
+efbench_gate q9_adaptive 119
 
 echo "== injection layers (pinned seed matrix) =="
 # Deterministic sweep over faults, crashes, corruption, partitions and
