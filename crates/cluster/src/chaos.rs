@@ -132,9 +132,8 @@ impl ChaosPlan {
     /// Returns a borrowed iterator rather than a fresh `Vec` — scheduling
     /// replays query this inside per-assignment loops, and an allocation
     /// per query was pure overhead (callers that need a set can still
-    /// `collect()`). Like every chaos query, loops must consult it only
-    /// behind an [`is_quiet`](Self::is_quiet) check (lint L007 flags
-    /// unguarded query calls in hot loops).
+    /// `collect()`). On a quiet plan it yields nothing, so callers need no
+    /// [`is_quiet`](Self::is_quiet) guard of their own.
     pub fn dead_at(&self, t: SimTime) -> impl Iterator<Item = NodeId> + '_ {
         self.events
             .iter()

@@ -15,6 +15,8 @@
 //! streams (e.g. `"chaos.node"` vs `"chaos.time"`) so they never
 //! correlate even for equal payloads.
 
+use std::cell::Cell;
+
 use crate::fx_hash_bytes;
 
 /// Pure `[0, 1)` draw from `(seed, scope, payload)`.
@@ -24,6 +26,7 @@ use crate::fx_hash_bytes;
 /// decision's identity (key bytes, attempt number, replica index, ...)
 /// into `payload`.
 pub fn draw_unit(seed: u64, scope: &str, payload: &[u8]) -> f64 {
+    DRAWS_BY_THREAD.with(|n| n.set(n.get() + 1));
     let len = 8 + scope.len() + payload.len();
     // On the stack when it fits, as every draw in the workspace does.
     let (mut stack, mut heap) = ([0u8; STACK_DRAW], Vec::new());
@@ -43,6 +46,17 @@ pub fn draw_unit(seed: u64, scope: &str, payload: &[u8]) -> f64 {
 /// The longest `seed ++ scope ++ payload` [`draw_unit`] hashes without a
 /// heap buffer.
 const STACK_DRAW: usize = 128;
+
+thread_local! {
+    static DRAWS_BY_THREAD: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of draws the calling thread has made. A quiet injection plan
+/// answers before it draws, so a run whose layers are all quiet leaves
+/// this unchanged — whatever other threads draw meanwhile.
+pub fn draws_by_thread() -> u64 {
+    DRAWS_BY_THREAD.with(Cell::get)
+}
 
 /// [`draw_unit`] specialized to a single `u64` key payload (LE-encoded) —
 /// the common case for plans whose decisions are indexed by one integer.

@@ -52,6 +52,13 @@ pub fn intern(name: &str) -> Symbol {
     if let Some(&id) = t.read().expect("intern table poisoned").by_name.get(name) {
         return Symbol(id);
     }
+    // First sight of `name`, checked before the write lock so that a
+    // failed check leaves the table usable.
+    debug_assert!(
+        !(name.starts_with("efind.") || name.starts_with("mr."))
+            || registry::counter_name_registered(name),
+        "counter name {name:?} matches no `intern::registry::COUNTER_PATTERNS` entry"
+    );
     let mut w = t.write().expect("intern table poisoned");
     if let Some(&id) = w.by_name.get(name) {
         return Symbol(id);
@@ -80,17 +87,17 @@ pub fn interned_by_thread() -> usize {
     ADDED_BY_THREAD.with(Cell::get)
 }
 
-/// The registry of counter-name shapes — the symbol table `efind-lint`
-/// rule `L004` checks counter-name string literals against.
+/// The registry of counter-name shapes, checked where names enter the
+/// table: in debug builds, [`intern`] asserts that every new name under
+/// `efind.` or `mr.` matches a registered pattern.
 ///
 /// Every counter the workspace charges is built from a small set of
 /// templates (`efind.<op>.n1`, `efind.<op>.<j>.lookups`,
-/// `mr.recovery.crashes`, …). A literal that matches none of them is
-/// almost always a typo — the counter silently reads 0 forever — so the
-/// shapes are enumerated here, next to the interner they feed, and the
-/// lint refuses unregistered names. The lists are append-only: add the
-/// pattern (and a leaf, for per-operator suffixes) when introducing a new
-/// counter family.
+/// `mr.recovery.crashes`, …). A name that matches none of them is almost
+/// always a typo — the counter silently reads 0 forever — so the shapes
+/// are enumerated here, next to the interner they feed, and a test run
+/// that interns an unregistered name panics. The list is append-only:
+/// add the pattern when introducing a new counter family.
 pub mod registry {
     /// Full counter-name patterns. `*` matches exactly one dot-free
     /// segment (an operator name, an index slot, …).
@@ -205,71 +212,10 @@ pub mod registry {
         "mr.integrity.repair.nanos",
     ];
 
-    /// Registered leaf suffixes — the `<what>` literals handed to the
-    /// `statsx::names::op`/`names::idx` helpers and to `ChargedLookup`'s
-    /// per-index handle constructor. Checked when a counter name is built
-    /// from a format template whose trailing segments are literal.
-    pub const COUNTER_LEAVES: &[&str] = &[
-        "n1",
-        "s1.bytes",
-        "spre.bytes",
-        "spost.bytes",
-        "sidx.bytes",
-        "post.out",
-        "lookups",
-        "misses",
-        "nik",
-        "nik.irregular",
-        "key.bytes",
-        "sik.bytes",
-        "siv.bytes",
-        "tj.nanos",
-        "distinct",
-        "cache.probes",
-        "cache.hits",
-        "shadow.probes",
-        "shadow.hits",
-        "fault.failures",
-        "fault.timeouts",
-        "fault.slowdowns",
-        "fault.retries",
-        "fault.backoff.nanos",
-        "fault.exhausted",
-        "fault.degraded",
-        "integrity.refetch",
-        "integrity.cache.invalid",
-        "hedge.fired",
-        "hedge.wins",
-        "hedge.loser.nanos",
-        // Per-tenant serving ledger leaves (cluster::tenancy).
-        "granted",
-        "completed",
-        "rejected",
-        "quota.rejected",
-        "degraded",
-        "shed.lookups",
-        "throttle.nanos",
-        "wait.nanos",
-        "cache.evictions",
-    ];
-
     /// True when `name` matches a registered full pattern. `*` in a
     /// pattern matches exactly one dot-free segment of the name.
     pub fn counter_name_registered(name: &str) -> bool {
         COUNTER_PATTERNS.iter().any(|p| pattern_matches(p, name))
-    }
-
-    /// True when `leaf` (the trailing literal segments of a templated
-    /// counter name) is a registered leaf suffix, or a dot-boundary
-    /// suffix of one (`"fault.degraded"`, `"backoff.nanos"`, and the
-    /// bare `"nanos"` all pass; `"okups"` does not).
-    pub fn counter_leaf_registered(leaf: &str) -> bool {
-        COUNTER_LEAVES.iter().any(|l| {
-            *l == leaf
-                || l.strip_suffix(leaf)
-                    .map(|head| head.ends_with('.'))
-                    .unwrap_or(false)
-        })
     }
 
     fn pattern_matches(pattern: &str, name: &str) -> bool {
@@ -349,15 +295,12 @@ mod tests {
         }
     }
 
+    /// A typo'd per-index leaf, which would read 0 forever: interning it
+    /// fails the debug run that charges it.
+    #[cfg(debug_assertions)]
     #[test]
-    fn registry_leaf_suffix_matching() {
-        assert!(registry::counter_leaf_registered("lookups"));
-        assert!(registry::counter_leaf_registered("fault.degraded"));
-        // A trailing piece of a registered leaf counts only on a dot
-        // boundary.
-        assert!(registry::counter_leaf_registered("backoff.nanos"));
-        assert!(registry::counter_leaf_registered("nanos"));
-        assert!(!registry::counter_leaf_registered("okups"));
-        assert!(!registry::counter_leaf_registered("lokups"));
+    #[should_panic(expected = "efind.enrich.0.lokups")]
+    fn interning_an_unregistered_counter_name_panics() {
+        intern("efind.enrich.0.lokups");
     }
 }

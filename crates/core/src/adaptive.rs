@@ -521,12 +521,9 @@ fn try_reduce_phase_replan(
     };
     // Any beneficial plan (cache or a shuffle strategy) justifies the
     // change: the re-planned tail pipeline runs map-side either way.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "order-free exists predicate; no output depends on visit order"
-    )]
-    let improved = tail_plans
-        .values()
+    let improved = ijob
+        .operators()
+        .filter_map(|(bound, _)| tail_plans.get(bound.op.name()))
         .any(|p| p.choices.iter().any(|c| c.strategy != Strategy::Baseline));
     let change =
         improved && rt.cost_env().wall_secs(predicted_gain) > rt.config.plan_change_cost_secs;
@@ -642,19 +639,16 @@ fn try_reduce_phase_replan(
 
     // Head/body operators executed under the baseline plans; the tail
     // operators under their re-planned strategies.
+    let tail_plans = in_operator_order(ijob, tail_plans);
     let mut final_plans = baseline_plans.clone();
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "map-to-map merge of distinct operator names; no order survives"
-    )]
-    final_plans.extend(tail_plans.iter().map(|(k, v)| (k.clone(), v.clone())));
+    final_plans.extend(tail_plans.iter().cloned());
     rt.absorb_stats(ijob, &jobs, &final_plans);
 
     Ok(Some(EFindJobResult {
         output,
         total_time: t.since(SimTime::ZERO),
         jobs,
-        plans: in_operator_order(ijob, tail_plans),
+        plans: tail_plans,
         replanned: true,
     }))
 }

@@ -578,6 +578,7 @@ mod tests {
     use crate::accessor::testutil::MemIndex;
     use crate::jobconf::BoundOperator;
     use crate::operator::{operator_fn, IndexInput, IndexOutput};
+    use efind_cluster::tenancy::TenantSpec;
     use efind_common::{Datum, Record};
     use efind_dfs::DfsConfig;
     use efind_mapreduce::{mapper_fn, reducer_fn, Collector};
@@ -699,6 +700,29 @@ mod tests {
             cache.total_time,
             base.total_time
         );
+    }
+
+    #[test]
+    fn an_armed_tenant_counts_its_cache_evictions() {
+        // Two tenants arm the tenancy layer. Alpha's half share of a
+        // four-entry cache holds two of the ten distinct keys, so it evicts.
+        let (cluster, mut dfs, ijob) = setup(200, 10);
+        let config = EFindConfig {
+            cache_capacity: 4,
+            tenancy: TenancyConfig::none()
+                .tenant(TenantSpec::new("alpha").cache_share(0.5))
+                .tenant(TenantSpec::new("beta")),
+            tenant: Some("alpha".into()),
+            ..EFindConfig::default()
+        };
+        let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, config);
+        let res = rt.run(&ijob, Mode::Uniform(Strategy::Cache)).unwrap();
+        let evictions: i64 = res
+            .jobs
+            .iter()
+            .map(|j| j.counters.get("efind.tenant.alpha.cache.evictions"))
+            .sum();
+        assert!(evictions > 0, "no eviction counted");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! a term → postings index with document frequencies, partitioned by
 //! term hash across the cluster like a distributed search index.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use efind::{IndexAccessor, PartitionScheme};
@@ -73,35 +74,29 @@ impl InvertedIndex {
             .collect();
         let scheme = Arc::new(TermScheme { hosts });
 
-        let mut partitions: Vec<FxHashMap<String, Vec<Posting>>> =
-            (0..num_p).map(|_| FxHashMap::default()).collect();
+        let mut partitions: Vec<BTreeMap<String, Vec<Posting>>> =
+            (0..num_p).map(|_| BTreeMap::new()).collect();
         for (doc, text) in docs {
-            let mut counts: FxHashMap<String, u32> = FxHashMap::default();
+            let mut counts: BTreeMap<String, u32> = BTreeMap::new();
             for token in text.split_whitespace() {
                 *counts.entry(token.to_lowercase()).or_insert(0) += 1;
             }
-            #[expect(
-                clippy::iter_over_hash_type,
-                reason = "per-term postings are sorted after the build; insertion order does not survive"
-            )]
             for (term, tf) in counts {
                 let p = scheme.partition_of(&Datum::Text(term.clone()));
                 partitions[p].entry(term).or_default().push((doc, tf));
             }
         }
         for part in &mut partitions {
-            #[expect(
-                clippy::iter_over_hash_type,
-                clippy::disallowed_methods,
-                reason = "each term's postings are sorted on their own; no order crosses terms"
-            )]
             for postings in part.values_mut() {
                 postings.sort_unstable();
             }
         }
         InvertedIndex {
             name,
-            partitions,
+            partitions: partitions
+                .into_iter()
+                .map(|part| part.into_iter().collect())
+                .collect(),
             scheme,
             base_serve: SimDuration::from_micros(200),
             serve_secs_per_posting: 2.0e-7,

@@ -7,15 +7,17 @@
 //! bit vectors OR-ed together — [`Sketches`] carries those.
 //!
 //! Counter names are interned once into [`Symbol`]s (see
-//! `efind_common::intern`): the map is keyed by a dense `u32`, so an
-//! increment through a pre-resolved [`CounterHandle`] touches no `String`
-//! at all — no allocation, no byte-wise hashing. The string-keyed API is
-//! kept for cold paths (reports, tests, plan statistics).
+//! `efind_common::intern`): a set is a vector of `(Symbol, value)` sorted
+//! by symbol, so an increment through a pre-resolved [`CounterHandle`]
+//! is a binary search over a few dozen `u32`s and touches no `String` —
+//! no allocation, no byte-wise hashing — and every walk over a set
+//! (merge, report) has one order, whatever the hasher. The string-keyed
+//! API is kept for cold paths (reports, tests, plan statistics).
 
 use std::sync::Arc;
 
 use efind_common::intern::{intern, resolve};
-use efind_common::{Datum, FmSketch, FxHashMap, Symbol};
+use efind_common::{Datum, FmSketch, Symbol};
 
 /// A pre-resolved counter (or sketch) name. Resolve once with
 /// [`CounterHandle::new`], then increment through it on the hot path —
@@ -46,10 +48,46 @@ impl From<&str> for CounterHandle {
     }
 }
 
+/// Where `key` sits in `entries[from..]` (sorted by symbol), inserted
+/// there as `V::default()` when absent.
+fn position<V: Default>(entries: &mut Vec<(Symbol, V)>, from: usize, key: Symbol) -> usize {
+    match entries[from..].binary_search_by_key(&key, |e| e.0) {
+        Ok(i) => from + i,
+        Err(i) => {
+            entries.insert(from + i, (key, V::default()));
+            from + i
+        }
+    }
+}
+
+/// Folds every entry of `other` into `entries` with `fold`, both sorted
+/// by symbol: one walk, each search starting past the last key placed.
+fn merge_sorted<V: Default>(
+    entries: &mut Vec<(Symbol, V)>,
+    other: &[(Symbol, V)],
+    fold: impl Fn(&mut V, &V),
+) {
+    let mut from = 0;
+    for (key, v) in other {
+        let at = position(entries, from, *key);
+        fold(&mut entries[at].1, v);
+        from = at + 1;
+    }
+}
+
+/// The value under `key` in `entries` (sorted by symbol).
+fn find<V>(entries: &[(Symbol, V)], key: Symbol) -> Option<&V> {
+    entries
+        .binary_search_by_key(&key, |e| e.0)
+        .ok()
+        .map(|at| &entries[at].1)
+}
+
 /// A set of named integer counters.
 #[derive(Clone, Debug, Default)]
 pub struct Counters {
-    values: FxHashMap<Symbol, i64>,
+    /// Sorted by symbol.
+    values: Vec<(Symbol, i64)>,
 }
 
 impl Counters {
@@ -67,7 +105,8 @@ impl Counters {
     /// Adds `delta` through a pre-resolved handle — the allocation-free
     /// hot path.
     pub fn bump(&mut self, handle: CounterHandle, delta: i64) {
-        *self.values.entry(handle.0).or_insert(0) += delta;
+        let at = position(&mut self.values, 0, handle.0);
+        self.values[at].1 += delta;
     }
 
     /// Adds every nonzero `(name, value)` — how a job ledger mirrors itself
@@ -88,36 +127,26 @@ impl Counters {
 
     /// Reads a counter (0 if never written).
     pub fn get(&self, name: &str) -> i64 {
-        self.values.get(&intern(name)).copied().unwrap_or(0)
+        self.get_handle(CounterHandle(intern(name)))
     }
 
     /// Reads a counter through a pre-resolved handle.
     pub fn get_handle(&self, handle: CounterHandle) -> i64 {
-        self.values.get(&handle.0).copied().unwrap_or(0)
+        find(&self.values, handle.0).copied().unwrap_or(0)
     }
 
     /// Merges another counter set into this one by summing. Keys are
     /// interned symbols (`Copy`), so nothing is cloned.
     pub fn merge(&mut self, other: &Counters) {
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "integer sums commute; no order reaches any output"
-        )]
-        for (&k, &v) in &other.values {
-            *self.values.entry(k).or_insert(0) += v;
-        }
+        merge_sorted(&mut self.values, &other.values, |a, b| *a += b);
     }
 
     /// Iterates counters in sorted-name order (for stable reports). The
     /// returned names are shared handles into the intern table, not
     /// rebuilt strings.
     pub fn iter_sorted(&self) -> Vec<(Arc<str>, i64)> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "items are sorted by name before being returned"
-        )]
         let mut items: Vec<(Arc<str>, i64)> =
-            self.values.iter().map(|(&k, &v)| (resolve(k), v)).collect();
+            self.values.iter().map(|&(k, v)| (resolve(k), v)).collect();
         items.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         items
     }
@@ -131,7 +160,8 @@ impl Counters {
 /// Named FM sketches, one per statistic that needs a distinct count.
 #[derive(Clone, Debug, Default)]
 pub struct Sketches {
-    sketches: FxHashMap<Symbol, FmSketch>,
+    /// Sorted by symbol.
+    sketches: Vec<(Symbol, FmSketch)>,
 }
 
 impl Sketches {
@@ -149,26 +179,19 @@ impl Sketches {
     /// Observes `key` through a pre-resolved handle — allocation-free on
     /// the name.
     pub fn observe_handle(&mut self, handle: CounterHandle, key: &Datum) {
-        self.sketches.entry(handle.0).or_default().insert(key);
+        let at = position(&mut self.sketches, 0, handle.0);
+        self.sketches[at].1.insert(key);
     }
 
     /// Estimated distinct count under `name` (0 if never observed).
     pub fn estimate(&self, name: &str) -> f64 {
-        self.sketches
-            .get(&intern(name))
-            .map_or(0.0, FmSketch::estimate)
+        find(&self.sketches, intern(name)).map_or(0.0, FmSketch::estimate)
     }
 
     /// ORs another sketch set into this one. Keys are interned symbols
     /// (`Copy`), so nothing is cloned.
     pub fn merge(&mut self, other: &Sketches) {
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "sketch merge is a bitwise OR; it commutes and no order escapes"
-        )]
-        for (&k, v) in &other.sketches {
-            self.sketches.entry(k).or_default().merge(v);
-        }
+        merge_sorted(&mut self.sketches, &other.sketches, FmSketch::merge);
     }
 }
 

@@ -368,7 +368,7 @@ mod tests {
     use super::*;
     use crate::api::{mapper_fn, reducer_fn};
     use crate::runner::run_job;
-    use efind_cluster::tenancy::TenantSpec;
+    use efind_cluster::tenancy::{IndexRateLimit, TenantSpec};
     use efind_common::{Datum, Record};
     use efind_dfs::DfsConfig;
 
@@ -532,6 +532,61 @@ mod tests {
             assert!(mix.jobs[i].result.as_ref().unwrap().is_ok());
         }
         assert_eq!(mix.counters.get("efind.admission.rejected"), 2);
+    }
+
+    #[test]
+    fn quota_rejections_and_degraded_grants_reach_their_counters() {
+        // One job runs at a time and alpha may queue one. Beta's job is
+        // granted at once, and its demand of 1 000 lookups against a bucket
+        // holding 100 would queue 0.9 ms a lookup, over the 100 µs gate, so
+        // it sheds to scan. Alpha's first job queues behind it; its second
+        // finds alpha's quota spent.
+        let cfg = TenancyConfig::none()
+            .tenant(TenantSpec::new("alpha").max_queued(1))
+            .tenant(TenantSpec::new("beta"))
+            .max_concurrent(1)
+            .rate_limit(IndexRateLimit::new("users", 1000.0, 100.0))
+            .degrade_threshold(SimDuration::from_micros(100))
+            .scan_fallback_cost(SimDuration::from_micros(2));
+        let jobs = vec![
+            TenantJob::new("beta", SimTime::ZERO, wordcount("wc0", "out0")).demand("users", 1000),
+            TenantJob::new(
+                "alpha",
+                SimTime::ZERO + SimDuration::from_micros(1),
+                wordcount("wc1", "out1"),
+            ),
+            TenantJob::new(
+                "alpha",
+                SimTime::ZERO + SimDuration::from_micros(2),
+                wordcount("wc2", "out2"),
+            ),
+        ];
+        let (cluster, mut dfs) = setup();
+        let mix = run_tenant_mix(&cluster, &mut dfs, &cfg, jobs).unwrap();
+        assert!(mix.jobs[0].qos.degraded());
+        assert!(mix.jobs[1].finished.is_some());
+        assert!(matches!(
+            mix.jobs[2].rejected,
+            Some(Error::QuotaExhausted(_))
+        ));
+        let counters: Vec<(&str, i64)> = [
+            "efind.admission.quota.rejected",
+            "efind.tenant.alpha.quota.rejected",
+            "efind.tenant.beta.degraded",
+            "efind.tenant.beta.shed.lookups",
+        ]
+        .into_iter()
+        .map(|name| (name, mix.counters.get(name)))
+        .collect();
+        assert_eq!(
+            counters,
+            [
+                ("efind.admission.quota.rejected", 1),
+                ("efind.tenant.alpha.quota.rejected", 1),
+                ("efind.tenant.beta.degraded", 1),
+                ("efind.tenant.beta.shed.lookups", 1000),
+            ]
+        );
     }
 
     #[test]

@@ -82,20 +82,18 @@ pub fn standard_modes(scenario: &Scenario) -> Vec<(String, Mode)> {
         let idxloc_mode = if scenario.repart_overrides.is_empty() {
             Mode::Uniform(Strategy::IndexLocality)
         } else {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "map-to-map collect; Mode::Manual looks strategies up by operator name"
-            )]
+            // `Mode::Manual` looks strategies up by operator name, so
+            // only the job's operators' overrides matter.
             let overrides: FxHashMap<String, Strategy> = scenario
-                .repart_overrides
-                .iter()
-                .map(|(k, v)| {
-                    let s = if *v == Strategy::Repartition {
-                        Strategy::IndexLocality
-                    } else {
-                        *v
+                .ijob
+                .operators()
+                .filter_map(|(bound, _)| {
+                    let name = bound.op.name();
+                    let s = match *scenario.repart_overrides.get(name)? {
+                        Strategy::Repartition => Strategy::IndexLocality,
+                        s => s,
                     };
-                    (k.clone(), s)
+                    Some((name.to_owned(), s))
                 })
                 .collect();
             Mode::Manual(overrides)

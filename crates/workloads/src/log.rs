@@ -15,6 +15,7 @@
 //! redundancy across files).
 
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use efind::{BoundOperator, EFindConfig, IndexInput, IndexJobConf, IndexOperator, IndexOutput};
@@ -176,15 +177,11 @@ pub fn build_job(config: &LogConfig, service: Arc<RemoteService>) -> IndexJobCon
         .set_mapper(mapper_fn(|rec, out, _| out.collect(rec)))
         .set_reducer(
             reducer_fn(move |region, urls, out, _| {
-                let mut counts: FxHashMap<&Datum, usize> = FxHashMap::default();
+                let mut counts: BTreeMap<&Datum, usize> = BTreeMap::new();
                 for url in &urls {
                     *counts.entry(url).or_insert(0) += 1;
                 }
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "ranked is re-sorted below with a total-order tiebreak"
-                )]
-                let mut ranked: Vec<(&Datum, usize)> = counts.drain().collect();
+                let mut ranked: Vec<(&Datum, usize)> = counts.into_iter().collect();
                 ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
                 let top: Vec<Datum> = ranked
                     .into_iter()

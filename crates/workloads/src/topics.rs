@@ -13,6 +13,7 @@
 //! 5. *tail* `events` — enrich each group with important events from an
 //!    event database (a distributed B-tree).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use efind::{operator_fn, BoundOperator, EFindConfig, IndexJobConf};
@@ -211,15 +212,11 @@ pub fn build_job(
         .add_body_index_operator(BoundOperator::new(topic_op).add_index(classifier))
         .set_reducer(
             reducer_fn(move |key, topics, out, _| {
-                let mut counts: FxHashMap<&Datum, usize> = FxHashMap::default();
+                let mut counts: BTreeMap<&Datum, usize> = BTreeMap::new();
                 for t in &topics {
                     *counts.entry(t).or_insert(0) += 1;
                 }
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "ranked is re-sorted below with a total-order tiebreak"
-                )]
-                let mut ranked: Vec<(&Datum, usize)> = counts.drain().collect();
+                let mut ranked: Vec<(&Datum, usize)> = counts.into_iter().collect();
                 ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
                 let top: Vec<Datum> = ranked
                     .into_iter()

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Full CI gate: lint (efind-lint, fmt, clippy -D warnings), the clippy
-# gate's known-bad fixture (it must fail with exactly the determinism
-# lints), the complete test suite, the cost-model checks over a real
-# catalog (`explain` on all seven scenarios), the goldens again under one
-# worker, a build and test of efbench — the benchmark of record
+# Full CI gate: lint (fmt, clippy -D warnings), the clippy gate's
+# known-bad crate (it must fail with exactly the determinism lints), the
+# complete test suite, the cost-model checks over a real catalog
+# (`explain` on all seven scenarios), the goldens again under one worker,
+# a build and test of efbench — the benchmark of record
 # (`BENCHMARK.json`) — with its seven exact `alloc_mb` gates, and the
 # pinned seed matrices. Nothing here reads the wall clock: comparing two
 # commits' host time with efbench is a manual campaign, see
@@ -12,24 +12,25 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# The determinism scanner runs once, in JSON mode (the machine-readable
-# artifact; nonzero exit on any un-waived L003, L004, L006 or L007
-# finding), followed by fmt and clippy.
-scripts/lint.sh --json
+scripts/lint.sh
 
-echo "== clippy gate: known-bad fixture must fail with exactly its lints =="
+echo "== clippy gate: known-bad crate must fail with exactly its lints =="
 # The determinism rules clippy enforces live in `clippy.toml` and the root
-# `[workspace.lints.clippy]` table. The fixture crate holds one breach of
-# each: a wall-clock read, hash iteration in `for` and method form, and an
-# `unwrap` in a runner-style panic scope. Clippy must fail on it and name
-# exactly these four lints, so an edit that loosens the policy fails here.
-expected="disallowed_methods disallowed_types iter_over_hash_type unwrap_used"
-if gate=$(cargo clippy -q --locked --manifest-path crates/lint/tests/fixtures/clippy/Cargo.toml \
+# `[workspace.lints.clippy]` table. The gate crate holds one breach of
+# each: a wall-clock read, hash iteration in `for` and method form, an
+# `unwrap` in a runner-style panic scope, and, in its test build, a float
+# sum over a hash map whose iteration an `#[expect]` waives — an error
+# (E0453) because hash iteration is forbidden. Clippy must fail on it and
+# name exactly these five codes, so an edit that loosens the policy fails
+# here.
+expected="E0453 disallowed_methods disallowed_types iter_over_hash_type unwrap_used"
+if gate=$(cargo clippy -q --locked --keep-going --all-targets \
+    --manifest-path scripts/clippy-gate/Cargo.toml \
     --target-dir target/clippy-gate --message-format=json -- -D warnings 2>/dev/null); then
-    echo "clippy gate: the known-bad fixture passed clippy"
+    echo "clippy gate: the known-bad crate passed clippy"
     exit 1
 fi
-named=$(grep -o '"code":{"code":"clippy::[a-z_]*"' <<<"$gate" | sed 's/.*clippy:://; s/"$//' |
+named=$(grep -o '"code":{"code":"[a-zA-Z0-9_:]*"' <<<"$gate" | sed 's/.*"code":"//; s/"$//; s/^clippy:://' |
     sort -u | paste -sd ' ' || true)
 if [ "$named" != "$expected" ]; then
     echo "clippy gate: expected [$expected], clippy named [$named]"

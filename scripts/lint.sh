@@ -1,23 +1,18 @@
 #!/usr/bin/env bash
-# Workspace lint gate: the determinism scanner (efind-lint), formatting,
-# and clippy with warnings denied. Clippy enforces the determinism rules
-# that resolve on types (the root `clippy.toml` and
-# `[workspace.lints.clippy]`): wall-clock types, hash-map and hash-set
-# iteration, and panics in the runner and the query compiler. Each waiver
-# is a reasoned `#[expect]`, and `-D warnings` makes a stale one fail.
-# Run from anywhere; operates on the repository root. Arguments go to
-# efind-lint (`--json` in CI).
+# Workspace lint gate: formatting, and clippy with warnings denied. Clippy
+# enforces the determinism rules that resolve on types (the root
+# `clippy.toml` and `[workspace.lints.clippy]`): wall-clock types,
+# hash-map and hash-set iteration (forbidden, so no `#[expect]` can waive
+# it), and panics in the runner and the query compiler. A wall-clock
+# waiver is a reasoned `#[expect]`, and `-D warnings` makes a stale one
+# fail. The determinism rules that need a run are tests: counter names
+# are checked as they are interned (`efind_common::intern`), and
+# `tests/determinism.rs` checks that quiet injection layers draw nothing
+# and that injection plans draw only through `efind_common::det`.
+# Run from anywhere; operates on the repository root.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-
-echo "== efind-lint (determinism & virtual-time rules L003 L004 L006 L007) =="
-# Project-specific source lint: raw seed/hash draws outside
-# efind-common::det, unregistered counter names, float accumulation in a
-# hash iteration (a statement whose `#[expect]` waives one), and
-# injection-plan draws inside hot loops without a Quiet/Armed guard.
-# Exits nonzero on any un-waived finding.
-cargo run -q -p efind-lint --bin efind-lint -- "$@"
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check
