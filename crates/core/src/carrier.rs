@@ -31,13 +31,24 @@
 //!
 //! # The record, handed over or lent
 //!
-//! The carrier holds `(k1, v1)` as one [`Record`]. One that `pre_process`
-//! made in this task is the carrier's to give: [`Carrier::post_input`]
-//! hands it to `post_process` owned. One decoded from a stored payload is
-//! lent instead, and stays in the carrier, so the next [`Carrier::decode`]
-//! parses into its storage ([`Datum::decode_in_place`]): a `postProcess`
-//! that filters a row out, or builds a row of its own, pays nothing for the
-//! one it was shown.
+//! The carrier holds `(k1, v1)` in one of three ways, by where it came
+//! from. A record `pre_process` made in this task is the carrier's to
+//! give: [`Carrier::post_input`] hands it to `post_process` owned. A row
+//! `pre_process` was lent and handed back whole stays the task's: the
+//! carrier borrows it for that one record, reads it in place to encode and
+//! size the payload, and lends it on to `post_process`, so a row that
+//! leaves the task as a payload or through what `post_process` emits is
+//! never copied whole. One decoded from a stored payload is lent too, and
+//! stays in the carrier, so the next [`Carrier::decode`] parses into its
+//! storage ([`Datum::decode_in_place`]): a `postProcess` that filters a
+//! row out, or builds a row of its own, pays nothing for the one it was
+//! shown.
+//!
+//! A task keeps its carrier as a `Carrier<'static>` between records and
+//! lends it a row by moving it out for the one record
+//! ([`std::mem::take`]) and back with [`Carrier::end_lend`]: the borrow
+//! checker sees that no lent row outlives its record, and nothing is
+//! `unsafe`.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -72,11 +83,16 @@ fn empty_lists<T>(lists: &mut Vec<Vec<T>>, m: usize) {
 }
 
 /// The in-flight state of one record inside an index operator, in storage
-/// that outlives the record.
+/// that outlives the record. `'r` is the lifetime of a row the carrier is
+/// lent for one record; a task keeps a `Carrier<'static>`.
 #[derive(Clone, Debug)]
-pub struct Carrier {
-    /// The original record key `k1` and (possibly projected) value `v1`.
+pub struct Carrier<'r> {
+    /// The original record key `k1` and (possibly projected) value `v1`,
+    /// unless `lent` holds them.
     rec: Record,
+    /// The row `pre_process` was lent and handed back whole, read in place
+    /// of `rec` until [`Carrier::end_lend`].
+    lent: Option<&'r Record>,
     /// Whether `rec` came from `pre_process` in this task, and so is
     /// handed over, rather than from a stored payload, and so is lent.
     opened: bool,
@@ -93,11 +109,12 @@ pub struct Carrier {
     payload: u64,
 }
 
-impl Default for Carrier {
+impl Default for Carrier<'_> {
     /// The carrier of `(Null, Null)` with no indices.
     fn default() -> Self {
         Carrier {
             rec: Record::default(),
+            lent: None,
             opened: false,
             keys: IndexInput::default(),
             values: IndexOutput::default(),
@@ -107,36 +124,87 @@ impl Default for Carrier {
     }
 }
 
-impl Carrier {
-    /// Starts on `rec`, borrowed or owned, with `num_indices` unfilled
-    /// slots: `pre_process` extracts the lookup keys into the carrier's own
-    /// key lists and returns the record to carry, which may be a projection
-    /// of `rec`. Nothing of the record before shows through.
+impl<'r> Carrier<'r> {
+    /// Starts on `rec`, lent or owned, with `num_indices` unfilled slots:
+    /// `pre_process` extracts the lookup keys into the carrier's own key
+    /// lists and returns the record to carry — `rec` itself, or a
+    /// projection of it. A lent row it hands back is carried in place.
+    /// Nothing of the record before shows through. Returns the encoded
+    /// size of `rec`.
     pub fn open(
         &mut self,
-        rec: Cow<'_, Record>,
+        rec: Cow<'r, Record>,
         num_indices: usize,
-        pre_process: impl FnOnce(Cow<'_, Record>, &mut IndexInput) -> Record,
-    ) {
+        pre_process: impl FnOnce(Cow<'r, Record>, &mut IndexInput) -> Cow<'r, Record>,
+    ) -> u64 {
         empty_lists(&mut self.keys.keys, num_indices);
         empty_lists(&mut self.values.values, num_indices);
         self.filled.clear();
         self.filled.resize(num_indices, false);
-        self.rec = pre_process(rec, &mut self.keys);
+        let rec_bytes = rec.size_bytes();
+        let row = match &rec {
+            Cow::Borrowed(row) => Some(*row),
+            Cow::Owned(_) => None,
+        };
+        let carried_bytes = match pre_process(rec, &mut self.keys) {
+            Cow::Borrowed(kept) => {
+                debug_assert!(
+                    row.is_some_and(|row| std::ptr::eq(row, kept)),
+                    "pre_process handed back a row other than the one it was lent"
+                );
+                self.lent = Some(kept);
+                rec_bytes
+            }
+            Cow::Owned(made) => {
+                self.rec = made;
+                self.lent = None;
+                self.rec.size_bytes()
+            }
+        };
         self.opened = true;
         let keys: u64 = self.keys.keys.iter().map(|list| list_bytes(list)).sum();
-        self.payload =
-            self.rec.size_bytes() + (HEADER + keys) + (HEADER + num_indices as u64 * UNFILLED);
+        self.payload = carried_bytes + (HEADER + keys) + (HEADER + num_indices as u64 * UNFILLED);
+        rec_bytes
+    }
+
+    /// Ends the lend of the row the carrier was opened on, if it was: the
+    /// carrier, with its storage, to keep for the next record. One that
+    /// held a lent row holds none from here to the next [`Carrier::open`]
+    /// or [`Carrier::decode`], as one that handed its record over does.
+    pub fn end_lend(self) -> Carrier<'static> {
+        let Carrier {
+            rec,
+            lent: _,
+            opened,
+            keys,
+            values,
+            filled,
+            payload,
+        } = self;
+        Carrier {
+            rec,
+            lent: None,
+            opened,
+            keys,
+            values,
+            filled,
+            payload,
+        }
+    }
+
+    /// The carried `(k1, v1)`, wherever it is held.
+    fn record(&self) -> &Record {
+        self.lent.unwrap_or(&self.rec)
     }
 
     /// Original record key `k1`.
     pub fn k1(&self) -> &Datum {
-        &self.rec.key
+        &self.record().key
     }
 
     /// Original (possibly projected) record value `v1`.
     pub fn v1(&self) -> &Datum {
-        &self.rec.value
+        &self.record().value
     }
 
     /// Number of indices.
@@ -196,8 +264,9 @@ impl Carrier {
     pub fn encode(&self, routing_key: Datum) -> Record {
         let len = self.payload as usize;
         let mut buf = Vec::with_capacity(len);
-        self.rec.key.encode_into(&mut buf);
-        self.rec.value.encode_into(&mut buf);
+        let rec = self.record();
+        rec.key.encode_into(&mut buf);
+        rec.value.encode_into(&mut buf);
         Datum::encode_list_header(self.num_indices(), &mut buf);
         for list in &self.keys.keys {
             encode_list(list, &mut buf);
@@ -245,6 +314,7 @@ impl Carrier {
     }
 
     fn parse(&mut self, buf: &[u8]) -> Result<()> {
+        self.lent = None;
         self.opened = false;
         let rest = Datum::decode_in_place(&mut self.rec.key, buf)?;
         let rest = Datum::decode_in_place(&mut self.rec.value, rest)?;
@@ -300,10 +370,10 @@ impl Carrier {
     }
 
     /// Hands the filled carrier to `post_process`: the record, moved out if
-    /// `pre_process` made it and lent if it was decoded (see the module
-    /// docs), and the lookup results, lent. A carrier that handed its record
-    /// over holds none from here to the next [`Carrier::open`] or
-    /// [`Carrier::decode`].
+    /// `pre_process` made it and lent if it is a lent row or was decoded
+    /// (see the module docs), and the lookup results, lent. A carrier that
+    /// handed its record over holds none from here to the next
+    /// [`Carrier::open`] or [`Carrier::decode`].
     ///
     /// # Errors
     /// Errors if any index slot is still unfilled.
@@ -313,20 +383,20 @@ impl Carrier {
                 "index {j} not looked up before postProcess"
             )));
         }
-        let rec = if self.opened {
-            Cow::Owned(std::mem::take(&mut self.rec))
-        } else {
-            Cow::Borrowed(&self.rec)
+        let rec = match self.lent {
+            Some(row) => Cow::Borrowed(row),
+            None if self.opened => Cow::Owned(std::mem::take(&mut self.rec)),
+            None => Cow::Borrowed(&self.rec),
         };
         Ok((rec, &self.values))
     }
 }
 
 /// Two carriers are equal when they hold the same tuple, whether each
-/// opened it or decoded it.
-impl PartialEq for Carrier {
+/// opened it, lent or owned, or decoded it.
+impl PartialEq for Carrier<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.rec == other.rec
+        self.record() == other.record()
             && self.keys == other.keys
             && self.values == other.values
             && self.filled == other.filled
@@ -334,7 +404,7 @@ impl PartialEq for Carrier {
     }
 }
 
-impl Eq for Carrier {}
+impl Eq for Carrier<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -347,14 +417,14 @@ mod tests {
         v1: Datum,
         keys: &[Vec<Datum>],
         results: &[Option<Vec<Vec<Datum>>>],
-    ) -> Carrier {
+    ) -> Carrier<'static> {
         let mut c = Carrier::default();
         let rec = Record { key: k1, value: v1 };
         c.open(Cow::Owned(rec), keys.len(), |rec, input| {
             for (j, list) in keys.iter().enumerate() {
                 list.iter().for_each(|key| input.put(j, key.clone()));
             }
-            rec.into_owned()
+            rec
         });
         for (j, lists) in results.iter().enumerate() {
             if let Some(lists) = lists {
@@ -369,7 +439,7 @@ mod tests {
         Datum::Text(s.into())
     }
 
-    fn sample() -> Carrier {
+    fn sample() -> Carrier<'static> {
         built(
             Datum::Int(1),
             text("v"),
@@ -558,7 +628,7 @@ mod tests {
 
     /// Carriers from large to small: fewer indices, fewer keys an index,
     /// fewer results a key, filled slots where the next has `Null`s.
-    fn shrinking() -> Vec<Carrier> {
+    fn shrinking() -> Vec<Carrier<'static>> {
         let wide = |n: i64| -> Vec<Datum> { (0..n).map(|i| text(&format!("key-{i}"))).collect() };
         vec![
             built(
@@ -610,7 +680,7 @@ mod tests {
         let nine = Record::new(9i64, "nine");
         reopened.open(Cow::Borrowed(&nine), 2, |rec, keys| {
             keys.put(1, 9i64);
-            rec.into_owned()
+            rec
         });
         let fresh = built(
             Datum::Int(9),

@@ -237,13 +237,13 @@ impl Opening {
         }
     }
 
-    fn open(&mut self, carrier: &mut Carrier, rec: Cow<'_, Record>, ctx: &mut TaskCtx) {
+    fn open<'r>(&mut self, carrier: &mut Carrier<'r>, rec: Cow<'r, Record>, ctx: &mut TaskCtx) {
         let step = &*self.step;
         self.n1 += 1;
-        self.s1_bytes += rec.size_bytes() as i64;
-        carrier.open(rec, step.charged.len(), |rec, keys| {
+        let s1 = carrier.open(rec, step.charged.len(), |rec, keys| {
             step.op.pre_process(rec, keys)
         });
+        self.s1_bytes += s1 as i64;
         for (j, charged) in step.charged.iter().enumerate() {
             let keys = carrier.keys(j);
             for key in keys {
@@ -468,7 +468,7 @@ impl Running {
 
     /// Takes the open carrier through the run. It is serialized only if it
     /// leaves the task still open.
-    fn advance(&mut self, carrier: &mut Carrier, out: &mut dyn Collector, ctx: &mut TaskCtx) {
+    fn advance(&mut self, carrier: &mut Carrier<'_>, out: &mut dyn Collector, ctx: &mut TaskCtx) {
         for (d, cache, breaker) in &mut self.lookups {
             if let Err(e) = d.fill(cache.as_mut(), breaker.as_mut(), carrier, ctx) {
                 return ctx.fail(format!("lookup stage: {e}"));
@@ -529,25 +529,33 @@ impl Running {
 /// carrier is parsed only when the run continues one that an earlier task
 /// serialized (`pre` is `None`). At the head of a map task's chain it is
 /// lent each input row ([`Mapper::map_row`]): `pre_process` copies what it
-/// keeps, and a stored carrier decodes from the row in place.
+/// keeps of it, or hands it back to be carried in place, and a stored
+/// carrier decodes from the row in place.
 struct SegmentMapper {
     pre: Option<Opening>,
     run: Running,
-    carrier: Carrier,
+    carrier: Carrier<'static>,
 }
 
 impl SegmentMapper {
+    /// Takes `rec` through the run on the task's carrier, moved out for
+    /// the one record so that it can borrow a lent row, and put back with
+    /// the lend ended.
     fn process(&mut self, rec: Cow<'_, Record>, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        match &mut self.pre {
-            Some(pre) => pre.open(&mut self.carrier, rec, ctx),
-            None => {
-                // Only a direct lookup opens a chain on a stored carrier.
-                if let Err(e) = self.carrier.decode(&rec.value) {
-                    return ctx.fail(format!("lookup stage: {e}"));
-                }
+        let mut carrier = std::mem::take(&mut self.carrier);
+        let opened = match &mut self.pre {
+            Some(pre) => {
+                pre.open(&mut carrier, rec, ctx);
+                Ok(())
             }
+            // Only a direct lookup opens a chain on a stored carrier.
+            None => carrier.decode(&rec.value),
+        };
+        match opened {
+            Ok(()) => self.run.advance(&mut carrier, out, ctx),
+            Err(e) => ctx.fail(format!("lookup stage: {e}")),
         }
-        self.run.advance(&mut self.carrier, out, ctx);
+        self.carrier = carrier.end_lend();
     }
 }
 
@@ -575,7 +583,7 @@ struct SegmentReducer {
     /// Per-task circuit breaker (present only when faults are configured).
     breaker: Option<Breaker>,
     run: Running,
-    carrier: Carrier,
+    carrier: Carrier<'static>,
 }
 
 impl Reducer for SegmentReducer {
@@ -1113,7 +1121,7 @@ mod tests {
         for &k in ks {
             carrier.open(Cow::Owned(Record::new(k, "v1")), 1, |rec, keys| {
                 keys.put(0, k);
-                rec.into_owned()
+                rec
             });
             let looked: Arc<[Datum]> = vec![Datum::Text(format!("looked-{k}"))].into();
             carrier.fill(0, |_, results| results.push(looked)).unwrap();
@@ -1243,7 +1251,7 @@ mod tests {
             carrier.open(Cow::Owned(Record::new(k1, v1)), 2, |rec, keys| {
                 keys.put(0, 4i64);
                 b_keys.iter().for_each(|&k| keys.put(1, k));
-                rec.into_owned()
+                rec
             });
             carrier.encode(Datum::Int(4)).value
         };
@@ -1642,7 +1650,7 @@ mod tests {
             |rec, keys| {
                 keys.put(0, 1i64);
                 (0..slot1_keys).for_each(|_| keys.put(1, 1i64));
-                rec.into_owned()
+                rec
             },
         );
         carrier.encode(Datum::Int(1)).value

@@ -12,14 +12,18 @@
 //! *Borrowed or owned.* Both methods take the record as a [`Cow`].
 //! `pre_process` is lent it when the operator heads a map task's chain and
 //! its input row stays in the chunk ([`efind_mapreduce::Mapper::map_row`]),
-//! and handed it when an earlier stage made it. `post_process` is handed
-//! the record `pre_process` returned in the same task, and lent one the
-//! carrier decoded from a stored payload, which the carrier keeps to decode
-//! the next one into. An operator copies only what it keeps or emits out
-//! of a borrowed record; `rec.into_owned()` returns the record whole,
-//! copying it only if it was borrowed. [`operator_fn`] is sugar for the
-//! in-place rewrite: its closures edit `&mut Record` and take `Record`,
-//! which costs a borrowed record a whole copy first.
+//! and handed it when an earlier stage made it. It returns `rec` to carry
+//! the record whole — a lent row stays lent, read in place until its
+//! carrier leaves the task, and an owned one moves — and a projection,
+//! `Cow::Owned`, otherwise, copying only what it keeps. `post_process` is
+//! lent the row `pre_process` carried whole when that was lent, and one
+//! the carrier decoded from a stored payload, which the carrier keeps to
+//! decode the next one into; it is handed any other record `pre_process`
+//! returned. An operator copies only what it keeps or emits out of a
+//! borrowed record; `rec.into_owned()` returns the record whole, copying
+//! it only if it was borrowed. [`operator_fn`] is sugar for the in-place
+//! rewrite: its closures edit `&mut Record` and take `Record`, which costs
+//! a borrowed record a whole copy first.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -108,11 +112,12 @@ pub trait IndexOperator: Send + Sync {
     fn num_indices(&self) -> usize;
 
     /// Extracts per-index lookup keys from `(k1, v1)` into `keys` and
-    /// returns the `(k1', v1')` to carry on: `rec` whole, or a projection
-    /// that drops fields no longer needed, shrinking everything downstream.
-    /// A projection of a borrowed `rec` copies only what it keeps (see the
+    /// returns the `(k1', v1')` to carry on: `rec` itself to carry it
+    /// whole, which copies nothing, or a projection that drops fields no
+    /// longer needed, shrinking everything downstream, as `Cow::Owned`. A
+    /// projection of a borrowed `rec` copies only what it keeps (see the
     /// module docs).
-    fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record;
+    fn pre_process<'r>(&self, rec: Cow<'r, Record>, keys: &mut IndexInput) -> Cow<'r, Record>;
 
     /// Combines the index lookup results with the (possibly rewritten)
     /// record into zero or more `(k2, v2)` outputs. A borrowed `rec` is
@@ -139,10 +144,10 @@ where
     fn num_indices(&self) -> usize {
         self.num_indices
     }
-    fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record {
+    fn pre_process<'r>(&self, rec: Cow<'r, Record>, keys: &mut IndexInput) -> Cow<'r, Record> {
         let mut rec = rec.into_owned();
         (self.pre)(&mut rec, keys);
-        rec
+        Cow::Owned(rec)
     }
     fn post_process(&self, rec: Cow<'_, Record>, values: &IndexOutput, out: &mut dyn Collector) {
         (self.post)(rec.into_owned(), values, out)
@@ -215,6 +220,8 @@ mod tests {
         let row = Record::new(7i64, "payload");
         let mut keys = IndexInput::new(1);
         let rec = op.pre_process(Cow::Borrowed(&row), &mut keys);
+        assert!(matches!(rec, Cow::Owned(_)), "the in-place form copies");
+        let rec = rec.into_owned();
         assert_eq!(keys.keys(0), &[Datum::Int(7)]);
         assert!(rec.value.is_null());
         assert_eq!(
@@ -223,7 +230,7 @@ mod tests {
             "a lent row is not edited"
         );
         let mut owned_keys = IndexInput::new(1);
-        assert_eq!(op.pre_process(Cow::Owned(row), &mut owned_keys), rec);
+        assert_eq!(*op.pre_process(Cow::Owned(row), &mut owned_keys), rec);
         assert_eq!(owned_keys, keys);
 
         let values = IndexOutput::new(vec![vec![vec![Datum::Text("hit".into())]]]);

@@ -318,30 +318,26 @@ mod carrier {
     type Slot = (Vec<Datum>, Option<Vec<Vec<Datum>>>);
 
     /// Opens `c` — whatever it held — on `rec` with the keys of `slots`,
-    /// carrying `rec` whole or, when `project`, its key alone.
-    fn open(c: &mut Carrier, rec: Cow<'_, Record>, slots: &[Slot], project: bool) {
+    /// carrying `rec` whole or, when `project`, its key alone; returns the
+    /// size `open` reports for `rec`.
+    fn open<'r>(c: &mut Carrier<'r>, rec: Cow<'r, Record>, slots: &[Slot], project: bool) -> u64 {
         c.open(rec, slots.len(), |rec, input| {
             for (j, (keys, _)) in slots.iter().enumerate() {
                 keys.iter().for_each(|key| input.put(j, key.clone()));
             }
             if project {
-                Record {
+                Cow::Owned(Record {
                     key: rec.key.clone(),
                     value: Datum::Null,
-                }
+                })
             } else {
-                rec.into_owned()
+                rec
             }
-        });
+        })
     }
 
-    /// Takes `c` — whatever it held — to `(k1, v1, slots)`.
-    fn set(c: &mut Carrier, k1: &Datum, v1: &Datum, slots: &[Slot]) {
-        let rec = Record {
-            key: k1.clone(),
-            value: v1.clone(),
-        };
-        open(c, Cow::Owned(rec), slots, false);
+    /// Fills the slots of `c` that `slots` has results for.
+    fn fill(c: &mut Carrier<'_>, slots: &[Slot]) {
         for (j, (_, results)) in slots.iter().enumerate() {
             if let Some(lists) = results {
                 c.fill(j, |_, out| {
@@ -350,6 +346,16 @@ mod carrier {
                 .unwrap();
             }
         }
+    }
+
+    /// Takes `c` — whatever it held — to `(k1, v1, slots)`.
+    fn set(c: &mut Carrier<'_>, k1: &Datum, v1: &Datum, slots: &[Slot]) {
+        let rec = Record {
+            key: k1.clone(),
+            value: v1.clone(),
+        };
+        open(c, Cow::Owned(rec), slots, false);
+        fill(c, slots);
     }
 
     /// 0–3 index slots of 0–3 keys each; a slot is unfilled, or filled
@@ -369,7 +375,7 @@ mod carrier {
         (arb_datum(), arb_datum(), vec(slot, 0..=3))
     }
 
-    fn arb_carrier() -> impl Strategy<Value = Carrier> {
+    fn arb_carrier() -> impl Strategy<Value = Carrier<'static>> {
         arb_parts().prop_map(|(k1, v1, slots)| {
             let mut c = Carrier::default();
             set(&mut c, &k1, &v1, &slots);
@@ -404,7 +410,7 @@ mod carrier {
     /// Parsing bytes that are not a carrier's — over `onto`, a carrier that
     /// holds one — is a decode error or, when they happen to spell one, a
     /// carrier, and nothing else.
-    fn parse(mut onto: Carrier, bytes: Vec<u8>) -> Option<Carrier> {
+    fn parse(mut onto: Carrier<'static>, bytes: Vec<u8>) -> Option<Carrier<'static>> {
         match onto.decode(&Datum::Bytes(bytes)) {
             Ok(()) => Some(onto),
             Err(Error::Decode(_)) => None,
@@ -481,7 +487,10 @@ mod carrier {
 
         /// A record lent to `Carrier::open` and the same record handed over
         /// open the same carrier, whole or projected, over whatever the
-        /// carrier held.
+        /// carrier held: the same size reported for the record, and once
+        /// filled, the same payload, record size and `post_process` input.
+        /// A lent record carried whole is lent on to `post_process`, and
+        /// the carrier that ends its lend holds none of it.
         #[test]
         fn a_lent_and_an_owned_record_open_the_same_carrier(
             parts in arb_parts(),
@@ -490,12 +499,34 @@ mod carrier {
         ) {
             let (k1, v1, slots) = parts;
             let rec = Record { key: k1, value: v1 };
-            let mut lent = held.clone();
-            open(&mut lent, Cow::Borrowed(&rec), &slots, project);
+            let mut lent: Carrier<'_> = held.clone();
+            let lent_size = open(&mut lent, Cow::Borrowed(&rec), &slots, project);
             let mut owned = held;
-            open(&mut owned, Cow::Owned(rec.clone()), &slots, project);
+            let owned_size = open(&mut owned, Cow::Owned(rec.clone()), &slots, project);
+            prop_assert_eq!(lent_size, rec.size_bytes());
+            prop_assert_eq!(owned_size, lent_size);
             prop_assert_eq!(&lent, &owned);
-            prop_assert_eq!(lent.encode(rec.key.clone()), owned.encode(rec.key));
+            prop_assert_eq!(lent.encode(rec.key.clone()), owned.encode(rec.key.clone()));
+            fill(&mut lent, &slots);
+            fill(&mut owned, &slots);
+            prop_assert_eq!(&lent, &owned);
+            prop_assert_eq!(lent.encode(rec.key.clone()), owned.encode(rec.key.clone()));
+            prop_assert_eq!(lent.record_size_bytes(&rec.key), owned.record_size_bytes(&rec.key));
+            if slots.iter().all(|(_, results)| results.is_some()) {
+                let (lent_rec, lent_values) = lent.post_input().unwrap();
+                prop_assert_eq!(matches!(lent_rec, Cow::Borrowed(r) if std::ptr::eq(r, &rec)), !project);
+                let lent_input = (lent_rec.into_owned(), lent_values.clone());
+                let (owned_rec, owned_values) = owned.post_input().unwrap();
+                prop_assert!(matches!(owned_rec, Cow::Owned(_)));
+                prop_assert_eq!(lent_input, (owned_rec.into_owned(), owned_values.clone()));
+            }
+            // What the lend leaves takes the next record like any carrier.
+            let mut ended = lent.end_lend();
+            set(&mut ended, &Datum::Int(1), &Datum::Null, &slots);
+            let mut fresh = Carrier::default();
+            set(&mut fresh, &Datum::Int(1), &Datum::Null, &slots);
+            prop_assert_eq!(&ended, &fresh);
+            prop_assert_eq!(payload_of(&ended), payload_of(&fresh));
         }
 
         #[test]
@@ -594,13 +625,13 @@ mod lent_rows {
         fn num_indices(&self) -> usize {
             1
         }
-        fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record {
+        fn pre_process<'r>(&self, rec: Cow<'r, Record>, keys: &mut IndexInput) -> Cow<'r, Record> {
             let first = first_field(&rec.value).clone();
             keys.put(0, first.clone());
-            Record {
+            Cow::Owned(Record {
                 key: rec.key.clone(),
                 value: first,
-            }
+            })
         }
         fn post_process(
             &self,
@@ -624,6 +655,36 @@ mod lent_rows {
             },
             joined,
         )
+    }
+
+    /// Looks up the first field of the value like [`Projecting`] but
+    /// carries the record whole, handing back the row it is lent, and
+    /// projects only what `post_process` emits.
+    struct Whole;
+
+    impl IndexOperator for Whole {
+        fn name(&self) -> &str {
+            "proj"
+        }
+        fn num_indices(&self) -> usize {
+            1
+        }
+        fn pre_process<'r>(&self, rec: Cow<'r, Record>, keys: &mut IndexInput) -> Cow<'r, Record> {
+            keys.put(0, first_field(&rec.value).clone());
+            rec
+        }
+        fn post_process(
+            &self,
+            rec: Cow<'_, Record>,
+            values: &IndexOutput,
+            out: &mut dyn Collector,
+        ) {
+            let projected = Record {
+                key: rec.key.clone(),
+                value: first_field(&rec.value).clone(),
+            };
+            joined(projected, values, out);
+        }
     }
 
     /// What one side of a task emitted, and its counters.
@@ -693,7 +754,9 @@ mod lent_rows {
         /// probes, `sidx.bytes` and the `Spost` pair among them — under
         /// the cache and the re-partitioning strategy, for an in-place
         /// `operator_fn` and for an operator that projects a lent row. The
-        /// two operators agree with each other too.
+        /// two operators agree with each other too. An operator that
+        /// carries the row whole does under both strategies, lent, what it
+        /// does handed a copy, and emits what they emit.
         #[test]
         fn a_lent_row_and_its_copy_take_a_head_segment_to_the_same_place(
             rows in proptest::collection::vec((arb_datum(), arb_datum()), 1..24),
@@ -711,6 +774,13 @@ mod lent_rows {
                         prop_assert_eq!(&got, &want, "{:?}, lent: {}", strategy, lend);
                     }
                 }
+                let whole = run(Arc::new(Whole), strategy, &rows, false);
+                let lent_whole = run(Arc::new(Whole), strategy, &rows, true);
+                prop_assert_eq!(&lent_whole, &whole, "{:?}, carried whole", strategy);
+                let emitted = |(map_side, reduce_side): &(Side, Option<Side>)| {
+                    reduce_side.as_ref().unwrap_or(map_side).0.clone()
+                };
+                prop_assert_eq!(emitted(&whole), emitted(&want), "{:?}", strategy);
                 let (map_side, reduce_side) = &want;
                 let post_side = reduce_side.as_ref().unwrap_or(map_side);
                 for (side, name) in [
@@ -728,7 +798,7 @@ mod lent_rows {
 
         /// `post_process` emits the same records whether its carrier hands
         /// it the record or lends it: the in-place `operator_fn`, which
-        /// takes a copy of a lent record, and an operator that reads it.
+        /// takes a copy of a lent record, and operators that read it.
         #[test]
         fn a_lent_and_an_owned_record_post_process_alike(
             key in arb_datum(),
@@ -737,7 +807,8 @@ mod lent_rows {
         ) {
             let rec = Record { key, value };
             let values = IndexOutput::new(vec![vec![results]]);
-            let ops: [Arc<dyn IndexOperator>; 2] = [in_place(), Arc::new(Projecting)];
+            let ops: [Arc<dyn IndexOperator>; 3] =
+                [in_place(), Arc::new(Projecting), Arc::new(Whole)];
             for op in ops {
                 let (mut lent, mut owned) = (Vec::new(), Vec::new());
                 op.post_process(Cow::Borrowed(&rec), &values, &mut lent);

@@ -3,8 +3,8 @@
 //! operator allocates nothing costs no allocator call on the cache path,
 //! and exactly the payload buffer where it leaves the task through a
 //! shuffle. A head segment lent its input rows copies only what its
-//! operator keeps. Its own test binary: the check needs a
-//! `#[global_allocator]` that counts calls.
+//! operator keeps: nothing of a row it carries whole. Its own test binary:
+//! the check needs a `#[global_allocator]` that counts calls.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
@@ -109,21 +109,22 @@ impl IndexOperator for Projecting {
     fn num_indices(&self) -> usize {
         1
     }
-    fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record {
+    fn pre_process<'r>(&self, rec: Cow<'r, Record>, keys: &mut IndexInput) -> Cow<'r, Record> {
         keys.put(0, rec.key.clone());
         let value = rec.value.as_list().map_or(Datum::Null, |l| l[0].clone());
-        Record {
+        Cow::Owned(Record {
             key: rec.key.clone(),
             value,
-        }
+        })
     }
     fn post_process(&self, rec: Cow<'_, Record>, values: &IndexOutput, out: &mut dyn Collector) {
         emit_join(rec.into_owned(), values, out);
     }
 }
 
-/// A join that carries its `[i, 3i]` row whole and builds its own output,
-/// `(k1, [i, result])`, reading the row it is handed or lent.
+/// A join that carries its row whole — handing back the row it is lent —
+/// and builds its own output, `(k1, [first field, result])`, reading the
+/// row it is handed or lent.
 struct Rebuilding;
 
 impl IndexOperator for Rebuilding {
@@ -133,9 +134,9 @@ impl IndexOperator for Rebuilding {
     fn num_indices(&self) -> usize {
         1
     }
-    fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record {
+    fn pre_process<'r>(&self, rec: Cow<'r, Record>, keys: &mut IndexInput) -> Cow<'r, Record> {
         keys.put(0, rec.key.clone());
-        rec.into_owned()
+        rec
     }
     fn post_process(&self, rec: Cow<'_, Record>, values: &IndexOutput, out: &mut dyn Collector) {
         let first = rec.value.as_list().map_or(Datum::Null, |l| l[0].clone());
@@ -241,10 +242,10 @@ fn padded_rows(pad: usize) -> Vec<Record> {
         .collect()
 }
 
-#[test]
-fn a_warm_projecting_segment_lent_its_rows_makes_no_allocator_call_a_record() {
-    let pipeline = compiled(Arc::new(Projecting), Strategy::Cache);
-    let rows = padded_rows(1_024);
+/// The head segment of `pipeline` lent each of `rows` (`map_row`), into an
+/// output vector that never grows: what it emitted, its counters, and the
+/// allocator calls and bytes for the rows behind the warm-up.
+fn lent_rows(pipeline: &CompiledPipeline, rows: &[Record]) -> (Vec<Record>, TaskCtx, usize, usize) {
     let mut segment = (pipeline.jobs[0].map_chain[0])();
     let mut out: Vec<Record> = Vec::with_capacity(rows.len());
     let mut ctx = TaskCtx::new(0);
@@ -260,16 +261,83 @@ fn a_warm_projecting_segment_lent_its_rows_makes_no_allocator_call_a_record() {
     segment.flush(&mut out, &mut ctx);
     assert_eq!(ctx.error(), None);
     assert_eq!(ctx.counters.get("efind.join.n1"), RECORDS);
-    // `S1` is still the size of the whole row, padding included.
+    // `S1` is the size of the whole row, padding included.
     let s1: i64 = rows.iter().map(|r| r.size_bytes() as i64).sum();
     assert_eq!(ctx.counters.get("efind.join.s1.bytes"), s1);
     assert_eq!(out.len(), RECORDS as usize);
+    (out, ctx, calls, bytes)
+}
+
+#[test]
+fn a_warm_projecting_segment_lent_its_rows_makes_no_allocator_call_a_record() {
+    let pipeline = compiled(Arc::new(Projecting), Strategy::Cache);
+    let (out, _, calls, bytes) = lent_rows(&pipeline, &padded_rows(1_024));
     assert_eq!(out[9_999], Record::new(999i64, 1_998i64));
     assert_eq!(
         (calls, bytes),
         (0, 0),
         "{calls} allocator calls, {bytes} bytes for {} warm rows",
-        rest.len()
+        RECORDS as usize - WARM
+    );
+}
+
+/// A row `pre_process` carries whole is carried in place: a warm segment
+/// lent its rows whose carrier ends in `post_process` allocates what that
+/// emits — one output list of two datums a record — and not the row.
+#[test]
+fn a_warm_segment_carrying_its_lent_rows_whole_allocates_only_what_post_emits() {
+    let pipeline = compiled(Arc::new(Rebuilding), Strategy::Cache);
+    let rows = padded_rows(1_024);
+    let (out, ctx, calls, bytes) = lent_rows(&pipeline, &rows);
+    assert_eq!(
+        out[9_999],
+        Record::new(999i64, vec![Datum::Int(9_999), Datum::Int(1_998)])
+    );
+    // `Spre` and `Sidx` still size the whole row the carrier read in place.
+    let carried: i64 = rows.iter().map(|r| r.size_bytes() as i64).sum();
+    let carrier = 9 + 5 + (5 + 5 + 9) + (5 + 1);
+    assert_eq!(
+        ctx.counters.get("efind.join.spre.bytes"),
+        carried + RECORDS * carrier
+    );
+    let warm = RECORDS as usize - WARM;
+    let output = 2 * std::mem::size_of::<Datum>();
+    assert_eq!(
+        (calls, bytes),
+        (warm, warm * output),
+        "{calls} allocator calls, {bytes} bytes for {warm} warm rows"
+    );
+}
+
+/// A row carried whole that leaves the task behind a rekey is encoded
+/// straight from where the chunk holds it: a warm segment lent its rows
+/// allocates each record's payload buffer and nothing else.
+#[test]
+fn a_warm_segment_rekeying_its_lent_rows_whole_allocates_only_their_payloads() {
+    let pipeline = compiled(Arc::new(Rebuilding), Strategy::Repartition);
+    let rows = padded_rows(1_024);
+    let (shuffled, _, calls, bytes) = lent_rows(&pipeline, &rows);
+    let payloads: usize = shuffled[WARM..]
+        .iter()
+        .map(|rec| match &rec.value {
+            Datum::Bytes(buf) => buf.len(),
+            other => panic!("not a carrier payload: {other:?}"),
+        })
+        .sum();
+    let warm = RECORDS as usize - WARM;
+    // Each payload holds its row whole: (k1, [i, <pad>], [[key]], [Null]).
+    assert_eq!(payloads, warm * (9 + (5 + 9 + 5 + 1_024) + 19 + 6));
+    assert_eq!(
+        (calls, bytes),
+        (warm, payloads),
+        "{calls} allocator calls, {bytes} bytes for {warm} warm rows"
+    );
+    // The payloads carry the rows: the reduce side joins them as a copy
+    // would have.
+    let (out, _, _) = reduce_side(&pipeline, shuffled);
+    assert_eq!(
+        out[9_999],
+        Record::new(999i64, vec![Datum::Int(9_999), Datum::Int(1_998)])
     );
 }
 

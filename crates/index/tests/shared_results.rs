@@ -97,7 +97,7 @@ fn post_process_reads_the_block_the_store_holds() {
             1,
             |rec, keys| {
                 keys.put(0, key);
-                rec.into_owned()
+                rec
             },
         );
         carrier

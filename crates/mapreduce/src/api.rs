@@ -28,7 +28,8 @@
 //! *Lent input.* A map task's input rows stay in its chunk: stage 0 is
 //! handed each row by reference ([`Mapper::map_row`]) and copies what it
 //! keeps. The default copies the whole row into [`Mapper::map`]; EFind's
-//! head operator copies only what its `pre_process` projects to. Every
+//! head operator copies only what its `pre_process` projects to, and
+//! nothing of a row it carries whole. Every
 //! later stage, and every stage of a chain driven over owned records
 //! ([`run_chain`], a reduce task's tail), is handed records it owns.
 

@@ -29,6 +29,8 @@
 //!   Dynamic), report virtual seconds.
 
 pub mod harness;
+#[cfg(test)]
+mod lending;
 pub mod log;
 pub mod multi;
 pub mod osm;

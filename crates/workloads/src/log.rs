@@ -141,17 +141,17 @@ impl IndexOperator for GeoIp {
         1
     }
 
-    fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record {
+    fn pre_process<'r>(&self, rec: Cow<'r, Record>, keys: &mut IndexInput) -> Cow<'r, Record> {
         let Some(fields) = rec.value.as_list() else {
-            return rec.into_owned();
+            return rec;
         };
         keys.put(0, fields[0].clone());
         // Projection: only the URL is needed downstream, so only it is
         // copied out of the input row.
-        Record {
+        Cow::Owned(Record {
             key: rec.key.clone(),
             value: fields[1].clone(),
-        }
+        })
     }
 
     fn post_process(&self, rec: Cow<'_, Record>, values: &IndexOutput, out: &mut dyn Collector) {
@@ -295,6 +295,39 @@ mod tests {
             for w in counts.windows(2) {
                 assert!(w[0] >= w[1]);
             }
+        }
+    }
+
+    /// Events of the generator's shape, `[ip, url, ts]`, and now and then
+    /// a value that is not a list, which extracts no key.
+    fn arb_events() -> impl proptest::strategy::Strategy<Value = Vec<Record>> {
+        use proptest::prelude::{any, prop_oneof};
+        use proptest::strategy::Strategy as _;
+        let text =
+            |prefix: &'static str| (0..8u8).prop_map(move |i| Datum::Text(format!("{prefix}{i}")));
+        let value = prop_oneof![
+            9 => (text("10.0.0."), text("/page/"), any::<i64>())
+                .prop_map(|(ip, url, ts)| Datum::List(vec![ip, url, Datum::Int(ts)])),
+            1 => any::<i64>().prop_map(Datum::Int),
+        ];
+        let row = (any::<i64>(), value).prop_map(|(key, value)| Record::new(key, value));
+        proptest::collection::vec(row, 1..6)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// `GeoIp` takes a lent head row and its copy to the same carrier,
+        /// counters and output — and the same failure where an event that
+        /// extracted no key meets a shuffle — with the workload's service.
+        #[test]
+        fn a_lent_and_an_owned_event_give_geoip_the_same_output(rows in arb_events()) {
+            static BOUND: std::sync::OnceLock<BoundOperator> = std::sync::OnceLock::new();
+            let bound = BOUND.get_or_init(|| {
+                let config = small();
+                build_job(&config, Arc::new(geo_service(&config))).head[0].clone()
+            });
+            crate::lending::lent_and_owned_agree(bound, &rows)?;
         }
     }
 }

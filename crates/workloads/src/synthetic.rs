@@ -123,19 +123,19 @@ impl IndexOperator for SynJoin {
         1
     }
 
-    fn pre_process(&self, rec: Cow<'_, Record>, keys: &mut IndexInput) -> Record {
+    fn pre_process<'r>(&self, rec: Cow<'r, Record>, keys: &mut IndexInput) -> Cow<'r, Record> {
         let Some(fields) = rec.value.as_list() else {
             keys.put(0, Datum::Null);
-            return rec.into_owned();
+            return rec;
         };
         keys.put(0, fields[0].clone());
         // The padding has served its purpose (input volume); project it
         // away — without copying it out of the input row — so downstream
         // sizes reflect the join result.
-        Record {
+        Cow::Owned(Record {
             key: rec.key.clone(),
             value: fields[0].clone(),
-        }
+        })
     }
 
     fn post_process(&self, rec: Cow<'_, Record>, values: &IndexOutput, out: &mut dyn Collector) {
@@ -272,6 +272,37 @@ mod tests {
         for w in rows.windows(2) {
             assert!(w[1].1 >= w[0].1);
             assert!(w[1].2 >= w[0].2);
+        }
+    }
+
+    /// Rows of the generator's shape — a join key, in the index's key space
+    /// or not, and padding — and now and then a value that is not a list.
+    fn arb_rows() -> impl proptest::strategy::Strategy<Value = Vec<Record>> {
+        use proptest::prelude::{any, prop_oneof};
+        use proptest::strategy::Strategy as _;
+        let value = prop_oneof![
+            9 => (-5..1_200i64, 0..80usize).prop_map(|(key, pad)| {
+                Datum::List(vec![Datum::Int(key), Datum::Bytes(vec![0xAB; pad])])
+            }),
+            1 => any::<i64>().prop_map(Datum::Int),
+        ];
+        let row = (any::<i64>(), value).prop_map(|(id, value)| Record::new(id, value));
+        proptest::collection::vec(row, 1..6)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// `SynJoin` takes a lent head row and its copy to the same carrier,
+        /// counters and output, with the workload's own index.
+        #[test]
+        fn a_lent_and_an_owned_row_give_the_join_the_same_output(rows in arb_rows()) {
+            static BOUND: std::sync::OnceLock<BoundOperator> = std::sync::OnceLock::new();
+            let bound = BOUND.get_or_init(|| {
+                let index = build_index(&tiny(), &Cluster::edbt_testbed());
+                build_job(index).head[0].clone()
+            });
+            crate::lending::lent_and_owned_agree(bound, &rows)?;
         }
     }
 }

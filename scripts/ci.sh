@@ -197,19 +197,22 @@ efbench_gate lookup_armed 26
 # from the run count, the re-plan's remaining file views the input's
 # chunks, every output file keeps the blocks its tasks wrote, a carrier
 # an earlier job stored is decoded from the row that holds it into the
-# storage the carrier's last record left and lent to `postProcess`, and
-# the joins copy only the rows they emit, each Q9 row growing once to its
-# final width, so it allocates 110.28 MB. Decoding each stored carrier
-# into a fresh record handed over to `postProcess`, and rows grown by
-# doubling, made it 147.29 MB, decoding from a clone of each such row
-# 148.09 MB, with caches that grew their storage afresh in every task and
+# storage the carrier's last record left and lent to `postProcess`, each
+# join carries the input row it is lent in place, encoding it from the
+# chunk's own row, and the joins copy only the rows they emit, each Q9 row
+# growing once to its final width, so it allocates 93.53 MB. Copying each
+# lent row in `preProcess` made it 109.65 MB, and 110.28 MB with counters
+# in hash maps; decoding each stored carrier into a fresh record handed
+# over to `postProcess`, and rows grown by doubling, 147.29 MB, decoding
+# from a clone of each such row 148.09 MB, with caches that grew their
+# storage afresh in every task and
 # slice lists grown by doubling 183.22 MB, reduce
 # outputs grown by doubling and trimmed on top 193.53 MB, a copying
 # write on top of that 207.60 MB, and map output collected into a vector
 # before it was spilled 214.97 MB; with that, reserving each cache's
 # whole capacity up front made it 355.04 MB, and a second clone of every
 # key in the cache's index 368.22 MB.
-efbench_gate q9_adaptive 119
+efbench_gate q9_adaptive 101
 
 echo "== injection layers (pinned seed matrix) =="
 # Deterministic sweep over faults, crashes, corruption, partitions and
