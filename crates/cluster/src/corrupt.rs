@@ -19,7 +19,8 @@
 //! which case the job fails fast with `Error::DataCorruption`.
 
 use crate::node::NodeId;
-use efind_common::det::draw_unit;
+use efind_common::det::draw_with;
+use efind_common::Datum;
 
 /// A deterministic schedule of data corruption for one run.
 ///
@@ -172,11 +173,12 @@ impl CorruptionPlan {
         if self.chunk_rate == 0.0 {
             return false;
         }
-        let mut payload = Vec::with_capacity(file.len() + 10);
-        payload.extend_from_slice(file.as_bytes());
-        payload.extend_from_slice(&(chunk as u64).to_le_bytes());
-        payload.extend_from_slice(&host.0.to_le_bytes());
-        draw_unit(self.seed, "corrupt.chunk", &payload) < self.chunk_rate
+        let u = draw_with(self.seed, "corrupt.chunk", |payload| {
+            payload.extend_from_slice(file.as_bytes());
+            payload.extend_from_slice(&(chunk as u64).to_le_bytes());
+            payload.extend_from_slice(&host.0.to_le_bytes());
+        });
+        u < self.chunk_rate
     }
 
     /// Whether the shuffle payload from map source `source` to reduce
@@ -187,41 +189,44 @@ impl CorruptionPlan {
         if self.shuffle_rate == 0.0 {
             return false;
         }
-        let mut payload = Vec::with_capacity(job.len() + 16);
-        payload.extend_from_slice(job.as_bytes());
-        payload.extend_from_slice(&(source as u64).to_le_bytes());
-        payload.extend_from_slice(&(partition as u64).to_le_bytes());
-        draw_unit(self.seed, "corrupt.shuffle", &payload) < self.shuffle_rate
+        let u = draw_with(self.seed, "corrupt.shuffle", |payload| {
+            payload.extend_from_slice(job.as_bytes());
+            payload.extend_from_slice(&(source as u64).to_le_bytes());
+            payload.extend_from_slice(&(partition as u64).to_le_bytes());
+        });
+        u < self.shuffle_rate
     }
 
     /// Whether a cache entry inserted under `scope` (the per-index counter
-    /// prefix) for the encoded key `key` is poisoned. `generation` is the
-    /// insertion ordinal for that key within the task, so re-inserted
-    /// entries draw fresh.
-    pub fn cache_corrupt(&self, scope: &str, key: &[u8], generation: u64) -> bool {
+    /// prefix) for `key` is poisoned. `generation` is the insertion
+    /// ordinal for that key within the task, so re-inserted entries draw
+    /// fresh.
+    pub fn cache_corrupt(&self, scope: &str, key: &Datum, generation: u64) -> bool {
         if self.cache_rate == 0.0 {
             return false;
         }
-        let mut payload = Vec::with_capacity(scope.len() + key.len() + 8);
-        payload.extend_from_slice(scope.as_bytes());
-        payload.extend_from_slice(key);
-        payload.extend_from_slice(&generation.to_le_bytes());
-        draw_unit(self.seed, "corrupt.cache", &payload) < self.cache_rate
+        let u = draw_with(self.seed, "corrupt.cache", |payload| {
+            payload.extend_from_slice(scope.as_bytes());
+            key.encode_into(payload);
+            payload.extend_from_slice(&generation.to_le_bytes());
+        });
+        u < self.cache_rate
     }
 
-    /// Whether transfer number `attempt` of the index response for the
-    /// encoded key `key` under `scope` is corrupted on the wire. Retried
-    /// transfers draw fresh, so a corrupted response is recoverable by
-    /// re-fetching (attempt + 1).
-    pub fn response_corrupt(&self, scope: &str, key: &[u8], attempt: u32) -> bool {
+    /// Whether transfer number `attempt` of the index response for `key`
+    /// under `scope` is corrupted on the wire. Retried transfers draw
+    /// fresh, so a corrupted response is recoverable by re-fetching
+    /// (attempt + 1).
+    pub fn response_corrupt(&self, scope: &str, key: &Datum, attempt: u32) -> bool {
         if self.response_rate == 0.0 {
             return false;
         }
-        let mut payload = Vec::with_capacity(scope.len() + key.len() + 4);
-        payload.extend_from_slice(scope.as_bytes());
-        payload.extend_from_slice(key);
-        payload.extend_from_slice(&attempt.to_le_bytes());
-        draw_unit(self.seed, "corrupt.response", &payload) < self.response_rate
+        let u = draw_with(self.seed, "corrupt.response", |payload| {
+            payload.extend_from_slice(scope.as_bytes());
+            key.encode_into(payload);
+            payload.extend_from_slice(&attempt.to_le_bytes());
+        });
+        u < self.response_rate
     }
 }
 
@@ -313,8 +318,8 @@ mod tests {
     fn response_attempts_draw_fresh() {
         // A corrupted response must eventually verify on a refetch.
         let plan = CorruptionPlan::new(5).responses(0.5);
-        let recovered = (0..100u64).any(|k| {
-            let key = k.to_le_bytes();
+        let recovered = (0..100i64).any(|k| {
+            let key = Datum::Int(k);
             plan.response_corrupt("s.", &key, 0) && !plan.response_corrupt("s.", &key, 1)
         });
         assert!(recovered);

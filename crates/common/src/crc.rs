@@ -4,18 +4,21 @@
 //! and re-verifies it at every read boundary; the lookup cache and the
 //! shuffle path do the same for their payloads. This is the standard
 //! reflected CRC-32 (polynomial `0xEDB88320`, the IEEE 802.3 / zlib /
-//! HDFS variant), table-driven, implemented here to avoid a dependency.
+//! HDFS variant), table-driven and eight bytes a step (slicing-by-8),
+//! implemented here to avoid a dependency.
 
 use std::cell::Cell;
 
 /// The reflected CRC-32 polynomial (IEEE 802.3).
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, one byte of input per step.
-static TABLE: [u32; 256] = build_table();
+/// Slicing-by-8 tables: `TABLES[0]` is the classic one-byte table, and
+/// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// eight table reads fold eight bytes of input at once.
+static TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -28,10 +31,29 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
+}
+
+/// Folds `bytes` into `crc` one byte a step: the tail of a slicing-by-8
+/// update, and the reference its tests compare against.
+fn fold_bytes(mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
 }
 
 /// Streaming CRC-32 state: feed bytes with [`update`](Crc32::update),
@@ -50,11 +72,22 @@ impl Crc32 {
 
     /// Folds `bytes` into the running checksum.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &TABLES;
         let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][(lo >> 8 & 0xFF) as usize]
+                ^ t[5][(lo >> 16 & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][(hi >> 8 & 0xFF) as usize]
+                ^ t[1][(hi >> 16 & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
-        self.state = crc;
+        self.state = fold_bytes(crc, words.remainder());
     }
 
     /// The CRC-32 of everything fed so far.
@@ -91,6 +124,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The CRC-32 of `bytes`, one byte a step.
+    fn bytewise(bytes: &[u8]) -> u32 {
+        !fold_bytes(!0, bytes)
+    }
 
     #[test]
     fn known_check_vector() {
@@ -114,5 +153,22 @@ mod tests {
         let clean = crc32(&data);
         data[77] ^= 0x10;
         assert_ne!(crc32(&data), clean);
+    }
+
+    proptest! {
+        #[test]
+        fn slicing_by_8_equals_the_byte_loop(
+            data in proptest::collection::vec(any::<u8>(), 0..=300),
+            split in 0usize..=300,
+        ) {
+            prop_assert_eq!(crc32(&data), bytewise(&data));
+            // Any split of a streamed update: the first part's tail and
+            // the second part's head meet mid-word.
+            let at = split % (data.len() + 1);
+            let mut c = Crc32::new();
+            c.update(&data[..at]);
+            c.update(&data[at..]);
+            prop_assert_eq!(c.finish(), bytewise(&data));
+        }
     }
 }

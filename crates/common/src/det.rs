@@ -26,29 +26,32 @@ use crate::fx_hash_bytes;
 /// decision's identity (key bytes, attempt number, replica index, ...)
 /// into `payload`.
 pub fn draw_unit(seed: u64, scope: &str, payload: &[u8]) -> f64 {
-    DRAWS_BY_THREAD.with(|n| n.set(n.get() + 1));
-    let len = 8 + scope.len() + payload.len();
-    // On the stack when it fits, as every draw in the workspace does.
-    let (mut stack, mut heap) = ([0u8; STACK_DRAW], Vec::new());
-    let buf: &mut [u8] = if len <= STACK_DRAW {
-        &mut stack[..len]
-    } else {
-        heap.resize(len, 0);
-        &mut heap
-    };
-    buf[..8].copy_from_slice(&seed.to_le_bytes());
-    buf[8..8 + scope.len()].copy_from_slice(scope.as_bytes());
-    buf[8 + scope.len()..].copy_from_slice(payload);
-    // 53 uniform mantissa bits → u ∈ [0, 1).
-    (fx_hash_bytes(buf) >> 11) as f64 / (1u64 << 53) as f64
+    draw_with(seed, scope, |buf| buf.extend_from_slice(payload))
 }
 
-/// The longest `seed ++ scope ++ payload` [`draw_unit`] hashes without a
-/// heap buffer.
-const STACK_DRAW: usize = 128;
+/// [`draw_unit`] over the payload `write` appends: the same bytes hashed
+/// the same way, built in a buffer the calling thread keeps, so a draw
+/// whose payload is an encoded key makes no allocator call once the
+/// buffer has grown to its longest payload.
+pub fn draw_with(seed: u64, scope: &str, write: impl FnOnce(&mut Vec<u8>)) -> f64 {
+    DRAWS_BY_THREAD.with(|n| n.set(n.get() + 1));
+    // Taken out for the draw, so a `write` that draws itself only finds
+    // the slot empty.
+    let mut buf = DRAW_BUF.take();
+    buf.clear();
+    buf.extend_from_slice(&seed.to_le_bytes());
+    buf.extend_from_slice(scope.as_bytes());
+    write(&mut buf);
+    // 53 uniform mantissa bits → u ∈ [0, 1).
+    let u = (fx_hash_bytes(&buf) >> 11) as f64 / (1u64 << 53) as f64;
+    DRAW_BUF.set(buf);
+    u
+}
 
 thread_local! {
     static DRAWS_BY_THREAD: Cell<u64> = const { Cell::new(0) };
+    /// The calling thread's `seed ++ scope ++ payload` buffer.
+    static DRAW_BUF: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
 /// Number of draws the calling thread has made. A quiet injection plan
@@ -67,6 +70,7 @@ pub fn draw_unit_u64(seed: u64, scope: &str, key: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Datum;
 
     #[test]
     fn draws_are_deterministic() {
@@ -104,7 +108,7 @@ mod tests {
     }
 
     #[test]
-    fn draws_hash_the_concatenation_on_both_sides_of_the_stack_limit() {
+    fn draws_hash_the_concatenation_for_every_length_up_to_300() {
         const SCOPE: &str = "efind.op.index.scope";
         let bytes: Vec<u8> = (0..300u32).map(|i| (i * 31 % 251) as u8).collect();
         // `len` bytes of scope and payload after the 8-byte seed.
@@ -121,6 +125,26 @@ mod tests {
                 "length {len}"
             );
         }
+    }
+
+    #[test]
+    fn draw_with_hashes_what_the_closure_appends() {
+        let key = Datum::Text("a key".into());
+        let mut payload = Vec::new();
+        key.encode_into(&mut payload);
+        payload.extend_from_slice(&3u32.to_le_bytes());
+        let built = draw_with(11, "fault", |b| {
+            key.encode_into(b);
+            b.extend_from_slice(&3u32.to_le_bytes());
+        });
+        assert_eq!(built, draw_unit(11, "fault", &payload));
+        // A long payload leaves the buffer grown; a short one after it
+        // hashes only its own bytes.
+        draw_unit(11, "fault", &[7; 400]);
+        assert_eq!(
+            draw_unit(11, "fault", b"k"),
+            draw_with(11, "fault", |b| b.push(b'k'))
+        );
     }
 
     #[test]

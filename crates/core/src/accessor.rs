@@ -167,7 +167,10 @@ pub enum LookupMode {
 ///
 /// Every EFind strategy funnels lookups through this wrapper so the
 /// counters of §4.2 (`Nik`, `Sik`, `Siv`, `T_j` samples, FM distinct
-/// sketches) are collected uniformly.
+/// sketches) are collected uniformly. A task that drives an index adds its
+/// counts up in a [`LookupTally`] and a [`KeyTally`] and flushes them once
+/// at task end; virtual time, sketches and failures still land on the
+/// task context per call.
 pub struct ChargedLookup {
     accessor: Arc<dyn IndexAccessor>,
     network: NetworkModel,
@@ -228,6 +231,47 @@ struct HedgeState {
     /// attempt races against the *other* partition side of the key, so
     /// its latency draw is keyed by that side.
     scheme: Option<Arc<dyn PartitionScheme>>,
+}
+
+/// What a task's lookups through one [`ChargedLookup`] add to its
+/// counters: plain sums, written once by [`ChargedLookup::flush`].
+///
+/// Per-call bumps into the task's sorted counter set cost a binary search
+/// each, several times a lookup; a tally costs an add. The flush writes
+/// exactly the entries those bumps would have made, zero-valued ones
+/// included: an entry exists iff its event happened.
+#[derive(Clone, Debug, Default)]
+pub struct LookupTally {
+    /// Completed round trips; `sik`, `siv` and `tj` come with them.
+    lookups: i64,
+    sik_bytes: i64,
+    siv_bytes: i64,
+    tj_nanos: i64,
+    misses: i64,
+    failures: i64,
+    timeouts: i64,
+    slowdowns: i64,
+    /// Retries; the backoff they paid comes with them.
+    retries: i64,
+    backoff_nanos: i64,
+    exhausted: i64,
+    degraded: i64,
+    refetches: i64,
+    /// Backups fired; what their losers spent comes with them.
+    hedges: i64,
+    hedge_wins: i64,
+    loser_nanos: i64,
+}
+
+/// What a task's requested keys add to one [`ChargedLookup`]'s `Nik`
+/// counters, written once by [`ChargedLookup::flush_keys`]: `nik` and
+/// `key.bytes` together, iff a key was requested. Apart from
+/// [`LookupTally`] because a task notes keys in `preProcess`, where no
+/// lookup is made.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct KeyTally {
+    nik: i64,
+    key_bytes: i64,
 }
 
 impl ChargedLookup {
@@ -340,27 +384,33 @@ impl ChargedLookup {
 
     /// Performs one real lookup, charging virtual time and updating
     /// statistics counters on `ctx`. The result list is a shared handle
-    /// suitable for caching without deep copies.
+    /// suitable for caching without deep copies. A task that looks up many
+    /// keys tallies them ([`lookup_guarded`](Self::lookup_guarded)) and
+    /// flushes once; this call flushes a tally of one lookup.
     pub fn lookup(&self, key: &Datum, mode: LookupMode, ctx: &mut TaskCtx) -> Arc<[Datum]> {
-        self.lookup_guarded(key, mode, ctx, None)
+        let mut tally = LookupTally::default();
+        let values = self.lookup_guarded(key, mode, ctx, None, &mut tally);
+        self.flush(&tally, ctx);
+        values
     }
 
-    /// [`lookup`](Self::lookup) with an optional per-task circuit breaker.
-    /// Call sites that own a breaker (one per mapper/reducer instance)
-    /// route through here; with no fault layer installed this is exactly
-    /// the plain lookup path.
+    /// [`lookup`](Self::lookup) with an optional per-task circuit breaker,
+    /// its counts added to `tally`. Call sites that own a breaker (one per
+    /// mapper/reducer instance) route through here; with no fault layer
+    /// installed this is exactly the plain lookup path.
     pub fn lookup_guarded(
         &self,
         key: &Datum,
         mode: LookupMode,
         ctx: &mut TaskCtx,
         breaker: Option<&mut Breaker>,
+        tally: &mut LookupTally,
     ) -> Arc<[Datum]> {
         match &self.fault {
             None => self
-                .round_trip(key, mode, ctx, None, None)
+                .round_trip(key, mode, ctx, tally, None, None)
                 .unwrap_or_else(|| self.empty.clone()),
-            Some(fault) => self.lookup_faulty(fault, key, mode, ctx, breaker),
+            Some(fault) => self.lookup_faulty(fault, key, mode, ctx, breaker, tally),
         }
     }
 
@@ -404,6 +454,7 @@ impl ChargedLookup {
         key: &Datum,
         mode: LookupMode,
         ctx: &mut TaskCtx,
+        tally: &mut LookupTally,
         serve: SimDuration,
         transfer: SimDuration,
     ) {
@@ -415,44 +466,35 @@ impl ChargedLookup {
         if primary <= hedge.threshold {
             return self.charge_split(mode, ctx, serve, transfer);
         }
-        ctx.counters.bump(self.c_h_fired, 1);
-        let mut payload = Vec::new();
-        key.encode_into(&mut payload);
+        tally.hedges += 1;
         // Key the backup's latency draw by the *other* partition side of
         // the key (unpartitioned indexes hedge against another replica of
         // the single side), so the two attempts see independent latency.
-        if let Some(scheme) = &hedge.scheme {
-            let n = scheme.num_partitions().max(1);
-            let side = (scheme.partition_of(key) + 1) % n;
-            payload.extend_from_slice(&(side as u64).to_le_bytes());
-        }
-        let draw = efind_common::det::draw_unit(hedge.seed, "hedge.backup", &payload);
+        let draw = efind_common::det::draw_with(hedge.seed, "hedge.backup", |payload| {
+            key.encode_into(payload);
+            if let Some(scheme) = &hedge.scheme {
+                let n = scheme.num_partitions().max(1);
+                let side = (scheme.partition_of(key) + 1) % n;
+                payload.extend_from_slice(&(side as u64).to_le_bytes());
+            }
+        });
         let backup = hedge.threshold + primary.mul_f64(draw);
         let wall = primary.min(backup);
         let loser_spent = if backup < primary {
             // Backup won: the primary ran from t=0 until the backup's
             // answer cancelled it.
-            ctx.counters.bump(self.c_h_wins, 1);
+            tally.hedge_wins += 1;
             backup
         } else {
             // Primary won: the backup ran from the threshold until the
             // primary's answer cancelled it.
             primary.saturating_sub(hedge.threshold)
         };
-        ctx.counters
-            .bump(self.c_h_loser_nanos, loser_spent.as_nanos() as i64);
+        tally.loser_nanos += loser_spent.as_nanos() as i64;
         match hedge.policy {
             HedgePolicy::ChargeWinner => ctx.charge(wall),
             HedgePolicy::ChargeBoth => ctx.charge(wall + loser_spent),
         }
-    }
-
-    /// Bumps the four per-lookup statistics counters of §4.2.
-    fn bump_lookup_counters(&self, ctx: &mut TaskCtx, sik: u64, siv: u64, serve: SimDuration) {
-        ctx.counters.bump(self.c_lookups, 1);
-        ctx.counters.bump(self.c_sik_bytes, sik as i64);
-        ctx.counters.bump(self.c_siv_bytes, siv as i64);
-        ctx.counters.bump(self.c_tj_nanos, serve.as_nanos() as i64);
     }
 
     /// Verifies a completed response against the corruption plan: each
@@ -467,18 +509,17 @@ impl ChargedLookup {
         key: &Datum,
         mode: LookupMode,
         ctx: &mut TaskCtx,
+        tally: &mut LookupTally,
         serve: SimDuration,
         transfer: SimDuration,
     ) {
         if !self.corruption.verifies_responses() {
             return;
         }
-        let mut kb = Vec::new();
-        key.encode_into(&mut kb);
         let mut attempt: u32 = 0;
-        while self.corruption.response_corrupt(&self.prefix, &kb, attempt) {
+        while self.corruption.response_corrupt(&self.prefix, key, attempt) {
             self.charge_split(mode, ctx, serve, transfer);
-            ctx.counters.bump(self.c_i_refetch, 1);
+            tally.refetches += 1;
             attempt += 1;
         }
     }
@@ -495,6 +536,7 @@ impl ChargedLookup {
         key: &Datum,
         mode: LookupMode,
         ctx: &mut TaskCtx,
+        tally: &mut LookupTally,
         slowdown: Option<f64>,
         timeout: Option<SimDuration>,
     ) -> Option<Arc<[Datum]>> {
@@ -510,7 +552,7 @@ impl ChargedLookup {
             LookupResult::Failed(_) => {
                 let serve = self.accessor.serve_time(key, 0);
                 self.charge_split(mode, ctx, serve, self.network.transfer(sik));
-                ctx.counters.bump(self.c_f_failures, 1);
+                tally.failures += 1;
                 return None;
             }
         };
@@ -523,18 +565,18 @@ impl ChargedLookup {
             // Too slow: the caller gives up at the deadline; the answer
             // is discarded.
             ctx.charge(deadline);
-            ctx.counters.bump(self.c_f_timeouts, 1);
+            tally.timeouts += 1;
             return None;
         }
-        if slowdown.is_some() {
-            ctx.counters.bump(self.c_f_slowdowns, 1);
-        }
-        self.charge_completed(key, mode, ctx, serve, transfer);
-        self.bump_lookup_counters(ctx, sik, siv, serve);
-        if miss {
-            ctx.counters.bump(self.c_misses, 1);
-        }
-        self.verify_response(key, mode, ctx, serve, transfer);
+        tally.slowdowns += i64::from(slowdown.is_some());
+        self.charge_completed(key, mode, ctx, tally, serve, transfer);
+        // The per-lookup statistics of §4.2.
+        tally.lookups += 1;
+        tally.sik_bytes += sik as i64;
+        tally.siv_bytes += siv as i64;
+        tally.tj_nanos += serve.as_nanos() as i64;
+        tally.misses += i64::from(miss);
+        self.verify_response(key, mode, ctx, tally, serve, transfer);
         Some(values)
     }
 
@@ -550,10 +592,11 @@ impl ChargedLookup {
         mode: LookupMode,
         ctx: &mut TaskCtx,
         mut breaker: Option<&mut Breaker>,
+        tally: &mut LookupTally,
     ) -> Arc<[Datum]> {
         let now = ctx.charged();
         if breaker.as_deref_mut().is_some_and(|b| b.blocks_at(now)) {
-            ctx.counters.bump(self.c_f_degraded, 1);
+            tally.degraded += 1;
             return self.miss_result(fault, key, ctx);
         }
         let sik = key.size_bytes();
@@ -566,7 +609,7 @@ impl ChargedLookup {
                     // latency and the outbound key bytes.
                     let serve = self.accessor.serve_time(key, 0);
                     self.charge_split(mode, ctx, serve, self.network.transfer(sik));
-                    ctx.counters.bump(self.c_f_failures, 1);
+                    tally.failures += 1;
                 }
                 FaultKind::Timeout => {
                     // A hung request costs the full timeout budget (or the
@@ -574,11 +617,13 @@ impl ChargedLookup {
                     let serve = self.accessor.serve_time(key, 0);
                     let wait = fault.timeout.unwrap_or(serve + self.network.transfer(sik));
                     ctx.charge(wait);
-                    ctx.counters.bump(self.c_f_timeouts, 1);
+                    tally.timeouts += 1;
                 }
                 FaultKind::Ok | FaultKind::Slow => {
                     let slowdown = (kind == FaultKind::Slow).then_some(fault.plan.slowdown_factor);
-                    if let Some(values) = self.round_trip(key, mode, ctx, slowdown, fault.timeout) {
+                    if let Some(values) =
+                        self.round_trip(key, mode, ctx, tally, slowdown, fault.timeout)
+                    {
                         if let Some(b) = breaker.as_deref_mut() {
                             b.record_at(true, ctx.charged());
                         }
@@ -591,19 +636,18 @@ impl ChargedLookup {
             if let Some(b) = breaker.as_deref_mut() {
                 b.record_at(false, ctx.charged());
                 if b.blocks_at(ctx.charged()) {
-                    ctx.counters.bump(self.c_f_degraded, 1);
+                    tally.degraded += 1;
                     return self.miss_result(fault, key, ctx);
                 }
             }
             if attempt >= fault.retry.max_retries {
-                ctx.counters.bump(self.c_f_exhausted, 1);
+                tally.exhausted += 1;
                 return self.miss_result(fault, key, ctx);
             }
             let pause = fault.retry.backoff(attempt);
             ctx.charge(pause);
-            ctx.counters.bump(self.c_f_retries, 1);
-            ctx.counters
-                .bump(self.c_f_backoff_nanos, pause.as_nanos() as i64);
+            tally.retries += 1;
+            tally.backoff_nanos += pause.as_nanos() as i64;
             attempt += 1;
         }
     }
@@ -624,11 +668,74 @@ impl ChargedLookup {
     }
 
     /// Records one requested key (before caching/dedup) for `Nik` and the
-    /// Θ distinct-count sketch.
+    /// Θ distinct-count sketch: one [`tally_key`](Self::tally_key)
+    /// flushed at once.
     pub fn note_key(&self, key: &Datum, ctx: &mut TaskCtx) {
-        ctx.counters.bump(self.c_nik, 1);
-        ctx.counters.bump(self.c_key_bytes, key.size_bytes() as i64);
+        let mut tally = KeyTally::default();
+        self.tally_key(key, ctx, &mut tally);
+        self.flush_keys(&tally, ctx);
+    }
+
+    /// [`note_key`](Self::note_key) with the counts added to `tally`; the
+    /// key goes into the task's sketch at once.
+    pub fn tally_key(&self, key: &Datum, ctx: &mut TaskCtx, tally: &mut KeyTally) {
+        tally.nik += 1;
+        tally.key_bytes += key.size_bytes() as i64;
         ctx.sketches.observe_handle(self.c_distinct, key);
+    }
+
+    /// Writes `tally` into the task's counters: `nik` and `key.bytes`, be
+    /// the bytes zero, if a key was requested.
+    pub fn flush_keys(&self, tally: &KeyTally, ctx: &mut TaskCtx) {
+        if tally.nik > 0 {
+            ctx.counters.bump(self.c_nik, tally.nik);
+            ctx.counters.bump(self.c_key_bytes, tally.key_bytes);
+        }
+    }
+
+    /// Writes `tally` into the task's counters: exactly the entries bumping
+    /// once an event would have made. A completed lookup brings
+    /// `sik.bytes`, `siv.bytes` and `tj.nanos`, a retry its
+    /// `fault.backoff.nanos` and a fired hedge its `hedge.loser.nanos`, be
+    /// they zero; every other counter is written where it counted one.
+    pub fn flush(&self, tally: &LookupTally, ctx: &mut TaskCtx) {
+        let t = tally;
+        let c = &mut ctx.counters;
+        let mut put = |count: i64, handle: CounterHandle, with: &[(CounterHandle, i64)]| {
+            if count > 0 {
+                c.bump(handle, count);
+                for &(h, v) in with {
+                    c.bump(h, v);
+                }
+            }
+        };
+        put(
+            t.lookups,
+            self.c_lookups,
+            &[
+                (self.c_sik_bytes, t.sik_bytes),
+                (self.c_siv_bytes, t.siv_bytes),
+                (self.c_tj_nanos, t.tj_nanos),
+            ],
+        );
+        put(t.misses, self.c_misses, &[]);
+        put(t.failures, self.c_f_failures, &[]);
+        put(t.timeouts, self.c_f_timeouts, &[]);
+        put(t.slowdowns, self.c_f_slowdowns, &[]);
+        put(
+            t.retries,
+            self.c_f_retries,
+            &[(self.c_f_backoff_nanos, t.backoff_nanos)],
+        );
+        put(t.exhausted, self.c_f_exhausted, &[]);
+        put(t.degraded, self.c_f_degraded, &[]);
+        put(t.refetches, self.c_i_refetch, &[]);
+        put(
+            t.hedges,
+            self.c_h_fired,
+            &[(self.c_h_loser_nanos, t.loser_nanos)],
+        );
+        put(t.hedge_wins, self.c_h_wins, &[]);
     }
 }
 
@@ -769,12 +876,14 @@ mod tests {
         let quiet = charged_with(FaultConfig::disabled().with_plan(FaultPlan::new(5)));
         let mut a = TaskCtx::new(0);
         let mut b = TaskCtx::new(0);
+        let mut tally = LookupTally::default();
         for i in 0..200i64 {
             let key = Datum::Int(i % 3);
             let va = plain.lookup(&key, LookupMode::Remote, &mut a);
-            let vb = quiet.lookup_guarded(&key, LookupMode::Remote, &mut b, None);
+            let vb = quiet.lookup_guarded(&key, LookupMode::Remote, &mut b, None, &mut tally);
             assert_eq!(va[..], vb[..]);
         }
+        quiet.flush(&tally, &mut b);
         assert_eq!(a.charged(), b.charged());
         for c in ["lookups", "sik.bytes", "siv.bytes", "tj.nanos"] {
             let name = format!("efind.op.0.{c}");
@@ -860,15 +969,18 @@ mod tests {
         let cl = charged_with(config);
         let mut breaker = cl.new_breaker();
         let mut ctx = TaskCtx::new(0);
+        let mut tally = LookupTally::default();
         for i in 0..10i64 {
             let vals = cl.lookup_guarded(
                 &Datum::Int(i),
                 LookupMode::Remote,
                 &mut ctx,
                 breaker.as_mut(),
+                &mut tally,
             );
             assert!(vals.is_empty());
         }
+        cl.flush(&tally, &mut ctx);
         // Lookups 1–3 exhaust their (empty) retry budget; lookup 4 trips
         // the breaker mid-flight; 5–10 short-circuit without an attempt.
         assert_eq!(ctx.counters.get("efind.op.0.fault.failures"), 4);
@@ -1158,5 +1270,151 @@ mod tests {
             .is_empty());
         assert_eq!(ctx.counters.get("efind.op.0.lookups"), 0);
         assert_eq!(ctx.counters.get("efind.op.0.fault.failures"), 1);
+    }
+
+    /// A wrapper over an index holding keys `0..20` (other keys miss),
+    /// with the layers `mask` arms: faults with retries, a timeout and a
+    /// breaker (bit 0), hedging (bit 1), response corruption (bit 2).
+    fn armed(mask: u8) -> ChargedLookup {
+        let index = FlakyIndex {
+            inner: MemIndex::new(
+                "m",
+                (0..20)
+                    .map(|k| (Datum::Int(k), vec![Datum::Int(k * 3)]))
+                    .collect(),
+            ),
+            misses: true,
+        };
+        let mut faults = FaultConfig::disabled();
+        if mask & 1 != 0 {
+            faults = faults.with_plan(
+                FaultPlan::new(11)
+                    .failures(0.2)
+                    .timeouts(0.1)
+                    .slowdowns(0.2, 3.0),
+            );
+            faults.retry =
+                RetryPolicy::bounded(2, SimDuration::from_micros(50), SimDuration::from_millis(1));
+            faults.timeout = Some(SimDuration::from_micros(250));
+            faults.breaker_threshold_x1000 = 400;
+            faults.breaker_min_samples = 6;
+            faults.breaker_cooldown = Some(SimDuration::from_millis(2));
+        }
+        let hedge = HedgeConfig {
+            seed: 13,
+            threshold: (mask & 2 != 0).then_some(SimDuration::from_micros(60)),
+            policy: HedgePolicy::ChargeBoth,
+        };
+        let mut corruption = CorruptionPlan::none();
+        if mask & 4 != 0 {
+            corruption = CorruptionPlan::new(17).responses(0.4);
+        }
+        ChargedLookup::new(
+            Arc::new(index),
+            NetworkModel::gigabit(),
+            "efind.op.0.".into(),
+        )
+        .with_faults(&faults)
+        .with_hedging(&hedge)
+        .with_corruption(&corruption)
+    }
+
+    /// What a task's lookups leave behind, counters and sketch included.
+    fn observed(ctx: &TaskCtx) -> (Vec<(Arc<str>, i64)>, f64, SimDuration, SimDuration) {
+        (
+            ctx.counters.iter_sorted(),
+            ctx.sketches.estimate("efind.op.0.distinct"),
+            ctx.charged(),
+            ctx.affinity_penalty(),
+        )
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// One tally flushed at task end writes exactly what flushing after
+        /// every call writes, zero-valued entries included; before its
+        /// flush, the counter set is empty.
+        #[test]
+        fn a_tally_flushed_once_equals_per_call_counters(
+            mask in 0u8..8,
+            // Keys `from..from + 8`: from 20 on, every lookup misses.
+            from in 0i64..30,
+            stream in proptest::collection::vec((0i64..8, any::<bool>()), 0..120),
+        ) {
+            let cl = armed(mask);
+            let mode = |local: bool| if local { LookupMode::Local } else { LookupMode::Remote };
+
+            let mut per_call = TaskCtx::new(0);
+            let mut breaker = cl.new_breaker();
+            let mut answers = Vec::new();
+            for &(k, local) in &stream {
+                let key = Datum::Int(from + k);
+                cl.note_key(&key, &mut per_call);
+                let mut one = LookupTally::default();
+                let values =
+                    cl.lookup_guarded(&key, mode(local), &mut per_call, breaker.as_mut(), &mut one);
+                cl.flush(&one, &mut per_call);
+                answers.push(values);
+            }
+
+            let mut tallied = TaskCtx::new(0);
+            let mut breaker = cl.new_breaker();
+            let (mut keys, mut tally) = (KeyTally::default(), LookupTally::default());
+            for (&(k, local), answer) in stream.iter().zip(&answers) {
+                let key = Datum::Int(from + k);
+                cl.tally_key(&key, &mut tallied, &mut keys);
+                let values =
+                    cl.lookup_guarded(&key, mode(local), &mut tallied, breaker.as_mut(), &mut tally);
+                prop_assert_eq!(&values[..], &answer[..]);
+            }
+            prop_assert!(tallied.counters.is_empty());
+            cl.flush_keys(&keys, &mut tallied);
+            cl.flush(&tally, &mut tallied);
+            prop_assert_eq!(observed(&tallied), observed(&per_call));
+            // What rides on an event is written iff the event is, be it 0.
+            let written = |c: &str| {
+                let name = format!("efind.op.0.{c}");
+                tallied.counters.iter_sorted().iter().any(|(n, _)| **n == *name)
+            };
+            for (event, riders) in [
+                ("nik", &["key.bytes"][..]),
+                ("lookups", &["sik.bytes", "siv.bytes", "tj.nanos"]),
+                ("fault.retries", &["fault.backoff.nanos"]),
+                ("hedge.fired", &["hedge.loser.nanos"]),
+            ] {
+                for rider in riders {
+                    prop_assert_eq!(written(rider), written(event), "{} with {}", rider, event);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn public_lookup_and_note_key_are_a_tally_flushed_at_once() {
+        let cl = armed(7);
+        let mut public = TaskCtx::new(0);
+        let mut tallied = TaskCtx::new(0);
+        let (mut keys, mut tally) = (KeyTally::default(), LookupTally::default());
+        for k in 0..60i64 {
+            let key = Datum::Int(k % 25);
+            cl.note_key(&key, &mut public);
+            cl.lookup(&key, LookupMode::Remote, &mut public);
+            cl.tally_key(&key, &mut tallied, &mut keys);
+            cl.lookup_guarded(&key, LookupMode::Remote, &mut tallied, None, &mut tally);
+        }
+        cl.flush_keys(&keys, &mut tallied);
+        cl.flush(&tally, &mut tallied);
+        assert_eq!(observed(&tallied), observed(&public));
+        for c in [
+            "misses",
+            "fault.retries",
+            "hedge.fired",
+            "integrity.refetch",
+        ] {
+            assert!(public.counters.get(&format!("efind.op.0.{c}")) > 0, "{c}");
+        }
     }
 }

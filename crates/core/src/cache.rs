@@ -310,9 +310,8 @@ struct ArmedCorruption {
     scope: String,
     /// Per-key insertion ordinal, so re-inserted entries draw fresh.
     generations: FxHashMap<Datum, u64>,
-    /// Encode buffers reused across insertions: the result list, the key.
+    /// Encode buffer for the result list, reused across insertions.
     values_buf: Vec<u8>,
-    key_buf: Vec<u8>,
 }
 
 /// The lookup cache: an LRU of key → result lists, with hit statistics.
@@ -363,7 +362,6 @@ impl LookupCache {
                 scope: scope.to_owned(),
                 generations: FxHashMap::default(),
                 values_buf: Vec::new(),
-                key_buf: Vec::new(),
             });
         }
         self
@@ -406,25 +404,19 @@ impl LookupCache {
                     v.encode_into(buf);
                 }
                 let write_crc = crc32(buf);
-                armed.key_buf.clear();
-                key.encode_into(&mut armed.key_buf);
-                let read_crc =
-                    if armed
-                        .plan
-                        .cache_corrupt(&armed.scope, &armed.key_buf, *generation)
-                    {
-                        // The stored copy has one byte flipped; an empty
-                        // result list is modeled as header corruption.
-                        if buf.is_empty() {
-                            !write_crc
-                        } else {
-                            let flip = *generation as usize % buf.len();
-                            buf[flip] ^= 0x55;
-                            crc32(buf)
-                        }
+                let read_crc = if armed.plan.cache_corrupt(&armed.scope, &key, *generation) {
+                    // The stored copy has one byte flipped; an empty
+                    // result list is modeled as header corruption.
+                    if buf.is_empty() {
+                        !write_crc
                     } else {
-                        write_crc
-                    };
+                        let flip = *generation as usize % buf.len();
+                        buf[flip] ^= 0x55;
+                        crc32(buf)
+                    }
+                } else {
+                    write_crc
+                };
                 (write_crc, read_crc)
             }
         };

@@ -37,7 +37,9 @@ use efind_mapreduce::{
     MapperFactory, Partitioner, Reducer, ReducerFactory, TaskCtx,
 };
 
-use crate::accessor::{ChargedLookup, HedgeConfig, LookupMode, PartitionScheme};
+use crate::accessor::{
+    ChargedLookup, HedgeConfig, KeyTally, LookupMode, LookupTally, PartitionScheme,
+};
 use crate::cache::{LookupCache, ShadowCache};
 use crate::carrier::Carrier;
 use crate::fault::{Breaker, FaultConfig};
@@ -211,10 +213,12 @@ impl PreStep {
 }
 
 /// A [`PreStep`] inside one task: its shadow caches, and the counters it
-/// bumps once a record as plain tallies until `flush`.
+/// bumps once a record or key as plain tallies until `flush`.
 struct Opening {
     step: Arc<PreStep>,
     shadows: Vec<ShadowCache>,
+    /// Per index, the keys requested of it.
+    keys: Vec<KeyTally>,
     n1: i64,
     s1_bytes: i64,
     spre_bytes: i64,
@@ -230,6 +234,7 @@ impl Opening {
             shadows: (0..m)
                 .map(|_| ShadowCache::new(step.shadow_capacity))
                 .collect(),
+            keys: vec![KeyTally::default(); m],
             n1: 0,
             s1_bytes: 0,
             spre_bytes: 0,
@@ -247,7 +252,7 @@ impl Opening {
         for (j, charged) in step.charged.iter().enumerate() {
             let keys = carrier.keys(j);
             for key in keys {
-                charged.note_key(key, ctx);
+                charged.tally_key(key, ctx, &mut self.keys[j]);
                 self.shadows[j].observe(key);
             }
             self.irregular[j] += i64::from(keys.len() != 1);
@@ -262,6 +267,9 @@ impl Opening {
     /// record was.
     fn flush(&self, ctx: &mut TaskCtx) {
         let step = &*self.step;
+        for (charged, keys) in step.charged.iter().zip(&self.keys) {
+            charged.flush_keys(keys, ctx);
+        }
         if self.n1 > 0 {
             ctx.counters.bump(step.n1, self.n1);
             ctx.counters.bump(step.s1_bytes, self.s1_bytes);
@@ -301,32 +309,6 @@ impl DirectStep {
         })
     }
 
-    fn fill(
-        &self,
-        mut cache: Option<&mut LookupCache>,
-        mut breaker: Option<&mut Breaker>,
-        carrier: &mut Carrier,
-        ctx: &mut TaskCtx,
-    ) -> Result<()> {
-        let charged = &self.charged;
-        carrier.fill(self.slot, |keys, results| {
-            for key in keys {
-                let mut fetch =
-                    || charged.lookup_guarded(key, LookupMode::Remote, ctx, breaker.as_deref_mut());
-                // Hits and fresh-insert clones are Arc refcount bumps; the
-                // cached value list itself is never deep-copied here.
-                results.push(match cache.as_deref_mut() {
-                    Some(cache) => cache.probe(key).unwrap_or_else(|| {
-                        let fresh = fetch();
-                        cache.insert(key.clone(), fresh.clone());
-                        fresh
-                    }),
-                    None => fetch(),
-                });
-            }
-        })
-    }
-
     fn flush(&self, cache: &LookupCache, ctx: &mut TaskCtx) {
         // Probe time is charged in bulk: probes × T_cache (Eq. 2).
         ctx.charge(self.t_cache * cache.probes());
@@ -345,6 +327,62 @@ impl DirectStep {
     }
 }
 
+/// A [`DirectStep`] inside one task: its lookup cache (when its strategy
+/// caches), its circuit breaker (when faults are configured), and the
+/// tally of its lookups.
+struct Direct {
+    step: Arc<DirectStep>,
+    cache: Option<LookupCache>,
+    breaker: Option<Breaker>,
+    tally: LookupTally,
+}
+
+impl Direct {
+    fn start(step: &Arc<DirectStep>) -> Self {
+        Direct {
+            step: step.clone(),
+            cache: step.new_cache(),
+            breaker: step.charged.new_breaker(),
+            tally: LookupTally::default(),
+        }
+    }
+
+    fn fill(&mut self, carrier: &mut Carrier, ctx: &mut TaskCtx) -> Result<()> {
+        let Direct {
+            step,
+            cache,
+            breaker,
+            tally,
+        } = self;
+        let charged = &step.charged;
+        carrier.fill(step.slot, |keys, results| {
+            for key in keys {
+                let mut fetch = || {
+                    let breaker = breaker.as_mut();
+                    charged.lookup_guarded(key, LookupMode::Remote, ctx, breaker, tally)
+                };
+                // Hits and fresh-insert clones are Arc refcount bumps; the
+                // cached value list itself is never deep-copied here.
+                results.push(match cache.as_mut() {
+                    Some(cache) => cache.probe(key).unwrap_or_else(|| {
+                        let fresh = fetch();
+                        cache.insert(key.clone(), fresh.clone());
+                        fresh
+                    }),
+                    None => fetch(),
+                });
+            }
+        })
+    }
+
+    fn flush(&self, ctx: &mut TaskCtx) {
+        self.step.charged.flush(&self.tally, ctx);
+        if let Some(cache) = &self.cache {
+            self.step.flush(cache, ctx);
+        }
+    }
+}
+
 /// The shuffling job's reduce: one lookup per distinct key, whose result
 /// fans back out to every carrier of the group.
 struct GroupStep {
@@ -359,6 +397,7 @@ impl GroupStep {
         &self,
         key: &Datum,
         breaker: Option<&mut Breaker>,
+        tally: &mut LookupTally,
         ctx: &mut TaskCtx,
     ) -> Arc<[Datum]> {
         let mode = if let Some(scheme) = &self.locality {
@@ -371,7 +410,7 @@ impl GroupStep {
         } else {
             LookupMode::Remote
         };
-        self.charged.lookup_guarded(key, mode, ctx, breaker)
+        self.charged.lookup_guarded(key, mode, ctx, breaker, tally)
     }
 }
 
@@ -436,12 +475,10 @@ impl Run {
     }
 }
 
-/// A [`Run`] inside one task: every direct lookup owns a lookup cache
-/// (when its strategy caches) and a circuit breaker (when faults are
-/// configured), and the [`PostStep`] counters are plain tallies until
-/// `flush`.
+/// A [`Run`] inside one task: its direct lookups, and the [`PostStep`]
+/// counters as plain tallies until `flush`.
 struct Running {
-    lookups: Vec<(Arc<DirectStep>, Option<LookupCache>, Option<Breaker>)>,
+    lookups: Vec<Direct>,
     end: End,
     sidx_bytes: i64,
     /// Carriers `postProcess` was handed, and what it made of them.
@@ -453,11 +490,7 @@ struct Running {
 impl Running {
     fn start(run: &Run) -> Self {
         Running {
-            lookups: run
-                .lookups
-                .iter()
-                .map(|d| (d.clone(), d.new_cache(), d.charged.new_breaker()))
-                .collect(),
+            lookups: run.lookups.iter().map(Direct::start).collect(),
             end: run.end.clone(),
             sidx_bytes: 0,
             posted: 0,
@@ -469,8 +502,8 @@ impl Running {
     /// Takes the open carrier through the run. It is serialized only if it
     /// leaves the task still open.
     fn advance(&mut self, carrier: &mut Carrier<'_>, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        for (d, cache, breaker) in &mut self.lookups {
-            if let Err(e) = d.fill(cache.as_mut(), breaker.as_mut(), carrier, ctx) {
+        for d in &mut self.lookups {
+            if let Err(e) = d.fill(carrier, ctx) {
                 return ctx.fail(format!("lookup stage: {e}"));
             }
         }
@@ -507,10 +540,8 @@ impl Running {
     /// `sidx.bytes` if a carrier reached `postProcess`, the `Spost` pair —
     /// be it at zero — if one was let in.
     fn flush(&self, ctx: &mut TaskCtx) {
-        for (d, cache, _) in &self.lookups {
-            if let Some(cache) = cache {
-                d.flush(cache, ctx);
-            }
+        for d in &self.lookups {
+            d.flush(ctx);
         }
         if let End::Post(post) = &self.end {
             if self.sidx_bytes > 0 {
@@ -534,7 +565,8 @@ impl Running {
 struct SegmentMapper {
     pre: Option<Opening>,
     run: Running,
-    carrier: Carrier<'static>,
+    /// The task's carrier, built by the first record.
+    carrier: Option<Carrier<'static>>,
 }
 
 impl SegmentMapper {
@@ -542,7 +574,7 @@ impl SegmentMapper {
     /// the one record so that it can borrow a lent row, and put back with
     /// the lend ended.
     fn process(&mut self, rec: Cow<'_, Record>, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        let mut carrier = std::mem::take(&mut self.carrier);
+        let mut carrier = self.carrier.take().unwrap_or_default();
         let opened = match &mut self.pre {
             Some(pre) => {
                 pre.open(&mut carrier, rec, ctx);
@@ -555,7 +587,7 @@ impl SegmentMapper {
             Ok(()) => self.run.advance(&mut carrier, out, ctx),
             Err(e) => ctx.fail(format!("lookup stage: {e}")),
         }
-        self.carrier = carrier.end_lend();
+        self.carrier = Some(carrier.end_lend());
     }
 }
 
@@ -582,6 +614,7 @@ struct SegmentReducer {
     group: Arc<GroupStep>,
     /// Per-task circuit breaker (present only when faults are configured).
     breaker: Option<Breaker>,
+    tally: LookupTally,
     run: Running,
     carrier: Carrier<'static>,
 }
@@ -594,7 +627,9 @@ impl Reducer for SegmentReducer {
         out: &mut dyn Collector,
         ctx: &mut TaskCtx,
     ) {
-        let result = self.group.lookup(&key, self.breaker.as_mut(), ctx);
+        let result = self
+            .group
+            .lookup(&key, self.breaker.as_mut(), &mut self.tally, ctx);
         let carrier = &mut self.carrier;
         for payload in values {
             let filled = carrier.decode(&payload).and_then(|()| {
@@ -608,14 +643,18 @@ impl Reducer for SegmentReducer {
     }
 
     fn flush(&mut self, _out: &mut dyn Collector, ctx: &mut TaskCtx) {
+        self.group.charged.flush(&self.tally, ctx);
         self.run.flush(ctx);
     }
 }
 
-/// Counts the original Map's output (the `Smap` statistic).
+/// Counts the original Map's output (the `Smap` statistic), as plain
+/// tallies until `flush`.
 struct MapOutCounter {
     c_records: CounterHandle,
     c_bytes: CounterHandle,
+    records: i64,
+    bytes: i64,
 }
 
 impl MapOutCounter {
@@ -623,15 +662,26 @@ impl MapOutCounter {
         MapOutCounter {
             c_records: CounterHandle::new(names::MAPOUT_RECORDS),
             c_bytes: CounterHandle::new(names::MAPOUT_BYTES),
+            records: 0,
+            bytes: 0,
         }
     }
 }
 
 impl Mapper for MapOutCounter {
-    fn map(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        ctx.counters.bump(self.c_records, 1);
-        ctx.counters.bump(self.c_bytes, rec.size_bytes() as i64);
+    fn map(&mut self, rec: Record, out: &mut dyn Collector, _ctx: &mut TaskCtx) {
+        self.records += 1;
+        self.bytes += rec.size_bytes() as i64;
         out.collect(rec);
+    }
+
+    /// Writes the pair bumping once a record would have made, be the
+    /// bytes zero, and nothing without a record.
+    fn flush(&mut self, _out: &mut dyn Collector, ctx: &mut TaskCtx) {
+        if self.records > 0 {
+            ctx.counters.bump(self.c_records, self.records);
+            ctx.counters.bump(self.c_bytes, self.bytes);
+        }
     }
 }
 
@@ -683,7 +733,7 @@ impl Link {
                 Box::new(SegmentMapper {
                     pre: pre.as_ref().map(Opening::start),
                     run: Running::start(&run),
-                    carrier: Carrier::default(),
+                    carrier: None,
                 })
             }),
         }
@@ -956,6 +1006,7 @@ pub fn compile_pipeline(
                         Box::new(SegmentReducer {
                             group: group.clone(),
                             breaker: group.charged.new_breaker(),
+                            tally: LookupTally::default(),
                             run: Running::start(&run),
                             carrier: Carrier::default(),
                         })

@@ -106,10 +106,10 @@ impl FaultPlan {
         if self.is_quiet() {
             return FaultKind::Ok;
         }
-        let mut payload = Vec::with_capacity(16);
-        key.encode_into(&mut payload);
-        payload.extend_from_slice(&attempt.to_le_bytes());
-        let u = det::draw_unit(self.seed, scope, &payload);
+        let u = det::draw_with(self.seed, scope, |payload| {
+            key.encode_into(payload);
+            payload.extend_from_slice(&attempt.to_le_bytes());
+        });
         if u < self.failure_rate {
             FaultKind::Fail
         } else if u < self.failure_rate + self.timeout_rate {

@@ -78,7 +78,7 @@ pub mod statstore;
 pub mod statsx;
 
 pub use accessor::{
-    ChargedLookup, HedgeConfig, HedgePolicy, IndexAccessor, LookupMode, LookupResult,
+    ChargedLookup, HedgeConfig, HedgePolicy, IndexAccessor, LookupMode, LookupResult, LookupTally,
     PartitionScheme,
 };
 pub use cache::LookupCache;

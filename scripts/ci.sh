@@ -179,16 +179,17 @@ efbench_gate lookup_repart 41
 # so `failed` 0 says no armed layer changed the answer. A verified chunk
 # read streams its CRC record by record through one buffer, an armed cache
 # insert encodes into buffers it keeps, a new cache takes the storage its
-# worker's last one left, a draw hashes from the stack, the output file
-# keeps the tasks' blocks and the segment copies only the join key out of
-# each input row it is lent, so it allocates 24.04 MB. A segment that
-# cloned every input row made it 33.64 MB, with caches that grew their
+# worker's last one left, a draw builds its payload in a buffer its thread
+# keeps, the output file keeps the tasks' blocks and the segment copies
+# only the join key out of each input row it is lent, so it allocates
+# 19.94 MB. Draw payloads on the heap made it 23.99 MB, a segment that
+# cloned every input row 33.64 MB, with caches that grew their
 # storage afresh in every task 42.49 MB, a copying
 # write on top 50.16 MB, and encoding each whole chunk to checksum it
 # 72.70 MB; with that, per-insert encode buffers and caches that reserved
 # their whole capacity it read 81.73 MB, and a vector per chain stage
 # made that 104.76 MB.
-efbench_gate lookup_armed 26
+efbench_gate lookup_armed 22
 # `q9_adaptive` (TPC-H Q9, five indices, a Dynamic then an Optimized run)
 # builds a shadow cache for each index of each map task and a lookup cache
 # for each cache-strategy task, most holding far fewer keys than their
