@@ -23,7 +23,10 @@
 //! no more spares than it had caches live at once, and they are freed when
 //! it ends — for the runner's workers, at the end of each phase. Only
 //! storage carries over: every cache starts empty, with its own counts and
-//! its own corruption state.
+//! its own corruption state. An armed lookup cache's map of each key's
+//! insertion count, which its poison draws read, carries over the same way,
+//! on a list of its own, emptied, so each key's draws start over in every
+//! cache.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry as Slot;
@@ -49,11 +52,66 @@ struct Entry<V> {
 const NIL: u32 = u32::MAX;
 
 /// A thread's storage left by dropped caches of one kind, emptied.
-type Spares<V> = LocalKey<RefCell<Vec<LruMap<V>>>>;
+type Spares<S> = LocalKey<RefCell<Vec<S>>>;
+
+/// An armed lookup cache's insertion count per key.
+type Generations = FxHashMap<Datum, u64>;
 
 thread_local! {
     static LOOKUP_SPARES: RefCell<Vec<LruMap<CacheEntry>>> = const { RefCell::new(Vec::new()) };
     static SHADOW_SPARES: RefCell<Vec<LruMap<()>>> = const { RefCell::new(Vec::new()) };
+    static GENERATION_SPARES: RefCell<Vec<Generations>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Storage that outlives the cache that grew it, on its thread's spares.
+trait Storage: Sized {
+    /// Storage for a cache of `capacity` that allocates nothing until used.
+    fn fresh(capacity: usize) -> Self;
+
+    /// Empties the storage for a cache of `capacity`, keeping its
+    /// allocations.
+    fn reset(&mut self, capacity: usize);
+}
+
+impl<V> Storage for LruMap<V> {
+    fn fresh(capacity: usize) -> Self {
+        LruMap::new(capacity)
+    }
+
+    fn reset(&mut self, capacity: usize) {
+        LruMap::reset(self, capacity);
+    }
+}
+
+impl Storage for Generations {
+    fn fresh(_: usize) -> Self {
+        Generations::default()
+    }
+
+    fn reset(&mut self, _: usize) {
+        self.clear();
+    }
+}
+
+/// Empty storage of `capacity` from a spare in `spares`, or fresh storage
+/// when the thread has none.
+fn take<S: Storage>(spares: &'static Spares<S>, capacity: usize) -> S {
+    match spares.try_with(|s| s.borrow_mut().pop()) {
+        Ok(Some(mut storage)) => {
+            storage.reset(capacity);
+            storage
+        }
+        _ => S::fresh(capacity),
+    }
+}
+
+/// Hands `storage` to `spares`, leaving fresh storage that owns none in its
+/// place. What it holds drops before the list is borrowed; on a thread
+/// that is ending, the storage is freed instead.
+fn give_back<S: Storage>(storage: &mut S, spares: &'static Spares<S>) {
+    storage.reset(1);
+    let storage = mem::replace(storage, S::fresh(1));
+    let _ = spares.try_with(|s| s.borrow_mut().push(storage));
 }
 
 /// A fixed-capacity LRU map from lookup keys to values.
@@ -90,27 +148,6 @@ impl<V> LruMap<V> {
         self.head = NIL;
         self.tail = NIL;
         self.capacity = capacity.clamp(1, NIL as usize);
-    }
-
-    /// An empty map of `capacity` on a spare from `spares`, or on fresh
-    /// storage when the thread has none.
-    fn take(spares: &'static Spares<V>, capacity: usize) -> Self {
-        match spares.try_with(|s| s.borrow_mut().pop()) {
-            Ok(Some(mut lru)) => {
-                lru.reset(capacity);
-                lru
-            }
-            _ => LruMap::new(capacity),
-        }
-    }
-
-    /// Hands this map's storage to `spares`, leaving an empty map that owns
-    /// none. The entries drop before the list is borrowed; on a thread that
-    /// is ending, the storage is freed instead.
-    fn give_back(&mut self, spares: &'static Spares<V>) {
-        self.reset(1);
-        let lru = mem::replace(self, LruMap::new(1));
-        let _ = spares.try_with(|s| s.borrow_mut().push(lru));
     }
 
     /// Current entry count.
@@ -308,8 +345,9 @@ struct ArmedCorruption {
     plan: CorruptionPlan,
     /// Draw scope: the owning lookup's `efind.<operator>.<index>.` prefix.
     scope: String,
-    /// Per-key insertion ordinal, so re-inserted entries draw fresh.
-    generations: FxHashMap<Datum, u64>,
+    /// Per-key insertion ordinal, so re-inserted entries draw fresh; on
+    /// storage a dropped armed cache of this thread left, emptied.
+    generations: Generations,
     /// Encode buffer for the result list, reused across insertions.
     values_buf: Vec<u8>,
 }
@@ -342,7 +380,7 @@ impl LookupCache {
     /// lookup cache this thread dropped if there is one.
     pub fn new(capacity: usize) -> Self {
         LookupCache {
-            lru: LruMap::take(&LOOKUP_SPARES, capacity),
+            lru: take(&LOOKUP_SPARES, capacity),
             probes: 0,
             hits: 0,
             invalidations: 0,
@@ -360,7 +398,7 @@ impl LookupCache {
             self.armed = Some(ArmedCorruption {
                 plan: plan.clone(),
                 scope: scope.to_owned(),
-                generations: FxHashMap::default(),
+                generations: take(&GENERATION_SPARES, 0),
                 values_buf: Vec::new(),
             });
         }
@@ -465,7 +503,10 @@ impl LookupCache {
 
 impl Drop for LookupCache {
     fn drop(&mut self) {
-        self.lru.give_back(&LOOKUP_SPARES);
+        give_back(&mut self.lru, &LOOKUP_SPARES);
+        if let Some(armed) = &mut self.armed {
+            give_back(&mut armed.generations, &GENERATION_SPARES);
+        }
     }
 }
 
@@ -484,7 +525,7 @@ impl ShadowCache {
     /// storage of a shadow cache this thread dropped if there is one.
     pub fn new(capacity: usize) -> Self {
         ShadowCache {
-            lru: LruMap::take(&SHADOW_SPARES, capacity),
+            lru: take(&SHADOW_SPARES, capacity),
             probes: 0,
             hits: 0,
         }
@@ -522,7 +563,7 @@ impl ShadowCache {
 
 impl Drop for ShadowCache {
     fn drop(&mut self) {
-        self.lru.give_back(&SHADOW_SPARES);
+        give_back(&mut self.lru, &SHADOW_SPARES);
     }
 }
 

@@ -16,8 +16,12 @@
 //! `Null` while unfilled and otherwise the list of its per-key result
 //! lists. That is the encoding of the list `[k1, v1, keys, values]` without
 //! the list's own 5-byte header, and the `Bytes` header is 5 bytes too, so
-//! the record is sized as if the value were that nested list. One buffer
-//! is one heap block, the only one a task allocates for another to free.
+//! the record is sized as if the value were that nested list. A carrier
+//! that crosses a shuffle never is a buffer of its own: it is written
+//! straight into the map task's run ([`Carrier::encode_into`]) and parsed
+//! where the run holds it ([`Carrier::decode_bytes`]), so no task frees a
+//! block another allocated. One stored in a job-boundary file is the
+//! buffer [`Carrier::encode`] builds.
 //!
 //! # One carrier a task
 //!
@@ -262,36 +266,50 @@ impl<'r> Carrier<'r> {
     /// read through their handles, so one a cache entry still shares is
     /// neither cloned nor disturbed.
     pub fn encode(&self, routing_key: Datum) -> Record {
-        let len = self.payload as usize;
-        let mut buf = Vec::with_capacity(len);
-        let rec = self.record();
-        rec.key.encode_into(&mut buf);
-        rec.value.encode_into(&mut buf);
-        Datum::encode_list_header(self.num_indices(), &mut buf);
-        for list in &self.keys.keys {
-            encode_list(list, &mut buf);
+        let mut buf = Vec::with_capacity(self.payload_len());
+        self.encode_into(&mut buf);
+        Record {
+            key: routing_key,
+            value: Datum::Bytes(buf),
         }
-        Datum::encode_list_header(self.num_indices(), &mut buf);
+    }
+
+    /// Length of the payload [`Carrier::encode_into`] writes.
+    pub fn payload_len(&self) -> usize {
+        self.payload as usize
+    }
+
+    /// Appends the payload — the bytes of [`Carrier::encode`]'s value — to
+    /// `buf`: [`Carrier::payload_len`] bytes, written where they will be
+    /// kept, such as a shuffle run ([`Collector::collect_encoded`]).
+    ///
+    /// [`Collector::collect_encoded`]: efind_mapreduce::Collector::collect_encoded
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        let start = buf.len();
+        let rec = self.record();
+        rec.key.encode_into(buf);
+        rec.value.encode_into(buf);
+        Datum::encode_list_header(self.num_indices(), buf);
+        for list in &self.keys.keys {
+            encode_list(list, buf);
+        }
+        Datum::encode_list_header(self.num_indices(), buf);
         for index in 0..self.num_indices() {
             match self.results(index) {
-                None => Datum::Null.encode_into(&mut buf),
+                None => Datum::Null.encode_into(buf),
                 Some(per_key) => {
-                    Datum::encode_list_header(per_key.len(), &mut buf);
+                    Datum::encode_list_header(per_key.len(), buf);
                     for list in per_key {
-                        encode_list(list, &mut buf);
+                        encode_list(list, buf);
                     }
                 }
             }
         }
         debug_assert_eq!(
-            buf.len(),
-            len,
+            buf.len() - start,
+            self.payload_len(),
             "the payload size fell out of step with the carrier's contents"
         );
-        Record {
-            key: routing_key,
-            value: Datum::Bytes(buf),
-        }
     }
 
     /// Deserializes a carrier payload (inverse of [`Carrier::encode`]) over
@@ -303,10 +321,25 @@ impl<'r> Carrier<'r> {
     /// A payload that does not parse is an [`Error::Decode`], and leaves the
     /// carrier as [`Carrier::default`] builds it.
     pub fn decode(&mut self, value: &Datum) -> Result<()> {
-        let parsed = match value {
-            Datum::Bytes(buf) => self.parse(buf),
-            _ => Err(Error::Decode("carrier payload is not a byte buffer".into())),
-        };
+        match value {
+            Datum::Bytes(buf) => self.decode_bytes(buf),
+            _ => {
+                *self = Carrier::default();
+                Err(Error::Decode("carrier payload is not a byte buffer".into()))
+            }
+        }
+    }
+
+    /// [`Carrier::decode`] of the payload's bytes, read where they are
+    /// kept: a stored record's buffer, or a shuffle run
+    /// ([`Reducer::reduce_encoded`]).
+    ///
+    /// # Errors
+    /// As [`Carrier::decode`].
+    ///
+    /// [`Reducer::reduce_encoded`]: efind_mapreduce::Reducer::reduce_encoded
+    pub fn decode_bytes(&mut self, buf: &[u8]) -> Result<()> {
+        let parsed = self.parse(buf);
         if parsed.is_err() {
             *self = Carrier::default();
         }

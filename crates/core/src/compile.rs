@@ -533,7 +533,8 @@ impl Running {
             },
             End::Boundary => carrier.k1().clone(),
         };
-        out.collect(carrier.encode(routing));
+        let len = carrier.payload_len();
+        out.collect_encoded(routing, len, &mut |buf| carrier.encode_into(buf));
     }
 
     /// Writes exactly the entries bumping once a record would have made:
@@ -619,20 +620,23 @@ struct SegmentReducer {
     carrier: Carrier<'static>,
 }
 
-impl Reducer for SegmentReducer {
-    fn reduce(
+impl SegmentReducer {
+    /// Looks `key` up once and takes each of the group's carriers, which
+    /// `decode` parses into the task's carrier, through the run.
+    fn reduce_payloads<T>(
         &mut self,
-        key: Datum,
-        values: Vec<Datum>,
+        key: &Datum,
+        payloads: &[T],
+        decode: impl Fn(&mut Carrier<'static>, &T) -> Result<()>,
         out: &mut dyn Collector,
         ctx: &mut TaskCtx,
     ) {
         let result = self
             .group
-            .lookup(&key, self.breaker.as_mut(), &mut self.tally, ctx);
+            .lookup(key, self.breaker.as_mut(), &mut self.tally, ctx);
         let carrier = &mut self.carrier;
-        for payload in values {
-            let filled = carrier.decode(&payload).and_then(|()| {
+        for payload in payloads {
+            let filled = decode(carrier, payload).and_then(|()| {
                 carrier.fill(self.group.slot, |_, results| results.push(result.clone()))
             });
             if let Err(e) = filled {
@@ -640,6 +644,31 @@ impl Reducer for SegmentReducer {
             }
             self.run.advance(carrier, out, ctx);
         }
+    }
+}
+
+impl Reducer for SegmentReducer {
+    /// Carriers stored as records, as a shuffle that held them live hands
+    /// them over.
+    fn reduce(
+        &mut self,
+        key: Datum,
+        values: Vec<Datum>,
+        out: &mut dyn Collector,
+        ctx: &mut TaskCtx,
+    ) {
+        self.reduce_payloads(&key, &values, |c, v| c.decode(v), out, ctx);
+    }
+
+    /// Carriers read where the shuffle runs hold them.
+    fn reduce_encoded(
+        &mut self,
+        key: Datum,
+        values: &[&[u8]],
+        out: &mut dyn Collector,
+        ctx: &mut TaskCtx,
+    ) {
+        self.reduce_payloads(&key, values, |c, v| c.decode_bytes(v), out, ctx);
     }
 
     fn flush(&mut self, _out: &mut dyn Collector, ctx: &mut TaskCtx) {

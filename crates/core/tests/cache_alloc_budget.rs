@@ -3,7 +3,8 @@
 //! its whole capacity, and one that fills up and keeps evicting asks for no
 //! more than the cache that reserved its whole slab up front and stored
 //! every key twice. A cache that holds no more keys than one its thread
-//! dropped asks for nothing: it takes that cache's storage. Its own test
+//! dropped asks for nothing: it takes that cache's storage, and an armed
+//! one the map of key generations it drew poison with too. Its own test
 //! binary: the check needs a `#[global_allocator]` that counts bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -11,6 +12,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use efind::cache::{LookupCache, ShadowCache};
+use efind_cluster::CorruptionPlan;
 use efind_common::Datum;
 
 thread_local! {
@@ -132,4 +134,34 @@ fn a_cache_no_fuller_than_its_dropped_predecessor_asks_for_nothing() {
     });
     assert_eq!(shadow, 0, "the shadow cache asked for {shadow} B");
     assert_eq!(lookup, 0, "the lookup cache asked for {lookup} B");
+}
+
+/// Runs `keys` through a lookup cache armed to poison a tenth of its
+/// insertions, as a task of a job with cache corruption armed does.
+fn armed_bytes(keys: Vec<Datum>) -> usize {
+    let plan = CorruptionPlan::new(0xEF1D_0004).cache(0.1);
+    let values: Arc<[Datum]> = vec![Datum::Int(1)].into();
+    counted(|| {
+        let mut cache = LookupCache::new(CAPACITY).with_corruption(&plan, "efind.join.0.");
+        for key in keys {
+            if cache.probe(&key).is_none() {
+                cache.insert(key, values.clone());
+            }
+        }
+        assert_eq!(cache.hits(), 0);
+    })
+}
+
+#[test]
+fn an_armed_cache_no_fuller_than_its_dropped_predecessor_asks_only_for_its_scope_and_buffer() {
+    let (first, second) = on_a_new_thread(|| {
+        let first: Vec<Datum> = (0..600).map(Datum::Int).collect();
+        let second: Vec<Datum> = (1_000..1_600).map(Datum::Int).collect();
+        (armed_bytes(first), armed_bytes(second))
+    });
+    assert!(first > 0, "the first armed cache grew no storage");
+    // What is left is the cache's draw scope and the buffer it encodes a
+    // result list into: 37 bytes. With its generation map grown afresh in
+    // every cache, the second cache asked for 83 985.
+    assert!(second < 256, "the second armed cache asked for {second} B");
 }

@@ -746,6 +746,82 @@ mod lent_rows {
         counters.iter().any(|(n, _)| &**n == name)
     }
 
+    /// Keeps what a map task's last stage emits as records, and counts the
+    /// values it wrote encoded, as a shuffle run keeps them.
+    #[derive(Default)]
+    struct Keeping {
+        records: Vec<Record>,
+        encoded: usize,
+    }
+
+    impl Collector for Keeping {
+        fn collect(&mut self, rec: Record) {
+            self.records.push(rec);
+        }
+
+        fn collect_encoded(&mut self, key: Datum, len: usize, write: &mut dyn FnMut(&mut Vec<u8>)) {
+            let mut buf = Vec::with_capacity(len);
+            write(&mut buf);
+            assert_eq!(buf.len(), len, "the payload is as long as announced");
+            self.encoded += 1;
+            self.records.push(Record {
+                key,
+                value: Datum::Bytes(buf),
+            });
+        }
+    }
+
+    /// `op`'s head segment under re-partitioning over `rows`, each lent,
+    /// into a collector that keeps encoded values; then the shuffling job's
+    /// reduce over the groups of what it emitted, handed each group's
+    /// payloads as live `Datum::Bytes` or lent as bytes. Returns the
+    /// values written encoded, and each reduce side's output and counters.
+    fn repartitioned(op: Arc<dyn IndexOperator>, rows: &[Record]) -> (usize, Side, Side) {
+        let bound = BoundOperator::new(op).add_index(Arc::new(Echo));
+        let mut plans = FxHashMap::default();
+        let plan = forced_plan(&bound.caps(), AccessStrategy::Repartition);
+        plans.insert("proj".to_owned(), plan);
+        let ijob = IndexJobConf::new("encoded", "in", "out").add_head_index_operator(bound);
+        let pipeline = compile_pipeline(&ijob, &plans, &env()).expect("the pipeline compiles");
+        let job = &pipeline.jobs[0];
+
+        let mut segment = (job.map_chain[0])();
+        let mut ctx = TaskCtx::new(0);
+        let mut out = Keeping::default();
+        for row in rows {
+            segment.map_row(row, &mut out, &mut ctx);
+        }
+        segment.flush(&mut out, &mut ctx);
+        assert_eq!(ctx.error(), None);
+        let mut mapped = out.records;
+        mapped.sort_by(|a, b| a.key.cmp(&b.key));
+        let mut groups: Vec<(Datum, Vec<Datum>)> = Vec::new();
+        for rec in mapped {
+            match groups.last_mut() {
+                Some((key, values)) if *key == rec.key => values.push(rec.value),
+                _ => groups.push((rec.key, vec![rec.value])),
+            }
+        }
+        let reducer = job.reducer.as_ref().expect("a shuffling job");
+        let reduce = |encoded: bool| -> Side {
+            let mut reducer = reducer();
+            let mut ctx = TaskCtx::new(0);
+            let mut reduced: Vec<Record> = Vec::new();
+            for (key, values) in groups.clone() {
+                if encoded {
+                    let lent: Vec<&[u8]> = values.iter().filter_map(Datum::as_bytes).collect();
+                    reducer.reduce_encoded(key, &lent, &mut reduced, &mut ctx);
+                } else {
+                    reducer.reduce(key, values, &mut reduced, &mut ctx);
+                }
+            }
+            reducer.flush(&mut reduced, &mut ctx);
+            assert_eq!(ctx.error(), None);
+            (reduced, ctx.counters.iter_sorted())
+        };
+        (out.encoded, reduce(false), reduce(true))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -793,6 +869,29 @@ mod lent_rows {
                 ] {
                     prop_assert!(has(&side.1, &format!("efind.proj.{name}")), "{:?}: no {}", strategy, name);
                 }
+            }
+        }
+
+        /// Under re-partitioning every carrier leaves the map task as bytes
+        /// written where the collector keeps them, and the shuffling job's
+        /// reduce, lent those bytes, emits the records and counters it
+        /// emits handed the `Datum::Bytes` they stand for — for an operator
+        /// that projects, an in-place one and one that carries rows whole.
+        #[test]
+        fn a_repartitioned_carrier_reduces_alike_lent_as_bytes_or_live(
+            rows in proptest::collection::vec((arb_datum(), arb_datum()), 1..24),
+        ) {
+            let rows: Vec<Record> = rows
+                .into_iter()
+                .map(|(key, value)| Record { key, value })
+                .collect();
+            let ops: [Arc<dyn IndexOperator>; 3] =
+                [in_place(), Arc::new(Projecting), Arc::new(Whole)];
+            for op in ops {
+                let (encoded, live, lent) = repartitioned(op, &rows);
+                prop_assert_eq!(encoded, rows.len());
+                prop_assert_eq!(lent.0.len(), rows.len());
+                prop_assert_eq!(&lent, &live);
             }
         }
 

@@ -1,8 +1,10 @@
 //! A segment takes every record of its task through one carrier, so once
 //! the lookup cache and the carrier's buffers are warm, a record whose
 //! operator allocates nothing costs no allocator call on the cache path,
-//! and exactly the payload buffer where it leaves the task through a
-//! shuffle. A head segment lent its input rows copies only what its
+//! and exactly the payload buffer where it leaves the task for a
+//! collector that builds records — these tests hand it a vector; a shuffle
+//! run takes the payload with none (`repart_alloc_budget.rs`). A head
+//! segment lent its input rows copies only what its
 //! operator keeps: nothing of a row it carries whole. Its own test binary:
 //! the check needs a `#[global_allocator]` that counts calls.
 

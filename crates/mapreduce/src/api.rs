@@ -44,6 +44,30 @@ use crate::context::TaskCtx;
 pub trait Collector {
     /// Emits one record downstream.
     fn collect(&mut self, rec: Record);
+
+    /// Emits one record whose value is a [`Datum::Bytes`] of `len` bytes,
+    /// which `write` appends to the buffer it is handed. The default builds
+    /// that record; the run of a map task that shuffles keeps the bytes in
+    /// its own storage instead, so the value never exists as a buffer of
+    /// its own (see [`Reducer::reduce_encoded`]).
+    fn collect_encoded(&mut self, key: Datum, len: usize, write: &mut dyn FnMut(&mut Vec<u8>)) {
+        self.collect(encoded_record(key, len, write));
+    }
+}
+
+/// The record [`Collector::collect_encoded`] stands for: `key`, and the
+/// `Datum::Bytes` of the `len` bytes `write` appends to an empty buffer.
+pub(crate) fn encoded_record(
+    key: Datum,
+    len: usize,
+    write: &mut dyn FnMut(&mut Vec<u8>),
+) -> Record {
+    let mut buf = Vec::with_capacity(len);
+    write(&mut buf);
+    Record {
+        key,
+        value: Datum::Bytes(buf),
+    }
 }
 
 impl Collector for Vec<Record> {
@@ -86,8 +110,27 @@ pub trait Reducer: Send {
         ctx: &mut TaskCtx,
     );
 
+    /// Processes one key group whose values all crossed the shuffle as the
+    /// bytes [`Collector::collect_encoded`] wrote, lent in arrival order
+    /// from the runs that hold them. The default hands [`Reducer::reduce`]
+    /// the [`Datum::Bytes`] each stands for.
+    fn reduce_encoded(
+        &mut self,
+        key: Datum,
+        values: &[&[u8]],
+        out: &mut dyn Collector,
+        ctx: &mut TaskCtx,
+    ) {
+        self.reduce(key, to_datums(values), out, ctx);
+    }
+
     /// Called once after the last group of the task.
     fn flush(&mut self, _out: &mut dyn Collector, _ctx: &mut TaskCtx) {}
+}
+
+/// The [`Datum::Bytes`] each of `values` stands for.
+pub(crate) fn to_datums(values: &[&[u8]]) -> Vec<Datum> {
+    values.iter().map(|v| Datum::Bytes(v.to_vec())).collect()
 }
 
 /// Creates a fresh [`Mapper`] instance per task.

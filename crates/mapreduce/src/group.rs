@@ -6,20 +6,32 @@
 //! repeat — that is why the paper re-partitions lookups (§3.3) — so a task
 //! need not order its *records*, only its distinct keys. [`group_by_key`]
 //! assigns every record to its key's group by the key's bytes, decodes one
-//! key per group, orders the groups, and moves each value once into its
-//! group's exact-size vector. What comes out is what a stable sort by key
-//! followed by a walk over the runs of equal keys hands over, because two
-//! datums are equal exactly when their encodings are: the groups are the
-//! sort's runs, arrival order within a group is what the stable sort
-//! preserves, and the groups come out in `Datum::cmp` order.
+//! key per group, orders the groups, and hands each value over once. What
+//! comes out is what a stable sort by key followed by a walk over the runs
+//! of equal keys hands over, because two datums are equal exactly when
+//! their encodings are: the groups are the sort's runs, arrival order
+//! within a group is what the stable sort preserves, and the groups come
+//! out in `Datum::cmp` order.
+//!
+//! A group's values are handed over in one of two ways. Live values move
+//! into the group's exact-size vector, for [`Reducer::reduce`] to own. A
+//! group whose values all crossed the shuffle encoded (EFind's carriers) is
+//! lent them where their runs hold them, as a range of one list of byte
+//! slices the whole task shares ([`Reducer::reduce_encoded`]): no value is
+//! copied, and nothing per record is allocated or freed. A group that
+//! mixes the two gets every value live, an encoded one as the
+//! `Datum::Bytes` it stands for.
+//!
+//! [`Reducer::reduce`]: crate::Reducer::reduce
+//! [`Reducer::reduce_encoded`]: crate::Reducer::reduce_encoded
 
 use std::collections::hash_map::Entry;
-use std::mem;
+use std::ops::Range;
 
 use efind_common::hash::{fx_hash_bytes, FxHashMap};
 use efind_common::Datum;
 
-use crate::spill::Slice;
+use crate::spill::{Arrival, Slice};
 
 /// "No next group" in a chain of groups whose keys share one hash.
 const END: u32 = u32::MAX;
@@ -34,9 +46,43 @@ struct Group<'a> {
     next: u32,
 }
 
+/// One group's values.
+#[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
+pub(crate) enum Values {
+    /// Owned, in arrival order.
+    Live(Vec<Datum>),
+    /// Encoded, in arrival order: this range of [`Groups::encoded`].
+    Encoded(Range<usize>),
+}
+
+impl Values {
+    /// The group's values owned: an encoded value as the `Datum::Bytes` it
+    /// stands for.
+    pub(crate) fn into_datums(self, encoded: &[&[u8]]) -> Vec<Datum> {
+        match self {
+            Values::Live(values) => values,
+            Values::Encoded(range) => crate::api::to_datums(&encoded[range]),
+        }
+    }
+}
+
+/// A reduce task's input grouped by key.
+pub(crate) struct Groups<'a> {
+    /// The distinct keys in key order, each with its values.
+    pub(crate) groups: Vec<(Datum, Values)>,
+    /// The values of the groups that hold only encoded values, group after
+    /// group, as their runs hold them.
+    pub(crate) encoded: Vec<&'a [u8]>,
+}
+
+/// A group that holds a live value, in place of where its encoded values
+/// would go next.
+const LIVE: usize = usize::MAX;
+
 /// The distinct keys of `input` in key order, each with its values in
 /// arrival order (slice by slice, record by record).
-pub(crate) fn group_by_key(mut input: Vec<Slice<'_>>) -> Vec<(Datum, Vec<Datum>)> {
+pub(crate) fn group_by_key(mut input: Vec<Slice<'_>>) -> Groups<'_> {
     let (group_of, groups) = assign_groups(&input);
     // Every key is decoded before any value vector is allocated. A key
     // outlives its group's vector (a reducer's output record keeps it), so
@@ -47,18 +93,74 @@ pub(crate) fn group_by_key(mut input: Vec<Slice<'_>>) -> Vec<(Datum, Vec<Datum>)
         .iter()
         .map(|g| Datum::decode(g.key).expect("a run holds only the keys it encoded"))
         .collect();
-    let mut grouped: Vec<(Datum, Vec<Datum>)> = keys
+    // Where each all-encoded group's next value goes in `encoded`, or
+    // `LIVE`; left empty when no run holds an encoded value.
+    let mut next = Vec::new();
+    let mut encoded = Vec::new();
+    if input.iter().any(Slice::is_encoded) {
+        next = vec![0; groups.len()];
+        let mut records = group_of.as_slice();
+        for slice in &input {
+            let (of_slice, rest) = records.split_at(slice.len());
+            if !slice.is_encoded() {
+                of_slice.iter().for_each(|&g| next[g as usize] = LIVE);
+            }
+            records = rest;
+        }
+        let mut at = 0;
+        for (slot, g) in next.iter_mut().zip(&groups) {
+            if *slot != LIVE {
+                *slot = at;
+                at += g.count as usize;
+            }
+        }
+        encoded = vec![&[][..]; at];
+    }
+    let mut grouped: Vec<(Datum, Values)> = keys
         .into_iter()
         .zip(&groups)
-        .map(|(key, g)| (key, Vec::with_capacity(g.count as usize)))
+        .enumerate()
+        .map(|(g, (key, group))| {
+            let values = match next.get(g) {
+                Some(&at) if at != LIVE => Values::Encoded(at..at + group.count as usize),
+                _ => Values::Live(Vec::with_capacity(group.count as usize)),
+            };
+            (key, values)
+        })
         .collect();
-    let arrivals = input.iter_mut().flat_map(|slice| slice.values().iter_mut());
+    let arrivals = input.iter_mut().flat_map(|slice| slice.arrivals());
     for (value, g) in arrivals.zip(group_of) {
-        grouped[g as usize].1.push(mem::take(value));
+        let g = g as usize;
+        match (&mut grouped[g].1, value) {
+            (Values::Live(values), value) => values.push(value.into_datum()),
+            (Values::Encoded(_), Arrival::Encoded(bytes)) => {
+                encoded[next[g]] = bytes;
+                next[g] += 1;
+            }
+            (Values::Encoded(_), Arrival::Live(_)) => {
+                unreachable!("a group with a live value is live")
+            }
+        }
     }
     // Distinct keys: no two compare equal, so stability has nothing to keep.
     grouped.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    grouped
+    Groups {
+        groups: grouped,
+        encoded,
+    }
+}
+
+#[cfg(test)]
+impl Groups<'_> {
+    /// Each group with its values owned, as [`Values::into_datums`] hands
+    /// them over.
+    pub(crate) fn into_datums(self) -> Vec<(Datum, Vec<Datum>)> {
+        let Groups { groups, encoded } = self;
+        groups
+            .into_iter()
+            .map(|(key, values)| (key, values.into_datums(&encoded)))
+            .collect()
+    }
 }
 
 /// The first pass: each record's group, and the groups in order of first
@@ -139,7 +241,17 @@ mod tests {
     fn groups_of(records: Vec<Record>, partitions: usize) -> Vec<(Datum, Vec<Datum>)> {
         let p = |key: &Datum| fx_hash_bytes(&key.encode()) as usize % partitions;
         let mut run = Spill::build(records, partitions, p);
-        group_by_key(run.slices().collect())
+        group_by_key(run.slices().collect()).into_datums()
+    }
+
+    #[test]
+    fn a_group_takes_no_more_room_than_a_vector_of_its_values() {
+        // A reduce task of live values asks for what it asked for before
+        // values could be encoded.
+        assert_eq!(
+            std::mem::size_of::<(Datum, Values)>(),
+            std::mem::size_of::<(Datum, Vec<Datum>)>()
+        );
     }
 
     #[test]

@@ -44,10 +44,10 @@ use efind_common::{crc32, Datum, Error, Record, Result};
 use efind_dfs::{Chunk, ChunkMeta, Dfs, DfsFile, PartWriter};
 use parking_lot::Mutex;
 
-use crate::api::{drive, run_into_parts, Chain, Collector, ReducerFactory};
+use crate::api::{drive, run_into_parts, Chain, Collector, Reducer, ReducerFactory};
 use crate::context::TaskCtx;
 use crate::counters::{Counters, Sketches};
-use crate::group::group_by_key;
+use crate::group::{group_by_key, Groups, Values};
 use crate::integrity::IntegrityLog;
 use crate::job::JobConf;
 use crate::netsplit_log::PartitionLog;
@@ -747,10 +747,14 @@ impl<'a> Runner<'a> {
                 // The transfer flipped a byte; the reducer's CRC check
                 // catches it and the payload is fetched again (the run is
                 // still in memory at the source — shuffle corruption is
-                // always recoverable). The checksum covers the slice's key
-                // bytes: its values travel live, not encoded.
-                let sent = crc32(slice.key_bytes());
+                // always recoverable). The checksum covers what crosses as
+                // bytes: the slice's keys, then its encoded values. Its
+                // live values travel as they are.
                 let mut received = slice.key_bytes().to_vec();
+                for value in slice.encoded() {
+                    received.extend_from_slice(value);
+                }
+                let sent = crc32(&received);
                 let flip = s % received.len();
                 received[flip] ^= 0x55;
                 if crc32(&received) == sent {
@@ -773,7 +777,7 @@ impl<'a> Runner<'a> {
     ) -> Result<ReduceTaskExec> {
         let input_records = input.iter().map(Slice::len).sum::<usize>() as u64;
         let input_bytes = input.iter().map(Slice::bytes).sum();
-        let groups = group_by_key(input);
+        let Groups { groups, encoded } = group_by_key(input);
 
         let mut ctx = TaskCtx::new(task_id);
         let mut reducer = conf.reducer.as_ref().map(|f| f());
@@ -782,15 +786,18 @@ impl<'a> Runner<'a> {
         let mut post = Chain::new(&conf.reduce_post);
         let mut reduced: Vec<Record> = Vec::new();
         let mut output = PartWriter::default();
-        // Keys and values move into the reducer, no per-record clones.
+        // Keys and live values move into the reducer, encoded values are
+        // lent where their runs hold them: no per-record clones.
         for (key, values) in groups {
             match reducer.as_mut() {
-                Some(red) => red.reduce(key, values, &mut reduced, &mut ctx),
+                Some(red) => {
+                    reduce_group(&mut **red, key, values, &encoded, &mut reduced, &mut ctx)
+                }
                 None => {
                     // Identity reduce: grouped pass-through. Every emitted
                     // record needs its own key; the last one takes the
                     // group's.
-                    let mut values = values.into_iter();
+                    let mut values = values.into_datums(&encoded).into_iter();
                     let last = values.next_back();
                     for value in values {
                         let key = key.clone();
@@ -1464,15 +1471,30 @@ fn combine(
     partition_of: impl Fn(&Datum) -> usize,
     ctx: &mut TaskCtx,
 ) -> Spill {
-    let groups = group_by_key(output.slices().collect());
-    drop(output);
+    let Groups { groups, encoded } = group_by_key(output.slices().collect());
     let mut run = RunWriter::new(partitions, groups.len(), partition_of);
     let mut c = combiner();
     for (key, values) in groups {
-        c.reduce(key, values, &mut run, ctx);
+        reduce_group(&mut *c, key, values, &encoded, &mut run, ctx);
     }
     c.flush(&mut run, ctx);
     run.seal()
+}
+
+/// Hands `reducer` one group: its live values owned, or its encoded values
+/// lent from `encoded`.
+fn reduce_group(
+    reducer: &mut dyn Reducer,
+    key: Datum,
+    values: Values,
+    encoded: &[&[u8]],
+    out: &mut dyn Collector,
+    ctx: &mut TaskCtx,
+) {
+    match values {
+        Values::Live(values) => reducer.reduce(key, values, out, ctx),
+        Values::Encoded(range) => reducer.reduce_encoded(key, &encoded[range], out, ctx),
+    }
 }
 
 /// Convenience wrapper: runs `conf` from time zero.
@@ -2913,5 +2935,286 @@ mod corruption_tests {
         // not forge wrong answers; EF018 exists to flag this setup).
         assert!(unverified.stats.integrity.is_empty());
         assert_eq!(clean.stats.finished, unverified.stats.finished);
+    }
+}
+
+#[cfg(test)]
+mod encoded_tests {
+    //! A job whose last map stage writes its values encoded
+    //! ([`Collector::collect_encoded`]) runs as the same job emitting them
+    //! as live `Datum::Bytes`: same output, counters, shuffled bytes, task
+    //! statistics and virtual time, whole or in reduce waves.
+
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::api::{reducer_fn, Mapper, MapperFactory};
+    use efind_dfs::DfsConfig;
+    use proptest::prelude::*;
+
+    /// How the map stage emits its values.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Emit {
+        Live,
+        Encoded,
+        /// Encoded, but every third record live.
+        Mixed,
+    }
+
+    /// Emits `(k, bytes(i))` for an input `(k, i)`: the digits of `i`,
+    /// `i % 5` times over — empty for one record in five.
+    struct Emitter(Emit);
+
+    impl Mapper for Emitter {
+        fn map(&mut self, rec: Record, out: &mut dyn Collector, _: &mut TaskCtx) {
+            let i = rec.value.as_int().unwrap_or(0);
+            let payload = i.to_string().repeat(i.rem_euclid(5) as usize).into_bytes();
+            let live = match self.0 {
+                Emit::Live => true,
+                Emit::Encoded => false,
+                Emit::Mixed => i % 3 == 0,
+            };
+            if live {
+                out.collect(Record::new(rec.key, Datum::Bytes(payload)));
+            } else {
+                out.collect_encoded(rec.key, payload.len(), &mut |buf| {
+                    buf.extend_from_slice(&payload)
+                });
+            }
+        }
+    }
+
+    /// Joins a group's values into one, each behind a `0xFF`: handed them
+    /// live or encoded, it emits the same record the same way it was
+    /// handed them, so what it emits from encoded values is encoded again.
+    struct Joining;
+
+    impl Joining {
+        fn joined<'v>(values: impl Iterator<Item = &'v [u8]>) -> Vec<u8> {
+            values
+                .flat_map(|v| [&[0xFF][..], v])
+                .flatten()
+                .copied()
+                .collect()
+        }
+    }
+
+    impl Reducer for Joining {
+        fn reduce(
+            &mut self,
+            key: Datum,
+            values: Vec<Datum>,
+            out: &mut dyn Collector,
+            _: &mut TaskCtx,
+        ) {
+            let joined = Joining::joined(values.iter().map(|v| v.as_bytes().unwrap_or_default()));
+            out.collect(Record::new(key, Datum::Bytes(joined)));
+        }
+
+        fn reduce_encoded(
+            &mut self,
+            key: Datum,
+            values: &[&[u8]],
+            out: &mut dyn Collector,
+            _: &mut TaskCtx,
+        ) {
+            let joined = Joining::joined(values.iter().copied());
+            out.collect_encoded(key, joined.len(), &mut |buf| buf.extend_from_slice(&joined));
+        }
+    }
+
+    fn joining() -> ReducerFactory {
+        Arc::new(|| Box::new(Joining))
+    }
+
+    /// What reduces the groups.
+    #[derive(Clone, Copy, Debug)]
+    enum Reduce {
+        /// A reducer that only has `reduce`: it gets encoded values as the
+        /// `Datum::Bytes` they stand for.
+        Listing,
+        Joining,
+        Identity,
+    }
+
+    fn conf(emit: Emit, reduce: Reduce, reducers: usize, combine: bool) -> JobConf {
+        let emitter: MapperFactory = Arc::new(move || Box::new(Emitter(emit)));
+        let conf = JobConf::new("encoded", "in", "out").add_mapper(emitter);
+        let conf = match reduce {
+            Reduce::Listing => conf.with_reducer(
+                reducer_fn(|key, values, out, _| {
+                    out.collect(Record::new(key, Datum::List(values)))
+                }),
+                reducers,
+            ),
+            Reduce::Joining => conf.with_reducer(joining(), reducers),
+            Reduce::Identity => conf.with_identity_reduce(reducers),
+        };
+        if combine {
+            conf.with_combiner(joining())
+        } else {
+            conf
+        }
+    }
+
+    /// Every key kind, and integers past the pool.
+    fn key(k: usize) -> Datum {
+        let pool = [
+            Datum::Null,
+            Datum::Int(1),
+            Datum::Float(1.0),
+            Datum::Text("abcdefghi".into()),
+            Datum::Bytes(Vec::new()),
+            Datum::List(vec![Datum::Int(1), Datum::Text("x".into())]),
+        ];
+        pool.get(k).cloned().unwrap_or(Datum::Int(k as i64))
+    }
+
+    fn setup(records: Vec<Record>, chunks: usize) -> (Cluster, Dfs) {
+        let cluster = Cluster::builder()
+            .nodes(3)
+            .map_slots(2)
+            .reduce_slots(2)
+            .build();
+        let mut dfs = Dfs::new(cluster.clone(), DfsConfig::default());
+        dfs.write_file_with_chunks("in", records, chunks);
+        (cluster, dfs)
+    }
+
+    /// A task's statistics, counters in name order.
+    type Task = (usize, u64, u64, u64, u64, SimDuration, Vec<(Arc<str>, i64)>);
+
+    fn tasks(phase: &PhaseStats) -> Vec<Task> {
+        phase
+            .tasks
+            .iter()
+            .map(|t| {
+                let counters = t.counters.iter_sorted();
+                (
+                    t.task_id,
+                    t.input_records,
+                    t.input_bytes,
+                    t.output_records,
+                    t.output_bytes,
+                    t.compute_cost,
+                    counters,
+                )
+            })
+            .collect()
+    }
+
+    /// Everything a run of the job shows: output, counters, shuffled and
+    /// written bytes, task statistics, virtual time, each map task's run's
+    /// bytes, and the output of its reduce tasks run in two waves.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        output: Vec<Record>,
+        counters: Vec<(Arc<str>, i64)>,
+        shuffle_bytes: u64,
+        output_bytes: u64,
+        maps: Vec<Task>,
+        reduces: Vec<Task>,
+        makespan: SimDuration,
+        run_bytes: Vec<u64>,
+        waves: Vec<Record>,
+    }
+
+    fn observe(records: &[Record], chunks: usize, conf: &JobConf) -> Observed {
+        let (cluster, mut dfs) = setup(records.to_vec(), chunks);
+        let stats = run_job(&cluster, &mut dfs, conf).unwrap().stats;
+        let output = dfs.read_file("out").unwrap();
+
+        let runner = Runner::new(&cluster, &mut dfs);
+        let chunks = runner.chunks(conf).unwrap();
+        let mut exec = runner.execute_maps(conf, &chunks, 0).unwrap();
+        let run_bytes = shuffle_runs(conf, &mut exec)
+            .unwrap()
+            .iter()
+            .map(|run| run.bytes())
+            .collect();
+        let split = conf.num_reducers / 2;
+        let mut waves = runner.execute_reduces(conf, &mut exec, 0..split).unwrap();
+        waves.extend(
+            runner
+                .execute_reduces(conf, &mut exec, split..conf.num_reducers)
+                .unwrap(),
+        );
+        let waves = ReduceTaskExec::take_parts(&mut waves)
+            .into_iter()
+            .flat_map(|(records, _)| records)
+            .collect();
+        Observed {
+            output,
+            counters: stats.counters.iter_sorted(),
+            shuffle_bytes: stats.shuffle_bytes,
+            output_bytes: stats.output_bytes,
+            maps: tasks(&stats.map),
+            reduces: tasks(stats.reduce.as_ref().expect("a job with a reduce")),
+            makespan: stats.makespan(),
+            run_bytes,
+            waves,
+        }
+    }
+
+    fn reduce() -> impl Strategy<Value = Reduce> {
+        prop_oneof![
+            Just(Reduce::Listing),
+            Just(Reduce::Joining),
+            Just(Reduce::Identity)
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn encoded_values_run_as_live_bytes_do(
+            keys in prop::collection::vec(0usize..40, 0..150),
+            emit in prop_oneof![Just(Emit::Encoded), Just(Emit::Mixed)],
+            reduce in reduce(),
+            reducers in prop_oneof![Just(1usize), Just(8), Just(240)],
+            chunks in 1usize..4,
+            combine in any::<bool>(),
+        ) {
+            let records: Vec<Record> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| Record::new(key(k), i as i64))
+                .collect();
+            let want = observe(&records, chunks, &conf(Emit::Live, reduce, reducers, combine));
+            let got = observe(&records, chunks, &conf(emit, reduce, reducers, combine));
+            prop_assert_eq!(&got.waves, &got.output);
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// Encoded values are bytes in their run, not buffers of their own:
+    /// one value block holds a task's values of one length, and the group
+    /// step lends a reducer that reads them in place the run's bytes.
+    #[test]
+    fn a_run_keeps_encoded_values_in_one_block_and_lends_them_in_place() {
+        let mut run = RunWriter::new(4, 100, |key: &Datum| key.as_int().unwrap_or(0) as usize % 4);
+        for i in 0..100i64 {
+            run.collect_encoded(Datum::Int(i % 10), 3, &mut |buf| {
+                buf.extend_from_slice(&[i as u8; 3])
+            });
+        }
+        let mut run = run.seal();
+        assert_eq!(run.value_blocks(), Some(1));
+        assert_eq!(run.bytes(), 100 * (9 + 5 + 3));
+        let slices: Vec<Slice> = run.slices().collect();
+        let Groups { groups, encoded } = group_by_key(slices);
+        assert_eq!(groups.len(), 10);
+        assert_eq!(encoded.len(), 100);
+        let (key, values) = &groups[3];
+        assert_eq!(key, &Datum::Int(3));
+        let Values::Encoded(range) = values else {
+            panic!("a group of encoded values is lent them");
+        };
+        let want: Vec<[u8; 3]> = (0..10).map(|j| [j * 10 + 3; 3]).collect();
+        assert_eq!(
+            encoded[range.clone()],
+            want.iter().map(|v| &v[..]).collect::<Vec<_>>()
+        );
     }
 }

@@ -3,25 +3,42 @@
 //!
 //! The last stage of a map task's chain emits into a [`RunWriter`], so the
 //! task's records arrive one at a time: the writer asks for each record's
-//! partition once, encodes its key into a key block and moves its value
-//! into one vector, both in emission order. [`RunWriter::seal`] then puts
-//! the run in partition order, once. The task output never exists as
-//! records.
+//! partition once, encodes its key into a key block and keeps its value,
+//! both in emission order. [`RunWriter::seal`] then puts the run in
+//! partition order, once. The task output never exists as records.
 //!
 //! A sealed run holds every record the task emits, partition after
-//! partition and in emission order within a partition, in three buffers:
-//! each key's [`Datum::encode`] bytes back to back in one `Vec<u8>`, each
-//! value in one `Vec<Datum>`, and one [`End`] per partition. The values
-//! stay live because [`Reducer::reduce`](crate::Reducer::reduce) takes owned
-//! datums. The task seals its run before it ends, so the keys it allocated
-//! are encoded and freed on the thread that made them; a reduce task
-//! borrows its [`Slice`] of every run and decodes one key per group.
+//! partition and in emission order within a partition: each key's
+//! [`Datum::encode`] bytes back to back in one `Vec<u8>`, the values, and
+//! one [`End`] per partition. A run's values are of one of two kinds.
+//! *Live* values are datums moved into one `Vec<Datum>`, for
+//! [`Reducer::reduce`] to own. *Encoded* values are bytes the chain wrote
+//! straight into the run's value blocks ([`Collector::collect_encoded`]),
+//! each standing for the `Datum::Bytes` of them; the run keeps an 8-byte
+//! [`Span`] a value, and the bytes never move. EFind's carriers cross a
+//! re-partitioning shuffle encoded, and the reduce side reads them where
+//! the run holds them ([`Reducer::reduce_encoded`]), so no record's payload
+//! is a heap block that one worker allocates and another frees. A user
+//! job's values stay live: encoding them would cost a copy each. A run
+//! whose chain emits both kinds holds them all live, an encoded one as the
+//! `Datum::Bytes` it stands for.
+//!
+//! The task seals its run before it ends, so the keys it allocated are
+//! encoded and freed on the thread that made them; a reduce task borrows
+//! its [`Slice`] of every run and decodes one key per group.
+//!
+//! [`Reducer::reduce`]: crate::Reducer::reduce
+//! [`Reducer::reduce_encoded`]: crate::Reducer::reduce_encoded
 
 use std::mem;
 
 use efind_common::{Datum, Record};
 
-use crate::api::Collector;
+use crate::api::{encoded_record, Collector};
+
+/// `Datum::size_bytes` of a `Datum::Bytes` less its length: the tag and
+/// the 4-byte length.
+const BYTES_HEADER: u64 = 5;
 
 /// Where one partition's records end in a run, and what they shuffle.
 #[derive(Clone, Copy, Debug, Default)]
@@ -35,8 +52,44 @@ struct End {
     bytes: u64,
 }
 
+/// Where one encoded value's bytes are: `len` bytes from `at`, counted
+/// through the run's value blocks in order.
+#[derive(Clone, Copy, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
+struct Span {
+    at: u32,
+    len: u32,
+}
+
+/// The bytes of a run's encoded values, in emission order, in blocks that
+/// never move and are never copied: sealing reorders the spans that point
+/// into them, not the bytes.
+#[derive(Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
+struct Blocks(Vec<Vec<u8>>);
+
+impl Blocks {
+    /// Bytes written into all blocks.
+    fn written(&self) -> usize {
+        self.0.iter().map(Vec::len).sum()
+    }
+
+    /// The bytes `span` points at.
+    fn get(&self, span: Span) -> &[u8] {
+        let mut at = span.at as usize;
+        for block in &self.0 {
+            if at < block.len() {
+                return &block[at..at + span.len as usize];
+            }
+            at -= block.len();
+        }
+        &[]
+    }
+}
+
 /// A map task's run while records are emitted into it. How many
-/// allocations it makes does not depend on the partition count.
+/// allocations it makes does not depend on the partition count, nor, while
+/// the input-record hint holds, on how many values it encodes.
 pub(crate) struct RunWriter<P> {
     partition_of: P,
     /// Each record's key encoding, in emission order, in blocks that never
@@ -45,8 +98,13 @@ pub(crate) struct RunWriter<P> {
     /// for less than twice the key bytes, and nothing is copied until the
     /// run is sealed.
     keys: Vec<Vec<u8>>,
-    /// Each record's value, in emission order.
+    /// Each live value, in emission order.
     values: Vec<Datum>,
+    /// Each encoded value, in emission order.
+    spans: Vec<Span>,
+    blocks: Blocks,
+    /// The input-record hint the writer was sized for.
+    expected: usize,
     /// Each record's partition, in emission order.
     ids: Vec<u32>,
     /// Each partition's key bytes, records and shuffled bytes so far;
@@ -56,14 +114,17 @@ pub(crate) struct RunWriter<P> {
 
 impl<P: Fn(&Datum) -> usize> RunWriter<P> {
     /// A writer into `partitions` partitions sized for `records` records:
-    /// as many values and partition ids, and a first key block of a byte
-    /// each (the shortest encoding). `partition_of` must answer below
-    /// `partitions`.
+    /// as many partition ids, and as many values of the kind the first
+    /// record brings, and a first key block of a byte each (the shortest
+    /// encoding). `partition_of` must answer below `partitions`.
     pub(crate) fn new(partitions: usize, records: usize, partition_of: P) -> Self {
         RunWriter {
             partition_of,
             keys: vec![Vec::with_capacity(records)],
-            values: Vec::with_capacity(records),
+            values: Vec::new(),
+            spans: Vec::new(),
+            blocks: Blocks::default(),
+            expected: records,
             ids: Vec::with_capacity(records),
             ends: vec![End::default(); partitions],
         }
@@ -71,22 +132,84 @@ impl<P: Fn(&Datum) -> usize> RunWriter<P> {
 
     /// Records collected so far.
     pub(crate) fn len(&self) -> usize {
-        self.values.len()
+        self.ids.len()
     }
 
-    /// The run in partition order, with no spare capacity. One copy moves
-    /// each key into its partition's range of an exact-size buffer, and the
-    /// values are permuted in place, cycle by cycle; either way a record
-    /// lands after the records of its partition emitted before it.
+    /// Encodes `key` into the key blocks and counts a record of
+    /// `value_bytes` shuffled bytes in its partition.
+    fn push_key(&mut self, key: &Datum, value_bytes: u64) {
+        let p = (self.partition_of)(key);
+        // A key's `size_bytes` is its encoded length.
+        let size = key.size_bytes() as usize;
+        match self.keys.last_mut() {
+            Some(block) if block.capacity() - block.len() >= size => key.encode_into(block),
+            _ => {
+                let held: usize = self.keys.iter().map(Vec::capacity).sum();
+                let mut block = Vec::with_capacity(size.max(held));
+                key.encode_into(&mut block);
+                self.keys.push(block);
+            }
+        }
+        let end = &mut self.ends[p];
+        end.key += size;
+        end.value += 1;
+        end.bytes += size as u64 + value_bytes;
+        self.ids.push(p as u32);
+    }
+
+    /// The value block the next encoded value, of `len` bytes, goes into:
+    /// the last one if it has room, or a new one with room for the records
+    /// the hint still expects at the mean length of the values so far and
+    /// this one — so values of one length fill a single block exactly —
+    /// and, past the hint, as much as all blocks before it.
+    fn block_for(&mut self, len: usize) -> &mut Vec<u8> {
+        let Blocks(blocks) = &mut self.blocks;
+        let full = match blocks.last() {
+            Some(block) => block.capacity() - block.len() < len,
+            None => true,
+        };
+        if full {
+            let written: usize = blocks.iter().map(Vec::len).sum();
+            let capacity = match self.expected.saturating_sub(self.spans.len()) {
+                0 => blocks.iter().map(Vec::capacity).sum(),
+                left => ((written + len) * left).div_ceil(self.spans.len() + 1),
+            };
+            blocks.push(Vec::with_capacity(capacity.max(len)));
+        }
+        blocks
+            .last_mut()
+            .expect("a block was just made if there was none")
+    }
+
+    /// Turns the encoded values collected so far into live ones, for a
+    /// chain that emits both kinds.
+    fn make_live(&mut self) {
+        let (spans, blocks) = (mem::take(&mut self.spans), mem::take(&mut self.blocks));
+        self.values.reserve_exact(self.expected.max(spans.len()));
+        for span in spans {
+            self.values.push(Datum::Bytes(blocks.get(span).to_vec()));
+        }
+    }
+
+    /// The run in partition order, with no spare capacity in its keys and
+    /// values. One copy moves each key into its partition's range of an
+    /// exact-size buffer, and the values — or the spans of encoded ones —
+    /// are permuted in place, cycle by cycle; either way a record lands
+    /// after the records of its partition emitted before it. Encoded
+    /// values' bytes stay where they were written.
     pub(crate) fn seal(self) -> Spill {
         let RunWriter {
-            keys: blocks,
+            keys: key_blocks,
             mut values,
+            mut spans,
+            blocks,
             ids: mut slots,
             mut ends,
             ..
         } = self;
-        debug_assert!(u32::try_from(values.len()).is_ok(), "indices are u32");
+        // A run holds values of one kind.
+        debug_assert!(values.is_empty() || spans.is_empty());
+        debug_assert!(u32::try_from(slots.len()).is_ok(), "indices are u32");
         // Sums become ends; `next` is each partition's next key byte and
         // next value slot.
         let mut next = Vec::with_capacity(ends.len());
@@ -99,7 +222,7 @@ impl<P: Fn(&Datum) -> usize> RunWriter<P> {
         }
         // Each record's partition becomes the slot its value moves to.
         let mut keys = vec![0; key];
-        let encoded = blocks.iter().flat_map(|block| encodings(block));
+        let encoded = key_blocks.iter().flat_map(|block| encodings(block));
         for (slot, k) in slots.iter_mut().zip(encoded) {
             let (key_at, value_at) = &mut next[*slot as usize];
             keys[*key_at..*key_at + k.len()].copy_from_slice(k);
@@ -107,39 +230,67 @@ impl<P: Fn(&Datum) -> usize> RunWriter<P> {
             *slot = *value_at as u32;
             *value_at += 1;
         }
-        drop(blocks);
-        values.shrink_to_fit();
-        for i in 0..values.len() {
-            while slots[i] as usize != i {
-                let to = slots[i] as usize;
-                values.swap(i, to);
-                slots.swap(i, to);
-            }
+        drop(key_blocks);
+        if spans.is_empty() {
+            values.shrink_to_fit();
+            permute(&mut values, &mut slots);
+            return Spill::Live(Run { keys, values, ends });
         }
-        Spill { keys, values, ends }
+        spans.shrink_to_fit();
+        permute(&mut spans, &mut slots);
+        Spill::Encoded(Box::new(Run {
+            keys,
+            values: Encoded { spans, blocks },
+            ends,
+        }))
+    }
+}
+
+/// Moves each of `items` to its slot in `slots`, one cycle at a time.
+fn permute<T>(items: &mut [T], slots: &mut [u32]) {
+    for i in 0..items.len() {
+        while slots[i] as usize != i {
+            let to = slots[i] as usize;
+            items.swap(i, to);
+            slots.swap(i, to);
+        }
     }
 }
 
 impl<P: Fn(&Datum) -> usize> Collector for RunWriter<P> {
     fn collect(&mut self, rec: Record) {
-        let p = (self.partition_of)(&rec.key);
-        // A key's `size_bytes` is its encoded length.
-        let size = rec.key.size_bytes() as usize;
-        match self.keys.last_mut() {
-            Some(block) if block.capacity() - block.len() >= size => rec.key.encode_into(block),
-            _ => {
-                let held: usize = self.keys.iter().map(Vec::capacity).sum();
-                let mut block = Vec::with_capacity(size.max(held));
-                rec.key.encode_into(&mut block);
-                self.keys.push(block);
+        self.push_key(&rec.key, rec.value.size_bytes());
+        if self.values.capacity() == 0 {
+            if self.spans.is_empty() {
+                self.values.reserve_exact(self.expected);
+            } else {
+                self.make_live();
             }
         }
-        let end = &mut self.ends[p];
-        end.key += size;
-        end.value += 1;
-        end.bytes += size as u64 + rec.value.size_bytes();
-        self.ids.push(p as u32);
         self.values.push(rec.value);
+    }
+
+    /// Writes the value's bytes into the run's last value block, opening
+    /// one sized from `len` when it has no room; into a buffer of its own,
+    /// as the default does, in a run that already holds live values.
+    fn collect_encoded(&mut self, key: Datum, len: usize, write: &mut dyn FnMut(&mut Vec<u8>)) {
+        if !self.values.is_empty() {
+            return self.collect(encoded_record(key, len, write));
+        }
+        if self.spans.capacity() == 0 {
+            self.spans.reserve_exact(self.expected);
+        }
+        let at = self.blocks.written();
+        let block = self.block_for(len);
+        let before = block.len();
+        write(block);
+        let len = block.len() - before;
+        debug_assert!(u32::try_from(at + len).is_ok(), "spans are u32");
+        self.push_key(&key, BYTES_HEADER + len as u64);
+        self.spans.push(Span {
+            at: at as u32,
+            len: len as u32,
+        });
     }
 }
 
@@ -156,13 +307,36 @@ fn encodings(mut buf: &[u8]) -> impl Iterator<Item = &[u8]> {
     })
 }
 
+/// A sealed run: keys, values of one kind, and partition ends.
+#[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
+pub(crate) struct Run<V> {
+    keys: Vec<u8>,
+    values: V,
+    ends: Vec<End>,
+}
+
+/// A run's encoded values: where each one is, in partition order, and the
+/// blocks that hold them.
+#[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
+pub(crate) struct Encoded {
+    spans: Vec<Span>,
+    blocks: Blocks,
+}
+
+/// The value blocks of a run that has none.
+static NO_BLOCKS: Blocks = Blocks(Vec::new());
+
 /// One map task's shuffle output.
 #[derive(Debug)]
 #[cfg_attr(test, derive(PartialEq))]
-pub(crate) struct Spill {
-    keys: Vec<u8>,
-    values: Vec<Datum>,
-    ends: Vec<End>,
+pub(crate) enum Spill {
+    /// A run of live values.
+    Live(Run<Vec<Datum>>),
+    /// A run of encoded values, boxed so that a run of either kind takes
+    /// the room of a run of live values.
+    Encoded(Box<Run<Encoded>>),
 }
 
 impl Spill {
@@ -181,39 +355,65 @@ impl Spill {
         run.seal()
     }
 
+    fn ends(&self) -> &[End] {
+        match self {
+            Spill::Live(run) => &run.ends,
+            Spill::Encoded(run) => &run.ends,
+        }
+    }
+
     /// Records in the run.
     pub(crate) fn len(&self) -> usize {
-        self.values.len()
+        self.ends().last().map_or(0, |end| end.value)
     }
 
     /// Partitions the run was spilled into.
     pub(crate) fn partitions(&self) -> usize {
-        self.ends.len()
+        self.ends().len()
     }
 
     /// Bytes the run shuffles: `Record::size_bytes` summed over its records.
     pub(crate) fn bytes(&self) -> u64 {
-        self.ends.iter().map(|e| e.bytes).sum()
+        self.ends().iter().map(|e| e.bytes).sum()
     }
 
     /// The run cut into its partitions' slices, in partition order.
     pub(crate) fn slices(&mut self) -> impl Iterator<Item = Slice<'_>> {
-        let (mut keys, mut values) = (&self.keys[..], &mut self.values[..]);
+        let (mut keys, ends, mut values, encoded) = match self {
+            Spill::Live(run) => (&run.keys[..], &run.ends[..], &mut run.values[..], None),
+            Spill::Encoded(run) => (
+                &run.keys[..],
+                &run.ends[..],
+                Default::default(),
+                Some(&**run),
+            ),
+        };
         let (mut key_at, mut value_at) = (0, 0);
-        self.ends.iter().map(move |end| {
+        ends.iter().enumerate().map(move |(p, end)| {
             let (k, rest) = keys.split_at(end.key - key_at);
-            let (v, rest_v) = mem::take(&mut values).split_at_mut(end.value - value_at);
-            (keys, values, key_at, value_at) = (rest, rest_v, end.key, end.value);
-            Slice {
-                keys: k,
-                values: v,
-                bytes: end.bytes,
-            }
+            keys = rest;
+            let held = match encoded {
+                None => {
+                    let (v, rest) = mem::take(&mut values).split_at_mut(end.value - value_at);
+                    values = rest;
+                    Held::Live {
+                        values: v,
+                        bytes: end.bytes,
+                    }
+                }
+                Some(run) => Held::Encoded {
+                    run,
+                    partition: p as u32,
+                },
+            };
+            (key_at, value_at) = (end.key, end.value);
+            Slice { keys: k, held }
         })
     }
 
     /// The run's records, partition after partition, keys decoded and
-    /// values moved out.
+    /// values moved out (an encoded value as the `Datum::Bytes` it stands
+    /// for).
     pub(crate) fn into_records(mut self) -> Vec<Record> {
         let mut records = Vec::with_capacity(self.len());
         for slice in self.slices() {
@@ -223,31 +423,94 @@ impl Spill {
     }
 }
 
+/// One record's value as a reduce task takes it from a [`Slice`].
+pub(crate) enum Arrival<'s, 'a> {
+    /// A live value, to be moved out.
+    Live(&'s mut Datum),
+    /// An encoded value's bytes, where the run holds them.
+    Encoded(&'a [u8]),
+}
+
+impl Arrival<'_, '_> {
+    /// The datum the value stands for: a live one moved out, or the
+    /// `Datum::Bytes` of an encoded one's bytes.
+    pub(crate) fn into_datum(self) -> Datum {
+        match self {
+            Arrival::Live(datum) => mem::take(datum),
+            Arrival::Encoded(bytes) => Datum::Bytes(bytes.to_vec()),
+        }
+    }
+}
+
 /// One partition of one run: the records a map task sends one reduce task.
 pub(crate) struct Slice<'a> {
     keys: &'a [u8],
-    values: &'a mut [Datum],
-    bytes: u64,
+    held: Held<'a>,
+}
+
+/// A slice's values, by the kind of its run. Either kind takes the room the
+/// live one does.
+enum Held<'a> {
+    Live {
+        values: &'a mut [Datum],
+        bytes: u64,
+    },
+    Encoded {
+        run: &'a Run<Encoded>,
+        partition: u32,
+    },
 }
 
 impl<'a> Slice<'a> {
+    /// The slice's encoded values and the blocks that hold them; none in a
+    /// slice of live values.
+    fn spans(&self) -> (&'a [Span], &'a Blocks) {
+        match self.held {
+            Held::Live { .. } => (&[], &NO_BLOCKS),
+            Held::Encoded { run, partition } => {
+                let p = partition as usize;
+                let from = p.checked_sub(1).map_or(0, |q| run.ends[q].value);
+                let encoded = &run.values;
+                (&encoded.spans[from..run.ends[p].value], &encoded.blocks)
+            }
+        }
+    }
+
+    /// The slice's live values; none in a slice of encoded values.
+    fn live(&mut self) -> &mut [Datum] {
+        match &mut self.held {
+            Held::Live { values, .. } => values,
+            Held::Encoded { .. } => &mut [],
+        }
+    }
+
     /// Records in the slice.
     pub(crate) fn len(&self) -> usize {
-        self.values.len()
+        match &self.held {
+            Held::Live { values, .. } => values.len(),
+            Held::Encoded { .. } => self.spans().0.len(),
+        }
     }
 
     /// True when the map task sent this partition nothing.
     pub(crate) fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
     /// Bytes the slice shuffles.
     pub(crate) fn bytes(&self) -> u64 {
-        self.bytes
+        match self.held {
+            Held::Live { bytes, .. } => bytes,
+            Held::Encoded { run, partition } => run.ends[partition as usize].bytes,
+        }
     }
 
-    /// The slice's key encodings, back to back: the part of the payload
-    /// that exists as bytes.
+    /// Whether the slice is cut from a run of encoded values.
+    pub(crate) fn is_encoded(&self) -> bool {
+        matches!(self.held, Held::Encoded { .. })
+    }
+
+    /// The slice's key encodings, back to back.
     pub(crate) fn key_bytes(&self) -> &'a [u8] {
         self.keys
     }
@@ -257,21 +520,36 @@ impl<'a> Slice<'a> {
         encodings(self.keys)
     }
 
-    /// Each record's value, in emission order, to be moved out.
-    pub(crate) fn values(&mut self) -> &mut [Datum] {
-        self.values
+    /// The bytes of each encoded value, in emission order: with the key
+    /// bytes, the part of the payload that exists as bytes.
+    pub(crate) fn encoded(&self) -> impl Iterator<Item = &'a [u8]> {
+        let (spans, blocks) = self.spans();
+        spans.iter().map(|&span| blocks.get(span))
     }
 
-    /// The slice's records, keys decoded and values moved out.
+    /// Each record's value, in emission order.
+    pub(crate) fn arrivals(&mut self) -> impl Iterator<Item = Arrival<'_, 'a>> {
+        let encoded = self.encoded().map(Arrival::Encoded);
+        self.live().iter_mut().map(Arrival::Live).chain(encoded)
+    }
+
+    /// The slice's records, keys decoded and values moved out (an encoded
+    /// value as the `Datum::Bytes` it stands for).
     pub(crate) fn into_records(self) -> impl Iterator<Item = Record> + 'a {
+        let encoded = self.encoded().map(Arrival::Encoded);
+        let live = match self.held {
+            Held::Live { values, .. } => values,
+            Held::Encoded { .. } => &mut [],
+        };
+        let values = live.iter_mut().map(Arrival::Live).chain(encoded);
         let mut keys = self.keys;
-        self.values.iter_mut().map(move |value| {
+        values.map(move |value| {
             let (key, rest) =
                 Datum::decode_from(keys).expect("a run holds only the keys it encoded");
             keys = rest;
             Record {
                 key,
-                value: mem::take(value),
+                value: value.into_datum(),
             }
         })
     }
@@ -322,14 +600,29 @@ pub(crate) fn collected(
         rec.key.encode_into(&mut keys);
         values.push(mem::take(&mut rec.value));
     }
-    Spill { keys, values, ends }
+    Spill::Live(Run { keys, values, ends })
 }
 
 #[cfg(test)]
 impl Spill {
+    /// The value blocks holding the run's encoded values, or `None` in a
+    /// run of live values.
+    pub(crate) fn value_blocks(&self) -> Option<usize> {
+        match self {
+            Spill::Live(_) => None,
+            Spill::Encoded(run) => Some(run.values.blocks.0.len()),
+        }
+    }
+
     /// Whether the key and value buffers hold no spare capacity.
     pub(crate) fn is_tight(&self) -> bool {
-        self.keys.capacity() == self.keys.len() && self.values.capacity() == self.values.len()
+        fn tight<T>(v: &Vec<T>) -> bool {
+            v.capacity() == v.len()
+        }
+        match self {
+            Spill::Live(run) => tight(&run.keys) && tight(&run.values),
+            Spill::Encoded(run) => tight(&run.keys) && tight(&run.values.spans),
+        }
     }
 }
 
@@ -359,6 +652,16 @@ mod tests {
             }
         }
         run.seal()
+    }
+
+    #[test]
+    fn a_run_and_a_slice_of_either_kind_take_the_room_of_a_live_one() {
+        // A job whose values are all live asks the allocator for what it
+        // asked for before values could be encoded: its map tasks' runs
+        // and its reduce tasks' lists of slices are no larger.
+        use std::mem::size_of;
+        assert_eq!(size_of::<Spill>(), size_of::<Run<Vec<Datum>>>());
+        assert_eq!(size_of::<Slice>(), size_of::<(&[u8], &mut [Datum], u64)>());
     }
 
     #[test]

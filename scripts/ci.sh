@@ -158,38 +158,41 @@ efbench_gate scanjoin_write 193
 # record 90.81 MB.
 efbench_gate lookup_hot 17
 # The same carrier on both sides of the shuffle: a re-partitioned record
-# costs its payload buffer going in and the datums it decodes to coming
-# out, the map side's chain emits straight into its run, and the reduce
+# is written into its map task's run and decoded from it in place, the
+# map side's chain emits straight into its run, and the reduce
 # side hands each group's records down its chain as the map side does,
 # into blocks allocated once at their full size that the output file
 # keeps; its caches take the storage their worker's last ones left, a
 # reduce task's slice list is sized once from the run count, and the map
 # side's segment copies only the join key out of each input row it is
-# lent, so `lookup_repart` allocates 37.65 MB. A segment that cloned
-# every input row made it 47.25 MB, with caches that grew their storage
+# lent, so `lookup_repart` allocates 32.86 MB. A payload buffer a record
+# with its reduce group's value vector made it 37.65 MB, a segment that
+# cloned every input row 47.25 MB, with caches that grew their storage
 # afresh in every task 51.18 MB; reduce outputs grown by
 # doubling and then trimmed by the write 71.12 MB, as much as a copying
 # write (71.11 MB); map output collected into a vector before it was
 # spilled 77.34 MB, with caches that reserved their whole capacity and
 # kept a second clone of every key 78.52 MB, a vector per chain stage
 # 86.20 MB, per-record carriers 135.64 MB.
-efbench_gate lookup_repart 41
+efbench_gate lookup_repart 35
 # `lookup_armed` is `lookup_hot` with faults, a node crash, corruption,
 # partitions and hedging armed. Its oracle check runs on every iteration,
 # so `failed` 0 says no armed layer changed the answer. A verified chunk
 # read streams its CRC record by record through one buffer, an armed cache
 # insert encodes into buffers it keeps, a new cache takes the storage its
 # worker's last one left, a draw builds its payload in a buffer its thread
-# keeps, the output file keeps the tasks' blocks and the segment copies
-# only the join key out of each input row it is lent, so it allocates
-# 19.94 MB. Draw payloads on the heap made it 23.99 MB, a segment that
+# keeps, the output file keeps the tasks' blocks, the segment copies
+# only the join key out of each input row it is lent and an armed cache
+# keeps its key generations in that storage too, so it allocates
+# 16.07 MB. Generation maps grown afresh in every task made it 19.94 MB,
+# draw payloads on the heap 23.99 MB, a segment that
 # cloned every input row 33.64 MB, with caches that grew their
 # storage afresh in every task 42.49 MB, a copying
 # write on top 50.16 MB, and encoding each whole chunk to checksum it
 # 72.70 MB; with that, per-insert encode buffers and caches that reserved
 # their whole capacity it read 81.73 MB, and a vector per chain stage
 # made that 104.76 MB.
-efbench_gate lookup_armed 22
+efbench_gate lookup_armed 17
 # `q9_adaptive` (TPC-H Q9, five indices, a Dynamic then an Optimized run)
 # builds a shadow cache for each index of each map task and a lookup cache
 # for each cache-strategy task, most holding far fewer keys than their
@@ -200,9 +203,11 @@ efbench_gate lookup_armed 22
 # an earlier job stored is decoded from the row that holds it into the
 # storage the carrier's last record left and lent to `postProcess`, each
 # join carries the input row it is lent in place, encoding it from the
-# chunk's own row, and the joins copy only the rows they emit, each Q9 row
-# growing once to its final width, so it allocates 93.53 MB. Copying each
-# lent row in `preProcess` made it 109.65 MB, and 110.28 MB with counters
+# chunk's own row into its task's shuffle run, and the joins copy only the
+# rows they emit, each Q9 row growing once to its final width, so it
+# allocates 91.06 MB. A payload buffer for each re-partitioned carrier
+# made it 93.82 MB (93.53 MB before lookups tallied per task), copying each
+# lent row in `preProcess` 109.65 MB, and 110.28 MB with counters
 # in hash maps; decoding each stored carrier into a fresh record handed
 # over to `postProcess`, and rows grown by doubling, 147.29 MB, decoding
 # from a clone of each such row 148.09 MB, with caches that grew their
@@ -213,7 +218,7 @@ efbench_gate lookup_armed 22
 # before it was spilled 214.97 MB; with that, reserving each cache's
 # whole capacity up front made it 355.04 MB, and a second clone of every
 # key in the cache's index 368.22 MB.
-efbench_gate q9_adaptive 101
+efbench_gate q9_adaptive 98
 
 echo "== injection layers (pinned seed matrix) =="
 # Deterministic sweep over faults, crashes, corruption, partitions and
