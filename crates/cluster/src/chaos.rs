@@ -126,20 +126,6 @@ impl ChaosPlan {
     pub fn is_dead_at(&self, node: NodeId, t: SimTime) -> bool {
         self.crash_time(node).is_some_and(|at| at <= t)
     }
-
-    /// Nodes already dead at virtual time `t`, in crash order.
-    ///
-    /// Returns a borrowed iterator rather than a fresh `Vec` — scheduling
-    /// replays query this inside per-assignment loops, and an allocation
-    /// per query was pure overhead (callers that need a set can still
-    /// `collect()`). On a quiet plan it yields nothing, so callers need no
-    /// [`is_quiet`](Self::is_quiet) guard of their own.
-    pub fn dead_at(&self, t: SimTime) -> impl Iterator<Item = NodeId> + '_ {
-        self.events
-            .iter()
-            .filter(move |e| e.at <= t)
-            .map(|e| e.node)
-    }
 }
 
 #[cfg(test)]
@@ -190,12 +176,10 @@ mod tests {
         );
         assert_eq!(a, b);
         assert_eq!(a.events().len(), 3);
-        let dead: Vec<NodeId> = a
-            .dead_at(SimTime::ZERO + SimDuration::from_millis(100))
-            .collect();
-        assert_eq!(dead.len(), 3);
+        let end = SimTime::ZERO + SimDuration::from_millis(100);
+        let dead = (0..4).filter(|&n| a.is_dead_at(NodeId(n), end)).count();
         // One of the four nodes survives.
-        assert!((0..4).any(|n| !dead.contains(&NodeId(n))));
+        assert_eq!(dead, 3);
     }
 
     #[test]

@@ -199,28 +199,6 @@ impl PartitionReplay {
 }
 
 impl Schedule {
-    /// Ids of the tasks in wave 0 — the first task of every busy slot.
-    ///
-    /// The adaptive optimizer (§4.1) collects statistics from this wave
-    /// before deciding whether to re-optimize the rest of the job.
-    pub fn first_wave_ids(&self) -> Vec<usize> {
-        self.assignments
-            .iter()
-            .filter(|a| a.wave == 0)
-            .map(|a| a.task_id)
-            .collect()
-    }
-
-    /// Completion time of the first wave (max end among wave-0 tasks).
-    pub fn first_wave_end(&self) -> SimTime {
-        self.assignments
-            .iter()
-            .filter(|a| a.wave == 0)
-            .map(|a| a.end)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// Fraction of tasks that read their input locally.
     pub fn input_locality(&self) -> f64 {
         if self.assignments.is_empty() {
@@ -737,11 +715,7 @@ mod tests {
         let tasks: Vec<_> = (0..8).map(|i| task(i, 10)).collect();
         let s = schedule_phase(&c, &tasks, SimTime::ZERO);
         assert_eq!(s.makespan, SimTime::ZERO + SimDuration::from_millis(20));
-        assert_eq!(s.first_wave_ids().len(), 4);
-        assert_eq!(
-            s.first_wave_end(),
-            SimTime::ZERO + SimDuration::from_millis(10)
-        );
+        assert_eq!(s.assignments.iter().filter(|a| a.wave == 0).count(), 4);
     }
 
     #[test]

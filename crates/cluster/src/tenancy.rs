@@ -354,11 +354,6 @@ impl TokenBucket {
         self.last = now + delay;
         delay
     }
-
-    /// Tokens available at `now` (after refill, before any charge).
-    pub fn available_at(&self, now: SimTime) -> f64 {
-        self.refilled(now)
-    }
 }
 
 /// Why a grant's index demand was (partly) degraded to scan.
@@ -741,19 +736,9 @@ impl MultiTenantScheduler {
         self.push_log(now, job, tenant, SchedDecision::Completed);
     }
 
-    /// Jobs admitted but not yet granted.
-    pub fn queue_len(&self) -> usize {
-        self.queued.len()
-    }
-
     /// Jobs granted but not yet completed.
     pub fn running(&self) -> usize {
         self.running
-    }
-
-    /// True when nothing is queued or running.
-    pub fn is_idle(&self) -> bool {
-        self.queued.is_empty() && self.running == 0
     }
 
     /// The per-tenant serving ledger.
@@ -843,14 +828,10 @@ mod tests {
         }
         let mut order = Vec::new();
         let mut now = SimTime::ZERO;
-        while !s.is_idle() {
-            if let Some(g) = s.try_grant(now) {
-                order.push(g.tenant);
-                now += SimDuration::from_millis(1);
-                s.complete(now, g.job, g.tenant);
-            } else {
-                break;
-            }
+        while let Some(g) = s.try_grant(now) {
+            order.push(g.tenant);
+            now += SimDuration::from_millis(1);
+            s.complete(now, g.job, g.tenant);
         }
         assert_eq!(order.len(), 12);
         // First four grants: 3 alpha to 1 beta.
@@ -876,7 +857,6 @@ mod tests {
         let g1 = s.try_grant(SimTime::ZERO).unwrap();
         assert_eq!(g1.tenant, TenantId(1));
         assert!(s.try_grant(SimTime::ZERO).is_none());
-        assert_eq!(s.queue_len(), 1);
         s.complete(SimTime::ZERO + SimDuration::from_millis(1), 0, g0.tenant);
         let g2 = s
             .try_grant(SimTime::ZERO + SimDuration::from_millis(1))
@@ -893,10 +873,11 @@ mod tests {
         let d = b.charge(SimTime::ZERO, 500.0);
         assert_eq!(d, SimDuration::from_millis(500));
         // After the backlog drains (+1 s) the bucket has refilled 0.5 s
-        // worth (500 tokens, capped at burst 100).
+        // worth (500 tokens, capped at burst 100): a burst is free again,
+        // one token more is not.
         let later = SimTime::ZERO + SimDuration::from_secs(1);
-        assert!(b.available_at(later) <= 100.0 + 1e-9);
-        assert!(b.available_at(later) > 0.0);
+        assert_eq!(b.clone().charge(later, 100.0), SimDuration::ZERO);
+        assert!(b.charge(later, 101.0) > SimDuration::ZERO);
     }
 
     #[test]

@@ -45,11 +45,6 @@ impl SimDuration {
         }
     }
 
-    /// Builds a duration from fractional milliseconds.
-    pub fn from_millis_f64(millis: f64) -> Self {
-        Self::from_secs_f64(millis / 1e3)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -224,10 +219,6 @@ mod tests {
         assert_eq!(
             SimDuration::from_secs_f64(0.5),
             SimDuration::from_millis(500)
-        );
-        assert_eq!(
-            SimDuration::from_millis_f64(1.5),
-            SimDuration::from_micros(1500)
         );
     }
 

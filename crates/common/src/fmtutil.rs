@@ -1,21 +1,5 @@
 //! Human-readable formatting helpers for reports and the figure harness.
 
-/// Formats a byte count with a binary-prefix unit.
-pub fn human_bytes(bytes: u64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut v = bytes as f64;
-    let mut unit = 0;
-    while v >= 1024.0 && unit + 1 < UNITS.len() {
-        v /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{bytes} B")
-    } else {
-        format!("{v:.1} {}", UNITS[unit])
-    }
-}
-
 /// Formats a duration in seconds adaptively (µs/ms/s).
 pub fn human_secs(secs: f64) -> String {
     if secs < 1e-3 {
@@ -27,31 +11,14 @@ pub fn human_secs(secs: f64) -> String {
     }
 }
 
-/// Left-pads `s` to `width` characters.
-pub fn pad(s: &str, width: usize) -> String {
-    format!("{s:>width$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bytes_units() {
-        assert_eq!(human_bytes(512), "512 B");
-        assert_eq!(human_bytes(2048), "2.0 KiB");
-        assert_eq!(human_bytes(3 * 1024 * 1024), "3.0 MiB");
-    }
 
     #[test]
     fn secs_units() {
         assert_eq!(human_secs(0.0000005), "0.5 µs");
         assert_eq!(human_secs(0.25), "250.00 ms");
         assert_eq!(human_secs(12.5), "12.50 s");
-    }
-
-    #[test]
-    fn padding() {
-        assert_eq!(pad("x", 4), "   x");
     }
 }

@@ -42,11 +42,6 @@ impl Record {
     }
 }
 
-/// Sums the sizes of a slice of records.
-pub fn total_size(records: &[Record]) -> u64 {
-    records.iter().map(Record::size_bytes).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,11 +56,5 @@ mod tests {
     fn size_is_sum_of_parts() {
         let r = Record::new("k", "value");
         assert_eq!(r.size_bytes(), r.key.size_bytes() + r.value.size_bytes());
-    }
-
-    #[test]
-    fn total_size_sums() {
-        let rs = vec![Record::new(1i64, 2i64), Record::new(3i64, 4i64)];
-        assert_eq!(total_size(&rs), rs[0].size_bytes() * 2);
     }
 }

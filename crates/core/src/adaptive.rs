@@ -23,14 +23,17 @@
 //! after the first reduce wave, the warm start from the cross-job store,
 //! `Mode::Optimized` and `analysis::analyze_costs` — is the same
 //! per-operator step over the [`Evidence`] at hand ([`replan`]); each
-//! caller folds the priced operators into its own plan map. Every job the
-//! runtime stitches together by hand ends in the runner's own tail
-//! ([`Runner::seal`](efind_mapreduce::Runner::seal)).
+//! caller folds the priced operators into its own plan map. Both re-plans
+//! finish their jobs through the runner's own steps
+//! ([`Runner::map_side`](efind_mapreduce::Runner::map_side), `shuffle`,
+//! `reduce` and [`Runner::end_job`](efind_mapreduce::Runner::end_job)),
+//! the steps [`Runner::finish`](efind_mapreduce::Runner::finish) is made
+//! of.
 
-use efind_cluster::{sched::Schedule, SimDuration, SimTime};
+use efind_cluster::{SimDuration, SimTime};
 use efind_common::{Error, FxHashMap, Result};
 use efind_mapreduce::{
-    Counters, JobConf, JobParts, JobStats, MapPhaseExec, PhaseStats, RecoveryLog, ReduceTaskExec,
+    Counters, JobConf, JobResult, JobStats, MapPhaseExec, RecoveryLog, ReduceTaskExec, Reduced,
     Sketches, TaskStats,
 };
 
@@ -302,14 +305,7 @@ pub(crate) fn run_dynamic(
             return Ok(result);
         }
         let res = rt.runner().finish(&conf, &mut exec1, SimTime::ZERO)?;
-        rt.absorb_stats(ijob, std::slice::from_ref(&res.stats), &baseline_plans);
-        return Ok(EFindJobResult {
-            output: res.output,
-            total_time: res.stats.makespan(),
-            jobs: vec![res.stats],
-            plans: in_operator_order(ijob, baseline_plans),
-            replanned: false,
-        });
+        return Ok(unchanged(rt, ijob, res, baseline_plans));
     }
 
     // ---- Plan change (Fig. 10(a)). ----
@@ -378,10 +374,6 @@ pub(crate) fn run_dynamic(
     let mut ijob2 = ijob.clone();
     ijob2.name = format!("{}-replan", ijob.name);
     ijob2.input = remaining_name.clone();
-    debug_assert!(
-        crate::analysis::passes(&ijob2, &new_plans),
-        "adaptive map-side replan produced an analyzer-rejected plan"
-    );
     let compiled2 = compile_pipeline(&ijob2, &new_plans, &rt.runtime_env())?;
 
     let mut job_stats: Vec<JobStats> = Vec::new();
@@ -406,16 +398,13 @@ pub(crate) fn run_dynamic(
         }
         let lchunks = rt.runner().chunks(last)?;
         let mut lexec = rt.runner().execute_maps(last, &lchunks, 0)?;
-        let lsched = rt.runner().schedule_maps(&lexec, t);
-        let map_end = lsched.makespan;
-        let map = lexec.phase_stats(lsched);
+        let side = rt.runner().map_side(last, &mut lexec, t, recovery)?;
         // Merge: new-plan map outputs plus the reused wave-1 outputs.
         lexec.tasks.append(&mut exec1.tasks);
-        let outcome = rt.runner().run_reduce(last, &mut lexec, map_end)?;
-        let (output, mut parts) = JobParts::after_reduce(t, map, map_end, outcome);
-        parts.recovery = recovery;
-        job_stats.push(rt.runner().seal(last, parts));
-        output
+        let reduced = rt.runner().reduce_all(last, &mut lexec)?;
+        let res = rt.runner().end_job(last, &mut lexec, side, reduced);
+        job_stats.push(res.stats);
+        res.output
     } else {
         // Map-only enhanced job: the wave-1 outputs are final records, so
         // they are appended to the new plan's output — also when the new
@@ -423,13 +412,16 @@ pub(crate) fn run_dynamic(
         // reducer takes carriers, not finished records.
         let mut res = rt.runner().run(last, t)?;
         // The sub-job carries its own window's ledger; graft the re-plan's
-        // reuse decision onto it so `result.jobs` tells the whole story.
-        if !recovery.surviving_tasks.is_empty() {
-            res.stats.counters.add(
+        // crashes and reuse decision onto it so `result.jobs` tells the
+        // whole story.
+        res.stats.counters.add_nonzero(&[
+            ("mr.recovery.crashes", recovery.crashes.len() as i64),
+            (
                 "mr.recovery.reused.tasks",
                 recovery.surviving_tasks.len() as i64,
-            );
-        }
+            ),
+        ]);
+        res.stats.recovery.crashes = recovery.crashes;
         res.stats.recovery.surviving_tasks = recovery.surviving_tasks;
         res.stats.recovery.lost_tasks = recovery.lost_tasks;
         job_stats.push(res.stats);
@@ -465,11 +457,21 @@ pub(crate) fn run_dynamic(
     })
 }
 
-/// The statistics of executed reduce tasks under `schedule`.
-fn reduce_phase(tasks: &[ReduceTaskExec], schedule: Schedule) -> PhaseStats {
-    PhaseStats {
-        tasks: tasks.iter().map(|t| t.stats.clone()).collect(),
-        schedule,
+/// A job that ran its baseline plan end to end: its statistics go to the
+/// catalog and the store, under the plans it ran.
+fn unchanged(
+    rt: &mut EFindRuntime<'_>,
+    ijob: &IndexJobConf,
+    res: JobResult,
+    plans: Plans,
+) -> EFindJobResult {
+    rt.absorb_stats(ijob, std::slice::from_ref(&res.stats), &plans);
+    EFindJobResult {
+        output: res.output,
+        total_time: res.stats.makespan(),
+        jobs: vec![res.stats],
+        plans: in_operator_order(ijob, plans),
+        replanned: false,
     }
 }
 
@@ -493,22 +495,18 @@ fn try_reduce_phase_replan(
         // The caller's normal finish path still owns the map outputs.
         return Ok(None);
     }
-
-    // Map phase timeline. A job with a reduce shuffles its map output:
-    // the map tasks' output records and bytes are what the reducers read.
-    let map_schedule = rt.runner().schedule_maps(exec, SimTime::ZERO);
-    let map_end = map_schedule.makespan;
-    let map = exec.phase_stats(map_schedule);
-    let shuffle_bytes: u64 = map.tasks.iter().map(|t| t.output_bytes).sum();
-    let shuffled: u64 = map.tasks.iter().map(|t| t.output_records).sum();
-    let rest_tasks = reduce_slots..conf.num_reducers;
+    let shuffled: u64 = exec.tasks.iter().map(|t| t.stats.output_records).sum();
+    let side = rt
+        .runner()
+        .map_side(conf, exec, SimTime::ZERO, RecoveryLog::default())?;
+    let shuffle = rt.runner().shuffle(conf, exec)?;
+    let rest = reduce_slots..conf.num_reducers;
 
     // ---- Reduce wave 1 under the current (tail-baseline) plan. ----
-    let mut wave1 = rt.runner().execute_reduces(conf, exec, 0..reduce_slots)?;
-    let wave_schedule = rt.runner().schedule_reduces(&wave1, map_end);
+    let mut tasks = rt.runner().reduce(conf, exec, &shuffle, 0..reduce_slots)?;
 
     // ---- Re-optimize the tail operators from wave-1 statistics. ----
-    let wave = Wave::of(wave1.iter().map(|t| &t.stats));
+    let wave = Wave::of(tasks.iter().map(|t| &t.stats));
     let remaining_in = shuffled.saturating_sub(wave.input_records());
     let tail = ijob.operators().filter(|(_, p)| *p == Placement::Tail);
     let (predicted_gain, tail_plans) = match wave.scaled_to(remaining_in) {
@@ -529,83 +527,59 @@ fn try_reduce_phase_replan(
         improved && rt.cost_env().wall_secs(predicted_gain) > rt.config.plan_change_cost_secs;
 
     if !change {
-        // No plan change: execute the remaining reduce waves under the
-        // current plan and assemble an uninterrupted-equivalent run.
-        wave1.extend(rt.runner().execute_reduces(conf, exec, rest_tasks)?);
-        // Every partition is reduced: free the runs before the output write.
-        exec.tasks.clear();
-        let reduce_schedule = rt.runner().schedule_reduces(&wave1, map_end);
-        let finished = reduce_schedule.makespan;
-        let output = rt.dfs.write_file_parts(
-            &ijob.output,
-            ReduceTaskExec::take_parts(&mut wave1),
-            conf.output_chunks,
-        );
-        let stats = rt.runner().seal(
-            conf,
-            JobParts {
-                started: SimTime::ZERO,
-                finished,
-                map,
-                reduce: Some(reduce_phase(&wave1, reduce_schedule)),
-                shuffle_bytes,
-                output_bytes: output.total_bytes(),
-                ..JobParts::default()
-            },
-        );
-        rt.absorb_stats(ijob, std::slice::from_ref(&stats), baseline_plans);
-        return Ok(Some(EFindJobResult {
-            output,
-            total_time: finished.since(SimTime::ZERO),
-            jobs: vec![stats],
-            plans: in_operator_order(ijob, baseline_plans.clone()),
-            replanned: false,
-        }));
+        // No plan change: the remaining reduce waves run under the current
+        // plan, and the job ends as `finish` ends it.
+        tasks.extend(rt.runner().reduce(conf, exec, &shuffle, rest)?);
+        let reduced = Reduced {
+            shuffle,
+            tasks,
+            pause: None,
+        };
+        let res = rt.runner().end_job(conf, exec, side, Some(reduced));
+        return Ok(Some(unchanged(rt, ijob, res, baseline_plans.clone())));
     }
 
     // ---- Plan change (Fig. 10(b)). ----
-    // Completed wave-1 outputs move straight to the job output; the
-    // remaining reduce tasks run without the tail chains.
+    // The remaining reduce tasks run without the tail chains, after the
+    // plan-change pause, into the re-planned tail pipeline's input; the
+    // completed wave's outputs move straight to the job output. The job
+    // ends — and lists the crashes inside its window — before the tail
+    // pipeline starts.
+    let tmp_in = format!("{}.tail-replan.in", ijob.name);
     let mut stripped = conf.clone();
     stripped.reduce_post = Vec::new();
-    let mut rest = rt.runner().execute_reduces(&stripped, exec, rest_tasks)?;
-    // Every partition is reduced: free the runs before the tail pipeline.
-    exec.tasks.clear();
-    let rest_start =
-        wave_schedule.makespan + SimDuration::from_secs_f64(rt.config.plan_change_cost_secs);
-    let rest_schedule = rt.runner().schedule_reduces(&rest, rest_start);
-    let mut t = rest_schedule.makespan;
+    stripped.output = tmp_in.clone();
+    stripped.output_chunks = Some(rt.cluster.total_map_slots());
+    tasks.extend(rt.runner().reduce(&stripped, exec, &shuffle, rest)?);
+    let done = ReduceTaskExec::take_parts(&mut tasks[..reduce_slots]);
+    let pause = SimDuration::from_secs_f64(rt.config.plan_change_cost_secs);
+    let reduced = Reduced {
+        shuffle,
+        tasks,
+        pause: Some((reduce_slots, pause)),
+    };
+    let first = rt.runner().end_job(&stripped, exec, side, Some(reduced));
+    let mut t = first.stats.finished;
+    let mut jobs = vec![first.stats];
 
-    // The re-planned tail pipeline consumes the stripped outputs.
-    let tmp_in = format!("{}.tail-replan.in", ijob.name);
-    rt.dfs.write_file_parts(
-        &tmp_in,
-        ReduceTaskExec::take_parts(&mut rest),
-        Some(rt.cluster.total_map_slots()),
-    );
+    // The re-planned tail pipeline consumes the stripped outputs; its jobs
+    // follow as entries of their own, so `result.jobs` sums without
+    // double-counting.
     let tmp_out = format!("{}.tail-replan.out", ijob.name);
     let mut tail_ijob = IndexJobConf::new(format!("{}-tailreplan", ijob.name), &tmp_in, &tmp_out);
     tail_ijob.head = ijob.tail.clone();
     tail_ijob.cpu_per_record = ijob.cpu_per_record;
-    debug_assert!(
-        crate::analysis::passes(&tail_ijob, &tail_plans),
-        "adaptive reduce-phase replan produced an analyzer-rejected plan"
-    );
     let compiled = compile_pipeline(&tail_ijob, &tail_plans, &rt.runtime_env())?;
-    let mut tail_jobs: Vec<JobStats> = Vec::new();
     for tconf in &compiled.jobs {
         let res = rt.runner().run(tconf, t)?;
         t = res.stats.finished;
-        tail_jobs.push(res.stats);
+        jobs.push(res.stats);
     }
 
     // Merge: completed wave-1 outputs + the tail pipeline's outputs.
-    let output = rt.dfs.write_file_parts_then(
-        &ijob.output,
-        ReduceTaskExec::take_parts(&mut wave1),
-        &tmp_out,
-        conf.output_chunks,
-    )?;
+    let output = rt
+        .dfs
+        .write_file_parts_then(&ijob.output, done, &tmp_out, conf.output_chunks)?;
     if !rt.config.keep_intermediates {
         rt.dfs.delete(&tmp_in);
         rt.dfs.delete(&tmp_out);
@@ -613,29 +587,6 @@ fn try_reduce_phase_replan(
             rt.dfs.delete(tmp);
         }
     }
-
-    // The first job is the map phase plus the split reduce phase; the tail
-    // jobs follow as entries of their own, so `result.jobs` sums without
-    // double-counting.
-    wave1.extend(rest);
-    let mut reduce_schedule = wave_schedule;
-    reduce_schedule
-        .assignments
-        .extend(rest_schedule.assignments);
-    reduce_schedule.makespan = reduce_schedule.makespan.max(rest_schedule.makespan);
-    let mut jobs = vec![rt.runner().seal(
-        conf,
-        JobParts {
-            started: SimTime::ZERO,
-            finished: reduce_schedule.makespan,
-            map,
-            reduce: Some(reduce_phase(&wave1, reduce_schedule)),
-            shuffle_bytes,
-            output_bytes: output.total_bytes(),
-            ..JobParts::default()
-        },
-    )];
-    jobs.extend(tail_jobs);
 
     // Head/body operators executed under the baseline plans; the tail
     // operators under their re-planned strategies.

@@ -1167,15 +1167,6 @@ fn operator_costs(
     }
 }
 
-/// True when the job and plans pass structural analysis without errors —
-/// the invariant the adaptive runtime debug-asserts before compiling a
-/// mid-job replacement pipeline.
-pub fn passes(ijob: &IndexJobConf, plans: &FxHashMap<String, OperatorPlan>) -> bool {
-    analyze_job(ijob, plans)
-        .map(|r| r.is_passing())
-        .unwrap_or(false)
-}
-
 /// The accessors of an operator whose lookups are not a pure function of
 /// the key, with their slots: what `EF012` warns about.
 fn nondeterministic_accessors(
@@ -1270,7 +1261,7 @@ mod tests {
         let plans = plans_with(&ijob, Strategy::Cache);
         let report = analyze_job(&ijob, &plans).unwrap();
         assert!(report.has_code(DiagCode::EF014));
-        assert!(!passes(&ijob, &plans));
+        assert!(!report.is_passing());
     }
 
     /// An accessor that declares a concrete key kind and non-determinism.

@@ -858,14 +858,6 @@ fn compile_operator(
             )
         })
         .collect();
-    if plan.choices.len() != bound.indices.len() {
-        return Err(Error::Internal(format!(
-            "plan for operator {opname} covers {} of {} indices",
-            plan.choices.len(),
-            bound.indices.len()
-        )));
-    }
-
     stages.push(Stage::Pre(Arc::new(PreStep::new(
         bound.op.clone(),
         charged.clone(),

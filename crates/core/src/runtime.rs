@@ -417,13 +417,6 @@ impl<'a> EFindRuntime<'a> {
                 ))
             }
         };
-        let property4_holds = |p: &OperatorPlan| p.property4_violations().next().is_none();
-        debug_assert!(
-            ijob.operators()
-                .filter_map(|(bound, _)| plans.get(bound.op.name()))
-                .all(property4_holds),
-            "planner produced a Property 4 violation (shuffle after non-shuffle)"
-        );
         Ok((plans, measured))
     }
 

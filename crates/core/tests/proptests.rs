@@ -1056,7 +1056,7 @@ mod end_to_end {
             // Whatever the planner produced (including capability
             // fallbacks) must pass static analysis...
             prop_assert!(
-                analysis::passes(&ijob, &plans),
+                analysis::analyze_job(&ijob, &plans).is_ok_and(|r| r.is_passing()),
                 "planner produced an analyzer-rejected plan for shape {shape:?} / {strategy:?}"
             );
             // ...and the job must compile and run to completion.

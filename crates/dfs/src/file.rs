@@ -822,11 +822,6 @@ impl Dfs {
         lost
     }
 
-    /// Nodes declared dead so far, in crash order.
-    pub fn dead_nodes(&self) -> &[NodeId] {
-        &self.dead
-    }
-
     /// True if `node` has been declared dead.
     pub fn is_dead(&self, node: NodeId) -> bool {
         self.dead.contains(&node)
@@ -1535,7 +1530,6 @@ mod tests {
         assert!(d.under_replicated_count() > 0);
         // Idempotent: crashing the same node again changes nothing.
         assert!(d.crash_node(victim).is_empty());
-        assert_eq!(d.dead_nodes(), &[victim]);
         // Reads still work off the surviving replicas.
         assert_eq!(d.read_file("input").unwrap().len(), 50);
     }

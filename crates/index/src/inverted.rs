@@ -112,11 +112,6 @@ impl InvertedIndex {
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
-
-    /// Document frequency of a term.
-    pub fn doc_frequency(&self, term: &str) -> usize {
-        self.postings(term).len()
-    }
 }
 
 impl IndexAccessor for InvertedIndex {
@@ -168,7 +163,7 @@ mod tests {
         let idx = index();
         assert_eq!(idx.postings("the"), &[(1, 1), (2, 1), (3, 1)]);
         assert_eq!(idx.postings("quick"), &[(1, 1), (3, 1)]);
-        assert_eq!(idx.doc_frequency("dog"), 2);
+        assert_eq!(idx.postings("dog").len(), 2);
         assert!(idx.postings("missing").is_empty());
     }
 

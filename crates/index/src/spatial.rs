@@ -207,11 +207,6 @@ impl SpatialGridIndex {
         }
     }
 
-    /// Total stored points (counting overlap duplicates once per cell).
-    pub fn stored_entries(&self) -> usize {
-        self.cells.iter().map(RStarTree::len).sum()
-    }
-
     /// Exact k-nearest neighbors of `q` (k from the configuration).
     pub fn knn(&self, q: Point) -> Vec<(u64, Point, f64)> {
         let k = self.config.k;
@@ -372,7 +367,8 @@ mod tests {
     #[test]
     fn overlap_duplicates_points_near_boundaries() {
         let (idx, points) = build(3000, 5);
-        assert!(idx.stored_entries() > points.len());
+        let stored: usize = idx.cells.iter().map(RStarTree::len).sum();
+        assert!(stored > points.len());
     }
 
     #[test]

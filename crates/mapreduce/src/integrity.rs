@@ -13,7 +13,8 @@
 //! corruption-free runs are bit-identical to a build that never heard of
 //! checksums (the hotpath golden fingerprints stay pinned). The ledger is
 //! completed and mirrored in exactly one place, the corruption block of
-//! [`Runner::seal`](crate::Runner::seal) — end-of-job sweep, the
+//! the runner's `seal`, behind [`Runner::end_job`](crate::Runner::end_job)
+//! — end-of-job sweep, the
 //! counter-map scan of [`IntegrityLog::collect_lookup_counters`], the
 //! mirror. The runner asks the plan's `is_quiet()` once per job and skips
 //! that whole block when it is quiet — observably identical, since a quiet

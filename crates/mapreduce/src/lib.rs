@@ -51,6 +51,8 @@ pub use job::JobConf;
 pub use netsplit_log::PartitionLog;
 pub use partition::{HashPartitioner, Partitioner};
 pub use recovery::RecoveryLog;
-pub use runner::{run_job, JobParts, JobResult, MapPhaseExec, ReduceTaskExec, Runner};
+pub use runner::{
+    run_job, JobResult, MapPhaseExec, MapSide, ReduceTaskExec, Reduced, Runner, Shuffle,
+};
 pub use stats::{JobStats, PhaseStats, TaskStats};
 pub use tenancy::{run_tenant_mix, TenantJob, TenantJobOutcome, TenantMixOutcome};

@@ -16,8 +16,8 @@
 //! runs are bit-identical to a build that never heard of partitions. Like
 //! its siblings ([`RecoveryLog`](crate::RecoveryLog),
 //! [`IntegrityLog`](crate::IntegrityLog)) it is completed and mirrored in
-//! exactly one place, the partition block of
-//! [`Runner::seal`](crate::Runner::seal), which the runner skips as a
+//! exactly one place, the partition block of the runner's `seal`, behind
+//! [`Runner::end_job`](crate::Runner::end_job), which the runner skips as a
 //! whole when the layer is Quiet — observably identical because only
 //! nonzero fields ever become counters.
 

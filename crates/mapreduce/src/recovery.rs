@@ -12,11 +12,11 @@
 //! Under the quiet plan the ledger stays [`RecoveryLog::default`] and
 //! contributes nothing — no counters, no report lines — so crash-free runs
 //! are bit-identical to a build that never heard of crashes. The ledger
-//! is completed and mirrored in exactly one place, the chaos block of
-//! [`Runner::seal`](crate::Runner::seal); the runner asks the plan's
-//! `is_quiet()` once per job and skips that whole block when it is quiet,
-//! which is observably identical because only nonzero fields ever become
-//! counters.
+//! is completed and mirrored in exactly one place, the chaos block of the
+//! runner's `seal`, behind [`Runner::end_job`](crate::Runner::end_job);
+//! the runner asks the plan's `is_quiet()` once per job and skips that
+//! whole block when it is quiet, which is observably identical because
+//! only nonzero fields ever become counters.
 
 use efind_cluster::{CrashEvent, SimDuration};
 
@@ -25,7 +25,11 @@ use crate::counters::Counters;
 /// Everything that happened to keep one job alive through node crashes.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecoveryLog {
-    /// Crash events that fell inside this job's window, in time order.
+    /// Crash events that fell inside this job's window, in time order;
+    /// no other job of a run lists them. The exception is a map-side
+    /// re-plan's: it applies every planned crash up front, and the
+    /// re-planned pipeline's last job — the one whose ledger records the
+    /// re-plan's reuse — lists them wherever they fall.
     pub crashes: Vec<CrashEvent>,
     /// Recompute waves scheduled (at most one per crash that lost
     /// completed map outputs).

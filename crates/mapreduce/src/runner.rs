@@ -8,14 +8,14 @@
 //! volumes), then [`efind_cluster::sched::schedule_phase`] assigns tasks to
 //! slots and yields the phase makespan.
 //!
-//! The runner's pieces are public individually (`execute_maps`,
-//! `schedule_maps`, `run_reduce`, `execute_reduces`, `schedule_reduces`,
-//! `seal`) because EFind's adaptive optimizer (§4.3, Fig. 10) needs to stop
-//! a job after its first map wave, re-plan, and stitch the completed wave's
+//! [`Runner::finish`] is four public steps in order — [`Runner::map_side`],
+//! [`Runner::shuffle`], [`Runner::reduce`] and [`Runner::end_job`] —
+//! because EFind's adaptive optimizer (§4.3, Fig. 10) needs to stop a job
+//! after its first map wave, re-plan, and stitch the completed wave's
 //! outputs into the new plan's reduce, or to run the reduce phase wave by
-//! wave. Whoever runs the phases, a job ends in
-//! [`Runner::seal`]: the one place its ledgers are completed and mirrored
-//! and its [`JobStats`] is built.
+//! wave. Whoever runs the steps, a job ends in `end_job`, and so in
+//! `seal`: the one place its ledgers are completed and mirrored and its
+//! [`JobStats`] is built.
 
 // The runner returns structured errors; a panic would abort the whole
 // simulated cluster.
@@ -274,87 +274,68 @@ impl ReduceTaskExec {
     }
 }
 
-/// Outcome of a reduce phase.
-pub struct ReduceOutcome {
-    /// Reduce phase statistics and timeline.
-    pub phase: PhaseStats,
-    /// The written DFS output file.
-    pub output: DfsFile,
-    /// Bytes moved through the shuffle.
-    pub shuffle_bytes: u64,
-    /// Shuffle payloads that failed CRC verification at the reducer and
-    /// were refetched from the source map output (0 under a quiet
-    /// corruption plan).
-    pub shuffle_refetches: u64,
-    /// Virtual time the refetches cost (already charged into the
-    /// affected reduce tasks' costs).
-    pub shuffle_refetch_time: SimDuration,
-}
-
 /// What a job did before its tail: the phases it ran, the volumes it
 /// moved, and what its ledgers hold so far. [`Runner::seal`] turns it into
 /// the job's [`JobStats`].
-#[derive(Debug, Default)]
-pub struct JobParts {
-    /// Virtual start time.
-    pub started: SimTime,
-    /// Virtual completion time.
-    pub finished: SimTime,
-    /// The map phase.
-    pub map: PhaseStats,
-    /// The reduce phase (`None` for map-only jobs).
-    pub reduce: Option<PhaseStats>,
-    /// Bytes moved through the shuffle.
-    pub shuffle_bytes: u64,
-    /// Bytes written to the DFS output file.
-    pub output_bytes: u64,
-    /// Recovery actions so far. [`Runner::seal`] adds the two phases' own
-    /// crashed attempts; the caller does not.
-    pub recovery: RecoveryLog,
-    /// Integrity actions so far (the shuffle refetches of the reduce).
-    pub integrity: IntegrityLog,
-    /// Gray-failure actions so far. [`Runner::seal`] folds in the two
-    /// phases' own partition replays; the caller does not.
-    pub partition: PartitionLog,
+struct JobParts {
+    started: SimTime,
+    finished: SimTime,
+    map: PhaseStats,
+    /// `None` for map-only jobs.
+    reduce: Option<PhaseStats>,
+    shuffle_bytes: u64,
+    output_bytes: u64,
+    /// Recovery actions so far; [`Runner::seal`] adds the two phases' own
+    /// crashed attempts.
+    recovery: RecoveryLog,
+    integrity: IntegrityLog,
+    /// Gray-failure actions so far; [`Runner::seal`] folds in the two
+    /// phases' own partition replays.
+    partition: PartitionLog,
 }
 
-impl JobParts {
-    /// The parts of a job started at `started` whose map phase `map` was
-    /// followed by the reduce `outcome`, fetching from `reduce_start`.
-    /// Also hands back the reduce's output file.
-    pub fn after_reduce(
-        started: SimTime,
-        map: PhaseStats,
-        reduce_start: SimTime,
-        outcome: ReduceOutcome,
-    ) -> (DfsFile, JobParts) {
-        let parts = JobParts {
-            started,
-            finished: outcome.phase.schedule.makespan.max(reduce_start),
-            map,
-            reduce: Some(outcome.phase),
-            shuffle_bytes: outcome.shuffle_bytes,
-            output_bytes: outcome.output.total_bytes(),
-            integrity: IntegrityLog {
-                shuffle_refetches: outcome.shuffle_refetches,
-                shuffle_refetch_time: outcome.shuffle_refetch_time,
-                ..IntegrityLog::default()
-            },
-            ..JobParts::default()
-        };
-        (outcome.output, parts)
-    }
+/// The map side of a job, scheduled and kept alive ([`Runner::map_side`]):
+/// the map phase, when its last surviving attempt ends, when the reducers
+/// can fetch every map output, and what keeping them alive cost so far.
+pub struct MapSide {
+    started: SimTime,
+    map: PhaseStats,
+    end: SimTime,
+    reduce_start: SimTime,
+    recovery: RecoveryLog,
+    partition: PartitionLog,
 }
 
-/// The map side of a job between its first schedule and its reduce: the
-/// executed tasks, the surviving attempt of each (recompute waves replace
-/// lost ones), when the last of them ends, and what keeping them alive cost.
-struct MapSide<'e> {
+/// The map side while it is kept alive: the executed tasks, the surviving
+/// attempt of each (recompute waves replace lost ones), when the last of
+/// them ends, and what keeping them alive cost.
+struct Alive<'e> {
     tasks: &'e [MapTaskExec],
     attempts: Vec<Assignment>,
     end: SimTime,
     recovery: RecoveryLog,
     partition: PartitionLog,
+}
+
+/// A job's shuffle ([`Runner::shuffle`]): what refetching each
+/// partition's corrupted payloads costs, the bytes that cross, and the
+/// refetches in the integrity ledger.
+pub struct Shuffle {
+    refetch: Vec<SimDuration>,
+    bytes: u64,
+    integrity: IntegrityLog,
+}
+
+/// The reduce side of a job, ready for [`Runner::end_job`].
+pub struct Reduced {
+    /// The shuffle the tasks read.
+    pub shuffle: Shuffle,
+    /// Every reduce task of the job, executed, in task order.
+    pub tasks: Vec<ReduceTaskExec>,
+    /// A re-plan between reduce waves (Fig. 10(b)): the tasks from this
+    /// index on start once those before them end, plus the pause. `None`
+    /// starts every task at the reduce start.
+    pub pause: Option<(usize, SimDuration)>,
 }
 
 /// Executes jobs against a cluster and DFS.
@@ -570,13 +551,6 @@ impl<'a> Runner<'a> {
         self.schedule_phase(&specs, start)
     }
 
-    /// Schedules executed reduce tasks onto the cluster starting at
-    /// `start`, under the same plans as every other phase of the job.
-    pub fn schedule_reduces(&self, tasks: &[ReduceTaskExec], start: SimTime) -> Schedule {
-        let specs: Vec<TaskSpec> = tasks.iter().map(|t| t.spec.clone()).collect();
-        self.schedule_phase(&specs, start)
-    }
-
     /// Partitions per-source map outputs into the job's reduce buckets,
     /// returning the partitions and the total shuffled bytes: each source
     /// is spilled as its map task would have spilled it, and each
@@ -621,125 +595,23 @@ impl<'a> Runner<'a> {
         })
     }
 
-    /// Executes (real computation, no scheduling) reduce tasks `tasks` of
-    /// `conf` over the shuffle runs an executed map phase still holds:
-    /// task `p` reads partition `p` of every run, in task order. The
-    /// partitions' values move into the reducers, so each task runs once.
-    /// Used by the adaptive optimizer to run the reduce phase wave by wave
-    /// (Fig. 10(b)).
-    pub fn execute_reduces(
-        &self,
-        conf: &JobConf,
-        exec: &mut MapPhaseExec,
-        tasks: Range<usize>,
-    ) -> Result<Vec<ReduceTaskExec>> {
-        if tasks.end > conf.num_reducers {
-            return Err(Error::InvalidConfig(format!(
-                "job {} has no reduce task {}",
-                conf.name,
-                tasks.end - 1
-            )));
-        }
-        self.reduce_partitions(conf, &mut shuffle_runs(conf, exec)?, tasks)
-    }
-
-    /// Writes per-task outputs, in task order, as the job's output file:
-    /// each task's blocks with the bytes its worker summed for them as they
-    /// were emitted, so the DFS sizes again only the records of a block a
-    /// chunk boundary falls inside.
-    fn write_output(&mut self, conf: &JobConf, outputs: Vec<(Vec<Record>, u64)>) -> DfsFile {
-        self.dfs
-            .write_file_parts(&conf.output, outputs, conf.output_chunks)
-    }
-
-    /// Runs the reduce phase over the shuffle runs of an executed map
-    /// phase, in task order, writes the job output file, and returns the
-    /// outcome. The tasks must have run under a job that shuffles like
-    /// `conf` ([`JobConf::shuffles_like`]). Besides [`Runner::finish`],
-    /// this is how the adaptive optimizer merges a completed first wave
-    /// (old plan) with the new plan's map phase — Fig. 10(a).
-    pub fn run_reduce(
-        &mut self,
-        conf: &JobConf,
-        exec: &mut MapPhaseExec,
-        start: SimTime,
-    ) -> Result<ReduceOutcome> {
-        let mut runs = shuffle_runs(conf, exec)?;
-        let (extra_fetch, shuffle_refetches, shuffle_refetch_time) =
-            self.verify_shuffle_payloads(conf, &mut runs);
-        let shuffle_bytes = runs.iter().map(|run| run.bytes()).sum();
-        let mut execs = self.reduce_partitions(conf, &mut runs, 0..conf.num_reducers)?;
-        // Freed before the output write, which frees the file it replaces,
-        // the runs' buffers cost the allocator less than after it (E27).
-        for t in &mut exec.tasks {
-            t.output = MapOutput::default();
-        }
-        for e in &mut execs {
-            if let Some(extra) = extra_fetch.get(e.task_id).filter(|d| !d.is_zero()) {
-                e.spec.base += *extra;
-                e.stats.compute_cost += *extra;
-            }
-        }
-
-        let outputs = ReduceTaskExec::take_parts(&mut execs);
-        let mut tasks = Vec::with_capacity(execs.len());
-        let mut specs = Vec::with_capacity(execs.len());
-        for e in execs {
-            tasks.push(e.stats);
-            specs.push(e.spec);
-        }
-        let schedule = self.schedule_phase(&specs, start);
-        let output = self.write_output(conf, outputs);
-        Ok(ReduceOutcome {
-            phase: PhaseStats { tasks, schedule },
-            output,
-            shuffle_bytes,
-            shuffle_refetches,
-            shuffle_refetch_time,
-        })
-    }
-
-    /// Reduce tasks `tasks` over one run per map task: task `p` borrows
-    /// partition `p` of every run, in run order.
-    fn reduce_partitions(
-        &self,
-        conf: &JobConf,
-        runs: &mut [&mut Spill],
-        tasks: Range<usize>,
-    ) -> Result<Vec<ReduceTaskExec>> {
-        let mut inputs: Vec<(usize, Vec<Slice>)> = tasks
-            .clone()
-            .map(|p| (p, Vec::with_capacity(runs.len())))
-            .collect();
-        for run in runs {
-            for ((_, input), slice) in inputs.iter_mut().zip(run.slices().skip(tasks.start)) {
-                if !slice.is_empty() {
-                    input.push(slice);
-                }
-            }
-        }
-        fan_out("reduce", inputs, |(task_id, slices)| {
-            self.execute_one_reduce(conf, task_id, slices)
-        })
-    }
-
-    /// Verifies every (map source, reduce partition) shuffle payload
-    /// against its sender-side CRC-32 and prices the refetch of corrupted
-    /// transfers. Returns per-partition extra fetch time, the refetch
-    /// count, and the total refetch time. Entirely skipped (three zeros)
-    /// unless the corruption plan can hit the shuffle.
-    fn verify_shuffle_payloads(
-        &self,
-        conf: &JobConf,
-        runs: &mut [&mut Spill],
-    ) -> (Vec<SimDuration>, u64, SimDuration) {
+    /// The shuffle of an executed map phase: verifies every (map source,
+    /// reduce partition) payload of the tasks' runs once against its
+    /// sender-side CRC-32, prices the refetch of each corrupted one into
+    /// its partition, and sums the bytes that cross. The check is skipped
+    /// entirely unless the corruption plan can hit the shuffle.
+    pub fn shuffle(&self, conf: &JobConf, exec: &mut MapPhaseExec) -> Result<Shuffle> {
+        let runs = shuffle_runs(conf, exec)?;
+        let mut shuffle = Shuffle {
+            refetch: Vec::new(),
+            bytes: runs.iter().map(|run| run.bytes()).sum(),
+            integrity: IntegrityLog::default(),
+        };
         if !self.corruption.verifies_shuffle() {
-            return (Vec::new(), 0, SimDuration::ZERO);
+            return Ok(shuffle);
         }
-        let mut extra = vec![SimDuration::ZERO; conf.num_reducers];
-        let mut refetches = 0u64;
-        let mut refetch_time = SimDuration::ZERO;
-        for (s, run) in runs.iter_mut().enumerate() {
+        shuffle.refetch = vec![SimDuration::ZERO; conf.num_reducers];
+        for (s, run) in runs.into_iter().enumerate() {
             for (p, slice) in run.slices().enumerate() {
                 if slice.is_empty() || !self.corruption.shuffle_corrupt(&conf.name, s, p) {
                     continue;
@@ -760,13 +632,56 @@ impl<'a> Runner<'a> {
                 if crc32(&received) == sent {
                     continue; // undetectable in principle; never for 1-byte flips
                 }
-                refetches += 1;
                 let cost = self.cluster.network.volume(slice.bytes());
-                extra[p] += cost;
-                refetch_time += cost;
+                shuffle.refetch[p] += cost;
+                shuffle.integrity.shuffle_refetches += 1;
+                shuffle.integrity.shuffle_refetch_time += cost;
             }
         }
-        (extra, refetches, refetch_time)
+        Ok(shuffle)
+    }
+
+    /// Executes (real computation, no scheduling) reduce tasks `tasks` of
+    /// `conf` over `shuffle`, the shuffle of the runs an executed map phase
+    /// still holds: task `p` borrows partition `p` of every run, in run
+    /// order, and pays its partition's refetches. The partitions' values
+    /// move into the reducers, so each task runs once.
+    pub fn reduce(
+        &self,
+        conf: &JobConf,
+        exec: &mut MapPhaseExec,
+        shuffle: &Shuffle,
+        tasks: Range<usize>,
+    ) -> Result<Vec<ReduceTaskExec>> {
+        if tasks.end > conf.num_reducers {
+            return Err(Error::InvalidConfig(format!(
+                "job {} has no reduce task {}",
+                conf.name,
+                tasks.end - 1
+            )));
+        }
+        let runs = shuffle_runs(conf, exec)?;
+        let mut inputs: Vec<(usize, Vec<Slice>)> = tasks
+            .clone()
+            .map(|p| (p, Vec::with_capacity(runs.len())))
+            .collect();
+        for run in runs {
+            for ((_, input), slice) in inputs.iter_mut().zip(run.slices().skip(tasks.start)) {
+                if !slice.is_empty() {
+                    input.push(slice);
+                }
+            }
+        }
+        let mut execs = fan_out("reduce", inputs, |(task_id, slices)| {
+            self.execute_one_reduce(conf, task_id, slices)
+        })?;
+        for e in &mut execs {
+            if let Some(extra) = shuffle.refetch.get(e.task_id).filter(|d| !d.is_zero()) {
+                e.spec.base += *extra;
+                e.stats.compute_cost += *extra;
+            }
+        }
+        Ok(execs)
     }
 
     fn execute_one_reduce(
@@ -993,26 +908,55 @@ impl<'a> Runner<'a> {
         self.finish(conf, &mut exec, start)
     }
 
-    /// Schedules an executed map phase, runs the reduce phase (if any),
-    /// writes the output, and assembles the result. Consumes the map
-    /// outputs held in `exec`.
-    ///
-    /// The phases, in order: schedule the maps; fail fast when a partition
-    /// that never heals hides a needed input chunk; replay the crashes
-    /// that fall inside the map phase (deaths strip the dead node's DFS
-    /// replicas, and completed map tasks whose node-local outputs died
-    /// with a node re-run as recompute waves); re-run map outputs stranded
-    /// behind a confirmed partition; let the reducers back off until every
-    /// map output is fetchable; reduce, or write the map-only output; and
-    /// [`seal`](Runner::seal) the job. Map task ids are assumed to equal
-    /// their input chunk indices (true for every runner entry point),
-    /// which lets a recompute wave find a task's surviving input replicas.
+    /// Runs the rest of a job started at `start` whose map phase `exec`
+    /// holds: its [map side](Runner::map_side), its shuffle and every
+    /// reduce task when it has a reduce ([`Runner::reduce_all`]), and its
+    /// [end](Runner::end_job). Consumes the map outputs held in `exec`.
     pub fn finish(
         &mut self,
         conf: &JobConf,
         exec: &mut MapPhaseExec,
         start: SimTime,
     ) -> Result<JobResult> {
+        let side = self.map_side(conf, exec, start, RecoveryLog::default())?;
+        let reduced = self.reduce_all(conf, exec)?;
+        Ok(self.end_job(conf, exec, side, reduced))
+    }
+
+    /// The [shuffle](Runner::shuffle) and every [reduce](Runner::reduce)
+    /// task of a job with a reduce, ready for [`Runner::end_job`]; `None`
+    /// for a map-only job.
+    pub fn reduce_all(&self, conf: &JobConf, exec: &mut MapPhaseExec) -> Result<Option<Reduced>> {
+        if !conf.has_reduce() {
+            return Ok(None);
+        }
+        let shuffle = self.shuffle(conf, exec)?;
+        let tasks = self.reduce(conf, exec, &shuffle, 0..conf.num_reducers)?;
+        Ok(Some(Reduced {
+            shuffle,
+            tasks,
+            pause: None,
+        }))
+    }
+
+    /// The map side of a job started at `start` whose map phase `exec`
+    /// holds, with the recovery actions `recovery` taken before it (a
+    /// re-plan's). In order: schedule the maps; fail fast when a partition
+    /// that never heals hides a needed input chunk; replay the crashes
+    /// that fall inside the map phase (deaths strip the dead node's DFS
+    /// replicas, and completed map tasks whose node-local outputs died
+    /// with a node re-run as recompute waves); re-run map outputs stranded
+    /// behind a confirmed partition; and let the reducers back off until
+    /// every map output is fetchable. Map task ids are assumed to equal
+    /// their input chunk indices (true for every runner entry point),
+    /// which lets a recompute wave find a task's surviving input replicas.
+    pub fn map_side(
+        &mut self,
+        conf: &JobConf,
+        exec: &mut MapPhaseExec,
+        start: SimTime,
+        recovery: RecoveryLog,
+    ) -> Result<MapSide> {
         // Map-only jobs pay the DFS store from within the map tasks.
         if !conf.has_reduce() {
             for t in &mut exec.tasks {
@@ -1021,49 +965,117 @@ impl<'a> Runner<'a> {
                 t.stats.compute_cost += extra;
             }
         }
-        let schedule = self.schedule_maps(exec, start);
+        let map = exec.phase_stats(self.schedule_maps(exec, start));
         // The instant reducers would first fetch map outputs if nothing
         // crashed — the reference point for fetch-retry backoff.
-        let fetch_ready = schedule.makespan;
-        let mut side = MapSide {
+        let fetch_ready = map.schedule.makespan;
+        let mut alive = Alive {
             tasks: &exec.tasks,
-            attempts: schedule.assignments.clone(),
+            attempts: map.schedule.assignments.clone(),
             end: fetch_ready,
-            recovery: RecoveryLog::default(),
+            recovery,
             partition: PartitionLog::default(),
         };
-        self.fail_on_unreachable_input(conf, &side.attempts)?;
-        self.replay_crashes(conf, &mut side)?;
-        let stranded = self.replace_stranded(conf, &mut side)?;
-        let reduce_start = self.fetch_start(conf, fetch_ready, stranded, &mut side)?;
-        let MapSide {
-            end: map_end,
+        self.fail_on_unreachable_input(conf, &alive.attempts)?;
+        self.replay_crashes(conf, &mut alive)?;
+        let stranded = self.replace_stranded(conf, &mut alive)?;
+        let reduce_start = self.fetch_start(conf, fetch_ready, stranded, &mut alive)?;
+        let Alive {
+            end,
             recovery,
             partition,
             ..
-        } = side;
+        } = alive;
+        Ok(MapSide {
+            started: start,
+            map,
+            end,
+            reduce_start,
+            recovery,
+            partition,
+        })
+    }
 
-        let map = exec.phase_stats(schedule);
-        let (output, mut parts) = if conf.has_reduce() {
-            let outcome = self.run_reduce(conf, exec, reduce_start)?;
-            JobParts::after_reduce(start, map, reduce_start, outcome)
-        } else {
-            let output = self.write_output(conf, exec.take_parts());
-            let parts = JobParts {
-                started: start,
-                finished: map_end,
-                map,
-                output_bytes: output.total_bytes(),
-                ..JobParts::default()
-            };
-            (output, parts)
+    /// The end of every job: schedules the reduce tasks of `reduced` from
+    /// the map side's reduce start, writes the output — theirs, or a
+    /// map-only job's map output (`reduced` is `None`) — and seals the
+    /// job: completes and mirrors its ledgers and builds its [`JobStats`].
+    pub fn end_job(
+        &mut self,
+        conf: &JobConf,
+        exec: &mut MapPhaseExec,
+        side: MapSide,
+        reduced: Option<Reduced>,
+    ) -> JobResult {
+        let MapSide {
+            started,
+            map,
+            end,
+            reduce_start,
+            mut recovery,
+            mut partition,
+            ..
+        } = side;
+        let (mut shuffle_bytes, mut integrity) = (0, IntegrityLog::default());
+        let (finished, reduce, outputs) = match reduced {
+            None => (end, None, exec.take_parts()),
+            Some(Reduced {
+                shuffle,
+                mut tasks,
+                pause,
+            }) => {
+                // Freed before the output write, which frees the file it
+                // replaces, the runs' buffers cost the allocator less than
+                // after it (E27).
+                for t in &mut exec.tasks {
+                    t.output = MapOutput::default();
+                }
+                let outputs = ReduceTaskExec::take_parts(&mut tasks);
+                let mut stats = Vec::with_capacity(tasks.len());
+                let mut specs = Vec::with_capacity(tasks.len());
+                for t in tasks {
+                    stats.push(t.stats);
+                    specs.push(t.spec);
+                }
+                let (first, rest) = specs.split_at(pause.map_or(specs.len(), |(n, _)| n));
+                let mut schedule = self.schedule_phase(first, reduce_start);
+                if let Some((_, pause)) = pause {
+                    let later = self.schedule_phase(rest, schedule.makespan + pause);
+                    schedule.assignments.extend(later.assignments);
+                    schedule.makespan = schedule.makespan.max(later.makespan);
+                    recovery.crashed_attempts += later.crashed_attempts;
+                    fold_partition_replay(&mut partition, &later.partition);
+                }
+                (shuffle_bytes, integrity) = (shuffle.bytes, shuffle.integrity);
+                let finished = schedule.makespan.max(reduce_start);
+                let phase = PhaseStats {
+                    tasks: stats,
+                    schedule,
+                };
+                (finished, Some(phase), outputs)
+            }
         };
-        parts.recovery = recovery;
-        parts.partition = partition;
-        Ok(JobResult {
+        // Each task's blocks go in with the bytes its worker summed for
+        // them as they were emitted, so the DFS sizes again only the
+        // records of a block a chunk boundary falls inside.
+        let output = self
+            .dfs
+            .write_file_parts(&conf.output, outputs, conf.output_chunks);
+        let parts = JobParts {
+            started,
+            finished,
+            map,
+            reduce,
+            shuffle_bytes,
+            output_bytes: output.total_bytes(),
+            recovery,
+            integrity,
+            partition,
+        };
+        JobResult {
             output,
             stats: self.seal(conf, parts),
-        })
+        }
     }
 
     /// Fails fast — never hangs — when a partition that never heals has
@@ -1108,7 +1120,7 @@ impl<'a> Runner<'a> {
     }
 
     /// Applies every planned crash at or before `upto` whose node the DFS
-    /// still believes alive. [`Runner::seal`] calls this with the job's
+    /// still believes alive. The job's seal calls this with its
     /// end; the adaptive re-plan calls it with the end of time, because a
     /// first-wave result on a node with *any* planned death cannot be
     /// trusted to still be there for the re-planned job's reduce.
@@ -1136,7 +1148,7 @@ impl<'a> Runner<'a> {
         lost: &[usize],
         at: SimTime,
         readable: impl Fn(usize, &ChunkMeta) -> Result<Vec<NodeId>>,
-        side: &mut MapSide,
+        side: &mut Alive,
     ) -> Result<()> {
         let mut specs = Vec::with_capacity(lost.len());
         for &id in lost {
@@ -1163,8 +1175,10 @@ impl<'a> Runner<'a> {
 
     /// Replays the planned crashes that fall inside the map phase. A crash
     /// past its (current) end is left to [`Runner::seal`], which applies
-    /// it if it still falls inside the job.
-    fn replay_crashes(&mut self, conf: &JobConf, side: &mut MapSide) -> Result<()> {
+    /// it if it still falls inside the job. A crash whose node the DFS
+    /// already counts dead was applied, and listed, by an earlier job or a
+    /// re-plan; here it only takes the outputs it kills.
+    fn replay_crashes(&mut self, conf: &JobConf, side: &mut Alive) -> Result<()> {
         // One branch on the plan's `is_quiet()` replaces every
         // per-event / per-attempt chaos check for quiet runs.
         if self.chaos.is_quiet() {
@@ -1193,7 +1207,12 @@ impl<'a> Runner<'a> {
             };
             // A surviving attempt that (re)ran past the crash re-reads
             // its input; losing that input's last replica is fatal.
-            for (name, idx) in self.apply_crash(e, &mut side.recovery) {
+            let lost_chunks = if self.dfs.is_dead(e.node) {
+                Vec::new()
+            } else {
+                self.apply_crash(e, &mut side.recovery)
+            };
+            for (name, idx) in lost_chunks {
                 let rereads = |a: &Assignment| a.task_id == idx && a.end > e.at;
                 if name == conf.input && side.attempts.iter().any(rereads) {
                     return Err(Error::DataLoss(format!(
@@ -1237,7 +1256,7 @@ impl<'a> Runner<'a> {
     /// isolated node (nothing is lost, so no DFS mutation and no replica
     /// repair); they are simply unreachable for the rest of the job.
     /// Returns whether any task re-ran.
-    fn replace_stranded(&self, conf: &JobConf, side: &mut MapSide) -> Result<bool> {
+    fn replace_stranded(&self, conf: &JobConf, side: &mut Alive) -> Result<bool> {
         let mut stranded = false;
         if self.netsplit.is_quiet() || !conf.has_reduce() {
             return Ok(stranded);
@@ -1288,7 +1307,7 @@ impl<'a> Runner<'a> {
         conf: &JobConf,
         fetch_ready: SimTime,
         stranded: bool,
-        side: &mut MapSide,
+        side: &mut Alive,
     ) -> Result<SimTime> {
         let reducers = conf.num_reducers.max(1) as u64;
         let mut reduce_start = side.end;
@@ -1336,7 +1355,7 @@ impl<'a> Runner<'a> {
     /// mirror each armed layer's ledger. A quiet layer's ledger is all
     /// zeros and only nonzero fields become counters, so skipping its
     /// block is observably identical and saves the work on every quiet job.
-    pub fn seal(&mut self, conf: &JobConf, parts: JobParts) -> JobStats {
+    fn seal(&mut self, conf: &JobConf, parts: JobParts) -> JobStats {
         let JobParts {
             started,
             finished,
@@ -1752,17 +1771,22 @@ mod tests {
     }
 
     #[test]
-    fn run_reduce_requires_reduce() {
+    fn shuffle_and_reduce_require_reduce() {
         let (cluster, mut dfs) = setup(vec![]);
         let conf = JobConf::new("x", "input", "out");
-        let mut runner = Runner::new(&cluster, &mut dfs);
+        let runner = Runner::new(&cluster, &mut dfs);
         let mut empty = MapPhaseExec::default();
         assert!(matches!(
-            runner.run_reduce(&conf, &mut empty, SimTime::ZERO),
+            runner.shuffle(&conf, &mut empty),
             Err(Error::InvalidConfig(_))
         ));
+        let none = Shuffle {
+            refetch: Vec::new(),
+            bytes: 0,
+            integrity: IntegrityLog::default(),
+        };
         assert!(matches!(
-            runner.execute_reduces(&conf, &mut empty, 0..0),
+            runner.reduce(&conf, &mut empty, &none, 0..0),
             Err(Error::InvalidConfig(_))
         ));
     }
@@ -1771,11 +1795,11 @@ mod tests {
     fn reducing_a_map_only_phase_is_an_error() {
         let (cluster, mut dfs) = setup(words());
         let map_only = JobConf::new("m", "input", "out").add_mapper(identity_mapper());
-        let mut runner = Runner::new(&cluster, &mut dfs);
+        let runner = Runner::new(&cluster, &mut dfs);
         let chunks = runner.chunks(&map_only).unwrap();
         let mut exec = runner.execute_maps(&map_only, &chunks, 0).unwrap();
         assert!(matches!(
-            runner.run_reduce(&wordcount_conf(), &mut exec, SimTime::ZERO),
+            runner.shuffle(&wordcount_conf(), &mut exec),
             Err(Error::Internal(_))
         ));
     }
@@ -1790,11 +1814,12 @@ mod tests {
         let chunks = runner.chunks(&conf).unwrap();
         let mut whole_exec = runner.execute_maps(&conf, &chunks, 0).unwrap();
         let whole = runner
-            .run_reduce(&conf, &mut whole_exec, SimTime::ZERO)
+            .finish(&conf, &mut whole_exec, SimTime::ZERO)
             .unwrap();
         let mut exec = runner.execute_maps(&conf, &chunks, 0).unwrap();
-        let mut waves = runner.execute_reduces(&conf, &mut exec, 0..1).unwrap();
-        waves.extend(runner.execute_reduces(&conf, &mut exec, 1..3).unwrap());
+        let shuffle = runner.shuffle(&conf, &mut exec).unwrap();
+        let mut waves = runner.reduce(&conf, &mut exec, &shuffle, 0..1).unwrap();
+        waves.extend(runner.reduce(&conf, &mut exec, &shuffle, 1..3).unwrap());
         assert_eq!(
             waves.iter().map(|t| t.task_id).collect::<Vec<_>>(),
             [0, 1, 2]
@@ -1804,13 +1829,14 @@ mod tests {
             .flat_map(|(records, _)| records)
             .collect();
         assert_eq!(outputs, runner.dfs.read_file("out").unwrap());
-        for (wave, task) in waves.iter().zip(&whole.phase.tasks) {
+        let whole = whole.stats.reduce.expect("a job with a reduce");
+        for (wave, task) in waves.iter().zip(&whole.tasks) {
             assert_eq!(wave.stats.input_records, task.input_records);
             assert_eq!(wave.stats.input_bytes, task.input_bytes);
             assert_eq!(wave.stats.compute_cost, task.compute_cost);
         }
         assert!(matches!(
-            runner.execute_reduces(&conf, &mut exec, 2..4),
+            runner.reduce(&conf, &mut exec, &shuffle, 2..4),
             Err(Error::InvalidConfig(_))
         ));
     }
@@ -1835,10 +1861,10 @@ mod tests {
         let mut exec1 = runner.execute_maps(&conf, &chunks[..w], 0).unwrap();
         let mut exec2 = runner.execute_maps(&conf, &chunks[w..], w).unwrap();
         exec1.tasks.append(&mut exec2.tasks);
-        let outcome = runner.run_reduce(&conf, &mut exec1, SimTime::ZERO).unwrap();
+        let merged = runner.finish(&conf, &mut exec1, SimTime::ZERO).unwrap();
         let merged_out = dfs2.read_file("out").unwrap();
         assert_eq!(full_out, merged_out);
-        assert_eq!(full.output.total_bytes(), outcome.output.total_bytes());
+        assert_eq!(full.output.total_bytes(), merged.output.total_bytes());
     }
 
     #[test]
@@ -3133,10 +3159,11 @@ mod encoded_tests {
             .map(|run| run.bytes())
             .collect();
         let split = conf.num_reducers / 2;
-        let mut waves = runner.execute_reduces(conf, &mut exec, 0..split).unwrap();
+        let shuffle = runner.shuffle(conf, &mut exec).unwrap();
+        let mut waves = runner.reduce(conf, &mut exec, &shuffle, 0..split).unwrap();
         waves.extend(
             runner
-                .execute_reduces(conf, &mut exec, split..conf.num_reducers)
+                .reduce(conf, &mut exec, &shuffle, split..conf.num_reducers)
                 .unwrap(),
         );
         let waves = ReduceTaskExec::take_parts(&mut waves)

@@ -230,9 +230,13 @@ echo "== injection layers (pinned seed matrix) =="
 # layer must do work in its cells, and every layer configured but quiet
 # must match the hotpath goldens. Each layer alone and the gray-stack and
 # combined-chaos masks run in their layer's suite, all five layers and
-# seed-drawn masks in `injection`. The pinned seeds are the union of the
-# four per-layer seed lists; widen the matrix by exporting more. Release
-# mode: 500 cells, run twice.
+# seed-drawn masks in `injection`. A column of `Mode::Dynamic` cells over a
+# tail-operator job with more reducers than reduce slots takes Fig. 10(b)'s
+# reduce-phase re-plan under shuffle corruption and crashes (`injection`,
+# `node_crash`), and every answered cell lists each crash in one job only.
+# The pinned seeds are the union of the four per-layer seed lists; widen
+# the matrix by exporting more. Release mode: 320 pinned cells, each run
+# twice, plus the proptest cases.
 EFIND_SEEDS="${EFIND_SEEDS:-0xEF1D0001,0xC0FFEE42,0xEF1D0003,0xDEADBEE5,41,0xEF1D0004,0xC0FFEE01,53,0xEF1D0010,0x5EED5EED}" \
     cargo test -q --release --test injection --test fault_injection --test node_crash \
     --test integrity --test netsplit --test fault_props

@@ -16,7 +16,24 @@
 //! The constants were captured on the commit *before* the job tail was
 //! folded into `Runner::seal` and the adaptive runtime stopped assembling
 //! `JobStats` by hand; they must hold under any worker count
-//! (`scripts/ci.sh` reruns this binary under `taskset -c 0`).
+//! (`scripts/ci.sh` reruns this binary under `taskset -c 0`). Every quiet
+//! constant still is. Three armed sets were re-captured when both
+//! re-plans began to finish their jobs through the runner's own steps
+//! and each crash came to be listed by one job only:
+//!
+//! * exit 2, job 0: the re-planned pipeline's first job no longer lists
+//!   the 580 ms crash the re-plan applied and its last job lists (crashes
+//!   1 → 0, and its `mr.recovery.crashes` counter goes);
+//! * exit 4: the pass that keeps the plan ends the job as `finish` does,
+//!   so it is the baseline plan's run — 58 shuffle refetches priced
+//!   (274 204 910 → 274 255 454 ns);
+//! * exit 5: job 0 verifies its shuffle (64 refetches, makespan
+//!   5 299 809 069 → 5 299 869 261 ns) and lists the 1 s crash inside its
+//!   window; job 1, the tail pipeline, lists none, and since the crash now
+//!   reaches the DFS when job 0 ends, job 1's tasks read their input from
+//!   the replicas that outlived it (104 467 480 → 124 886 442 ns).
+//!
+//! Exits 1 and 3 and exit 2's job 1 kept every armed constant.
 
 mod common;
 
@@ -25,7 +42,7 @@ use std::sync::Arc;
 
 use efind::{
     operator_fn, BoundOperator, EFindConfig, EFindRuntime, IndexAccessor, IndexInput, IndexJobConf,
-    IndexOutput, Mode,
+    IndexOutput, Mode, Strategy,
 };
 use efind_cluster::{ChaosPlan, Cluster, CorruptionPlan, NodeId, SimDuration, SimTime};
 use efind_common::{Datum, FxHashMap, Record};
@@ -212,7 +229,7 @@ fn armed(config: &mut EFindConfig, kill_ms: u64) {
         .responses(0.05);
 }
 
-fn observe(exit: Exit, kill_ms: Option<u64>) -> Goldens {
+fn observe(exit: Exit, kill_ms: Option<u64>, mode: Mode) -> Goldens {
     let (cluster, mut dfs, ijob) = fixture(exit);
     let mut config = EFindConfig {
         // Cheap enough that every profitable re-plan fires; the tail
@@ -228,7 +245,7 @@ fn observe(exit: Exit, kill_ms: Option<u64>) -> Goldens {
         armed(&mut config, kill_ms);
     }
     let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, config);
-    let res = rt.run(&ijob, Mode::Dynamic).expect("dynamic run failed");
+    let res = rt.run(&ijob, mode).expect("the run failed");
     let mut captured: Goldens = vec![
         golden("total.nanos", res.total_time.as_nanos()),
         golden("replanned", u64::from(res.replanned)),
@@ -266,7 +283,7 @@ fn observe(exit: Exit, kill_ms: Option<u64>) -> Goldens {
 /// Runs `exit` quiet (`None`) or armed with the kill `kill_ms` after the
 /// start, and compares every observable with its parent-commit value.
 fn expect(exit: Exit, kill_ms: Option<u64>, expected: &[(&str, u64)]) {
-    let captured = observe(exit, kill_ms);
+    let captured = observe(exit, kill_ms, Mode::Dynamic);
     let expected: Goldens = expected.iter().map(|(k, v)| golden(*k, *v)).collect();
     assert_eq!(captured, expected, "{exit:?} kill_ms={kill_ms:?}");
 }
@@ -360,8 +377,8 @@ fn map_side_replan_with_a_reduce() {
             ("jobs", 2),
             ("job0.makespan.nanos", 24_296_072),
             ("job0.shuffle.bytes", 88_236),
-            ("job0.counters.fingerprint", 4_868_609_820_078_100_457),
-            ("job0.recovery.crashes", 1),
+            ("job0.counters.fingerprint", 5_387_496_453_042_675_601),
+            ("job0.recovery.crashes", 0),
             ("job0.recovery.crashed.attempts", 0),
             ("job0.recovery.surviving", 0),
             ("job0.recovery.lost", 0),
@@ -457,22 +474,38 @@ fn reduce_phase_pass_that_keeps_the_plan() {
         Exit::TailNoChange,
         Some(100),
         &[
-            ("total.nanos", 274_204_910),
+            ("total.nanos", 274_255_454),
             ("replanned", 0),
             ("jobs", 1),
-            ("job0.makespan.nanos", 274_204_910),
+            ("job0.makespan.nanos", 274_255_454),
             ("job0.shuffle.bytes", 45_000),
-            ("job0.counters.fingerprint", 7_199_182_525_817_116_785),
+            ("job0.counters.fingerprint", 12_870_482_854_070_142_336),
             ("job0.recovery.crashes", 1),
             ("job0.recovery.crashed.attempts", 1),
             ("job0.recovery.surviving", 0),
             ("job0.recovery.lost", 0),
             ("job0.integrity.chunk.rereads", 1),
-            ("job0.integrity.shuffle.refetches", 0),
+            ("job0.integrity.shuffle.refetches", 58),
             ("job0.integrity.cache.invalidations", 0),
             ("output.fingerprint", 6_126_272_245_637_769_961),
         ],
     );
+}
+
+/// A reduce-phase pass that keeps the plan ends the job as `finish` ends
+/// it, so the run is the baseline plan's run — quiet, and with the node
+/// kill and the corruption armed: shuffle refetches, crashes and all.
+#[test]
+fn reduce_phase_pass_that_keeps_the_plan_is_the_baseline_run() {
+    for kill_ms in [None, Some(100)] {
+        let dynamic = observe(Exit::TailNoChange, kill_ms, Mode::Dynamic);
+        let baseline = observe(
+            Exit::TailNoChange,
+            kill_ms,
+            Mode::Uniform(Strategy::Baseline),
+        );
+        assert_eq!(dynamic, baseline, "kill_ms={kill_ms:?}");
+    }
 }
 
 /// Exit 5 — reduce-phase plan change (Fig. 10(b)): the remaining reduce tasks run
@@ -513,23 +546,23 @@ fn reduce_phase_plan_change() {
         Exit::TailChange,
         Some(1000),
         &[
-            ("total.nanos", 5_404_276_549),
+            ("total.nanos", 5_424_755_703),
             ("replanned", 1),
             ("jobs", 2),
-            ("job0.makespan.nanos", 5_299_809_069),
+            ("job0.makespan.nanos", 5_299_869_261),
             ("job0.shuffle.bytes", 54_000),
-            ("job0.counters.fingerprint", 13_886_476_892_210_582_930),
-            ("job0.recovery.crashes", 0),
+            ("job0.counters.fingerprint", 8_648_442_508_634_312_732),
+            ("job0.recovery.crashes", 1),
             ("job0.recovery.crashed.attempts", 1),
             ("job0.recovery.surviving", 0),
             ("job0.recovery.lost", 0),
             ("job0.integrity.chunk.rereads", 2),
-            ("job0.integrity.shuffle.refetches", 0),
+            ("job0.integrity.shuffle.refetches", 64),
             ("job0.integrity.cache.invalidations", 0),
-            ("job1.makespan.nanos", 104_467_480),
+            ("job1.makespan.nanos", 124_886_442),
             ("job1.shuffle.bytes", 0),
-            ("job1.counters.fingerprint", 4_112_410_618_196_576_028),
-            ("job1.recovery.crashes", 1),
+            ("job1.counters.fingerprint", 13_184_967_193_695_360_282),
+            ("job1.recovery.crashes", 0),
             ("job1.recovery.crashed.attempts", 0),
             ("job1.recovery.surviving", 0),
             ("job1.recovery.lost", 0),

@@ -15,34 +15,39 @@
 //!   run's output and finishes no earlier (unless a hedge may win time); an
 //!   `Err` is a named fail-fast error of an armed layer: `DataCorruption`
 //!   with corruption, `DataLoss` with crashes. Every armed cut heals, so
-//!   never `Partitioned`.
+//!   never `Partitioned`. Each crash is listed by one job of the run
+//!   ([`crashes_listed_once`]).
 //! * **Every layer fires.** Each layer's mechanisms register work in its
 //!   cells, and `Mode::Dynamic` records crashes and partitions.
 //!
-//! A cell is a seed, a mask of armed layers and a mode. Each suite checks
-//! its own slice of the pinned matrix ([`pinned_cells`] through
-//! [`check_cells`]): `fault_injection`, `node_crash`, `integrity` and
+//! A cell is a seed, a mask of armed layers and a column: a mode over the
+//! three-index cell workload, or `Mode::Dynamic` over [`tail_scenario`],
+//! whose runs re-plan their tail after the first reduce wave (Fig. 10(b)).
+//! Each suite checks its own slice of the pinned matrix ([`pinned_cells`]
+//! through [`check_cells`]): `fault_injection`, `node_crash`, `integrity` and
 //! `netsplit` each layer alone and the combinations their layers meet in,
 //! `injection` all five together and seed-drawn masks. Set `EFIND_SEEDS`
 //! to a comma-separated list of integers (decimal or 0x-hex) to sweep
 //! other seeds in every suite at once, as `scripts/ci.sh` does.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use super::{
     counter_fingerprint, file_fingerprint, golden_config, multi_index_goldens, obs, seeds_from_env,
     Observables,
 };
 use efind::{
-    EFindConfig, EFindRuntime, FaultConfig, FaultPlan, HedgeConfig, HedgePolicy, MissPolicy, Mode,
-    RetryPolicy, Strategy,
+    operator_fn, BoundOperator, EFindConfig, EFindRuntime, FaultConfig, FaultPlan, HedgeConfig,
+    HedgePolicy, IndexInput, IndexJobConf, IndexOutput, MissPolicy, Mode, RetryPolicy, Strategy,
 };
 use efind_cluster::{
     ChaosPlan, Cluster, CorruptionPlan, DetectorConfig, NodeId, PartitionPlan, SimDuration, SimTime,
 };
 use efind_common::det::draw_unit;
-use efind_common::{fx_hash_bytes, Datum, Error, Record};
-use efind_mapreduce::JobStats;
+use efind_common::{fx_hash_bytes, Datum, Error, FxHashMap, Record};
+use efind_dfs::{Dfs, DfsConfig};
+use efind_index::MemTable;
+use efind_mapreduce::{mapper_fn, reducer_fn, Collector, JobStats};
 use efind_workloads::harness::Scenario;
 use efind_workloads::multi::{self, MultiConfig};
 use efind_workloads::synthetic::SyntheticConfig;
@@ -88,6 +93,52 @@ pub fn lookup_heavy_config() -> SyntheticConfig {
     }
 }
 
+/// The workload of the reduce-phase re-plan column (Fig. 10(b)): one map
+/// wave, twice as many reducers as the testbed has reduce slots, and a
+/// tail operator whose 5 ms lookups of eight distinct keys are worth
+/// re-planning once the first reduce wave measured them.
+pub fn tail_scenario() -> Scenario {
+    let cluster = Cluster::edbt_testbed();
+    let mut dfs = Dfs::new(cluster.clone(), DfsConfig::default());
+    let records: Vec<Record> = (0..2_400i64)
+        .map(|i| Record::new(i, (i * 31) % 500))
+        .collect();
+    dfs.write_file_with_chunks("in", records, 24);
+    let events = MemTable::new(
+        "events",
+        (0..8i64).map(|i| (Datum::Int(i), vec![Datum::Text(format!("e{i}"))])),
+        SimDuration::from_millis(5),
+    );
+    let enrich = operator_fn(
+        "enrich",
+        1,
+        |rec: &mut Record, keys: &mut IndexInput| keys.put(0, rec.key.as_int().unwrap_or(0) % 8),
+        |rec: Record, values: &IndexOutput, out: &mut dyn Collector| {
+            let event = values.first(0).first().cloned().unwrap_or(Datum::Null);
+            out.collect(Record::new(rec.key, Datum::List(vec![rec.value, event])));
+        },
+    );
+    let ijob = IndexJobConf::new("tail", "in", "out")
+        .set_mapper(mapper_fn(|rec, out, _| out.collect(rec)))
+        .set_reducer(
+            reducer_fn(|key, values, out, _| out.collect(Record::new(key, values.len() as i64))),
+            2 * cluster.total_reduce_slots(),
+        )
+        .add_tail_index_operator(BoundOperator::new(enrich).add_index(Arc::new(events)));
+    Scenario {
+        cluster,
+        dfs,
+        ijob,
+        repart_overrides: FxHashMap::default(),
+        idxloc_applicable: false,
+        efind_config: EFindConfig {
+            plan_change_cost_secs: 0.01,
+            variance_threshold: 5.0,
+            ..EFindConfig::default()
+        },
+    }
+}
+
 pub const MODES: [Mode; 5] = [
     Mode::Uniform(Strategy::Baseline),
     Mode::Uniform(Strategy::Cache),
@@ -95,6 +146,24 @@ pub const MODES: [Mode; 5] = [
     Mode::Uniform(Strategy::IndexLocality),
     Mode::Dynamic,
 ];
+
+/// The matrix's columns: the cell workload under each of [`MODES`], then
+/// [`tail_scenario`] under `Mode::Dynamic`.
+const COLUMNS: usize = MODES.len() + 1;
+
+/// The scenario column `m` runs.
+fn scenario_of(m: usize) -> Scenario {
+    if m < MODES.len() {
+        multi::scenario(&cell_config())
+    } else {
+        tail_scenario()
+    }
+}
+
+/// The mode column `m` runs.
+pub fn mode_of(m: usize) -> Mode {
+    MODES.get(m).cloned().unwrap_or(Mode::Dynamic)
+}
 
 /// The pinned seeds, overridable via `EFIND_SEEDS`.
 pub fn seeds() -> Vec<u64> {
@@ -430,28 +499,24 @@ pub fn observe(mut s: Scenario, mode: &Mode, layers: &Composition) -> Result<Run
     })
 }
 
-/// The plain runs of [`cell_config`], one per mode in [`MODES`] order:
-/// every cell's oracle, computed once per test binary. A plain run does
-/// no layer's work and keeps every ledger empty.
-pub fn plain_runs() -> &'static [Run] {
-    static PLAIN: OnceLock<Vec<Run>> = OnceLock::new();
-    PLAIN.get_or_init(|| {
-        MODES
-            .iter()
-            .map(|mode| {
-                let run = observe(multi::scenario(&cell_config()), mode, &Composition::plain())
-                    .expect("the plain run must succeed");
-                let work = run.rows(|k| k.starts_with("work."));
-                assert!(work.iter().all(|(_, v)| *v == 0), "{mode:?}: {work:?}");
-                assert!(
-                    run.jobs.iter().all(|j| j.recovery.is_empty()
-                        && j.integrity.is_empty()
-                        && j.partition.is_empty()),
-                    "{mode:?}: a plain run filled a ledger"
-                );
-                run
-            })
-            .collect()
+/// The plain run of column `m`: its cells' oracle, computed once per test
+/// binary when a cell of the column first needs it. A plain run does no
+/// layer's work and keeps every ledger empty.
+pub fn plain_run(m: usize) -> &'static Run {
+    static PLAIN: [OnceLock<Run>; COLUMNS] = [const { OnceLock::new() }; COLUMNS];
+    PLAIN[m].get_or_init(|| {
+        let mode = mode_of(m);
+        let run = observe(scenario_of(m), &mode, &Composition::plain())
+            .expect("the plain run must succeed");
+        let work = run.rows(|k| k.starts_with("work."));
+        assert!(work.iter().all(|(_, v)| *v == 0), "{mode:?}: {work:?}");
+        assert!(
+            run.jobs
+                .iter()
+                .all(|j| j.recovery.is_empty() && j.integrity.is_empty() && j.partition.is_empty()),
+            "{mode:?}: a plain run filled a ledger"
+        );
+        run
     })
 }
 
@@ -471,12 +536,15 @@ pub enum Outcome {
 /// Runs one armed cell twice and checks the contract; `Err` names the
 /// broken clause.
 pub fn check_cell(seed: u64, mask: u8, m: usize) -> Result<Outcome, String> {
-    let mode = &MODES[m];
-    let plain = &plain_runs()[m];
+    let plain = plain_run(m);
     let layers = Composition::armed(seed, mask, num_nodes(), plain.total_nanos());
-    let cell = format!("seed={seed:#x} layers={} mode={mode:?}", mask_names(mask));
-    let first = observe(multi::scenario(&cell_config()), mode, &layers);
-    let second = observe(multi::scenario(&cell_config()), mode, &layers);
+    let mode = mode_of(m);
+    let cell = format!(
+        "seed={seed:#x} layers={} column={m} mode={mode:?}",
+        mask_names(mask)
+    );
+    let first = observe(scenario_of(m), &mode, &layers);
+    let second = observe(scenario_of(m), &mode, &layers);
     match (first, second) {
         (Ok(a), Ok(b)) => {
             if a.observed != b.observed {
@@ -499,6 +567,7 @@ pub fn check_cell(seed: u64, mask: u8, m: usize) -> Result<Outcome, String> {
                     plain.total_nanos()
                 ));
             }
+            crashes_listed_once(&a).map_err(|e| format!("{cell}: {e}"))?;
             Ok(Outcome::Answered(a))
         }
         (Err(a), Err(b)) => {
@@ -518,6 +587,31 @@ pub fn check_cell(seed: u64, mask: u8, m: usize) -> Result<Outcome, String> {
             b.err()
         )),
     }
+}
+
+/// Whether each crash `run` lists is listed by exactly one of its jobs,
+/// inside that job's window — unless a map-side re-plan applied it up
+/// front: the job whose ledger records the re-plan's reuse lists those
+/// wherever they fall. `Err` names the first crash listed otherwise.
+pub fn crashes_listed_once(run: &Run) -> Result<(), String> {
+    let mut listed = Vec::new();
+    for (i, job) in run.jobs.iter().enumerate() {
+        let replan =
+            !job.recovery.surviving_tasks.is_empty() || !job.recovery.lost_tasks.is_empty();
+        for crash in &job.recovery.crashes {
+            if listed.contains(crash) {
+                return Err(format!("{crash:?} listed again by job {i} ({})", job.name));
+            }
+            listed.push(*crash);
+            if !replan && !(job.started..=job.finished).contains(&crash.at) {
+                return Err(format!(
+                    "{crash:?} listed by job {i} ({}), whose window is {:?}..={:?}",
+                    job.name, job.started, job.finished
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Whether a cell armed with `mask` may end in `err`: a `DataCorruption`
@@ -544,15 +638,19 @@ pub fn mask_names(mask: u8) -> String {
     names.join("+")
 }
 
-/// A cell of the pinned matrix: a seed, a mask of armed layers and an
-/// index into [`MODES`].
+/// A cell of the pinned matrix: a seed, a mask of armed layers and a
+/// column: an index into [`MODES`] for the cell workload, or
+/// [`TAIL_DYNAMIC`]'s.
 pub type Cell = (u64, u8, usize);
 
-/// Indices into [`MODES`]: all five, the four uniform strategies, and
-/// `Mode::Dynamic`.
+/// Columns: the cell workload under all five modes, the four uniform
+/// strategies, and `Mode::Dynamic`.
 pub const EVERY_MODE: &[usize] = &[0, 1, 2, 3, 4];
 pub const UNIFORM_MODES: &[usize] = &[0, 1, 2, 3];
 pub const DYNAMIC_MODE: &[usize] = &[4];
+/// The column of [`tail_scenario`] under `Mode::Dynamic`, whose runs take
+/// the reduce-phase branch of Algorithm 1 (Fig. 10(b)).
+pub const TAIL_DYNAMIC: &[usize] = &[MODES.len()];
 
 /// Every pinned seed, under each of the seed's `masks`, under each of
 /// `modes`.
@@ -585,7 +683,7 @@ impl Checked {
     /// for.
     pub fn dynamic_records(&self, filled: impl Fn(&JobStats) -> bool) -> bool {
         self.answered().any(|((_, _, m), run)| {
-            matches!(MODES[m], Mode::Dynamic) && run.jobs.iter().any(&filled)
+            matches!(mode_of(m), Mode::Dynamic) && run.jobs.iter().any(&filled)
         })
     }
 
@@ -596,7 +694,7 @@ impl Checked {
                 panic!(
                     "seed={seed:#x} layers={} mode={:?} failed: {err}",
                     mask_names(*mask),
-                    MODES[*m]
+                    mode_of(*m)
                 );
             }
         }
@@ -639,7 +737,7 @@ pub fn check_cells(cells: Vec<Cell>) -> Checked {
             Outcome::FailedFast(err) => Some(format!(
                 "seed={seed:#x} layers={} mode={:?}: {err}",
                 mask_names(*mask),
-                MODES[*m]
+                mode_of(*m)
             )),
             Outcome::Answered(_) => None,
         })
@@ -671,17 +769,18 @@ pub fn assert_quiet_matches_goldens(layers: &Composition) {
     }
 }
 
-/// Whether `layers` change no observable of the plain run under each of
-/// `modes`; `Err` names the first mode they perturb.
+/// Whether `layers` change no observable of the plain run of each of
+/// the columns `modes`; `Err` names the first mode they perturb.
 pub fn equals_plain(layers: &Composition, modes: &[usize]) -> Result<(), String> {
     for &m in modes {
-        let with = observe(multi::scenario(&cell_config()), &MODES[m], layers)
-            .map_err(|e| format!("{:?}: a quiet cell failed: {e}", MODES[m]))?;
-        let plain = &plain_runs()[m];
+        let mode = mode_of(m);
+        let with = observe(scenario_of(m), &mode, layers)
+            .map_err(|e| format!("{mode:?}: a quiet cell failed: {e}"))?;
+        let plain = plain_run(m);
         if with.observed != plain.observed {
             return Err(format!(
-                "{:?}: quiet layers perturbed the run\n{:?}\n{:?}",
-                MODES[m], with.observed, plain.observed
+                "{mode:?}: quiet layers perturbed the run\n{:?}\n{:?}",
+                with.observed, plain.observed
             ));
         }
     }

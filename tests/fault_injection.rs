@@ -18,7 +18,7 @@ mod common;
 
 use common::layers::{
     assert_quiet_matches_goldens, check_cells, faults_at, lookup_heavy_config, num_nodes, observe,
-    pinned_cells, plain_runs, scenario_config, Composition, Run, EVERY_MODE, FAULTS, MODES,
+    pinned_cells, plain_run, scenario_config, Composition, Run, EVERY_MODE, FAULTS, MODES,
 };
 use efind::{FaultConfig, FaultPlan, MissPolicy, Mode, RetryPolicy, Strategy};
 use efind_cluster::SimDuration;
@@ -35,7 +35,7 @@ fn faulty_runs_are_bit_identical_per_seed() {
     checked.assert_all_answered();
     for ((seed, _, m), run) in checked.answered() {
         assert!(
-            run.total_nanos() > plain_runs()[m].total_nanos(),
+            run.total_nanos() > plain_run(m).total_nanos(),
             "no fault overhead observed: seed={seed:#x} mode={:?}",
             MODES[m]
         );

@@ -13,7 +13,8 @@ mod common;
 
 use common::layers::{
     assert_quiet_matches_goldens, check_cell, check_cells, equals_plain, num_nodes, pick,
-    pinned_cells, Composition, ALL, EVERY_MODE, MODES, WORK,
+    pinned_cells, plain_run, Composition, ALL, CORRUPTION, CRASHES, EVERY_MODE, MODES,
+    TAIL_DYNAMIC, WORK,
 };
 use common::seeds_from;
 use proptest::prelude::*;
@@ -45,6 +46,22 @@ fn composed_matrix_holds_the_contract() {
         checked.dynamic_records(|j| !j.partition.is_empty()),
         "no Dynamic cell recorded a partition"
     );
+}
+
+/// The reduce-phase re-plan (Fig. 10(b)) under shuffle corruption and
+/// crashes: every pinned cell of the tail workload under `Mode::Dynamic`
+/// holds the contract, and its first job — the map phase and the split
+/// reduce phase — verifies its shuffle and lists its crashes as
+/// `Runner::finish` does for any job.
+#[test]
+fn reduce_phase_replan_cells_hold_the_contract() {
+    assert!(
+        plain_run(TAIL_DYNAMIC[0]).replanned,
+        "the tail workload must re-plan its tail after the first reduce wave"
+    );
+    let masks = |_| vec![CORRUPTION, CRASHES, CORRUPTION | CRASHES];
+    let checked = check_cells(pinned_cells(masks, TAIL_DYNAMIC));
+    checked.assert_work(&["work.corruption.shuffle", "work.crashes"]);
 }
 
 /// The quiet cell: with every layer configured but quiet, the golden

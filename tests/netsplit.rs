@@ -20,7 +20,7 @@
 mod common;
 
 use common::layers::{
-    check_cells, equals_plain, num_nodes, pinned_cells, plain_runs, seeds, Composition, CRASHES,
+    check_cells, equals_plain, num_nodes, pinned_cells, plain_run, seeds, Composition, CRASHES,
     DYNAMIC_MODE, EVERY_MODE, HEDGING, MODES, PARTITIONS, UNIFORM_MODES,
 };
 
@@ -48,7 +48,7 @@ fn hedging_changes_charged_time_but_never_output() {
     assert!(
         checked
             .answered()
-            .any(|((_, _, m), run)| run.total_nanos() != plain_runs()[m].total_nanos()),
+            .any(|((_, _, m), run)| run.total_nanos() != plain_run(m).total_nanos()),
         "no hedge moved any cell's charged time"
     );
 }

@@ -17,7 +17,7 @@ mod common;
 
 use common::layers::{
     assert_quiet_matches_goldens, chaos_in_window, check_cells, num_nodes, observe, pinned_cells,
-    Composition, CRASHES, EVERY_MODE,
+    Composition, CORRUPTION, CRASHES, EVERY_MODE, TAIL_DYNAMIC,
 };
 use efind::Mode;
 use efind_cluster::{ChaosPlan, Cluster, SimDuration, SimTime};
@@ -37,6 +37,33 @@ fn crashed_runs_are_bit_identical_and_output_preserving() {
         checked.dynamic_records(|j| !j.recovery.is_empty()),
         "no Dynamic cell recorded a crash"
     );
+}
+
+/// A crash is listed by exactly one job of a result, inside that job's
+/// window unless a map-side re-plan applied it up front: across the
+/// columns whose runs are pipelines of jobs — re-partitioning, the
+/// map-side re-plan and the reduce-phase re-plan — with crashes and
+/// corruption armed. `check_cell` holds every cell to it; here the cells
+/// must include pipelines whose later jobs ran after a crash.
+#[test]
+fn each_crash_is_listed_by_exactly_one_job() {
+    let columns = [2, 4, TAIL_DYNAMIC[0]];
+    let checked = check_cells(pinned_cells(|_| vec![CRASHES | CORRUPTION], &columns));
+    let mut after_a_crash = 0;
+    for (_, run) in checked.answered() {
+        let first_crash = run
+            .jobs
+            .iter()
+            .flat_map(|j| &j.recovery.crashes)
+            .map(|c| c.at)
+            .min();
+        after_a_crash += run
+            .jobs
+            .iter()
+            .filter(|j| first_crash.is_some_and(|at| j.started > at))
+            .count();
+    }
+    assert!(after_a_crash > 0, "no job of a pipeline ran after a crash");
 }
 
 /// The zero-crash cell: a configured but quiet crash layer (a seeded plan
