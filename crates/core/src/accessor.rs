@@ -76,6 +76,13 @@ pub trait IndexAccessor: Send + Sync {
         LookupResult::hit(self.lookup(key))
     }
 
+    /// A hint that [`try_lookup`](Self::try_lookup) will soon be asked for
+    /// `key`: an accessor whose lookups wait on memory may start bringing
+    /// the key's entry near, so that the waits of a window of keys hinted
+    /// back to back overlap. It answers nothing and must change nothing a
+    /// lookup, or anything else, can observe. The default does nothing.
+    fn prefetch(&self, _key: &Datum) {}
+
     /// Modeled index-side service time `T_j` for one lookup, excluding
     /// network transfer (which EFind charges itself).
     fn serve_time(&self, key: &Datum, result_bytes: u64) -> SimDuration;

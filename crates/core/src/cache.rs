@@ -52,7 +52,7 @@ struct Entry<V> {
 const NIL: u32 = u32::MAX;
 
 /// A thread's storage left by dropped caches of one kind, emptied.
-type Spares<S> = LocalKey<RefCell<Vec<S>>>;
+pub(crate) type Spares<S> = LocalKey<RefCell<Vec<S>>>;
 
 /// An armed lookup cache's insertion count per key.
 type Generations = FxHashMap<Datum, u64>;
@@ -63,8 +63,9 @@ thread_local! {
     static GENERATION_SPARES: RefCell<Vec<Generations>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Storage that outlives the cache that grew it, on its thread's spares.
-trait Storage: Sized {
+/// Storage that outlives the cache that grew it, on its thread's spares
+/// (a head segment's window of carriers keeps its storage the same way).
+pub(crate) trait Storage: Sized {
     /// Storage for a cache of `capacity` that allocates nothing until used.
     fn fresh(capacity: usize) -> Self;
 
@@ -95,7 +96,7 @@ impl Storage for Generations {
 
 /// Empty storage of `capacity` from a spare in `spares`, or fresh storage
 /// when the thread has none.
-fn take<S: Storage>(spares: &'static Spares<S>, capacity: usize) -> S {
+pub(crate) fn take<S: Storage>(spares: &'static Spares<S>, capacity: usize) -> S {
     match spares.try_with(|s| s.borrow_mut().pop()) {
         Ok(Some(mut storage)) => {
             storage.reset(capacity);
@@ -108,7 +109,7 @@ fn take<S: Storage>(spares: &'static Spares<S>, capacity: usize) -> S {
 /// Hands `storage` to `spares`, leaving fresh storage that owns none in its
 /// place. What it holds drops before the list is borrowed; on a thread
 /// that is ending, the storage is freed instead.
-fn give_back<S: Storage>(storage: &mut S, spares: &'static Spares<S>) {
+pub(crate) fn give_back<S: Storage>(storage: &mut S, spares: &'static Spares<S>) {
     storage.reset(1);
     let storage = mem::replace(storage, S::fresh(1));
     let _ = spares.try_with(|s| s.borrow_mut().push(storage));
@@ -238,6 +239,23 @@ impl<V> LruMap<V> {
             self.unlink(idx);
             self.push_front(idx);
         }
+    }
+
+    /// The values of up to `n` entries, least recently used first: those
+    /// the next inserts at capacity evict, unless a hit promotes one.
+    pub(crate) fn least_recent(&self, n: usize) -> impl Iterator<Item = &V> + '_ {
+        let mut at = self.tail;
+        std::iter::from_fn(move || {
+            let entry = self.slab.get(at as usize)?;
+            at = entry.prev;
+            Some(&entry.value)
+        })
+        .take(n)
+    }
+
+    /// Whether `key` is held, leaving its recency as it was.
+    pub(crate) fn contains(&self, key: &Datum) -> bool {
+        self.find(fx_hash_datum(key), key).is_some()
     }
 
     /// Looks up `key`, promoting it to most-recently-used on hit.
@@ -423,6 +441,23 @@ impl LookupCache {
         }
         self.hits += 1;
         Some(values)
+    }
+
+    /// Whether an entry for `key` is held, poisoned or not. Counts no
+    /// probe and leaves every entry's recency as it was.
+    pub(crate) fn holds(&self, key: &Datum) -> bool {
+        self.lru.contains(key)
+    }
+
+    /// A hint that up to `inserts` results are about to be inserted: reads
+    /// the value blocks of the entries those inserts would evict, so that
+    /// dropping them does not wait on memory one insert at a time. Counts
+    /// nothing and changes no entry or recency.
+    pub(crate) fn prefetch_evictions(&self, inserts: usize) {
+        let evicted = (self.lru.len() + inserts).saturating_sub(self.lru.capacity());
+        for entry in self.lru.least_recent(evicted) {
+            std::hint::black_box(Arc::strong_count(&entry.values));
+        }
     }
 
     /// Inserts a freshly looked-up result, computing its checksum (and
@@ -798,6 +833,39 @@ mod tests {
         }
         assert_eq!(c.len(), 1000);
         assert_eq!(c.slab.capacity(), 1000);
+    }
+
+    #[test]
+    fn the_least_recent_are_what_inserts_evict_next() {
+        let mut c = LruMap::new(4);
+        for i in 0..4 {
+            c.insert(k(i), i);
+        }
+        c.get(&k(0));
+        let next: Vec<i64> = c.least_recent(3).copied().collect();
+        assert_eq!(next, [1, 2, 3]);
+        assert_eq!(c.least_recent(9).count(), 4);
+        for (i, evicted) in (10..13).zip(next) {
+            c.insert(k(i), i);
+            assert!(!c.contains(&k(evicted)));
+        }
+    }
+
+    #[test]
+    fn hints_change_no_count_entry_or_recency() {
+        let mut c = LookupCache::new(4);
+        for i in 0..6 {
+            c.insert(k(i), vec![k(i * 10)].into());
+        }
+        c.probe(&k(3));
+        let order: Vec<Datum> = c.lru.keys_mru_order().into_iter().cloned().collect();
+        let counts = (c.probes(), c.hits(), c.evictions());
+        assert!(c.holds(&k(2)) && !c.holds(&k(0)));
+        c.prefetch_evictions(3);
+        c.prefetch_evictions(100);
+        let after: Vec<Datum> = c.lru.keys_mru_order().into_iter().cloned().collect();
+        assert_eq!(after, order);
+        assert_eq!((c.probes(), c.hits(), c.evictions()), counts);
     }
 
     #[test]

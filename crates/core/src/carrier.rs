@@ -23,12 +23,14 @@
 //! block another allocated. One stored in a job-boundary file is the
 //! buffer [`Carrier::encode`] builds.
 //!
-//! # One carrier a task
+//! # One carrier a row of a window
 //!
-//! A segment owns one [`Carrier`] and takes every record of its task
-//! through it: [`Carrier::open`] and [`Carrier::decode`] empty the key
-//! lists and result slots of the record before — keeping their buffers —
-//! and write the next record into them. The carrier keeps the length of
+//! A segment owns its carriers — one for each row of the window of rows
+//! it is lent at the head of a map task, one where it is handed owned
+//! records — and takes every record of its task through them, each
+//! carrier every row at its place in a window: [`Carrier::open`] and
+//! [`Carrier::decode`] empty the key lists and result slots of the record
+//! before — keeping their buffers — and write the next record into them. The carrier keeps the length of
 //! its encoded payload in step with what it holds, so the size statistics
 //! and [`Carrier::encode`]'s one reservation read a number instead of
 //! walking the payload again.
@@ -48,10 +50,10 @@
 //! row out, or builds a row of its own, pays nothing for the one it was
 //! shown.
 //!
-//! A task keeps its carrier as a `Carrier<'static>` between records and
-//! lends it a row by moving it out for the one record
+//! A task keeps its carriers as `Carrier<'static>`s between windows and
+//! lends them a window's rows by moving their list out for the window
 //! ([`std::mem::take`]) and back with [`Carrier::end_lend`]: the borrow
-//! checker sees that no lent row outlives its record, and nothing is
+//! checker sees that no lent row outlives its window, and nothing is
 //! `unsafe`.
 
 use std::borrow::Cow;

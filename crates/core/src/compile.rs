@@ -25,6 +25,8 @@
 //! crosses a shuffle or a job-boundary file.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
+use std::mem;
 use std::sync::Arc;
 
 use efind_cluster::{
@@ -34,13 +36,13 @@ use efind_cluster::{
 use efind_common::{Datum, Error, FxHashMap, Record, Result};
 use efind_mapreduce::{
     partition::partitioner_fn, Collector, CounterHandle, HashPartitioner, JobConf, Mapper,
-    MapperFactory, Partitioner, Reducer, ReducerFactory, TaskCtx,
+    MapperFactory, Partitioner, Reducer, ReducerFactory, RowSink, TaskCtx,
 };
 
 use crate::accessor::{
     ChargedLookup, HedgeConfig, KeyTally, LookupMode, LookupTally, PartitionScheme,
 };
-use crate::cache::{LookupCache, ShadowCache};
+use crate::cache::{self, LookupCache, ShadowCache, Storage};
 use crate::carrier::Carrier;
 use crate::fault::{Breaker, FaultConfig};
 use crate::jobconf::{BoundOperator, IndexJobConf};
@@ -537,6 +539,42 @@ impl Running {
         out.collect_encoded(routing, len, &mut |buf| carrier.encode_into(buf));
     }
 
+    /// Hints to the index of each direct lookup every key of the carriers
+    /// that `opened` that the lookup's cache does not hold, and to the
+    /// cache the entries inserting them would evict: nothing is looked up,
+    /// drawn, charged or counted. The keys to hint are found first, in
+    /// `hints` as (carrier, key) positions, and then hinted back to back,
+    /// so that as many of their memory misses as can be are in flight at
+    /// once.
+    fn prefetch(
+        &self,
+        carriers: &[Carrier<'_>],
+        opened: &[Result<()>],
+        hints: &mut Vec<(usize, usize)>,
+    ) {
+        for d in &self.lookups {
+            let slot = d.step.slot;
+            hints.clear();
+            let open = carriers.iter().zip(opened).enumerate();
+            // A stored carrier of another arity fails at its row's turn.
+            for (c, (carrier, _)) in open.filter(|(_, (c, o))| o.is_ok() && slot < c.num_indices())
+            {
+                for (k, key) in carrier.keys(slot).iter().enumerate() {
+                    if !d.cache.as_ref().is_some_and(|cache| cache.holds(key)) {
+                        hints.push((c, k));
+                    }
+                }
+            }
+            let index = d.step.charged.accessor();
+            for &(c, k) in hints.iter() {
+                index.prefetch(&carriers[c].keys(slot)[k]);
+            }
+            if let Some(cache) = &d.cache {
+                cache.prefetch_evictions(hints.len());
+            }
+        }
+    }
+
     /// Writes exactly the entries bumping once a record would have made:
     /// `sidx.bytes` if a carrier reached `postProcess`, the `Spost` pair —
     /// be it at zero — if one was let in.
@@ -557,48 +595,127 @@ impl Running {
 }
 
 /// A maximal run of one operator's carrier steps inside one map (or
-/// `reduce_post`) chain, executed on the task's one in-memory carrier. The
+/// `reduce_post`) chain, executed on carriers the task keeps in memory. A
 /// carrier is parsed only when the run continues one that an earlier task
 /// serialized (`pre` is `None`). At the head of a map task's chain it is
-/// lent each input row ([`Mapper::map_row`]): `pre_process` copies what it
-/// keeps of it, or hands it back to be carried in place, and a stored
-/// carrier decodes from the row in place.
+/// lent its input rows a window at a time ([`Mapper::map_rows`]): it opens
+/// a carrier on every row of the window — `pre_process` copies what it
+/// keeps of the row, or hands it back to be carried in place, and a stored
+/// carrier decodes from the row in place — then hints to the index every
+/// key a direct lookup will ask for that the lookup's cache does not hold
+/// ([`IndexAccessor::prefetch`]), and to the cache the entries inserting
+/// them would evict, so that the memory misses of the window's lookups
+/// overlap, and then takes the carriers through the run one row at a
+/// time, in row order. Only `pre_process`, the decode, and their
+/// tallies — counts, sketches and the shadow caches, none of which depends
+/// on the order in which rows reach it — run ahead of their row's turn;
+/// every cache probe, lookup, charge, emission and failure happens at it.
+///
+/// [`IndexAccessor::prefetch`]: crate::accessor::IndexAccessor::prefetch
 struct SegmentMapper {
     pre: Option<Opening>,
     run: Running,
-    /// The task's carrier, built by the first record.
-    carrier: Option<Carrier<'static>>,
+    window: Window,
+}
+
+/// A segment's carriers, one for each row of a window, and whether each
+/// opened. A segment takes them from its thread's spares, where the
+/// segments the thread dropped left theirs, and leaves them there when it
+/// drops, as the caches do with their storage.
+#[derive(Default)]
+struct Window {
+    carriers: Vec<Carrier<'static>>,
+    opened: Vec<Result<()>>,
+    /// The (carrier, key) positions of the keys a lookup hints.
+    hints: Vec<(usize, usize)>,
+}
+
+thread_local! {
+    static WINDOW_SPARES: RefCell<Vec<Window>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Storage for Window {
+    fn fresh(_: usize) -> Self {
+        Window::default()
+    }
+
+    fn reset(&mut self, _: usize) {
+        self.opened.clear();
+    }
 }
 
 impl SegmentMapper {
-    /// Takes `rec` through the run on the task's carrier, moved out for
-    /// the one record so that it can borrow a lent row, and put back with
-    /// the lend ended.
-    fn process(&mut self, rec: Cow<'_, Record>, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        let mut carrier = self.carrier.take().unwrap_or_default();
-        let opened = match &mut self.pre {
+    fn new(pre: Option<&Arc<PreStep>>, run: &Run) -> Self {
+        SegmentMapper {
+            pre: pre.map(Opening::start),
+            run: Running::start(run),
+            window: cache::take(&WINDOW_SPARES, 0),
+        }
+    }
+
+    /// Opens `carrier` on `rec`: through `pre_process`, or by decoding a
+    /// stored carrier.
+    fn open<'r>(
+        &mut self,
+        carrier: &mut Carrier<'r>,
+        rec: Cow<'r, Record>,
+        ctx: &mut TaskCtx,
+    ) -> Result<()> {
+        match &mut self.pre {
             Some(pre) => {
-                pre.open(&mut carrier, rec, ctx);
+                pre.open(carrier, rec, ctx);
                 Ok(())
             }
             // Only a direct lookup opens a chain on a stored carrier.
             None => carrier.decode(&rec.value),
-        };
+        }
+    }
+
+    /// Takes `carrier` through the run if it `opened`, else reports why not.
+    fn advance(
+        &mut self,
+        carrier: &mut Carrier<'_>,
+        opened: Result<()>,
+        out: &mut dyn Collector,
+        ctx: &mut TaskCtx,
+    ) {
         match opened {
-            Ok(()) => self.run.advance(&mut carrier, out, ctx),
+            Ok(()) => self.run.advance(carrier, out, ctx),
             Err(e) => ctx.fail(format!("lookup stage: {e}")),
         }
-        self.carrier = Some(carrier.end_lend());
     }
 }
 
 impl Mapper for SegmentMapper {
     fn map(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        self.process(Cow::Owned(rec), out, ctx);
+        let mut carriers = mem::take(&mut self.window.carriers);
+        if carriers.is_empty() {
+            carriers.push(Carrier::default());
+        }
+        let opened = self.open(&mut carriers[0], Cow::Owned(rec), ctx);
+        self.advance(&mut carriers[0], opened, out, ctx);
+        self.window.carriers = carriers;
     }
 
-    fn map_row(&mut self, rec: &Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        self.process(Cow::Borrowed(rec), out, ctx);
+    fn map_rows(&mut self, rows: &[Record], out: &mut RowSink<'_>, ctx: &mut TaskCtx) {
+        // Each carrier is lent its row for the window, and put back with
+        // the lend ended.
+        let mut carriers: Vec<Carrier<'_>> = mem::take(&mut self.window.carriers);
+        let mut opened = mem::take(&mut self.window.opened);
+        if carriers.len() < rows.len() {
+            carriers.resize_with(rows.len(), Carrier::default);
+        }
+        for (carrier, row) in carriers.iter_mut().zip(rows) {
+            opened.push(self.open(carrier, Cow::Borrowed(row), ctx));
+        }
+        self.run
+            .prefetch(&carriers, &opened, &mut self.window.hints);
+        for (carrier, opened) in carriers.iter_mut().zip(opened.drain(..)) {
+            self.advance(carrier, opened, out, ctx);
+            out.row_done(ctx);
+        }
+        self.window.carriers = carriers.into_iter().map(Carrier::end_lend).collect();
+        self.window.opened = opened;
     }
 
     fn flush(&mut self, _out: &mut dyn Collector, ctx: &mut TaskCtx) {
@@ -606,6 +723,12 @@ impl Mapper for SegmentMapper {
             pre.flush(ctx);
         }
         self.run.flush(ctx);
+    }
+}
+
+impl Drop for SegmentMapper {
+    fn drop(&mut self) {
+        cache::give_back(&mut self.window, &WINDOW_SPARES);
     }
 }
 
@@ -758,13 +881,9 @@ impl Link {
     fn into_factory(self) -> MapperFactory {
         match self {
             Link::Plain(factory) => factory,
-            Link::Segment(pre, run) => Arc::new(move || {
-                Box::new(SegmentMapper {
-                    pre: pre.as_ref().map(Opening::start),
-                    run: Running::start(&run),
-                    carrier: None,
-                })
-            }),
+            Link::Segment(pre, run) => {
+                Arc::new(move || Box::new(SegmentMapper::new(pre.as_ref(), &run)))
+            }
         }
     }
 }

@@ -11,8 +11,11 @@
 //!
 //! *Borrowed or owned.* Both methods take the record as a [`Cow`].
 //! `pre_process` is lent it when the operator heads a map task's chain and
-//! its input row stays in the chunk ([`efind_mapreduce::Mapper::map_row`]),
-//! and handed it when an earlier stage made it. It returns `rec` to carry
+//! its input row stays in the chunk ([`efind_mapreduce::Mapper::map_rows`]),
+//! and handed it when an earlier stage made it. A head operator may be
+//! handed the later rows of its window before an earlier row's lookups
+//! run, so `pre_process` must depend on nothing but the record it is
+//! handed (it sees no task state anyway). It returns `rec` to carry
 //! the record whole — a lent row stays lent, read in place until its
 //! carrier leaves the task, and an owned one moves — and a projection,
 //! `Cow::Owned`, otherwise, copying only what it keeps. `post_process` is

@@ -557,7 +557,7 @@ mod lent_rows {
         ChaosPlan, DetectorConfig, NetworkModel, PartitionPlan, SimDuration, TenancyConfig,
     };
     use efind_common::{FxHashMap, Record};
-    use efind_mapreduce::{Collector, TaskCtx};
+    use efind_mapreduce::{Collector, RowSink, TaskCtx, ROW_WINDOW};
     use std::borrow::Cow;
     use std::sync::Arc;
 
@@ -690,9 +690,10 @@ mod lent_rows {
     /// What one side of a task emitted, and its counters.
     type Side = (Vec<Record>, Vec<(Arc<str>, i64)>);
 
-    /// `op`'s head segment under `strategy` over `rows`, each lent to it
-    /// (`map_row`) or handed a copy (`map`); then, where the job shuffles,
-    /// one reduce task over the groups of what it emitted.
+    /// `op`'s head segment under `strategy` over `rows`, lent to it a
+    /// window at a time (`map_rows`) or each handed a copy (`map`); then,
+    /// where the job shuffles, one reduce task over the groups of what it
+    /// emitted.
     fn run(
         op: Arc<dyn IndexOperator>,
         strategy: AccessStrategy,
@@ -709,10 +710,12 @@ mod lent_rows {
         let mut segment = (job.map_chain[0])();
         let mut ctx = TaskCtx::new(0);
         let mut mapped: Vec<Record> = Vec::new();
-        for row in rows {
-            if lend {
-                segment.map_row(row, &mut mapped, &mut ctx);
-            } else {
+        if lend {
+            for window in rows.chunks(ROW_WINDOW) {
+                segment.map_rows(window, &mut RowSink::new(&mut mapped), &mut ctx);
+            }
+        } else {
+            for row in rows {
                 segment.map(row.clone(), &mut mapped, &mut ctx);
             }
         }
@@ -788,8 +791,8 @@ mod lent_rows {
         let mut segment = (job.map_chain[0])();
         let mut ctx = TaskCtx::new(0);
         let mut out = Keeping::default();
-        for row in rows {
-            segment.map_row(row, &mut out, &mut ctx);
+        for window in rows.chunks(ROW_WINDOW) {
+            segment.map_rows(window, &mut RowSink::new(&mut out), &mut ctx);
         }
         segment.flush(&mut out, &mut ctx);
         assert_eq!(ctx.error(), None);

@@ -24,7 +24,7 @@ use efind_cluster::{
     TenancyConfig,
 };
 use efind_common::{Datum, Error, FxHashMap, Record};
-use efind_mapreduce::{Collector, TaskCtx};
+use efind_mapreduce::{Collector, RowSink, TaskCtx, ROW_WINDOW};
 
 thread_local! {
     /// Calls this thread has made of the allocator, and the bytes asked for.
@@ -244,20 +244,21 @@ fn padded_rows(pad: usize) -> Vec<Record> {
         .collect()
 }
 
-/// The head segment of `pipeline` lent each of `rows` (`map_row`), into an
-/// output vector that never grows: what it emitted, its counters, and the
-/// allocator calls and bytes for the rows behind the warm-up.
+/// The head segment of `pipeline` lent `rows` a window at a time
+/// (`map_rows`), into an output vector that never grows: what it emitted,
+/// its counters, and the allocator calls and bytes for the rows behind the
+/// warm-up.
 fn lent_rows(pipeline: &CompiledPipeline, rows: &[Record]) -> (Vec<Record>, TaskCtx, usize, usize) {
     let mut segment = (pipeline.jobs[0].map_chain[0])();
     let mut out: Vec<Record> = Vec::with_capacity(rows.len());
     let mut ctx = TaskCtx::new(0);
     let (warm, rest) = rows.split_at(WARM);
-    for rec in warm {
-        segment.map_row(rec, &mut out, &mut ctx);
+    for window in warm.chunks(ROW_WINDOW) {
+        segment.map_rows(window, &mut RowSink::new(&mut out), &mut ctx);
     }
     let (calls, bytes) = counted(|| {
-        for rec in rest {
-            segment.map_row(rec, &mut out, &mut ctx);
+        for window in rest.chunks(ROW_WINDOW) {
+            segment.map_rows(window, &mut RowSink::new(&mut out), &mut ctx);
         }
     });
     segment.flush(&mut out, &mut ctx);

@@ -139,6 +139,12 @@ impl<'a> Chunk<'a> {
         }
     }
 
+    /// The records as the slices they are stored in, in order: one for
+    /// each piece of a part the chunk covers.
+    pub fn slices(&self) -> impl Iterator<Item = &'a [Record]> + 'a {
+        self.pieces.iter().map(Piece::records)
+    }
+
     /// A copy of the records, in order.
     pub fn to_vec(&self) -> Vec<Record> {
         self.iter().cloned().collect()

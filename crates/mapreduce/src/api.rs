@@ -25,11 +25,19 @@
 //! of a map-only or reduce task's output file, or the shuffle run of a map
 //! task of a job with a reduce, which encodes each record as it arrives.
 //!
-//! *Lent input.* A map task's input rows stay in its chunk: stage 0 is
-//! handed each row by reference ([`Mapper::map_row`]) and copies what it
-//! keeps. The default copies the whole row into [`Mapper::map`]; EFind's
-//! head operator copies only what its `pre_process` projects to, and
-//! nothing of a row it carries whole. Every
+//! *Lent input.* A map task's input rows stay in its chunk: stage 0 is lent
+//! them a window at a time — up to [`ROW_WINDOW`] rows that lie next to
+//! each other in the chunk ([`Mapper::map_rows`]) — and copies what it
+//! keeps. It emits into a [`RowSink`] and calls [`RowSink::row_done`] after
+//! each row, which takes that row's output down the rest of the chain
+//! before the stage goes on to the next row, so the contract above holds
+//! window or not. What stage 0 may do early is its own business: work for
+//! a later row of the window that no other stage, and nothing the task
+//! reports, can tell from doing it at the row's turn. The default copies
+//! each row whole into [`Mapper::map`]; EFind's head operator opens every
+//! row's carrier first and asks the index to bring the window's lookup
+//! keys near before it looks the first one up, copies only what its
+//! `pre_process` projects to, and nothing of a row it carries whole. Every
 //! later stage, and every stage of a chain driven over owned records
 //! ([`run_chain`], a reduce task's tail), is handed records it owns.
 
@@ -87,11 +95,17 @@ pub trait Mapper: Send {
     /// Processes one input record, emitting any number of output records.
     fn map(&mut self, rec: Record, out: &mut dyn Collector, ctx: &mut TaskCtx);
 
-    /// Processes one input record the task only borrows: a row of a map
-    /// task's input chunk. The default maps a copy of the whole row; a
-    /// mapper that keeps less of it overrides this to copy only that.
-    fn map_row(&mut self, rec: &Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        self.map(rec.clone(), out, ctx);
+    /// Processes a window of input records the task only borrows: rows of
+    /// a map task's input chunk, in order. Whatever a row emits goes into
+    /// `out`, and [`RowSink::row_done`] follows each row, in row order,
+    /// before the next row's output (see the module docs). The default maps
+    /// a copy of each whole row; a mapper that keeps less of a row, or that
+    /// gains from seeing rows ahead, overrides this.
+    fn map_rows(&mut self, rows: &[Record], out: &mut RowSink<'_>, ctx: &mut TaskCtx) {
+        for rec in rows {
+            self.map(rec.clone(), out, ctx);
+            out.row_done(ctx);
+        }
     }
 
     /// Called once after the last record of the task; emits any buffered
@@ -188,6 +202,56 @@ pub fn identity_mapper() -> MapperFactory {
     mapper_fn(|rec, out, _ctx| out.collect(rec))
 }
 
+/// The most rows of a map task's chunk that stage 0 is lent at once
+/// ([`Mapper::map_rows`]). A window is cut short where the chunk's stored
+/// slices end.
+pub const ROW_WINDOW: usize = 32;
+
+/// Where stage 0 of a map task's chain emits what the rows of a window
+/// make ([`Mapper::map_rows`]): into the task's collector when it is the
+/// only stage, else into its buffer, which [`RowSink::row_done`] takes down
+/// the rest of the chain.
+pub struct RowSink<'a> {
+    out: &'a mut dyn Collector,
+    /// Stage 0's buffer and the stages after it; `None` when there are none.
+    rest: Option<(&'a mut Vec<Record>, &'a mut [Stage])>,
+}
+
+impl<'a> RowSink<'a> {
+    /// A sink for the only stage of a chain, emitting into `out`.
+    pub fn new(out: &'a mut dyn Collector) -> Self {
+        RowSink { out, rest: None }
+    }
+
+    /// Ends the current row: takes what it emitted down the rest of the
+    /// chain, record by record, before the next row's output.
+    pub fn row_done(&mut self, ctx: &mut TaskCtx) {
+        if let Some((emitted, stages)) = &mut self.rest {
+            for rec in emitted.drain(..) {
+                push(stages, rec, &mut *self.out, ctx);
+            }
+        }
+    }
+}
+
+impl Collector for RowSink<'_> {
+    fn collect(&mut self, rec: Record) {
+        match &mut self.rest {
+            None => self.out.collect(rec),
+            Some((emitted, _)) => emitted.push(rec),
+        }
+    }
+
+    /// Forwarded as it is to the task's collector when stage 0 is the last
+    /// stage; a record for the next stage otherwise.
+    fn collect_encoded(&mut self, key: Datum, len: usize, write: &mut dyn FnMut(&mut Vec<u8>)) {
+        match &mut self.rest {
+            None => self.out.collect_encoded(key, len, write),
+            Some((emitted, _)) => emitted.push(encoded_record(key, len, write)),
+        }
+    }
+}
+
 /// One instantiated stage of a [`Chain`] and the buffer it emits into.
 struct Stage {
     mapper: Box<dyn Mapper>,
@@ -216,16 +280,21 @@ impl Chain {
         Chain { stages }
     }
 
-    /// Takes `rec`, which the task only borrows, through every stage,
-    /// collecting what the last one emits into `out`: stage 0 is lent it
-    /// ([`Mapper::map_row`]); an empty chain emits a copy.
-    fn push_row(&mut self, rec: &Record, out: &mut dyn Collector, ctx: &mut TaskCtx) {
-        if self.stages.is_empty() {
-            return out.collect(rec.clone());
-        }
-        emit(&mut self.stages, out, ctx, |m, sink, ctx| {
-            m.map_row(rec, sink, ctx)
-        });
+    /// Takes `rows`, which the task only borrows, through every stage,
+    /// collecting what the last one emits into `out`: stage 0 is lent the
+    /// window ([`Mapper::map_rows`]), and each row's output goes down the
+    /// rest of the chain at its [`RowSink::row_done`] — or at the end of
+    /// the window, for output no `row_done` followed. An empty chain emits
+    /// each row as it is, a value of stored bytes as bytes
+    /// ([`Collector::collect_encoded`]).
+    fn push_rows(&mut self, rows: &[Record], out: &mut dyn Collector, ctx: &mut TaskCtx) {
+        let Some((head, rest)) = self.stages.split_first_mut() else {
+            return rows.iter().for_each(|rec| collect_row(rec, out));
+        };
+        let rest = (!rest.is_empty()).then_some((&mut head.emitted, rest));
+        let mut sink = RowSink { out, rest };
+        head.mapper.map_rows(rows, &mut sink, ctx);
+        sink.row_done(ctx);
     }
 
     /// Takes each record of `records`, in order, through every stage,
@@ -250,6 +319,18 @@ impl Chain {
                 m.flush(sink, ctx)
             });
         }
+    }
+}
+
+/// Emits a row the task only borrows as it is: a value of bytes through
+/// [`Collector::collect_encoded`], so a shuffle run copies the bytes into
+/// its own storage and no buffer of the row's is cloned.
+fn collect_row(rec: &Record, out: &mut dyn Collector) {
+    match &rec.value {
+        Datum::Bytes(bytes) => out.collect_encoded(rec.key.clone(), bytes.len(), &mut |buf| {
+            buf.extend_from_slice(bytes)
+        }),
+        _ => out.collect(rec.clone()),
     }
 }
 
@@ -315,8 +396,8 @@ pub(crate) fn run_into_parts(
 }
 
 /// Takes the rows of `records` through a fresh instance of `chain`, lent
-/// to stage 0 one at a time, then flushes its stages in order (see the
-/// module docs); what the last stage emits goes into `out`. Inlined into
+/// to stage 0 a window at a time, then flushes its stages in order (see
+/// the module docs); what the last stage emits goes into `out`. Inlined into
 /// every caller: a map task of a job with a reduce and a map-only task
 /// drive the same iterator type, and the one shared copy the compiler made
 /// of it ran `wc_shuffle`'s map phase a sixth slower (EXPERIMENTS.md E37).
@@ -328,8 +409,10 @@ pub(crate) fn drive(
     ctx: &mut TaskCtx,
 ) {
     let mut chain = Chain::new(chain);
-    for rec in records {
-        chain.push_row(rec, out, ctx);
+    for rows in records.slices() {
+        for window in rows.chunks(ROW_WINDOW) {
+            chain.push_rows(window, out, ctx);
+        }
     }
     chain.finish(out, ctx);
 }
@@ -617,8 +700,11 @@ mod tests {
             fn map(&mut self, rec: Record, out: &mut dyn Collector, _ctx: &mut TaskCtx) {
                 out.collect(Record::new(rec.key, "owned"));
             }
-            fn map_row(&mut self, rec: &Record, out: &mut dyn Collector, _ctx: &mut TaskCtx) {
-                out.collect(Record::new(rec.key.clone(), "lent"));
+            fn map_rows(&mut self, rows: &[Record], out: &mut RowSink<'_>, ctx: &mut TaskCtx) {
+                for rec in rows {
+                    out.collect(Record::new(rec.key.clone(), "lent"));
+                    out.row_done(ctx);
+                }
             }
         }
         let how: MapperFactory = Arc::new(|| Box::new(How));
@@ -668,7 +754,66 @@ mod tests {
         run_chain(&chain, input.clone(), &mut c);
         assert_eq!(c.error(), Some("second at 1"));
         let mut staged = ctx();
-        run_chain_staged(&chain, input, &mut staged);
+        run_chain_staged(&chain, input.clone(), &mut staged);
         assert_eq!(staged.error(), Some("first at 2"));
+        // Lent a window at a time, stage 0 still hands on each row's
+        // output before it maps the next row.
+        let mut lent = ctx();
+        parts_of(&chain, input.into(), &mut lent);
+        assert_eq!(lent.error(), Some("second at 1"));
+    }
+
+    /// Counts what reaches it encoded, and keeps every record as it stands.
+    #[derive(Default)]
+    struct Encoded {
+        records: Vec<Record>,
+        encoded: usize,
+    }
+
+    impl Collector for Encoded {
+        fn collect(&mut self, rec: Record) {
+            self.records.push(rec);
+        }
+
+        fn collect_encoded(&mut self, key: Datum, len: usize, write: &mut dyn FnMut(&mut Vec<u8>)) {
+            self.encoded += 1;
+            self.collect(encoded_record(key, len, write));
+        }
+    }
+
+    #[test]
+    fn an_empty_chain_emits_stored_bytes_encoded_and_other_rows_as_they_are() {
+        let rows = vec![
+            Record::new(1i64, Datum::Bytes(vec![1, 2, 3])),
+            Record::new(2i64, "text"),
+            Record::new(3i64, Datum::Bytes(Vec::new())),
+        ];
+        let mut out = Encoded::default();
+        let shared = SharedChunk::from(rows.clone());
+        drive(&[], shared.chunk(), &mut out, &mut ctx());
+        assert_eq!((out.records, out.encoded), (rows, 2));
+    }
+
+    #[test]
+    fn a_sole_stage_passes_what_it_writes_encoded_on_encoded() {
+        let encode = mapper_fn(|rec: Record, out: &mut dyn Collector, _: &mut TaskCtx| {
+            out.collect_encoded(rec.key, 2, &mut |buf| buf.extend_from_slice(&[7, 7]))
+        });
+        let rows: Vec<Record> = (0..3i64).map(|k| Record::new(k, Datum::Null)).collect();
+        let shared = SharedChunk::from(rows);
+        let mut out = Encoded::default();
+        drive(
+            std::slice::from_ref(&encode),
+            shared.chunk(),
+            &mut out,
+            &mut ctx(),
+        );
+        assert_eq!(out.encoded, 3);
+        // Behind it, a stage is handed each as the record it stands for.
+        let mut out = Encoded::default();
+        let two = [encode, identity_mapper()];
+        drive(&two, shared.chunk(), &mut out, &mut ctx());
+        assert_eq!(out.encoded, 0);
+        assert_eq!(out.records[2], Record::new(2i64, Datum::Bytes(vec![7, 7])));
     }
 }

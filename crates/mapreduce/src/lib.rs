@@ -42,7 +42,7 @@ pub mod tenancy;
 
 pub use api::{
     identity_mapper, mapper_fn, reducer_fn, Collector, Mapper, MapperFactory, Reducer,
-    ReducerFactory,
+    ReducerFactory, RowSink, ROW_WINDOW,
 };
 pub use context::TaskCtx;
 pub use counters::{CounterHandle, Counters, Sketches};

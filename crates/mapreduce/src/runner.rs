@@ -29,6 +29,7 @@
 )]
 
 use std::{
+    borrow::Cow,
     mem,
     ops::Range,
     panic::{self, AssertUnwindSafe},
@@ -307,11 +308,12 @@ pub struct MapSide {
 }
 
 /// The map side while it is kept alive: the executed tasks, the surviving
-/// attempt of each (recompute waves replace lost ones), when the last of
-/// them ends, and what keeping them alive cost.
+/// attempt of each (the schedule's own list until a recompute wave
+/// replaces a lost one), when the last of them ends, and what keeping them
+/// alive cost.
 struct Alive<'e> {
     tasks: &'e [MapTaskExec],
-    attempts: Vec<Assignment>,
+    attempts: Cow<'e, [Assignment]>,
     end: SimTime,
     recovery: RecoveryLog,
     partition: PartitionLog,
@@ -971,7 +973,7 @@ impl<'a> Runner<'a> {
         let fetch_ready = map.schedule.makespan;
         let mut alive = Alive {
             tasks: &exec.tasks,
-            attempts: map.schedule.assignments.clone(),
+            attempts: Cow::Borrowed(&map.schedule.assignments),
             end: fetch_ready,
             recovery,
             partition: PartitionLog::default(),
@@ -1165,8 +1167,8 @@ impl<'a> Runner<'a> {
         side.recovery.crashed_attempts += wave.crashed_attempts;
         fold_partition_replay(&mut side.partition, &wave.partition);
         for wa in wave.assignments {
-            if let Some(a) = side.attempts.iter_mut().find(|a| a.task_id == wa.task_id) {
-                *a = wa;
+            if let Some(i) = side.attempts.iter().position(|a| a.task_id == wa.task_id) {
+                side.attempts.to_mut()[i] = wa;
             }
         }
         side.end = side.end.max(wave.makespan);
@@ -1322,7 +1324,7 @@ impl<'a> Runner<'a> {
         }
         if !self.netsplit.is_quiet() {
             let mut wait_until = if stranded { side.end } else { fetch_ready };
-            for a in &side.attempts {
+            for a in side.attempts.iter() {
                 if !self.netsplit.is_isolated_at(a.node, fetch_ready) {
                     continue;
                 }
@@ -3210,6 +3212,41 @@ mod encoded_tests {
                 .collect();
             let want = observe(&records, chunks, &conf(Emit::Live, reduce, reducers, combine));
             let got = observe(&records, chunks, &conf(emit, reduce, reducers, combine));
+            prop_assert_eq!(&got.waves, &got.output);
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Rows of stored bytes cross the shuffle of a job with no map
+        /// function encoded, and run as the same rows handed on live do.
+        #[test]
+        fn stored_bytes_through_no_map_run_as_live_bytes_do(
+            keys in prop::collection::vec(0usize..40, 0..150),
+            reduce in reduce(),
+            reducers in prop_oneof![Just(1usize), Just(8), Just(240)],
+            chunks in 1usize..4,
+            combine in any::<bool>(),
+        ) {
+            // One row in four is not bytes, and crosses live either way.
+            let records: Vec<Record> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| match i % 4 {
+                    0 => Record::new(key(k), i as i64),
+                    n => Record::new(key(k), Datum::Bytes(vec![i as u8; n * k % 7])),
+                })
+                .collect();
+            // The job without a map function, and with the identity map,
+            // which hands on a live copy of every row.
+            let mut none = conf(Emit::Live, reduce, reducers, combine);
+            none.map_chain.clear();
+            let mut live = none.clone();
+            live.map_chain.push(crate::api::identity_mapper());
+            let want = observe(&records, chunks, &live);
+            let got = observe(&records, chunks, &none);
             prop_assert_eq!(&got.waves, &got.output);
             prop_assert_eq!(got, want);
         }

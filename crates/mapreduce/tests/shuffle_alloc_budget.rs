@@ -163,3 +163,38 @@ fn a_map_tasks_spill_makes_as_many_allocator_calls_for_240_reducers_as_for_8() {
     calls(8);
     assert_eq!(calls(8), calls(240));
 }
+
+/// A map task of a job with no map function hands each input row to its
+/// shuffle run as it is: a row whose value is stored bytes is copied into
+/// the run's own storage, never cloned into a buffer of its own, so the
+/// task's allocator calls are the run's blocks — about one for 200 rows
+/// here — not one a row. One chunk, so the map task runs on this thread.
+#[test]
+fn an_identity_map_task_shuffles_stored_bytes_without_a_buffer_a_row() {
+    let _turn = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let cluster = Cluster::builder()
+        .nodes(4)
+        .map_slots(2)
+        .reduce_slots(2)
+        .build();
+    let mut dfs = Dfs::new(cluster.clone(), DfsConfig::default());
+    let input: Vec<Record> = (0..RECORDS)
+        .map(|i| Record::new((i % WORDS) as i64, Datum::Bytes(vec![i as u8; 64])))
+        .collect();
+    dfs.write_file_with_chunks("in", input, 1);
+    let conf = JobConf::new("carry", "in", "out").with_identity_reduce(8);
+    let runner = Runner::new(&cluster, &mut dfs);
+    let chunks = runner.chunks(&conf).unwrap();
+    let before = CALLS.with(Cell::get);
+    let exec = runner.execute_maps(&conf, &chunks, 0).unwrap();
+    let calls = CALLS.with(Cell::get) - before;
+    assert_eq!(exec.tasks.len(), 1);
+    assert_eq!(exec.tasks[0].stats.output_records, RECORDS as u64);
+    println!("{calls} allocator calls for {RECORDS} rows");
+    assert!(
+        calls < RECORDS / 100,
+        "{calls} allocator calls for {RECORDS} rows"
+    );
+}

@@ -14,7 +14,7 @@ use efind_cluster::{
     TenancyConfig,
 };
 use efind_common::{Datum, FxHashMap, Record};
-use efind_mapreduce::TaskCtx;
+use efind_mapreduce::{RowSink, TaskCtx, ROW_WINDOW};
 use proptest::prelude::{prop_assert_eq, TestCaseError};
 
 /// An index that finds the same values for every key.
@@ -58,10 +58,10 @@ fn env() -> RuntimeEnv {
 /// What one side of a task emitted, its counters, and its failure.
 type Side = (Vec<Record>, Vec<(Arc<str>, i64)>, Option<String>);
 
-/// `bound`'s head segment under `strategy` over `rows`, each lent to it
-/// (`map_row`) or handed a copy (`map`); then, where the job shuffles and
-/// the map side did not fail, one reduce task over the groups of what it
-/// emitted.
+/// `bound`'s head segment under `strategy` over `rows`, lent to it a
+/// window at a time (`map_rows`) or each handed a copy (`map`); then,
+/// where the job shuffles and the map side did not fail, one reduce task
+/// over the groups of what it emitted.
 fn run(bound: &BoundOperator, strategy: Strategy, rows: &[Record], lend: bool) -> Vec<Side> {
     let name = bound.op.name().to_owned();
     let mut plans = FxHashMap::default();
@@ -73,10 +73,12 @@ fn run(bound: &BoundOperator, strategy: Strategy, rows: &[Record], lend: bool) -
     let mut segment = (job.map_chain[0])();
     let mut ctx = TaskCtx::new(0);
     let mut mapped: Vec<Record> = Vec::new();
-    for row in rows {
-        if lend {
-            segment.map_row(row, &mut mapped, &mut ctx);
-        } else {
+    if lend {
+        for window in rows.chunks(ROW_WINDOW) {
+            segment.map_rows(window, &mut RowSink::new(&mut mapped), &mut ctx);
+        }
+    } else {
+        for row in rows {
             segment.map(row.clone(), &mut mapped, &mut ctx);
         }
     }

@@ -203,9 +203,14 @@ efbench_gate lookup_armed 17
 # an earlier job stored is decoded from the row that holds it into the
 # storage the carrier's last record left and lent to `postProcess`, each
 # join carries the input row it is lent in place, encoding it from the
-# chunk's own row into its task's shuffle run, and the joins copy only the
-# rows they emit, each Q9 row growing once to its final width, so it
-# allocates 91.06 MB. A payload buffer for each re-partitioned carrier
+# chunk's own row into its task's shuffle run, the jobs with no map
+# function hand each stored carrier to their shuffle run as bytes, each
+# job's map side borrows its schedule's attempts, and the joins copy only
+# the rows they emit, each Q9 row growing once to its final width, so it
+# allocates 87.52 MB. Those carriers cloned into the shuffle live, one
+# buffer a row, and each job's map schedule copied, made it 91.09 MB
+# (91.06 MB before the last job of the map-side re-plan ran the runner's
+# map side). A payload buffer for each re-partitioned carrier
 # made it 93.82 MB (93.53 MB before lookups tallied per task), copying each
 # lent row in `preProcess` 109.65 MB, and 110.28 MB with counters
 # in hash maps; decoding each stored carrier into a fresh record handed
@@ -218,7 +223,7 @@ efbench_gate lookup_armed 17
 # before it was spilled 214.97 MB; with that, reserving each cache's
 # whole capacity up front made it 355.04 MB, and a second clone of every
 # key in the cache's index 368.22 MB.
-efbench_gate q9_adaptive 98
+efbench_gate q9_adaptive 96
 
 echo "== injection layers (pinned seed matrix) =="
 # Deterministic sweep over faults, crashes, corruption, partitions and
