@@ -4,8 +4,9 @@
 //! [`DiagCode`]s, [`Severity`], [`Span`]s, [`Diagnostic`]s and the
 //! [`Report`] with its rendering. The checks themselves live beside the
 //! runtime types in `efind::analysis` and read the runtime's own plans,
-//! statistics and configuration. Errors abort compilation; warnings
-//! surface in `explain` output and at job start.
+//! statistics and configuration. Errors reject the job or abort its
+//! compilation; each distinct warning is reported once per run and
+//! surfaces in `explain` output.
 //!
 //! See the "Static plan analysis" section of `DESIGN.md` for the full
 //! code table.

@@ -124,24 +124,13 @@ fn main() {
         }
     }
 
-    // Static analysis of the optimized plan: structural checks over the
-    // plan the optimizer would pick, plus the statistics-dependent
-    // cost-model checks (EF009-EF011, EF013, EF019) over the same plans,
+    // Static analysis of the optimized plan: the structural, cost-model
+    // and configuration checks over the plans the optimizer would pick,
     // priced from the freshly-populated catalog.
-    println!("\nstatic analysis:");
-    match rt.plans_for(&scenario.ijob, &Mode::Optimized) {
-        Ok(plans) => match efind::analysis::analyze_job(&scenario.ijob, &plans) {
-            Ok(report) if report.is_clean() => println!("  structural: clean"),
-            Ok(report) => print!("{}", indent(&report.to_text())),
-            Err(e) => println!("  structural: {e}"),
-        },
-        Err(e) => println!("  structural: {e}"),
-    }
-    let cost_report = efind::analysis::analyze_costs(&rt, &scenario.ijob);
-    if cost_report.is_clean() {
-        println!("  cost model: clean");
-    } else {
-        print!("{}", indent(&cost_report.to_text()));
+    match efind::analysis::analyze_costs(&rt, &scenario.ijob) {
+        Ok(report) if report.is_clean() => println!("\nanalysis: clean"),
+        Ok(report) => print!("\nanalysis:\n{}", indent(&report.to_text())),
+        Err(e) => println!("\nanalysis: {e}"),
     }
 
     let opt = rt

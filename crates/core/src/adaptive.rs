@@ -37,7 +37,6 @@ use efind_mapreduce::{
     Sketches, TaskStats,
 };
 
-use crate::compile::compile_pipeline;
 use crate::cost::{cost_baseline, OperatorStatsEstimate, Placement};
 use crate::jobconf::{BoundOperator, IndexJobConf};
 use crate::plan::{forced_plan, optimize_operator, Enumeration, OperatorPlan, Strategy};
@@ -251,7 +250,7 @@ pub(crate) fn run_dynamic(
         }
     }
 
-    let compiled = compile_pipeline(ijob, &baseline_plans, &rt.runtime_env())?;
+    let compiled = rt.compile(ijob, &baseline_plans, Vec::new())?;
     debug_assert_eq!(
         compiled.jobs.len(),
         1,
@@ -374,7 +373,7 @@ pub(crate) fn run_dynamic(
     let mut ijob2 = ijob.clone();
     ijob2.name = format!("{}-replan", ijob.name);
     ijob2.input = remaining_name.clone();
-    let compiled2 = compile_pipeline(&ijob2, &new_plans, &rt.runtime_env())?;
+    let compiled2 = rt.compile(&ijob2, &new_plans, Vec::new())?;
 
     let mut job_stats: Vec<JobStats> = Vec::new();
     let n_jobs = compiled2.jobs.len();
@@ -569,7 +568,7 @@ fn try_reduce_phase_replan(
     let mut tail_ijob = IndexJobConf::new(format!("{}-tailreplan", ijob.name), &tmp_in, &tmp_out);
     tail_ijob.head = ijob.tail.clone();
     tail_ijob.cpu_per_record = ijob.cpu_per_record;
-    let compiled = compile_pipeline(&tail_ijob, &tail_plans, &rt.runtime_env())?;
+    let compiled = rt.compile(&tail_ijob, &tail_plans, Vec::new())?;
     for tconf in &compiled.jobs {
         let res = rt.runner().run(tconf, t)?;
         t = res.stats.finished;
@@ -608,9 +607,11 @@ fn try_reduce_phase_replan(
 mod tests {
     use super::*;
     use crate::accessor::testutil::MemIndex;
+    use crate::fault::{FaultConfig, FaultPlan, RetryPolicy};
     use crate::jobconf::BoundOperator;
     use crate::operator::{operator_fn, IndexInput, IndexOutput};
     use crate::runtime::{EFindConfig, Mode};
+    use efind_analyze::DiagCode;
     use efind_cluster::Cluster;
     use efind_common::{Datum, Record};
     use efind_dfs::{Dfs, DfsConfig};
@@ -682,6 +683,28 @@ mod tests {
         assert!(res.replanned, "expected a plan change");
         let plan = &res.plans.iter().find(|(n, _)| n == "join").unwrap().1;
         assert!(plan.has_shuffle(), "expected a shuffle strategy: {plan:?}");
+    }
+
+    #[test]
+    fn a_replanning_dynamic_run_reports_each_warning_once() {
+        // An armed fault layer (a timeout no lookup reaches) whose backoff
+        // base exceeds its cap: the baseline job and the re-planned one
+        // both earn the EF016 warning, and the run reports it once.
+        let (cluster, mut dfs, ijob) = setup(2000, 10, 5);
+        let mut config = cheap_change_config();
+        config.faults = FaultConfig::disabled().with_plan(FaultPlan::new(7));
+        config.faults.timeout = Some(SimDuration::from_secs(1));
+        config.faults.retry =
+            RetryPolicy::bounded(3, SimDuration::from_secs(1), SimDuration::from_millis(1));
+        let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, config);
+        let res = rt.run(&ijob, Mode::Dynamic).unwrap();
+        assert!(res.replanned, "expected a plan change");
+        let codes: Vec<DiagCode> = rt.warnings().iter().map(|w| w.code).collect();
+        assert_eq!(codes, [DiagCode::EF016]);
+        // A later run reports its own warnings, not this one's.
+        rt.config.faults = FaultConfig::disabled();
+        rt.run(&ijob, Mode::Dynamic).unwrap();
+        assert!(rt.warnings().is_empty());
     }
 
     #[test]

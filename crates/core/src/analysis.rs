@@ -1,28 +1,30 @@
-//! The static checks of a job before it runs: its plans and the runtime
-//! configuration it runs under.
+//! The static checks of a job before it runs: its shape, its plans and
+//! the runtime configuration it runs under. Each check is written once,
+//! here.
 //!
-//! Every check reads the runtime's own values. The plan checks (`EF001`–
-//! `EF014`, `EF019`, `EF023`) see each operator as its `BoundOperator`,
-//! placement and `OperatorPlan`, plus — for the cost checks — the
-//! statistics the planner priced the plan from and the costs derived from
-//! them.
-//! The configuration checks read the [`RuntimeEnv`] fields and skip a
-//! layer exactly when its own `is_quiet()` says so, the call the runtime
-//! makes. `efind-analyze` supplies only the diagnostic vocabulary: codes,
-//! spans and the [`Report`]. [`crate::compile::compile_pipeline`] calls
-//! [`analyze_job_in_env`] before building any stage — analyzer errors
-//! abort compilation, warnings ride along in the compiled pipeline and are
-//! printed at job start. [`analyze_costs`] additionally exercises the
-//! statistics-dependent checks (`EF009`–`EF011`, `EF013`, `EF019`) over
-//! the plans `Mode::Optimized` would run, priced by the planner itself
-//! from the runtime's store and catalog, for `explain`-style reporting.
+//! Every check reads the runtime's own values. The shape checks (`EF001`'s
+//! declared arity, `EF002`, `EF003`) need no plan, so
+//! [`IndexJobConf::validate`] runs them alone when a job is submitted. The
+//! plan checks (`EF001`–`EF014`, `EF019`, `EF023`) see each operator as
+//! its `BoundOperator` and `OperatorPlan`, plus — for the cost
+//! checks — the statistics the planner priced the plan from and the costs
+//! derived from them. The configuration checks read the [`RuntimeEnv`]
+//! fields and skip a layer exactly when its own `is_quiet()` says so, the
+//! call the runtime makes. `efind-analyze` supplies only the diagnostic
+//! vocabulary: codes, spans and the [`Report`].
+//!
+//! Two entry points run every check. [`crate::compile::compile_pipeline`]
+//! calls [`analyze_job_in_env`] before building any stage: analyzer
+//! errors abort compilation, warnings ride along in the compiled pipeline
+//! and the runtime reports each once per run. [`analyze_costs`] plans the
+//! job as `Mode::Optimized` would and adds the statistics-dependent checks
+//! (`EF009`–`EF011`, `EF013`, `EF019`); `explain` prints its report.
 
 use efind_analyze::{DiagCode, Diagnostic, Report, Span};
 use efind_cluster::{SimDuration, TenancyConfig};
 use efind_common::{Error, FxHashMap, FxHashSet, Result};
 
 use crate::accessor::IndexAccessor;
-use crate::adaptive::{replan, Evidence};
 use crate::compile::RuntimeEnv;
 use crate::cost::{s_min, CostEnv, IndexStatsEstimate, OperatorStatsEstimate, Placement};
 use crate::fault::{FaultConfig, MissPolicy};
@@ -42,7 +44,6 @@ struct OperatorView<'a> {
     /// Position in head → body → tail order.
     pos: usize,
     bound: &'a BoundOperator,
-    placement: Placement,
     plan: &'a OperatorPlan,
     /// The statistics the planner priced the plan from, partition schemes
     /// refreshed from the bound accessors; only [`analyze_costs`] has them.
@@ -102,7 +103,7 @@ fn operator_views<'a>(
 ) -> Result<Vec<OperatorView<'a>>> {
     ijob.operators()
         .enumerate()
-        .map(|(pos, (bound, placement))| {
+        .map(|(pos, (bound, _))| {
             let name = bound.op.name();
             let plan = plans
                 .get(name)
@@ -110,7 +111,6 @@ fn operator_views<'a>(
             Ok(OperatorView {
                 pos,
                 bound,
-                placement,
                 plan,
                 stats: None,
                 costs: None,
@@ -119,16 +119,14 @@ fn operator_views<'a>(
         .collect()
 }
 
-/// Runs every plan check and returns the combined report: `EF002` over
-/// the job, each operator's checks in turn, then `EF023` over the
-/// store-served statistics. Checks are independent; one malformed
+/// Runs every plan check and returns the combined report: the job's shape
+/// ([`check_shape`]), each operator's checks in turn, then `EF023` over
+/// the store-served statistics. Checks are independent; one malformed
 /// operator produces every diagnostic it earns, not just the first.
-fn check_plans(has_reduce: bool, ops: &[OperatorView], measured: &[MeasuredOp]) -> Report {
-    let mut report = Report::new();
-    check_duplicate_names(ops, &mut report);
+fn check_plans(ijob: &IndexJobConf, ops: &[OperatorView], measured: &[MeasuredOp]) -> Report {
+    let mut report = check_shape(ijob);
     for op in ops {
-        check_arity(op, &mut report);
-        check_tail_placement(op, has_reduce, &mut report);
+        check_plan_slots(op, &mut report);
         check_strategy_order(op, &mut report);
         check_strategy_capabilities(op, &mut report);
         check_key_kinds(op, &mut report);
@@ -148,27 +146,25 @@ fn check_plans(has_reduce: bool, ops: &[OperatorView], measured: &[MeasuredOp]) 
     report
 }
 
-/// Runs the structural checks over a job and its plans: the job in the
-/// default environment, where no injection layer is armed and nothing
-/// about the runtime configuration is known.
-pub fn analyze_job(ijob: &IndexJobConf, plans: &FxHashMap<String, OperatorPlan>) -> Result<Report> {
-    let ops = operator_views(ijob, plans)?;
-    Ok(check_plans(ijob.has_reduce(), &ops, &[]))
-}
-
-/// [`analyze_job`] plus the `EF023` checks of store-served statistics,
-/// followed by the checks of the runtime configuration the job runs
-/// under: the fault, corruption, chaos and partition layers (`EF015`–
-/// `EF018`, `EF020`, `EF025`), the lookup cache (`EF021`), tenancy
-/// (`EF024`) and hedged lookups (`EF026`). This is the variant the
-/// compiler calls.
+/// Runs the plan checks over a job and its plans, including the `EF023`
+/// checks of store-served statistics, followed by the checks of the
+/// runtime configuration the job runs under: the fault, corruption, chaos
+/// and partition layers (`EF015`–`EF018`, `EF020`, `EF025`), the lookup
+/// cache (`EF021`), tenancy (`EF024`) and hedged lookups (`EF026`).
+/// `env` is the job's own environment ([`RuntimeEnv::for_job`]). The
+/// compiler calls this; a test passes a quiet environment to see the
+/// plan checks alone.
 pub fn analyze_job_in_env(
     ijob: &IndexJobConf,
     plans: &FxHashMap<String, OperatorPlan>,
     env: &RuntimeEnv,
 ) -> Result<Report> {
-    let ops = operator_views(ijob, plans)?;
-    let mut report = check_plans(ijob.has_reduce(), &ops, &env.measured);
+    Ok(analyze(ijob, &operator_views(ijob, plans)?, env))
+}
+
+/// Every check over `ops`, the operators of `ijob` with their plans.
+fn analyze(ijob: &IndexJobConf, ops: &[OperatorView], env: &RuntimeEnv) -> Report {
+    let mut report = check_plans(ijob, ops, &env.measured);
     let cache_in_use = ops.iter().any(|op| {
         op.plan
             .choices
@@ -179,45 +175,60 @@ pub fn analyze_job_in_env(
     check_corruption(env, cache_in_use, &mut report);
     check_chaos(env, &mut report);
     check_cache(env, cache_in_use, &mut report);
-    let tenant = ijob.tenant.as_deref().or(env.tenant.as_deref());
-    check_tenancy(&env.tenancy, tenant, &mut report);
+    check_tenancy(&env.tenancy, env.tenant.as_deref(), &mut report);
     check_partitions(env, &mut report);
-    check_hedging(env, &ops, &mut report);
-    Ok(report)
+    check_hedging(env, ops, &mut report);
+    report
 }
 
-/// EF002: operator names must be unique within one job.
-fn check_duplicate_names(ops: &[OperatorView], report: &mut Report) {
+/// The checks of a job's shape, which need no plan: `EF002` over the job,
+/// then each operator's declared arity against its bound accessors
+/// (`EF001`) and its placement (`EF003`). [`IndexJobConf::validate`] runs
+/// exactly these.
+pub(crate) fn check_shape(ijob: &IndexJobConf) -> Report {
+    let mut report = Report::new();
     let mut seen = FxHashSet::default();
-    for op in ops {
-        if !seen.insert(op.name()) {
+    for (pos, (bound, _)) in ijob.operators().enumerate() {
+        let name = bound.op.name();
+        if !seen.insert(name) {
             report.push(
                 Diagnostic::error(
                     DiagCode::EF002,
-                    op.span(),
-                    format!("duplicate operator name `{}`", op.name()),
+                    Span::operator(pos, name),
+                    format!("duplicate operator name `{name}`"),
                 )
                 .with_hint("rename one of the operators; statistics and plans are keyed by name"),
             );
         }
     }
+    for (pos, (bound, placement)) in ijob.operators().enumerate() {
+        let span = || Span::operator(pos, bound.op.name());
+        let (declared, bound) = (bound.op.num_indices(), bound.indices.len());
+        if bound != declared {
+            report.push(
+                Diagnostic::error(
+                    DiagCode::EF001,
+                    span(),
+                    format!("operator declares {declared} indices but {bound} accessors are bound"),
+                )
+                .with_hint("bind exactly one accessor per declared index with add_index"),
+            );
+        }
+        // EF003: tail index operators require a reduce phase to attach to.
+        if placement == Placement::Tail && !ijob.has_reduce() {
+            report.push(
+                Diagnostic::error(DiagCode::EF003, span(), "tail operator in a map-only job")
+                    .with_hint("add a reduce phase or move the operator to head/body placement"),
+            );
+        }
+    }
+    report
 }
 
-/// EF001: bound accessors and plan choices must both match the declared
-/// arity, and every choice must target a distinct, in-range slot.
-fn check_arity(op: &OperatorView, report: &mut Report) {
-    let declared = op.bound.op.num_indices();
+/// EF001: the plan choices must match the bound arity, and every choice
+/// must target a distinct, in-range slot.
+fn check_plan_slots(op: &OperatorView, report: &mut Report) {
     let bound = op.bound.indices.len();
-    if bound != declared {
-        report.push(
-            Diagnostic::error(
-                DiagCode::EF001,
-                op.span(),
-                format!("operator declares {declared} indices but {bound} accessors are bound"),
-            )
-            .with_hint("bind exactly one accessor per declared index with add_index"),
-        );
-    }
     let choices = &op.plan.choices;
     if choices.len() != bound {
         report.push(
@@ -253,20 +264,6 @@ fn check_arity(op: &OperatorView, report: &mut Report) {
                 .with_hint("a plan accesses each index exactly once"),
             );
         }
-    }
-}
-
-/// EF003: tail operators need a reduce phase to attach to.
-fn check_tail_placement(op: &OperatorView, has_reduce: bool, report: &mut Report) {
-    if op.placement == Placement::Tail && !has_reduce {
-        report.push(
-            Diagnostic::error(
-                DiagCode::EF003,
-                op.span(),
-                "tail operator in a map-only job",
-            )
-            .with_hint("add a reduce phase or move the operator to head/body placement"),
-        );
     }
 }
 
@@ -877,9 +874,9 @@ fn check_cache(env: &RuntimeEnv, cache_in_use: bool, report: &mut Report) {
 /// multi-tenant scheduler rejects deterministically rather than hang, but
 /// a configuration with zero-slot quotas or degenerate weights rejects (or
 /// starves) *every* job by construction — a config error, not a
-/// scheduling outcome. `job_tenant` is the tenant the job resolves to (its
-/// own tag, falling back to the runtime default), so an unknown tag is
-/// caught here rather than at submit time.
+/// scheduling outcome. `job_tenant` is the tenant the job resolves to
+/// ([`RuntimeEnv::for_job`]), so an unknown tag is caught here rather than
+/// at submit time.
 fn check_tenancy(cfg: &TenancyConfig, job_tenant: Option<&str>, report: &mut Report) {
     if cfg.is_quiet() {
         return;
@@ -1105,21 +1102,22 @@ fn check_hedging(env: &RuntimeEnv, ops: &[OperatorView], report: &mut Report) {
     }
 }
 
-/// Runs the full check set — structural plus the statistics-dependent
-/// cost-model checks — over the plans `Mode::Optimized` would run: the
-/// planner's own pass over the runtime's store and catalog, priced in the
-/// runtime's [`CostEnv`]. Operators the planner gates (volatile,
-/// index-less, degraded, or without statistics) are verified structurally
-/// under their baseline plan.
-pub fn analyze_costs(rt: &EFindRuntime<'_>, ijob: &IndexJobConf) -> Report {
-    let env = rt.cost_env();
-    let planned = replan(rt, ijob.operators(), &Evidence::Catalog);
+/// Runs every check — structural, cost-model and configuration — over
+/// the plans `Mode::Optimized` would run: the planner's own pass over the
+/// runtime's store and catalog, priced in the runtime's [`CostEnv`], in
+/// the environment the runtime would compile them in. Operators the
+/// planner gates (volatile, index-less or degraded) are verified under
+/// their baseline plan. Fails, as `Mode::Optimized` does, when an indexed,
+/// non-volatile operator has no statistics.
+pub fn analyze_costs(rt: &EFindRuntime<'_>, ijob: &IndexJobConf) -> Result<Report> {
+    let cost_env = rt.cost_env();
+    let planned = rt.optimized(ijob)?;
     let costs: Vec<_> = planned
         .priced
         .iter()
         .map(|p| {
             let (stats, _) = p.stats.as_ref()?;
-            Some(operator_costs(stats, &env, p.placement, &p.plan))
+            Some(operator_costs(stats, &cost_env, p.placement, &p.plan))
         })
         .collect();
     let ops: Vec<_> = planned
@@ -1130,13 +1128,13 @@ pub fn analyze_costs(rt: &EFindRuntime<'_>, ijob: &IndexJobConf) -> Report {
         .map(|(pos, (p, costs))| OperatorView {
             pos,
             bound: p.bound,
-            placement: p.placement,
             plan: &p.plan,
             stats: p.stats.as_ref().map(|(stats, _)| stats),
             costs: costs.as_ref(),
         })
         .collect();
-    check_plans(ijob.has_reduce(), &ops, &[])
+    let env = rt.runtime_env(planned.measured);
+    Ok(analyze(ijob, &ops, &env.for_job(ijob)))
 }
 
 fn operator_costs(
@@ -1192,15 +1190,17 @@ pub fn has_nondeterministic_accessor(ijob: &IndexJobConf) -> bool {
 mod tests {
     use super::*;
     use crate::accessor::testutil::MemIndex;
-    use crate::accessor::{HedgeConfig, IndexAccessor, PartitionScheme};
+    use crate::accessor::{IndexAccessor, PartitionScheme};
+    use crate::compile::compile_pipeline;
     use crate::fault::{FaultPlan, RetryPolicy};
     use crate::operator::{operator_fn, IndexInput, IndexOutput};
     use crate::plan::{forced_plan, IndexChoice};
+    use crate::runtime::{EFindConfig, Mode};
     use crate::statstore::{Fingerprint, MeasuredOp};
     use crate::statsx::Catalog;
     use efind_cluster::{
-        ChaosPlan, Cluster, CorruptionPlan, DetectorConfig, IndexRateLimit, NodeId, PartitionPlan,
-        SimTime, TenantSpec,
+        ChaosPlan, Cluster, CorruptionPlan, IndexRateLimit, NodeId, PartitionPlan, SimTime,
+        TenantSpec,
     };
     use efind_common::{Datum, KeyKind, Record};
     use efind_dfs::{Dfs, DfsConfig};
@@ -1249,7 +1249,7 @@ mod tests {
     #[test]
     fn missing_plan_is_internal_error() {
         let ijob = sample_job(sample_bound("op"));
-        let err = analyze_job(&ijob, &FxHashMap::default()).unwrap_err();
+        let err = analyze_job_in_env(&ijob, &FxHashMap::default(), &sample_env()).unwrap_err();
         assert!(matches!(err, Error::Internal(_)), "{err}");
     }
 
@@ -1259,9 +1259,51 @@ mod tests {
         bound.volatile = true;
         let ijob = sample_job(bound);
         let plans = plans_with(&ijob, Strategy::Cache);
-        let report = analyze_job(&ijob, &plans).unwrap();
+        let report = analyze_job_in_env(&ijob, &plans, &sample_env()).unwrap();
         assert!(report.has_code(DiagCode::EF014));
         assert!(!report.is_passing());
+    }
+
+    /// Each shape fault earns the analyzer's code and hint from every entry
+    /// point that accepts a job: `compile_pipeline` and `EFindRuntime::run`,
+    /// static and adaptive. (`efind-ql` checks its `compile_checked`.)
+    #[test]
+    fn every_entry_point_rejects_a_bad_shape_with_its_code_and_hint() {
+        let mem = Arc::new(MemIndex::new("mem", vec![]));
+        let cases = [
+            (
+                sample_job(bound_with("op", 2, vec![mem])),
+                "error[EF001]",
+                "bind exactly one accessor per declared index with add_index",
+            ),
+            (
+                sample_job(sample_bound("op")).add_body_index_operator(sample_bound("op")),
+                "error[EF002]",
+                "rename one of the operators; statistics and plans are keyed by name",
+            ),
+            (
+                IndexJobConf::new("j", "in", "out").add_tail_index_operator(sample_bound("op")),
+                "error[EF003]",
+                "add a reduce phase or move the operator to head/body placement",
+            ),
+        ];
+        let cluster = Cluster::builder().nodes(2).build();
+        for (ijob, code, hint) in cases {
+            let plans = plans_with(&ijob, Strategy::Baseline);
+            let mut errors = vec![compile_pipeline(&ijob, &plans, &sample_env()).err()];
+            for mode in [Mode::Uniform(Strategy::Cache), Mode::Dynamic] {
+                let mut dfs = Dfs::new(cluster.clone(), DfsConfig::default());
+                dfs.write_file("in", (0..40i64).map(|i| Record::new(i, i)).collect());
+                errors.push(EFindRuntime::new(&cluster, &mut dfs).run(&ijob, mode).err());
+            }
+            for error in errors {
+                let message = error.expect("a bad shape is rejected").to_string();
+                assert!(
+                    message.contains(code) && message.contains(hint),
+                    "{message}"
+                );
+            }
+        }
     }
 
     /// An accessor that declares a concrete key kind and non-determinism.
@@ -1298,7 +1340,7 @@ mod tests {
         let bound = typed("op", KeyKind::Int, true).key_kinds(vec![KeyKind::Text]);
         let ijob = sample_job(bound);
         let plans = plans_with(&ijob, Strategy::Baseline);
-        let report = analyze_job(&ijob, &plans).unwrap();
+        let report = analyze_job_in_env(&ijob, &plans, &sample_env()).unwrap();
         assert!(report.has_code(DiagCode::EF007));
         assert!(report.has_errors());
     }
@@ -1309,7 +1351,7 @@ mod tests {
         let ijob = sample_job(bound);
         assert!(has_nondeterministic_accessor(&ijob));
         let plans = plans_with(&ijob, Strategy::Baseline);
-        let report = analyze_job(&ijob, &plans).unwrap();
+        let report = analyze_job_in_env(&ijob, &plans, &sample_env()).unwrap();
         assert!(report.has_code(DiagCode::EF012));
         assert!(report.is_passing());
     }
@@ -1341,13 +1383,19 @@ mod tests {
         cat
     }
 
-    /// `analyze_costs` of `ijob` on a small runtime whose catalog is `catalog`.
-    fn cost_report(ijob: &IndexJobConf, catalog: Catalog) -> Report {
+    /// `analyze_costs` of `ijob` on a small runtime configured by `config`
+    /// whose catalog is `catalog`.
+    fn analyzed(ijob: &IndexJobConf, catalog: Catalog, config: EFindConfig) -> Result<Report> {
         let cluster = Cluster::builder().nodes(2).build();
         let mut dfs = Dfs::new(cluster.clone(), DfsConfig::default());
-        let mut rt = EFindRuntime::new(&cluster, &mut dfs);
+        let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, config);
         rt.catalog = catalog;
         analyze_costs(&rt, ijob)
+    }
+
+    /// [`analyzed`] by a quiet runtime, from statistics for every operator.
+    fn cost_report(ijob: &IndexJobConf, catalog: Catalog) -> Report {
+        analyzed(ijob, catalog, EFindConfig::default()).expect("every operator has statistics")
     }
 
     #[test]
@@ -1360,10 +1408,27 @@ mod tests {
     }
 
     #[test]
-    fn cost_analysis_without_catalog_is_structural_only() {
+    fn cost_analysis_without_statistics_fails_like_optimized() {
         let ijob = sample_job(sample_bound("op"));
-        let report = cost_report(&ijob, Catalog::new());
-        assert!(report.is_clean(), "{}", report.to_text());
+        let err = analyzed(&ijob, Catalog::new(), EFindConfig::default()).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("no catalog statistics for operator op"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn cost_analysis_runs_the_configuration_checks() {
+        let mut faults = FaultConfig::disabled().with_plan(FaultPlan::new(7));
+        faults.timeout = Some(SimDuration::ZERO);
+        let config = EFindConfig {
+            faults,
+            ..EFindConfig::default()
+        };
+        let ijob = sample_job(sample_bound("op"));
+        let report = analyzed(&ijob, catalog_with("op", 2.0), config).unwrap();
+        assert!(report.has_code(DiagCode::EF015), "{}", report.to_text());
     }
 
     #[test]
@@ -1378,25 +1443,17 @@ mod tests {
         assert!(report.is_clean(), "{}", report.to_text());
     }
 
+    /// A quiet environment: no layer armed, no store-served statistics.
     fn sample_env() -> RuntimeEnv {
         RuntimeEnv {
-            network: efind_cluster::NetworkModel::gigabit(),
-            t_cache: SimDuration::from_micros(1),
             cache_capacity: 64,
             shuffle_reducers: 4,
             intermediate_chunks: 8,
-            hard_colocation: false,
-            faults: FaultConfig::disabled(),
-            corruption: CorruptionPlan::none(),
-            dfs_replication: 3,
-            chaos: ChaosPlan::none(),
-            cluster_nodes: 4,
-            netsplit: PartitionPlan::none(),
-            detector: DetectorConfig::default(),
-            hedge: HedgeConfig::disabled(),
-            measured: Vec::new(),
-            tenancy: TenancyConfig::none(),
-            tenant: None,
+            ..RuntimeEnv::new(
+                &Cluster::builder().nodes(4).build(),
+                3,
+                &EFindConfig::default(),
+            )
         }
     }
 
@@ -2053,7 +2110,7 @@ mod tests {
             let mut ops = operator_views(&ijob, &plans).unwrap();
             ops[0].stats = self.stats.as_ref();
             ops[0].costs = self.costs.as_ref();
-            check_plans(ijob.has_reduce(), &ops, &self.measured)
+            check_plans(&ijob, &ops, &self.measured)
         }
     }
 

@@ -30,7 +30,7 @@ use std::mem;
 use std::sync::Arc;
 
 use efind_cluster::{
-    ChaosPlan, CorruptionPlan, DetectorConfig, NetworkModel, PartitionPlan, SimDuration,
+    ChaosPlan, Cluster, CorruptionPlan, DetectorConfig, NetworkModel, PartitionPlan, SimDuration,
     TenancyConfig,
 };
 use efind_common::{Datum, Error, FxHashMap, Record, Result};
@@ -48,9 +48,12 @@ use crate::fault::{Breaker, FaultConfig};
 use crate::jobconf::{BoundOperator, IndexJobConf};
 use crate::operator::IndexOperator;
 use crate::plan::{OperatorPlan, Strategy};
+use crate::runtime::EFindConfig;
 use crate::statsx::names;
 
-/// Environment constants the compiled stages need.
+/// Environment constants the compiled stages need and the analyzer's
+/// configuration checks read. [`RuntimeEnv::new`] derives every field from
+/// a cluster, a DFS replication factor and an [`EFindConfig`].
 #[derive(Clone)]
 pub struct RuntimeEnv {
     /// Network model for lookup transfer charging.
@@ -74,47 +77,90 @@ pub struct RuntimeEnv {
     /// poisoning) and [`ChargedLookup`] (response corruption) built for
     /// this pipeline. Quiet = the plain, checksum-free path.
     pub corruption: CorruptionPlan,
-    /// Replication factor of the DFS the job reads from, for the
-    /// analyzer's recoverability check (`EF017`): chunk corruption with
-    /// replication 1 is unrecoverable by construction.
+    /// Replication factor of the DFS the job reads from. The analyzer
+    /// counts the copies a chunk has left against corruption (`EF017`),
+    /// kills (`EF020`) and unhealed cuts (`EF025`), and the sides a hedge
+    /// can race (`EF026`).
     pub dfs_replication: usize,
-    /// Node-crash plan applied to every constituent MapReduce job, for
-    /// the analyzer's injection-conflict check (`EF020`): killing every
-    /// node leaves no survivor to finish the job.
+    /// Node-crash plan applied to every constituent MapReduce job. The
+    /// analyzer's injection-conflict check (`EF020`) rejects one that kills
+    /// every node.
     pub chaos: ChaosPlan,
     /// Node count of the simulated cluster the job runs on, paired with
-    /// `chaos` for the survivability check.
+    /// `chaos` (`EF020`) and `netsplit` (`EF025`) for the survivability
+    /// checks.
     pub cluster_nodes: usize,
-    /// Network-partition plan applied to every constituent MapReduce job,
-    /// for the analyzer's reachability check (`EF025`): a partition that
-    /// never heals and isolates every replica of the input leaves the job
-    /// no way to finish.
+    /// Network-partition plan applied to every constituent MapReduce job.
+    /// The analyzer's reachability check (`EF025`) rejects a partition
+    /// that never heals and isolates the whole cluster.
     pub netsplit: PartitionPlan,
-    /// Heartbeat failure-detector parameters paired with `netsplit` for
-    /// the analyzer's EF025 interval-vs-suspicion sanity check.
+    /// Heartbeat failure-detector parameters paired with `netsplit`; the
+    /// analyzer warns (`EF025`) when the heartbeat interval reaches the
+    /// suspicion threshold.
     pub detector: DetectorConfig,
     /// Hedged-lookup configuration attached to every [`ChargedLookup`]
     /// built for this pipeline. Quiet (no threshold) = the plain lookup
     /// path; armed without a second replica/partition-side to race
-    /// against trips the analyzer's EF026 warning.
+    /// against, it earns the analyzer's `EF026` warning.
     pub hedge: HedgeConfig,
     /// Measured-stats injections from the cross-job store: operators whose
     /// plans were built from recorded history instead of catalog
-    /// estimates, with the EF023 probe costs attached. Empty whenever no
-    /// store matched — the analyzer then runs exactly the pre-store
-    /// check set.
+    /// estimates, with the `EF023` probe costs attached. Empty whenever no
+    /// store matched (and from [`RuntimeEnv::new`]) — the analyzer then
+    /// runs exactly the pre-store check set.
     pub measured: Vec<crate::statstore::MeasuredOp>,
     /// Multi-tenant serving configuration of the cluster this job is
     /// admitted to. Quiet ([`TenancyConfig::is_quiet`]) = the plain
     /// single-job path: full cache capacity, no tenant counters, and no
-    /// EF024 checks.
+    /// `EF024` checks.
     pub tenancy: TenancyConfig,
     /// The tenant this job runs as (`None` = the implicit default
-    /// tenant). Only consulted when `tenancy` is armed.
+    /// tenant): the runtime's, unless [`RuntimeEnv::for_job`] put the
+    /// job's own tag here. Only consulted when `tenancy` is armed.
     pub tenant: Option<String>,
 }
 
 impl RuntimeEnv {
+    /// The environment a runtime configured by `config` compiles its jobs
+    /// in, on `cluster` over a DFS of `dfs_replication` replicas:
+    /// intermediate files get two chunks per map slot, and no statistics
+    /// are store-served.
+    pub fn new(cluster: &Cluster, dfs_replication: usize, config: &EFindConfig) -> Self {
+        RuntimeEnv {
+            network: cluster.network,
+            t_cache: config.t_cache,
+            cache_capacity: config.cache_capacity,
+            shuffle_reducers: config.shuffle_reducers_on(cluster),
+            intermediate_chunks: cluster.total_map_slots() * 2,
+            hard_colocation: config.hard_colocation,
+            faults: config.faults.clone(),
+            corruption: config.corruption.clone(),
+            dfs_replication,
+            chaos: config.chaos.clone(),
+            cluster_nodes: cluster.num_nodes() as usize,
+            netsplit: config.netsplit.clone(),
+            detector: config.detector,
+            hedge: config.hedge,
+            measured: Vec::new(),
+            tenancy: config.tenancy.clone(),
+            tenant: config.tenant.clone(),
+        }
+    }
+
+    /// This environment for `ijob`: the job's own tenant tag outranks the
+    /// runtime-level default, so one runtime can compile jobs for several
+    /// tenants.
+    pub fn for_job(&self, ijob: &IndexJobConf) -> Cow<'_, RuntimeEnv> {
+        if ijob.tenant.is_none() || ijob.tenant == self.tenant {
+            return Cow::Borrowed(self);
+        }
+        let tenant = ijob.tenant.clone();
+        Cow::Owned(RuntimeEnv {
+            tenant,
+            ..self.clone()
+        })
+    }
+
     /// The lookup-cache capacity this pipeline's caches are built with:
     /// the full configured capacity on the quiet path, or the tenant's
     /// reserved share of the shared cache when the tenancy layer is armed
@@ -1057,19 +1103,10 @@ pub fn compile_pipeline(
     plans: &FxHashMap<String, OperatorPlan>,
     env: &RuntimeEnv,
 ) -> Result<CompiledPipeline> {
-    ijob.validate()?;
-    // The job's own tenant tag outranks the runtime-level default, so one
-    // runtime can compile jobs for several tenants.
-    let mut env_owned;
-    let env = if ijob.tenant.is_some() && ijob.tenant != env.tenant {
-        env_owned = env.clone();
-        env_owned.tenant = ijob.tenant.clone();
-        &env_owned
-    } else {
-        env
-    };
-    // Static plan verification (EF001..): hard errors abort compilation
-    // here, before any stage is built; warnings travel with the pipeline.
+    let env = &*env.for_job(ijob);
+    // Static analysis, shape and plans included: hard errors abort
+    // compilation here, before any stage is built; warnings travel with
+    // the pipeline.
     let analysis = crate::analysis::analyze_job_in_env(ijob, plans, env)?.into_result()?;
     let plan_of = |bound: &BoundOperator| -> Result<&OperatorPlan> {
         plans
@@ -1177,23 +1214,14 @@ mod tests {
 
     fn env() -> RuntimeEnv {
         RuntimeEnv {
-            network: NetworkModel::gigabit(),
-            t_cache: SimDuration::from_micros(1),
             cache_capacity: 64,
             shuffle_reducers: 4,
             intermediate_chunks: 8,
-            hard_colocation: false,
-            faults: FaultConfig::disabled(),
-            corruption: CorruptionPlan::none(),
-            dfs_replication: 2,
-            chaos: ChaosPlan::none(),
-            cluster_nodes: 4,
-            netsplit: PartitionPlan::none(),
-            detector: DetectorConfig::default(),
-            hedge: HedgeConfig::disabled(),
-            measured: Vec::new(),
-            tenancy: TenancyConfig::none(),
-            tenant: None,
+            ..RuntimeEnv::new(
+                &Cluster::builder().nodes(4).build(),
+                2,
+                &EFindConfig::default(),
+            )
         }
     }
 

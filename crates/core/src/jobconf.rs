@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use efind_cluster::SimDuration;
-use efind_common::{Error, FxHashSet, KeyKind, Result};
+use efind_common::{KeyKind, Result};
 use efind_mapreduce::{HashPartitioner, MapperFactory, Partitioner, ReducerFactory};
 
 use crate::accessor::IndexAccessor;
@@ -92,18 +92,6 @@ impl BoundOperator {
             .iter()
             .map(|a| (true, a.partition_scheme().is_some()))
             .collect()
-    }
-
-    fn validate(&self) -> Result<()> {
-        if self.op.num_indices() != self.indices.len() {
-            return Err(Error::InvalidConfig(format!(
-                "operator {} declares {} indices but {} accessors are bound",
-                self.op.name(),
-                self.op.num_indices(),
-                self.indices.len()
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -225,24 +213,12 @@ impl IndexJobConf {
         self.operators().map(|(b, _)| b.descriptor()).collect()
     }
 
-    /// Validates arities, name uniqueness, and placement constraints.
+    /// Checks the job's shape: each operator binds as many accessors as it
+    /// declares (`EF001`), operator names are unique (`EF002`) and tail
+    /// operators have a reduce phase (`EF003`). These are the analyzer's
+    /// own checks, run without a plan.
     pub fn validate(&self) -> Result<()> {
-        let mut seen = FxHashSet::default();
-        for (bound, _) in self.operators() {
-            bound.validate()?;
-            if !seen.insert(bound.op.name().to_owned()) {
-                return Err(Error::InvalidConfig(format!(
-                    "duplicate operator name {}",
-                    bound.op.name()
-                )));
-            }
-        }
-        if !self.tail.is_empty() && !self.has_reduce() {
-            return Err(Error::InvalidConfig(
-                "tail index operators require a reduce phase".into(),
-            ));
-        }
-        Ok(())
+        crate::analysis::check_shape(self).into_result().map(drop)
     }
 }
 

@@ -42,14 +42,16 @@
 //! ## Static plan analysis
 //!
 //! Before any pipeline is compiled, [`analysis`] verifies the job and its
-//! plans on the runtime's own types: placement legality and Property 4,
-//! strategy/capability fit, key-kind compatibility, cost-model sanity,
-//! and a determinism audit gating the adaptive runtime's result reuse.
-//! It then checks the runtime configuration — the armed injection
-//! layers, the lookup cache, tenancy and hedging. Findings are
-//! `efind-analyze` diagnostics: errors (stable `EFxxx` codes) abort
-//! compilation; warnings are printed at job start and surface in the
-//! `explain` report.
+//! plans on the runtime's own types: the job's shape (arity, unique
+//! names, placement), Property 4, strategy/capability fit, key-kind
+//! compatibility, cost-model sanity, and a determinism audit gating the
+//! adaptive runtime's result reuse. It then checks the runtime
+//! configuration — the armed injection layers, the lookup cache, tenancy
+//! and hedging. Each check is written once, there. Findings are
+//! `efind-analyze` diagnostics: errors (stable `EFxxx` codes) reject the
+//! job or abort compilation; each distinct warning is printed once per
+//! run and kept in [`EFindRuntime::warnings`]. `explain` prints the
+//! report of [`analysis::analyze_costs`].
 //!
 //! ## Fault tolerance
 //!

@@ -3,6 +3,7 @@
 
 use std::path::Path;
 
+use efind_analyze::Diagnostic;
 use efind_cluster::{
     ChaosPlan, Cluster, CorruptionPlan, DetectorConfig, PartitionPlan, SimDuration, SimTime,
     TenancyConfig,
@@ -12,8 +13,8 @@ use efind_dfs::{Dfs, DfsFile};
 use efind_mapreduce::{Counters, JobStats, Runner, Sketches};
 
 use crate::accessor::HedgeConfig;
-use crate::adaptive::{plans_of, replan, Evidence};
-use crate::compile::{compile_pipeline, RuntimeEnv};
+use crate::adaptive::{plans_of, replan, Evidence, Replan};
+use crate::compile::{compile_pipeline, CompiledPipeline, RuntimeEnv};
 use crate::cost::{CostEnv, OperatorStatsEstimate, Placement};
 use crate::fault::FaultConfig;
 use crate::jobconf::{BoundOperator, IndexJobConf};
@@ -120,6 +121,15 @@ pub struct EFindConfig {
     /// The tenant this runtime's jobs run as (`None` = the implicit
     /// default tenant). Only consulted when `tenancy` is armed.
     pub tenant: Option<String>,
+}
+
+impl EFindConfig {
+    /// The reducer count of shuffling jobs on `cluster`: the configured
+    /// count, else every reduce slot.
+    pub(crate) fn shuffle_reducers_on(&self, cluster: &Cluster) -> usize {
+        self.shuffle_reducers
+            .unwrap_or_else(|| cluster.total_reduce_slots())
+    }
 }
 
 impl Default for EFindConfig {
@@ -241,6 +251,8 @@ pub struct EFindRuntime<'a> {
     pub store: Option<StatStore>,
     /// Store-load anomalies pending surfacing as counters on the next run.
     store_events: StoreEvents,
+    /// The analyzer warnings the current (or last) run reported.
+    warnings: Vec<Diagnostic>,
 }
 
 /// Pending store-load anomalies, drained into the next job's counters so
@@ -266,6 +278,7 @@ impl<'a> EFindRuntime<'a> {
             catalog: Catalog::new(),
             store: None,
             store_events: StoreEvents::default(),
+            warnings: Vec::new(),
         }
     }
 
@@ -319,36 +332,43 @@ impl<'a> EFindRuntime<'a> {
             job_overhead_secs: JOB_OVERHEAD_SECS,
             reduce_parallelism: self
                 .config
-                .shuffle_reducers
-                .unwrap_or_else(|| self.cluster.total_reduce_slots())
+                .shuffle_reducers_on(self.cluster)
                 .min(self.cluster.total_reduce_slots()) as f64,
             parallelism: self.cluster.total_map_slots() as f64,
         }
     }
 
-    pub(crate) fn runtime_env(&self) -> RuntimeEnv {
-        RuntimeEnv {
-            network: self.cluster.network,
-            t_cache: self.config.t_cache,
-            cache_capacity: self.config.cache_capacity,
-            shuffle_reducers: self
-                .config
-                .shuffle_reducers
-                .unwrap_or_else(|| self.cluster.total_reduce_slots()),
-            intermediate_chunks: self.cluster.total_map_slots() * 2,
-            hard_colocation: self.config.hard_colocation,
-            faults: self.config.faults.clone(),
-            corruption: self.config.corruption.clone(),
-            dfs_replication: self.dfs.config().replication,
-            chaos: self.config.chaos.clone(),
-            cluster_nodes: self.cluster.num_nodes() as usize,
-            netsplit: self.config.netsplit.clone(),
-            detector: self.config.detector,
-            hedge: self.config.hedge,
-            measured: Vec::new(),
-            tenancy: self.config.tenancy.clone(),
-            tenant: self.config.tenant.clone(),
+    /// The environment this runtime compiles its jobs in, with the
+    /// store-served statistics `measured` threaded to the analyzer
+    /// (`EF023`).
+    pub(crate) fn runtime_env(&self, measured: Vec<MeasuredOp>) -> RuntimeEnv {
+        let env = RuntimeEnv::new(self.cluster, self.dfs.config().replication, &self.config);
+        RuntimeEnv { measured, ..env }
+    }
+
+    /// Compiles `ijob` under `plans` in this runtime's environment and
+    /// reports each analyzer warning the current run has not reported yet.
+    /// Every compile of a run goes through here.
+    pub(crate) fn compile(
+        &mut self,
+        ijob: &IndexJobConf,
+        plans: &FxHashMap<String, OperatorPlan>,
+        measured: Vec<MeasuredOp>,
+    ) -> Result<CompiledPipeline> {
+        let compiled = compile_pipeline(ijob, plans, &self.runtime_env(measured))?;
+        for warning in compiled.analysis.warnings() {
+            if !self.warnings.contains(warning) {
+                eprintln!("efind: {warning}");
+                self.warnings.push(warning.clone());
+            }
         }
+        Ok(compiled)
+    }
+
+    /// The analyzer warnings the last [`run`](Self::run) reported, each
+    /// once, in the order they were first found.
+    pub fn warnings(&self) -> &[Diagnostic] {
+        &self.warnings
     }
 
     /// The runner every constituent job and every adaptive sub-step runs
@@ -402,13 +422,7 @@ impl<'a> EFindRuntime<'a> {
                 (forced_plans(ijob, strategy), Vec::new())
             }
             Mode::Optimized => {
-                let planned = replan(self, ijob.operators(), &Evidence::Catalog);
-                if let Some(name) = planned.missing {
-                    return Err(Error::InvalidConfig(format!(
-                        "no catalog statistics for operator {name}; run the job once \
-                         (any mode) or use Mode::Dynamic"
-                    )));
-                }
+                let planned = self.optimized(ijob)?;
                 (plans_of(planned.priced), planned.measured)
             }
             Mode::Dynamic => {
@@ -420,8 +434,23 @@ impl<'a> EFindRuntime<'a> {
         Ok((plans, measured))
     }
 
+    /// The planner's pass `Mode::Optimized` runs: each operator priced
+    /// from the store's measured history, else the catalog. Fails when an
+    /// indexed, non-volatile operator has neither.
+    pub(crate) fn optimized<'o>(&self, ijob: &'o IndexJobConf) -> Result<Replan<'o>> {
+        let planned = replan(self, ijob.operators(), &Evidence::Catalog);
+        if let Some(name) = planned.missing {
+            return Err(Error::InvalidConfig(format!(
+                "no catalog statistics for operator {name}; run the job once \
+                 (any mode) or use Mode::Dynamic"
+            )));
+        }
+        Ok(planned)
+    }
+
     /// Runs an enhanced job.
     pub fn run(&mut self, ijob: &IndexJobConf, mode: Mode) -> Result<EFindJobResult> {
+        self.warnings.clear();
         ijob.validate()?;
         let mut res = match mode {
             Mode::Dynamic => crate::adaptive::run_dynamic(self, ijob)?,
@@ -458,12 +487,7 @@ impl<'a> EFindRuntime<'a> {
         plans: FxHashMap<String, OperatorPlan>,
         measured: Vec<MeasuredOp>,
     ) -> Result<EFindJobResult> {
-        let mut env = self.runtime_env();
-        env.measured = measured;
-        let compiled = compile_pipeline(ijob, &plans, &env)?;
-        for warning in compiled.analysis.warnings() {
-            eprintln!("efind: {warning}");
-        }
+        let compiled = self.compile(ijob, &plans, measured)?;
         let mut t = SimTime::ZERO;
         let mut jobs = Vec::with_capacity(compiled.jobs.len());
         let mut output: Option<DfsFile> = None;

@@ -550,12 +550,10 @@ mod lent_rows {
     use super::*;
     use efind::compile::{compile_pipeline, RuntimeEnv};
     use efind::{
-        forced_plan, operator_fn, BoundOperator, FaultConfig, HedgeConfig, IndexAccessor,
-        IndexInput, IndexJobConf, IndexOperator, IndexOutput,
+        forced_plan, operator_fn, BoundOperator, EFindConfig, IndexAccessor, IndexInput,
+        IndexJobConf, IndexOperator, IndexOutput,
     };
-    use efind_cluster::{
-        ChaosPlan, DetectorConfig, NetworkModel, PartitionPlan, SimDuration, TenancyConfig,
-    };
+    use efind_cluster::{Cluster, SimDuration};
     use efind_common::{FxHashMap, Record};
     use efind_mapreduce::{Collector, RowSink, TaskCtx, ROW_WINDOW};
     use std::borrow::Cow;
@@ -564,23 +562,14 @@ mod lent_rows {
     /// A cache of 4 entries, so random keys both hit and evict.
     fn env() -> RuntimeEnv {
         RuntimeEnv {
-            network: NetworkModel::gigabit(),
-            t_cache: SimDuration::from_micros(1),
             cache_capacity: 4,
             shuffle_reducers: 2,
             intermediate_chunks: 1,
-            hard_colocation: false,
-            faults: FaultConfig::disabled(),
-            corruption: CorruptionPlan::none(),
-            dfs_replication: 2,
-            chaos: ChaosPlan::none(),
-            cluster_nodes: 3,
-            netsplit: PartitionPlan::none(),
-            detector: DetectorConfig::default(),
-            hedge: HedgeConfig::disabled(),
-            measured: Vec::new(),
-            tenancy: TenancyConfig::none(),
-            tenant: None,
+            ..RuntimeEnv::new(
+                &Cluster::builder().nodes(3).build(),
+                2,
+                &EFindConfig::default(),
+            )
         }
     }
 
@@ -930,6 +919,7 @@ mod lent_rows {
 mod end_to_end {
     use super::*;
     use efind::analysis;
+    use efind::compile::RuntimeEnv;
     use efind::{
         operator_fn, BoundOperator, EFindRuntime, IndexAccessor, IndexInput, IndexJobConf,
         IndexOutput, Mode, PartitionScheme,
@@ -1057,9 +1047,11 @@ mod end_to_end {
             let mut rt = EFindRuntime::new(&cluster, &mut dfs);
             let plans = rt.plans_for(&ijob, &mode).unwrap();
             // Whatever the planner produced (including capability
-            // fallbacks) must pass static analysis...
+            // fallbacks) must pass static analysis in the runtime's own,
+            // quiet environment...
+            let env = RuntimeEnv::new(&cluster, rt.dfs.config().replication, &rt.config);
             prop_assert!(
-                analysis::analyze_job(&ijob, &plans).is_ok_and(|r| r.is_passing()),
+                analysis::analyze_job_in_env(&ijob, &plans, &env).is_ok_and(|r| r.is_passing()),
                 "planner produced an analyzer-rejected plan for shape {shape:?} / {strategy:?}"
             );
             // ...and the job must compile and run to completion.

@@ -13,13 +13,10 @@ use std::sync::{Arc, Mutex};
 
 use efind::compile::{compile_pipeline, RuntimeEnv};
 use efind::{
-    forced_plan, operator_fn, BoundOperator, FaultConfig, HedgeConfig, IndexAccessor, IndexInput,
-    IndexJobConf, IndexOutput, LookupResult, Strategy,
+    forced_plan, operator_fn, BoundOperator, EFindConfig, IndexAccessor, IndexInput, IndexJobConf,
+    IndexOutput, LookupResult, Strategy,
 };
-use efind_cluster::{
-    ChaosPlan, Cluster, CorruptionPlan, DetectorConfig, NetworkModel, PartitionPlan, SimDuration,
-    SimTime, TenancyConfig,
-};
+use efind_cluster::{Cluster, SimDuration, SimTime};
 use efind_common::{Datum, FxHashMap, Record};
 use efind_dfs::{Dfs, DfsConfig};
 use efind_mapreduce::{Collector, JobConf, Runner};
@@ -120,23 +117,13 @@ fn repartitioned_join(chunks: usize) -> (Cluster, Dfs, JobConf) {
     );
     let ijob = IndexJobConf::new("budget", "in", "out").add_head_index_operator(bound);
     let env = RuntimeEnv {
-        network: NetworkModel::gigabit(),
-        t_cache: SimDuration::from_micros(1),
-        cache_capacity: 1024,
         shuffle_reducers: 4,
         intermediate_chunks: 1,
-        hard_colocation: false,
-        faults: FaultConfig::disabled(),
-        corruption: CorruptionPlan::none(),
-        dfs_replication: 2,
-        chaos: ChaosPlan::none(),
-        cluster_nodes: 4,
-        netsplit: PartitionPlan::none(),
-        detector: DetectorConfig::default(),
-        hedge: HedgeConfig::disabled(),
-        measured: Vec::new(),
-        tenancy: TenancyConfig::none(),
-        tenant: None,
+        ..RuntimeEnv::new(
+            &Cluster::builder().nodes(4).build(),
+            2,
+            &EFindConfig::default(),
+        )
     };
     let mut pipeline = compile_pipeline(&ijob, &plans, &env).expect("the pipeline compiles");
     assert_eq!(pipeline.jobs.len(), 1, "one shuffling job");

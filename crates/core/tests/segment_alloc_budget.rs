@@ -16,13 +16,10 @@ use std::sync::Arc;
 use efind::carrier::Carrier;
 use efind::compile::{compile_pipeline, CompiledPipeline, RuntimeEnv};
 use efind::{
-    forced_plan, operator_fn, BoundOperator, FaultConfig, HedgeConfig, IndexAccessor, IndexInput,
-    IndexJobConf, IndexOperator, IndexOutput, LookupResult, Strategy,
+    forced_plan, operator_fn, BoundOperator, EFindConfig, IndexAccessor, IndexInput, IndexJobConf,
+    IndexOperator, IndexOutput, LookupResult, Strategy,
 };
-use efind_cluster::{
-    ChaosPlan, CorruptionPlan, DetectorConfig, NetworkModel, PartitionPlan, SimDuration,
-    TenancyConfig,
-};
+use efind_cluster::{Cluster, SimDuration};
 use efind_common::{Datum, Error, FxHashMap, Record};
 use efind_mapreduce::{Collector, RowSink, TaskCtx, ROW_WINDOW};
 
@@ -172,23 +169,13 @@ fn compiled(op: Arc<dyn IndexOperator>, strategy: Strategy) -> CompiledPipeline 
     plans.insert("join".to_owned(), forced_plan(&bound.caps(), strategy));
     let ijob = IndexJobConf::new("budget", "in", "out").add_head_index_operator(bound);
     let env = RuntimeEnv {
-        network: NetworkModel::gigabit(),
-        t_cache: SimDuration::from_micros(1),
-        cache_capacity: 1024,
         shuffle_reducers: 1,
         intermediate_chunks: 1,
-        hard_colocation: false,
-        faults: FaultConfig::disabled(),
-        corruption: CorruptionPlan::none(),
-        dfs_replication: 2,
-        chaos: ChaosPlan::none(),
-        cluster_nodes: 3,
-        netsplit: PartitionPlan::none(),
-        detector: DetectorConfig::default(),
-        hedge: HedgeConfig::disabled(),
-        measured: Vec::new(),
-        tenancy: TenancyConfig::none(),
-        tenant: None,
+        ..RuntimeEnv::new(
+            &Cluster::builder().nodes(3).build(),
+            2,
+            &EFindConfig::default(),
+        )
     };
     compile_pipeline(&ijob, &plans, &env).expect("the pipeline compiles")
 }

@@ -14,13 +14,10 @@ use std::sync::Arc;
 
 use efind::compile::{compile_pipeline, CompiledPipeline, RuntimeEnv};
 use efind::{
-    forced_plan, operator_fn, BoundOperator, FaultConfig, HedgeConfig, IndexAccessor, IndexInput,
-    IndexJobConf, IndexOperator, IndexOutput, Strategy,
+    forced_plan, operator_fn, BoundOperator, EFindConfig, IndexAccessor, IndexInput, IndexJobConf,
+    IndexOperator, IndexOutput, Strategy,
 };
-use efind_cluster::{
-    ChaosPlan, Cluster, CorruptionPlan, DetectorConfig, NetworkModel, PartitionPlan, SimDuration,
-    SimTime, TenancyConfig,
-};
+use efind_cluster::{Cluster, SimDuration, SimTime};
 use efind_common::{Datum, FxHashMap, Record};
 use efind_dfs::{Dfs, DfsConfig};
 use efind_mapreduce::api::run_chain;
@@ -28,23 +25,14 @@ use efind_mapreduce::{Collector, Counters, JobConf, Runner, TaskCtx};
 
 fn env() -> RuntimeEnv {
     RuntimeEnv {
-        network: NetworkModel::gigabit(),
-        t_cache: SimDuration::from_micros(1),
         cache_capacity: 64,
         shuffle_reducers: 2,
         intermediate_chunks: 4,
-        hard_colocation: false,
-        faults: FaultConfig::disabled(),
-        corruption: CorruptionPlan::none(),
-        dfs_replication: 2,
-        chaos: ChaosPlan::none(),
-        cluster_nodes: 3,
-        netsplit: PartitionPlan::none(),
-        detector: DetectorConfig::default(),
-        hedge: HedgeConfig::disabled(),
-        measured: Vec::new(),
-        tenancy: TenancyConfig::none(),
-        tenant: None,
+        ..RuntimeEnv::new(
+            &Cluster::builder().nodes(3).build(),
+            2,
+            &EFindConfig::default(),
+        )
     }
 }
 

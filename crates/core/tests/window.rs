@@ -14,14 +14,11 @@ use efind::carrier::Carrier;
 use efind::compile::{compile_pipeline, CompiledPipeline, RuntimeEnv};
 use efind::plan::IndexChoice;
 use efind::{
-    forced_plan, operator_fn, BoundOperator, FaultConfig, FaultPlan, HedgeConfig, HedgePolicy,
-    IndexAccessor, IndexInput, IndexJobConf, IndexOutput, LookupResult, OperatorPlan, RetryPolicy,
-    Strategy as Access,
+    forced_plan, operator_fn, BoundOperator, EFindConfig, FaultConfig, FaultPlan, HedgeConfig,
+    HedgePolicy, IndexAccessor, IndexInput, IndexJobConf, IndexOutput, LookupResult, OperatorPlan,
+    RetryPolicy, Strategy as Access,
 };
-use efind_cluster::{
-    ChaosPlan, Cluster, CorruptionPlan, DetectorConfig, NetworkModel, PartitionPlan, SimDuration,
-    SimTime, TenancyConfig,
-};
+use efind_cluster::{Cluster, SimDuration, SimTime};
 use efind_common::{Datum, FxHashMap, Record};
 use efind_dfs::{Dfs, DfsConfig};
 use efind_mapreduce::{
@@ -88,23 +85,16 @@ fn env(cache_capacity: usize, armed: bool) -> RuntimeEnv {
         (FaultConfig::disabled(), HedgeConfig::disabled())
     };
     RuntimeEnv {
-        network: NetworkModel::gigabit(),
-        t_cache: SimDuration::from_micros(1),
         cache_capacity,
         shuffle_reducers: 3,
         intermediate_chunks: 2,
-        hard_colocation: false,
         faults,
-        corruption: CorruptionPlan::none(),
-        dfs_replication: 2,
-        chaos: ChaosPlan::none(),
-        cluster_nodes: 3,
-        netsplit: PartitionPlan::none(),
-        detector: DetectorConfig::default(),
         hedge,
-        measured: Vec::new(),
-        tenancy: TenancyConfig::none(),
-        tenant: None,
+        ..RuntimeEnv::new(
+            &Cluster::builder().nodes(3).build(),
+            2,
+            &EFindConfig::default(),
+        )
     }
 }
 

@@ -207,9 +207,10 @@ pub fn compile(query: Query, name: &str, output: &str) -> IndexJobConf {
 
 /// Like [`compile`], but validates the resulting job configuration before
 /// handing it back. User-supplied join names can collide (duplicate
-/// operator names) or otherwise violate [`IndexJobConf::validate`]; this
-/// entry point surfaces those as [`efind_common::Error::InvalidConfig`]
-/// instead of deferring the failure to `compile_pipeline`.
+/// operator names, `EF002`) or otherwise violate
+/// [`IndexJobConf::validate`]; this entry point surfaces those as
+/// [`efind_common::Error::InvalidConfig`] carrying the analyzer's code and
+/// hint instead of deferring the failure to `compile_pipeline`.
 pub fn compile_checked(
     query: Query,
     name: &str,
@@ -310,7 +311,10 @@ mod tests {
             Ok(_) => panic!("duplicate join names were accepted"),
             Err(e) => e,
         };
-        assert!(err.to_string().contains("duplicate"), "{err}");
+        // The analyzer's own shape check (EF002), with its code and hint.
+        let message = err.to_string();
+        assert!(message.contains("error[EF002]"), "{message}");
+        assert!(message.contains("rename one of the operators"), "{message}");
     }
 
     #[test]

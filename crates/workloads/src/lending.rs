@@ -6,13 +6,8 @@ use std::sync::Arc;
 
 use efind::carrier::Carrier;
 use efind::compile::{compile_pipeline, RuntimeEnv};
-use efind::{
-    forced_plan, BoundOperator, FaultConfig, HedgeConfig, IndexAccessor, IndexJobConf, Strategy,
-};
-use efind_cluster::{
-    ChaosPlan, CorruptionPlan, DetectorConfig, NetworkModel, PartitionPlan, SimDuration,
-    TenancyConfig,
-};
+use efind::{forced_plan, BoundOperator, EFindConfig, IndexAccessor, IndexJobConf, Strategy};
+use efind_cluster::{Cluster, SimDuration};
 use efind_common::{Datum, FxHashMap, Record};
 use efind_mapreduce::{RowSink, TaskCtx, ROW_WINDOW};
 use proptest::prelude::{prop_assert_eq, TestCaseError};
@@ -35,23 +30,14 @@ impl IndexAccessor for Finds {
 /// A cache of 4 entries, so repeated keys both hit and evict.
 fn env() -> RuntimeEnv {
     RuntimeEnv {
-        network: NetworkModel::gigabit(),
-        t_cache: SimDuration::from_micros(1),
         cache_capacity: 4,
         shuffle_reducers: 2,
         intermediate_chunks: 1,
-        hard_colocation: false,
-        faults: FaultConfig::disabled(),
-        corruption: CorruptionPlan::none(),
-        dfs_replication: 2,
-        chaos: ChaosPlan::none(),
-        cluster_nodes: 3,
-        netsplit: PartitionPlan::none(),
-        detector: DetectorConfig::default(),
-        hedge: HedgeConfig::disabled(),
-        measured: Vec::new(),
-        tenancy: TenancyConfig::none(),
-        tenant: None,
+        ..RuntimeEnv::new(
+            &Cluster::builder().nodes(3).build(),
+            2,
+            &EFindConfig::default(),
+        )
     }
 }
 

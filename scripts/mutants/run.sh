@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # The mutant catalogue: each `NN-name.patch` beside this script plants one
 # plausible bug in the library. For every patch, this script applies it to
-# a scratch copy of a source tree, runs the given integration-test
-# binaries of the root package against the mutant, and prints which of
-# them fail ("kill" it). A mutant no binary kills is a survivor: a bug the
-# suite would not notice.
+# a scratch copy of a source tree, runs the given test binaries against
+# the mutant, and prints which of them fail ("kill" it). A mutant no
+# binary kills is a survivor: a bug the suite would not notice.
 #
 #   scripts/mutants/run.sh [-s SRC] [-w WORK] BIN...
 #
@@ -12,7 +11,10 @@
 #         script); its `.git/` and `target/` are not copied
 #   WORK  scratch directory for the copy and its build (default:
 #         ${TMPDIR:-/tmp}/efind-mutants); the build is kept between runs
-#   BIN   `tests/<BIN>.rs` targets of the `efind-repro` package
+#   BIN   a test binary: `NAME` is `tests/NAME.rs` of the `efind-repro`
+#         package, `PKG:lib` the unit tests of workspace crate PKG and
+#         `PKG:NAME` its `tests/NAME.rs` (`efind:lib`, `efind:window`,
+#         `efind-mapreduce:lib`)
 #
 # Every patch must apply to SRC; the unmutated binaries must pass first.
 # Slow (one rebuild per mutant), so it is not a CI step.
@@ -47,19 +49,30 @@ tar -C "$src" --exclude=./.git --exclude=./target -cf - . | tar -C "$tree" -xf -
 git -C "$tree" init -q
 export CARGO_TARGET_DIR="$work/target"
 
-tests=()
-for bin in "$@"; do tests+=(--test "$bin"); done
+# The cargo arguments that select one BIN.
+target() {
+    case "$1" in
+    *:lib) echo "-p ${1%%:*} --lib" ;;
+    *:*) echo "-p ${1%%:*} --test ${1#*:}" ;;
+    *) echo "-p efind-repro --test $1" ;;
+    esac
+}
 
 # Prints the binaries that fail, space-separated; "build" if the tree does
 # not compile. A binary that runs past 15 minutes counts as failing.
 failing() {
-    if ! (cd "$tree" && cargo test -q -p efind-repro "${tests[@]}" --no-run) >"$work/build.log" 2>&1; then
-        echo build
-        return
-    fi
+    local bin
+    for bin in "$@"; do
+        # shellcheck disable=SC2046 # `target` prints separate arguments
+        if ! (cd "$tree" && cargo test -q $(target "$bin") --no-run) >"$work/build.log" 2>&1; then
+            echo build
+            return
+        fi
+    done
     local failed=()
     for bin in "$@"; do
-        if ! (cd "$tree" && timeout 900 cargo test -q -p efind-repro --test "$bin") >"$work/$bin.log" 2>&1; then
+        # shellcheck disable=SC2046
+        if ! (cd "$tree" && timeout 900 cargo test -q $(target "$bin")) >"$work/${bin/:/-}.log" 2>&1; then
             failed+=("$bin")
         fi
     done
