@@ -16,31 +16,38 @@
 //! On a plan change, the completed wave's map outputs are *reused*: the
 //! remaining input splits flow through the new plan's job chain, and the
 //! final job's reduce consumes both the new plan's map outputs and the
-//! wave-1 outputs — exactly the merge of Fig. 10(a). The plan changes at
-//! most once per job.
+//! wave-1 outputs — exactly the merge of Fig. 10(a). A job that keeps its
+//! plan map-side gets the same chance after its first reduce wave, for its
+//! tail operators (Fig. 10(b)). The plan changes at most once per job.
 //!
 //! Every planning pass — map-side after the first map wave, tail-side
 //! after the first reduce wave, the warm start from the cross-job store,
 //! `Mode::Optimized` and `analysis::analyze_costs` — is the same
-//! per-operator step over the [`Evidence`] at hand ([`replan`]); each
-//! caller folds the priced operators into its own plan map. Both re-plans
-//! finish their jobs through the runner's own steps
+//! per-operator step over the [`Evidence`] at hand ([`replan`]), and both
+//! re-plans decide with one rule (`plan_change`): each operator with a
+//! saving over its baseline plan takes its plan, every other stays on
+//! baseline, and the summed savings must exceed the plan-change cost.
+//! Both re-plans finish their jobs through the runner's own steps
 //! ([`Runner::map_side`](efind_mapreduce::Runner::map_side), `shuffle`,
 //! `reduce` and [`Runner::end_job`](efind_mapreduce::Runner::end_job)),
 //! the steps [`Runner::finish`](efind_mapreduce::Runner::finish) is made
-//! of.
+//! of, and every exit ends the run as a static run ends it: the runtime
+//! runs the remaining jobs (`EFindRuntime::run_jobs`), deletes the
+//! intermediate files (`EFindRuntime::clean_up`) and harvests the
+//! statistics into one result listing every operator's executed plan
+//! (`EFindRuntime::end_run`).
 
 use efind_cluster::{SimDuration, SimTime};
 use efind_common::{Error, FxHashMap, Result};
 use efind_mapreduce::{
-    Counters, JobConf, JobResult, JobStats, MapPhaseExec, RecoveryLog, ReduceTaskExec, Reduced,
-    Sketches, TaskStats,
+    Counters, JobConf, JobStats, MapPhaseExec, RecoveryLog, ReduceTaskExec, Reduced, Sketches,
+    TaskStats,
 };
 
 use crate::cost::{cost_baseline, OperatorStatsEstimate, Placement};
 use crate::jobconf::{BoundOperator, IndexJobConf};
 use crate::plan::{forced_plan, optimize_operator, Enumeration, OperatorPlan, Strategy};
-use crate::runtime::{forced_plans, in_operator_order, EFindJobResult, EFindRuntime};
+use crate::runtime::{forced_plans, EFindJobResult, EFindRuntime};
 use crate::statstore::MeasuredOp;
 use crate::statsx::{extract_operator_stats, variance_ok};
 
@@ -274,44 +281,33 @@ pub(crate) fn run_dynamic(
     // ---- Algorithm 1: re-optimize map-side operators. ----
     let wave = Wave::of(exec1.tasks.iter().map(|t| &t.stats));
     let total_in: u64 = chunks.iter().map(|c| c.records as u64).sum();
-    let mut new_plans = baseline_plans.clone();
-    let mut predicted_gain = 0.0;
-    if let Some(evidence) = wave.scaled_to(total_in.saturating_sub(wave.input_records())) {
-        let map_side = ijob.operators().filter(|(_, p)| *p != Placement::Tail);
-        for priced in replan(rt, map_side, &evidence).priced {
-            if let Some(saving) = priced.saving() {
-                predicted_gain += saving;
-                new_plans.insert(priced.bound.op.name().to_owned(), priced.plan);
-            }
-        }
-    }
+    let new_plans = wave
+        .scaled_to(total_in.saturating_sub(wave.input_records()))
+        .and_then(|evidence| {
+            let map_side = ijob.operators().filter(|(_, p)| *p != Placement::Tail);
+            plan_change(rt, replan(rt, map_side, &evidence).priced, &baseline_plans)
+        });
     let Wave {
         counters: wave_counters,
         sketches: wave_sketches,
         ..
     } = wave;
 
-    let replan = rt.cost_env().wall_secs(predicted_gain) > rt.config.plan_change_cost_secs;
-    if !replan {
+    let Some(new_plans) = new_plans else {
         // Continue with the baseline plan map-side: execute the remaining
         // splits. Algorithm 1's else-branch still applies — once the job
         // reaches its reduce phase, the tail operators (whose statistics
         // only exist now) get their own re-optimization chance.
         let exec2 = rt.runner().execute_maps(&conf, &chunks[wave_n..], wave_n)?;
         exec1.tasks.extend(exec2.tasks);
-        if let Some(result) = try_reduce_phase_replan(rt, ijob, &conf, &mut exec1, &baseline_plans)?
-        {
-            return Ok(result);
-        }
-        let res = rt.runner().finish(&conf, &mut exec1, SimTime::ZERO)?;
-        return Ok(unchanged(rt, ijob, res, baseline_plans));
-    }
+        return reduce_phase(rt, ijob, &conf, &mut exec1, baseline_plans);
+    };
 
     // ---- Plan change (Fig. 10(a)). ----
     // Wave-1 tasks have already run; their elapsed time and outputs are
     // kept. The plan-change overhead models job resubmission.
     let wave_sched = rt.runner().schedule_maps(&exec1, SimTime::ZERO);
-    let mut t = wave_sched.makespan + SimDuration::from_secs_f64(rt.config.plan_change_cost_secs);
+    let t = wave_sched.makespan + SimDuration::from_secs_f64(rt.config.plan_change_cost_secs);
 
     // Crash-surviving re-plan: a wave-1 result on a node with a planned
     // death — or behind a partition that never heals — cannot be served to
@@ -373,17 +369,15 @@ pub(crate) fn run_dynamic(
     let mut ijob2 = ijob.clone();
     ijob2.name = format!("{}-replan", ijob.name);
     ijob2.input = remaining_name.clone();
-    let compiled2 = rt.compile(&ijob2, &new_plans, Vec::new())?;
+    let mut compiled2 = rt.compile(&ijob2, &new_plans, Vec::new())?;
 
     let mut job_stats: Vec<JobStats> = Vec::new();
-    let n_jobs = compiled2.jobs.len();
-    for conf2 in &compiled2.jobs[..n_jobs - 1] {
-        let res = rt.runner().run(conf2, t)?;
-        t = res.stats.finished;
-        job_stats.push(res.stats);
-    }
-
-    let last = &compiled2.jobs[n_jobs - 1];
+    let (last, first) = compiled2
+        .jobs
+        .split_last()
+        .ok_or_else(|| Error::Internal("empty compiled pipeline".into()))?;
+    rt.run_jobs(first, t, &mut job_stats)?;
+    let t = job_stats.last().map_or(t, |job| job.finished);
     let output = if conf.has_reduce() {
         // The wave-1 runs were spilled under the baseline job and feed the
         // re-planned job's reduce as they are: `compile_pipeline` gives the
@@ -431,68 +425,52 @@ pub(crate) fn run_dynamic(
             last.output_chunks,
         )?
     };
-    let total_end = job_stats.last().map_or(t, |j| j.finished);
-
-    if !rt.config.keep_intermediates {
-        for tmp in &compiled2.temp_files {
-            rt.dfs.delete(tmp);
-        }
-        rt.dfs.delete(&remaining_name);
-    }
+    compiled2.temp_files.push(remaining_name);
+    rt.clean_up(&compiled2.temp_files);
 
     // Catalog and store: wave-1 statistics plus everything the new plan
     // collected, recorded under the plans that actually executed.
-    let (mut counters, mut sketches) = JobStats::merged(&job_stats);
-    counters.merge(&wave_counters);
-    sketches.merge(&wave_sketches);
-    rt.record_observations(ijob, &counters, &sketches, &new_plans);
-
-    Ok(EFindJobResult {
-        output,
-        total_time: total_end.since(SimTime::ZERO),
-        jobs: job_stats,
-        plans: in_operator_order(ijob, new_plans),
-        replanned: true,
-    })
+    let wave = Some((&wave_counters, &wave_sketches));
+    Ok(rt.end_run(ijob, job_stats, output, new_plans, true, wave))
 }
 
-/// A job that ran its baseline plan end to end: its statistics go to the
-/// catalog and the store, under the plans it ran.
-fn unchanged(
-    rt: &mut EFindRuntime<'_>,
-    ijob: &IndexJobConf,
-    res: JobResult,
-    plans: Plans,
-) -> EFindJobResult {
-    rt.absorb_stats(ijob, std::slice::from_ref(&res.stats), &plans);
-    EFindJobResult {
-        output: res.output,
-        total_time: res.stats.makespan(),
-        jobs: vec![res.stats],
-        plans: in_operator_order(ijob, plans),
-        replanned: false,
+/// Algorithm 1's plan-change rule (line 10), which both re-plans follow:
+/// each priced operator whose plan saves over its baseline plan takes it,
+/// every other operator keeps its plan in `current`, and the plans change
+/// only when the savings, summed and spread over the cluster, exceed the
+/// plan-change cost. `None` keeps `current`.
+fn plan_change(rt: &EFindRuntime<'_>, priced: Vec<Priced<'_>>, current: &Plans) -> Option<Plans> {
+    let mut gain = 0.0;
+    let mut plans = current.clone();
+    for p in priced {
+        if let Some(saving) = p.saving() {
+            gain += saving;
+            plans.insert(p.bound.op.name().to_owned(), p.plan);
+        }
     }
+    (rt.cost_env().wall_secs(gain) > rt.config.plan_change_cost_secs).then_some(plans)
 }
 
+/// The reduce phase of a job whose map side kept its baseline plans, with
 /// Fig. 10(b) / Algorithm 1's reduce-phase branch: when the final job's
 /// reduce runs in multiple waves and the tail operators (running baseline
-/// inside `reduce_post`) turn out to be worth a shuffle strategy, the
-/// completed wave's outputs move to the job output, the remaining reduce
-/// tasks run *without* the tail chains, and a re-planned tail pipeline
-/// processes their outputs. Returns `None` when the preconditions do not
-/// hold; once the first reduce wave ran the job is completed here either
-/// way, because the map outputs are consumed by then.
-fn try_reduce_phase_replan(
+/// inside `reduce_post`) turn out to be worth another plan, the completed
+/// wave's outputs move to the job output, the remaining reduce tasks run
+/// *without* the tail chains, and a re-planned tail pipeline processes
+/// their outputs. Otherwise the job ends as
+/// [`Runner::finish`](efind_mapreduce::Runner::finish) ends it.
+fn reduce_phase(
     rt: &mut EFindRuntime<'_>,
     ijob: &IndexJobConf,
     conf: &JobConf,
     exec: &mut MapPhaseExec,
-    baseline_plans: &Plans,
-) -> Result<Option<EFindJobResult>> {
+    baseline_plans: Plans,
+) -> Result<EFindJobResult> {
     let reduce_slots = rt.cluster.total_reduce_slots();
     if ijob.tail.is_empty() || !conf.has_reduce() || conf.num_reducers <= reduce_slots {
-        // The caller's normal finish path still owns the map outputs.
-        return Ok(None);
+        let res = rt.runner().finish(conf, exec, SimTime::ZERO)?;
+        let jobs = vec![res.stats];
+        return Ok(rt.end_run(ijob, jobs, res.output, baseline_plans, false, None));
     }
     let shuffled: u64 = exec.tasks.iter().map(|t| t.stats.output_records).sum();
     let side = rt
@@ -505,27 +483,16 @@ fn try_reduce_phase_replan(
     let mut tasks = rt.runner().reduce(conf, exec, &shuffle, 0..reduce_slots)?;
 
     // ---- Re-optimize the tail operators from wave-1 statistics. ----
+    // Any plan change runs the tail pipeline map-side, so a cache plan
+    // justifies it as much as a shuffle strategy.
     let wave = Wave::of(tasks.iter().map(|t| &t.stats));
     let remaining_in = shuffled.saturating_sub(wave.input_records());
-    let tail = ijob.operators().filter(|(_, p)| *p == Placement::Tail);
-    let (predicted_gain, tail_plans) = match wave.scaled_to(remaining_in) {
-        Some(evidence) => {
-            let priced = replan(rt, tail, &evidence).priced;
-            let gain = priced.iter().filter_map(Priced::saving).sum();
-            (gain, plans_of(priced))
-        }
-        None => (0.0, Plans::default()),
-    };
-    // Any beneficial plan (cache or a shuffle strategy) justifies the
-    // change: the re-planned tail pipeline runs map-side either way.
-    let improved = ijob
-        .operators()
-        .filter_map(|(bound, _)| tail_plans.get(bound.op.name()))
-        .any(|p| p.choices.iter().any(|c| c.strategy != Strategy::Baseline));
-    let change =
-        improved && rt.cost_env().wall_secs(predicted_gain) > rt.config.plan_change_cost_secs;
+    let new_plans = wave.scaled_to(remaining_in).and_then(|evidence| {
+        let tail = ijob.operators().filter(|(_, p)| *p == Placement::Tail);
+        plan_change(rt, replan(rt, tail, &evidence).priced, &baseline_plans)
+    });
 
-    if !change {
+    let Some(new_plans) = new_plans else {
         // No plan change: the remaining reduce waves run under the current
         // plan, and the job ends as `finish` ends it.
         tasks.extend(rt.runner().reduce(conf, exec, &shuffle, rest)?);
@@ -535,8 +502,9 @@ fn try_reduce_phase_replan(
             pause: None,
         };
         let res = rt.runner().end_job(conf, exec, side, Some(reduced));
-        return Ok(Some(unchanged(rt, ijob, res, baseline_plans.clone())));
-    }
+        let jobs = vec![res.stats];
+        return Ok(rt.end_run(ijob, jobs, res.output, baseline_plans, false, None));
+    };
 
     // ---- Plan change (Fig. 10(b)). ----
     // The remaining reduce tasks run without the tail chains, after the
@@ -558,49 +526,39 @@ fn try_reduce_phase_replan(
         pause: Some((reduce_slots, pause)),
     };
     let first = rt.runner().end_job(&stripped, exec, side, Some(reduced));
-    let mut t = first.stats.finished;
+    let start = first.stats.finished;
     let mut jobs = vec![first.stats];
 
-    // The re-planned tail pipeline consumes the stripped outputs; its jobs
+    // The re-planned tail pipeline is the job's tail operators run as head
+    // operators of a map-only job over the stripped outputs; its jobs
     // follow as entries of their own, so `result.jobs` sums without
     // double-counting.
     let tmp_out = format!("{}.tail-replan.out", ijob.name);
-    let mut tail_ijob = IndexJobConf::new(format!("{}-tailreplan", ijob.name), &tmp_in, &tmp_out);
-    tail_ijob.head = ijob.tail.clone();
-    tail_ijob.cpu_per_record = ijob.cpu_per_record;
-    let compiled = rt.compile(&tail_ijob, &tail_plans, Vec::new())?;
-    for tconf in &compiled.jobs {
-        let res = rt.runner().run(tconf, t)?;
-        t = res.stats.finished;
-        jobs.push(res.stats);
-    }
+    let tail_ijob = IndexJobConf {
+        name: format!("{}-tailreplan", ijob.name),
+        input: tmp_in.clone(),
+        output: tmp_out.clone(),
+        map: Vec::new(),
+        reducer: None,
+        num_reducers: 0,
+        head: ijob.tail.clone(),
+        body: Vec::new(),
+        tail: Vec::new(),
+        ..ijob.clone()
+    };
+    let mut compiled = rt.compile(&tail_ijob, &new_plans, Vec::new())?;
+    rt.run_jobs(&compiled.jobs, start, &mut jobs)?;
 
     // Merge: completed wave-1 outputs + the tail pipeline's outputs.
     let output = rt
         .dfs
         .write_file_parts_then(&ijob.output, done, &tmp_out, conf.output_chunks)?;
-    if !rt.config.keep_intermediates {
-        rt.dfs.delete(&tmp_in);
-        rt.dfs.delete(&tmp_out);
-        for tmp in &compiled.temp_files {
-            rt.dfs.delete(tmp);
-        }
-    }
+    compiled.temp_files.extend([tmp_in, tmp_out]);
+    rt.clean_up(&compiled.temp_files);
 
-    // Head/body operators executed under the baseline plans; the tail
-    // operators under their re-planned strategies.
-    let tail_plans = in_operator_order(ijob, tail_plans);
-    let mut final_plans = baseline_plans.clone();
-    final_plans.extend(tail_plans.iter().cloned());
-    rt.absorb_stats(ijob, &jobs, &final_plans);
-
-    Ok(Some(EFindJobResult {
-        output,
-        total_time: t.since(SimTime::ZERO),
-        jobs,
-        plans: tail_plans,
-        replanned: true,
-    }))
+    // Head and body operators executed under their baseline plans, the
+    // tail operators under their re-planned ones.
+    Ok(rt.end_run(ijob, jobs, output, new_plans, true, None))
 }
 
 #[cfg(test)]
@@ -859,21 +817,6 @@ mod tests {
                 .collect(),
         );
         index.serve = SimDuration::from_millis(5);
-        let tail_op = operator_fn(
-            "tail-enrich",
-            1,
-            |rec: &mut Record, keys: &mut IndexInput| {
-                // Only 8 distinct keys over all reduce outputs → Θ is huge.
-                keys.put(0, rec.key.as_int().unwrap_or(0) % 8);
-            },
-            |rec: Record, values: &IndexOutput, out: &mut dyn Collector| {
-                let v = values.first(0).first().cloned().unwrap_or(Datum::Null);
-                out.collect(Record {
-                    key: rec.key,
-                    value: Datum::List(vec![rec.value, v]),
-                });
-            },
-        );
         // A trivially cheap head operator keeps the map-side branch alive
         // but unprofitable.
         let head_op = operator_fn(
@@ -893,8 +836,156 @@ mod tests {
                 // More reducers than the 2 reduce slots → multiple waves.
                 6,
             )
-            .add_tail_index_operator(BoundOperator::new(tail_op).add_index(Arc::new(index)));
+            // Only 8 distinct keys over all reduce outputs → Θ is huge.
+            .add_tail_index_operator(enrich("tail-enrich", |k| k % 8, Arc::new(index)));
         (cluster, dfs, ijob)
+    }
+
+    /// A tail operator that looks up `key` of each reduce output's key in
+    /// `index` and appends the first value it finds.
+    fn enrich(
+        name: &str,
+        key: fn(i64) -> i64,
+        index: Arc<dyn crate::accessor::IndexAccessor>,
+    ) -> BoundOperator {
+        let op = operator_fn(
+            name,
+            1,
+            move |rec: &mut Record, keys: &mut IndexInput| {
+                keys.put(0, key(rec.key.as_int().unwrap_or(0)));
+            },
+            |rec: Record, values: &IndexOutput, out: &mut dyn Collector| {
+                let v = values.first(0).first().cloned().unwrap_or(Datum::Null);
+                out.collect(Record {
+                    key: rec.key,
+                    value: Datum::List(vec![rec.value, v]),
+                });
+            },
+        );
+        BoundOperator::new(op).add_index(index)
+    }
+
+    /// The strategies of each operator's plan, in the order of the result.
+    fn strategies(res: &EFindJobResult) -> Vec<(&str, Vec<Strategy>)> {
+        res.plans
+            .iter()
+            .map(|(name, plan)| {
+                let chosen = plan.choices.iter().map(|c| c.strategy).collect();
+                (name.as_str(), chosen)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_tail_replan_reports_every_operators_plan() {
+        // The head operator ran its baseline plan and the tail operator
+        // its re-planned one; the result lists both, in job order.
+        let (cluster, mut dfs, ijob) = tail_heavy_setup(3000);
+        let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, cheap_change_config());
+        let res = rt.run(&ijob, Mode::Dynamic).unwrap();
+        assert!(res.replanned);
+        assert_eq!(
+            strategies(&res),
+            [
+                ("cheap-head", vec![Strategy::Baseline]),
+                ("tail-enrich", vec![Strategy::Cache])
+            ]
+        );
+    }
+
+    /// The intermediate files of a Dynamic run of `job` that still exist:
+    /// the map-side re-plan's remaining input, the tail re-plan's input and
+    /// output, and the chained files of either re-planned pipeline.
+    fn intermediates(dfs: &Dfs, job: &str) -> Vec<String> {
+        let mut names = vec![
+            format!("{job}.remaining"),
+            format!("{job}.tail-replan.in"),
+            format!("{job}.tail-replan.out"),
+        ];
+        for i in 0..4 {
+            names.push(format!("{job}-replan.tmp{i}"));
+            names.push(format!("{job}-tailreplan.tmp{i}"));
+        }
+        names.retain(|name| dfs.exists(name));
+        names
+    }
+
+    #[test]
+    fn dynamic_runs_delete_their_intermediates_unless_kept() {
+        for keep in [false, true] {
+            let config = EFindConfig {
+                keep_intermediates: keep,
+                ..cheap_change_config()
+            };
+            // Fig. 10(a): the re-planned pipeline starts with a shuffle job.
+            let (cluster, mut dfs, ijob) = setup(2000, 10, 5);
+            let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, config.clone());
+            let res = rt.run(&ijob, Mode::Dynamic).unwrap();
+            assert_eq!(strategies(&res), [("join", vec![Strategy::Repartition])]);
+            let kept: &[&str] = if keep {
+                &["dyn.remaining", "dyn-replan.tmp0"]
+            } else {
+                &[]
+            };
+            assert_eq!(intermediates(rt.dfs, "dyn"), kept, "keep {keep}");
+
+            // Fig. 10(b): two tail operators re-planned into two shuffle
+            // jobs, which a four-entry cache cannot beat.
+            let (cluster, mut dfs, mut ijob) = tail_heavy_setup(3000);
+            let index = ijob.tail[0].indices[0].clone();
+            ijob.tail.push(enrich("tail-enrich-2", |k| k % 8, index));
+            let config = EFindConfig {
+                cache_capacity: 4,
+                ..config
+            };
+            let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, config);
+            let res = rt.run(&ijob, Mode::Dynamic).unwrap();
+            assert!(res.replanned);
+            assert_eq!(res.jobs.len(), 3, "the tail pipeline has two jobs");
+            let kept: &[&str] = if keep {
+                &[
+                    "tailjob.tail-replan.in",
+                    "tailjob.tail-replan.out",
+                    "tailjob-tailreplan.tmp0",
+                ]
+            } else {
+                &[]
+            };
+            assert_eq!(intermediates(rt.dfs, "tailjob"), kept, "keep {keep}");
+        }
+    }
+
+    #[test]
+    fn a_replanned_tail_caches_in_the_runtime_tenants_share() {
+        use efind_cluster::tenancy::TenantSpec;
+        use efind_cluster::TenancyConfig;
+        // Alpha's tenth of a 64-entry cache holds six keys. Nine in ten
+        // tail lookups go to three keys and the tenth to a key of its own,
+        // so the re-planned tail caches, and its cache evicts.
+        let (cluster, mut dfs, mut ijob) = tail_heavy_setup(3000);
+        let index = ijob.tail[0].indices[0].clone();
+        let key = |k: i64| if k % 10 == 0 { 100 + k } else { k % 3 };
+        ijob.tail[0] = enrich("tail-enrich", key, index);
+        let config = EFindConfig {
+            cache_capacity: 64,
+            tenancy: TenancyConfig::none()
+                .tenant(TenantSpec::new("alpha").cache_share(0.1))
+                .tenant(TenantSpec::new("beta")),
+            tenant: Some("alpha".into()),
+            ..cheap_change_config()
+        };
+        let mut rt = EFindRuntime::with_config(&cluster, &mut dfs, config);
+        let res = rt.run(&ijob, Mode::Dynamic).unwrap();
+        assert!(res.replanned);
+        assert_eq!(strategies(&res)[1], ("tail-enrich", vec![Strategy::Cache]));
+        let evictions = |job: &JobStats| job.counters.get("efind.tenant.alpha.cache.evictions");
+        let (stripped, tail) = res.jobs.split_first().unwrap();
+        assert_eq!(evictions(stripped), 0, "the stripped job runs no cache");
+        assert_eq!(tail.len(), 1);
+        assert!(
+            evictions(&tail[0]) > 0,
+            "the tail pipeline counted no eviction"
+        );
     }
 
     #[test]

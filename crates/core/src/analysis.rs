@@ -151,9 +151,8 @@ fn check_plans(ijob: &IndexJobConf, ops: &[OperatorView], measured: &[MeasuredOp
 /// runtime configuration the job runs under: the fault, corruption, chaos
 /// and partition layers (`EF015`–`EF018`, `EF020`, `EF025`), the lookup
 /// cache (`EF021`), tenancy (`EF024`) and hedged lookups (`EF026`).
-/// `env` is the job's own environment ([`RuntimeEnv::for_job`]). The
-/// compiler calls this; a test passes a quiet environment to see the
-/// plan checks alone.
+/// `env` is the environment the runtime compiles in. The compiler calls
+/// this; a test passes a quiet environment to see the plan checks alone.
 pub fn analyze_job_in_env(
     ijob: &IndexJobConf,
     plans: &FxHashMap<String, OperatorPlan>,
@@ -874,10 +873,10 @@ fn check_cache(env: &RuntimeEnv, cache_in_use: bool, report: &mut Report) {
 /// multi-tenant scheduler rejects deterministically rather than hang, but
 /// a configuration with zero-slot quotas or degenerate weights rejects (or
 /// starves) *every* job by construction — a config error, not a
-/// scheduling outcome. `job_tenant` is the tenant the job resolves to
-/// ([`RuntimeEnv::for_job`]), so an unknown tag is caught here rather than
-/// at submit time.
-fn check_tenancy(cfg: &TenancyConfig, job_tenant: Option<&str>, report: &mut Report) {
+/// scheduling outcome. `tenant` is the tenant the runtime's jobs run as
+/// ([`EFindConfig::tenant`](crate::EFindConfig::tenant)), so an unknown
+/// name is caught here rather than at submit time.
+fn check_tenancy(cfg: &TenancyConfig, tenant: Option<&str>, report: &mut Report) {
     if cfg.is_quiet() {
         return;
     }
@@ -964,7 +963,7 @@ fn check_tenancy(cfg: &TenancyConfig, job_tenant: Option<&str>, report: &mut Rep
             "allow at least one concurrent job",
         ));
     }
-    if let Some(tenant) = job_tenant.filter(|&t| cfg.tenant_id(t).is_none()) {
+    if let Some(tenant) = tenant.filter(|&t| cfg.tenant_id(t).is_none()) {
         report.push(job_error(
             DiagCode::EF024,
             format!(
@@ -1134,7 +1133,7 @@ pub fn analyze_costs(rt: &EFindRuntime<'_>, ijob: &IndexJobConf) -> Result<Repor
         })
         .collect();
     let env = rt.runtime_env(planned.measured);
-    Ok(analyze(ijob, &ops, &env.for_job(ijob)))
+    Ok(analyze(ijob, &ops, &env))
 }
 
 fn operator_costs(

@@ -114,9 +114,9 @@ pub struct RuntimeEnv {
     /// single-job path: full cache capacity, no tenant counters, and no
     /// `EF024` checks.
     pub tenancy: TenancyConfig,
-    /// The tenant this job runs as (`None` = the implicit default
-    /// tenant): the runtime's, unless [`RuntimeEnv::for_job`] put the
-    /// job's own tag here. Only consulted when `tenancy` is armed.
+    /// The tenant the runtime's jobs run as (`None` = the implicit default
+    /// tenant), [`EFindConfig::tenant`]. Only consulted when `tenancy` is
+    /// armed.
     pub tenant: Option<String>,
 }
 
@@ -145,20 +145,6 @@ impl RuntimeEnv {
             tenancy: config.tenancy.clone(),
             tenant: config.tenant.clone(),
         }
-    }
-
-    /// This environment for `ijob`: the job's own tenant tag outranks the
-    /// runtime-level default, so one runtime can compile jobs for several
-    /// tenants.
-    pub fn for_job(&self, ijob: &IndexJobConf) -> Cow<'_, RuntimeEnv> {
-        if ijob.tenant.is_none() || ijob.tenant == self.tenant {
-            return Cow::Borrowed(self);
-        }
-        let tenant = ijob.tenant.clone();
-        Cow::Owned(RuntimeEnv {
-            tenant,
-            ..self.clone()
-        })
     }
 
     /// The lookup-cache capacity this pipeline's caches are built with:
@@ -1103,7 +1089,6 @@ pub fn compile_pipeline(
     plans: &FxHashMap<String, OperatorPlan>,
     env: &RuntimeEnv,
 ) -> Result<CompiledPipeline> {
-    let env = &*env.for_job(ijob);
     // Static analysis, shape and plans included: hard errors abort
     // compilation here, before any stage is built; warnings travel with
     // the pipeline.

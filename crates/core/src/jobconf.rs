@@ -123,12 +123,6 @@ pub struct IndexJobConf {
     pub tail: Vec<BoundOperator>,
     /// Modeled CPU cost per record.
     pub cpu_per_record: SimDuration,
-    /// The tenant this job runs as under a multi-tenant cluster config
-    /// (`None` = the implicit default tenant). Ignored — and free — when
-    /// the runtime's tenancy layer is quiet; when armed, `EF024` verifies
-    /// the name resolves in the cluster's [`TenancyConfig`]
-    /// (`efind_cluster::TenancyConfig`).
-    pub tenant: Option<String>,
 }
 
 impl IndexJobConf {
@@ -150,7 +144,6 @@ impl IndexJobConf {
             body: Vec::new(),
             tail: Vec::new(),
             cpu_per_record: SimDuration::from_micros(1),
-            tenant: None,
         }
     }
 

@@ -10,7 +10,7 @@ use efind_cluster::{
 };
 use efind_common::{Error, FxHashMap, Result};
 use efind_dfs::{Dfs, DfsFile};
-use efind_mapreduce::{Counters, JobStats, Runner, Sketches};
+use efind_mapreduce::{Counters, JobConf, JobStats, Runner, Sketches};
 
 use crate::accessor::HedgeConfig;
 use crate::adaptive::{plans_of, replan, Evidence, Replan};
@@ -488,48 +488,79 @@ impl<'a> EFindRuntime<'a> {
         measured: Vec<MeasuredOp>,
     ) -> Result<EFindJobResult> {
         let compiled = self.compile(ijob, &plans, measured)?;
-        let mut t = SimTime::ZERO;
         let mut jobs = Vec::with_capacity(compiled.jobs.len());
-        let mut output: Option<DfsFile> = None;
-        for conf in &compiled.jobs {
+        let output = self
+            .run_jobs(&compiled.jobs, SimTime::ZERO, &mut jobs)?
+            .ok_or_else(|| Error::Internal("pipeline produced no jobs".into()))?;
+        self.clean_up(&compiled.temp_files);
+        Ok(self.end_run(ijob, jobs, output, plans, false, None))
+    }
+
+    /// Runs `confs` in order, the first from `start` and each later one
+    /// from the finish of the one before, appending each job's statistics
+    /// to `jobs`; returns the last job's output (`None` for no jobs).
+    pub(crate) fn run_jobs(
+        &mut self,
+        confs: &[JobConf],
+        start: SimTime,
+        jobs: &mut Vec<JobStats>,
+    ) -> Result<Option<DfsFile>> {
+        let mut t = start;
+        let mut output = None;
+        for conf in confs {
             let res = self.runner().run(conf, t)?;
             t = res.stats.finished;
             jobs.push(res.stats);
             output = Some(res.output);
         }
-        self.absorb_stats(ijob, &jobs, &plans);
-        if !self.config.keep_intermediates {
-            for tmp in &compiled.temp_files {
-                self.dfs.delete(tmp);
-            }
-        }
-        let output = output.ok_or_else(|| Error::Internal("pipeline produced no jobs".into()))?;
-        Ok(EFindJobResult {
-            output,
-            total_time: t.since(SimTime::ZERO),
-            jobs,
-            plans: in_operator_order(ijob, plans),
-            replanned: false,
-        })
+        Ok(output)
     }
 
-    /// Harvests operator statistics from executed jobs into the catalog
-    /// and, when a store is attached, into the per-fingerprint history.
-    pub(crate) fn absorb_stats(
+    /// Deletes a run's intermediate DFS files, unless the configuration
+    /// keeps them for inspection.
+    pub(crate) fn clean_up(&mut self, files: &[String]) {
+        if !self.config.keep_intermediates {
+            for file in files {
+                self.dfs.delete(file);
+            }
+        }
+    }
+
+    /// Ends a run, whichever way it went: harvests the statistics of
+    /// `jobs` — plus `first_wave`'s, when a first map wave ran before the
+    /// plan changed — into the catalog and the store under `plans`, the
+    /// plan each operator executed, and reports `jobs`, `output`, the
+    /// last job's finish as the total time and every operator's plan.
+    pub(crate) fn end_run(
         &mut self,
         ijob: &IndexJobConf,
-        jobs: &[JobStats],
-        plans: &FxHashMap<String, OperatorPlan>,
-    ) {
-        let (counters, sketches) = JobStats::merged(jobs);
-        self.record_observations(ijob, &counters, &sketches, plans);
+        jobs: Vec<JobStats>,
+        output: DfsFile,
+        plans: FxHashMap<String, OperatorPlan>,
+        replanned: bool,
+        first_wave: Option<(&Counters, &Sketches)>,
+    ) -> EFindJobResult {
+        let (mut counters, mut sketches) = JobStats::merged(&jobs);
+        if let Some((wave_counters, wave_sketches)) = first_wave {
+            counters.merge(wave_counters);
+            sketches.merge(wave_sketches);
+        }
+        self.record_observations(ijob, &counters, &sketches, &plans);
+        let end = jobs.last().map_or(SimTime::ZERO, |job| job.finished);
+        EFindJobResult {
+            output,
+            total_time: end.since(SimTime::ZERO),
+            jobs,
+            plans: in_operator_order(ijob, plans),
+            replanned,
+        }
     }
 
     /// Job-boundary statistics sink: feeds the catalog, then appends one
     /// [`crate::statstore::RunRecord`] per observed operator to the
     /// attached store, keyed by shape fingerprint and tagged with the
     /// fingerprint of the plan that actually executed.
-    pub(crate) fn record_observations(
+    fn record_observations(
         &mut self,
         ijob: &IndexJobConf,
         counters: &Counters,
@@ -556,7 +587,7 @@ impl<'a> EFindRuntime<'a> {
 
 /// `plans` as [`EFindJobResult::plans`] lists them: in `ijob.operators()`
 /// order, skipping operators that have no plan.
-pub(crate) fn in_operator_order(
+fn in_operator_order(
     ijob: &IndexJobConf,
     mut plans: FxHashMap<String, OperatorPlan>,
 ) -> Vec<(String, OperatorPlan)> {

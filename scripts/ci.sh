@@ -14,6 +14,20 @@ cd "$(dirname "$0")/.."
 
 scripts/lint.sh
 
+echo "== mutant catalogue: every patch applies =="
+# `scripts/mutants/run.sh` stops at the first patch that no longer applies,
+# so an edit that moves a mutant's context fails here, in seconds, rather
+# than in a mutant run much later.
+patches=0
+for patch in scripts/mutants/*.patch; do
+    if ! git apply --check "$patch"; then
+        echo "mutant catalogue: $patch does not apply"
+        exit 1
+    fi
+    patches=$((patches + 1))
+done
+echo "mutant catalogue: all $patches patches apply"
+
 echo "== clippy gate: known-bad crate must fail with exactly its lints =="
 # The determinism rules clippy enforces live in `clippy.toml` and the root
 # `[workspace.lints.clippy]` table. The gate crate holds one breach of

@@ -169,8 +169,8 @@ fn empty_input_is_handled_in_every_mode() {
 #[test]
 fn plans_come_in_operator_order() {
     // Q9 binds five operators across head, body and tail; every mode lists
-    // its plans in the job's data-flow order, whatever order the planner
-    // keyed them in.
+    // every operator's plan in the job's data-flow order, whatever order
+    // the planner keyed them in.
     let mut s = tpch::q9_scenario(&tpch::TpchConfig {
         scale: 0.002,
         chunks: 30,
@@ -192,15 +192,6 @@ fn plans_come_in_operator_order() {
     ] {
         let res = rt.run(&s.ijob, mode.clone()).unwrap();
         let names: Vec<&str> = res.plans.iter().map(|(name, _)| name.as_str()).collect();
-        // A re-planned Dynamic run lists only the operators it re-planned.
-        let expected: Vec<&str> = operators
-            .iter()
-            .map(String::as_str)
-            .filter(|op| names.contains(op))
-            .collect();
-        assert_eq!(names, expected, "{mode:?}");
-        if !res.replanned {
-            assert_eq!(names.len(), operators.len(), "{mode:?}");
-        }
+        assert_eq!(names, operators, "{mode:?}");
     }
 }
