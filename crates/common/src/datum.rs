@@ -110,6 +110,7 @@ impl Datum {
     /// This is the measure behind every size statistic in the paper's cost
     /// model (Table 1). Code that sizes a buffer before encoding into it
     /// (the flat carrier payload) relies on the equality.
+    #[inline]
     pub fn size_bytes(&self) -> u64 {
         match self {
             Datum::Null => 1,
@@ -118,7 +119,7 @@ impl Datum {
             Datum::Float(_) => 9,
             Datum::Text(s) => 5 + s.len() as u64,
             Datum::Bytes(b) => 5 + b.len() as u64,
-            Datum::List(items) => 5 + items.iter().map(Datum::size_bytes).sum::<u64>(),
+            Datum::List(items) => list_size(items),
         }
     }
 
@@ -182,6 +183,7 @@ impl Datum {
     }
 
     /// Appends the binary encoding of `self` to `out`.
+    #[inline]
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(self.tag());
         match self {
@@ -197,12 +199,7 @@ impl Datum {
                 out.extend_from_slice(&(b.len() as u32).to_le_bytes());
                 out.extend_from_slice(b);
             }
-            Datum::List(items) => {
-                out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-                for item in items {
-                    item.encode_into(out);
-                }
-            }
+            Datum::List(items) => encode_items(items, out),
         }
     }
 
@@ -210,6 +207,7 @@ impl Datum {
     /// encodings of the elements, it is byte for byte what
     /// [`Datum::encode_into`] writes for the `List` holding them — for
     /// callers that encode a list they do not hold as a `Datum`.
+    #[inline]
     pub fn encode_list_header(len: usize, out: &mut Vec<u8>) {
         out.push(LIST_TAG);
         out.extend_from_slice(&(len as u32).to_le_bytes());
@@ -223,44 +221,11 @@ impl Datum {
     }
 
     /// Decodes one datum from the front of `buf`, returning it and the rest.
+    #[inline]
     pub fn decode_from(buf: &[u8]) -> Result<(Datum, &[u8])> {
-        let (&tag, rest) = buf
-            .split_first()
-            .ok_or_else(|| Error::Decode("empty buffer".into()))?;
-        match tag {
-            NULL_TAG => Ok((Datum::Null, rest)),
-            1 => {
-                let (&b, rest) = rest
-                    .split_first()
-                    .ok_or_else(|| Error::Decode("truncated bool".into()))?;
-                Ok((Datum::Bool(b != 0), rest))
-            }
-            2 => {
-                let (head, rest) = split_n(rest, 8, "int")?;
-                Ok((
-                    Datum::Int(i64::from_le_bytes(head.try_into().unwrap())),
-                    rest,
-                ))
-            }
-            3 => {
-                let (head, rest) = split_n(rest, 8, "float")?;
-                let bits = u64::from_le_bytes(head.try_into().unwrap());
-                Ok((Datum::Float(f64::from_bits(bits)), rest))
-            }
-            4 => {
-                let (payload, rest) = split_len_prefixed(rest, "text")?;
-                Ok((Datum::Text(utf8(payload)?.to_owned()), rest))
-            }
-            5 => {
-                let (payload, rest) = split_len_prefixed(rest, "bytes")?;
-                Ok((Datum::Bytes(payload.to_vec()), rest))
-            }
-            LIST_TAG => {
-                let (items, rest) = decode_items(rest, Datum::decode_from)?;
-                Ok((Datum::List(items), rest))
-            }
-            other => Err(Error::Decode(format!("unknown datum tag {other}"))),
-        }
+        let mut datum = Datum::Null;
+        let rest = Datum::decode_in_place(&mut datum, buf)?;
+        Ok((datum, rest))
     }
 
     /// Decodes one datum from the front of `buf` over `slot`, returning the
@@ -269,42 +234,42 @@ impl Datum {
     /// own kind keeps its buffer — a list its elements', recursively — and
     /// grows it only as far as the input backs; any other slot takes a
     /// freshly decoded datum. On an error `slot` is left part old, part new.
+    /// The one decoder: a scalar is read inline and written over the slot,
+    /// so a list's loop reads its scalar elements in place.
+    #[inline(always)]
     pub fn decode_in_place<'a>(slot: &mut Datum, buf: &'a [u8]) -> Result<&'a [u8]> {
-        match (slot, buf.split_first()) {
-            (Datum::Text(held), Some((4, rest))) => {
-                let (payload, rest) = split_len_prefixed(rest, "text")?;
-                let text = utf8(payload)?;
-                held.clear();
-                held.reserve_exact(text.len());
-                held.push_str(text);
-                Ok(rest)
+        let (scalar, rest) = match buf {
+            [NULL_TAG, rest @ ..] => (Datum::Null, rest),
+            [1, b, rest @ ..] => (Datum::Bool(*b != 0), rest),
+            [tag @ (2 | 3), rest @ ..] => {
+                let Some((bits, rest)) = rest.split_first_chunk::<8>() else {
+                    return decode_owned(slot, buf);
+                };
+                let bits = u64::from_le_bytes(*bits);
+                match tag {
+                    2 => (Datum::Int(bits as i64), rest),
+                    _ => (Datum::Float(f64::from_bits(bits)), rest),
+                }
             }
-            (Datum::Bytes(held), Some((5, rest))) => {
-                let (payload, rest) = split_len_prefixed(rest, "bytes")?;
-                held.clear();
-                held.reserve_exact(payload.len());
-                held.extend_from_slice(payload);
-                Ok(rest)
-            }
-            (Datum::List(held), Some((&LIST_TAG, _))) => {
-                Datum::decode_list_in_place(buf, held, Datum::decode_in_place)
-            }
-            (slot, _) => {
-                let (datum, rest) = Datum::decode_from(buf)?;
-                *slot = datum;
-                Ok(rest)
-            }
-        }
+            _ => return decode_owned(slot, buf),
+        };
+        put_scalar(slot, scalar);
+        Ok(rest)
     }
 
     /// Decodes an encoded list from the front of `buf`, reading each
     /// element with `item` rather than as a `Datum` (the inverse of
     /// [`Datum::encode_list_header`] plus the caller's elements).
-    pub fn decode_list_with<'a, T>(
+    pub fn decode_list_with<'a, T: Default>(
         buf: &'a [u8],
-        item: impl FnMut(&'a [u8]) -> Result<(T, &'a [u8])>,
+        mut item: impl FnMut(&'a [u8]) -> Result<(T, &'a [u8])>,
     ) -> Result<(Vec<T>, &'a [u8])> {
-        decode_items(strip_list_tag(buf)?, item)
+        let (n, rest) = list_len(strip_list_tag(buf)?)?;
+        fresh_items(n, rest, |slot, b| {
+            let (it, rest) = item(b)?;
+            *slot = it;
+            Ok(rest)
+        })
     }
 
     /// Decodes an encoded list from the front of `buf` into `out`, element
@@ -317,27 +282,14 @@ impl Datum {
     pub fn decode_list_in_place<'a, T: Default>(
         buf: &'a [u8],
         out: &mut Vec<T>,
-        mut item: impl FnMut(&mut T, &'a [u8]) -> Result<&'a [u8]>,
+        item: impl FnMut(&mut T, &'a [u8]) -> Result<&'a [u8]>,
     ) -> Result<&'a [u8]> {
-        let (n, mut rest) = list_len(strip_list_tag(buf)?)?;
-        out.truncate(n);
-        out.reserve(n.min(rest.len()).saturating_sub(out.len()));
-        for i in 0..n {
-            match out.get_mut(i) {
-                Some(held) => rest = item(held, rest)?,
-                // Pushed once it has parsed: a count the input cannot back
-                // grows `out` no further than the reservation above.
-                None => {
-                    let mut fresh = T::default();
-                    rest = item(&mut fresh, rest)?;
-                    out.push(fresh);
-                }
-            }
-        }
-        Ok(rest)
+        let (n, rest) = list_len(strip_list_tag(buf)?)?;
+        items_in_place(n, rest, out, item)
     }
 
     /// The rest of `buf` when the datum at its front is `Null`.
+    #[inline]
     pub fn strip_null(buf: &[u8]) -> Option<&[u8]> {
         buf.strip_prefix(&[NULL_TAG])
     }
@@ -347,6 +299,7 @@ impl Datum {
     /// tags and length prefixes only: nothing is decoded and nothing is
     /// allocated. Truncation and unknown tags are `Error::Decode`, as in
     /// [`Datum::decode_from`].
+    #[inline]
     pub fn encoded_len(buf: &[u8]) -> Result<usize> {
         let (&tag, rest) = buf
             .split_first()
@@ -356,14 +309,7 @@ impl Datum {
             1 => 1,
             2 | 3 => 8,
             4 | 5 => 4 + split_len_prefixed(rest, "string")?.0.len(),
-            LIST_TAG => {
-                let (n, items) = list_len(rest)?;
-                let mut at = 0;
-                for _ in 0..n {
-                    at += Datum::encoded_len(&items[at..])?;
-                }
-                4 + at
-            }
+            LIST_TAG => 4 + items_len(rest)?,
             other => return Err(Error::Decode(format!("unknown datum tag {other}"))),
         };
         if body > rest.len() {
@@ -384,6 +330,7 @@ impl Datum {
 }
 
 /// The rest of `buf` behind the tag of the list at its front.
+#[inline]
 fn strip_list_tag(buf: &[u8]) -> Result<&[u8]> {
     match buf.split_first() {
         Some((&LIST_TAG, rest)) => Ok(rest),
@@ -398,24 +345,132 @@ fn strip_list_tag(buf: &[u8]) -> Result<&[u8]> {
 /// The count comes from the input, so it bounds a reservation only as far
 /// as the input can back it — `n.min(rest.len())`: every element takes at
 /// least one byte.
+#[inline]
 fn list_len(buf: &[u8]) -> Result<(usize, &[u8])> {
     let (head, rest) = split_n(buf, 4, "list len")?;
     Ok((u32::from_le_bytes(head.try_into().unwrap()) as usize, rest))
 }
 
-/// Reads a list's element count and then its elements with `item`.
-fn decode_items<'a, T>(
-    buf: &'a [u8],
-    mut item: impl FnMut(&'a [u8]) -> Result<(T, &'a [u8])>,
-) -> Result<(Vec<T>, &'a [u8])> {
-    let (n, mut rest) = list_len(buf)?;
-    let mut items = Vec::with_capacity(n.min(rest.len()));
-    for _ in 0..n {
-        let (it, r) = item(rest)?;
-        items.push(it);
-        rest = r;
+/// [`Datum::decode_in_place`] of all but a whole scalar: a `Text`, `Bytes`
+/// or `List`, the kinds that own a buffer, and every error.
+fn decode_owned<'a>(slot: &mut Datum, buf: &'a [u8]) -> Result<&'a [u8]> {
+    let (&tag, rest) = buf
+        .split_first()
+        .ok_or_else(|| Error::Decode("empty buffer".into()))?;
+    match tag {
+        1 => Err(Error::Decode("truncated bool".into())),
+        2 | 3 => {
+            let what = if tag == 2 { "int" } else { "float" };
+            Err(Error::Decode(format!("truncated {what}")))
+        }
+        4 => {
+            let (payload, rest) = split_len_prefixed(rest, "text")?;
+            let text = utf8(payload)?;
+            match slot {
+                Datum::Text(held) => {
+                    held.clear();
+                    held.reserve_exact(text.len());
+                    held.push_str(text);
+                }
+                slot => *slot = Datum::Text(text.to_owned()),
+            }
+            Ok(rest)
+        }
+        5 => {
+            let (payload, rest) = split_len_prefixed(rest, "bytes")?;
+            match slot {
+                Datum::Bytes(held) => {
+                    held.clear();
+                    held.reserve_exact(payload.len());
+                    held.extend_from_slice(payload);
+                }
+                slot => *slot = Datum::Bytes(payload.to_vec()),
+            }
+            Ok(rest)
+        }
+        LIST_TAG => {
+            let (n, rest) = list_len(rest)?;
+            if let Datum::List(held) = slot {
+                return items_in_place(n, rest, held, Datum::decode_in_place);
+            }
+            let (items, rest) = fresh_items(n, rest, Datum::decode_in_place)?;
+            *slot = Datum::List(items);
+            Ok(rest)
+        }
+        other => Err(Error::Decode(format!("unknown datum tag {other}"))),
     }
+}
+
+/// Reads a list's `n` elements with `item` over what `out` holds, which
+/// keeps its buffer, cut to `n` and grown only as far as `buf` backs.
+#[inline]
+fn items_in_place<'a, T: Default>(
+    n: usize,
+    mut rest: &'a [u8],
+    out: &mut Vec<T>,
+    mut item: impl FnMut(&mut T, &'a [u8]) -> Result<&'a [u8]>,
+) -> Result<&'a [u8]> {
+    out.truncate(n);
+    out.reserve(n.min(rest.len()).saturating_sub(out.len()));
+    let held = out.len();
+    for slot in out.iter_mut() {
+        rest = item(slot, rest)?;
+    }
+    for _ in held..n {
+        // Pushed once it has parsed: a count the input cannot back grows
+        // `out` no further than the reservation above.
+        let mut fresh = T::default();
+        rest = item(&mut fresh, rest)?;
+        out.push(fresh);
+    }
+    Ok(rest)
+}
+
+/// [`items_in_place`] into a vector sized once.
+#[inline]
+fn fresh_items<'a, T: Default>(
+    n: usize,
+    rest: &'a [u8],
+    item: impl FnMut(&mut T, &'a [u8]) -> Result<&'a [u8]>,
+) -> Result<(Vec<T>, &'a [u8])> {
+    let mut items = Vec::with_capacity(n.min(rest.len()));
+    let rest = items_in_place(n, rest, &mut items, item)?;
     Ok((items, rest))
+}
+
+/// [`Datum::size_bytes`] of a list: leaves inline, only lists recurse.
+fn list_size(items: &[Datum]) -> u64 {
+    5 + items.iter().map(Datum::size_bytes).sum::<u64>()
+}
+
+/// [`Datum::encode_into`] of a list past its tag, leaves inline.
+fn encode_items(items: &[Datum], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    for item in items {
+        item.encode_into(out);
+    }
+}
+
+/// [`Datum::encoded_len`] of a list's elements, leaves inline.
+fn items_len(buf: &[u8]) -> Result<usize> {
+    let (n, items) = list_len(buf)?;
+    let mut at = 0;
+    for _ in 0..n {
+        at += Datum::encoded_len(&items[at..])?;
+    }
+    Ok(at)
+}
+
+/// Writes `scalar` over `slot`, dropping what `slot` held only where it
+/// owns a buffer: a scalar slot is overwritten without its drop code.
+#[inline(always)]
+fn put_scalar(slot: &mut Datum, scalar: Datum) {
+    match slot {
+        Datum::Null | Datum::Bool(_) | Datum::Int(_) | Datum::Float(_) => {
+            std::mem::forget(std::mem::replace(slot, scalar));
+        }
+        _ => *slot = scalar,
+    }
 }
 
 fn split_n<'a>(buf: &'a [u8], n: usize, what: &str) -> Result<(&'a [u8], &'a [u8])> {
@@ -572,10 +627,345 @@ impl From<Vec<Datum>> for Datum {
     }
 }
 
+/// The codec before its scalar fast paths, word for word: the oracle the
+/// live one answers to in `tests::the_codec_matches_its_oracle`.
+#[cfg(test)]
+mod oracle {
+    use super::{list_len, split_len_prefixed, split_n, strip_list_tag, utf8, LIST_TAG, NULL_TAG};
+    use crate::{Datum, Error, Result};
+
+    pub fn size_bytes(d: &Datum) -> u64 {
+        match d {
+            Datum::Null => 1,
+            Datum::Bool(_) => 2,
+            Datum::Int(_) => 9,
+            Datum::Float(_) => 9,
+            Datum::Text(s) => 5 + s.len() as u64,
+            Datum::Bytes(b) => 5 + b.len() as u64,
+            Datum::List(items) => 5 + items.iter().map(size_bytes).sum::<u64>(),
+        }
+    }
+
+    pub fn encode_into(d: &Datum, out: &mut Vec<u8>) {
+        out.push(d.tag());
+        match d {
+            Datum::Null => {}
+            Datum::Bool(v) => out.push(*v as u8),
+            Datum::Int(v) => out.extend_from_slice(&v.to_le_bytes()),
+            Datum::Float(v) => out.extend_from_slice(&v.to_bits().to_le_bytes()),
+            Datum::Text(s) => {
+                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                out.extend_from_slice(s.as_bytes());
+            }
+            Datum::Bytes(b) => {
+                out.extend_from_slice(&(b.len() as u32).to_le_bytes());
+                out.extend_from_slice(b);
+            }
+            Datum::List(items) => {
+                out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+                for item in items {
+                    encode_into(item, out);
+                }
+            }
+        }
+    }
+
+    pub fn decode_from(buf: &[u8]) -> Result<(Datum, &[u8])> {
+        let (&tag, rest) = buf
+            .split_first()
+            .ok_or_else(|| Error::Decode("empty buffer".into()))?;
+        match tag {
+            NULL_TAG => Ok((Datum::Null, rest)),
+            1 => {
+                let (&b, rest) = rest
+                    .split_first()
+                    .ok_or_else(|| Error::Decode("truncated bool".into()))?;
+                Ok((Datum::Bool(b != 0), rest))
+            }
+            2 => {
+                let (head, rest) = split_n(rest, 8, "int")?;
+                Ok((
+                    Datum::Int(i64::from_le_bytes(head.try_into().unwrap())),
+                    rest,
+                ))
+            }
+            3 => {
+                let (head, rest) = split_n(rest, 8, "float")?;
+                let bits = u64::from_le_bytes(head.try_into().unwrap());
+                Ok((Datum::Float(f64::from_bits(bits)), rest))
+            }
+            4 => {
+                let (payload, rest) = split_len_prefixed(rest, "text")?;
+                Ok((Datum::Text(utf8(payload)?.to_owned()), rest))
+            }
+            5 => {
+                let (payload, rest) = split_len_prefixed(rest, "bytes")?;
+                Ok((Datum::Bytes(payload.to_vec()), rest))
+            }
+            LIST_TAG => {
+                let (items, rest) = decode_items(rest, decode_from)?;
+                Ok((Datum::List(items), rest))
+            }
+            other => Err(Error::Decode(format!("unknown datum tag {other}"))),
+        }
+    }
+
+    pub fn decode_in_place<'a>(slot: &mut Datum, buf: &'a [u8]) -> Result<&'a [u8]> {
+        match (slot, buf.split_first()) {
+            (Datum::Text(held), Some((4, rest))) => {
+                let (payload, rest) = split_len_prefixed(rest, "text")?;
+                let text = utf8(payload)?;
+                held.clear();
+                held.reserve_exact(text.len());
+                held.push_str(text);
+                Ok(rest)
+            }
+            (Datum::Bytes(held), Some((5, rest))) => {
+                let (payload, rest) = split_len_prefixed(rest, "bytes")?;
+                held.clear();
+                held.reserve_exact(payload.len());
+                held.extend_from_slice(payload);
+                Ok(rest)
+            }
+            (Datum::List(held), Some((&LIST_TAG, _))) => {
+                decode_list_in_place(buf, held, decode_in_place)
+            }
+            (slot, _) => {
+                let (datum, rest) = decode_from(buf)?;
+                *slot = datum;
+                Ok(rest)
+            }
+        }
+    }
+
+    pub fn decode_list_with<'a, T>(
+        buf: &'a [u8],
+        item: impl FnMut(&'a [u8]) -> Result<(T, &'a [u8])>,
+    ) -> Result<(Vec<T>, &'a [u8])> {
+        decode_items(strip_list_tag(buf)?, item)
+    }
+
+    pub fn decode_list_in_place<'a, T: Default>(
+        buf: &'a [u8],
+        out: &mut Vec<T>,
+        mut item: impl FnMut(&mut T, &'a [u8]) -> Result<&'a [u8]>,
+    ) -> Result<&'a [u8]> {
+        let (n, mut rest) = list_len(strip_list_tag(buf)?)?;
+        out.truncate(n);
+        out.reserve(n.min(rest.len()).saturating_sub(out.len()));
+        for i in 0..n {
+            match out.get_mut(i) {
+                Some(held) => rest = item(held, rest)?,
+                None => {
+                    let mut fresh = T::default();
+                    rest = item(&mut fresh, rest)?;
+                    out.push(fresh);
+                }
+            }
+        }
+        Ok(rest)
+    }
+
+    pub fn encoded_len(buf: &[u8]) -> Result<usize> {
+        let (&tag, rest) = buf
+            .split_first()
+            .ok_or_else(|| Error::Decode("empty buffer".into()))?;
+        let body = match tag {
+            NULL_TAG => 0,
+            1 => 1,
+            2 | 3 => 8,
+            4 | 5 => 4 + split_len_prefixed(rest, "string")?.0.len(),
+            LIST_TAG => {
+                let (n, items) = list_len(rest)?;
+                let mut at = 0;
+                for _ in 0..n {
+                    at += encoded_len(&items[at..])?;
+                }
+                4 + at
+            }
+            other => return Err(Error::Decode(format!("unknown datum tag {other}"))),
+        };
+        if body > rest.len() {
+            return Err(Error::Decode("truncated datum".into()));
+        }
+        Ok(1 + body)
+    }
+
+    fn decode_items<'a, T>(
+        buf: &'a [u8],
+        mut item: impl FnMut(&'a [u8]) -> Result<(T, &'a [u8])>,
+    ) -> Result<(Vec<T>, &'a [u8])> {
+        let (n, mut rest) = list_len(buf)?;
+        let mut items = Vec::with_capacity(n.min(rest.len()));
+        for _ in 0..n {
+            let (it, r) = item(rest)?;
+            items.push(it);
+            rest = r;
+        }
+        Ok((items, rest))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::collections::hash_map::DefaultHasher;
+
+    thread_local! {
+        /// The allocation requests this thread made: how many, and a digest
+        /// of their sizes in order.
+        static REQUESTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    /// Records every request on the requesting thread; `realloc` keeps its
+    /// default, an `alloc` of the new size, so growth is recorded too.
+    struct Watching;
+
+    // SAFETY: every call is forwarded unchanged to `System`, which upholds
+    // the `GlobalAlloc` contract; the bookkeeping touches only a
+    // const-initialised, destructor-free thread-local `Cell`, which neither
+    // allocates nor unwinds.
+    unsafe impl GlobalAlloc for Watching {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            REQUESTS.with(|r| {
+                let (n, digest) = r.get();
+                let size = layout.size() as u64;
+                r.set((
+                    n + 1,
+                    digest.rotate_left(7) ^ size.wrapping_mul(0x9E37_79B9),
+                ));
+            });
+            // SAFETY: `layout` is the caller's, passed through as received.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` was returned by `System.alloc` with this `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: Watching = Watching;
+
+    /// What `f` returns, and the allocation requests it made.
+    fn requests<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+        REQUESTS.with(|r| r.set((0, 0)));
+        let out = f();
+        (out, REQUESTS.with(Cell::get))
+    }
+
+    fn arb_datum() -> impl Strategy<Value = Datum> {
+        let leaf = prop_oneof![
+            Just(Datum::Null),
+            any::<bool>().prop_map(Datum::Bool),
+            any::<i64>().prop_map(Datum::Int),
+            any::<f64>().prop_map(Datum::Float),
+            "[a-z0-9 ]{0,12}".prop_map(Datum::Text),
+            proptest::collection::vec(any::<u8>(), 0..12).prop_map(Datum::Bytes),
+        ];
+        leaf.prop_recursive(3, 48, 6, |inner| {
+            proptest::collection::vec(inner, 0..6).prop_map(Datum::List)
+        })
+    }
+
+    /// Bytes that are often almost an encoding: mostly known tags, small
+    /// length prefixes, and now and then an invalid UTF-8 byte.
+    fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let byte = prop_oneof![0u8..8, 0u8..3, any::<u8>(), Just(0xFFu8)];
+        proptest::collection::vec(byte, 0..40)
+    }
+
+    /// Runs the live codec and the oracle over `buf`, each decoder over a
+    /// clone of `held`: the same answer — datum, rest, `Error::Decode`
+    /// message — and the same allocation requests, in the same order.
+    fn decodes_as_the_oracle(held: &Datum, buf: &[u8]) -> std::result::Result<(), TestCaseError> {
+        let (live, live_asks) = requests(|| Datum::decode_from(buf));
+        let (old, old_asks) = requests(|| oracle::decode_from(buf));
+        prop_assert_eq!(&live, &old, "decode_from of {:?}", buf);
+        prop_assert_eq!(live_asks, old_asks, "decode_from's requests on {:?}", buf);
+        if let (Ok((live, _)), Ok((old, _))) = (&live, &old) {
+            prop_assert_eq!(live.encode(), old.encode());
+        }
+        let (mut live_slot, mut old_slot) = (held.clone(), held.clone());
+        let (live, live_asks) = requests(|| Datum::decode_in_place(&mut live_slot, buf));
+        let (old, old_asks) = requests(|| oracle::decode_in_place(&mut old_slot, buf));
+        prop_assert_eq!(&live, &old, "decode_in_place over {:?} of {:?}", held, buf);
+        prop_assert_eq!(
+            live_asks,
+            old_asks,
+            "decode_in_place's requests over {:?} of {:?}",
+            held,
+            buf
+        );
+        if live.is_ok() {
+            prop_assert_eq!(live_slot.encode(), old_slot.encode());
+        }
+        let (live, live_asks) = requests(|| Datum::decode_list_with(buf, Datum::decode_from));
+        let (old, old_asks) = requests(|| oracle::decode_list_with(buf, oracle::decode_from));
+        prop_assert_eq!(live, old);
+        prop_assert_eq!(live_asks, old_asks);
+        let held_list = || held.as_list().map_or_else(Vec::new, <[Datum]>::to_vec);
+        let (mut live_list, mut old_list) = (held_list(), held_list());
+        let (live, live_asks) =
+            requests(|| Datum::decode_list_in_place(buf, &mut live_list, Datum::decode_in_place));
+        let (old, old_asks) =
+            requests(|| oracle::decode_list_in_place(buf, &mut old_list, oracle::decode_in_place));
+        prop_assert_eq!(&live, &old);
+        prop_assert_eq!(live_asks, old_asks);
+        if live.is_ok() {
+            prop_assert_eq!(
+                Datum::List(live_list).encode(),
+                Datum::List(old_list).encode()
+            );
+        }
+        prop_assert_eq!(Datum::encoded_len(buf), oracle::encoded_len(buf));
+        Ok(())
+    }
+
+    proptest! {
+        /// The live codec is the oracle's, on arbitrary datums (size and
+        /// bytes, written after a prefix into a buffer that must grow), on
+        /// each datum's encoding with a tail, on every proper prefix of it,
+        /// on it with one byte replaced, and on arbitrary bytes, each
+        /// decoded over arbitrary prior slot contents.
+        #[test]
+        fn the_codec_matches_its_oracle(
+            d in arb_datum(),
+            held in arb_datum(),
+            bytes in arb_bytes(),
+            tail in proptest::collection::vec(any::<u8>(), 0..3),
+            at in any::<u64>(),
+            byte in any::<u8>(),
+            room in 0usize..24,
+        ) {
+            prop_assert_eq!(d.size_bytes(), oracle::size_bytes(&d));
+            let mut live = Vec::with_capacity(room);
+            let mut old = Vec::with_capacity(room);
+            live.extend_from_slice(&tail);
+            old.extend_from_slice(&tail);
+            let (_, live_asks) = requests(|| d.encode_into(&mut live));
+            let (_, old_asks) = requests(|| oracle::encode_into(&d, &mut old));
+            prop_assert_eq!(&live, &old);
+            prop_assert_eq!(live_asks, old_asks);
+
+            let mut buf = d.encode();
+            let len = buf.len();
+            buf.extend_from_slice(&tail);
+            for cut in 0..=len {
+                decodes_as_the_oracle(&held, &buf[..cut])?;
+            }
+            decodes_as_the_oracle(&held, &buf)?;
+            let at = (at % buf.len() as u64) as usize;
+            buf[at] = byte;
+            decodes_as_the_oracle(&held, &buf)?;
+            decodes_as_the_oracle(&held, &bytes)?;
+            decodes_as_the_oracle(&d, &bytes)?;
+        }
+    }
 
     fn hash_of(d: &Datum) -> u64 {
         let mut h = DefaultHasher::new();

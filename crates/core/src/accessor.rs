@@ -1210,6 +1210,49 @@ mod tests {
         );
     }
 
+    /// One race of each outcome, against a primary whose latency the
+    /// unhedged lookup of the same key measures. The loser ran until the
+    /// winner answered: a winning backup's answer is what the task is
+    /// charged, and a losing backup ran from the threshold to the
+    /// primary's answer.
+    #[test]
+    fn a_hedge_loser_is_counted_for_what_it_ran() {
+        let key = Datum::Int(1);
+        let mut plain = TaskCtx::new(0);
+        charged().lookup(&key, LookupMode::Remote, &mut plain);
+        let primary = plain.charged();
+        let race = |threshold| {
+            let cl = charged().with_hedging(&HedgeConfig {
+                seed: 42,
+                threshold: Some(threshold),
+                policy: HedgePolicy::ChargeWinner,
+            });
+            let mut ctx = TaskCtx::new(0);
+            cl.lookup(&key, LookupMode::Remote, &mut ctx);
+            let count = |name: &str| ctx.counters.get(&format!("efind.op.0.hedge.{name}"));
+            (
+                ctx.charged(),
+                count("fired"),
+                count("wins"),
+                count("loser.nanos"),
+            )
+        };
+
+        // Fired at once, the backup answers at a fraction of the primary's
+        // latency and wins.
+        let (wall, fired, wins, loser) = race(SimDuration::ZERO);
+        assert_eq!((fired, wins), (1, 1));
+        assert!(wall < primary, "{wall:?} against {primary:?}");
+        assert_eq!(loser, wall.as_nanos() as i64);
+
+        // Fired a microsecond before the primary answers, it loses.
+        let margin = SimDuration::from_micros(1);
+        let (wall, fired, wins, loser) = race(primary - margin);
+        assert_eq!((fired, wins), (1, 0));
+        assert_eq!(wall, primary);
+        assert_eq!(loser, margin.as_nanos() as i64);
+    }
+
     #[test]
     fn local_lookups_never_hedge() {
         let plain = charged();

@@ -739,4 +739,63 @@ mod tests {
         c.decode(&Datum::Bytes(payload_of(big))).unwrap();
         assert_eq!(&c, big);
     }
+
+    /// Host nanoseconds per [`Carrier::decode_bytes`] into a reused
+    /// carrier, on a hot cache, for two payload shapes a shuffle ships: 43
+    /// bytes as `lookup_repart`'s (an `Int` key and value, one `Int` lookup
+    /// key, an unfilled slot) and 207 bytes as a Q9 join's (a 14-field row:
+    /// twelve ints and floats and two 25-byte texts; one key, an unfilled
+    /// slot). A wall-clock reading, so not part of the suite:
+    /// `cargo test --release -p efind --lib decode_bytes_ns -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "host-time microbenchmark"]
+    fn decode_bytes_ns() {
+        let repart = built(
+            Datum::Int(7),
+            Datum::Int(42),
+            &[vec![Datum::Int(42)]],
+            &[None],
+        );
+        let mut fields: Vec<Datum> = (0..12)
+            .map(|i| match i % 2 {
+                0 => Datum::Int(i * 1_000),
+                _ => Datum::Float(i as f64 / 4.0),
+            })
+            .collect();
+        fields.extend([
+            text("Supplier#000000017, green"),
+            text("forest green almond khaki"),
+        ]);
+        let q9 = built(
+            Datum::Int(123_456),
+            Datum::List(fields),
+            &[vec![Datum::Int(17)]],
+            &[None],
+        );
+        const DECODES: u32 = 200_000;
+        for (len, carrier) in [(43, repart), (207, q9)] {
+            let payload = payload_of(&carrier);
+            assert_eq!(payload.len(), len);
+            let mut into = Carrier::default();
+            let mut samples: Vec<f64> = (0..9)
+                .map(|_| {
+                    #[expect(
+                        clippy::disallowed_types,
+                        reason = "a host-time microbenchmark; never charged to virtual time"
+                    )]
+                    let start = std::time::Instant::now();
+                    for _ in 0..DECODES {
+                        into.decode_bytes(std::hint::black_box(&payload)).unwrap();
+                    }
+                    start.elapsed().as_nanos() as f64 / f64::from(DECODES)
+                })
+                .collect();
+            assert_eq!(into, carrier);
+            samples.sort_by(f64::total_cmp);
+            println!(
+                "{len}-byte carrier: {:.1} ns per decode_bytes (median of 9; {:.1}-{:.1})",
+                samples[4], samples[0], samples[8]
+            );
+        }
+    }
 }

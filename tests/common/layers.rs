@@ -568,6 +568,7 @@ pub fn check_cell(seed: u64, mask: u8, m: usize) -> Result<Outcome, String> {
                 ));
             }
             crashes_listed_once(&a).map_err(|e| format!("{cell}: {e}"))?;
+            rereplication_balances(&a).map_err(|e| format!("{cell}: {e}"))?;
             Ok(Outcome::Answered(a))
         }
         (Err(a), Err(b)) => {
@@ -609,6 +610,25 @@ pub fn crashes_listed_once(run: &Run) -> Result<(), String> {
                     job.name, job.started, job.finished
                 ));
             }
+        }
+    }
+    Ok(())
+}
+
+/// Whether every job's re-replication books balance: each re-replication
+/// scheduled on a suspicion is confirmed or cancelled, and each cancelled
+/// one is a refuted suspicion or a false positive. `Err` names the first
+/// job whose books do not.
+pub fn rereplication_balances(run: &Run) -> Result<(), String> {
+    for (i, job) in run.jobs.iter().enumerate() {
+        let p = &job.partition;
+        if p.rereplication_pending != p.confirmed + p.rereplication_cancelled
+            || p.rereplication_cancelled != p.refuted + p.false_positives
+        {
+            return Err(format!(
+                "job {i} ({}): re-replication does not balance: {p:?}",
+                job.name
+            ));
         }
     }
     Ok(())
